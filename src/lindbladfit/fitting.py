@@ -47,6 +47,9 @@ __all__ = [
     "BranchPolicy",
     "FitResult",
     "enumerate_branches",
+    "snapshot_matrix",
+    "checked_log",
+    "branch_targets",
     "best_fit_lindbladian",
 ]
 
@@ -132,13 +135,14 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
     return chained
 
 
-def _snapshot_matrix(m_snapshot) -> np.ndarray:
+def snapshot_matrix(m_snapshot) -> np.ndarray:
+    """The complex matrix of a snapshot given as a TransferMatrix or an array."""
     if isinstance(m_snapshot, TransferMatrix):
         return m_snapshot.mat
     return np.asarray(m_snapshot, dtype=complex)
 
 
-def _checked_log(r: np.ndarray) -> tuple[SpectralData, np.ndarray]:
+def checked_log(r: np.ndarray) -> tuple[SpectralData, np.ndarray]:
     """Eigendecompose R, take the principal log, and audit the round trip."""
     spectral = eig_full(r)
     l0 = matrix_log_principal(spectral)
@@ -169,7 +173,7 @@ def _pairing_first_order(
     return np.concatenate([idx[closed], idx[~closed]])
 
 
-def _branch_targets(
+def branch_targets(
     l0: np.ndarray, spectral: SpectralData, branches: np.ndarray
 ) -> np.ndarray:
     """Choi-side targets (L_m)^Gamma for a whole stack of branch vectors."""
@@ -198,7 +202,7 @@ def best_fit_lindbladian(
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
     if policy is None:
         policy = BranchPolicy()
-    m = _snapshot_matrix(m_snapshot)
+    m = snapshot_matrix(m_snapshot)
     r = np.asarray(r, dtype=complex)
     if r.shape != m.shape:
         raise OutOfRange(
@@ -206,10 +210,10 @@ def best_fit_lindbladian(
         )
     d = side_dim(r.shape[0])
 
-    spectral, l0 = _checked_log(r)
+    spectral, l0 = checked_log(r)
     branches = np.array(list(enumerate_branches(policy, r.shape[0])), dtype=int)
     order = _pairing_first_order(np.log(spectral.eigenvalues), branches)
-    targets = _branch_targets(l0, spectral, branches)
+    targets = branch_targets(l0, spectral, branches)
 
     # The first solve is a singleton chunk: for a snapshot that is already
     # an exponential of a Lindbladian, the leading branch lands below the

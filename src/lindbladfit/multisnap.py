@@ -11,8 +11,17 @@ over hermitian trace-compatible cone-feasible X, with each term also
 capped by a trust radius delta, and L_mc^c ranging over logarithm
 branches of M_c.  The accepted candidate is the one with the smallest
 summed snapshot distance, provided every individual snapshot distance
-beats epsilon (the running best starts at q*epsilon, so a candidate must
-average below epsilon per snapshot to count at all).
+beats epsilon and the sum beats q*epsilon (a candidate must average below
+epsilon per snapshot to count at all); ties go to the earlier (delta,
+assignment) grid position.
+
+The search runs as three batched steps.  The per-snapshot branch targets
+are stacked per assignment, and ``solver.joint_infeasibility`` screens
+the whole (delta, assignment) grid at once.  The pairs that survive go
+to one lockstep ``solver.solve_joint_fit_batch`` call.  One ``expm`` call
+then gives every survivor's snapshot distances, and the reduction walks
+the survivors by (summed distance, grid position) to the first one that
+passes the Lindblad audit.
 
 Degenerate snapshots add one wrinkle: a basis repaired on one snapshot
 is only usable if the other snapshots' clustered subspaces agree with
@@ -30,16 +39,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import solver
+from . import fitting, solver
 from .channels import is_lindbladian
 from .errors import DimensionMismatch, InconsistentClusters, OutOfRange
 from .fitting import (
     BranchPolicy,
     FitResult,
     enumerate_branches,
-    _branch_targets,
-    _checked_log,
-    _snapshot_matrix,
+    branch_targets,
+    checked_log,
+    snapshot_matrix,
 )
 from .linalg import expm, frobenius, gamma_involution, side_dim
 from .nonmarkov import DeltaSweep
@@ -54,10 +63,6 @@ __all__ = [
 
 COMPLEX_KIND = "complex"
 REAL_KIND = "real"
-
-#: Tolerance of the is-it-really-a-Lindbladian audit on the winner.
-VERIFY_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class SnapshotSeries:
@@ -76,7 +81,7 @@ class SnapshotSeries:
         return len(self.snapshots)
 
     def matrix(self, c: int) -> np.ndarray:
-        return _snapshot_matrix(self.snapshots[c])
+        return snapshot_matrix(self.snapshots[c])
 
     def validate(self) -> None:
         if self.count < 1:
@@ -265,51 +270,45 @@ def best_fit_multi(
     if policy is None:
         policy = BranchPolicy()
     q = series.count
-    times = [float(t) for t in series.times]
+    times = np.asarray(series.times, dtype=float)
     mats = [series.matrix(c) for c in range(q)]
     n = mats[0].shape[0]
     d = side_dim(n)
 
-    logs = [_checked_log(m) for m in mats]
+    logs = [checked_log(m) for m in mats]
     if sweep is None:
         sweep = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step)
     deltas = sweep.grid()
 
-    # Per-snapshot branch targets are cached: a restricted assignment
-    # reuses the zero-branch target for every snapshot but one.
-    target_cache: list[dict] = [{} for _ in range(q)]
+    assignments = np.array(
+        list(_joint_assignments(policy, q, n, restrict_branches)), dtype=int
+    )
+    # One batched target call per snapshot over its distinct branches; a
+    # restricted assignment reuses the zero branch for all snapshots but one.
+    targets = np.empty(assignments.shape[:2] + (n, n), dtype=complex)
+    for c, (spectral, l0) in enumerate(logs):
+        branches, inverse = np.unique(assignments[:, c], axis=0, return_inverse=True)
+        targets[:, c] = branch_targets(l0, spectral, branches)[inverse.reshape(-1)]
 
-    def target(c: int, m: tuple) -> np.ndarray:
-        if m not in target_cache[c]:
-            spectral, l0 = logs[c]
-            branch = np.array([m], dtype=int)
-            target_cache[c][m] = _branch_targets(l0, spectral, branch)[0]
-        return target_cache[c][m]
-
-    assignments = list(_joint_assignments(policy, q, n, restrict_branches))
-
-    xi = q * epsilon
-    best: Optional[FitResult] = None
-    for delta in deltas:
-        for assignment in assignments:
-            targets = [target(c, assignment[c]) for c in range(q)]
-            report = solver.solve_joint_fit(
-                targets, times, d, float(delta), settings
+    # Grid position δ-major, then assignment: the enumeration order that
+    # breaks ties between equal summed distances.
+    excess = solver.joint_infeasibility(targets, times, deltas[:, None])
+    delta_idx, assign_idx = np.nonzero(excess == 0)
+    if not assign_idx.size:
+        return None
+    reports = solver.solve_joint_fit_batch(
+        targets[assign_idx], times, d, deltas[delta_idx], settings
+    )
+    generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
+    exps = expm(times[None, :, None, None] * generators[:, None])
+    dists = np.linalg.norm(np.array(mats)[None] - exps, axis=(-2, -1))
+    distance = dists.sum(axis=1)
+    fits = (dists.max(axis=1) < epsilon) & (distance < q * epsilon)
+    for k in np.flatnonzero(fits)[np.argsort(distance[fits], kind="stable")]:
+        if is_lindbladian(generators[k], tol=fitting.VERIFY_TOL).ok:
+            return FitResult(
+                lindbladian=generators[k],
+                distance=float(distance[k]),
+                branch=tuple(int(v) for v in assignments[assign_idx[k]].ravel()),
             )
-            if report.status == solver.INFEASIBLE:
-                continue
-            generator = gamma_involution(report.x_opt)
-            exps = expm(np.array(times)[:, None, None] * generator[None])
-            dists = [
-                float(frobenius(mats[c] - exps[c])) for c in range(q)
-            ]
-            distance = sum(dists)
-            if max(dists) < epsilon and distance < xi:
-                if is_lindbladian(generator, tol=VERIFY_TOL).ok:
-                    xi = distance
-                    best = FitResult(
-                        lindbladian=generator,
-                        distance=distance,
-                        branch=tuple(itertools.chain.from_iterable(assignment)),
-                    )
-    return best
+    return None

@@ -29,10 +29,10 @@ from .channels import is_lindbladian
 from .errors import NumericalFailure, OutOfRange, PreconditionViolated
 from .fitting import (
     BranchPolicy,
-    _branch_targets,
-    _checked_log,
-    _snapshot_matrix,
+    branch_targets,
+    checked_log,
     enumerate_branches,
+    snapshot_matrix,
 )
 from .linalg import (
     eig_full,
@@ -167,7 +167,7 @@ def non_markovianity(
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
     if policy is None:
         policy = BranchPolicy()
-    m = _snapshot_matrix(m_snapshot)
+    m = snapshot_matrix(m_snapshot)
     r = np.asarray(r, dtype=complex)
     if r.shape != m.shape:
         raise OutOfRange(
@@ -175,13 +175,13 @@ def non_markovianity(
         )
     d = side_dim(r.shape[0])
 
-    spectral, l0 = _checked_log(r)
+    spectral, l0 = checked_log(r)
     if sweep is None:
         sweep = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step)
     deltas = sweep.grid()
 
     branches = np.array(list(enumerate_branches(policy, r.shape[0])), dtype=int)
-    targets = _branch_targets(l0, spectral, branches)
+    targets = branch_targets(l0, spectral, branches)
     branch_idx = np.repeat(np.arange(len(branches)), len(deltas))
     delta_idx = np.tile(np.arange(len(deltas)), len(branches))
 
@@ -235,7 +235,7 @@ def analytical_mu_unital(m_snapshot) -> AnalyticalMu:
     Choi form, and the returned epsilon is the exponential's distance to the
     snapshot.
     """
-    m = _snapshot_matrix(m_snapshot)
+    m = snapshot_matrix(m_snapshot)
     d = side_dim(m.shape[0])
     n = m.shape[0]
     spectral = eig_full(m)

@@ -12,13 +12,19 @@ Both programs live in the real vector space of hermitian d²×d² matrices X
 where ω is the normalized maximally entangled vector and ω⊥ the projector
 onto its orthogonal complement.  A third program fits one generator to a
 snapshot series: minimize Σ_c ‖t_c X − T_c‖_F under a δ-ball per term plus
-the same affine/cone constraints.
+the same affine/cone constraints.  ``solve_joint_fit_batch`` solves a
+stack of such problems, one per (δ, branch assignment) pair, in lockstep;
+``joint_infeasibility`` screens a whole (δ, assignment) grid first, by
+broadcasting the skew norms and pairwise ball gaps of each assignment
+against every δ.
 
 The solver is consensus ADMM over closed-form projections:
 
   * affine set  {Tr₁[X] = 0}:  X ↦ X − (1/d)·1⊗Tr₁[X]
   * cone set    {ω⊥Xω⊥ ⪰ 0}:  subtract the negative spectral part of ω⊥Xω⊥
-  * ball / distance prox:      radial closed forms (1-D after reduction)
+  * ball / distance prox:      radial closed forms (1-D after reduction);
+                               the joint program's 1-D root is one masked
+                               Newton iteration over the whole batch
 
 Hermiticity is structural: every projection maps hermitian matrices to
 hermitian matrices, and the target is replaced by its hermitian part (the
@@ -579,52 +585,258 @@ def dykstra_closest_lindbladian(
 # ---------------------------------------------------------------------------
 
 
+#: Joint problems iterated together; bounds the working set (2 + q iterate
+#: blocks per problem) when a caller passes a large (δ, assignment) grid.
+JOINT_CHUNK = 8192
+
+
+def _radial_root(g: np.ndarray, s2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Roots r ∈ [0, g] of r/√(r² + s2) + c·(r − g) = 0, batched.
+
+    The left side is increasing and concave in r, so Newton started at the
+    s2 → 0 closed form r₀ = max(g − 1/c, 0), which never exceeds the root,
+    climbs to it from below.  Bisection keeps every step inside the
+    bracket [lo, hi]; a step onto the bracket's end is kept, so an exact
+    root (f = 0) ends the problem at once.  A problem stops once its step
+    falls below 1e-15·max(1, g).
+    """
+    lo = np.zeros_like(g)
+    hi = g.copy()
+    r = np.maximum(g - 1.0 / c, 0.0)
+    todo = np.arange(g.size)
+    for _ in range(60):
+        rr, gg, ss, cc = r[todo], g[todo], s2[todo], c[todo]
+        den = np.sqrt(rr * rr + ss)
+        pos = den > 0
+        safe = np.where(pos, den, 1.0)
+        f = np.where(pos, rr / safe, 1.0) + cc * (rr - gg)
+        above = f > 0
+        hi[todo[above]] = rr[above]
+        lo[todo[~above]] = rr[~above]
+        df = np.where(pos, ss / safe**3, 0.0) + cc
+        step = rr - f / df
+        lo_t, hi_t = lo[todo], hi[todo]
+        step = np.where((lo_t <= step) & (step <= hi_t), step, 0.5 * (lo_t + hi_t))
+        r[todo] = step
+        todo = todo[np.abs(step - rr) > 1e-15 * np.maximum(1.0, gg)]
+        if not todo.size:
+            break
+    return r
+
+
 def _prox_scaled_distance(
     v: np.ndarray,
     target_h: np.ndarray,
-    skew_sq: float,
+    skew_sq: np.ndarray,
     t_scale: float,
     rho: np.ndarray,
-    radius: float,
+    radius: np.ndarray,
 ) -> np.ndarray:
-    """prox of X ↦ √(‖t·X − A‖² + s²) (+ ball indicator at that radius).
+    """prox of X ↦ √(‖t·X − A‖² + s²) (+ ball indicator at that radius), batched.
 
     Radial reduction: with G = t·V − A, g = ‖G‖, the minimizer moves V
     along −G to reach magnitude r*, the root of
         r/√(r² + s²) + (ρ/t²)(r − g) = 0
-    clipped into [0, √(max(radius² − s², 0))].  Solved per problem by
-    safeguarded Newton (the function is scalar, smooth and increasing).
+    clipped into [0, √(max(radius² − s², 0))].  s², ρ and the radius are
+    per problem; the roots of the whole batch come from one masked Newton
+    iteration (``_radial_root``).
     """
     g_mat = t_scale * v - target_h
     g = _fro(g_mat)
-    r_max = np.sqrt(max(radius**2 - skew_sq, 0.0))
-    out = v.copy()
-    for i in range(v.shape[0]):
-        gi = float(g[i])
-        if gi < 1e-300:
-            continue
-        c = rho[i] / t_scale**2
-        s2 = skew_sq
-        lo, hi = 0.0, gi
-        r = gi  # Newton start at the unpenalized point
-        for _ in range(60):
-            den = np.sqrt(r * r + s2)
-            f = (r / den if den > 0 else 1.0) + c * (r - gi)
-            if f > 0:
-                hi = r
-            else:
-                lo = r
-            df = (s2 / den**3 if den > 0 else 0.0) + c
-            r_new = r - f / df if df > 0 else 0.5 * (lo + hi)
-            if not lo < r_new < hi:
-                r_new = 0.5 * (lo + hi)
-            if abs(r_new - r) <= 1e-15 * max(1.0, gi):
-                r = r_new
+    r = _radial_root(g, skew_sq, rho / t_scale**2)
+    r = np.minimum(np.maximum(r, 0.0), np.sqrt(np.maximum(radius**2 - skew_sq, 0.0)))
+    moves = g >= 1e-300
+    step = np.where(moves, (r - g) / (t_scale * np.where(moves, g, 1.0)), 0.0)
+    return v + step[:, None, None] * g_mat
+
+
+def joint_infeasibility(
+    targets: np.ndarray, times: Sequence[float] | np.ndarray, deltas
+) -> np.ndarray:
+    """Ball excess that proves joint fits infeasible; 0 where no test fires.
+
+    ``targets`` is (..., q, d², d²), one target per snapshot, and ``deltas``
+    broadcasts against its leading axes: a (D, 1) column of radii against
+    A stacked assignments gives the (D, A) screen, with the skew norms and
+    the pairwise gaps computed once per assignment.  The excess is inf
+    where some skew part alone exceeds δ.  Otherwise it is gap − r_a − r_b
+    for the first pair a < b of balls (radius √(δ² − ‖skew T_c‖²)/t_c
+    around herm(T_c)/t_c) that lie more than 1e-12 apart.
+    """
+    t = np.asarray(targets, dtype=complex)
+    t_sc = np.asarray(times, dtype=float)
+    t_h = _herm(t)
+    skew_sq = _fro(t - t_h) ** 2
+    scaled = t_h / t_sc[:, None, None]
+    delta_sq = np.asarray(deltas, dtype=float)[..., None] ** 2
+    radius = np.sqrt(np.maximum(delta_sq - skew_sq, 0.0)) / t_sc
+    pairs = list(zip(*np.triu_indices(t.shape[-3], 1)))
+    excess = np.zeros(radius.shape[:-1])
+    for a, b in reversed(pairs):  # the first disjoint pair writes last
+        gap = _fro(scaled[..., a, :, :] - scaled[..., b, :, :])
+        r_a, r_b = radius[..., a], radius[..., b]
+        excess = np.where(gap > r_a + r_b + 1e-12, gap - r_a - r_b, excess)
+    return np.where(np.any(skew_sq > delta_sq, axis=-1), np.inf, excess)
+
+
+def _joint_admm(
+    t_full: np.ndarray,
+    t_sc: np.ndarray,
+    deltas: np.ndarray,
+    geo: _Geometry,
+    st: SolverSettings,
+    history: Optional[list],
+) -> list[SolveReport]:
+    """Lockstep consensus ADMM for a chunk of joint fits that passed the screen."""
+    b, q = t_full.shape[:2]
+    t_h = _herm(t_full)
+    skew_sq = _fro(t_full - t_h) ** 2
+    scale = np.maximum(1.0, np.max(_fro(t_h) / t_sc, axis=1))
+
+    alpha = st.over_relaxation
+    nb = 2 + q
+    rho = np.full(b, st.rho)
+    z = t_h[:, 0] / t_sc[0]
+    u = [np.zeros_like(z) for _ in range(nb)]
+
+    active = np.arange(b)
+    z_sol = np.empty_like(z)
+    iters = np.full(b, st.max_iters)
+    converged = np.zeros(b, dtype=bool)
+    for it in range(1, st.max_iters + 1):
+        x_blocks = [
+            geo.project_trace_zero(z - u[0]),
+            geo.project_cone(z - u[1]),
+        ]
+        for c in range(q):
+            x_blocks.append(
+                _prox_scaled_distance(
+                    z - u[2 + c], t_h[active, c], skew_sq[active, c], t_sc[c],
+                    rho, deltas[active],
+                )
+            )
+        xh = [alpha * xb + (1 - alpha) * z for xb in x_blocks]
+        z_new = sum(xh[i] + u[i] for i in range(nb)) / nb
+        for i in range(nb):
+            u[i] += xh[i] - z_new
+        primal = np.sqrt(sum(_fro(xb - z_new) ** 2 for xb in x_blocks))
+        dual = rho * np.sqrt(nb) * _fro(z_new - z)
+        z = z_new
+        if history is not None:
+            history.append((it, float(primal.max()), float(dual.max())))
+
+        sc = scale[active]
+        done = (primal <= st.primal_tol * sc) & (dual <= st.dual_tol * sc)
+        if done.any():
+            idx = active[done]
+            z_sol[idx] = z[done]
+            iters[idx] = it
+            converged[idx] = True
+            keep = ~done
+            active = active[keep]
+            z, rho, primal, dual = z[keep], rho[keep], primal[keep], dual[keep]
+            u = [ui[keep] for ui in u]
+            if not active.size:
                 break
-            r = r_new
-        r = min(max(r, 0.0), r_max)
-        out[i] = v[i] + ((r - gi) / (t_scale * gi)) * g_mat[i]
-    return out
+        if it % 100 == 0:
+            # deterministic residual balancing
+            grow = primal > 10 * dual
+            shrink = dual > 10 * primal
+            rho[grow] *= 2.0
+            rho[shrink] /= 2.0
+            for ui in u:
+                ui[grow] /= 2.0
+                ui[shrink] *= 2.0
+    z_sol[active] = z  # hit max_iters
+
+    x_fin = geo.project_trace_zero(geo.project_cone(z_sol))
+    cone_res = geo.cone_deficit(x_fin)
+    affine_res = _one_norm(geo.trace_first(x_fin))
+    dists = _fro(t_sc[:, None, None] * x_fin[:, None] - t_full)
+    ball_res = np.maximum(0.0, dists.max(axis=1) - deltas)
+    obj = dists.sum(axis=1)
+    ok = (
+        converged
+        & (cone_res <= st.cone_tol * scale)
+        & (ball_res <= 10 * st.primal_tol * scale)
+    )
+    return [
+        SolveReport(
+            x_opt=x_fin[i],
+            objective=float(obj[i]),
+            residuals=(float(affine_res[i]), float(cone_res[i]), float(ball_res[i])),
+            status=OPTIMAL if ok[i] else MAX_ITERS,
+            iterations=int(iters[i]),
+            history=history if (history is not None and i == 0) else None,
+        )
+        for i in range(b)
+    ]
+
+
+def solve_joint_fit_batch(
+    targets: np.ndarray,
+    times: Sequence[float] | np.ndarray,
+    d: int,
+    deltas: Sequence[float] | np.ndarray,
+    settings: Optional[SolverSettings] = None,
+) -> list[SolveReport]:
+    """Solve a stack of joint fits in lockstep; one SolveReport per problem.
+
+    ``targets`` is (B, q, d², d²).  Problem i fits one hermitian X to the
+    q targets T_c = targets[i, c] at the shared ``times``, with trust
+    radius δ = deltas[i]:
+
+        minimize   Σ_c ‖t_c·X − T_c‖_F
+        subject to ‖t_c·X − T_c‖_F ≤ δ for every c,  Tr₁[X] = 0,  ω⊥Xω⊥ ⪰ 0.
+
+    Problems that ``joint_infeasibility`` rules out are reported
+    Infeasible without iterating; their ball residual is the excess.  The
+    rest run consensus ADMM (one prox block per series term plus the
+    affine and cone blocks) in chunks of JOINT_CHUNK, with per-problem
+    residual balancing and retirement.  Each problem's iterates are
+    independent, so results do not depend on the batch composition.
+    """
+    st = settings or SolverSettings()
+    st.validate()
+    geo = _geometry(d)
+    t_full = np.asarray(targets, dtype=complex)
+    n = d * d
+    if t_full.ndim != 4 or t_full.shape[-2:] != (n, n):
+        raise DimensionMismatch(
+            f"targets must be (B, q, {n}, {n}) for side dimension {d}, got {t_full.shape}"
+        )
+    b, q = t_full.shape[:2]
+    t_sc = np.asarray(times, dtype=float)
+    if q == 0 or t_sc.shape != (q,):
+        raise DimensionMismatch("one time per target required")
+    if np.any(t_sc <= 0):
+        raise OutOfRange("times must be positive")
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (b,))
+    if np.any(deltas < 0):
+        raise OutOfRange("delta must be nonnegative")
+
+    excess = joint_infeasibility(t_full, t_sc, deltas)
+    reports: list[Optional[SolveReport]] = [None] * b
+    screened = np.flatnonzero(excess > 0)
+    x0 = geo.project_trace_zero(_herm(t_full[screened, 0]) / t_sc[0])
+    for k, i in enumerate(screened):
+        reports[i] = SolveReport(
+            x_opt=x0[k],
+            objective=float("nan"),
+            residuals=(0.0, 0.0, float(excess[i])),
+            status=INFEASIBLE,
+            iterations=0,
+        )
+    live = np.flatnonzero(excess == 0)
+    history: Optional[list] = [] if st.track_history else None
+    for start in range(0, live.size, JOINT_CHUNK):
+        idx = live[start : start + JOINT_CHUNK]
+        solved = _joint_admm(
+            t_full[idx], t_sc, deltas[idx], geo, st, history if start == 0 else None
+        )
+        for i, rep in zip(idx, solved):
+            reports[i] = rep
+    return reports  # type: ignore[return-value]
 
 
 def solve_joint_fit(
@@ -636,109 +848,8 @@ def solve_joint_fit(
 ) -> SolveReport:
     """Fit one hermitian cone/affine-feasible X to several scaled targets.
 
-    minimize   Σ_c ‖t_c·X − T_c‖_F
-    subject to ‖t_c·X − T_c‖_F ≤ δ for every c,  Tr₁[X] = 0,  ω⊥Xω⊥ ⪰ 0.
-
-    Consensus ADMM with one prox block per series term plus the affine and
-    cone blocks.  Infeasible when some skew part already exceeds δ or two
-    balls are provably disjoint.
+    The one-problem form of ``solve_joint_fit_batch``: infeasible when
+    some skew part already exceeds δ or two balls are provably disjoint.
     """
-    st = settings or SolverSettings()
-    st.validate()
-    geo = _geometry(d)
-    q = len(targets)
-    if q != len(times):
-        raise DimensionMismatch("one time per target required")
-    t_full = [_as_batch(t, d)[0] for t in targets]
-    t_sc = [float(t) for t in times]
-    if min(t_sc) <= 0:
-        raise OutOfRange("times must be positive")
-
-    t_h = [_herm(t) for t in t_full]
-    skew_sq = [float(_fro((t_full[c] - t_h[c])[None])[0] ** 2) for c in range(q)]
-    if any(s > delta**2 for s in skew_sq):
-        x0 = geo.project_trace_zero(_herm(t_full[0][None]) / t_sc[0])
-        return SolveReport(
-            x_opt=x0[0],
-            objective=float("nan"),
-            residuals=(0.0, 0.0, float("inf")),
-            status=INFEASIBLE,
-            iterations=0,
-        )
-    # pairwise ball separation rules out hopeless series cheaply
-    for a in range(q):
-        for bb in range(a + 1, q):
-            gap = float(_fro((t_h[a] / t_sc[a] - t_h[bb] / t_sc[bb])[None])[0])
-            r_a = np.sqrt(max(delta**2 - skew_sq[a], 0.0)) / t_sc[a]
-            r_b = np.sqrt(max(delta**2 - skew_sq[bb], 0.0)) / t_sc[bb]
-            if gap > r_a + r_b + 1e-12:
-                x0 = geo.project_trace_zero(_herm(t_full[0][None]) / t_sc[0])
-                return SolveReport(
-                    x_opt=x0[0],
-                    objective=float("nan"),
-                    residuals=(0.0, 0.0, float(gap - r_a - r_b)),
-                    status=INFEASIBLE,
-                    iterations=0,
-                )
-
-    scale = max(1.0, max(float(_fro(t_h[c][None])[0]) / t_sc[c] for c in range(q)))
-    alpha = st.over_relaxation
-    nb = 2 + q
-    rho = np.full(1, st.rho)
-    z = _herm(t_full[0][None]) / t_sc[0]
-    u = [np.zeros_like(z) for _ in range(nb)]
-
-    status = MAX_ITERS
-    it = 0
-    history: list[tuple[int, float, float]] = [] if st.track_history else None
-    for it in range(1, st.max_iters + 1):
-        x_blocks = [
-            geo.project_trace_zero(z - u[0]),
-            geo.project_cone(z - u[1]),
-        ]
-        for c in range(q):
-            x_blocks.append(
-                _prox_scaled_distance(
-                    z - u[2 + c], t_h[c][None], skew_sq[c], t_sc[c], rho, delta
-                )
-            )
-        xh = [alpha * xb + (1 - alpha) * z for xb in x_blocks]
-        z_new = sum(xh[i] + u[i] for i in range(nb)) / nb
-        for i in range(nb):
-            u[i] += xh[i] - z_new
-        primal = float(np.sqrt(sum(_fro(xb - z_new)[0] ** 2 for xb in x_blocks)))
-        dual = float(rho[0] * np.sqrt(nb) * _fro(z_new - z)[0])
-        z = z_new
-        if history is not None:
-            history.append((it, primal, dual))
-        if primal <= st.primal_tol * scale and dual <= st.dual_tol * scale:
-            status = OPTIMAL
-            break
-        if it % 100 == 0:
-            if primal > 10 * dual:
-                rho *= 2.0
-                for i in range(nb):
-                    u[i] /= 2.0
-            elif dual > 10 * primal:
-                rho /= 2.0
-                for i in range(nb):
-                    u[i] *= 2.0
-
-    x_fin = geo.project_trace_zero(geo.project_cone(z))
-    cone_res = float(geo.cone_deficit(x_fin)[0])
-    affine_res = float(_one_norm(geo.trace_first(x_fin))[0])
-    dists = [float(_fro((t_sc[c] * x_fin - t_full[c][None]))[0]) for c in range(q)]
-    ball_res = max(0.0, max(dists) - delta)
-    obj = float(sum(dists))
-    if status == OPTIMAL and (
-        cone_res > st.cone_tol * scale or ball_res > 10 * st.primal_tol * scale
-    ):
-        status = MAX_ITERS
-    return SolveReport(
-        x_opt=x_fin[0],
-        objective=obj,
-        residuals=(affine_res, cone_res, ball_res),
-        status=status,
-        iterations=it,
-        history=history,
-    )
+    stacked = np.stack([_as_batch(t, d)[0] for t in targets])
+    return solve_joint_fit_batch(stacked[None], times, d, [delta], settings)[0]
