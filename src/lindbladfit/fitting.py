@@ -20,6 +20,15 @@ snapshot); the final reduction still ranks every solved branch by
 (distance, enumeration position), so the ordering cannot change the
 answer.  Early termination is allowed only once a branch gets within
 1e-12 of the snapshot.
+
+The closest-generator program sees a target only through its hermitian
+part (the skew part adds a constant to the objective), so branches whose
+targets share herm(T) share one solution and one distance.  The search
+groups the branches into these herm classes first (``herm_classes``),
+solves each class once at its first member in solve order, and gives
+every member that solution and distance.  Members of one class therefore
+tie exactly, and a class reports its lowest enumeration position: the
+winner is the first class by (distance, lowest member position).
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ __all__ = [
     "snapshot_matrix",
     "checked_log",
     "branch_targets",
+    "herm_classes",
     "best_fit_lindbladian",
 ]
 
@@ -63,6 +73,10 @@ EARLY_STOP_DISTANCE = 1e-12
 
 #: Tolerance of the final is-it-really-a-Lindbladian audit on the winner.
 VERIFY_TOL = 1e-7
+
+#: Branch targets whose hermitian parts lie within this distance, relative
+#: to max(1, largest |herm T|), share one closest-generator solve.
+CLASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,69 @@ def branch_targets(
     return gamma_involution(l0[None, :, :] + TWO_PI * 1j * shifts)
 
 
+def herm_classes(targets: np.ndarray) -> np.ndarray:
+    """Index of each target's class representative, for targets in solve order.
+
+    Target i joins the first earlier representative whose hermitian part
+    lies within CLASS_TOL * max(1, largest |herm T|) of its own, and
+    otherwise represents a class of its own; so rep[i] <= i and the
+    representatives are the indices with rep[i] == i.  Only hermitian parts
+    within that tolerance share a class: a class whose members spread wider
+    is split, two distinct classes (they differ by O(2*pi)) are never merged.
+    """
+    h = 0.5 * (targets + np.conj(np.swapaxes(targets, -1, -2)))
+    flat = h.reshape(len(h), -1)
+    tol = CLASS_TOL * max(1.0, float(np.max(np.linalg.norm(flat, axis=1), initial=0.0)))
+    rep = np.arange(len(h))
+    todo = rep.copy()
+    while todo.size:
+        near = np.linalg.norm(flat[todo] - flat[todo[0]], axis=1) <= tol
+        rep[todo[near]] = todo[0]
+        todo = todo[~near]
+    return rep
+
+
+def _solve_classes(
+    m: np.ndarray,
+    targets: np.ndarray,
+    order: np.ndarray,
+    d: int,
+    settings: Optional[solver.SolverSettings],
+    chunk_size: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve (P1) once per herm class of the branch targets, in solve order.
+
+    Returns the class of every branch in enumeration order (-1 where the
+    class was never solved because the search stopped early), and each
+    solved class's Choi-side solution and exponential's distance to M.
+    """
+    owner = herm_classes(targets[order])
+    leaders = np.unique(owner)
+    label = np.empty(len(order), dtype=int)
+    label[order] = np.searchsorted(leaders, owner)
+
+    # The first solve is a singleton chunk: for a snapshot that is already
+    # an exponential of a Lindbladian, the leading branch lands below the
+    # early-stop distance and the remaining grid is never touched.
+    bounds = [0, 1]
+    while bounds[-1] < len(leaders):
+        bounds.append(min(bounds[-1] + chunk_size, len(leaders)))
+
+    xs, dists = [], []
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        chunk = order[leaders[start:end]]
+        reports = solver.closest_lindbladian_batch(targets[chunk], d, settings)
+        x_stack = np.stack([report.x_opt for report in reports])
+        exps = expm(gamma_involution(x_stack))
+        xs.append(x_stack)
+        dists.append(np.linalg.norm(m[None, :, :] - exps, axis=(-2, -1)))
+        if np.any(dists[-1] < EARLY_STOP_DISTANCE):
+            break
+    distances = np.concatenate(dists)
+    label[label >= len(distances)] = -1
+    return label, np.concatenate(xs), distances
+
+
 def best_fit_lindbladian(
     m_snapshot,
     r: np.ndarray,
@@ -196,7 +273,8 @@ def best_fit_lindbladian(
 
     Returns the minimal-distance result whose exponential lands strictly
     within ``epsilon`` of the raw snapshot, or None when no branch does.
-    Ties in distance are broken by enumeration order.
+    Every member of a herm class shares its representative's distance, so
+    ties are broken by enumeration order.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
@@ -214,48 +292,27 @@ def best_fit_lindbladian(
     branches = np.array(list(enumerate_branches(policy, r.shape[0])), dtype=int)
     order = _pairing_first_order(np.log(spectral.eigenvalues), branches)
     targets = branch_targets(l0, spectral, branches)
+    label, x_opts, distances = _solve_classes(m, targets, order, d, settings, chunk_size)
 
-    # The first solve is a singleton chunk: for a snapshot that is already
-    # an exponential of a Lindbladian, the leading branch lands below the
-    # early-stop distance and the remaining grid is never touched.
-    bounds = [0, 1]
-    while bounds[-1] < len(order):
-        bounds.append(min(bounds[-1] + chunk_size, len(order)))
-
-    # (distance, enumeration position, Choi-side solution) per solved branch
-    candidates: list[tuple[float, int, np.ndarray]] = []
-    stop = False
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        chunk = order[start:end]
-        reports = solver.closest_lindbladian_batch(targets[chunk], d, settings)
-        x_stack = np.stack([rep.x_opt for rep in reports])
-        exps = expm(gamma_involution(x_stack))
-        distances = np.linalg.norm(m[None, :, :] - exps, axis=(-2, -1))
-        for pos_in_chunk, enum_pos in enumerate(chunk):
-            dist = float(distances[pos_in_chunk])
-            candidates.append((dist, int(enum_pos), x_stack[pos_in_chunk]))
-            if dist < EARLY_STOP_DISTANCE:
-                stop = True
-        if stop:
-            break
+    # Each solved class reports its lowest enumeration position.
+    first = np.full(len(distances), len(branches))
+    solved = np.nonzero(label >= 0)[0]
+    np.minimum.at(first, label[solved], solved)
 
     # Distances below the early-stop threshold are ties in exact arithmetic
     # (all branches of log R share the exponential R); rank them as zero so
-    # the strict-improvement rule resolves them by enumeration order instead
-    # of floating-point jitter.
-    def rank(candidate: tuple[float, int, np.ndarray]) -> tuple[float, int]:
-        dist, enum_pos, _ = candidate
-        return (dist if dist >= EARLY_STOP_DISTANCE else 0.0, enum_pos)
-
-    for dist, enum_pos, x_opt in sorted(candidates, key=rank):
-        if dist >= epsilon:
+    # they too are resolved by enumeration order instead of floating-point
+    # jitter.
+    ranked = np.where(distances >= EARLY_STOP_DISTANCE, distances, 0.0)
+    for k in np.lexsort((first, ranked)):
+        if distances[k] >= epsilon:
             break
-        lindbladian = gamma_involution(x_opt)
+        lindbladian = gamma_involution(x_opts[k])
         if is_lindbladian(lindbladian, tol=VERIFY_TOL).ok:
             return FitResult(
                 lindbladian=lindbladian,
-                distance=dist,
-                branch=tuple(int(v) for v in branches[enum_pos]),
+                distance=float(distances[k]),
+                branch=tuple(int(v) for v in branches[first[k]]),
                 basis_sample_id=basis_sample_id,
             )
     return None

@@ -4,8 +4,9 @@ A snapshot M that admits no Lindbladian log can still be "almost Markovian":
 the measure asks for the smallest rate mu such that some logarithm branch,
 after adding white noise at rate mu, satisfies all Lindblad conditions while
 its exponential stays within epsilon of M.  Operationally this is a sweep
-over trust radii delta and logarithm branches; each grid point solves the
-noise-minimization program and a candidate is accepted only when the
+over trust radii delta and logarithm branches; each grid point whose
+delta-ball reaches the hermitian trace-zero slice solves the
+noise-minimization program, and a candidate is accepted only when the
 exponential check against the raw snapshot passes.
 
 The module also carries a closed-form estimate for channels with real,
@@ -158,10 +159,12 @@ def non_markovianity(
     A grid point is accepted only when its exponential lands strictly within
     epsilon of the raw snapshot; among accepted points the smallest mu wins,
     with ties broken by smaller delta and then branch enumeration order.
-    Most grid points never reach the iterative solver: a delta-ball that
-    misses the hermitian trace-zero slice (every branch that breaks
-    conjugation symmetry picks up a skew part of order 2*pi) is discarded by
-    the solver's feasibility screen.
+    Most grid points never reach the iterative solver: one vectorized
+    screen (``solver.min_mu_infeasible``) first drops every pair whose
+    delta-ball misses the hermitian trace-zero slice (every branch that
+    breaks conjugation symmetry picks up a skew part of order 2*pi), and
+    only the remaining pairs, in (branch, delta) order, are batched into
+    ``solver.min_mu_batch``.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
@@ -182,8 +185,8 @@ def non_markovianity(
 
     branches = np.array(list(enumerate_branches(policy, r.shape[0])), dtype=int)
     targets = branch_targets(l0, spectral, branches)
-    branch_idx = np.repeat(np.arange(len(branches)), len(deltas))
-    delta_idx = np.tile(np.arange(len(deltas)), len(branches))
+    # live (branch, delta) pairs in row-major order
+    branch_idx, delta_idx = np.nonzero(~solver.min_mu_infeasible(targets, d, deltas))
 
     # accepted candidates: (ranking key, true mu, solution, distance)
     candidates: list[tuple[tuple[float, float, int], float, np.ndarray, float]] = []

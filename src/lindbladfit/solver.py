@@ -16,7 +16,8 @@ the same affine/cone constraints.  ``solve_joint_fit_batch`` solves a
 stack of such problems, one per (δ, branch assignment) pair, in lockstep;
 ``joint_infeasibility`` screens a whole (δ, assignment) grid first, by
 broadcasting the skew norms and pairwise ball gaps of each assignment
-against every δ.
+against every δ.  ``min_mu_infeasible`` screens a (target, δ) grid for
+(P2) the same way: one skew norm and one affine gap per target.
 
 The solver is consensus ADMM over closed-form projections:
 
@@ -350,6 +351,33 @@ def solve_closest_lindbladian(
 # ---------------------------------------------------------------------------
 
 
+def _reach(t_full: np.ndarray, geo: _Geometry):
+    """herm(T), its projection onto {Tr₁[X] = 0}, ‖skew(T)‖ and the
+    distance from herm(T) to that projection."""
+    t_h = _herm(t_full)
+    x0 = geo.project_trace_zero(t_h)
+    return t_h, x0, _fro(t_full - t_h), _fro(t_h - x0)
+
+
+def _ball_misses(deltas, skew_norm, affine_gap) -> np.ndarray:
+    """δ² − ‖skew‖² < gap²: the δ-ball misses the hermitian trace-zero slice."""
+    return ~(deltas**2 - skew_norm**2 >= affine_gap**2 - 1e-30)
+
+
+def min_mu_infeasible(
+    targets: np.ndarray, d: int, deltas: Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """(B, D) mask of the (target, δ) pairs that (P2) reports Infeasible.
+
+    The skew norm and the affine gap are computed once per target and
+    broadcast against the whole δ grid; this is the same test
+    ``min_mu_batch`` applies to each of its pairs.
+    """
+    _, _, skew_norm, affine_gap = _reach(_as_batch(targets, d), _geometry(d))
+    deltas = np.asarray(deltas, dtype=float)
+    return _ball_misses(deltas[None, :], skew_norm[:, None], affine_gap[:, None])
+
+
 def min_mu_batch(
     targets: np.ndarray,
     d: int,
@@ -359,10 +387,11 @@ def min_mu_batch(
     """Solve (P2) for stacks of (target, δ) pairs in lockstep.
 
     A pair is reported Infeasible when δ² < ‖skew(T)‖² + ‖Tr₁-component‖²,
-    i.e. when the ball cannot even reach the hermitian affine subspace.
-    Deeper infeasibility (ball misses the cone) surfaces as MaxIters; the
-    drivers pre-screen δ against the (P1) distance so that case does not
-    arise in normal operation.
+    i.e. when the ball cannot even reach the hermitian affine subspace
+    (``min_mu_infeasible`` evaluates the same test over a whole δ grid, so
+    callers can keep such pairs out of the batch).  Its x_opt is the
+    trace-zero projection of herm(T).  Deeper infeasibility (the ball
+    misses the cone) is not screened and surfaces as MaxIters.
     """
     st = settings or SolverSettings()
     st.validate()
@@ -373,34 +402,30 @@ def min_mu_batch(
     if np.any(deltas < 0):
         raise OutOfRange("delta must be nonnegative")
 
-    t_h = _herm(t_full)
-    skew_norm = _fro(t_full - t_h)
-    affine_gap = _fro(t_h - geo.project_trace_zero(t_h))
+    t_h, x_affine, skew_norm, affine_gap = _reach(t_full, geo)
     scale = np.maximum(1.0, _fro(t_h))
-
-    # effective hermitian-space ball radius; ball tangency to the affine
-    # subspace decides quick infeasibility
-    rad_sq = deltas**2 - skew_norm**2
-    feasible = rad_sq >= affine_gap**2 - 1e-30
-    radius = np.sqrt(np.maximum(rad_sq, 0.0))
+    misses = _ball_misses(deltas, skew_norm, affine_gap)
+    # effective hermitian-space ball radius
+    radius = np.sqrt(np.maximum(deltas**2 - skew_norm**2, 0.0))
 
     reports: list[Optional[SolveReport]] = [None] * b
-    for i in np.nonzero(~feasible)[0]:
-        x0 = geo.project_trace_zero(t_h[i][None])[0]
+    dead = np.nonzero(misses)[0]
+    x0 = x_affine[dead]
+    cone0 = geo.cone_deficit(x0)
+    ball0 = np.maximum(
+        0.0, np.sqrt(affine_gap[dead] ** 2 + skew_norm[dead] ** 2) - deltas[dead]
+    )
+    for j, i in enumerate(dead):
         reports[i] = SolveReport(
-            x_opt=x0,
+            x_opt=x0[j],
             objective=float("nan"),
-            residuals=(
-                0.0,
-                float(geo.cone_deficit(x0[None])[0]),
-                float(max(0.0, np.sqrt(_fro(x0[None] - t_h[i][None])[0] ** 2 + skew_norm[i] ** 2) - deltas[i])),
-            ),
+            residuals=(0.0, float(cone0[j]), float(ball0[j])),
             status=INFEASIBLE,
             iterations=0,
             mu=None,
         )
 
-    live = np.nonzero(feasible)[0]
+    live = np.nonzero(~misses)[0]
     if live.size == 0:
         return reports  # type: ignore[return-value]
 

@@ -1,11 +1,14 @@
-"""Branch enumeration and the branch-search generator fit."""
+"""Branch enumeration, the herm-class quotient and the branch-search
+generator fit."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from lindbladfit import cli, fitting, preprocess
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -17,8 +20,24 @@ from lindbladfit.channels import (
     x_gate,
 )
 from lindbladfit.errors import DegenerateSpectrum, OutOfRange
-from lindbladfit.fitting import BranchPolicy, best_fit_lindbladian, enumerate_branches
-from lindbladfit.linalg import eig_full, frobenius, matrix_log_principal
+from lindbladfit.fitting import (
+    BranchPolicy,
+    _pairing_first_order,
+    _solve_classes,
+    best_fit_lindbladian,
+    branch_targets,
+    checked_log,
+    enumerate_branches,
+    herm_classes,
+)
+from lindbladfit.linalg import (
+    eig_full,
+    frobenius,
+    gamma_involution,
+    matrix_log_principal,
+    side_dim,
+)
+from lindbladfit.solver import solve_closest_lindbladian
 
 
 # ----------------------------------------------------------------------
@@ -187,3 +206,114 @@ def test_noisy_snapshot_fit_quality_tracks_noise():
     res = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
     assert res.distance <= noise
     assert is_lindbladian(res.lindbladian, tol=1e-6).ok
+
+
+# ----------------------------------------------------------------------
+# the herm-class quotient
+# ----------------------------------------------------------------------
+
+def _repaired(spec, shots, samples):
+    """Snapshot (tomography seed 1) and the repaired matrices ``fit`` searches."""
+    mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
+    cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
+    _, stream = cli._repaired_samples(mat, preprocess.DEFAULT_PRECISION, 0.05, cfg)
+    return mat, [r for _, r in stream]
+
+
+def _class_solve(mat, r, policy, chunk_size=256):
+    spectral, l0 = checked_log(r)
+    branches = np.array(list(enumerate_branches(policy, r.shape[0])))
+    order = _pairing_first_order(np.log(spectral.eigenvalues), branches)
+    targets = branch_targets(l0, spectral, branches)
+    d = side_dim(r.shape[0])
+    return (branches, targets) + _solve_classes(mat, targets, order, d, None, chunk_size)
+
+
+@pytest.fixture(scope="module")
+def depol_case():
+    """d=2 depolarizing p=0.1: the fourth repaired sample wins the fit."""
+    mat, samples = _repaired(ChannelSpec("depolarizing", {"p": 0.1}), 10**4, 4)
+    return mat, samples[3], BranchPolicy(1)
+
+
+@pytest.fixture(scope="module")
+def iswap_case():
+    """d=4 ISWAP, the first 32 branches of its repaired sample."""
+    mat, samples = _repaired(ChannelSpec("iswap"), 10**5, 1)
+    return mat, samples[0], BranchPolicy(1, max_branches=32)
+
+
+def test_herm_classes_group_by_hermitian_part_only():
+    rng = np.random.default_rng(7)
+    a, b, skew = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    skew = skew - skew.conj().T
+    jitter = 1e-13 * rng.standard_normal((4, 4))
+    stack = np.stack([a, b, a + skew + jitter, b - 3 * skew, a + 1e-6, a])
+    assert list(herm_classes(stack)) == [0, 1, 0, 1, 4, 0]
+
+
+def test_herm_classes_never_chain():
+    """Each target is compared with the representative, not with its
+    neighbour, so a chain of close neighbours does not merge far targets."""
+    unit = np.zeros((4, 4))
+    unit[0, 0] = 1.0
+    step = 0.6 * fitting.CLASS_TOL  # all norms stay below 1
+    stack = np.stack([k * step * unit for k in range(40)])
+    assert list(herm_classes(stack)) == [k - k % 2 for k in range(40)]
+
+
+@pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
+def test_quotient_matches_per_branch_solves(case, request):
+    mat, r, policy = request.getfixturevalue(case)
+    branches, targets, label, x_opts, distances = _class_solve(mat, r, policy)
+    assert (label >= 0).all()
+    assert len(distances) < len(branches)  # some class has several members
+    d = side_dim(r.shape[0])
+    for b, target in enumerate(targets):
+        x = solve_closest_lindbladian(target, d).x_opt
+        dist = frobenius(mat - expm(gamma_involution(x)))
+        assert dist == pytest.approx(distances[label[b]], abs=1e-9)
+
+
+@pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
+def test_quotient_winner_does_not_depend_on_chunk_size(case, request):
+    mat, r, policy = request.getfixturevalue(case)
+    a = best_fit_lindbladian(mat, r, np.inf, policy)
+    b = best_fit_lindbladian(mat, r, np.inf, policy, chunk_size=1)
+    assert a.branch == b.branch
+    assert a.distance == pytest.approx(b.distance, abs=1e-12)
+
+
+def test_class_members_report_the_lowest_enumeration_position(depol_case, monkeypatch):
+    """The winning class reports its lowest enumeration position, also when
+    the solve order makes another member its representative."""
+    mat, r, policy = depol_case
+    branches, _, label, _, distances = _class_solve(mat, r, policy)
+    res = best_fit_lindbladian(mat, r, np.inf, policy)
+    won = [tuple(b) for b in branches].index(res.branch)
+    members = np.nonzero(label == label[won])[0]
+    assert len(members) >= 5  # the five branches that tie in distance
+    assert won == members.min()
+    assert res.distance == distances[label[won]]
+
+    monkeypatch.setattr(
+        fitting, "_pairing_first_order", lambda _, b: np.arange(len(b))[::-1]
+    )
+    backwards = best_fit_lindbladian(mat, r, np.inf, policy)
+    assert backwards.branch == res.branch
+    assert backwards.distance == pytest.approx(res.distance, abs=1e-9)
+
+
+@pytest.mark.parametrize("shots", [10**4, 10**5])
+def test_depolarizing_fit_reports_the_principal_branch(tmp_path, shots):
+    """Five branches tie in distance; the tie goes to enumeration order."""
+    snap = simulate_process_tomography(
+        ChannelSpec("depolarizing", {"p": 0.1}), TomographyConfig(shots=shots, seed=1)
+    )
+    path, report = tmp_path / "snap.json", tmp_path / "report.json"
+    cli.write_matrix_file(str(path), snap.mat)
+    argv = ["fit", "--in", str(path), "--samples", "4", "--epsilon", "0.05"]
+    assert cli.main(argv + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["verdict"] == "Markovian"
+    assert doc["result"]["branch"] == [0, 0, 0, 0]
