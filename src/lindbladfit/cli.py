@@ -20,14 +20,16 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from . import fitting, nonmarkov, preprocess
 from .channels import ChannelSpec, TomographyConfig, simulate_process_tomography
 from .errors import InputError, LindbladFitError, NumericalFailure, OutOfRange
-from .linalg import eig_full, frobenius, side_dim
+# eig_full is not called here; the benchmark tracer (perfbench/spans.py)
+# still looks it up on this module.
+from .linalg import eig_full, frobenius, side_dim  # noqa: F401
 from .multisnap import SnapshotSeries, best_fit_multi
 
 EXIT_OK = 0
@@ -154,37 +156,6 @@ def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
                 f" dimension {dim}; pass --max-branches to cap the search"
             )
     return policy
-
-
-def _repaired_samples(
-    mat: np.ndarray, precision: float, epsilon: float, cfg: preprocess.RandomBasisConfig
-) -> tuple[str, Iterator[tuple[int, np.ndarray]]]:
-    """Stream (sample id, repaired matrix) pairs for the fit stage.
-
-    Mirrors the one-shot pre-processing pipeline step for step (the keyed
-    RNG makes the draws identical), but yields matrices lazily so large
-    sample counts run in constant memory.  Returns the pipeline kind,
-    which is "identity" / "passthrough" / "samples".
-    """
-    m = preprocess.perturb_to_nd2(np.asarray(mat, dtype=complex), 1e-8)
-    s = eig_full(m)
-    partition = preprocess.detect_clusters(s, precision)
-    if partition.has_clusters and partition.consistent_with_identity:
-        return preprocess.IDENTITY, iter(())
-    if not partition.has_clusters:
-        return preprocess.PASSTHROUGH, iter([(0, m)])
-    residual_tol = max(1e-8, float(epsilon))
-    bases, failed = preprocess.build_cluster_bases(s, partition, precision, residual_tol)
-    if failed:
-        return preprocess.PASSTHROUGH, iter([(0, m)])
-
-    def generate() -> Iterator[tuple[int, np.ndarray]]:
-        for k in range(cfg.samples):
-            basis = preprocess.random_hp_basis(s, partition, bases, cfg, k)
-            inverse = np.linalg.inv(basis)
-            yield k, (basis * s.eigenvalues) @ inverse
-
-    return preprocess.SAMPLES, generate()
 
 
 _WORKER: dict[str, Any] = {}
@@ -368,7 +339,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "jobs": args.jobs,
     }
 
-    kind, stream = _repaired_samples(mat, args.precision, args.epsilon, cfg)
+    kind, stream = preprocess.repaired_samples(mat, args.precision, args.epsilon, cfg)
     doc: dict[str, Any] = {
         "input_digest": _file_digest(args.infile),
         "settings": settings,
@@ -388,7 +359,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         else:
             # No branch of any sample lands inside the epsilon ball; ask
             # instead how much white noise would reconcile the snapshot.
-            _, fallback = _repaired_samples(mat, args.precision, args.epsilon, cfg)
+            _, fallback = preprocess.repaired_samples(mat, args.precision, args.epsilon, cfg)
             mu, mu_sample = _mu_over_samples(
                 mat, fallback, args.epsilon, policy, args.delta_step
             )
@@ -474,7 +445,7 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
             )
         )
 
-    kind, stream = _repaired_samples(mat, args.precision, 1.0, cfg)
+    kind, stream = preprocess.repaired_samples(mat, args.precision, 1.0, cfg)
     if kind == preprocess.IDENTITY:
         # Consistent with the identity map at every budget: no noise needed.
         distance = float(frobenius(mat - np.eye(mat.shape[0])))
@@ -510,12 +481,12 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
             if eps <= 0:
                 add_row(eps, None, None)
                 continue
-            _, per_eps = _repaired_samples(mat, args.precision, eps, cfg)
+            _, per_eps = preprocess.repaired_samples(mat, args.precision, eps, cfg)
             fit, _, _ = _fit_over_samples(mat, per_eps, policy, args.jobs, None)
             if fit is not None and fit.distance < eps:
                 add_row(eps, 0.0, fit.distance)
                 continue
-            _, per_eps = _repaired_samples(mat, args.precision, eps, cfg)
+            _, per_eps = preprocess.repaired_samples(mat, args.precision, eps, cfg)
             mu, _ = _mu_over_samples(mat, per_eps, eps, policy, args.delta_step)
             if mu is None:
                 add_row(eps, None, None)

@@ -52,10 +52,6 @@ class BasisUnavailable(LindbladFitError):
     """No hermiticity-preserving basis could be built for a cluster."""
 
 
-class InconsistentClusters(LindbladFitError):
-    """Snapshots of one time series disagree on their cluster structure."""
-
-
 class NotUnitary(LindbladFitError):
     """A gate matrix that fails the unitarity check."""
 

@@ -48,6 +48,7 @@ from .linalg import (
     expm,
     frobenius,
     gamma_involution,
+    herm,
     matrix_log_principal,
     side_dim,
 )
@@ -206,7 +207,7 @@ def herm_classes(targets: np.ndarray) -> np.ndarray:
     within that tolerance share a class: a class whose members spread wider
     is split, two distinct classes (they differ by O(2*pi)) are never merged.
     """
-    h = 0.5 * (targets + np.conj(np.swapaxes(targets, -1, -2)))
+    h = herm(targets)
     flat = h.reshape(len(h), -1)
     tol = CLASS_TOL * max(1.0, float(np.max(np.linalg.norm(flat, axis=1), initial=0.0)))
     rep = np.arange(len(h))

@@ -13,6 +13,7 @@ Vectorization convention (used everywhere in the package): row stacking,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ TWO_PI_I = 2j * np.pi
 
 def side_dim(n: int) -> int:
     """Return d for n = d**2, raising if n is not a perfect square."""
-    d = int(round(np.sqrt(n)))
+    d = math.isqrt(n)
     if d * d != n:
         raise NotPerfectSquareDim(f"dimension {n} is not a perfect square")
     return d
@@ -235,10 +236,15 @@ def vec_adjoint(v: np.ndarray) -> np.ndarray:
 
 
 def partial_trace_first(x: np.ndarray) -> np.ndarray:
-    """Trace over the first tensor factor: out[c, r] = sum_j x[(j,c), (j,r)]."""
-    x = _as_square(x)
-    d = side_dim(x.shape[0])
-    return np.einsum("jcjr->cr", x.reshape(d, d, d, d))
+    """Trace over the first tensor factor: out[..., c, r] = sum_j x[..., (j,c), (j,r)].
+
+    Leading axes are batch axes.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {x.shape}")
+    d = side_dim(x.shape[-1])
+    return np.einsum("...jcjr->...cr", x.reshape(x.shape[:-2] + (d, d, d, d)))
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +253,10 @@ def partial_trace_first(x: np.ndarray) -> np.ndarray:
 
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^H) / 2."""
-    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
+    a = np.asarray(a)
+    # halved by multiplying: numpy divides a complex array by a complex 2,
+    # which takes twice as long; both are exact
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def skew(a: np.ndarray) -> np.ndarray:

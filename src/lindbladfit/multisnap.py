@@ -22,13 +22,6 @@ to one lockstep ``solver.solve_joint_fit_batch`` call.  One ``expm`` call
 then gives every survivor's snapshot distances, and the reduction walks
 the survivors by (summed distance, grid position) to the first one that
 passes the Lindblad audit.
-
-Degenerate snapshots add one wrinkle: a basis repaired on one snapshot
-is only usable if the other snapshots' clustered subspaces agree with
-it.  ``subspace_compatibility`` quantifies that agreement as a sum of
-Frobenius gaps between span projectors, to be compared against a
-tolerance budget scaled with the series length and the measurement
-noise.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ import numpy as np
 
 from . import fitting, solver
 from .channels import is_lindbladian
-from .errors import DimensionMismatch, InconsistentClusters, OutOfRange
+from .errors import DimensionMismatch, OutOfRange
 from .fitting import (
     BranchPolicy,
     FitResult,
@@ -52,17 +45,12 @@ from .fitting import (
 )
 from .linalg import expm, frobenius, gamma_involution, side_dim
 from .nonmarkov import DeltaSweep
-from .preprocess import DEFAULT_PRECISION, _cluster_sets
 
 __all__ = [
     "SnapshotSeries",
-    "CompatibilityCheck",
-    "subspace_compatibility",
     "best_fit_multi",
 ]
 
-COMPLEX_KIND = "complex"
-REAL_KIND = "real"
 
 @dataclass(frozen=True)
 class SnapshotSeries:
@@ -103,118 +91,6 @@ class SnapshotSeries:
             raise OutOfRange(
                 f"times must be positive and strictly increasing, got {t}"
             )
-
-
-@dataclass(frozen=True)
-class CompatibilityCheck:
-    """Budgets for cross-snapshot agreement of clustered subspaces.
-
-    ``sigma_complex`` caps the summed projector gaps of a complex cluster
-    and its conjugate partner; ``sigma_real`` caps the single sum for a
-    real cluster.  ``from_error_estimate`` sets both to half of
-    (series length) x (cluster size) x (per-snapshot error), which keeps
-    the per-snapshot, per-dimension allowance at half the noise scale.
-    """
-
-    sigma_complex: float
-    sigma_real: float
-
-    def validate(self) -> None:
-        if self.sigma_complex <= 0 or self.sigma_real <= 0:
-            raise OutOfRange(
-                "tolerances must be positive, got "
-                f"({self.sigma_complex}, {self.sigma_real})"
-            )
-
-    @classmethod
-    def from_error_estimate(
-        cls, count: int, cluster_size: int, error: float
-    ) -> "CompatibilityCheck":
-        tol = 0.5 * count * cluster_size * error
-        return cls(sigma_complex=tol, sigma_real=tol)
-
-
-def _span_projector(columns: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(columns)
-    return q @ q.conj().T
-
-
-def _projector_rank(projector: np.ndarray) -> int:
-    return int(round(float(np.trace(projector).real)))
-
-
-def _cluster_spans(matrix: np.ndarray, p: float, kind: str) -> list:
-    """Span projectors of all size->=2 clusters of the requested class.
-
-    Uses the plain (right) eigendecomposition: subspace extraction does
-    not need left eigenvectors and must tolerate exactly degenerate
-    spectra, which the simple-spectrum path would reject.
-    """
-    lam, vecs = np.linalg.eig(matrix)
-    pos_sets, neg_sets, cpx_sets, _ = _cluster_sets(lam, p)
-    sets = cpx_sets if kind == COMPLEX_KIND else pos_sets + neg_sets
-    return [_span_projector(vecs[:, list(s)]) for s in sets]
-
-
-def _closest_span(spans: list, target: np.ndarray, size: int) -> Optional[float]:
-    """Smallest Frobenius gap to ``target`` among spans of rank ``size``."""
-    gaps = [
-        float(frobenius(s - target))
-        for s in spans
-        if _projector_rank(s) == size
-    ]
-    return min(gaps) if gaps else None
-
-
-def subspace_compatibility(
-    series: SnapshotSeries,
-    projectors: Sequence[np.ndarray],
-    check: CompatibilityCheck,
-    kind: str = COMPLEX_KIND,
-    precision: float = DEFAULT_PRECISION,
-) -> bool:
-    """Whether one snapshot's repaired cluster basis fits the whole series.
-
-    ``projectors`` are orthogonal projectors onto the candidate spans: for
-    a complex cluster the pair (span of the basis, span of its adjoints);
-    for a real cluster any splitting (e.g. pair span, adjoint span,
-    self-adjoint span) whose sum projects onto the full cluster subspace.
-    Each snapshot contributes the gap between the candidate projector and
-    its own closest same-size cluster subspace; the series passes when the
-    summed gaps stay within the budget.  A snapshot with no cluster of the
-    matching size means the degeneracy pattern is not shared at all.
-    """
-    series.validate()
-    check.validate()
-    if kind not in (COMPLEX_KIND, REAL_KIND):
-        raise OutOfRange(f"kind must be complex or real, got {kind!r}")
-    if kind == COMPLEX_KIND:
-        if len(projectors) != 2:
-            raise DimensionMismatch(
-                "complex clusters need the (span, adjoint span) projector "
-                f"pair, got {len(projectors)} projectors"
-            )
-        targets = [np.asarray(p, dtype=complex) for p in projectors]
-        budget = check.sigma_complex
-    else:
-        if not projectors:
-            raise DimensionMismatch("no candidate projectors supplied")
-        targets = [sum(np.asarray(p, dtype=complex) for p in projectors)]
-        budget = check.sigma_real
-    sizes = [_projector_rank(t) for t in targets]
-
-    total = 0.0
-    for c in range(series.count):
-        spans = _cluster_spans(series.matrix(c), precision, kind)
-        for target, size in zip(targets, sizes):
-            gap = _closest_span(spans, target, size)
-            if gap is None:
-                raise InconsistentClusters(
-                    f"snapshot {c} shows no {size}-eigenvalue "
-                    f"{kind} cluster"
-                )
-            total += gap
-    return total <= budget
 
 
 def _joint_assignments(

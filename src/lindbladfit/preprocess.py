@@ -15,7 +15,8 @@ snapshot famously "fits" the identity).  The repair implemented here:
 3. draw random mixtures of those structured vectors, one invertible
    basis per sample (`random_hp_basis`);
 4. reassemble ``R = S diag(lambda) S^-1`` carrying the snapshot's exact
-   spectrum but the repaired eigenbasis (`preprocess_main`).
+   spectrum but the repaired eigenbasis, one sample at a time
+   (`repaired_samples`, the lazy generator the fit stage consumes).
 
 Inputs whose spectrum is outright degenerate are first nudged onto a
 nearby matrix with simple spectrum by `perturb_to_nd2`.
@@ -23,8 +24,8 @@ nearby matrix with simple spectrum by `perturb_to_nd2`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -44,13 +45,12 @@ __all__ = [
     "ClusterPartition",
     "HPBasis",
     "RandomBasisConfig",
-    "PreprocessResult",
     "detect_clusters",
     "conjugate_basis",
     "real_positive_basis",
     "random_hp_basis",
     "perturb_to_nd2",
-    "preprocess_main",
+    "repaired_samples",
     "DEFAULT_PRECISION",
     "CONJUGATE_PAIRS",
     "SELF_ADJOINT_AND_PAIRS",
@@ -74,6 +74,8 @@ _STRICT_KERNEL_TOL = 1e-10
 _CONDITION_LIMIT = 1e8
 _MAX_RESAMPLE = 32
 _ND2_HALVING_CAP = 60
+# Frobenius budget for nudging a degenerate input onto a simple spectrum.
+_ND2_BUDGET = 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -400,16 +402,12 @@ def real_positive_basis(
 class RandomBasisConfig:
     """How many random bases to draw and from which seeded stream.
 
-    ``conj_test`` optionally overrides which clustered columns are built
-    randomly (True) versus filled in by conjugating a partner column
-    (False); by default the first column of every pair is the random one
-    and, for a conjugate pair of complex clusters, the first-listed
-    cluster is built randomly.
+    The first column of every pair is the random one and, for a conjugate
+    pair of complex clusters, the first-listed cluster is built randomly.
     """
 
     samples: int
     seed: int = 0
-    conj_test: Optional[tuple] = None
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -465,17 +463,6 @@ def _symmetrized_column(rng, pool: np.ndarray) -> Optional[np.ndarray]:
     if norm < 1e-6 * np.linalg.norm(z):
         return None
     return col / norm
-
-
-def _prefers_random(conj_test, first: int, second: int) -> bool:
-    """Resolve pair orientation from an explicit conj_test override."""
-    if conj_test is None:
-        return True
-    a = bool(conj_test[first])
-    b = bool(conj_test[second])
-    if a == b:
-        return True
-    return a
 
 
 def random_hp_basis(
@@ -536,8 +523,6 @@ def random_hp_basis(
             for c1, c2 in pair_slots:
                 z = pool @ _complex_gaussian(rng, pool.shape[1])
                 z = z / np.linalg.norm(z)
-                if not _prefers_random(cfg.conj_test, c1, c2):
-                    c1, c2 = c2, c1
                 new_basis[:, c1] = z
                 new_basis[:, c2] = vec_adjoint(z)
         if retry:
@@ -552,19 +537,13 @@ def random_hp_basis(
             for c1, c2 in pairs:
                 z = basis.vectors @ _complex_gaussian(rng, n_vec)
                 z = z / np.linalg.norm(z)
-                if not _prefers_random(cfg.conj_test, c1, c2):
-                    c1, c2 = c2, c1
                 new_basis[:, c1] = z
                 new_basis[:, c2] = vec_adjoint(z)
 
         for ia, ib in partition.conjugate_pairs:
             set_a = partition.complex_sets[ia]
             set_b = partition.complex_sets[ib]
-            if not _prefers_random(cfg.conj_test, set_a[0], set_b[0]):
-                set_a, set_b = set_b, set_a
-            basis = bases.get(tuple(set_a)) or bases[
-                tuple(partition.complex_sets[ia])
-            ]
+            basis = bases[tuple(set_a)]
             n_vec = basis.vectors.shape[1]
             for c in set_a:
                 z = basis.vectors @ _complex_gaussian(rng, n_vec)
@@ -646,29 +625,6 @@ def perturb_to_nd2(m: np.ndarray, budget: float) -> np.ndarray:
 # Orchestration
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PreprocessResult:
-    """Outcome of the repair pipeline.
-
-    kind == SAMPLES: ``matrices`` holds one repaired matrix per random
-    basis sample, each sharing the snapshot's spectrum.
-    kind == PASSTHROUGH: no clusters (or no usable structured basis, see
-    ``basis_failures``); ``matrices`` holds the single input matrix.
-    kind == IDENTITY: the whole spectrum is one positive cluster, so the
-    data is consistent with the identity map and fitting is pointless.
-    """
-
-    kind: str
-    matrices: tuple
-    partition: ClusterPartition
-    basis_failures: tuple = ()
-
-
-def _matrix_of(m_snapshot) -> np.ndarray:
-    mat = getattr(m_snapshot, "mat", m_snapshot)
-    return np.asarray(mat, dtype=complex)
-
-
 def build_cluster_bases(
     s: SpectralData,
     partition: ClusterPartition,
@@ -710,42 +666,43 @@ def build_cluster_bases(
     return bases, failed
 
 
-def preprocess_main(
-    m_snapshot,
-    p: float = DEFAULT_PRECISION,
-    epsilon: float = 1e-2,
-    cfg: Optional[RandomBasisConfig] = None,
-    nd2_budget: float = 1e-8,
-) -> PreprocessResult:
-    """Full pipeline: simple-spectrum repair, cluster detection, per-cluster
-    structured bases, and random repaired matrices R = S diag(lambda) S^-1.
+def repaired_samples(
+    m: np.ndarray, p: float, epsilon: float, cfg: RandomBasisConfig
+) -> tuple[str, Iterator[tuple[int, np.ndarray]]]:
+    """The repair pipeline: its kind and a lazy stream of (sample id, matrix).
+
+    Nudges a degenerate input onto a simple spectrum (`perturb_to_nd2`),
+    detects clusters at precision ``p`` and builds every cluster's
+    structured basis.  The kind is then:
+
+    * IDENTITY: the whole spectrum is one positive cluster, so the data is
+      consistent with the identity map; the stream is empty.
+    * PASSTHROUGH: no clusters, or some cluster admits no usable
+      structured basis; the stream holds the (nudged) input as sample 0.
+    * SAMPLES: the stream yields ``cfg.samples`` repaired matrices
+      R = S diag(lambda) S^-1, each with the snapshot's spectrum, computed
+      one at a time so large sample counts run in constant memory.
+      Sample k draws from the stream keyed by (cfg.seed, k), so it does
+      not depend on how many samples are taken.
 
     ``epsilon`` scales the tolerance under which nearly compliant basis
     vectors are accepted; on shot-noise data the kernels are never exact,
-    so this approximate mode is the one that actually fires.  When some
-    cluster admits no usable basis the raw matrix is passed through and
-    the failing clusters are reported in the result instead of raising.
+    so this approximate mode is the one that actually fires.
     """
-    cfg = cfg or RandomBasisConfig(samples=1)
-    cfg.validate()
-    m = perturb_to_nd2(_matrix_of(m_snapshot), nd2_budget)
+    m = perturb_to_nd2(np.asarray(m, dtype=complex), _ND2_BUDGET)
     s = eig_full(m)
     partition = detect_clusters(s, p)
     if not partition.has_clusters:
-        return PreprocessResult(PASSTHROUGH, (m,), partition)
+        return PASSTHROUGH, iter([(0, m)])
     if partition.consistent_with_identity:
-        return PreprocessResult(IDENTITY, (m,), partition)
-
-    residual_tol = max(1e-8, float(epsilon))
-    bases, failed = build_cluster_bases(s, partition, p, residual_tol)
+        return IDENTITY, iter(())
+    bases, failed = build_cluster_bases(s, partition, p, max(1e-8, float(epsilon)))
     if failed:
-        return PreprocessResult(
-            PASSTHROUGH, (m,), partition, basis_failures=tuple(failed)
-        )
+        return PASSTHROUGH, iter([(0, m)])
 
-    matrices = []
-    for k in range(cfg.samples):
-        basis = random_hp_basis(s, partition, bases, cfg, k)
-        inverse = np.linalg.inv(basis)
-        matrices.append((basis * s.eigenvalues) @ inverse)
-    return PreprocessResult(SAMPLES, tuple(matrices), partition)
+    def generate() -> Iterator[tuple[int, np.ndarray]]:
+        for k in range(cfg.samples):
+            basis = random_hp_basis(s, partition, bases, cfg, k)
+            yield k, (basis * s.eigenvalues) @ np.linalg.inv(basis)
+
+    return SAMPLES, generate()

@@ -12,14 +12,24 @@ Both programs live in the real vector space of hermitian d²×d² matrices X
 where ω is the normalized maximally entangled vector and ω⊥ the projector
 onto its orthogonal complement.  A third program fits one generator to a
 snapshot series: minimize Σ_c ‖t_c X − T_c‖_F under a δ-ball per term plus
-the same affine/cone constraints.  ``solve_joint_fit_batch`` solves a
-stack of such problems, one per (δ, branch assignment) pair, in lockstep;
-``joint_infeasibility`` screens a whole (δ, assignment) grid first, by
-broadcasting the skew norms and pairwise ball gaps of each assignment
-against every δ.  ``min_mu_infeasible`` screens a (target, δ) grid for
-(P2) the same way: one skew norm and one affine gap per target.
+the same affine/cone constraints.
 
-The solver is consensus ADMM over closed-form projections:
+All three are solved by one engine, ``_admm``: lockstep, over-relaxed
+consensus ADMM over a batch of problems.  The engine owns the iteration
+(over-relaxation, consensus sums, dual updates, primal and dual residuals,
+the stopping test), retires each problem as it converges, balances each
+problem's step size ρ every 100 iterations, records ``history`` and
+settles the problems still running at ``max_iters``.  A program supplies
+only its prox blocks, its consensus update and what to record:
+
+  * (P1): affine and cone blocks; z = (T + ρS)/(1 + 2ρ)
+  * (P2): affine, shifted cone on (X, μ) and ball blocks; z = S/3 for X
+          and S − 1/ρ for μ
+  * joint: affine, cone and one scaled-distance block per series term;
+           z = S/(2 + q)
+
+where S is the sum of the over-relaxed block outputs and their duals.
+The prox blocks are closed-form projections:
 
   * affine set  {Tr₁[X] = 0}:  X ↦ X − (1/d)·1⊗Tr₁[X]
   * cone set    {ω⊥Xω⊥ ⪰ 0}:  subtract the negative spectral part of ω⊥Xω⊥
@@ -34,6 +44,12 @@ added back to reported objectives and ball radii).  The (P2) epigraph
 variable μ is handled by projecting (ω⊥Xω⊥, μ) jointly onto
 {(Y, μ) : Y + (μ/d)·1 ⪰ 0, μ ≥ 0} via a spectral shift.
 
+Infeasible problems never reach the engine.  ``min_mu_infeasible`` screens
+a (target, δ) grid for (P2) by broadcasting one skew norm and one affine
+gap per target against every δ; ``joint_infeasibility`` screens a whole
+(δ, assignment) grid of joint fits from the skew norms and pairwise ball
+gaps of each assignment.
+
 An independent Dykstra alternating-projection solver for (P1) is provided
 as a cross-check; it shares only the elementary projections with the ADMM
 path, not the iteration.
@@ -46,12 +62,12 @@ how problems are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
-from .linalg import side_dim
+from .linalg import herm, max_entangled, partial_trace_first
 
 # ---------------------------------------------------------------------------
 # settings / report types
@@ -110,6 +126,27 @@ class SolveReport:
     history: Optional[list[tuple[int, float, float]]] = None
 
 
+def _reports(x, objective, residuals, status, iterations, mu=None, history=None):
+    """One SolveReport per row of ``x``; scalar fields broadcast over the
+    rows, and ``history`` goes with the first report."""
+    b = len(x)
+    objective, status, iterations, *residuals = (
+        np.broadcast_to(v, (b,)) for v in (objective, status, iterations, *residuals)
+    )
+    return [
+        SolveReport(
+            x_opt=x[i],
+            objective=float(objective[i]),
+            residuals=tuple(float(r[i]) for r in residuals),
+            status=str(status[i]),
+            iterations=int(iterations[i]),
+            mu=None if mu is None else float(mu[i]),
+            history=history if i == 0 else None,
+        )
+        for i in range(b)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # geometry shared by all programs (cached per dimension)
 # ---------------------------------------------------------------------------
@@ -117,20 +154,9 @@ class SolveReport:
 
 class _Geometry:
     def __init__(self, d: int):
-        n = d * d
-        omega = np.zeros(n, dtype=complex)
-        omega[:: d + 1] = 1.0 / np.sqrt(d)
         self.d = d
-        self.n = n
-        self.omega = omega
-        self.perp = np.eye(n, dtype=complex) - np.outer(omega, omega.conj())
+        self.perp = max_entangled(d).omega_perp
         self.eye_d = np.eye(d, dtype=complex)
-
-    def trace_first(self, x: np.ndarray) -> np.ndarray:
-        """Batched Tr₁: (..., d², d²) → (..., d, d)."""
-        d = self.d
-        x5 = x.reshape(x.shape[:-2] + (d, d, d, d))
-        return np.einsum("...jcjr->...cr", x5)
 
     def embed_second(self, y: np.ndarray) -> np.ndarray:
         """Batched 1_d ⊗ Y: (..., d, d) → (..., d², d²)."""
@@ -140,7 +166,7 @@ class _Geometry:
 
     def project_trace_zero(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {Tr₁[X] = 0}; keeps hermiticity."""
-        return x - self.embed_second(self.trace_first(x)) / self.d
+        return x - self.embed_second(partial_trace_first(x)) / self.d
 
     def compress_eig(self, x: np.ndarray):
         """Eigendecomposition of ω⊥ X ω⊥ (batched).
@@ -149,7 +175,7 @@ class _Geometry:
         in every clip/shift below.
         """
         c = self.perp @ x @ self.perp
-        return np.linalg.eigh(_herm(c))
+        return np.linalg.eigh(herm(c))
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
         """Projection onto {X : ω⊥ X ω⊥ ⪰ 0} (negative-part subtraction)."""
@@ -195,8 +221,15 @@ class _Geometry:
 
     def cone_deficit(self, x: np.ndarray, mu: np.ndarray | float = 0.0) -> np.ndarray:
         """max(0, −λ_min(ω⊥Xω⊥) − μ/d), batched."""
-        w = np.linalg.eigvalsh(_herm(self.perp @ x @ self.perp))
+        w = np.linalg.eigvalsh(herm(self.perp @ x @ self.perp))
         return np.maximum(0.0, -w[..., 0] - np.asarray(mu) / self.d)
+
+    # prox blocks of the engine: (x, ρ, per-problem data) → projection
+    def affine_block(self, x, rho, data):
+        return self.project_trace_zero(x)
+
+    def cone_block(self, x, rho, data):
+        return self.project_cone(x)
 
 
 _GEOMETRY: dict[int, _Geometry] = {}
@@ -208,12 +241,12 @@ def _geometry(d: int) -> _Geometry:
     return _GEOMETRY[d]
 
 
-def _herm(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+def _fro_sq(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
+    return np.sqrt(_fro_sq(x))
 
 
 def _one_norm(x: np.ndarray) -> np.ndarray:
@@ -242,6 +275,130 @@ def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the consensus-ADMM engine
+# ---------------------------------------------------------------------------
+
+
+def _admm(
+    z: list,
+    blocks: list,
+    z_update: Callable,
+    data: dict,
+    scale: np.ndarray,
+    st: SolverSettings,
+    finish: Callable,
+    settle: Callable,
+    history: Optional[list] = None,
+):
+    """Lockstep over-relaxed consensus ADMM over a batch of problems.
+
+    ``z`` lists the parts of the consensus variable at their start values:
+    the matrix X, plus the scalar μ for (P2), each with the problem axis
+    first.  ``blocks`` lists (parts, prox) pairs; prox(*v, ρ, data) maps
+    the block's inputs v = z − u on its parts to their projections, a
+    tuple when the block owns more than one part.  ``z_update(S, ρ,
+    data)`` turns the per-part sums S of the over-relaxed outputs plus
+    their duals into the new z.  ``data`` holds per-problem arrays
+    (problem axis first), compacted with the iterates as problems retire.
+
+    A problem converges once its primal residual (the distance of the
+    block outputs from z) and its dual residual (ρ times the z step,
+    counted once per block on each part) are below primal_tol and
+    dual_tol times its ``scale``.  It then records ``finish(outs, z,
+    done)``: one value per part for the retiring rows, from the block
+    outputs ``outs`` (one entry per block, as its prox returned it) and
+    the updated z.  Every 100 iterations ρ doubles where the primal
+    residual exceeds ten times the dual one and halves in the reverse
+    case, with the scaled duals rescaled to match.  Problems still
+    running at max_iters record ``settle(z, data)``.
+
+    Returns (one array per part, iterations, converged).
+    """
+    alpha = st.over_relaxation
+    nz = len(z)
+    # One link per (block, part), part-major: the consensus sums and the
+    # primal residual run over the links in this order.
+    links = [(k, p) for p in range(nz) for k, (parts, _) in enumerate(blocks) if p in parts]
+    # each block's prox with the (link, part) of each of its inputs, and
+    # where each link's output sits in what its block's prox returns
+    proxes = [
+        (prox, [(links.index((k, p)), p) for p in parts])
+        for k, (parts, prox) in enumerate(blocks)
+    ]
+    pick = [(k, None if len(blocks[k][0]) == 1 else blocks[k][0].index(p), p) for k, p in links]
+    weight = [sum(q == p for _, q in links) for p in range(nz)]
+    sq = [_fro_sq if zp.ndim == 3 else np.square for zp in z]
+
+    b = len(scale)
+    out = [np.empty_like(zp) for zp in z]
+    primal_tol, dual_tol = st.primal_tol * scale, st.dual_tol * scale
+    rho = np.full(b, st.rho)
+    u = [np.zeros_like(z[p]) for _, p in links]
+    active = np.arange(b)
+    iters = np.full(b, st.max_iters)
+    converged = np.zeros(b, dtype=bool)
+    for it in range(1, st.max_iters + 1):
+        # The body is plain loops over the precomputed links: it runs once
+        # per iteration, where per-call overhead shows on small batches.
+        outs = []
+        for prox, inputs in proxes:
+            outs.append(prox(*[z[p] - u[j] for j, p in inputs], rho, data))
+        x, xh = [], []
+        sums: list = [None] * nz
+        z_rest = [(1 - alpha) * zp for zp in z]
+        for j, (k, i, p) in enumerate(pick):
+            xj = outs[k] if i is None else outs[k][i]
+            hj = alpha * xj + z_rest[p]
+            sums[p] = hj + u[j] if sums[p] is None else sums[p] + hj + u[j]
+            x.append(xj)
+            xh.append(hj)
+        z_new = z_update(sums, rho, data)
+        primal = dual = None
+        for j, (_, _, p) in enumerate(pick):
+            u[j] += xh[j] - z_new[p]
+            r = sq[p](x[j] - z_new[p])
+            primal = r if primal is None else primal + r
+        for p in range(nz):
+            r = weight[p] * sq[p](z_new[p] - z[p])
+            dual = r if dual is None else dual + r
+        primal = np.sqrt(primal)
+        dual = rho * np.sqrt(dual)
+        z = z_new
+        if history is not None:
+            history.append((it, float(primal.max()), float(dual.max())))
+
+        done = (primal <= primal_tol) & (dual <= dual_tol)
+        if done.any():
+            idx = active[done]
+            for o, v in zip(out, finish(outs, z, done)):
+                o[idx] = v
+            iters[idx] = it
+            converged[idx] = True
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            z = [zp[keep] for zp in z]
+            u = [uj[keep] for uj in u]
+            rho, primal, dual = rho[keep], primal[keep], dual[keep]
+            primal_tol, dual_tol = primal_tol[keep], dual_tol[keep]
+            data = {key: v[keep] for key, v in data.items()}
+        if it % 100 == 0:
+            # deterministic residual balancing
+            grow = primal > 10 * dual
+            shrink = dual > 10 * primal
+            rho[grow] *= 2.0
+            rho[shrink] /= 2.0
+            for uj in u:
+                uj[grow] /= 2.0
+                uj[shrink] *= 2.0
+    if active.size:  # hit max_iters
+        for o, v in zip(out, settle(z, data)):
+            o[active] = v
+    return out, iters, converged
+
+
+# ---------------------------------------------------------------------------
 # (P1): closest conditionally-CP, trace-annihilating hermitian matrix
 # ---------------------------------------------------------------------------
 
@@ -260,82 +417,34 @@ def closest_lindbladian_batch(
     st.validate()
     geo = _geometry(d)
     t_full = _as_batch(targets, d)
-    b = t_full.shape[0]
-    t_h = _herm(t_full)
+    t_h = herm(t_full)
     skew_norm = _fro(t_full - t_h)
     scale = np.maximum(1.0, _fro(t_h))
+    history: Optional[list] = [] if st.track_history else None
 
-    alpha = st.over_relaxation
-    rho = np.full(b, st.rho)
-    z = t_h.copy()
-    u_a = np.zeros_like(z)
-    u_b = np.zeros_like(z)
+    def z_update(s, rho, data):
+        return [(data["t"] + rho[:, None, None] * s[0]) / (1 + 2 * rho)[:, None, None]]
 
-    active = np.arange(b)
-    x_sol = np.empty_like(z)
-    iters = np.zeros(b, dtype=int)
-    converged = np.zeros(b, dtype=bool)
-    history: list[tuple[int, float, float]] = [] if st.track_history else None
-
-    for it in range(1, st.max_iters + 1):
-        x_a = geo.project_trace_zero(z - u_a)
-        x_b = geo.project_cone(z - u_b)
-        xh_a = alpha * x_a + (1 - alpha) * z
-        xh_b = alpha * x_b + (1 - alpha) * z
-        r3 = rho[:, None, None]
-        z_new = (t_h[active] + r3 * (xh_a + u_a + xh_b + u_b)) / (1 + 2 * rho)[:, None, None]
-        u_a += xh_a - z_new
-        u_b += xh_b - z_new
-        primal = np.sqrt(_fro(x_a - z_new) ** 2 + _fro(x_b - z_new) ** 2)
-        dual = rho * np.sqrt(2.0) * _fro(z_new - z)
-        z = z_new
-        if history is not None:
-            history.append((it, float(primal.max()), float(dual.max())))
-
-        sc = scale[active]
-        done = (primal <= st.primal_tol * sc) & (dual <= st.dual_tol * sc)
-        if done.any():
-            idx = active[done]
-            x_sol[idx] = geo.project_trace_zero(x_b[done])
-            iters[idx] = it
-            converged[idx] = True
-            keep = ~done
-            active = active[keep]
-            z, u_a, u_b, rho = z[keep], u_a[keep], u_b[keep], rho[keep]
-            if not active.size:
-                break
-        if it % 100 == 0 and active.size:
-            # deterministic residual balancing
-            grow = primal[~done] > 10 * dual[~done]
-            shrink = dual[~done] > 10 * primal[~done]
-            rho[grow] *= 2.0
-            u_a[grow] /= 2.0
-            u_b[grow] /= 2.0
-            rho[shrink] /= 2.0
-            u_a[shrink] *= 2.0
-            u_b[shrink] *= 2.0
-
-    if active.size:  # hit max_iters: keep best feasible-leaning iterate
-        x_sol[active] = geo.project_trace_zero(geo.project_cone(z))
-        iters[active] = st.max_iters
-
-    reports = []
+    (x_sol,), iters, converged = _admm(
+        [t_h.copy()],
+        [((0,), geo.affine_block), ((0,), geo.cone_block)],
+        z_update,
+        {"t": t_h},
+        scale,
+        st,
+        # the cone block's output, made exactly trace-annihilating
+        finish=lambda outs, z, done: [geo.project_trace_zero(outs[1][done])],
+        settle=lambda z, data: [geo.project_trace_zero(geo.project_cone(z[0]))],
+        history=history,
+    )
     cone_res = geo.cone_deficit(x_sol)
-    affine_res = _one_norm(geo.trace_first(x_sol))
+    affine_res = _one_norm(partial_trace_first(x_sol))
     obj = np.sqrt(_fro(x_sol - t_h) ** 2 + skew_norm**2)
-    for i in range(b):
-        ok = converged[i] and cone_res[i] <= st.cone_tol * scale[i]
-        reports.append(
-            SolveReport(
-                x_opt=x_sol[i],
-                objective=float(obj[i]),
-                residuals=(float(affine_res[i]), float(cone_res[i]), 0.0),
-                status=OPTIMAL if ok else MAX_ITERS,
-                iterations=int(iters[i]),
-                history=history if (history is not None and i == 0) else None,
-            )
-        )
-    return reports
+    ok = converged & (cone_res <= st.cone_tol * scale)
+    return _reports(
+        x_sol, obj, (affine_res, cone_res, 0.0), np.where(ok, OPTIMAL, MAX_ITERS),
+        iters, history=history,
+    )
 
 
 def solve_closest_lindbladian(
@@ -354,7 +463,7 @@ def solve_closest_lindbladian(
 def _reach(t_full: np.ndarray, geo: _Geometry):
     """herm(T), its projection onto {Tr₁[X] = 0}, ‖skew(T)‖ and the
     distance from herm(T) to that projection."""
-    t_h = _herm(t_full)
+    t_h = herm(t_full)
     x0 = geo.project_trace_zero(t_h)
     return t_h, x0, _fro(t_full - t_h), _fro(t_h - x0)
 
@@ -376,6 +485,10 @@ def min_mu_infeasible(
     _, _, skew_norm, affine_gap = _reach(_as_batch(targets, d), _geometry(d))
     deltas = np.asarray(deltas, dtype=float)
     return _ball_misses(deltas[None, :], skew_norm[:, None], affine_gap[:, None])
+
+
+def _ball_block(x, rho, data):
+    return _project_ball(x, data["center"], data["radius"])
 
 
 def min_mu_batch(
@@ -411,133 +524,66 @@ def min_mu_batch(
     reports: list[Optional[SolveReport]] = [None] * b
     dead = np.nonzero(misses)[0]
     x0 = x_affine[dead]
-    cone0 = geo.cone_deficit(x0)
     ball0 = np.maximum(
         0.0, np.sqrt(affine_gap[dead] ** 2 + skew_norm[dead] ** 2) - deltas[dead]
     )
-    for j, i in enumerate(dead):
-        reports[i] = SolveReport(
-            x_opt=x0[j],
-            objective=float("nan"),
-            residuals=(0.0, float(cone0[j]), float(ball0[j])),
-            status=INFEASIBLE,
-            iterations=0,
-            mu=None,
-        )
+    infeasible = _reports(x0, np.nan, (0.0, geo.cone_deficit(x0), ball0), INFEASIBLE, 0)
+    for i, rep in zip(dead, infeasible):
+        reports[i] = rep
 
     live = np.nonzero(~misses)[0]
     if live.size == 0:
         return reports  # type: ignore[return-value]
 
     t_h_l = t_h[live]
-    center = t_h_l.copy()
-    radius_l = radius[live]
     scale_l = scale[live]
+    history: Optional[list] = [] if st.track_history else None
 
-    alpha = st.over_relaxation
-    nb = 3  # affine, shifted cone, ball
-    rho = np.full(live.size, st.rho)
-    z = t_h_l.copy()
-    mu0 = geo.cone_deficit(z) * d
-    z_mu = mu0.copy()
-    u_a = np.zeros_like(z)
-    u_k = np.zeros_like(z)
-    u_c = np.zeros_like(z)
-    u_k_mu = np.zeros(live.size)
+    def shifted_cone_block(x, mu, rho, data):
+        return geo.project_cone_shifted(x, mu)
 
-    active = np.arange(live.size)
-    x_sol = np.empty_like(z)
-    mu_sol = np.zeros(live.size)
-    iters = np.zeros(live.size, dtype=int)
-    converged = np.zeros(live.size, dtype=bool)
-    history: list[tuple[int, float, float]] = [] if st.track_history else None
-
-    for it in range(1, st.max_iters + 1):
-        x_a = geo.project_trace_zero(z - u_a)
-        x_k, mu_k = geo.project_cone_shifted(z - u_k, z_mu - u_k_mu)
-        x_c = _project_ball(z - u_c, center, radius_l)
-        xh_a = alpha * x_a + (1 - alpha) * z
-        xh_k = alpha * x_k + (1 - alpha) * z
-        xh_c = alpha * x_c + (1 - alpha) * z
-        muh_k = alpha * mu_k + (1 - alpha) * z_mu
-
-        z_new = (xh_a + u_a + xh_k + u_k + xh_c + u_c) / nb
+    def z_update(s, rho, data):
         # μ appears only in the objective (coefficient 1) and the cone block
-        z_mu_new = (muh_k + u_k_mu) - 1.0 / rho
-        u_a += xh_a - z_new
-        u_k += xh_k - z_new
-        u_c += xh_c - z_new
-        u_k_mu += muh_k - z_mu_new
+        return [s[0] / 3, s[1] - 1.0 / rho]
 
-        primal = np.sqrt(
-            _fro(x_a - z_new) ** 2
-            + _fro(x_k - z_new) ** 2
-            + _fro(x_c - z_new) ** 2
-            + (mu_k - z_mu_new) ** 2
-        )
-        dual = rho * np.sqrt(
-            float(nb) * _fro(z_new - z) ** 2 + (z_mu_new - z_mu) ** 2
-        )
-        z, z_mu = z_new, z_mu_new
-        if history is not None:
-            history.append((it, float(primal.max()), float(dual.max())))
-
-        sc = scale_l[active]
-        done = (primal <= st.primal_tol * sc) & (dual <= st.dual_tol * sc)
-        if done.any():
-            idx = active[done]
-            x_fin = geo.project_trace_zero(x_c[done])
-            x_sol[idx] = x_fin
-            mu_sol[idx] = np.maximum(0.0, mu_k[done])
-            iters[idx] = it
-            converged[idx] = True
-            keep = ~done
-            active = active[keep]
-            z, z_mu = z[keep], z_mu[keep]
-            u_a, u_k, u_c, u_k_mu = u_a[keep], u_k[keep], u_c[keep], u_k_mu[keep]
-            rho = rho[keep]
-            center, radius_l = center[keep], radius_l[keep]
-            if not active.size:
-                break
-        if it % 100 == 0 and active.size:
-            grow = primal[~done] > 10 * dual[~done]
-            shrink = dual[~done] > 10 * primal[~done]
-            rho[grow] *= 2.0
-            for uu in (u_a, u_k, u_c):
-                uu[grow] /= 2.0
-                uu[shrink] *= 2.0
-            u_k_mu[grow] /= 2.0
-            rho[shrink] /= 2.0
-            u_k_mu[shrink] *= 2.0
-
-    if active.size:
-        x_sol[active] = geo.project_trace_zero(_project_ball(z, center, radius_l))
-        mu_sol[active] = np.maximum(0.0, z_mu)
-        iters[active] = st.max_iters
+    (x_sol, mu_sol), iters, converged = _admm(
+        [t_h_l.copy(), geo.cone_deficit(t_h_l) * d],
+        [((0,), geo.affine_block), ((0, 1), shifted_cone_block), ((0,), _ball_block)],
+        z_update,
+        {"center": t_h_l, "radius": radius[live]},
+        scale_l,
+        st,
+        # the ball block's output, made exactly trace-annihilating, and the
+        # cone block's μ
+        finish=lambda outs, z, done: [
+            geo.project_trace_zero(outs[2][done]), np.maximum(0.0, outs[1][1][done])
+        ],
+        settle=lambda z, data: [
+            geo.project_trace_zero(_project_ball(z[0], data["center"], data["radius"])),
+            np.maximum(0.0, z[1]),
+        ],
+        history=history,
+    )
 
     # lift μ the last ~1e-9 so the returned pair is exactly cone-feasible;
     # an honest 0 stays 0 because the deficit is then itself ~0
     mu_sol = np.maximum(mu_sol, d * geo.cone_deficit(x_sol))
     cone_res = geo.cone_deficit(x_sol, mu_sol)
-    affine_res = _one_norm(geo.trace_first(x_sol))
+    affine_res = _one_norm(partial_trace_first(x_sol))
     ball_res = np.maximum(
         0.0, np.sqrt(_fro(x_sol - t_h_l) ** 2 + skew_norm[live] ** 2) - deltas[live]
     )
-    for j, i in enumerate(live):
-        ok = (
-            converged[j]
-            and cone_res[j] <= st.cone_tol * scale_l[j]
-            and ball_res[j] <= 10 * st.primal_tol * scale_l[j]
-        )
-        reports[i] = SolveReport(
-            x_opt=x_sol[j],
-            objective=float(mu_sol[j]),
-            residuals=(float(affine_res[j]), float(cone_res[j]), float(ball_res[j])),
-            status=OPTIMAL if ok else MAX_ITERS,
-            iterations=int(iters[j]),
-            mu=float(mu_sol[j]),
-            history=history if (history is not None and j == 0) else None,
-        )
+    ok = (
+        converged
+        & (cone_res <= st.cone_tol * scale_l)
+        & (ball_res <= 10 * st.primal_tol * scale_l)
+    )
+    solved = _reports(
+        x_sol, mu_sol, (affine_res, cone_res, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
+        iters, mu=mu_sol, history=history,
+    )
+    for i, rep in zip(live, solved):
+        reports[i] = rep
     return reports  # type: ignore[return-value]
 
 
@@ -569,7 +615,7 @@ def dykstra_closest_lindbladian(
     st.validate()
     geo = _geometry(d)
     t_full = _as_batch(target, d)
-    t_h = _herm(t_full)
+    t_h = herm(t_full)
     skew_norm = float(_fro(t_full - t_h)[0])
     scale = max(1.0, float(_fro(t_h)[0]))
 
@@ -592,7 +638,7 @@ def dykstra_closest_lindbladian(
 
     x_fin = geo.project_trace_zero(x)
     cone_res = float(geo.cone_deficit(x_fin)[0])
-    affine_res = float(_one_norm(geo.trace_first(x_fin))[0])
+    affine_res = float(_one_norm(partial_trace_first(x_fin))[0])
     obj = float(np.sqrt(_fro(x_fin - t_h)[0] ** 2 + skew_norm**2))
     if status == OPTIMAL and cone_res > st.cone_tol * scale:
         status = MAX_ITERS
@@ -690,7 +736,7 @@ def joint_infeasibility(
     """
     t = np.asarray(targets, dtype=complex)
     t_sc = np.asarray(times, dtype=float)
-    t_h = _herm(t)
+    t_h = herm(t)
     skew_sq = _fro(t - t_h) ** 2
     scaled = t_h / t_sc[:, None, None]
     delta_sq = np.asarray(deltas, dtype=float)[..., None] ** 2
@@ -712,90 +758,45 @@ def _joint_admm(
     st: SolverSettings,
     history: Optional[list],
 ) -> list[SolveReport]:
-    """Lockstep consensus ADMM for a chunk of joint fits that passed the screen."""
-    b, q = t_full.shape[:2]
-    t_h = _herm(t_full)
+    """Consensus ADMM for a chunk of joint fits that passed the screen."""
+    q = t_full.shape[1]
+    t_h = herm(t_full)
     skew_sq = _fro(t_full - t_h) ** 2
     scale = np.maximum(1.0, np.max(_fro(t_h) / t_sc, axis=1))
 
-    alpha = st.over_relaxation
-    nb = 2 + q
-    rho = np.full(b, st.rho)
-    z = t_h[:, 0] / t_sc[0]
-    u = [np.zeros_like(z) for _ in range(nb)]
-
-    active = np.arange(b)
-    z_sol = np.empty_like(z)
-    iters = np.full(b, st.max_iters)
-    converged = np.zeros(b, dtype=bool)
-    for it in range(1, st.max_iters + 1):
-        x_blocks = [
-            geo.project_trace_zero(z - u[0]),
-            geo.project_cone(z - u[1]),
-        ]
-        for c in range(q):
-            x_blocks.append(
-                _prox_scaled_distance(
-                    z - u[2 + c], t_h[active, c], skew_sq[active, c], t_sc[c],
-                    rho, deltas[active],
-                )
+    def term_block(c):
+        def prox(x, rho, data):
+            return _prox_scaled_distance(
+                x, data["t"][:, c], data["skew_sq"][:, c], t_sc[c], rho, data["delta"]
             )
-        xh = [alpha * xb + (1 - alpha) * z for xb in x_blocks]
-        z_new = sum(xh[i] + u[i] for i in range(nb)) / nb
-        for i in range(nb):
-            u[i] += xh[i] - z_new
-        primal = np.sqrt(sum(_fro(xb - z_new) ** 2 for xb in x_blocks))
-        dual = rho * np.sqrt(nb) * _fro(z_new - z)
-        z = z_new
-        if history is not None:
-            history.append((it, float(primal.max()), float(dual.max())))
+        return (0,), prox
 
-        sc = scale[active]
-        done = (primal <= st.primal_tol * sc) & (dual <= st.dual_tol * sc)
-        if done.any():
-            idx = active[done]
-            z_sol[idx] = z[done]
-            iters[idx] = it
-            converged[idx] = True
-            keep = ~done
-            active = active[keep]
-            z, rho, primal, dual = z[keep], rho[keep], primal[keep], dual[keep]
-            u = [ui[keep] for ui in u]
-            if not active.size:
-                break
-        if it % 100 == 0:
-            # deterministic residual balancing
-            grow = primal > 10 * dual
-            shrink = dual > 10 * primal
-            rho[grow] *= 2.0
-            rho[shrink] /= 2.0
-            for ui in u:
-                ui[grow] /= 2.0
-                ui[shrink] *= 2.0
-    z_sol[active] = z  # hit max_iters
+    (z_sol,), iters, converged = _admm(
+        [t_h[:, 0] / t_sc[0]],
+        [((0,), geo.affine_block), ((0,), geo.cone_block)] + [term_block(c) for c in range(q)],
+        lambda s, rho, data: [s[0] / (2 + q)],
+        {"t": t_h, "skew_sq": skew_sq, "delta": deltas},
+        scale,
+        st,
+        finish=lambda outs, z, done: [z[0][done]],
+        settle=lambda z, data: [z[0]],
+        history=history,
+    )
 
     x_fin = geo.project_trace_zero(geo.project_cone(z_sol))
     cone_res = geo.cone_deficit(x_fin)
-    affine_res = _one_norm(geo.trace_first(x_fin))
+    affine_res = _one_norm(partial_trace_first(x_fin))
     dists = _fro(t_sc[:, None, None] * x_fin[:, None] - t_full)
     ball_res = np.maximum(0.0, dists.max(axis=1) - deltas)
-    obj = dists.sum(axis=1)
     ok = (
         converged
         & (cone_res <= st.cone_tol * scale)
         & (ball_res <= 10 * st.primal_tol * scale)
     )
-    return [
-        SolveReport(
-            x_opt=x_fin[i],
-            objective=float(obj[i]),
-            residuals=(float(affine_res[i]), float(cone_res[i]), float(ball_res[i])),
-            status=OPTIMAL if ok[i] else MAX_ITERS,
-            iterations=int(iters[i]),
-            history=history if (history is not None and i == 0) else None,
-        )
-        for i in range(b)
-    ]
+    return _reports(
+        x_fin, dists.sum(axis=1), (affine_res, cone_res, ball_res),
+        np.where(ok, OPTIMAL, MAX_ITERS), iters, history=history,
+    )
 
 
 def solve_joint_fit_batch(
@@ -816,10 +817,10 @@ def solve_joint_fit_batch(
 
     Problems that ``joint_infeasibility`` rules out are reported
     Infeasible without iterating; their ball residual is the excess.  The
-    rest run consensus ADMM (one prox block per series term plus the
-    affine and cone blocks) in chunks of JOINT_CHUNK, with per-problem
-    residual balancing and retirement.  Each problem's iterates are
-    independent, so results do not depend on the batch composition.
+    rest run the consensus ADMM engine (one prox block per series term
+    plus the affine and cone blocks) in chunks of JOINT_CHUNK.  Each
+    problem's iterates are independent, so results do not depend on the
+    batch composition.
     """
     st = settings or SolverSettings()
     st.validate()
@@ -843,15 +844,9 @@ def solve_joint_fit_batch(
     excess = joint_infeasibility(t_full, t_sc, deltas)
     reports: list[Optional[SolveReport]] = [None] * b
     screened = np.flatnonzero(excess > 0)
-    x0 = geo.project_trace_zero(_herm(t_full[screened, 0]) / t_sc[0])
-    for k, i in enumerate(screened):
-        reports[i] = SolveReport(
-            x_opt=x0[k],
-            objective=float("nan"),
-            residuals=(0.0, 0.0, float(excess[i])),
-            status=INFEASIBLE,
-            iterations=0,
-        )
+    x0 = geo.project_trace_zero(herm(t_full[screened, 0]) / t_sc[0])
+    for i, rep in zip(screened, _reports(x0, np.nan, (0.0, 0.0, excess[screened]), INFEASIBLE, 0)):
+        reports[i] = rep
     live = np.flatnonzero(excess == 0)
     history: Optional[list] = [] if st.track_history else None
     for start in range(0, live.size, JOINT_CHUNK):

@@ -216,7 +216,7 @@ def _repaired(spec, shots, samples):
     """Snapshot (tomography seed 1) and the repaired matrices ``fit`` searches."""
     mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
     cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
-    _, stream = cli._repaired_samples(mat, preprocess.DEFAULT_PRECISION, 0.05, cfg)
+    _, stream = preprocess.repaired_samples(mat, preprocess.DEFAULT_PRECISION, 0.05, cfg)
     return mat, [r for _, r in stream]
 
 

@@ -289,6 +289,14 @@ def test_flip_matrix_swaps_factors():
 def test_partial_trace_of_kron():
     a, b = random_simple(2, seed=12), random_simple(2, seed=13)
     assert np.allclose(partial_trace_first(np.kron(a, b)), np.trace(a) * b)
+    # leading batch axes: each slice is its own partial trace
+    pairs = [(random_simple(2, seed=s), random_simple(2, seed=s + 1)) for s in (14, 16, 18)]
+    stack = np.array([np.kron(x, y) for x, y in pairs]).reshape(3, 1, 4, 4)
+    out = partial_trace_first(stack)
+    assert out.shape == (3, 1, 2, 2)
+    for k, (x, y) in enumerate(pairs):
+        np.testing.assert_array_equal(out[k, 0], partial_trace_first(stack[k, 0]))
+        assert np.allclose(out[k, 0], np.trace(x) * y)
 
 
 def test_partial_trace_identity():

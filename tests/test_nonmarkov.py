@@ -12,6 +12,7 @@ from lindbladfit.channels import (
     TomographyConfig,
     simulate_process_tomography,
 )
+from lindbladfit.linalg import herm
 from lindbladfit.nonmarkov import analytical_mu_unital, non_markovianity
 
 EPSILON = 0.05
@@ -89,7 +90,7 @@ def test_infeasible_reports_keep_their_fields(screen_grid):
     deltas = 0.5 * np.array(critical[:3])
     reports = solver.min_mu_batch(targets[:3], 2, deltas)
     for target, delta, rep in zip(targets[:3], deltas, reports):
-        t_h = solver._herm(target[None])
+        t_h = herm(target[None])
         skew = solver._fro(target[None] - t_h)[0]
         x0 = geo.project_trace_zero(t_h)[0]
         ball = max(0.0, np.sqrt(solver._fro(x0[None] - t_h)[0] ** 2 + skew**2) - delta)

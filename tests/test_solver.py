@@ -133,6 +133,24 @@ def test_batch_results_are_composition_independent():
         assert frobenius(batch[i].x_opt - single.x_opt) <= 1e-9
         assert batch[i].objective == pytest.approx(single.objective, abs=1e-10)
 
+    # At rho = 10 the residual balancing halves rho at iteration 100 for
+    # the problems still running; they retire at different iterations (1,
+    # 128, 171, 176) and the first one is cut at max_iters.
+    st = SolverSettings(rho=10.0, max_iters=200)
+    targets = np.stack(
+        [random_choi_target(2, seed=s) for s in (11, 12, 13)]
+        + [lindbladian_choi(2, seed=3) + 0.01 * random_choi_target(2, seed=103),
+           lindbladian_choi(2, seed=4)]
+    )
+    batch = closest_lindbladian_batch(targets, 2, st)
+    iters = [rep.iterations for rep in batch]
+    assert batch[0].status == "MaxIters" and iters[0] == st.max_iters
+    assert len(set(iters)) == len(iters) and sum(100 < i < 200 for i in iters) == 3
+    for t, rep in zip(targets, batch):
+        single = solve_closest_lindbladian(t, 2, st)
+        assert (rep.status, rep.iterations) == (single.status, single.iterations)
+        np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
+
 
 def test_four_level_projection():
     rep = solve_closest_lindbladian(random_choi_target(4, seed=2, scale=0.5), 4)
@@ -219,3 +237,22 @@ def test_mu_batch_matches_singles():
     for rep, (c, delta) in zip(batch, [(c1, 0.3), (c2, 0.6)]):
         single = solve_min_mu(c, 2, delta)
         assert rep.mu == pytest.approx(single.mu, abs=1e-9)
+
+    # At rho = 10 the residual balancing halves rho at iterations 100 and
+    # 200; one problem retires at 40, one at 386, two are cut at
+    # max_iters, and a skewed target with a small ball is screened.
+    st = SolverSettings(rho=10.0, max_iters=420)
+    c4 = tp_correct(herm(random_choi_target(2, seed=54)), 2)
+    targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c4, random_choi_target(2, seed=31)])
+    deltas = [0.1, 0.3, 0.6, 0.3, 0.1]
+    batch = min_mu_batch(targets, 2, deltas, st)
+    assert [rep.status for rep in batch] == [
+        "Optimal", "Optimal", "MaxIters", "MaxIters", "Infeasible"
+    ]
+    assert batch[0].iterations < 100 < batch[1].iterations < st.max_iters
+    for t, delta, rep in zip(targets, deltas, batch):
+        single = solve_min_mu(t, 2, delta, st)
+        assert (rep.status, rep.iterations) == (single.status, single.iterations)
+        np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
+        if rep.mu is not None:
+            assert rep.mu == pytest.approx(single.mu, abs=1e-12)
