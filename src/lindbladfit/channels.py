@@ -89,7 +89,6 @@ class TransferMatrix:
 
     d: int
     mat: np.ndarray
-    exact_cpt: bool = False
 
     def cpt_residuals(self) -> tuple[float, float, float]:
         """(hermiticity, positivity, trace) defects of the Choi form."""
@@ -108,11 +107,11 @@ def unitary_transfer(u: np.ndarray, tol: float = 1e-10) -> TransferMatrix:
         raise DimensionMismatch(f"gate must be square, got {u.shape}")
     if frobenius(u.conj().T @ u - np.eye(u.shape[0])) > tol:
         raise NotUnitary("gate is not unitary within tolerance")
-    return TransferMatrix(u.shape[0], np.kron(u, u.conj()), exact_cpt=True)
+    return TransferMatrix(u.shape[0], np.kron(u, u.conj()))
 
 
 def identity_transfer(d: int = 2) -> TransferMatrix:
-    return TransferMatrix(d, np.eye(d * d, dtype=complex), exact_cpt=True)
+    return TransferMatrix(d, np.eye(d * d, dtype=complex))
 
 
 def _kraus_transfer(d: int, kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -135,7 +134,7 @@ def depolarizing_transfer(p: float) -> TransferMatrix:
         np.sqrt(p / 3) * _Y,
         np.sqrt(p / 3) * _Z,
     ]
-    return TransferMatrix(2, _kraus_transfer(2, kraus), exact_cpt=True)
+    return TransferMatrix(2, _kraus_transfer(2, kraus))
 
 
 def unital_transfer(
@@ -168,7 +167,7 @@ def unital_transfer(
     )
     weights = 0.5 * np.sqrt(np.maximum(0.0, 1.0 + signs @ caps))
     kraus = [w * s for w, s in zip(weights, (_I2, _X, _Y, _Z))]
-    return TransferMatrix(2, _kraus_transfer(2, kraus), exact_cpt=True)
+    return TransferMatrix(2, _kraus_transfer(2, kraus))
 
 
 def depolarizing_cz_transfer(
@@ -190,7 +189,7 @@ def depolarizing_cz_transfer(
     mat = (1.0 - probs.sum()) * np.eye(16, dtype=complex)
     for p, g in zip(probs, gates):
         mat += p * np.kron(g, g.conj())
-    return TransferMatrix(4, mat, exact_cpt=True)
+    return TransferMatrix(4, mat)
 
 
 # ----------------------------------------------------------------------
@@ -465,4 +464,4 @@ def simulate_process_tomography(
         v_out[:, p_idx] = _estimate_state(n_qubits, counts, cfg.shots).reshape(-1)
 
     mat = v_out @ np.linalg.inv(v_in)
-    return TransferMatrix(d, mat, exact_cpt=False)
+    return TransferMatrix(d, mat)

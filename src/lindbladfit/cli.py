@@ -7,6 +7,11 @@ commands emit a JSON report carrying the input digest, the verdict
 setting that went into it, and the wall time, so a report alone is enough
 to reproduce the run.  ``sweep-epsilon`` writes a plot-ready CSV instead.
 
+``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`: repair
+the snapshot once, take the best-fit Lindbladian over all repaired samples,
+and when it misses epsilon ask the same samples for the least white-noise
+rate mu.
+
 Exit codes: 0 when any verdict is produced, 2 for NoResult, 3 for bad
 input, 4 for a numerical failure.
 """
@@ -14,13 +19,14 @@ input, 4 for a numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Iterable, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,14 +69,17 @@ _CHANNELS = {
 # Matrix files and reports
 # ----------------------------------------------------------------------
 
-def write_matrix_file(path: str, mat: np.ndarray) -> None:
+def _matrix_doc(mat: np.ndarray) -> dict[str, Any]:
     mat = np.asarray(mat, dtype=complex)
-    doc = {
+    return {
         "dim": int(mat.shape[0]),
         "data": [[float(v.real), float(v.imag)] for v in mat.reshape(-1)],
     }
+
+
+def write_matrix_file(path: str, mat: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(_matrix_doc(mat), fh)
         fh.write("\n")
 
 
@@ -108,14 +117,6 @@ def _file_digest(path: str) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _matrix_doc(mat: np.ndarray) -> dict[str, Any]:
-    mat = np.asarray(mat, dtype=complex)
-    return {
-        "dim": int(mat.shape[0]),
-        "data": [[float(v.real), float(v.imag)] for v in mat.reshape(-1)],
-    }
-
-
 def _emit_report(doc: dict[str, Any], path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path:
@@ -144,9 +145,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 # ----------------------------------------------------------------------
 
 def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
-    policy = fitting.BranchPolicy(
-        m_max=args.m_max, max_branches=getattr(args, "max_branches", None)
-    )
+    policy = fitting.BranchPolicy(m_max=args.m_max, max_branches=args.max_branches)
     policy.validate()
     if policy.max_branches is None:
         grid = (2 * policy.m_max + 1) ** dim
@@ -158,25 +157,18 @@ def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
     return policy
 
 
-_WORKER: dict[str, Any] = {}
+def _sample_config(args: argparse.Namespace) -> preprocess.RandomBasisConfig:
+    cfg = preprocess.RandomBasisConfig(samples=args.samples, seed=args.seed)
+    cfg.validate()
+    return cfg
 
 
-def _fit_worker_init(mat, policy, settings) -> None:
-    _WORKER["mat"] = mat
-    _WORKER["policy"] = policy
-    _WORKER["settings"] = settings
-
-
-def _fit_worker(payload: tuple[int, np.ndarray]):
-    k, repaired = payload
+def _fit_sample(mat: np.ndarray, policy: fitting.BranchPolicy, sample):
+    """Best fit over every branch of one repaired sample: (k, fit, skipped)."""
+    k, repaired = sample
     try:
         result = fitting.best_fit_lindbladian(
-            _WORKER["mat"],
-            repaired,
-            math.inf,
-            _WORKER["policy"],
-            _WORKER["settings"],
-            basis_sample_id=k,
+            mat, repaired, math.inf, policy, basis_sample_id=k
         )
     except NumericalFailure:
         # A random basis can come out ill-conditioned enough to fail the
@@ -187,54 +179,40 @@ def _fit_worker(payload: tuple[int, np.ndarray]):
 
 def _fit_over_samples(
     mat: np.ndarray,
-    stream: Iterable[tuple[int, np.ndarray]],
+    samples: list[tuple[int, np.ndarray]],
     policy: fitting.BranchPolicy,
     jobs: int,
     trace: Optional[list],
-) -> tuple[Optional[fitting.FitResult], int, int]:
+) -> tuple[Optional[fitting.FitResult], int]:
     """Minimum-distance fit over repaired samples, reduced by (distance, id).
 
     Every sample is searched with an unbounded acceptance radius so the
     per-sample distance is known even when it later fails the epsilon
     test; the caller applies that test once to the winner, which is the
     same decision the per-sample test would have produced.  Returns the
-    winner plus (samples seen, samples skipped for numerical reasons).
+    winner plus the number of samples skipped for numerical reasons.
     """
-    best: Optional[fitting.FitResult] = None
-    seen = 0
-    skipped = 0
-
-    def consider(k: int, result: Optional[fitting.FitResult], failed: bool) -> None:
-        nonlocal best, seen, skipped
-        seen += 1
-        skipped += failed
-        if trace is not None:
-            trace.append([k, None if result is None else result.distance])
-        if result is None:
-            return
-        if best is None or (result.distance, k) < (best.distance, best.basis_sample_id):
-            best = result
-
+    work = functools.partial(_fit_sample, mat, policy)
     if jobs <= 1:
-        _fit_worker_init(mat, policy, None)
-        for k, repaired in stream:
-            consider(*_fit_worker((k, repaired)))
+        results = [work(sample) for sample in samples]
     else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_fit_worker_init, initargs=(mat, policy, None)
-        ) as pool:
-            for k, result, failed in pool.map(_fit_worker, stream, chunksize=4):
-                consider(k, result, failed)
-    if seen and skipped == seen:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(work, samples, chunksize=4))
+    if trace is not None:
+        trace.extend([k, None if fit is None else fit.distance] for k, fit, _ in results)
+    skipped = sum(failed for _, _, failed in results)
+    if results and skipped == len(results):
         raise NumericalFailure(
-            f"all {seen} repaired samples failed the logarithm audit"
+            f"all {skipped} repaired samples failed the logarithm audit"
         )
-    return best, seen, skipped
+    fits = [fit for _, fit, _ in results if fit is not None]
+    best = min(fits, key=lambda fit: (fit.distance, fit.basis_sample_id), default=None)
+    return best, skipped
 
 
 def _mu_over_samples(
     mat: np.ndarray,
-    stream: Iterable[tuple[int, np.ndarray]],
+    samples: list[tuple[int, np.ndarray]],
     epsilon: float,
     policy: fitting.BranchPolicy,
     delta_step: float,
@@ -242,19 +220,64 @@ def _mu_over_samples(
     """Noise-rate fallback: scan every repaired sample, keep the least mu."""
     best: Optional[nonmarkov.MuResult] = None
     best_k: Optional[int] = None
-    for k, repaired in stream:
+    for k, repaired in samples:
         try:
             result = nonmarkov.non_markovianity(
                 mat, repaired, epsilon, policy, delta_step=delta_step
             )
         except NumericalFailure:
             continue
-        if result is None:
-            continue
-        if best is None or (result.mu_min, k) < (best.mu_min, best_k):
-            best = result
-            best_k = k
+        if result is not None and (best is None or (result.mu_min, k) < (best.mu_min, best_k)):
+            best, best_k = result, k
     return best, best_k
+
+
+class _Decision(NamedTuple):
+    kind: str
+    verdict: str
+    fit: Optional[fitting.FitResult] = None
+    mu: Optional[nonmarkov.MuResult] = None
+    mu_sample: Optional[int] = None
+    skipped: int = 0
+
+
+def _decide(
+    mat: np.ndarray,
+    epsilon: float,
+    policy: fitting.BranchPolicy,
+    cfg: preprocess.RandomBasisConfig,
+    precision: float,
+    delta_step: float,
+    jobs: int,
+    trace: Optional[list] = None,
+    memo: Optional[dict] = None,
+) -> _Decision:
+    """The verdict on one snapshot at one epsilon.
+
+    Repairs the snapshot once and materializes its samples once.  The
+    best fit over them, by (distance, sample id), is Markovian when it
+    lands within epsilon; otherwise the same samples give the least mu.
+
+    Within one pipeline kind the samples do not depend on epsilon (it only
+    decides whether the cluster bases are accepted, not what their vectors
+    are), so ``memo`` keeps each kind's samples and best fit for the next
+    call on the same snapshot: a sweep runs each branch search once.
+    """
+    kind, stream = preprocess.repaired_samples(mat, precision, epsilon, cfg)
+    if kind == preprocess.IDENTITY:
+        return _Decision(kind, "Identity")
+    memo = {} if memo is None else memo
+    if kind not in memo:
+        samples = list(stream)
+        memo[kind] = (samples, *_fit_over_samples(mat, samples, policy, jobs, trace))
+    samples, fit, skipped = memo[kind]
+    if fit is not None and fit.distance < epsilon:
+        return _Decision(kind, "Markovian", fit=fit, skipped=skipped)
+    # No branch of any sample lands inside the epsilon ball; ask instead
+    # how much white noise would reconcile the snapshot.
+    mu, k = _mu_over_samples(mat, samples, epsilon, policy, delta_step)
+    verdict = "NoResult" if mu is None else "NonMarkovian"
+    return _Decision(kind, verdict, mu=mu, mu_sample=k, skipped=skipped)
 
 
 def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
@@ -322,8 +345,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.epsilon <= 0:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
-    cfg = preprocess.RandomBasisConfig(samples=args.samples, seed=args.seed)
-    cfg.validate()
+    cfg = _sample_config(args)
     d = side_dim(mat.shape[0])
 
     settings = {
@@ -338,39 +360,27 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "delta_step": args.delta_step,
         "jobs": args.jobs,
     }
-
-    kind, stream = preprocess.repaired_samples(mat, args.precision, args.epsilon, cfg)
+    trace: Optional[list] = [] if args.trace else None
+    decision = _decide(
+        mat, args.epsilon, policy, cfg, args.precision, args.delta_step, args.jobs, trace
+    )
     doc: dict[str, Any] = {
         "input_digest": _file_digest(args.infile),
         "settings": settings,
-        "pipeline": kind,
+        "pipeline": decision.kind,
+        "verdict": decision.verdict,
     }
-    trace: Optional[list] = [] if args.trace else None
-    if kind == preprocess.IDENTITY:
-        doc["verdict"] = "Identity"
+    if decision.verdict == "Identity":
         doc["detail"] = "channel is consistent with the identity map"
-    else:
-        fit, _, skipped = _fit_over_samples(mat, stream, policy, args.jobs, trace)
-        if skipped:
-            doc["samples_skipped"] = skipped
-        if fit is not None and fit.distance < args.epsilon:
-            doc["verdict"] = "Markovian"
-            doc["result"] = _markovian_result(fit, args.epsilon)
-        else:
-            # No branch of any sample lands inside the epsilon ball; ask
-            # instead how much white noise would reconcile the snapshot.
-            _, fallback = preprocess.repaired_samples(mat, args.precision, args.epsilon, cfg)
-            mu, mu_sample = _mu_over_samples(
-                mat, fallback, args.epsilon, policy, args.delta_step
-            )
-            if mu is not None:
-                doc["verdict"] = "NonMarkovian"
-                doc["result"] = _nonmarkovian_result(
-                    mu, args.epsilon, args.delta_step, d
-                )
-                doc["result"]["basis_sample"] = mu_sample
-            else:
-                doc["verdict"] = "NoResult"
+    if decision.skipped:
+        doc["samples_skipped"] = decision.skipped
+    if decision.fit is not None:
+        doc["result"] = _markovian_result(decision.fit, args.epsilon)
+    elif decision.mu is not None:
+        doc["result"] = _nonmarkovian_result(
+            decision.mu, args.epsilon, args.delta_step, d
+        )
+        doc["result"]["basis_sample"] = decision.mu_sample
     if trace is not None:
         doc["trace"] = {"samples": trace}
     doc["wall_time_s"] = time.perf_counter() - started
@@ -425,80 +435,38 @@ def _epsilon_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+def _csv_number(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.10g}"
+
+
 def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     mat = read_matrix_file(args.infile)
     grid = _epsilon_grid(args.start, args.stop, args.step)
     policy = _policy(args, mat.shape[0])
-    cfg = preprocess.RandomBasisConfig(samples=args.samples, seed=args.seed)
-    cfg.validate()
+    cfg = _sample_config(args)
 
-    rows: list[tuple[str, str, str, str]] = []
-
-    def add_row(eps: float, mu: Optional[float], dist: Optional[float]) -> None:
-        sentinel = MU_ABSENT_SENTINEL if mu is None else mu
-        rows.append(
-            (
-                f"{eps:.10g}",
-                "" if mu is None else f"{mu:.10g}",
-                f"{sentinel:.10g}",
-                "" if dist is None else f"{dist:.10g}",
-            )
-        )
-
-    kind, stream = preprocess.repaired_samples(mat, args.precision, 1.0, cfg)
-    if kind == preprocess.IDENTITY:
-        # Consistent with the identity map at every budget: no noise needed.
-        distance = float(frobenius(mat - np.eye(mat.shape[0])))
-        for eps in grid:
-            add_row(float(eps), 0.0, distance)
-    elif kind == preprocess.PASSTHROUGH:
-        # The epsilon budget only gates acceptance, never the search, so a
-        # single branch scan serves every grid point.
-        fit = None
-        repaired = mat
-        _fit_worker_init(mat, policy, None)
-        for k, repaired in stream:
-            _, fit, _ = _fit_worker((k, repaired))
-        for eps in grid:
-            eps = float(eps)
-            if eps <= 0:
-                add_row(eps, None, None)
-            elif fit is not None and fit.distance < eps:
-                add_row(eps, 0.0, fit.distance)
-            else:
-                mu = nonmarkov.non_markovianity(
-                    mat, repaired, eps, policy, delta_step=args.delta_step
-                )
-                if mu is None:
-                    add_row(eps, None, None)
-                else:
-                    add_row(eps, mu.mu_min, mu.distance)
-    else:
-        # Clustered spectrum: the repaired samples depend on the residual
-        # tolerance, so each grid point runs the full pipeline.
-        for eps in grid:
-            eps = float(eps)
-            if eps <= 0:
-                add_row(eps, None, None)
-                continue
-            _, per_eps = preprocess.repaired_samples(mat, args.precision, eps, cfg)
-            fit, _, _ = _fit_over_samples(mat, per_eps, policy, args.jobs, None)
-            if fit is not None and fit.distance < eps:
-                add_row(eps, 0.0, fit.distance)
-                continue
-            _, per_eps = preprocess.repaired_samples(mat, args.precision, eps, cfg)
-            mu, _ = _mu_over_samples(mat, per_eps, eps, policy, args.delta_step)
-            if mu is None:
-                add_row(eps, None, None)
-            else:
-                add_row(eps, mu.mu_min, mu.distance)
-
+    # Each row is fit's verdict at its epsilon; the memo runs each pipeline
+    # kind's branch search once for the whole grid.
+    memo: dict = {}
     lines = [CSV_HEADER]
-    for eps_text, mu_text, sentinel_text, dist_text in rows:
-        lines.append(
-            f"{eps_text},{mu_text},{sentinel_text},{dist_text},"
-            f"{args.samples},{args.m_max}"
-        )
+    for eps in grid.tolist():
+        mu = distance = None
+        # fit refuses epsilon <= 0: no candidate can pass distance < epsilon.
+        if eps > 0:
+            decision = _decide(
+                mat, eps, policy, cfg, args.precision, args.delta_step, args.jobs,
+                memo=memo,
+            )
+            if decision.verdict == "Identity":
+                # Consistent with the identity map: no noise needed.
+                mu, distance = 0.0, float(frobenius(mat - np.eye(mat.shape[0])))
+            elif decision.fit is not None:
+                mu, distance = 0.0, decision.fit.distance
+            elif decision.mu is not None:
+                mu, distance = decision.mu.mu_min, decision.mu.distance
+        sentinel = MU_ABSENT_SENTINEL if mu is None else mu
+        cells = [_csv_number(v) for v in (eps, mu, sentinel, distance)]
+        lines.append(",".join(cells + [str(args.samples), str(args.m_max)]))
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -573,9 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="snapshot.json", help="matrix file to write")
     sim.set_defaults(func=cmd_simulate)
 
-    def common_fit_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
-        p.add_argument("--epsilon", type=float, required=True, help="acceptance radius")
+    def search_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--m-max", dest="m_max", type=int, default=1)
         p.add_argument(
             "--max-branches",
@@ -585,14 +551,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="cap the branch search to the first N of the canonical order",
         )
         p.add_argument("--delta-step", dest="delta_step", type=float, default=0.01)
+
+    def sample_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--samples", type=int, default=1, help="random repaired bases")
+        p.add_argument("--precision", type=float, default=preprocess.DEFAULT_PRECISION)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1, help="parallel sample fits")
+
+    def common_fit_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
+        p.add_argument("--epsilon", type=float, required=True, help="acceptance radius")
+        search_flags(p)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
 
     fit = sub.add_parser("fit", help="best-fit Lindbladian, with noise-rate fallback")
     common_fit_flags(fit)
-    fit.add_argument("--samples", type=int, default=1, help="random repaired bases")
-    fit.add_argument("--precision", type=float, default=preprocess.DEFAULT_PRECISION)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--jobs", type=int, default=1, help="parallel sample fits")
+    sample_flags(fit)
     fit.add_argument("--trace", action="store_true", help="record per-sample distances")
     fit.set_defaults(func=cmd_fit)
 
@@ -601,28 +575,21 @@ def build_parser() -> argparse.ArgumentParser:
     mu.set_defaults(func=cmd_mu)
 
     sweep = sub.add_parser("sweep-epsilon", help="scan the error budget, CSV out")
-    sweep.add_argument("--in", dest="infile", required=True)
+    sweep.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--step", type=float, required=True)
-    sweep.add_argument("--delta-step", dest="delta_step", type=float, default=0.01)
-    sweep.add_argument("--m-max", dest="m_max", type=int, default=1)
-    sweep.add_argument("--max-branches", dest="max_branches", type=int, default=None)
-    sweep.add_argument("--samples", type=int, default=1)
-    sweep.add_argument("--precision", type=float, default=preprocess.DEFAULT_PRECISION)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--jobs", type=int, default=1)
+    search_flags(sweep)
+    sample_flags(sweep)
     sweep.add_argument("--csv", help="write the table here instead of stdout")
     sweep.set_defaults(func=cmd_sweep_epsilon)
 
     multi = sub.add_parser("multifit", help="joint fit across a snapshot time series")
     multi.add_argument("--in", dest="infile", required=True, help="comma-separated files")
     multi.add_argument("--times", required=True, help="comma-separated snapshot times")
-    multi.add_argument("--epsilon", type=float, required=True)
-    multi.add_argument("--m-max", dest="m_max", type=int, default=1)
-    multi.add_argument("--max-branches", dest="max_branches", type=int, default=None)
-    multi.add_argument("--delta-step", dest="delta_step", type=float, default=0.01)
-    multi.add_argument("--report")
+    multi.add_argument("--epsilon", type=float, required=True, help="acceptance radius")
+    search_flags(multi)
+    multi.add_argument("--report", help="write the JSON report here instead of stdout")
     multi.set_defaults(func=cmd_multifit)
 
     return parser
@@ -661,18 +628,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if not exc.code else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (InputError, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    except OutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except LindbladFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -40,14 +40,6 @@ class NumericalFailure(LindbladFitError):
     """A numerical routine did not converge or produced unusable output."""
 
 
-class SolverDiverged(NumericalFailure):
-    """The operator-splitting solver exhausted its iteration budget."""
-
-
-class Infeasible(LindbladFitError):
-    """A constrained program has an empty feasible set (e.g. ball too small)."""
-
-
 class BasisUnavailable(LindbladFitError):
     """No hermiticity-preserving basis could be built for a cluster."""
 

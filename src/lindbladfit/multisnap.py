@@ -26,7 +26,6 @@ passes the Lindblad audit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,30 +92,20 @@ class SnapshotSeries:
             )
 
 
-def _joint_assignments(
-    policy: BranchPolicy, count: int, dim: int, restrict: bool
-):
-    """Branch vectors per snapshot, enumerated jointly.
-
-    The default keeps the all-zero assignment plus every assignment where
-    exactly one snapshot moves to a branch with entries in {-1, 0, 1}; the
-    full product grid over per-snapshot enumerations is exponentially
-    larger and only worth it when explicitly requested.
+def _joint_assignments(policy: BranchPolicy, count: int, dim: int):
+    """Branch vectors per snapshot, enumerated jointly: the all-zero
+    assignment plus every assignment where exactly one snapshot moves to a
+    branch with entries in {-1, 0, 1}.  (The full product grid over the
+    per-snapshot enumerations is exponentially larger.)
     """
     zero = (0,) * dim
-    if restrict:
-        yield (zero,) * count
-        inner = BranchPolicy(
-            m_max=min(policy.m_max, 1), max_branches=policy.max_branches
-        )
-        for c in range(count):
-            for m in enumerate_branches(inner, dim):
-                if m == zero:
-                    continue
-                yield tuple(m if cc == c else zero for cc in range(count))
-    else:
-        per = [list(enumerate_branches(policy, dim)) for _ in range(count)]
-        yield from itertools.product(*per)
+    yield (zero,) * count
+    inner = BranchPolicy(m_max=min(policy.m_max, 1), max_branches=policy.max_branches)
+    for c in range(count):
+        for m in enumerate_branches(inner, dim):
+            if m == zero:
+                continue
+            yield tuple(m if cc == c else zero for cc in range(count))
 
 
 def best_fit_multi(
@@ -127,7 +116,6 @@ def best_fit_multi(
     settings: Optional[solver.SolverSettings] = None,
     *,
     delta_step: float = 0.01,
-    restrict_branches: bool = True,
 ) -> Optional[FitResult]:
     """One generator for the whole series, or None when none fits.
 
@@ -156,11 +144,9 @@ def best_fit_multi(
         sweep = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step)
     deltas = sweep.grid()
 
-    assignments = np.array(
-        list(_joint_assignments(policy, q, n, restrict_branches)), dtype=int
-    )
-    # One batched target call per snapshot over its distinct branches; a
-    # restricted assignment reuses the zero branch for all snapshots but one.
+    assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
+    # One batched target call per snapshot over its distinct branches; an
+    # assignment reuses the zero branch for all snapshots but one.
     targets = np.empty(assignments.shape[:2] + (n, n), dtype=complex)
     for c, (spectral, l0) in enumerate(logs):
         branches, inverse = np.unique(assignments[:, c], axis=0, return_inverse=True)

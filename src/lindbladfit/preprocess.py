@@ -96,7 +96,6 @@ class ClusterPartition:
     negative_sets: tuple
     complex_sets: tuple
     conjugate_pairs: tuple
-    precision: float
     consistent_with_identity: bool = False
 
     @property
@@ -183,7 +182,6 @@ def detect_clusters(s: SpectralData, p: float) -> ClusterPartition:
         negative_sets=tuple(neg_sets),
         complex_sets=tuple(cpx_sets),
         conjugate_pairs=_pair_conjugate_sets(s.eigenvalues, cpx_sets, p),
-        precision=float(p),
         consistent_with_identity=identity,
     )
 
@@ -196,23 +194,19 @@ def detect_clusters(s: SpectralData, p: float) -> ClusterPartition:
 class HPBasis:
     """Basis of a clustered eigenspace with hermiticity-compatible columns.
 
-    kind == CONJUGATE_PAIRS: ``vectors`` span the cluster of ``indices``
-    and their adjoints (``partners``) live in the cluster of
-    ``partner_indices`` (the same cluster for a negative real eigenvalue).
+    kind == CONJUGATE_PAIRS: ``vectors`` span the cluster and their
+    adjoints live in the partner cluster (the same cluster for a negative
+    real eigenvalue).
 
     kind == SELF_ADJOINT_AND_PAIRS: columns split into ``self_adjoint``
     vectors (equal to their own adjoint) and ``pairs`` vectors whose
-    adjoints complete the span; ``partner_indices`` is None.
+    adjoints complete the span.
     """
 
-    indices: tuple
     kind: str
-    partner_indices: Optional[tuple] = None
     vectors: Optional[np.ndarray] = None
-    partners: Optional[np.ndarray] = None
     self_adjoint: Optional[np.ndarray] = None
     pairs: Optional[np.ndarray] = None
-    residuals: tuple = ()
 
     @property
     def span_vectors(self) -> np.ndarray:
@@ -294,14 +288,7 @@ def conjugate_basis(
         vectors[:, i] = v / norm
     if not _independent(vectors):
         return None
-    return HPBasis(
-        indices=a_idx,
-        kind=CONJUGATE_PAIRS,
-        partner_indices=b_idx,
-        vectors=vectors,
-        partners=_adjoint_columns(vectors),
-        residuals=tuple(float(r) for r in resid),
-    )
+    return HPBasis(kind=CONJUGATE_PAIRS, vectors=vectors)
 
 
 def _canonical_phase(x: np.ndarray, n: int) -> np.ndarray:
@@ -385,13 +372,7 @@ def real_positive_basis(
     all_cols = np.concatenate([sa, pairs], axis=1)
     if not _independent(all_cols):
         return None
-    return HPBasis(
-        indices=a_idx,
-        kind=SELF_ADJOINT_AND_PAIRS,
-        self_adjoint=sa,
-        pairs=pairs,
-        residuals=tuple(float(r) for r in resid),
-    )
+    return HPBasis(kind=SELF_ADJOINT_AND_PAIRS, self_adjoint=sa, pairs=pairs)
 
 
 # ----------------------------------------------------------------------

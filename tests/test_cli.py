@@ -1,0 +1,227 @@
+"""The command-line front end: exit codes, the `fit` report, `--jobs` and
+`--trace`, and `sweep-epsilon` rows against `fit` at the same epsilon.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from lindbladfit import cli, preprocess
+from lindbladfit.channels import (
+    ChannelSpec,
+    TomographyConfig,
+    is_lindbladian,
+    simulate_process_tomography,
+)
+from lindbladfit.linalg import frobenius, max_entangled
+
+EPSILON = 0.05
+CHANNELS = {
+    "depol": (ChannelSpec("depolarizing", {"p": 0.2}), 10**5),
+    "identity": (ChannelSpec("identity"), 10**5),
+    "unital": (ChannelSpec("unital", {"gamma": [-200.0, 201.0, 200.5]}), 10**4),
+}
+
+
+@pytest.fixture(scope="module")
+def snap(tmp_path_factory):
+    """Matrix file of each fast test channel, tomography seed 1."""
+    root = tmp_path_factory.mktemp("snapshots")
+    paths = {}
+    for name, (spec, shots) in CHANNELS.items():
+        mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
+        paths[name] = str(root / f"{name}.json")
+        cli.write_matrix_file(paths[name], mat)
+    return paths
+
+
+def run(tmp_path, *argv):
+    """(exit code, report without its wall time, or None when none was written)."""
+    report = tmp_path / "report.json"
+    report.unlink(missing_ok=True)
+    code = cli.main([*argv, "--report", str(report)])
+    if not report.exists():
+        return code, None
+    doc = json.loads(report.read_text())
+    doc.pop("wall_time_s")
+    return code, doc
+
+
+def fit(tmp_path, path, epsilon=EPSILON, *flags):
+    return run(tmp_path, "fit", "--in", path, "--epsilon", str(epsilon), *flags)
+
+
+def sweep(tmp_path, path, start, stop, step, *flags):
+    csv = tmp_path / "sweep.csv"
+    code = cli.main([
+        "sweep-epsilon", "--in", path, "--from", str(start), "--to", str(stop),
+        "--step", str(step), *flags, "--csv", str(csv),
+    ])
+    assert code == cli.EXIT_OK
+    return csv.read_text().splitlines()
+
+
+def matrix(doc):
+    flat = np.array([complex(re, im) for re, im in doc["data"]])
+    return flat.reshape(doc["dim"], doc["dim"])
+
+
+# ----------------------------------------------------------------------
+# exit codes
+# ----------------------------------------------------------------------
+
+def test_input_errors_exit_3(tmp_path, snap):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    assert fit(tmp_path, str(tmp_path / "missing.json"))[0] == cli.EXIT_INPUT_ERROR
+    assert fit(tmp_path, str(bad_json))[0] == cli.EXIT_INPUT_ERROR
+    for epsilon in (0, -0.1):
+        assert fit(tmp_path, snap["depol"], epsilon) == (cli.EXIT_INPUT_ERROR, None)
+    out = tmp_path / "out.json"
+    assert cli.main(["simulate", "--channel", "bogus", "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    assert not out.exists()
+    assert cli.main(["fit", "--in", snap["depol"], "--epsilon", "0.05", "--bogus"]) == (
+        cli.EXIT_INPUT_ERROR
+    )
+    assert cli.main([]) == cli.EXIT_INPUT_ERROR
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["fit", "--help"]) == cli.EXIT_OK
+    assert "--samples" in capsys.readouterr().out
+
+
+def test_no_result_exits_2(tmp_path, snap):
+    code, doc = run(tmp_path, "mu", "--in", snap["depol"], "--epsilon", "0")
+    assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
+
+
+def test_mu_on_a_singular_matrix_exits_4(tmp_path):
+    path = tmp_path / "singular.json"
+    cli.write_matrix_file(str(path), np.diag([0.0, 0.3, 0.6, 0.9]))
+    code, doc = run(tmp_path, "mu", "--in", str(path), "--epsilon", "0.05")
+    assert (code, doc) == (cli.EXIT_NUMERICAL_FAILURE, None)
+
+
+# ----------------------------------------------------------------------
+# the fit report
+# ----------------------------------------------------------------------
+
+def test_markovian_report(tmp_path, snap):
+    code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "samples")
+    res = doc["result"]
+    gen = matrix(res["lindbladian"])
+    mat = cli.read_matrix_file(snap["depol"])
+    assert frobenius(mat - expm(gen)) == pytest.approx(res["distance"], rel=1e-9)
+    assert res["distance"] < doc["settings"]["epsilon"] == EPSILON
+    assert is_lindbladian(gen, tol=res["lindblad_check_tolerance"]).ok
+    assert res["basis_sample"] in range(4) and len(res["branch"]) == 4
+
+
+def test_nonmarkovian_report(tmp_path, snap):
+    code, doc = fit(tmp_path, snap["unital"])
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "NonMarkovian", "passthrough")
+    res = doc["result"]
+    gen = matrix(res["generator"])
+    mat = cli.read_matrix_file(snap["unital"])
+    assert frobenius(mat - expm(gen)) == pytest.approx(res["distance"], rel=1e-9)
+    assert res["distance"] < doc["settings"]["epsilon"]
+    assert res["mu_min"] == pytest.approx(4.569177, abs=1e-6)
+    perp = max_entangled(2).omega_perp
+    assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
+    assert res["basis_sample"] == 0
+
+
+def test_no_result_report(tmp_path, snap):
+    code, doc = fit(tmp_path, snap["depol"], 0.001)
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_NO_RESULT, "NoResult", "samples")
+    assert "result" not in doc
+
+
+def test_identity_report(tmp_path, snap):
+    code, doc = fit(tmp_path, snap["identity"], EPSILON, "--trace")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Identity", "identity")
+    assert "result" not in doc
+    assert doc["trace"] == {"samples": []}
+
+
+def test_jobs_and_trace(tmp_path, snap):
+    flags = ("--samples", "4", "--trace")
+    _, serial = fit(tmp_path, snap["depol"], EPSILON, *flags)
+    _, parallel = fit(tmp_path, snap["depol"], EPSILON, *flags, "--jobs", "2")
+    assert parallel["settings"].pop("jobs") == 2
+    assert serial["settings"].pop("jobs") == 1
+    assert parallel == serial
+    # One [sample id, best distance over its branches] entry per sample, and
+    # the report's winner is the least of them.
+    samples = serial["trace"]["samples"]
+    assert [k for k, _ in samples] == [0, 1, 2, 3]
+    k, distance = min(samples, key=lambda entry: (entry[1], entry[0]))
+    assert (k, distance) == (serial["result"]["basis_sample"], serial["result"]["distance"])
+
+
+# ----------------------------------------------------------------------
+# sweep-epsilon
+# ----------------------------------------------------------------------
+
+def fit_row(tmp_path, path, epsilon, *flags):
+    """The (mu, mu_sentinel, distance) cells of `fit`'s verdict at epsilon."""
+    code, doc = fit(tmp_path, path, epsilon, *flags)
+    if code == cli.EXIT_INPUT_ERROR:  # fit refuses epsilon <= 0
+        return "", "1000", ""
+    verdict = doc["verdict"]
+    if verdict == "Identity":
+        mat = cli.read_matrix_file(path)
+        mu, distance = 0.0, frobenius(mat - np.eye(mat.shape[0]))
+    elif verdict == "NoResult":
+        return "", "1000", ""
+    else:
+        mu = 0.0 if verdict == "Markovian" else doc["result"]["mu_min"]
+        distance = doc["result"]["distance"]
+    return f"{mu:.10g}", f"{mu:.10g}", f"{distance:.10g}"
+
+
+@pytest.mark.parametrize(
+    "name, grid, flags, count",
+    [
+        ("identity", (0, 0.1, 0.05), (), 2),
+        ("depol", (0.005, 0.03, 0.01), ("--samples", "2"), 3),
+        ("unital", (0.02, 0.06, 0.02), (), 2),
+    ],
+)
+def test_sweep_rows_are_fit_verdicts(tmp_path, snap, name, grid, flags, count):
+    lines = sweep(tmp_path, snap[name], *grid, *flags)
+    assert lines[0] == cli.CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == count
+    samples = flags[1] if flags else "1"
+    for eps, mu, sentinel, distance, row_samples, m_max in rows:
+        assert (row_samples, m_max) == (samples, "1")
+        assert (mu, sentinel, distance) == fit_row(tmp_path, snap[name], eps, *flags), eps
+
+
+def test_sweep_identity_rows_at_nonpositive_epsilon_are_absent(tmp_path, snap):
+    lines = sweep(tmp_path, snap["identity"], -0.1, 0.1, 0.05)
+    cells = [line.split(",")[:4] for line in lines[1:]]
+    assert cells[:3] == [["-0.1", "", "1000", ""], ["-0.05", "", "1000", ""], ["0", "", "1000", ""]]
+    assert cells[3][:3] == ["0.05", "0", "0"]
+
+
+def test_samples_are_drawn_once(tmp_path, snap, monkeypatch):
+    """The mu fallback reuses the fit's samples, and a sweep draws them once."""
+    drawn = []
+    draw = preprocess.random_hp_basis
+
+    def counting(s, partition, bases, cfg, sample_index):
+        drawn.append(sample_index)
+        return draw(s, partition, bases, cfg, sample_index)
+
+    monkeypatch.setattr(preprocess, "random_hp_basis", counting)
+    code, doc = fit(tmp_path, snap["depol"], 0.001, "--samples", "2")
+    assert (code, doc["pipeline"], drawn) == (cli.EXIT_NO_RESULT, "samples", [0, 1])
+    drawn.clear()
+    lines = sweep(tmp_path, snap["depol"], 0.005, 0.03, 0.01, "--samples", "2")
+    assert (len(lines), drawn) == (4, [0, 1])

@@ -50,7 +50,7 @@ def assignment_grid(mats, policy=fitting.BranchPolicy()):
     logs = [fitting.checked_log(m) for m in mats]
     deltas = DeltaSweep.from_epsilon(EPSILON, frobenius(logs[0][1])).grid()
     n = mats[0].shape[0]
-    assignments = list(_joint_assignments(policy, len(mats), n, True))
+    assignments = list(_joint_assignments(policy, len(mats), n))
     targets = np.array([
         [fitting.branch_targets(l0, s, np.array([m]))[0] for (s, l0), m in zip(logs, a)]
         for a in assignments
