@@ -32,7 +32,9 @@ import numpy as np
 
 from . import fitting, nonmarkov, preprocess
 from .channels import ChannelSpec, TomographyConfig, simulate_process_tomography
-from .errors import InputError, LindbladFitError, NumericalFailure, OutOfRange
+from .errors import (
+    InputError, LindbladFitError, NotPerfectSquareDim, NumericalFailure, OutOfRange,
+)
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
 from .linalg import eig_full, frobenius, side_dim  # noqa: F401
@@ -303,7 +305,7 @@ def _nonmarkovian_result(
         "branch": list(mu.branch),
         "distance": mu.distance,
         "distance_tolerance": epsilon,
-        "lindblad_check_tolerance": nonmarkov.VERIFY_TOL,
+        "lindblad_check_tolerance": fitting.VERIFY_TOL,
     }
 
 
@@ -628,7 +630,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if not exc.code else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (InputError, OutOfRange, OSError) as exc:
+    except (InputError, NotPerfectSquareDim, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalFailure as exc:

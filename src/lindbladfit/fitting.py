@@ -12,30 +12,31 @@ whose exponential lands closest to the *raw* snapshot M, accepted only
 when that distance beats epsilon.
 
 Branches are enumerated exhaustively over {-m_max..m_max}^(d^2), ordered
-by increasing sum of |m_j| with lexicographic tie-break, so results are
-deterministic.  As a pure performance measure, branches whose shifted
-log-spectrum stays closed under complex conjugation are *solved first*
-(only those can reach distance zero for a hermiticity-preserving
-snapshot); the final reduction still ranks every solved branch by
-(distance, enumeration position), so the ordering cannot change the
-answer.  Early termination is allowed only once a branch gets within
-1e-12 of the snapshot.
+by increasing sum of |m_j| with lexicographic tie-break, and solved in
+that order, so results are deterministic.  Early termination is allowed
+only once a branch gets within 1e-12 of the snapshot.
 
 The closest-generator program sees a target only through its hermitian
 part (the skew part adds a constant to the objective), so branches whose
 targets share herm(T) share one solution and one distance.  The search
 groups the branches into these herm classes first (``herm_classes``),
-solves each class once at its first member in solve order, and gives
-every member that solution and distance.  Members of one class therefore
-tie exactly, and a class reports its lowest enumeration position: the
-winner is the first class by (distance, lowest member position).
+solves each class once at its leader, its lowest enumeration position,
+and gives every member that solution and distance.  Members of one class
+therefore tie exactly, and the winner is the first class by (distance,
+leader position).
+
+``nonmarkov.non_markovianity`` and ``multisnap.best_fit_multi`` accept a
+candidate through the same certificate: its exponential lands strictly
+within epsilon of the raw snapshot (of each snapshot, for a series), and
+the generator (G - mu * omega_perp, for a noise rate) passes the Lindblad
+test at ``VERIFY_TOL``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -72,8 +73,11 @@ ROUND_TRIP_TOL = 1e-6
 #: Distance below which the branch search may stop before exhausting the grid.
 EARLY_STOP_DISTANCE = 1e-12
 
-#: Tolerance of the final is-it-really-a-Lindbladian audit on the winner.
+#: Tolerance of the is-it-really-a-Lindbladian audit on every search's winner.
 VERIFY_TOL = 1e-7
+
+#: Herm classes solved per (P1) batch after the first, singleton one.
+P1_CHUNK = 256
 
 #: Branch targets whose hermitian parts lie within this distance, relative
 #: to max(1, largest |herm T|), share one closest-generator solve.
@@ -170,24 +174,6 @@ def checked_log(r: np.ndarray) -> tuple[SpectralData, np.ndarray]:
     return spectral, l0
 
 
-def _pairing_first_order(
-    log_eigs: np.ndarray, branches: np.ndarray
-) -> np.ndarray:
-    """Indices of `branches` with conjugation-respecting shifts first.
-
-    A hermiticity-preserving generator has a spectrum closed under complex
-    conjugation, so branches whose shifted log-eigenvalues break that
-    closure cannot fit an exactly hermiticity-preserving snapshot; they are
-    still solved, just later.  Order within each class is preserved.
-    """
-    shifted = log_eigs[None, :] + TWO_PI * 1j * branches
-    mismatch = np.abs(shifted[:, :, None] - np.conj(shifted)[:, None, :])
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(log_eigs))))
-    closed = mismatch.min(axis=2).max(axis=1) < tol
-    idx = np.arange(len(branches))
-    return np.concatenate([idx[closed], idx[~closed]])
-
-
 def branch_targets(
     l0: np.ndarray, spectral: SpectralData, branches: np.ndarray
 ) -> np.ndarray:
@@ -198,7 +184,7 @@ def branch_targets(
 
 
 def herm_classes(targets: np.ndarray) -> np.ndarray:
-    """Index of each target's class representative, for targets in solve order.
+    """Index of each target's class representative, in enumeration order.
 
     Target i joins the first earlier representative whose hermitian part
     lies within CLASS_TOL * max(1, largest |herm T|) of its own, and
@@ -219,36 +205,48 @@ def herm_classes(targets: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _solve_classes(
-    m: np.ndarray,
-    targets: np.ndarray,
-    order: np.ndarray,
-    d: int,
-    settings: Optional[solver.SolverSettings],
-    chunk_size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve (P1) once per herm class of the branch targets, in solve order.
+def _branch_setup(
+    m_snapshot, r: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, int, SpectralData, np.ndarray]:
+    """The checks and the logarithm every single-snapshot branch search
+    starts from: (snapshot matrix, side dimension, spectrum of R, log R)."""
+    if epsilon <= 0:
+        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
+    m = snapshot_matrix(m_snapshot)
+    r = np.asarray(r, dtype=complex)
+    if r.shape != m.shape:
+        raise OutOfRange(
+            f"snapshot and repaired matrix disagree: {m.shape} vs {r.shape}"
+        )
+    d = side_dim(r.shape[0])
+    spectral, l0 = checked_log(r)
+    return m, d, spectral, l0
 
-    Returns the class of every branch in enumeration order (-1 where the
-    class was never solved because the search stopped early), and each
-    solved class's Choi-side solution and exponential's distance to M.
+
+def _solve_classes(
+    m: np.ndarray, targets: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve (P1) once per herm class of the branch targets, leaders in order.
+
+    Returns the class of every branch (-1 where the class was never solved
+    because the search stopped early), and each solved class's Choi-side
+    solution and exponential's distance to M.  Classes are numbered in
+    the order of their leaders.
     """
-    owner = herm_classes(targets[order])
+    owner = herm_classes(targets)
     leaders = np.unique(owner)
-    label = np.empty(len(order), dtype=int)
-    label[order] = np.searchsorted(leaders, owner)
+    label = np.searchsorted(leaders, owner)
 
     # The first solve is a singleton chunk: for a snapshot that is already
     # an exponential of a Lindbladian, the leading branch lands below the
     # early-stop distance and the remaining grid is never touched.
     bounds = [0, 1]
     while bounds[-1] < len(leaders):
-        bounds.append(min(bounds[-1] + chunk_size, len(leaders)))
+        bounds.append(min(bounds[-1] + P1_CHUNK, len(leaders)))
 
     xs, dists = [], []
     for start, end in zip(bounds[:-1], bounds[1:]):
-        chunk = order[leaders[start:end]]
-        reports = solver.closest_lindbladian_batch(targets[chunk], d, settings)
+        reports = solver.closest_lindbladian_batch(targets[leaders[start:end]], d)
         x_stack = np.stack([report.x_opt for report in reports])
         exps = expm(gamma_involution(x_stack))
         xs.append(x_stack)
@@ -264,48 +262,29 @@ def best_fit_lindbladian(
     m_snapshot,
     r: np.ndarray,
     epsilon: float,
-    policy: Optional[BranchPolicy] = None,
-    settings: Optional[solver.SolverSettings] = None,
+    policy: BranchPolicy = BranchPolicy(),
     *,
     basis_sample_id: Optional[int] = None,
-    chunk_size: int = 256,
 ) -> Optional[FitResult]:
     """Search all logarithm branches of R for the Lindbladian closest to M.
 
     Returns the minimal-distance result whose exponential lands strictly
     within ``epsilon`` of the raw snapshot, or None when no branch does.
-    Every member of a herm class shares its representative's distance, so
-    ties are broken by enumeration order.
+    Every member of a herm class shares its leader's distance, so ties are
+    broken by enumeration order.
     """
-    if epsilon <= 0:
-        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
-    if policy is None:
-        policy = BranchPolicy()
-    m = snapshot_matrix(m_snapshot)
-    r = np.asarray(r, dtype=complex)
-    if r.shape != m.shape:
-        raise OutOfRange(
-            f"snapshot and repaired matrix disagree: {m.shape} vs {r.shape}"
-        )
-    d = side_dim(r.shape[0])
-
-    spectral, l0 = checked_log(r)
-    branches = np.array(list(enumerate_branches(policy, r.shape[0])), dtype=int)
-    order = _pairing_first_order(np.log(spectral.eigenvalues), branches)
+    m, d, spectral, l0 = _branch_setup(m_snapshot, r, epsilon)
+    branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
     targets = branch_targets(l0, spectral, branches)
-    label, x_opts, distances = _solve_classes(m, targets, order, d, settings, chunk_size)
-
-    # Each solved class reports its lowest enumeration position.
-    first = np.full(len(distances), len(branches))
-    solved = np.nonzero(label >= 0)[0]
-    np.minimum.at(first, label[solved], solved)
+    label, x_opts, distances = _solve_classes(m, targets, d)
 
     # Distances below the early-stop threshold are ties in exact arithmetic
     # (all branches of log R share the exponential R); rank them as zero so
     # they too are resolved by enumeration order instead of floating-point
-    # jitter.
+    # jitter.  Class numbers follow leader positions, so a stable sort
+    # breaks the remaining ties by enumeration order.
     ranked = np.where(distances >= EARLY_STOP_DISTANCE, distances, 0.0)
-    for k in np.lexsort((first, ranked)):
+    for k in np.argsort(ranked, kind="stable"):
         if distances[k] >= epsilon:
             break
         lindbladian = gamma_involution(x_opts[k])
@@ -313,7 +292,7 @@ def best_fit_lindbladian(
             return FitResult(
                 lindbladian=lindbladian,
                 distance=float(distances[k]),
-                branch=tuple(int(v) for v in branches[first[k]]),
+                branch=tuple(int(v) for v in branches[np.argmax(label == k)]),
                 basis_sample_id=basis_sample_id,
             )
     return None

@@ -31,10 +31,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import fitting, solver
+from . import solver
 from .channels import is_lindbladian
 from .errors import DimensionMismatch, OutOfRange
 from .fitting import (
+    VERIFY_TOL,
     BranchPolicy,
     FitResult,
     enumerate_branches,
@@ -111,9 +112,7 @@ def _joint_assignments(policy: BranchPolicy, count: int, dim: int):
 def best_fit_multi(
     series: SnapshotSeries,
     epsilon: float,
-    policy: Optional[BranchPolicy] = None,
-    sweep: Optional[DeltaSweep] = None,
-    settings: Optional[solver.SolverSettings] = None,
+    policy: BranchPolicy = BranchPolicy(),
     *,
     delta_step: float = 0.01,
 ) -> Optional[FitResult]:
@@ -131,8 +130,6 @@ def best_fit_multi(
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
     series.validate()
-    if policy is None:
-        policy = BranchPolicy()
     q = series.count
     times = np.asarray(series.times, dtype=float)
     mats = [series.matrix(c) for c in range(q)]
@@ -140,9 +137,7 @@ def best_fit_multi(
     d = side_dim(n)
 
     logs = [checked_log(m) for m in mats]
-    if sweep is None:
-        sweep = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step)
-    deltas = sweep.grid()
+    deltas = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step).grid()
 
     assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
     # One batched target call per snapshot over its distinct branches; an
@@ -159,7 +154,7 @@ def best_fit_multi(
     if not assign_idx.size:
         return None
     reports = solver.solve_joint_fit_batch(
-        targets[assign_idx], times, d, deltas[delta_idx], settings
+        targets[assign_idx], times, d, deltas[delta_idx]
     )
     generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
     exps = expm(times[None, :, None, None] * generators[:, None])
@@ -167,7 +162,7 @@ def best_fit_multi(
     distance = dists.sum(axis=1)
     fits = (dists.max(axis=1) < epsilon) & (distance < q * epsilon)
     for k in np.flatnonzero(fits)[np.argsort(distance[fits], kind="stable")]:
-        if is_lindbladian(generators[k], tol=fitting.VERIFY_TOL).ok:
+        if is_lindbladian(generators[k], tol=VERIFY_TOL).ok:
             return FitResult(
                 lindbladian=generators[k],
                 distance=float(distance[k]),

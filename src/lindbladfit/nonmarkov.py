@@ -6,8 +6,10 @@ after adding white noise at rate mu, satisfies all Lindblad conditions while
 its exponential stays within epsilon of M.  Operationally this is a sweep
 over trust radii delta and logarithm branches; each grid point whose
 delta-ball reaches the hermitian trace-zero slice solves the
-noise-minimization program, and a candidate is accepted only when the
-exponential check against the raw snapshot passes.
+noise-minimization program, and a candidate is accepted only through the
+certificate of ``fitting``: its exponential lands strictly within epsilon
+of the raw snapshot, and the noisy generator passes the Lindblad test at
+``fitting.VERIFY_TOL``.
 
 The module also carries a closed-form estimate for channels with real,
 positive, well-separated spectra (one eigenvalue near 1): filter the
@@ -29,9 +31,10 @@ from . import solver
 from .channels import is_lindbladian
 from .errors import NumericalFailure, OutOfRange, PreconditionViolated
 from .fitting import (
+    VERIFY_TOL,
     BranchPolicy,
+    _branch_setup,
     branch_targets,
-    checked_log,
     enumerate_branches,
     snapshot_matrix,
 )
@@ -62,8 +65,8 @@ MU_INIT = 1e9
 #: them as ties resolved by (delta, branch) order.
 MU_TIE_TOL = 1e-12
 
-#: Tolerance of the is-the-noisy-generator-a-Lindbladian audit on the winner.
-VERIFY_TOL = 1e-6
+#: Live (branch, delta) pairs per (P2) batch.
+P2_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -147,12 +150,9 @@ def non_markovianity(
     m_snapshot,
     r: np.ndarray,
     epsilon: float,
-    policy: Optional[BranchPolicy] = None,
-    sweep: Optional[DeltaSweep] = None,
-    settings: Optional[solver.SolverSettings] = None,
+    policy: BranchPolicy = BranchPolicy(),
     *,
     delta_step: float = 0.01,
-    chunk_size: int = 8192,
 ) -> Optional[MuResult]:
     """Smallest white-noise rate over the (delta, branch) grid, or None.
 
@@ -166,62 +166,38 @@ def non_markovianity(
     only the remaining pairs, in (branch, delta) order, are batched into
     ``solver.min_mu_batch``.
     """
-    if epsilon <= 0:
-        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
-    if policy is None:
-        policy = BranchPolicy()
-    m = snapshot_matrix(m_snapshot)
-    r = np.asarray(r, dtype=complex)
-    if r.shape != m.shape:
-        raise OutOfRange(
-            f"snapshot and repaired matrix disagree: {m.shape} vs {r.shape}"
-        )
-    d = side_dim(r.shape[0])
-
-    spectral, l0 = checked_log(r)
-    if sweep is None:
-        sweep = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step)
-    deltas = sweep.grid()
-
-    branches = np.array(list(enumerate_branches(policy, r.shape[0])), dtype=int)
+    m, d, spectral, l0 = _branch_setup(m_snapshot, r, epsilon)
+    deltas = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step).grid()
+    branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
     targets = branch_targets(l0, spectral, branches)
     # live (branch, delta) pairs in row-major order
     branch_idx, delta_idx = np.nonzero(~solver.min_mu_infeasible(targets, d, deltas))
+    if not branch_idx.size:
+        return None
 
-    # accepted candidates: (ranking key, true mu, solution, distance)
-    candidates: list[tuple[tuple[float, float, int], float, np.ndarray, float]] = []
-    for start in range(0, branch_idx.size, chunk_size):
-        bi = branch_idx[start : start + chunk_size]
-        di = delta_idx[start : start + chunk_size]
-        reports = solver.min_mu_batch(targets[bi], d, deltas[di], settings)
-        solved = [k for k, rep in enumerate(reports) if rep.mu is not None]
-        if not solved:
-            continue
-        x_stack = np.stack([reports[k].x_opt for k in solved])
-        exps = expm(gamma_involution(x_stack))
-        distances = np.linalg.norm(m[None, :, :] - exps, axis=(-2, -1))
-        for pos, k in enumerate(solved):
-            mu = float(reports[k].mu)
-            dist = float(distances[pos])
-            if not (dist < epsilon and mu < MU_INIT):
-                continue
-            key = (
-                mu if mu >= MU_TIE_TOL else 0.0,
-                float(deltas[di[k]]),
-                int(bi[k]),
-            )
-            candidates.append((key, mu, x_stack[pos], dist))
+    chunks = []
+    for start in range(0, branch_idx.size, P2_CHUNK):
+        bi = branch_idx[start : start + P2_CHUNK]
+        di = delta_idx[start : start + P2_CHUNK]
+        reports = solver.min_mu_batch(targets[bi], d, deltas[di])
+        generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
+        distances = np.linalg.norm(m[None, :, :] - expm(generators), axis=(-2, -1))
+        mus = np.array([MU_INIT if rep.mu is None else rep.mu for rep in reports])
+        chunks.append((bi, di, mus, generators, distances))
+    bi, di, mus, generators, distances = (np.concatenate(v) for v in zip(*chunks))
 
+    accepted = (distances < epsilon) & (mus < MU_INIT)
+    ranked = np.where(mus >= MU_TIE_TOL, mus, 0.0)
     omega_perp = max_entangled(d).omega_perp
-    for key, mu, x_opt, dist in sorted(candidates, key=lambda c: c[0]):
-        generator = gamma_involution(x_opt)
-        if is_lindbladian(generator - mu * omega_perp, tol=VERIFY_TOL).ok:
+    order = np.lexsort((bi, di, ranked))
+    for k in order[accepted[order]]:
+        if is_lindbladian(generators[k] - mus[k] * omega_perp, tol=VERIFY_TOL).ok:
             return MuResult(
-                generator=generator,
-                mu_min=mu,
-                delta_used=key[1],
-                branch=tuple(int(v) for v in branches[key[2]]),
-                distance=dist,
+                generator=generators[k],
+                mu_min=float(mus[k]),
+                delta_used=float(deltas[di[k]]),
+                branch=tuple(int(v) for v in branches[bi[k]]),
+                distance=float(distances[k]),
             )
     return None
 

@@ -656,8 +656,10 @@ def repaired_samples(
     detects clusters at precision ``p`` and builds every cluster's
     structured basis.  The kind is then:
 
-    * IDENTITY: the whole spectrum is one positive cluster, so the data is
-      consistent with the identity map; the stream is empty.
+    * IDENTITY: the whole spectrum is one positive cluster and the input
+      lies within ``epsilon`` of the identity, so the data is consistent
+      with the identity map; the stream is empty.  A single positive
+      cluster away from the identity is repaired like any other.
     * PASSTHROUGH: no clusters, or some cluster admits no usable
       structured basis; the stream holds the (nudged) input as sample 0.
     * SAMPLES: the stream yields ``cfg.samples`` repaired matrices
@@ -675,7 +677,7 @@ def repaired_samples(
     partition = detect_clusters(s, p)
     if not partition.has_clusters:
         return PASSTHROUGH, iter([(0, m)])
-    if partition.consistent_with_identity:
+    if partition.consistent_with_identity and frobenius(m - np.eye(len(m))) < epsilon:
         return IDENTITY, iter(())
     bases, failed = build_cluster_bases(s, partition, p, max(1e-8, float(epsilon)))
     if failed:

@@ -18,9 +18,9 @@ All three are solved by one engine, ``_admm``: lockstep, over-relaxed
 consensus ADMM over a batch of problems.  The engine owns the iteration
 (over-relaxation, consensus sums, dual updates, primal and dual residuals,
 the stopping test), retires each problem as it converges, balances each
-problem's step size ρ every 100 iterations, records ``history`` and
-settles the problems still running at ``max_iters``.  A program supplies
-only its prox blocks, its consensus update and what to record:
+problem's step size ρ every 100 iterations and settles the problems
+still running at ``max_iters``.  A program supplies only its prox blocks,
+its consensus update and what to record:
 
   * (P1): affine and cone blocks; z = (T + ρS)/(1 + 2ρ)
   * (P2): affine, shifted cone on (X, μ) and ball blocks; z = S/3 for X
@@ -93,7 +93,6 @@ class SolverSettings:
     max_iters: int = 50_000
     over_relaxation: float = 1.6
     rho: float = 1.0
-    track_history: bool = False
 
     def validate(self) -> None:
         if min(self.primal_tol, self.dual_tol, self.cone_tol) <= 0:
@@ -123,12 +122,10 @@ class SolveReport:
     status: str
     iterations: int
     mu: Optional[float] = None
-    history: Optional[list[tuple[int, float, float]]] = None
 
 
-def _reports(x, objective, residuals, status, iterations, mu=None, history=None):
-    """One SolveReport per row of ``x``; scalar fields broadcast over the
-    rows, and ``history`` goes with the first report."""
+def _reports(x, objective, residuals, status, iterations, mu=None):
+    """One SolveReport per row of ``x``; scalar fields broadcast over the rows."""
     b = len(x)
     objective, status, iterations, *residuals = (
         np.broadcast_to(v, (b,)) for v in (objective, status, iterations, *residuals)
@@ -141,7 +138,6 @@ def _reports(x, objective, residuals, status, iterations, mu=None, history=None)
             status=str(status[i]),
             iterations=int(iterations[i]),
             mu=None if mu is None else float(mu[i]),
-            history=history if i == 0 else None,
         )
         for i in range(b)
     ]
@@ -288,7 +284,6 @@ def _admm(
     st: SolverSettings,
     finish: Callable,
     settle: Callable,
-    history: Optional[list] = None,
 ):
     """Lockstep over-relaxed consensus ADMM over a batch of problems.
 
@@ -364,8 +359,6 @@ def _admm(
         primal = np.sqrt(primal)
         dual = rho * np.sqrt(dual)
         z = z_new
-        if history is not None:
-            history.append((it, float(primal.max()), float(dual.max())))
 
         done = (primal <= primal_tol) & (dual <= dual_tol)
         if done.any():
@@ -420,7 +413,6 @@ def closest_lindbladian_batch(
     t_h = herm(t_full)
     skew_norm = _fro(t_full - t_h)
     scale = np.maximum(1.0, _fro(t_h))
-    history: Optional[list] = [] if st.track_history else None
 
     def z_update(s, rho, data):
         return [(data["t"] + rho[:, None, None] * s[0]) / (1 + 2 * rho)[:, None, None]]
@@ -435,15 +427,13 @@ def closest_lindbladian_batch(
         # the cone block's output, made exactly trace-annihilating
         finish=lambda outs, z, done: [geo.project_trace_zero(outs[1][done])],
         settle=lambda z, data: [geo.project_trace_zero(geo.project_cone(z[0]))],
-        history=history,
     )
     cone_res = geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
     obj = np.sqrt(_fro(x_sol - t_h) ** 2 + skew_norm**2)
     ok = converged & (cone_res <= st.cone_tol * scale)
     return _reports(
-        x_sol, obj, (affine_res, cone_res, 0.0), np.where(ok, OPTIMAL, MAX_ITERS),
-        iters, history=history,
+        x_sol, obj, (affine_res, cone_res, 0.0), np.where(ok, OPTIMAL, MAX_ITERS), iters
     )
 
 
@@ -537,7 +527,6 @@ def min_mu_batch(
 
     t_h_l = t_h[live]
     scale_l = scale[live]
-    history: Optional[list] = [] if st.track_history else None
 
     def shifted_cone_block(x, mu, rho, data):
         return geo.project_cone_shifted(x, mu)
@@ -562,7 +551,6 @@ def min_mu_batch(
             geo.project_trace_zero(_project_ball(z[0], data["center"], data["radius"])),
             np.maximum(0.0, z[1]),
         ],
-        history=history,
     )
 
     # lift μ the last ~1e-9 so the returned pair is exactly cone-feasible;
@@ -580,7 +568,7 @@ def min_mu_batch(
     )
     solved = _reports(
         x_sol, mu_sol, (affine_res, cone_res, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
-        iters, mu=mu_sol, history=history,
+        iters, mu=mu_sol
     )
     for i, rep in zip(live, solved):
         reports[i] = rep
@@ -756,7 +744,6 @@ def _joint_admm(
     deltas: np.ndarray,
     geo: _Geometry,
     st: SolverSettings,
-    history: Optional[list],
 ) -> list[SolveReport]:
     """Consensus ADMM for a chunk of joint fits that passed the screen."""
     q = t_full.shape[1]
@@ -780,7 +767,6 @@ def _joint_admm(
         st,
         finish=lambda outs, z, done: [z[0][done]],
         settle=lambda z, data: [z[0]],
-        history=history,
     )
 
     x_fin = geo.project_trace_zero(geo.project_cone(z_sol))
@@ -795,7 +781,7 @@ def _joint_admm(
     )
     return _reports(
         x_fin, dists.sum(axis=1), (affine_res, cone_res, ball_res),
-        np.where(ok, OPTIMAL, MAX_ITERS), iters, history=history,
+        np.where(ok, OPTIMAL, MAX_ITERS), iters
     )
 
 
@@ -848,13 +834,9 @@ def solve_joint_fit_batch(
     for i, rep in zip(screened, _reports(x0, np.nan, (0.0, 0.0, excess[screened]), INFEASIBLE, 0)):
         reports[i] = rep
     live = np.flatnonzero(excess == 0)
-    history: Optional[list] = [] if st.track_history else None
     for start in range(0, live.size, JOINT_CHUNK):
         idx = live[start : start + JOINT_CHUNK]
-        solved = _joint_admm(
-            t_full[idx], t_sc, deltas[idx], geo, st, history if start == 0 else None
-        )
-        for i, rep in zip(idx, solved):
+        for i, rep in zip(idx, _joint_admm(t_full[idx], t_sc, deltas[idx], geo, st)):
             reports[i] = rep
     return reports  # type: ignore[return-value]
 

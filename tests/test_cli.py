@@ -98,6 +98,12 @@ def test_no_result_exits_2(tmp_path, snap):
     assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
 
 
+def test_non_square_side_exits_3(tmp_path):
+    path = tmp_path / "three.json"
+    cli.write_matrix_file(str(path), np.eye(3))
+    assert fit(tmp_path, str(path)) == (cli.EXIT_INPUT_ERROR, None)
+
+
 def test_mu_on_a_singular_matrix_exits_4(tmp_path):
     path = tmp_path / "singular.json"
     cli.write_matrix_file(str(path), np.diag([0.0, 0.3, 0.6, 0.9]))
@@ -139,6 +145,16 @@ def test_no_result_report(tmp_path, snap):
     code, doc = fit(tmp_path, snap["depol"], 0.001)
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_NO_RESULT, "NoResult", "samples")
     assert "result" not in doc
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.0], ids=["half identity", "zero"])
+def test_one_cluster_far_from_the_identity_is_not_identity(tmp_path, scale):
+    """A spectrum that is one tight positive cluster is Identity only when
+    the matrix lies within epsilon of I; otherwise it is repaired."""
+    path = tmp_path / "cluster.json"
+    cli.write_matrix_file(str(path), scale * np.eye(4))
+    code, doc = fit(tmp_path, str(path))
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_NO_RESULT, "NoResult", "samples")
 
 
 def test_identity_report(tmp_path, snap):

@@ -22,7 +22,6 @@ from lindbladfit.channels import (
 from lindbladfit.errors import DegenerateSpectrum, OutOfRange
 from lindbladfit.fitting import (
     BranchPolicy,
-    _pairing_first_order,
     _solve_classes,
     best_fit_lindbladian,
     branch_targets,
@@ -144,13 +143,14 @@ def test_wider_branch_search_never_hurts():
     assert dists[2] <= dists[1] + 1e-12
 
 
-def test_chunk_size_does_not_change_the_answer():
+def test_chunk_size_does_not_change_the_answer(monkeypatch):
     snap = simulate_process_tomography(
         ChannelSpec("unital", {"gamma": [0.3, 0.5, 0.8]}),
         TomographyConfig(shots=10**4, seed=3),
     )
     a = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
-    b = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1), chunk_size=1)
+    monkeypatch.setattr(fitting, "P1_CHUNK", 1)
+    b = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
     assert a.branch == b.branch
     assert np.allclose(a.lindbladian, b.lindbladian, atol=1e-12)
 
@@ -220,13 +220,12 @@ def _repaired(spec, shots, samples):
     return mat, [r for _, r in stream]
 
 
-def _class_solve(mat, r, policy, chunk_size=256):
+def _class_solve(mat, r, policy):
     spectral, l0 = checked_log(r)
     branches = np.array(list(enumerate_branches(policy, r.shape[0])))
-    order = _pairing_first_order(np.log(spectral.eigenvalues), branches)
     targets = branch_targets(l0, spectral, branches)
     d = side_dim(r.shape[0])
-    return (branches, targets) + _solve_classes(mat, targets, order, d, None, chunk_size)
+    return (branches, targets) + _solve_classes(mat, targets, d)
 
 
 @pytest.fixture(scope="module")
@@ -276,17 +275,17 @@ def test_quotient_matches_per_branch_solves(case, request):
 
 
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
-def test_quotient_winner_does_not_depend_on_chunk_size(case, request):
+def test_quotient_winner_does_not_depend_on_chunk_size(case, request, monkeypatch):
     mat, r, policy = request.getfixturevalue(case)
     a = best_fit_lindbladian(mat, r, np.inf, policy)
-    b = best_fit_lindbladian(mat, r, np.inf, policy, chunk_size=1)
+    monkeypatch.setattr(fitting, "P1_CHUNK", 1)
+    b = best_fit_lindbladian(mat, r, np.inf, policy)
     assert a.branch == b.branch
     assert a.distance == pytest.approx(b.distance, abs=1e-12)
 
 
-def test_class_members_report_the_lowest_enumeration_position(depol_case, monkeypatch):
-    """The winning class reports its lowest enumeration position, also when
-    the solve order makes another member its representative."""
+def test_class_members_report_the_lowest_enumeration_position(depol_case):
+    """The winning class reports its lowest enumeration position."""
     mat, r, policy = depol_case
     branches, _, label, _, distances = _class_solve(mat, r, policy)
     res = best_fit_lindbladian(mat, r, np.inf, policy)
@@ -295,13 +294,6 @@ def test_class_members_report_the_lowest_enumeration_position(depol_case, monkey
     assert len(members) >= 5  # the five branches that tie in distance
     assert won == members.min()
     assert res.distance == distances[label[won]]
-
-    monkeypatch.setattr(
-        fitting, "_pairing_first_order", lambda _, b: np.arange(len(b))[::-1]
-    )
-    backwards = best_fit_lindbladian(mat, r, np.inf, policy)
-    assert backwards.branch == res.branch
-    assert backwards.distance == pytest.approx(res.distance, abs=1e-9)
 
 
 @pytest.mark.parametrize("shots", [10**4, 10**5])

@@ -1,0 +1,134 @@
+"""Golden answers: every benchmark panel input through ``cli.main``, pinned.
+
+The inputs are the 20 of ``perfbench/panel.py`` (14 ``qubit-fit``, 2
+``ququart-branch``, 4 ``series-multifit``), built from that module so
+specs, shots, flags and tomography seeds stay the benchmark's own.  Each
+report is pinned: verdict, exit code, pipeline, branch and basis sample
+exactly, delta, mu and distance within 1e-9, and its certificate
+(recomputed distance, Lindblad check, exit code) must hold.
+
+The ground-truth rows ask whether the verdict agrees with the input's
+label.  Rows of a known defect are strict xfails named after it; the
+change that fixes a defect turns its row into a plain test, and re-pins
+the golden values it changes.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from lindbladfit import cli
+
+pytestmark = pytest.mark.slow
+
+_PANEL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "panel.py"
+
+
+def _load_panel():
+    spec = importlib.util.spec_from_file_location("perfbench_panel", _PANEL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+panel = _load_panel()
+
+# name: (verdict, exit code, pipeline, branch, basis sample, delta, mu, distance)
+GOLDEN = {
+    "xgate@1e+04": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 0,
+                    0.04742927456779011, 4.9116739172593675, 0.03988401416723959),
+    "depol-0.1@1e+04": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
+                        None, None, 0.04981834185333277),
+    "depol-0.2@1e+04": ("Markovian", 0, "samples", [0, 0, 0, 0], 1,
+                        None, None, 0.044329548046338464),
+    "unital-bench@1e+04": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
+                           0.07790307842411665, 4.569176807220499, 0.031280200145080705),
+    "unital-weak-t1@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
+    "unital-weak-t2@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
+    "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None),
+    "xgate@1e+05": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 2,
+                    0.06954367685598314, 2.563876031710542, 0.04508851283691049),
+    "depol-0.1@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
+                        None, None, 0.011092271623487642),
+    "depol-0.2@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
+                        None, None, 0.012797672697245407),
+    "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
+                           0.06667759669106713, 5.746707391960349, 0.02680759056218518),
+    "unital-weak-t1@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
+    "unital-weak-t2@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
+    "identity@1e+05": ("Identity", 0, "identity", None, None, None, None, None),
+    "iswap@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
+    "depol-cz@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
+    "unital-weak-series-s1": ("Markovian", 0, None, [0] * 8, None,
+                              None, None, 0.0021156132301658613),
+    "unital-weak-series-s2": ("Markovian", 0, None, [0] * 8, None,
+                              None, None, 0.002610434026653802),
+    "unital-weak-series-s3": ("Markovian", 0, None, [0] * 8, None,
+                              None, None, 0.002352034438160954),
+    "unital-bench-series": ("NoResult", 2, None, None, None, None, None, None),
+}
+
+# Inputs whose verdict contradicts their label today, with the defect.
+DEFECTS = {
+    "xgate@1e+04": "X gate never fits: NonMarkovian with mu > 0 for a unitary",
+    "xgate@1e+05": "X gate never fits: NonMarkovian with mu > 0 for a unitary",
+    "unital-weak-t1@1e+04": "weak unital NoResult: the raw snapshot is never tried",
+    "unital-weak-t2@1e+04": "weak unital NoResult: the raw snapshot is never tried",
+    "unital-weak-t1@1e+05": "weak unital NoResult: the raw snapshot is never tried",
+    "unital-weak-t2@1e+05": "weak unital NoResult: the raw snapshot is never tried",
+    "iswap@1e+05": "ISWAP NoResult: its clustered d=4 snapshot has no fitting sample",
+}
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """name -> (input, exit code, report) for every panel input."""
+    work = tmp_path_factory.mktemp("panel")
+    out = {}
+    for make in panel.WORKLOADS.values():
+        inputs = make()
+        panel.materialize(inputs, work)
+        for inp in inputs:
+            report = work / "report.json"
+            code = cli.main(inp.argv(str(report)))
+            out[inp.name] = (inp, code, json.loads(report.read_text()))
+    return out
+
+
+def test_golden_covers_the_panel(reports):
+    assert sorted(reports) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_report(reports, name):
+    inp, code, doc = reports[name]
+    verdict, exit_code, pipeline, branch, sample, delta, mu, distance = GOLDEN[name]
+    res = doc.get("result", {})
+    assert (doc["verdict"], code, doc.get("pipeline")) == (verdict, exit_code, pipeline)
+    assert (res.get("branch"), res.get("basis_sample")) == (branch, sample)
+    for key, want in (("delta", delta), ("mu_min", mu), ("distance", distance)):
+        if want is None:
+            assert res.get(key) is None, key
+        else:
+            assert res[key] == pytest.approx(want, abs=1e-9), key
+    assert panel.certify(inp, code, doc) == []
+
+
+def _truth_rows():
+    for name in GOLDEN:
+        marks = ()
+        if name in DEFECTS:
+            marks = pytest.mark.xfail(strict=True, reason=DEFECTS[name])
+        yield pytest.param(name, marks=marks, id=name)
+
+
+@pytest.mark.parametrize("name", _truth_rows())
+def test_verdict_agrees_with_ground_truth(reports, name):
+    inp, _, doc = reports[name]
+    if inp.label is None:
+        pytest.skip("unlabelled input")
+    assert panel.agrees(inp, doc["verdict"])

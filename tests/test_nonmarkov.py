@@ -6,14 +6,30 @@ against the closed-form noise rate of ``analytical_mu_unital``.
 import numpy as np
 import pytest
 
-from lindbladfit import solver
+from scipy.linalg import expm
+
+from lindbladfit import preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
+    is_lindbladian,
     simulate_process_tomography,
 )
-from lindbladfit.linalg import herm
-from lindbladfit.nonmarkov import analytical_mu_unital, non_markovianity
+from lindbladfit.fitting import (
+    VERIFY_TOL,
+    BranchPolicy,
+    branch_targets,
+    checked_log,
+    enumerate_branches,
+)
+from lindbladfit.linalg import frobenius, gamma_involution, herm, max_entangled
+from lindbladfit.nonmarkov import (
+    MU_INIT,
+    MU_TIE_TOL,
+    DeltaSweep,
+    analytical_mu_unital,
+    non_markovianity,
+)
 
 EPSILON = 0.05
 BENCH_GAMMA = [-200.0, 201.0, 200.5]
@@ -116,6 +132,76 @@ def test_benchmark_unital_noise_rate(shots, mu):
     assert res.mu_min == pytest.approx(mu, abs=1e-6)
     assert res.branch == (0, 0, 0, 0)
     assert res.distance < EPSILON
+
+
+def _snapshot_and_sample(spec, repaired):
+    m = simulate_process_tomography(spec, TomographyConfig(shots=10**4, seed=1)).mat
+    if not repaired:
+        return m, m
+    cfg = preprocess.RandomBasisConfig(samples=1, seed=0)
+    _, stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, EPSILON, cfg)
+    return m, next(stream)[1]
+
+
+def _below_tie_tol(delta, mu):
+    """Distinct rates that all rank as zero, falling as delta grows."""
+    return MU_TIE_TOL / (2 + delta)
+
+
+@pytest.mark.parametrize(
+    "spec, repaired, adjust",
+    [
+        (ChannelSpec("unital", {"gamma": BENCH_GAMMA}), False, None),
+        (ChannelSpec("unital", {"gamma": BENCH_GAMMA}), False, lambda delta, mu: np.ceil(mu)),
+        (ChannelSpec("unital", {"gamma": [0.3, 0.5, 0.8]}), False, _below_tie_tol),
+        (ChannelSpec("xgate"), True, lambda delta, mu: np.ceil(mu)),
+    ],
+    ids=["benchmark", "benchmark, mu rounded up", "markovian, mu below the tie tolerance",
+         "X gate sample, mu rounded up"],
+)
+def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, adjust, monkeypatch):
+    """The sweep's reduction against a plain loop over every (branch, delta)
+    pair, unscreened: keep the pairs within epsilon, sort them by (mu with
+    ties zeroed, delta, branch) and take the first that passes the Lindblad
+    test.  ``adjust`` rewrites each solved rate (from its delta) to make
+    pairs tie; both sides see the same rates."""
+    if adjust is not None:
+        batch = solver.min_mu_batch
+
+        def adjusted(targets, d, deltas):
+            reports = batch(targets, d, deltas)
+            for delta, rep in zip(deltas, reports):
+                if rep.mu is not None:  # None: Infeasible
+                    rep.mu = float(adjust(delta, rep.mu))
+            return reports
+
+        monkeypatch.setattr(solver, "min_mu_batch", adjusted)
+    m, r = _snapshot_and_sample(spec, repaired)
+    spectral, l0 = checked_log(r)
+    deltas = DeltaSweep.from_epsilon(EPSILON, frobenius(l0)).grid()
+    branches = list(enumerate_branches(BranchPolicy(), 4))
+    targets = branch_targets(l0, spectral, np.array(branches))
+    reports = solver.min_mu_batch(np.repeat(targets, len(deltas), axis=0), 2,
+                                  np.tile(deltas, len(branches)))
+    perp = max_entangled(2).omega_perp
+    candidates = []
+    for k, rep in enumerate(reports):
+        b, j = divmod(k, len(deltas))
+        if rep.mu is None or rep.mu >= MU_INIT:
+            continue
+        generator = gamma_involution(rep.x_opt)
+        distance = frobenius(m - expm(generator))
+        if distance < EPSILON:
+            tied = rep.mu if rep.mu >= MU_TIE_TOL else 0.0
+            candidates.append(((tied, deltas[j], b), rep.mu, generator, distance))
+    want = next(
+        c for c in sorted(candidates, key=lambda c: c[0])
+        if is_lindbladian(c[2] - c[1] * perp, tol=VERIFY_TOL).ok
+    )
+    res = non_markovianity(m, r, EPSILON)
+    assert (res.mu_min, res.delta_used, res.branch) == (want[1], want[0][1], branches[want[0][2]])
+    assert res.distance == pytest.approx(want[3], abs=1e-12)
+    np.testing.assert_allclose(res.generator, want[2], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shots", [10**4, 10**5, 10**6])

@@ -159,18 +159,6 @@ def test_four_level_projection():
     assert check.ok, check.residuals
 
 
-def test_history_tracking():
-    target = random_choi_target(2, seed=21)
-    st = SolverSettings(track_history=True)
-    rep = solve_closest_lindbladian(target, 2, st)
-    assert rep.history is not None and len(rep.history) > 0
-    iters = [h[0] for h in rep.history]
-    assert iters == sorted(iters)
-    assert rep.history[-1][0] <= rep.iterations
-    plain = solve_closest_lindbladian(target, 2)
-    assert plain.history is None
-
-
 # ----------------------------------------------------------------------
 # (P2) minimum noise rate within a delta-ball
 # ----------------------------------------------------------------------
