@@ -292,8 +292,8 @@ class ChannelSpec:
     """Serializable description of a channel the simulator can prepare.
 
     kind is one of ``xgate``, ``iswap``, ``identity``, ``depolarizing``,
-    ``unital``, ``depolarizing-cz``, ``custom``; params hold the
-    kind-specific numbers (JSON-compatible).
+    ``unital``, ``depolarizing-cz``; params hold the kind-specific
+    numbers (JSON-compatible).
     """
 
     kind: str
@@ -315,26 +315,7 @@ class ChannelSpec:
         if self.kind == "depolarizing-cz":
             probs = p.get("probs", _BENCHMARK_CZ)
             return depolarizing_cz_transfer(*(float(x) for x in probs))
-        if self.kind == "custom":
-            mat = np.asarray(p["mat"], dtype=complex)
-            return TransferMatrix(side_dim(mat.shape[0]), mat)
         raise InputError(f"unknown channel kind {self.kind!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        params = dict(self.params)
-        if "mat" in params:
-            mat = np.asarray(params["mat"], dtype=complex)
-            params["mat"] = [[[v.real, v.imag] for v in row] for row in mat]
-        return {"kind": self.kind, "params": params}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ChannelSpec":
-        params = dict(data.get("params", {}))
-        if "mat" in params:
-            params["mat"] = np.array(
-                [[complex(re, im) for re, im in row] for row in params["mat"]]
-            )
-        return cls(str(data["kind"]), params)
 
 
 # ----------------------------------------------------------------------

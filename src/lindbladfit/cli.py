@@ -526,6 +526,19 @@ def cmd_multifit(args: argparse.Namespace) -> int:
 # Argument parsing
 # ----------------------------------------------------------------------
 
+def _positive(convert):
+    """argparse type: the flag's value through ``convert``, required above 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # names the type in argparse's messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindbladfit",
@@ -552,13 +565,17 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="cap the branch search to the first N of the canonical order",
         )
-        p.add_argument("--delta-step", dest="delta_step", type=float, default=0.01)
+        p.add_argument(
+            "--delta-step", dest="delta_step", type=_positive(float), default=0.01
+        )
 
     def sample_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--samples", type=int, default=1, help="random repaired bases")
         p.add_argument("--precision", type=float, default=preprocess.DEFAULT_PRECISION)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="parallel sample fits")
+        p.add_argument(
+            "--jobs", type=_positive(int), default=1, help="parallel sample fits"
+        )
 
     def common_fit_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")

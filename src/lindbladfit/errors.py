@@ -40,10 +40,6 @@ class NumericalFailure(LindbladFitError):
     """A numerical routine did not converge or produced unusable output."""
 
 
-class BasisUnavailable(LindbladFitError):
-    """No hermiticity-preserving basis could be built for a cluster."""
-
-
 class NotUnitary(LindbladFitError):
     """A gate matrix that fails the unitarity check."""
 

@@ -39,7 +39,6 @@ __all__ = [
     "flip_matrix",
     "partial_trace_first",
     "herm",
-    "skew",
     "frobenius",
     "one_norm",
     "min_eig_hermitian_part",
@@ -106,15 +105,6 @@ class SpectralData:
     def reconstruct(self) -> np.ndarray:
         """Sum_j lambda_j P_j, which should reproduce the source matrix."""
         return (self.right_vectors * self.eigenvalues) @ self.left_vectors
-
-    def validate(self, biorth_tol: float = 1e-10, complete_tol: float = 1e-8) -> None:
-        """Check biorthogonality and completeness, raising NumericalFailure."""
-        gram = self.left_vectors @ self.right_vectors
-        eye = np.eye(self.dim)
-        if np.max(np.abs(gram - eye)) > biorth_tol:
-            raise NumericalFailure("left/right eigenvectors are not biorthogonal")
-        if np.max(np.abs(self.projectors.sum(axis=0) - eye)) > complete_tol:
-            raise NumericalFailure("spectral projectors do not sum to identity")
 
 
 def _canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
@@ -259,11 +249,6 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def skew(a: np.ndarray) -> np.ndarray:
-    """Anti-hermitian part (A - A^H) / 2."""
-    return (a - np.conj(np.swapaxes(a, -1, -2))) / 2
-
-
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -307,10 +292,6 @@ class MaxEntangled:
     d: int
     omega: np.ndarray
     omega_perp: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.d * self.d
 
 
 def max_entangled(d: int) -> MaxEntangled:

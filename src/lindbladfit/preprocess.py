@@ -11,9 +11,12 @@ snapshot famously "fits" the identity).  The repair implemented here:
 1. group eigenvalues into clusters of mutual distance below a precision
    ``p``, split by sign / imaginary part (`detect_clusters`);
 2. inside each cluster, rebuild a basis whose columns are self-adjoint
-   or come in adjoint pairs (`real_positive_basis`, `conjugate_basis`);
-3. draw random mixtures of those structured vectors, one invertible
-   basis per sample (`random_hp_basis`);
+   or come in adjoint pairs (`real_positive_basis`, `conjugate_basis`),
+   and lay those pools out once per snapshot as the draw plan
+   (`build_cluster_bases`): one step (pool, c1, c2) per drawn column,
+   either a real slot c1 or a pair whose column c2 is the adjoint of c1;
+3. walk the plan once per sample, drawing random mixtures of each pool,
+   to get one invertible basis per sample (`random_hp_basis`);
 4. reassemble ``R = S diag(lambda) S^-1`` carrying the snapshot's exact
    spectrum but the repaired eigenbasis, one sample at a time
    (`repaired_samples`, the lazy generator the fit stage consumes).
@@ -25,14 +28,13 @@ nearby matrix with simple spectrum by `perturb_to_nd2`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse import csr_matrix
 
 from .errors import (
-    BasisUnavailable,
     DegenerateSpectrum,
     DimensionMismatch,
     NumericalFailure,
@@ -43,7 +45,6 @@ from .linalg import SpectralData, eig_full, frobenius, vec_adjoint
 
 __all__ = [
     "ClusterPartition",
-    "HPBasis",
     "RandomBasisConfig",
     "detect_clusters",
     "conjugate_basis",
@@ -52,17 +53,12 @@ __all__ = [
     "perturb_to_nd2",
     "repaired_samples",
     "DEFAULT_PRECISION",
-    "CONJUGATE_PAIRS",
-    "SELF_ADJOINT_AND_PAIRS",
     "IDENTITY",
     "PASSTHROUGH",
     "SAMPLES",
 ]
 
 DEFAULT_PRECISION = 0.1
-
-CONJUGATE_PAIRS = "conjugate_pairs"
-SELF_ADJOINT_AND_PAIRS = "self_adjoint_and_pairs"
 
 IDENTITY = "identity"
 PASSTHROUGH = "passthrough"
@@ -190,56 +186,31 @@ def detect_clusters(s: SpectralData, p: float) -> ClusterPartition:
 # Structured bases for clustered eigenspaces
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HPBasis:
-    """Basis of a clustered eigenspace with hermiticity-compatible columns.
-
-    kind == CONJUGATE_PAIRS: ``vectors`` span the cluster and their
-    adjoints live in the partner cluster (the same cluster for a negative
-    real eigenvalue).
-
-    kind == SELF_ADJOINT_AND_PAIRS: columns split into ``self_adjoint``
-    vectors (equal to their own adjoint) and ``pairs`` vectors whose
-    adjoints complete the span.
-    """
-
-    kind: str
-    vectors: Optional[np.ndarray] = None
-    self_adjoint: Optional[np.ndarray] = None
-    pairs: Optional[np.ndarray] = None
-
-    @property
-    def span_vectors(self) -> np.ndarray:
-        """All constructed columns, for span comparisons."""
-        if self.kind == CONJUGATE_PAIRS:
-            return self.vectors
-        return np.concatenate([self.self_adjoint, self.pairs], axis=1)
-
-
 def _adjoint_columns(w: np.ndarray) -> np.ndarray:
     """vec-adjoint applied column-wise: column j becomes F|w_j*>."""
     return vec_adjoint(w.T).T
 
 
-def _near_kernel(a: np.ndarray, n: int):
-    """The n best kernel candidates of ``a``: unit vectors x minimizing
-    ||a x||, with their residuals.  Exact kernel directions come out with
-    residual ~ machine epsilon."""
+def _cluster_kernel(s: SpectralData, set_a, set_b, residual_tol):
+    """Solutions of sum_j conj(alpha_j) F|w_j*> = sum_j beta_j |u_j>.
+
+    ``w`` spans the cluster ``set_a`` and ``u`` its partner ``set_b``.
+    Returns (w, x): the n = |set_a| unit vectors x = (conj(alpha), beta),
+    as rows, that minimize the residual.  Returns None unless every
+    residual is exact (relative to the largest singular value) or below
+    ``residual_tol``.
+    """
+    w = s.right_vectors[:, sorted(set_a)]
+    n = w.shape[1]
+    a = np.concatenate([_adjoint_columns(w), -s.right_vectors[:, sorted(set_b)]], axis=1)
     _, sv, vh = np.linalg.svd(a)
-    cols = a.shape[1]
-    resid = np.zeros(cols)
+    resid = np.zeros(2 * n)
     resid[: sv.size] = sv
-    solutions = np.conj(vh[cols - n:, :])
-    return solutions, resid[cols - n:], float(sv[0]) if sv.size else 0.0
-
-
-def _accept_kernel(resid: np.ndarray, scale: float, residual_tol) -> bool:
-    strict = resid < _STRICT_KERNEL_TOL * max(1.0, scale)
-    if np.all(strict):
-        return True
-    if residual_tol is not None and np.all(resid < residual_tol):
-        return True
-    return False
+    resid = resid[n:]
+    exact = np.all(resid < _STRICT_KERNEL_TOL * max(1.0, float(sv[0])))
+    if not exact and (residual_tol is None or not np.all(resid < residual_tol)):
+        return None
+    return w, np.conj(vh[n:, :])
 
 
 def _independent(columns: np.ndarray, tol: float = 1e-6) -> bool:
@@ -252,33 +223,28 @@ def conjugate_basis(
     set_a: Sequence[int],
     set_b: Sequence[int],
     residual_tol: Optional[float] = None,
-) -> Optional[HPBasis]:
+) -> Optional[np.ndarray]:
     """Basis of adjoint pairs for a complex or negative-real cluster.
 
     Solves sum_j conj(alpha_j) F|w_j*> = sum_j beta_j |u_j> for vectors
     ``w`` spanning the cluster ``set_a`` and ``u`` spanning the conjugate
     cluster ``set_b`` (the same set for negative real eigenvalues): each
-    solution yields v = sum_j alpha_j w_j whose adjoint lies in the
-    partner span.  Returns None when the joint kernel is too small, i.e.
-    the two spans are not adjoints of each other.  With ``residual_tol``
-    set, nearly compliant vectors (smallest singular directions with
-    residual below the tolerance) are accepted as well, which is the
-    relevant mode for noisy snapshots.
+    solution yields a unit column v = sum_j alpha_j w_j whose adjoint lies
+    in the partner span.  Returns None when the joint kernel is too small,
+    i.e. the two spans are not adjoints of each other.  With
+    ``residual_tol`` set, nearly compliant vectors (smallest singular
+    directions with residual below the tolerance) are accepted as well,
+    which is the relevant mode for noisy snapshots.
     """
-    a_idx = tuple(sorted(int(i) for i in set_a))
-    b_idx = tuple(sorted(int(i) for i in set_b))
-    if len(a_idx) != len(b_idx):
+    if len(set_a) != len(set_b):
         raise DimensionMismatch(
-            f"cluster sizes differ: {len(a_idx)} vs {len(b_idx)}"
+            f"cluster sizes differ: {len(set_a)} vs {len(set_b)}"
         )
-    n = len(a_idx)
-    w = s.right_vectors[:, a_idx]
-    u = s.right_vectors[:, b_idx]
-    a = np.concatenate([_adjoint_columns(w), -u], axis=1)
-    solutions, resid, scale = _near_kernel(a, n)
-    if not _accept_kernel(resid, scale, residual_tol):
+    kernel = _cluster_kernel(s, set_a, set_b, residual_tol)
+    if kernel is None:
         return None
-
+    w, solutions = kernel
+    n = w.shape[1]
     vectors = np.empty((s.dim, n), dtype=complex)
     for i, x in enumerate(solutions):
         v = w @ np.conj(x[:n])
@@ -286,9 +252,7 @@ def conjugate_basis(
         if norm < 1e-8:
             return None
         vectors[:, i] = v / norm
-    if not _independent(vectors):
-        return None
-    return HPBasis(kind=CONJUGATE_PAIRS, vectors=vectors)
+    return vectors if _independent(vectors) else None
 
 
 def _canonical_phase(x: np.ndarray, n: int) -> np.ndarray:
@@ -312,8 +276,8 @@ def real_positive_basis(
     set_a: Sequence[int],
     p: float,
     residual_tol: Optional[float] = None,
-) -> Optional[HPBasis]:
-    """Self-adjoint / adjoint-pair basis for a positive-real cluster.
+) -> Optional[np.ndarray]:
+    """Self-adjoint and adjoint-pair columns for a positive-real cluster.
 
     Same kernel construction as `conjugate_basis` with the cluster as its
     own partner.  Each solution is classified as self-adjoint when its
@@ -321,18 +285,16 @@ def real_positive_basis(
     rest count as pair vectors.  An odd number of pair vectors is
     repaired by promoting the one closest to self-adjointness, and every
     declared self-adjoint column is replaced by its exactly symmetrized
-    part so the declared structure holds to machine precision.
+    part so the declared structure holds to machine precision.  Returns
+    the unit columns, self-adjoint ones first, or None.
     """
     if p <= 0:
         raise OutOfRange(f"precision must be positive, got {p}")
-    a_idx = tuple(sorted(int(i) for i in set_a))
-    n = len(a_idx)
-    w = s.right_vectors[:, a_idx]
-    a = np.concatenate([_adjoint_columns(w), -w], axis=1)
-    solutions, resid, scale = _near_kernel(a, n)
-    if not _accept_kernel(resid, scale, residual_tol):
+    kernel = _cluster_kernel(s, set_a, set_a, residual_tol)
+    if kernel is None:
         return None
-
+    w, solutions = kernel
+    n = w.shape[1]
     alphas = np.empty((n, n), dtype=complex)
     betas = np.empty((n, n), dtype=complex)
     for i, x in enumerate(solutions):
@@ -347,8 +309,7 @@ def real_positive_basis(
         promote = candidates[np.argmin(gaps[candidates].sum(axis=1))]
         is_sa[promote] = True
 
-    sa_cols = []
-    pair_cols = []
+    cols = []
     for i in range(n):
         v = w @ alphas[i]
         norm = np.linalg.norm(v)
@@ -360,23 +321,14 @@ def real_positive_basis(
             norm = np.linalg.norm(v)
             if norm < 1e-8:
                 return None
-            sa_cols.append(v / norm)
-        else:
-            pair_cols.append(v)
-
-    d2 = s.dim
-    sa = np.stack(sa_cols, axis=1) if sa_cols else np.empty((d2, 0), complex)
-    pairs = (
-        np.stack(pair_cols, axis=1) if pair_cols else np.empty((d2, 0), complex)
-    )
-    all_cols = np.concatenate([sa, pairs], axis=1)
-    if not _independent(all_cols):
-        return None
-    return HPBasis(kind=SELF_ADJOINT_AND_PAIRS, self_adjoint=sa, pairs=pairs)
+            v = v / norm
+        cols.append(v)
+    pool = np.stack([cols[i] for i in np.argsort(~is_sa, kind="stable")], axis=1)
+    return pool if _independent(pool) else None
 
 
 # ----------------------------------------------------------------------
-# Random structured bases and the repaired matrices
+# The draw plan and the random structured bases
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -397,18 +349,6 @@ class RandomBasisConfig:
 
 def _complex_gaussian(rng, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _match_conjugates(lam: np.ndarray, set_a, set_b):
-    """Map each column in set_b to the column of set_a whose eigenvalue is
-    closest to its conjugate."""
-    remaining = list(set_a)
-    mapping = []
-    for cb in set_b:
-        target = np.conj(lam[cb])
-        k = int(np.argmin(np.abs(lam[remaining] - target)))
-        mapping.append((cb, remaining.pop(k)))
-    return mapping
 
 
 def _conjugation_slots(lam: np.ndarray, cols):
@@ -436,105 +376,102 @@ def _conjugation_slots(lam: np.ndarray, cols):
     return pairs, singles
 
 
-def _symmetrized_column(rng, pool: np.ndarray) -> Optional[np.ndarray]:
-    """Random self-adjoint unit vector from the span of ``pool``."""
-    z = pool @ _complex_gaussian(rng, pool.shape[1])
-    col = (z + vec_adjoint(z)) / 2.0
-    norm = np.linalg.norm(col)
-    if norm < 1e-6 * np.linalg.norm(z):
+def build_cluster_bases(
+    s: SpectralData,
+    partition: ClusterPartition,
+    p: float,
+    residual_tol: Optional[float],
+) -> Optional[list]:
+    """The draw plan: one step (pool, c1, c2) per drawn column, in draw order.
+
+    ``pool`` holds the cluster's structured columns.  A step with ``c2``
+    None fills real slot ``c1`` with a self-adjoint draw; otherwise ``c1``
+    gets the draw and ``c2`` its adjoint.  The order is: each positive
+    cluster's real slots, then its conjugate pairs; each negative
+    cluster's pairs, leftover real slots paired in order; for each
+    conjugate pair of complex clusters, every column of the first cluster
+    with its partner in the second.  Returns None when some cluster has no
+    structured basis (or no conjugate partner).
+    """
+    if 2 * len(partition.conjugate_pairs) != len(partition.complex_sets):
         return None
-    return col / norm
+    lam = s.eigenvalues
+    plan = []
+    for set_ in partition.positive_sets:
+        pool = real_positive_basis(s, set_, p, residual_tol=residual_tol)
+        if pool is None:
+            return None
+        pairs, singles = _conjugation_slots(lam, set_)
+        plan += [(pool, c, None) for c in singles] + [(pool, *pair) for pair in pairs]
+    for set_ in partition.negative_sets:
+        # A negative eigenvalue's logarithm is complex, so the log's
+        # hermiticity forces these columns into adjoint pairs — an
+        # odd-size cluster cannot be paired up.
+        if len(set_) % 2 != 0:
+            return None
+        pool = conjugate_basis(s, set_, set_, residual_tol=residual_tol)
+        if pool is None:
+            return None
+        pairs, singles = _conjugation_slots(lam, set_)
+        pairs += zip(singles[::2], singles[1::2])
+        plan += [(pool, *pair) for pair in pairs]
+    for ia, ib in partition.conjugate_pairs:
+        set_a = partition.complex_sets[ia]
+        set_b = partition.complex_sets[ib]
+        pool = conjugate_basis(s, set_a, set_b, residual_tol=residual_tol)
+        if pool is None:
+            return None
+        # each column of set_b partners the remaining column of set_a
+        # whose eigenvalue is closest to its conjugate
+        remaining = list(set_a)
+        partner = {}
+        for cb in set_b:
+            k = int(np.argmin(np.abs(lam[remaining] - np.conj(lam[cb]))))
+            partner[remaining.pop(k)] = cb
+        plan += [(pool, c, partner[c]) for c in set_a]
+    return plan
 
 
 def random_hp_basis(
     s: SpectralData,
-    partition: ClusterPartition,
-    bases: Mapping[tuple, HPBasis],
+    plan: list,
     cfg: RandomBasisConfig,
     sample_index: int,
 ) -> np.ndarray:
-    """One random basis respecting every cluster's hermiticity structure.
+    """One random basis drawn along the plan from `build_cluster_bases`.
 
-    Unclustered columns keep the original eigenvectors.  Within a real
-    cluster, columns sitting on conjugate eigenvalue pairs are drawn as
-    (z, adjoint of z) from complex Gaussian mixtures of the structured
-    vectors, and columns on real eigenvalues get the symmetrized
-    (exactly self-adjoint) part of such a draw; complex conjugate
-    clusters get random columns on one side and bit-exact vec-adjoint
-    copies on the other.  Matching the structure to the eigenvalues this
-    way keeps the reassembled matrix hermiticity-preserving to machine
-    precision rather than merely to the cluster width.  Draws come from
-    the stream keyed by (cfg.seed, sample_index), and a badly
-    conditioned draw is retried on the same stream.
+    Columns outside every cluster keep the snapshot's eigenvectors.  Each
+    step (pool, c1, c2) draws z, a complex Gaussian mixture of the pool's
+    columns.  A real slot (c2 None) gets the symmetrized, exactly
+    self-adjoint part of z; a pair gets z/||z|| in c1 and its bit-exact
+    vec-adjoint in c2.  Where a cluster's eigenvalues are closed under
+    conjugation (the real and conjugate-pair slots of a cluster, and
+    conjugate complex clusters) this keeps the reassembled matrix
+    hermiticity-preserving to machine precision.  A negative cluster's
+    leftover real eigenvalues are paired anyway, so where they differ the
+    matrix is hermiticity-preserving only to the cluster width.  Draws
+    come from the stream keyed by (cfg.seed, sample_index); a vanishing
+    symmetrized part or a badly conditioned basis redraws the whole basis
+    on the same stream.
     """
-    cfg.validate()
-    for set_ in partition.real_sets():
-        if bases.get(tuple(set_)) is None:
-            raise BasisUnavailable(f"no structured basis for cluster {set_}")
-    paired = set()
-    for ia, ib in partition.conjugate_pairs:
-        paired.update((ia, ib))
-        if bases.get(tuple(partition.complex_sets[ia])) is None:
-            raise BasisUnavailable(
-                f"no structured basis for cluster {partition.complex_sets[ia]}"
-            )
-    for i, set_ in enumerate(partition.complex_sets):
-        if i not in paired:
-            raise BasisUnavailable(
-                f"complex cluster {set_} has no conjugate partner"
-            )
-
     rng = np.random.default_rng((cfg.seed, sample_index))
     for _ in range(_MAX_RESAMPLE):
-        new_basis = np.array(s.right_vectors, copy=True)
-
-        retry = False
-        for set_ in partition.positive_sets:
-            basis = bases[tuple(set_)]
-            pool = basis.span_vectors
-            pair_slots, sa_slots = _conjugation_slots(s.eigenvalues, set_)
-            for c in sa_slots:
-                col = _symmetrized_column(rng, pool)
-                if col is None:
-                    retry = True
+        basis = np.array(s.right_vectors, copy=True)
+        for pool, c1, c2 in plan:
+            z = pool @ _complex_gaussian(rng, pool.shape[1])
+            if c2 is None:
+                col = (z + vec_adjoint(z)) / 2.0
+                norm = np.linalg.norm(col)
+                if norm < 1e-6 * np.linalg.norm(z):
                     break
-                new_basis[:, c] = col
-            if retry:
-                break
-            for c1, c2 in pair_slots:
-                z = pool @ _complex_gaussian(rng, pool.shape[1])
+                basis[:, c1] = col / norm
+            else:
                 z = z / np.linalg.norm(z)
-                new_basis[:, c1] = z
-                new_basis[:, c2] = vec_adjoint(z)
-        if retry:
-            continue
-
-        for set_ in partition.negative_sets:
-            basis = bases[tuple(set_)]
-            n_vec = basis.vectors.shape[1]
-            pairs, singles = _conjugation_slots(s.eigenvalues, set_)
-            while singles:
-                pairs.append((singles.pop(0), singles.pop(0)))
-            for c1, c2 in pairs:
-                z = basis.vectors @ _complex_gaussian(rng, n_vec)
-                z = z / np.linalg.norm(z)
-                new_basis[:, c1] = z
-                new_basis[:, c2] = vec_adjoint(z)
-
-        for ia, ib in partition.conjugate_pairs:
-            set_a = partition.complex_sets[ia]
-            set_b = partition.complex_sets[ib]
-            basis = bases[tuple(set_a)]
-            n_vec = basis.vectors.shape[1]
-            for c in set_a:
-                z = basis.vectors @ _complex_gaussian(rng, n_vec)
-                new_basis[:, c] = z / np.linalg.norm(z)
-            for cb, ca in _match_conjugates(s.eigenvalues, set_a, set_b):
-                new_basis[:, cb] = vec_adjoint(new_basis[:, ca])
-
-        cond = np.linalg.cond(new_basis)
-        if np.isfinite(cond) and cond < _CONDITION_LIMIT:
-            return new_basis
+                basis[:, c1] = z
+                basis[:, c2] = vec_adjoint(z)
+        else:
+            if np.isfinite(basis).all() and np.linalg.cond(basis) < _CONDITION_LIMIT:
+                return basis
     raise NumericalFailure(
         "failed to draw an invertible structured basis "
         f"after {_MAX_RESAMPLE} attempts"
@@ -606,55 +543,14 @@ def perturb_to_nd2(m: np.ndarray, budget: float) -> np.ndarray:
 # Orchestration
 # ----------------------------------------------------------------------
 
-def build_cluster_bases(
-    s: SpectralData,
-    partition: ClusterPartition,
-    p: float,
-    residual_tol: Optional[float],
-):
-    """Structured bases for every cluster; returns (bases, failed_sets)."""
-    bases = {}
-    failed = []
-    for set_ in partition.positive_sets:
-        basis = real_positive_basis(s, set_, p, residual_tol=residual_tol)
-        bases[tuple(set_)] = basis
-        if basis is None:
-            failed.append(tuple(set_))
-    for set_ in partition.negative_sets:
-        if len(set_) % 2 != 0:
-            # A negative eigenvalue's logarithm is complex, so the log's
-            # hermiticity forces these columns into adjoint pairs — an
-            # odd-size cluster cannot be paired up.
-            bases[tuple(set_)] = None
-            failed.append(tuple(set_))
-            continue
-        basis = conjugate_basis(s, set_, set_, residual_tol=residual_tol)
-        bases[tuple(set_)] = basis
-        if basis is None:
-            failed.append(tuple(set_))
-    paired = set()
-    for ia, ib in partition.conjugate_pairs:
-        paired.update((ia, ib))
-        set_a = partition.complex_sets[ia]
-        set_b = partition.complex_sets[ib]
-        basis = conjugate_basis(s, set_a, set_b, residual_tol=residual_tol)
-        bases[tuple(set_a)] = basis
-        if basis is None:
-            failed.append(tuple(set_a))
-    for i, set_ in enumerate(partition.complex_sets):
-        if i not in paired:
-            failed.append(tuple(set_))
-    return bases, failed
-
-
 def repaired_samples(
     m: np.ndarray, p: float, epsilon: float, cfg: RandomBasisConfig
 ) -> tuple[str, Iterator[tuple[int, np.ndarray]]]:
     """The repair pipeline: its kind and a lazy stream of (sample id, matrix).
 
     Nudges a degenerate input onto a simple spectrum (`perturb_to_nd2`),
-    detects clusters at precision ``p`` and builds every cluster's
-    structured basis.  The kind is then:
+    detects clusters at precision ``p`` and builds the draw plan
+    (`build_cluster_bases`).  The kind is then:
 
     * IDENTITY: the whole spectrum is one positive cluster and the input
       lies within ``epsilon`` of the identity, so the data is consistent
@@ -672,6 +568,7 @@ def repaired_samples(
     vectors are accepted; on shot-noise data the kernels are never exact,
     so this approximate mode is the one that actually fires.
     """
+    cfg.validate()
     m = perturb_to_nd2(np.asarray(m, dtype=complex), _ND2_BUDGET)
     s = eig_full(m)
     partition = detect_clusters(s, p)
@@ -679,13 +576,13 @@ def repaired_samples(
         return PASSTHROUGH, iter([(0, m)])
     if partition.consistent_with_identity and frobenius(m - np.eye(len(m))) < epsilon:
         return IDENTITY, iter(())
-    bases, failed = build_cluster_bases(s, partition, p, max(1e-8, float(epsilon)))
-    if failed:
+    plan = build_cluster_bases(s, partition, p, max(1e-8, float(epsilon)))
+    if plan is None:
         return PASSTHROUGH, iter([(0, m)])
 
     def generate() -> Iterator[tuple[int, np.ndarray]]:
         for k in range(cfg.samples):
-            basis = random_hp_basis(s, partition, bases, cfg, k)
+            basis = random_hp_basis(s, plan, cfg, k)
             yield k, (basis * s.eigenvalues) @ np.linalg.inv(basis)
 
     return SAMPLES, generate()

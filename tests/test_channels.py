@@ -1,5 +1,6 @@
 """Channel constructors, generator builders, and the tomography simulator."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -267,19 +268,10 @@ def test_white_noise_shift_restores_ccp():
     ids=lambda s: s.kind,
 )
 def test_channel_spec_json_round_trip(spec):
-    data = json.loads(json.dumps(spec.to_dict()))
-    back = ChannelSpec.from_dict(data)
+    """Every kind's params are plain JSON: the spec survives dump and load."""
+    back = ChannelSpec(**json.loads(json.dumps(dataclasses.asdict(spec))))
     assert back == spec
     assert np.array_equal(back.transfer().mat, spec.transfer().mat)
-
-
-def test_custom_channel_spec_round_trip():
-    rng = np.random.default_rng(3)
-    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    spec = ChannelSpec("custom", {"mat": mat})
-    data = json.loads(json.dumps(spec.to_dict()))
-    back = ChannelSpec.from_dict(data)
-    assert np.allclose(back.transfer().mat, mat, atol=0)
 
 
 def test_unknown_channel_kind():

@@ -88,6 +88,35 @@ def test_input_errors_exit_3(tmp_path, snap):
     assert cli.main([]) == cli.EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--delta-step", "0"), ("--delta-step", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
+)
+def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypatch, flag, value):
+    """Rejected as the flags are parsed, whatever the verdict would be."""
+
+    def no_work(*args):
+        raise AssertionError("the snapshot was processed")
+
+    monkeypatch.setattr(cli, "read_matrix_file", no_work)
+    out = tmp_path / "out"
+    commands = [
+        ["fit", "--in", snap["depol"], "--epsilon", "0.05", "--report", str(out)],  # Markovian
+        ["fit", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],  # NonMarkovian
+        ["sweep-epsilon", "--in", snap["depol"], "--from", "0.01", "--to", "0.05",
+         "--step", "0.02", "--csv", str(out)],
+    ]
+    if flag == "--delta-step":
+        commands += [
+            ["mu", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],
+            ["multifit", "--in", f"{snap['depol']},{snap['depol']}", "--times", "1,2",
+             "--epsilon", "0.05", "--report", str(out)],
+        ]
+    for argv in commands:
+        assert cli.main([*argv, f"{flag}={value}"]) == cli.EXIT_INPUT_ERROR, argv
+        assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert cli.main(["fit", "--help"]) == cli.EXIT_OK
     assert "--samples" in capsys.readouterr().out
@@ -231,9 +260,9 @@ def test_samples_are_drawn_once(tmp_path, snap, monkeypatch):
     drawn = []
     draw = preprocess.random_hp_basis
 
-    def counting(s, partition, bases, cfg, sample_index):
-        drawn.append(sample_index)
-        return draw(s, partition, bases, cfg, sample_index)
+    def counting(*args):
+        drawn.append(args[-1])
+        return draw(*args)
 
     monkeypatch.setattr(preprocess, "random_hp_basis", counting)
     code, doc = fit(tmp_path, snap["depol"], 0.001, "--samples", "2")

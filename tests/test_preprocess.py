@@ -1,11 +1,13 @@
-"""The repair pipeline's lazy sample generator, ``preprocess.repaired_samples``."""
+"""The repair pipeline: its lazy sample generator ``preprocess.repaired_samples``,
+cluster detection, the draw plan and its walk, and ``perturb_to_nd2``."""
 
 import numpy as np
 import pytest
 
 from lindbladfit import preprocess
 from lindbladfit.channels import ChannelSpec, TomographyConfig, simulate_process_tomography
-from lindbladfit.linalg import eig_full
+from lindbladfit.errors import NumericalFailure
+from lindbladfit.linalg import eig_full, gamma_involution, vec_adjoint
 
 P = preprocess.DEFAULT_PRECISION
 EPSILON = 0.05
@@ -78,3 +80,189 @@ def test_sample_k_depends_only_on_seed_and_k(depol):
     assert not np.array_equal(four[0][1], four[1][1])
     _, other_seed = samples(depol, 2, seed=1)
     assert not np.array_equal(other_seed[0][1], four[0][1])
+
+
+# ----------------------------------------------------------------------
+# clusters, the draw plan and its walk
+# ----------------------------------------------------------------------
+
+CLUSTERED = {
+    "xgate": (ChannelSpec("xgate"), 10**4),
+    "depol": (ChannelSpec("depolarizing", {"p": 0.1}), 10**4),
+    "iswap": (ChannelSpec("iswap"), 10**5),
+}
+
+
+@pytest.fixture(scope="module")
+def repair():
+    """Per snapshot: (matrix, spectral data, partition, draw plan)."""
+    out = {}
+    for name, (spec, shots) in CLUSTERED.items():
+        mat = snapshot(spec, shots)
+        s = eig_full(mat)
+        partition = preprocess.detect_clusters(s, P)
+        plan = preprocess.build_cluster_bases(s, partition, P, EPSILON)
+        out[name] = (mat, s, partition, plan)
+    return out
+
+
+def test_detect_clusters_on_x_gate_and_iswap(repair):
+    x = repair["xgate"][2]
+    assert (x.positive_sets, x.negative_sets, x.complex_sets) == (((0, 1),), ((2, 3),), ())
+    iswap = repair["iswap"][2]
+    assert iswap.positive_sets == (tuple(range(6)),)
+    assert iswap.negative_sets == ((14, 15),)
+    assert iswap.complex_sets == ((6, 9, 10, 12), (7, 8, 11, 13))
+    assert iswap.conjugate_pairs == ((0, 1),)
+
+
+def _conjugation_slots(lam, cols):
+    remaining = list(cols)
+    pairs, singles = [], []
+    while remaining:
+        c = remaining.pop(0)
+        self_gap = 2.0 * abs(lam[c].imag)
+        if remaining:
+            gaps = np.abs(lam[remaining] - np.conj(lam[c]))
+            k = int(np.argmin(gaps))
+            if gaps[k] < self_gap:
+                pairs.append((c, remaining.pop(k)))
+                continue
+        singles.append(c)
+    return pairs, singles
+
+
+def _match_conjugates(lam, set_a, set_b):
+    remaining = list(set_a)
+    mapping = []
+    for cb in set_b:
+        k = int(np.argmin(np.abs(lam[remaining] - np.conj(lam[cb]))))
+        mapping.append((cb, remaining.pop(k)))
+    return mapping
+
+
+def three_loop_basis(s, partition, pools, cfg, sample_index):
+    """Reference: the draw as one loop per cluster kind, re-deriving the
+    slots and conjugate partners on every attempt."""
+    gauss = preprocess._complex_gaussian
+    rng = np.random.default_rng((cfg.seed, sample_index))
+    lam = s.eigenvalues
+    for _ in range(preprocess._MAX_RESAMPLE):
+        new_basis = np.array(s.right_vectors, copy=True)
+        retry = False
+        for set_ in partition.positive_sets:
+            pool = pools[set_]
+            pair_slots, sa_slots = _conjugation_slots(lam, set_)
+            for c in sa_slots:
+                z = pool @ gauss(rng, pool.shape[1])
+                col = (z + vec_adjoint(z)) / 2.0
+                norm = np.linalg.norm(col)
+                if norm < 1e-6 * np.linalg.norm(z):
+                    retry = True
+                    break
+                new_basis[:, c] = col / norm
+            if retry:
+                break
+            for c1, c2 in pair_slots:
+                z = pool @ gauss(rng, pool.shape[1])
+                z = z / np.linalg.norm(z)
+                new_basis[:, c1] = z
+                new_basis[:, c2] = vec_adjoint(z)
+        if retry:
+            continue
+        for set_ in partition.negative_sets:
+            pool = pools[set_]
+            pairs, singles = _conjugation_slots(lam, set_)
+            while singles:
+                pairs.append((singles.pop(0), singles.pop(0)))
+            for c1, c2 in pairs:
+                z = pool @ gauss(rng, pool.shape[1])
+                z = z / np.linalg.norm(z)
+                new_basis[:, c1] = z
+                new_basis[:, c2] = vec_adjoint(z)
+        for ia, ib in partition.conjugate_pairs:
+            set_a = partition.complex_sets[ia]
+            set_b = partition.complex_sets[ib]
+            pool = pools[set_a]
+            for c in set_a:
+                z = pool @ gauss(rng, pool.shape[1])
+                new_basis[:, c] = z / np.linalg.norm(z)
+            for cb, ca in _match_conjugates(lam, set_a, set_b):
+                new_basis[:, cb] = vec_adjoint(new_basis[:, ca])
+        cond = np.linalg.cond(new_basis)
+        if np.isfinite(cond) and cond < 1e8:
+            return new_basis
+    raise NumericalFailure("no invertible basis")
+
+
+@pytest.mark.parametrize("name", list(CLUSTERED))
+def test_plan_walk_equals_the_three_loop_draw(repair, name):
+    _, s, partition, plan = repair[name]
+    pools = {set_: preprocess.real_positive_basis(s, set_, P, EPSILON)
+             for set_ in partition.positive_sets}
+    pools.update({set_: preprocess.conjugate_basis(s, set_, set_, EPSILON)
+                  for set_ in partition.negative_sets})
+    for ia, ib in partition.conjugate_pairs:
+        set_a, set_b = partition.complex_sets[ia], partition.complex_sets[ib]
+        pools[set_a] = preprocess.conjugate_basis(s, set_a, set_b, EPSILON)
+    cfg = preprocess.RandomBasisConfig(samples=8, seed=0)
+    for k in range(8):
+        np.testing.assert_array_equal(
+            preprocess.random_hp_basis(s, plan, cfg, k),
+            three_loop_basis(s, partition, pools, cfg, k),
+        )
+
+
+def repaired(mat):
+    kind, stream = samples(mat, 8)
+    assert kind == preprocess.SAMPLES
+    return [r for _, r in stream]
+
+
+# depol is test_clustered_spectrum_keeps_the_snapshot_spectrum
+@pytest.mark.parametrize("name", ["xgate", "iswap"])
+def test_samples_keep_the_snapshot_spectrum(repair, name):
+    mat, s = repair[name][:2]
+    for r in repaired(mat):
+        gaps = np.abs(np.linalg.eigvals(r)[:, None] - s.eigenvalues[None, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-10
+
+
+# ISWAP's negative cluster holds two distinct reals (-0.99941 and -1.00032)
+# that are paired anyway, so its samples preserve hermiticity only to the
+# cluster width (0.037 relative); it is left out here.
+@pytest.mark.parametrize("name", ["xgate", "depol"])
+def test_samples_preserve_hermiticity(repair, name):
+    for r in repaired(repair[name][0]):
+        g = gamma_involution(r)
+        assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_odd_negative_cluster_passes_through():
+    mat = np.diag([1.0, -0.5 + 0.01j, -0.5 - 0.01j, -0.53])
+    s = eig_full(mat)
+    partition = preprocess.detect_clusters(s, P)
+    assert partition.negative_sets == ((1, 2, 3),)
+    assert preprocess.build_cluster_bases(s, partition, P, EPSILON) is None
+    kind, stream = samples(mat, 4)
+    assert kind == preprocess.PASSTHROUGH
+    assert [k for k, _ in stream] == [0]
+
+
+def test_perturb_to_nd2():
+    nudged = preprocess.perturb_to_nd2(np.eye(4), 1e-8)
+    eig_full(nudged)  # simple spectrum, or DegenerateSpectrum
+    assert np.linalg.norm(nudged - np.eye(4)) <= 1e-8
+    g = gamma_involution(nudged)
+    assert np.array_equal(g, g.conj().T)
+    simple = np.diag([1.0, 0.7, 0.4, 0.2]).astype(complex)
+    np.testing.assert_array_equal(preprocess.perturb_to_nd2(simple, 1e-8), simple)
+
+
+@pytest.mark.parametrize("partner", [None, 1], ids=["real slot", "pair"])
+def test_all_zero_pool_raises_after_the_retries(repair, partner):
+    s = repair["xgate"][1]
+    plan = [(np.zeros((4, 2), dtype=complex), 0, partner)]
+    cfg = preprocess.RandomBasisConfig(samples=1)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+        preprocess.random_hp_basis(s, plan, cfg, 0)
