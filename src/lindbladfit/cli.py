@@ -9,8 +9,8 @@ to reproduce the run.  ``sweep-epsilon`` writes a plot-ready CSV instead.
 
 ``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`: repair
 the snapshot once, take the best-fit Lindbladian over all repaired samples,
-and when it misses epsilon ask the same samples for the least white-noise
-rate mu.
+and when it misses epsilon ask the same samples, in one batch, for the
+least white-noise rate mu.
 
 Exit codes: 0 when any verdict is produced, 2 for NoResult, 3 for bad
 input, 4 for a numerical failure.
@@ -212,35 +212,13 @@ def _fit_over_samples(
     return best, skipped
 
 
-def _mu_over_samples(
-    mat: np.ndarray,
-    samples: list[tuple[int, np.ndarray]],
-    epsilon: float,
-    policy: fitting.BranchPolicy,
-    delta_step: float,
-) -> tuple[Optional[nonmarkov.MuResult], Optional[int]]:
-    """Noise-rate fallback: scan every repaired sample, keep the least mu."""
-    best: Optional[nonmarkov.MuResult] = None
-    best_k: Optional[int] = None
-    for k, repaired in samples:
-        try:
-            result = nonmarkov.non_markovianity(
-                mat, repaired, epsilon, policy, delta_step=delta_step
-            )
-        except NumericalFailure:
-            continue
-        if result is not None and (best is None or (result.mu_min, k) < (best.mu_min, best_k)):
-            best, best_k = result, k
-    return best, best_k
-
-
 class _Decision(NamedTuple):
     kind: str
     verdict: str
     fit: Optional[fitting.FitResult] = None
     mu: Optional[nonmarkov.MuResult] = None
-    mu_sample: Optional[int] = None
     skipped: int = 0
+    p2_maxiters: Optional[int] = None
 
 
 def _decide(
@@ -258,7 +236,10 @@ def _decide(
 
     Repairs the snapshot once and materializes its samples once.  The
     best fit over them, by (distance, sample id), is Markovian when it
-    lands within epsilon; otherwise the same samples give the least mu.
+    lands within epsilon.  Otherwise the same samples, stacked, go through
+    one ``nonmarkov.non_markovianity`` call, which solves every sample's
+    (branch, delta) pairs in one batch and picks the least mu, ties going
+    to the lower sample id; it also counts the MaxIters solves.
 
     Within one pipeline kind the samples do not depend on epsilon (it only
     decides whether the cluster bases are accepted, not what their vectors
@@ -276,10 +257,13 @@ def _decide(
     if fit is not None and fit.distance < epsilon:
         return _Decision(kind, "Markovian", fit=fit, skipped=skipped)
     # No branch of any sample lands inside the epsilon ball; ask instead
-    # how much white noise would reconcile the snapshot.
-    mu, k = _mu_over_samples(mat, samples, epsilon, policy, delta_step)
+    # how much white noise would reconcile the snapshot.  Sample k sits at
+    # position k of the stack, so the winner's position is its sample id.
+    mu, p2_maxiters = nonmarkov.non_markovianity(
+        mat, np.stack([r for _, r in samples]), epsilon, policy, delta_step=delta_step
+    )
     verdict = "NoResult" if mu is None else "NonMarkovian"
-    return _Decision(kind, verdict, mu=mu, mu_sample=k, skipped=skipped)
+    return _Decision(kind, verdict, mu=mu, skipped=skipped, p2_maxiters=p2_maxiters)
 
 
 def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
@@ -376,13 +360,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         doc["detail"] = "channel is consistent with the identity map"
     if decision.skipped:
         doc["samples_skipped"] = decision.skipped
+    if decision.p2_maxiters is not None:
+        doc["p2_maxiters"] = decision.p2_maxiters
     if decision.fit is not None:
         doc["result"] = _markovian_result(decision.fit, args.epsilon)
     elif decision.mu is not None:
         doc["result"] = _nonmarkovian_result(
             decision.mu, args.epsilon, args.delta_step, d
         )
-        doc["result"]["basis_sample"] = decision.mu_sample
+        doc["result"]["basis_sample"] = decision.mu.basis_sample
     if trace is not None:
         doc["trace"] = {"samples": trace}
     doc["wall_time_s"] = time.perf_counter() - started
@@ -415,7 +401,7 @@ def cmd_mu(args: argparse.Namespace) -> int:
         doc["verdict"] = "NoResult"
         doc["detail"] = "epsilon is zero: no candidate can pass distance < 0"
     else:
-        mu = nonmarkov.non_markovianity(
+        mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
             mat, mat, args.epsilon, policy, delta_step=args.delta_step
         )
         if mu is None:

@@ -4,12 +4,14 @@ A snapshot M that admits no Lindbladian log can still be "almost Markovian":
 the measure asks for the smallest rate mu such that some logarithm branch,
 after adding white noise at rate mu, satisfies all Lindblad conditions while
 its exponential stays within epsilon of M.  Operationally this is a sweep
-over trust radii delta and logarithm branches; each grid point whose
-delta-ball reaches the hermitian trace-zero slice solves the
-noise-minimization program, and a candidate is accepted only through the
-certificate of ``fitting``: its exponential lands strictly within epsilon
-of the raw snapshot, and the noisy generator passes the Lindblad test at
-``fitting.VERIFY_TOL``.
+over trust radii delta and logarithm branches of every repaired sample of
+M; the grid points whose delta-ball reaches the hermitian trace-zero slice
+solve the noise-minimization program, all samples' points in one batch,
+and a candidate is accepted only through the certificate of ``fitting``:
+its exponential lands strictly within epsilon of the raw snapshot, and the
+noisy generator passes the Lindblad test at ``fitting.VERIFY_TOL``.  The
+least mu wins, ties (rates below ``MU_TIE_TOL`` count as zero) going to
+the lower sample, then the smaller delta, then the earlier branch.
 
 The module also carries a closed-form estimate for channels with real,
 positive, well-separated spectra (one eigenvalue near 1): filter the
@@ -58,11 +60,8 @@ __all__ = [
     "analytical_mu_unital",
 ]
 
-#: "Initialize it with a high value": candidates must beat this to count.
-MU_INIT = 1e9
-
 #: Noise rates below this are zeros up to solver tolerance; ranking treats
-#: them as ties resolved by (delta, branch) order.
+#: them as ties resolved by (sample, delta, branch) order.
 MU_TIE_TOL = 1e-12
 
 #: Live (branch, delta) pairs per (P2) batch.
@@ -128,6 +127,7 @@ class MuResult:
     delta_used: float
     branch: tuple[int, ...]
     distance: float
+    basis_sample: int
 
 
 @dataclass
@@ -153,53 +153,84 @@ def non_markovianity(
     policy: BranchPolicy = BranchPolicy(),
     *,
     delta_step: float = 0.01,
-) -> Optional[MuResult]:
-    """Smallest white-noise rate over the (delta, branch) grid, or None.
+) -> tuple[Optional[MuResult], int]:
+    """Smallest white-noise rate over every (sample, delta, branch), or None.
+
+    ``r`` is one matrix or a (K, n, n) stack of repaired samples of the
+    snapshot; a single matrix is a stack of one.  Each sample gets its own
+    logarithm, delta grid and screen, and the live pairs of all samples go
+    through one lockstep ``solver.min_mu_batch`` (in ``P2_CHUNK`` pieces).
+    Most grid points never reach the solver: one vectorized screen
+    (``solver.min_mu_infeasible``) per sample first drops every pair whose
+    delta-ball misses the hermitian trace-zero slice (every branch that
+    breaks conjugation symmetry picks up a skew part of order 2*pi).
 
     A grid point is accepted only when its exponential lands strictly within
-    epsilon of the raw snapshot; among accepted points the smallest mu wins,
-    with ties broken by smaller delta and then branch enumeration order.
-    Most grid points never reach the iterative solver: one vectorized
-    screen (``solver.min_mu_infeasible``) first drops every pair whose
-    delta-ball misses the hermitian trace-zero slice (every branch that
-    breaks conjugation symmetry picks up a skew part of order 2*pi), and
-    only the remaining pairs, in (branch, delta) order, are batched into
-    ``solver.min_mu_batch``.
+    epsilon of the raw snapshot and passes the Lindblad certificate; the
+    winner is the first accepted point by (mu, sample, delta, branch), with
+    rates below ``MU_TIE_TOL`` ranked as zero, and ``basis_sample`` is its
+    position in the stack.  A sample whose logarithm fails its audit is
+    skipped; when every sample fails, ``NumericalFailure`` is raised.
+
+    Returns the winner (None when no point is accepted) and the number of
+    solved pairs the solver reported as MaxIters.
     """
-    m, d, spectral, l0 = _branch_setup(m_snapshot, r, epsilon)
-    deltas = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step).grid()
+    m = snapshot_matrix(m_snapshot)
+    stack = np.asarray(r, dtype=complex)
+    if stack.ndim == 2:
+        stack = stack[None]
     branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
-    targets = branch_targets(l0, spectral, branches)
-    # live (branch, delta) pairs in row-major order
-    branch_idx, delta_idx = np.nonzero(~solver.min_mu_infeasible(targets, d, deltas))
-    if not branch_idx.size:
-        return None
 
-    chunks = []
-    for start in range(0, branch_idx.size, P2_CHUNK):
-        bi = branch_idx[start : start + P2_CHUNK]
-        di = delta_idx[start : start + P2_CHUNK]
-        reports = solver.min_mu_batch(targets[bi], d, deltas[di])
-        generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
-        distances = np.linalg.norm(m[None, :, :] - expm(generators), axis=(-2, -1))
-        mus = np.array([MU_INIT if rep.mu is None else rep.mu for rep in reports])
-        chunks.append((bi, di, mus, generators, distances))
-    bi, di, mus, generators, distances = (np.concatenate(v) for v in zip(*chunks))
+    # live (sample, branch, delta) pairs, each sample's in row-major order
+    sample, bi, di, targets, deltas = [], [], [], [], []
+    failure = None
+    for k, repaired in enumerate(stack):
+        try:
+            _, d, spectral, l0 = _branch_setup(m, repaired, epsilon)
+        except NumericalFailure as exc:
+            failure = exc
+            continue
+        grid = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step).grid()
+        sample_targets = branch_targets(l0, spectral, branches)
+        b, j = np.nonzero(~solver.min_mu_infeasible(sample_targets, d, grid))
+        sample.append(np.full(b.size, k))
+        bi.append(b)
+        di.append(j)
+        targets.append(sample_targets[b])
+        deltas.append(grid[j])
+    if not sample:
+        raise NumericalFailure(
+            f"all {len(stack)} samples failed the logarithm audit; last: {failure}"
+        ) from failure
+    sample, bi, di, targets, deltas = (
+        np.concatenate(v) for v in (sample, bi, di, targets, deltas)
+    )
+    if not bi.size:
+        return None, 0
 
-    accepted = (distances < epsilon) & (mus < MU_INIT)
+    reports = []
+    for start in range(0, len(targets), P2_CHUNK):
+        stop = start + P2_CHUNK
+        reports += solver.min_mu_batch(targets[start:stop], d, deltas[start:stop])
+    generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
+    distances = np.linalg.norm(m[None, :, :] - expm(generators), axis=(-2, -1))
+    mus = np.array([rep.mu for rep in reports])
+    maxiters = sum(rep.status == solver.MAX_ITERS for rep in reports)
+
     ranked = np.where(mus >= MU_TIE_TOL, mus, 0.0)
     omega_perp = max_entangled(d).omega_perp
-    order = np.lexsort((bi, di, ranked))
-    for k in order[accepted[order]]:
+    order = np.lexsort((bi, di, sample, ranked))
+    for k in order[distances[order] < epsilon]:
         if is_lindbladian(generators[k] - mus[k] * omega_perp, tol=VERIFY_TOL).ok:
             return MuResult(
                 generator=generators[k],
                 mu_min=float(mus[k]),
-                delta_used=float(deltas[di[k]]),
+                delta_used=float(deltas[k]),
                 branch=tuple(int(v) for v in branches[bi[k]]),
                 distance=float(distances[k]),
-            )
-    return None
+                basis_sample=int(sample[k]),
+            ), maxiters
+    return None, maxiters
 
 
 def analytical_mu_unital(m_snapshot) -> AnalyticalMu:

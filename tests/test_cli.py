@@ -1,5 +1,6 @@
-"""The command-line front end: exit codes, the `fit` report, `--jobs` and
-`--trace`, and `sweep-epsilon` rows against `fit` at the same epsilon.
+"""The command-line front end: exit codes, the `fit` report, the mu
+fallback's one P2 batch and its MaxIters count, `--jobs` and `--trace`, and
+`sweep-epsilon` rows against `fit` at the same epsilon.
 """
 
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, preprocess
+from lindbladfit import cli, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -22,6 +23,7 @@ CHANNELS = {
     "depol": (ChannelSpec("depolarizing", {"p": 0.2}), 10**5),
     "identity": (ChannelSpec("identity"), 10**5),
     "unital": (ChannelSpec("unital", {"gamma": [-200.0, 201.0, 200.5]}), 10**4),
+    "xgate": (ChannelSpec("xgate"), 10**4),
 }
 
 
@@ -154,6 +156,7 @@ def test_markovian_report(tmp_path, snap):
     assert res["distance"] < doc["settings"]["epsilon"] == EPSILON
     assert is_lindbladian(gen, tol=res["lindblad_check_tolerance"]).ok
     assert res["basis_sample"] in range(4) and len(res["branch"]) == 4
+    assert "p2_maxiters" not in doc  # the mu fallback never ran
 
 
 def test_nonmarkovian_report(tmp_path, snap):
@@ -168,12 +171,50 @@ def test_nonmarkovian_report(tmp_path, snap):
     perp = max_entangled(2).omega_perp
     assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
     assert res["basis_sample"] == 0
+    assert doc["p2_maxiters"] == 0
 
 
 def test_no_result_report(tmp_path, snap):
     code, doc = fit(tmp_path, snap["depol"], 0.001)
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_NO_RESULT, "NoResult", "samples")
     assert "result" not in doc
+    assert doc["p2_maxiters"] == 0
+
+
+def test_mu_fallback_is_one_p2_batch(tmp_path, snap, monkeypatch):
+    """The X gate's four repaired samples all miss epsilon; their (branch,
+    delta) pairs go to the P2 solver in one call."""
+    batch = solver.min_mu_batch
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return batch(*args)
+
+    monkeypatch.setattr(solver, "min_mu_batch", counting)
+    code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "NonMarkovian", "samples")
+    assert len(calls) == 1
+    res = doc["result"]
+    assert res["basis_sample"] == 0
+    assert res["mu_min"] == pytest.approx(4.911674, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", ["fit", "mu"])
+def test_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch, command):
+    """With the P2 solver cut at a few iterations, every solved pair ends
+    MaxIters and the report says how many."""
+    batch = solver.min_mu_batch
+    statuses = []
+
+    def short(targets, d, deltas):
+        reports = batch(targets, d, deltas, solver.SolverSettings(max_iters=5))
+        statuses.extend(rep.status for rep in reports)
+        return reports
+
+    monkeypatch.setattr(solver, "min_mu_batch", short)
+    _, doc = run(tmp_path, command, "--in", snap["unital"], "--epsilon", str(EPSILON))
+    assert doc["p2_maxiters"] == statuses.count(solver.MAX_ITERS) == len(statuses) > 0
 
 
 @pytest.mark.parametrize("scale", [0.5, 0.0], ids=["half identity", "zero"])

@@ -1,6 +1,8 @@
 """The white-noise measure: the (branch, delta) screen in front of the P2
-solver, the delta sweep on the benchmark unital channel, and the sweep
-against the closed-form noise rate of ``analytical_mu_unital``.
+solver, the delta sweep on the benchmark unital channel, one batch over a
+stack of repaired samples against the per-sample loop it replaced, the
+MaxIters count, and the sweep against the closed-form noise rate of
+``analytical_mu_unital``.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from lindbladfit.channels import (
     is_lindbladian,
     simulate_process_tomography,
 )
+from lindbladfit.errors import NumericalFailure
 from lindbladfit.fitting import (
     VERIFY_TOL,
     BranchPolicy,
@@ -24,7 +27,6 @@ from lindbladfit.fitting import (
 )
 from lindbladfit.linalg import frobenius, gamma_involution, herm, max_entangled
 from lindbladfit.nonmarkov import (
-    MU_INIT,
     MU_TIE_TOL,
     DeltaSweep,
     analytical_mu_unital,
@@ -33,6 +35,7 @@ from lindbladfit.nonmarkov import (
 
 EPSILON = 0.05
 BENCH_GAMMA = [-200.0, 201.0, 200.5]
+WEAK_GAMMA = [0.1, 0.2, 0.3]
 
 
 def bench_snapshot(shots):
@@ -127,8 +130,8 @@ def test_empty_screen_grid():
 )
 def test_benchmark_unital_noise_rate(shots, mu):
     m = bench_snapshot(shots)
-    res = non_markovianity(m, m, EPSILON)
-    assert res is not None
+    res, maxiters = non_markovianity(m, m, EPSILON)
+    assert res is not None and maxiters == 0
     assert res.mu_min == pytest.approx(mu, abs=1e-6)
     assert res.branch == (0, 0, 0, 0)
     assert res.distance < EPSILON
@@ -187,7 +190,7 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
     candidates = []
     for k, rep in enumerate(reports):
         b, j = divmod(k, len(deltas))
-        if rep.mu is None or rep.mu >= MU_INIT:
+        if rep.mu is None or rep.mu >= 1e9:
             continue
         generator = gamma_involution(rep.x_opt)
         distance = frobenius(m - expm(generator))
@@ -198,10 +201,124 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
         c for c in sorted(candidates, key=lambda c: c[0])
         if is_lindbladian(c[2] - c[1] * perp, tol=VERIFY_TOL).ok
     )
-    res = non_markovianity(m, r, EPSILON)
+    res, _ = non_markovianity(m, r, EPSILON)
     assert (res.mu_min, res.delta_used, res.branch) == (want[1], want[0][1], branches[want[0][2]])
     assert res.distance == pytest.approx(want[3], abs=1e-12)
     np.testing.assert_allclose(res.generator, want[2], rtol=0, atol=1e-12)
+
+
+def _stack(spec, shots, epsilon, samples=4):
+    """Snapshot (tomography seed 1) and its repaired samples, as `fit` draws them."""
+    m = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
+    cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
+    _, stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, epsilon, cfg)
+    return m, list(stream)
+
+
+def _per_sample_loop(m, samples, epsilon):
+    """The per-sample fallback the one-batch call replaced, kept as the
+    reference: one sweep per sample, skipping samples that fail the log
+    audit, and the least (mu, sample id) kept.  Returns (result, sample id,
+    summed MaxIters count)."""
+    best, best_k, maxiters = None, None, 0
+    for k, repaired in samples:
+        try:
+            result, count = non_markovianity(m, repaired, epsilon)
+        except NumericalFailure:
+            continue
+        maxiters += count
+        if result is not None and (best is None or (result.mu_min, k) < (best.mu_min, best_k)):
+            best, best_k = result, k
+    return best, best_k, maxiters
+
+
+@pytest.mark.parametrize(
+    "spec, shots, epsilon",
+    [
+        (ChannelSpec("xgate"), 10**4, EPSILON),
+        (ChannelSpec("xgate"), 10**5, EPSILON),
+        # at the panel's epsilon both weak-unital sweeps find nothing; at 0.2
+        # one sample's zero-noise branch is accepted
+        (ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": 1.0}), 10**4, 0.2),
+        (ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": 2.0}), 10**4, 0.2),
+    ],
+    ids=["X gate 1e4", "X gate 1e5", "weak unital t=1", "weak unital t=2"],
+)
+def test_one_batch_over_samples_matches_the_per_sample_loop(spec, shots, epsilon):
+    m, samples = _stack(spec, shots, epsilon)
+    want, want_k, want_maxiters = _per_sample_loop(m, samples, epsilon)
+    res, maxiters = non_markovianity(m, np.stack([r for _, r in samples]), epsilon)
+    assert want is not None and maxiters == want_maxiters == 0
+    assert res.basis_sample == want_k
+    assert (res.mu_min, res.delta_used, res.branch, res.distance) == (
+        want.mu_min, want.delta_used, want.branch, want.distance
+    )
+    assert np.array_equal(res.generator, want.generator)
+
+
+@pytest.mark.parametrize(
+    "t, shots, epsilon, loop_pick",
+    [(1.0, 10**4, 0.3, 3), (2.0, 10**5, 0.2, 0)],
+    ids=["smaller raw mu in sample 3", "smaller delta in sample 3"],
+)
+def test_cross_sample_ties_go_to_the_lower_sample(t, shots, epsilon, loop_pick):
+    """Weak unital: samples 0 and 3 both reach a rate below the tie
+    tolerance, and sample 3's winner has the smaller raw rate (t=1) or the
+    same rate at a smaller delta (t=2).  One ranking over the whole stack
+    counts both rates as zero and takes the lower sample.  The per-sample
+    loop compared raw rates, so it took sample 3 in the first case."""
+    spec = ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": t})
+    m, samples = _stack(spec, shots, epsilon)
+    first, last = (non_markovianity(m, samples[k][1], epsilon)[0] for k in (0, 3))
+    assert max(first.mu_min, last.mu_min) < MU_TIE_TOL
+    assert (last.mu_min, last.delta_used) < (first.mu_min, first.delta_used)
+    res, _ = non_markovianity(m, np.stack([r for _, r in samples]), epsilon)
+    assert res.basis_sample == 0
+    assert (res.mu_min, res.delta_used, res.branch) == (
+        first.mu_min, first.delta_used, first.branch
+    )
+    assert _per_sample_loop(m, samples, epsilon)[1] == loop_pick
+
+
+def _ill_conditioned():
+    """A matrix whose exp(log R) round trip fails the audit: two of its
+    eigenvectors are 1e-6 apart."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((4, 4)) + 0j
+    v[:, 1] = v[:, 0] + 1e-6 * rng.standard_normal(4)
+    return (v * np.array([1.0, 0.5, 0.7, 0.9])) @ np.linalg.inv(v)
+
+
+def test_a_sample_that_fails_the_log_audit_is_skipped():
+    m = bench_snapshot(10**4)
+    bad = _ill_conditioned()
+    with pytest.raises(NumericalFailure, match="misses R"):
+        checked_log(bad)
+    alone, _ = non_markovianity(m, m, EPSILON)
+    res, _ = non_markovianity(m, np.stack([bad, m, bad]), EPSILON)
+    assert res.basis_sample == 1
+    assert (res.mu_min, res.delta_used, res.branch) == (
+        alone.mu_min, alone.delta_used, alone.branch
+    )
+    with pytest.raises(NumericalFailure, match="all 2 samples"):
+        non_markovianity(m, np.stack([bad, bad]), EPSILON)
+
+
+def test_maxiters_reports_are_counted(monkeypatch):
+    """With the solver cut at a few iterations, every solved pair is
+    MaxIters, and the count is the number of pairs solved."""
+    batch = solver.min_mu_batch
+    solved = []
+
+    def short(targets, d, deltas):
+        reports = batch(targets, d, deltas, solver.SolverSettings(max_iters=5))
+        solved.extend(rep.status for rep in reports)
+        return reports
+
+    monkeypatch.setattr(solver, "min_mu_batch", short)
+    m = bench_snapshot(10**4)
+    _, maxiters = non_markovianity(m, np.stack([m, m]), EPSILON)
+    assert maxiters == solved.count(solver.MAX_ITERS) == len(solved) > 0
 
 
 @pytest.mark.parametrize("shots", [10**4, 10**5, 10**6])
@@ -209,7 +326,7 @@ def test_sweep_agrees_with_the_analytical_noise_rate(shots):
     """The sweep may spend the epsilon budget, so its mu is at most the
     closed-form rate of the filtered snapshot, and close to it."""
     m = bench_snapshot(shots)
-    swept = non_markovianity(m, m, EPSILON).mu_min
+    swept = non_markovianity(m, m, EPSILON)[0].mu_min
     closed = analytical_mu_unital(m).mu
     assert swept <= closed
     assert swept >= 0.95 * closed
