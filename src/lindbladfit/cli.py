@@ -38,7 +38,7 @@ from .errors import (
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
 from .linalg import eig_full, frobenius, side_dim  # noqa: F401
-from .multisnap import SnapshotSeries, best_fit_multi
+from .multisnap import DELTA_GRID_SNAPSHOT, SnapshotSeries, best_fit_multi
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 2
@@ -166,17 +166,18 @@ def _sample_config(args: argparse.Namespace) -> preprocess.RandomBasisConfig:
 
 
 def _fit_sample(mat: np.ndarray, policy: fitting.BranchPolicy, sample):
-    """Best fit over every branch of one repaired sample: (k, fit, skipped)."""
+    """Best fit over every branch of one repaired sample:
+    (k, fit, skipped, MaxIters P1 solves)."""
     k, repaired = sample
     try:
-        result = fitting.best_fit_lindbladian(
+        result, maxiters = fitting.best_fit_lindbladian(
             mat, repaired, math.inf, policy, basis_sample_id=k
         )
     except NumericalFailure:
         # A random basis can come out ill-conditioned enough to fail the
         # logarithm audit; one bad draw must not abort the whole scan.
-        return k, None, True
-    return k, result, False
+        return k, None, True, 0
+    return k, result, False, maxiters
 
 
 def _fit_over_samples(
@@ -185,14 +186,15 @@ def _fit_over_samples(
     policy: fitting.BranchPolicy,
     jobs: int,
     trace: Optional[list],
-) -> tuple[Optional[fitting.FitResult], int]:
+) -> tuple[Optional[fitting.FitResult], int, int]:
     """Minimum-distance fit over repaired samples, reduced by (distance, id).
 
     Every sample is searched with an unbounded acceptance radius so the
     per-sample distance is known even when it later fails the epsilon
     test; the caller applies that test once to the winner, which is the
     same decision the per-sample test would have produced.  Returns the
-    winner plus the number of samples skipped for numerical reasons.
+    winner, the number of samples skipped for numerical reasons, and the
+    number of (P1) solves over all samples that ended MaxIters.
     """
     work = functools.partial(_fit_sample, mat, policy)
     if jobs <= 1:
@@ -201,15 +203,15 @@ def _fit_over_samples(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(work, samples, chunksize=4))
     if trace is not None:
-        trace.extend([k, None if fit is None else fit.distance] for k, fit, _ in results)
-    skipped = sum(failed for _, _, failed in results)
+        trace.extend([k, None if fit is None else fit.distance] for k, fit, _, _ in results)
+    skipped = sum(failed for _, _, failed, _ in results)
     if results and skipped == len(results):
         raise NumericalFailure(
             f"all {skipped} repaired samples failed the logarithm audit"
         )
-    fits = [fit for _, fit, _ in results if fit is not None]
+    fits = [fit for _, fit, _, _ in results if fit is not None]
     best = min(fits, key=lambda fit: (fit.distance, fit.basis_sample_id), default=None)
-    return best, skipped
+    return best, skipped, sum(maxiters for *_, maxiters in results)
 
 
 class _Decision(NamedTuple):
@@ -218,6 +220,7 @@ class _Decision(NamedTuple):
     fit: Optional[fitting.FitResult] = None
     mu: Optional[nonmarkov.MuResult] = None
     skipped: int = 0
+    p1_maxiters: Optional[int] = None
     p2_maxiters: Optional[int] = None
 
 
@@ -239,7 +242,8 @@ def _decide(
     lands within epsilon.  Otherwise the same samples, stacked, go through
     one ``nonmarkov.non_markovianity`` call, which solves every sample's
     (branch, delta) pairs in one batch and picks the least mu, ties going
-    to the lower sample id; it also counts the MaxIters solves.
+    to the lower sample id.  The decision counts the MaxIters solves of
+    each solver stage it ran, (P1) over all samples and (P2).
 
     Within one pipeline kind the samples do not depend on epsilon (it only
     decides whether the cluster bases are accepted, not what their vectors
@@ -253,9 +257,9 @@ def _decide(
     if kind not in memo:
         samples = list(stream)
         memo[kind] = (samples, *_fit_over_samples(mat, samples, policy, jobs, trace))
-    samples, fit, skipped = memo[kind]
+    samples, fit, skipped, p1_maxiters = memo[kind]
     if fit is not None and fit.distance < epsilon:
-        return _Decision(kind, "Markovian", fit=fit, skipped=skipped)
+        return _Decision(kind, "Markovian", fit=fit, skipped=skipped, p1_maxiters=p1_maxiters)
     # No branch of any sample lands inside the epsilon ball; ask instead
     # how much white noise would reconcile the snapshot.  Sample k sits at
     # position k of the stack, so the winner's position is its sample id.
@@ -263,7 +267,9 @@ def _decide(
         mat, np.stack([r for _, r in samples]), epsilon, policy, delta_step=delta_step
     )
     verdict = "NoResult" if mu is None else "NonMarkovian"
-    return _Decision(kind, verdict, mu=mu, skipped=skipped, p2_maxiters=p2_maxiters)
+    return _Decision(
+        kind, verdict, mu=mu, skipped=skipped, p1_maxiters=p1_maxiters, p2_maxiters=p2_maxiters
+    )
 
 
 def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
@@ -360,6 +366,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         doc["detail"] = "channel is consistent with the identity map"
     if decision.skipped:
         doc["samples_skipped"] = decision.skipped
+    if decision.p1_maxiters is not None:
+        doc["p1_maxiters"] = decision.p1_maxiters
     if decision.p2_maxiters is not None:
         doc["p2_maxiters"] = decision.p2_maxiters
     if decision.fit is not None:
@@ -490,9 +498,10 @@ def cmd_multifit(args: argparse.Namespace) -> int:
             "m_max": args.m_max,
             "max_branches": args.max_branches,
             "delta_step": args.delta_step,
+            "delta_grid_snapshot": DELTA_GRID_SNAPSHOT,
         },
     }
-    fit = best_fit_multi(
+    fit, doc["joint_maxiters"] = best_fit_multi(
         series, args.epsilon, policy, delta_step=args.delta_step
     )
     if fit is None:

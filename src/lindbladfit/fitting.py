@@ -225,13 +225,14 @@ def _branch_setup(
 
 def _solve_classes(
     m: np.ndarray, targets: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Solve (P1) once per herm class of the branch targets, leaders in order.
 
     Returns the class of every branch (-1 where the class was never solved
-    because the search stopped early), and each solved class's Choi-side
-    solution and exponential's distance to M.  Classes are numbered in
-    the order of their leaders.
+    because the search stopped early), each solved class's Choi-side
+    solution and exponential's distance to M, and the number of solves
+    the solver reported as MaxIters.  Classes are numbered in the order
+    of their leaders.
     """
     owner = herm_classes(targets)
     leaders = np.unique(owner)
@@ -244,10 +245,11 @@ def _solve_classes(
     while bounds[-1] < len(leaders):
         bounds.append(min(bounds[-1] + P1_CHUNK, len(leaders)))
 
-    xs, dists = [], []
+    xs, dists, maxiters = [], [], 0
     for start, end in zip(bounds[:-1], bounds[1:]):
         reports = solver.closest_lindbladian_batch(targets[leaders[start:end]], d)
         x_stack = np.stack([report.x_opt for report in reports])
+        maxiters += sum(report.status == solver.MAX_ITERS for report in reports)
         exps = expm(gamma_involution(x_stack))
         xs.append(x_stack)
         dists.append(np.linalg.norm(m[None, :, :] - exps, axis=(-2, -1)))
@@ -255,7 +257,7 @@ def _solve_classes(
             break
     distances = np.concatenate(dists)
     label[label >= len(distances)] = -1
-    return label, np.concatenate(xs), distances
+    return label, np.concatenate(xs), distances, maxiters
 
 
 def best_fit_lindbladian(
@@ -265,18 +267,19 @@ def best_fit_lindbladian(
     policy: BranchPolicy = BranchPolicy(),
     *,
     basis_sample_id: Optional[int] = None,
-) -> Optional[FitResult]:
+) -> tuple[Optional[FitResult], int]:
     """Search all logarithm branches of R for the Lindbladian closest to M.
 
     Returns the minimal-distance result whose exponential lands strictly
-    within ``epsilon`` of the raw snapshot, or None when no branch does.
-    Every member of a herm class shares its leader's distance, so ties are
+    within ``epsilon`` of the raw snapshot (None when no branch does), and
+    the number of (P1) solves the solver reported as MaxIters.  Every
+    member of a herm class shares its leader's distance, so ties are
     broken by enumeration order.
     """
     m, d, spectral, l0 = _branch_setup(m_snapshot, r, epsilon)
     branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
     targets = branch_targets(l0, spectral, branches)
-    label, x_opts, distances = _solve_classes(m, targets, d)
+    label, x_opts, distances, maxiters = _solve_classes(m, targets, d)
 
     # Distances below the early-stop threshold are ties in exact arithmetic
     # (all branches of log R share the exponential R); rank them as zero so
@@ -294,5 +297,5 @@ def best_fit_lindbladian(
                 distance=float(distances[k]),
                 branch=tuple(int(v) for v in branches[np.argmax(label == k)]),
                 basis_sample_id=basis_sample_id,
-            )
-    return None
+            ), maxiters
+    return None, maxiters

@@ -15,12 +15,18 @@ beats epsilon and the sum beats q*epsilon (a candidate must average below
 epsilon per snapshot to count at all); ties go to the earlier (delta,
 assignment) grid position.
 
-The search runs as three batched steps.  The per-snapshot branch targets
-are stacked per assignment, and ``solver.joint_infeasibility`` screens
-the whole (delta, assignment) grid at once.  The pairs that survive go
-to one lockstep ``solver.solve_joint_fit_batch`` call.  One ``expm`` call
-then gives every survivor's snapshot distances, and the reduction walks
-the survivors by (summed distance, grid position) to the first one that
+The search runs in batched steps.  The per-snapshot branch targets are
+stacked per assignment, and ``solver.joint_infeasibility`` screens the
+whole (delta, assignment) grid at once.  Each assignment that survives
+is solved once, at its largest live delta, in one lockstep
+``solver.solve_joint_fit_batch`` call: the probe.  An Optimal probe
+whose snapshot misfits ||t_c X - T_c||_F all fit inside a smaller delta
+of the same assignment is also that delta's solution, since shrinking
+the trust radius only shrinks the feasible set.  The live pairs no
+probe covers (every pair of a MaxIters probe among them) go to a second
+batch call.  One ``expm`` call then gives every distinct solution's
+snapshot distances, and the reduction walks the solutions by (summed
+distance, earliest grid position they stand for) to the first one that
 passes the Lindblad audit.
 """
 
@@ -47,9 +53,13 @@ from .linalg import expm, frobenius, gamma_involution, side_dim
 from .nonmarkov import DeltaSweep
 
 __all__ = [
+    "DELTA_GRID_SNAPSHOT",
     "SnapshotSeries",
     "best_fit_multi",
 ]
+
+#: The snapshot whose logarithm's norm sets the delta grid of the sweep.
+DELTA_GRID_SNAPSHOT = 0
 
 
 @dataclass(frozen=True)
@@ -115,17 +125,20 @@ def best_fit_multi(
     policy: BranchPolicy = BranchPolicy(),
     *,
     delta_step: float = 0.01,
-) -> Optional[FitResult]:
+) -> tuple[Optional[FitResult], int]:
     """One generator for the whole series, or None when none fits.
 
     Returns the joint solution with the smallest summed snapshot
     distance among those where every snapshot individually lands within
-    epsilon.  The trust radius follows the first snapshot's logarithm
-    (the radius-from-epsilon relation does not single out a snapshot;
-    reports flag this choice), and the returned distance is the sum over
-    the series.  The winning branch assignment is returned flattened,
-    snapshot by snapshot, so a single-snapshot series reports the plain
-    branch vector.
+    epsilon.  The trust radius follows the logarithm of snapshot
+    ``DELTA_GRID_SNAPSHOT`` (the radius-from-epsilon relation does not
+    single out a snapshot; the ``multifit`` report names it), and the
+    returned distance is the sum over the series.  The winning branch
+    assignment is returned flattened, snapshot by snapshot, so a
+    single-snapshot series reports the plain branch vector.
+
+    Returns the fit (None when no candidate fits) and the number of joint
+    solves the solver reported as MaxIters.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
@@ -137,7 +150,9 @@ def best_fit_multi(
     d = side_dim(n)
 
     logs = [checked_log(m) for m in mats]
-    deltas = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step).grid()
+    deltas = DeltaSweep.from_epsilon(
+        epsilon, frobenius(logs[DELTA_GRID_SNAPSHOT][1]), delta_step
+    ).grid()
 
     assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
     # One batched target call per snapshot over its distinct branches; an
@@ -147,25 +162,52 @@ def best_fit_multi(
         branches, inverse = np.unique(assignments[:, c], axis=0, return_inverse=True)
         targets[:, c] = branch_targets(l0, spectral, branches)[inverse.reshape(-1)]
 
-    # Grid position δ-major, then assignment: the enumeration order that
-    # breaks ties between equal summed distances.
+    # Live pairs in grid order, δ-major, then assignment: the enumeration
+    # order that breaks ties between equal summed distances.
     excess = solver.joint_infeasibility(targets, times, deltas[:, None])
     delta_idx, assign_idx = np.nonzero(excess == 0)
     if not assign_idx.size:
-        return None
+        return None, 0
+
+    # The grid increases, so each live assignment's last pair, at its
+    # largest live δ, is its probe.
+    live, last = np.unique(assign_idx[::-1], return_index=True)
+    probe = assign_idx.size - 1 - last
+    slot = np.searchsorted(live, assign_idx)
     reports = solver.solve_joint_fit_batch(
-        targets[assign_idx], times, d, deltas[delta_idx]
+        targets[live], times, d, deltas[delta_idx[probe]]
     )
+    x = np.stack([rep.x_opt for rep in reports])
+    misfit = np.linalg.norm(
+        times[:, None, None] * x[:, None] - targets[live], axis=(-2, -1)
+    ).max(axis=1)
+    optimal = np.array([rep.status == solver.OPTIMAL for rep in reports])
+    # Solution of every live pair: its probe's where the probe covers it.
+    # A probe stands for its own pair whatever its status, as that pair's
+    # own solve.
+    owner = np.where(optimal[slot] & (misfit[slot] <= deltas[delta_idx]), slot, -1)
+    owner[probe] = np.arange(live.size)
+    rest = np.flatnonzero(owner < 0)
+    if rest.size:
+        reports = reports + solver.solve_joint_fit_batch(
+            targets[assign_idx[rest]], times, d, deltas[delta_idx[rest]]
+        )
+        owner[rest] = live.size + np.arange(rest.size)
+    maxiters = sum(rep.status == solver.MAX_ITERS for rep in reports)
+
     generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
     exps = expm(times[None, :, None, None] * generators[:, None])
     dists = np.linalg.norm(np.array(mats)[None] - exps, axis=(-2, -1))
     distance = dists.sum(axis=1)
     fits = (dists.max(axis=1) < epsilon) & (distance < q * epsilon)
-    for k in np.flatnonzero(fits)[np.argsort(distance[fits], kind="stable")]:
+    # A solution ranks at the earliest grid position it stands for.
+    _, first = np.unique(owner, return_index=True)
+    order = np.lexsort((first, distance))
+    for k in order[fits[order]]:
         if is_lindbladian(generators[k], tol=VERIFY_TOL).ok:
             return FitResult(
                 lindbladian=generators[k],
                 distance=float(distance[k]),
-                branch=tuple(int(v) for v in assignments[assign_idx[k]].ravel()),
-            )
-    return None
+                branch=tuple(int(v) for v in assignments[assign_idx[first[k]]].ravel()),
+            ), maxiters
+    return None, maxiters

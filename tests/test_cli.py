@@ -1,9 +1,10 @@
 """The command-line front end: exit codes, the `fit` report, the mu
-fallback's one P2 batch and its MaxIters count, `--jobs` and `--trace`, and
-`sweep-epsilon` rows against `fit` at the same epsilon.
+fallback's one P2 batch, the P1 and P2 MaxIters counts, `--jobs` and
+`--trace`, and `sweep-epsilon` rows against `fit` at the same epsilon.
 """
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -156,6 +157,7 @@ def test_markovian_report(tmp_path, snap):
     assert res["distance"] < doc["settings"]["epsilon"] == EPSILON
     assert is_lindbladian(gen, tol=res["lindblad_check_tolerance"]).ok
     assert res["basis_sample"] in range(4) and len(res["branch"]) == 4
+    assert doc["p1_maxiters"] == 0
     assert "p2_maxiters" not in doc  # the mu fallback never ran
 
 
@@ -171,7 +173,7 @@ def test_nonmarkovian_report(tmp_path, snap):
     perp = max_entangled(2).omega_perp
     assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
     assert res["basis_sample"] == 0
-    assert doc["p2_maxiters"] == 0
+    assert (doc["p1_maxiters"], doc["p2_maxiters"]) == (0, 0)
 
 
 def test_no_result_report(tmp_path, snap):
@@ -217,6 +219,39 @@ def test_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch, 
     assert doc["p2_maxiters"] == statuses.count(solver.MAX_ITERS) == len(statuses) > 0
 
 
+def short_p1(monkeypatch, statuses):
+    """Cut every P1 solve at 5 iterations, recording the statuses."""
+    batch = solver.closest_lindbladian_batch
+
+    def short(targets, d):
+        reports = batch(targets, d, solver.SolverSettings(max_iters=5))
+        statuses.extend(rep.status for rep in reports)
+        return reports
+
+    monkeypatch.setattr(solver, "closest_lindbladian_batch", short)
+
+
+def test_p1_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch):
+    """With the P1 solver cut at a few iterations, most class solves end
+    MaxIters and the report sums them over the samples."""
+    statuses = []
+    short_p1(monkeypatch, statuses)
+    _, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
+    assert doc["p1_maxiters"] == statuses.count(solver.MAX_ITERS) > len(statuses) // 2
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the cut solver only when forked",
+)
+def test_p1_maxiters_count_survives_worker_processes(tmp_path, snap, monkeypatch):
+    short_p1(monkeypatch, [])
+    flags = ("--samples", "4")
+    _, serial = fit(tmp_path, snap["depol"], EPSILON, *flags)
+    _, parallel = fit(tmp_path, snap["depol"], EPSILON, *flags, "--jobs", "2")
+    assert parallel["p1_maxiters"] == serial["p1_maxiters"] > 0
+
+
 @pytest.mark.parametrize("scale", [0.5, 0.0], ids=["half identity", "zero"])
 def test_one_cluster_far_from_the_identity_is_not_identity(tmp_path, scale):
     """A spectrum that is one tight positive cluster is Identity only when
@@ -230,7 +265,7 @@ def test_one_cluster_far_from_the_identity_is_not_identity(tmp_path, scale):
 def test_identity_report(tmp_path, snap):
     code, doc = fit(tmp_path, snap["identity"], EPSILON, "--trace")
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Identity", "identity")
-    assert "result" not in doc
+    assert "result" not in doc and "p1_maxiters" not in doc  # P1 never ran
     assert doc["trace"] == {"samples": []}
 
 

@@ -110,7 +110,7 @@ def test_branch_policy_validation():
 def test_exact_markovian_snapshot_recovered():
     gen = random_lindblad_generator(2, np.random.default_rng(0))
     m = expm(gen.mat)
-    res = best_fit_lindbladian(m, m, 1e-6)
+    res, _ = best_fit_lindbladian(m, m, 1e-6)
     assert res is not None
     assert res.branch == (0, 0, 0, 0)
     assert res.distance <= 1e-9
@@ -126,8 +126,8 @@ def test_acceptance_radius_is_honest():
     rng = np.random.default_rng(1)
     noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = r + 0.5 * noise / frobenius(noise)
-    assert best_fit_lindbladian(m, r, 0.1) is None
-    res = best_fit_lindbladian(m, r, 1.0)
+    assert best_fit_lindbladian(m, r, 0.1)[0] is None
+    res, _ = best_fit_lindbladian(m, r, 1.0)
     assert res is not None
     assert res.distance == pytest.approx(0.5, abs=1e-6)
 
@@ -135,7 +135,7 @@ def test_acceptance_radius_is_honest():
 def test_wider_branch_search_never_hurts():
     t = unital_transfer((0.9, 0.7, -0.1))  # negative rate: log is not CCP
     dists = [
-        best_fit_lindbladian(t.mat, t.mat, np.inf, BranchPolicy(m)).distance
+        best_fit_lindbladian(t.mat, t.mat, np.inf, BranchPolicy(m))[0].distance
         for m in (0, 1, 2)
     ]
     assert dists[0] > 1e-3
@@ -148,22 +148,22 @@ def test_chunk_size_does_not_change_the_answer(monkeypatch):
         ChannelSpec("unital", {"gamma": [0.3, 0.5, 0.8]}),
         TomographyConfig(shots=10**4, seed=3),
     )
-    a = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
+    a, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
     monkeypatch.setattr(fitting, "P1_CHUNK", 1)
-    b = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
+    b, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
     assert a.branch == b.branch
     assert np.allclose(a.lindbladian, b.lindbladian, atol=1e-12)
 
 
 def test_transfer_matrix_accepted_as_snapshot():
     t = unital_transfer((0.3, 0.5, 0.8))
-    res = best_fit_lindbladian(t, t.mat, 1e-6)
+    res, _ = best_fit_lindbladian(t, t.mat, 1e-6)
     assert res is not None and res.distance <= 1e-9
 
 
 def test_basis_sample_id_passthrough():
     t = unital_transfer((0.3, 0.5, 0.8))
-    res = best_fit_lindbladian(t.mat, t.mat, 1e-6, basis_sample_id=17)
+    res, _ = best_fit_lindbladian(t.mat, t.mat, 1e-6, basis_sample_id=17)
     assert res.basis_sample_id == 17
 
 
@@ -187,7 +187,7 @@ def test_exponential_perturbation_bound():
     |e^C - e^L| <= |C-L| e^|C-L| e^|L|."""
     t = unital_transfer((0.3, 0.5, 0.8))
     l_r = matrix_log_principal(eig_full(t.mat))
-    res = best_fit_lindbladian(t.mat, t.mat, 1e-6)
+    res, _ = best_fit_lindbladian(t.mat, t.mat, 1e-6)
     gap = frobenius(res.lindbladian - l_r)
     lhs = frobenius(expm(res.lindbladian) - expm(l_r))
     assert lhs <= gap * np.exp(gap) * np.exp(frobenius(l_r)) + 1e-15
@@ -203,7 +203,7 @@ def test_noisy_snapshot_fit_quality_tracks_noise():
         TomographyConfig(shots=10**4, seed=5),
     )
     noise = frobenius(snap.mat - exact)
-    res = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
+    res, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
     assert res.distance <= noise
     assert is_lindbladian(res.lindbladian, tol=1e-6).ok
 
@@ -264,7 +264,7 @@ def test_herm_classes_never_chain():
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
 def test_quotient_matches_per_branch_solves(case, request):
     mat, r, policy = request.getfixturevalue(case)
-    branches, targets, label, x_opts, distances = _class_solve(mat, r, policy)
+    branches, targets, label, x_opts, distances, _ = _class_solve(mat, r, policy)
     assert (label >= 0).all()
     assert len(distances) < len(branches)  # some class has several members
     d = side_dim(r.shape[0])
@@ -277,9 +277,9 @@ def test_quotient_matches_per_branch_solves(case, request):
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
 def test_quotient_winner_does_not_depend_on_chunk_size(case, request, monkeypatch):
     mat, r, policy = request.getfixturevalue(case)
-    a = best_fit_lindbladian(mat, r, np.inf, policy)
+    a, _ = best_fit_lindbladian(mat, r, np.inf, policy)
     monkeypatch.setattr(fitting, "P1_CHUNK", 1)
-    b = best_fit_lindbladian(mat, r, np.inf, policy)
+    b, _ = best_fit_lindbladian(mat, r, np.inf, policy)
     assert a.branch == b.branch
     assert a.distance == pytest.approx(b.distance, abs=1e-12)
 
@@ -287,8 +287,8 @@ def test_quotient_winner_does_not_depend_on_chunk_size(case, request, monkeypatc
 def test_class_members_report_the_lowest_enumeration_position(depol_case):
     """The winning class reports its lowest enumeration position."""
     mat, r, policy = depol_case
-    branches, _, label, _, distances = _class_solve(mat, r, policy)
-    res = best_fit_lindbladian(mat, r, np.inf, policy)
+    branches, _, label, _, distances, _ = _class_solve(mat, r, policy)
+    res, _ = best_fit_lindbladian(mat, r, np.inf, policy)
     won = [tuple(b) for b in branches].index(res.branch)
     members = np.nonzero(label == label[won])[0]
     assert len(members) >= 5  # the five branches that tie in distance

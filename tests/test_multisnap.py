@@ -1,6 +1,8 @@
 """Joint fits across snapshot series: the batched joint solver, its
 feasibility screen and radial prox, the answers of ``best_fit_multi`` on
-simulated unital series, and the ``multifit`` CLI command.
+simulated unital series against an all-pairs reference, its reuse of one
+solve per branch assignment and its MaxIters count, and the ``multifit``
+CLI command.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from lindbladfit import cli, fitting, solver
+from lindbladfit import cli, fitting, multisnap, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -20,6 +22,7 @@ from lindbladfit.channels import (
     simulate_process_tomography,
 )
 from lindbladfit.errors import DimensionMismatch, OutOfRange
+from lindbladfit.linalg import expm as batched_expm
 from lindbladfit.linalg import frobenius, gamma_involution
 from lindbladfit.multisnap import SnapshotSeries, _joint_assignments, best_fit_multi
 from lindbladfit.nonmarkov import DeltaSweep
@@ -258,8 +261,8 @@ GOLDEN_DISTANCES = {
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DISTANCES))
 def test_weak_unital_series_is_markovian(weak_series, seed):
     mats = weak_series[seed]
-    fit = best_fit_multi(SnapshotSeries(mats, TIMES), EPSILON)
-    assert fit is not None
+    fit, maxiters = best_fit_multi(SnapshotSeries(mats, TIMES), EPSILON)
+    assert fit is not None and maxiters == 0
     assert fit.branch == (0,) * 8
     assert fit.distance == pytest.approx(GOLDEN_DISTANCES[seed], abs=1e-9)
     dists = [frobenius(m - expm(t * fit.lindbladian)) for m, t in zip(mats, TIMES)]
@@ -270,7 +273,138 @@ def test_weak_unital_series_is_markovian(weak_series, seed):
 
 def test_benchmark_unital_series_has_no_fit():
     mats = unital_series(BENCH_GAMMA, 1)
-    assert best_fit_multi(SnapshotSeries(mats, TIMES), EPSILON) is None
+    assert best_fit_multi(SnapshotSeries(mats, TIMES), EPSILON) == (None, 0)
+
+
+# ----------------------------------------------------------------------
+# one solve per live assignment, against every (δ, assignment) pair
+# ----------------------------------------------------------------------
+
+def all_pairs_best_fit_multi(series, epsilon, policy=fitting.BranchPolicy(), delta_step=0.01):
+    """The reference: every live (δ, assignment) pair solved on its own,
+    each pair's exponential taken, and the pairs ranked by (summed
+    distance, grid position)."""
+    q = series.count
+    times = np.asarray(series.times, dtype=float)
+    mats = [series.matrix(c) for c in range(q)]
+    n = mats[0].shape[0]
+    logs = [fitting.checked_log(m) for m in mats]
+    deltas = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step).grid()
+    assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
+    targets = np.empty(assignments.shape[:2] + (n, n), dtype=complex)
+    for c, (spectral, l0) in enumerate(logs):
+        branches, inverse = np.unique(assignments[:, c], axis=0, return_inverse=True)
+        targets[:, c] = fitting.branch_targets(l0, spectral, branches)[inverse.reshape(-1)]
+    excess = solver.joint_infeasibility(targets, times, deltas[:, None])
+    delta_idx, assign_idx = np.nonzero(excess == 0)
+    if not assign_idx.size:
+        return None
+    reports = solver.solve_joint_fit_batch(
+        targets[assign_idx], times, int(np.sqrt(n)), deltas[delta_idx]
+    )
+    generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
+    exps = batched_expm(times[None, :, None, None] * generators[:, None])
+    dists = np.linalg.norm(np.array(mats)[None] - exps, axis=(-2, -1))
+    distance = dists.sum(axis=1)
+    fits = (dists.max(axis=1) < epsilon) & (distance < q * epsilon)
+    for k in np.flatnonzero(fits)[np.argsort(distance[fits], kind="stable")]:
+        if is_lindbladian(generators[k], tol=fitting.VERIFY_TOL).ok:
+            return fitting.FitResult(
+                lindbladian=generators[k],
+                distance=float(distance[k]),
+                branch=tuple(int(v) for v in assignments[assign_idx[k]].ravel()),
+            )
+    return None
+
+
+@pytest.fixture
+def joint_calls(monkeypatch):
+    """Every ``solve_joint_fit_batch`` call: (targets, deltas, reports)."""
+    batch = solver.solve_joint_fit_batch
+    calls = []
+
+    def recording(targets, times, d, deltas, settings=None):
+        reports = batch(targets, times, d, deltas, settings)
+        calls.append((np.array(targets), np.array(deltas), reports))
+        return reports
+
+    monkeypatch.setattr(solver, "solve_joint_fit_batch", recording)
+    return calls
+
+
+# name: (gamma, shots, tomography seed, epsilon, problems solved by the
+# all-pairs reference, sizes of the solver batches, answer tolerance)
+REUSE_CASES = {
+    "weak-s1": (WEAK_GAMMA, 10**5, 1, EPSILON, 60, [1], 0.0),
+    "weak-s2": (WEAK_GAMMA, 10**5, 2, EPSILON, 59, [1], 0.0),
+    "weak-s3": (WEAK_GAMMA, 10**5, 3, EPSILON, 60, [1], 0.0),
+    # the smallest radius binds the probe's misfit: that pair is re-solved
+    "weak-1e3-shots": (WEAK_GAMMA, 10**3, 1, 0.01, 12, [1, 1], 0.0),
+    "skewed-1e3-shots": ([0.05, 0.05, 0.4], 10**3, 1, 0.01, 12, [1, 1], 0.0),
+    # The reference's winner is a smaller-δ solve whose ball binds during
+    # its iterations, so its X differs from the probe's at the solver
+    # tolerance: the answers agree to the golden tolerance, not bitwise.
+    "fast-1e3-shots": ([0.3, 0.5, 0.8], 10**3, 1, 0.5, 189, [1], 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_reuse_matches_all_pairs(case, joint_calls):
+    gamma, shots, seed, epsilon, ref_problems, sizes, tol = REUSE_CASES[case]
+    series = SnapshotSeries(
+        [
+            simulate_process_tomography(
+                ChannelSpec("unital", {"gamma": gamma, "t": t}),
+                TomographyConfig(shots=shots, seed=seed),
+            ).mat
+            for t in TIMES
+        ],
+        TIMES,
+    )
+    expected = all_pairs_best_fit_multi(series, epsilon)
+    (ref_targets, ref_deltas, ref_reports), = joint_calls
+    joint_calls.clear()
+    fit, maxiters = best_fit_multi(series, epsilon)
+
+    assert len(ref_reports) == ref_problems
+    assert [len(reports) for _, _, reports in joint_calls] == sizes
+    assert maxiters == 0
+    if expected is None:
+        assert fit is None
+    elif tol == 0:
+        np.testing.assert_array_equal(fit.lindbladian, expected.lindbladian)
+        assert (fit.distance, fit.branch) == (expected.distance, expected.branch)
+    else:
+        assert fit.branch == expected.branch
+        assert fit.distance == pytest.approx(expected.distance, abs=tol)
+        np.testing.assert_allclose(fit.lindbladian, expected.lindbladian, rtol=0, atol=10 * tol)
+    # every problem solved is one of the reference's, with the same solution
+    for targets, deltas, reports in joint_calls:
+        for t, delta, rep in zip(targets, deltas, reports):
+            (i,) = np.flatnonzero(
+                (ref_deltas == delta) & (ref_targets == t).all(axis=(1, 2, 3))
+            )
+            np.testing.assert_array_equal(rep.x_opt, ref_reports[i].x_opt)
+
+
+def test_maxiters_probe_is_not_reused(weak_series, joint_calls, monkeypatch):
+    """A probe cut at max_iters covers only its own pair: every other live
+    pair of its assignment is solved again, and each cut solve is counted."""
+    batch = solver.solve_joint_fit_batch
+    monkeypatch.setattr(
+        solver,
+        "solve_joint_fit_batch",
+        lambda targets, times, d, deltas: batch(
+            targets, times, d, deltas, solver.SolverSettings(max_iters=20)
+        ),
+    )
+    series = SnapshotSeries(weak_series[1], TIMES)
+    deltas, _, targets = assignment_grid(weak_series[1])
+    live = int(np.sum(solver.joint_infeasibility(targets, TIMES, deltas[:, None]) == 0))
+    _, maxiters = best_fit_multi(series, EPSILON)
+    statuses = [rep.status for _, _, reports in joint_calls for rep in reports]
+    assert [len(reports) for _, _, reports in joint_calls] == [1, live - 1]
+    assert maxiters == statuses.count(solver.MAX_ITERS) == live
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +422,7 @@ def write_series(tmp_path, name, mats):
 
 def run_multifit(tmp_path, files, times="1,2"):
     report = tmp_path / "report.json"
+    report.unlink(missing_ok=True)
     code = cli.main([
         "multifit", "--in", files, "--times", times,
         "--epsilon", str(EPSILON), "--report", str(report),
@@ -301,6 +436,8 @@ def test_cli_multifit_markovian(tmp_path, weak_series):
     assert code == cli.EXIT_OK
     assert doc["verdict"] == "Markovian"
     assert doc["settings"]["epsilon"] == EPSILON
+    assert doc["settings"]["delta_grid_snapshot"] == multisnap.DELTA_GRID_SNAPSHOT == 0
+    assert doc["joint_maxiters"] == 0
     res = doc["result"]
     for key in ("lindbladian", "distance", "lindblad_check_tolerance", "branch", "basis_sample"):
         assert key in res
@@ -318,6 +455,21 @@ def test_cli_multifit_no_result(tmp_path):
     code, doc = run_multifit(tmp_path, files)
     assert code == cli.EXIT_NO_RESULT
     assert doc["verdict"] == "NoResult" and "result" not in doc
+    assert doc["joint_maxiters"] == 0
+
+
+def test_cli_multifit_counts_maxiters(tmp_path, weak_series, monkeypatch):
+    batch = solver.solve_joint_fit_batch
+    statuses = []
+
+    def short(targets, times, d, deltas):
+        reports = batch(targets, times, d, deltas, solver.SolverSettings(max_iters=20))
+        statuses.extend(rep.status for rep in reports)
+        return reports
+
+    monkeypatch.setattr(solver, "solve_joint_fit_batch", short)
+    _, doc = run_multifit(tmp_path, write_series(tmp_path, "weak", weak_series[1]))
+    assert doc["joint_maxiters"] == statuses.count(solver.MAX_ITERS) == len(statuses) > 0
 
 
 def test_cli_multifit_times_count_mismatch(tmp_path, weak_series):
