@@ -534,6 +534,17 @@ def _positive(convert):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float, refusing inf and nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindbladfit",
@@ -561,12 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="cap the branch search to the first N of the canonical order",
         )
         p.add_argument(
-            "--delta-step", dest="delta_step", type=_positive(float), default=0.01
+            "--delta-step", dest="delta_step", type=_positive(_finite), default=0.01
         )
 
     def sample_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--samples", type=int, default=1, help="random repaired bases")
-        p.add_argument("--precision", type=float, default=preprocess.DEFAULT_PRECISION)
+        p.add_argument("--precision", type=_finite, default=preprocess.DEFAULT_PRECISION)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--jobs", type=_positive(int), default=1, help="parallel sample fits"
@@ -574,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_fit_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
-        p.add_argument("--epsilon", type=float, required=True, help="acceptance radius")
+        p.add_argument("--epsilon", type=_finite, required=True, help="acceptance radius")
         search_flags(p)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
 
@@ -590,9 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep-epsilon", help="scan the error budget, CSV out")
     sweep.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
-    sweep.add_argument("--from", dest="start", type=float, required=True)
-    sweep.add_argument("--to", dest="stop", type=float, required=True)
-    sweep.add_argument("--step", type=float, required=True)
+    sweep.add_argument("--from", dest="start", type=_finite, required=True)
+    sweep.add_argument("--to", dest="stop", type=_finite, required=True)
+    sweep.add_argument("--step", type=_finite, required=True)
     search_flags(sweep)
     sample_flags(sweep)
     sweep.add_argument("--csv", help="write the table here instead of stdout")
@@ -601,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     multi = sub.add_parser("multifit", help="joint fit across a snapshot time series")
     multi.add_argument("--in", dest="infile", required=True, help="comma-separated files")
     multi.add_argument("--times", required=True, help="comma-separated snapshot times")
-    multi.add_argument("--epsilon", type=float, required=True, help="acceptance radius")
+    multi.add_argument("--epsilon", type=_finite, required=True, help="acceptance radius")
     search_flags(multi)
     multi.add_argument("--report", help="write the JSON report here instead of stdout")
     multi.set_defaults(func=cmd_multifit)

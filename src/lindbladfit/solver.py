@@ -23,7 +23,7 @@ still running at ``max_iters``.  A program supplies only its prox blocks,
 its consensus update and what to record:
 
   * (P1): affine and cone blocks; z = (T + ρS)/(1 + 2ρ)
-  * (P2): affine, shifted cone on (X, μ) and ball blocks; z = S/3 for X
+  * (P2): slice-ball and shifted cone on (X, μ) blocks; z = S/2 for X
           and S − 1/ρ for μ
   * joint: affine, cone and one scaled-distance block per series term;
            z = S/(2 + q)
@@ -33,6 +33,8 @@ The prox blocks are closed-form projections:
 
   * affine set  {Tr₁[X] = 0}:  X ↦ X − (1/d)·1⊗Tr₁[X]
   * cone set    {ω⊥Xω⊥ ⪰ 0}:  subtract the negative spectral part of ω⊥Xω⊥
+  * slice-ball set {Tr₁[X] = 0} ∩ δ-ball:  the affine projection, then the
+                               ball projection within the slice
   * ball / distance prox:      radial closed forms (1-D after reduction);
                                the joint program's 1-D root is one masked
                                Newton iteration over the whole batch
@@ -226,6 +228,11 @@ class _Geometry:
 
     def cone_block(self, x, rho, data):
         return self.project_cone(x)
+
+    def slice_ball_block(self, x, rho, data):
+        # {Tr₁[X] = 0} ∩ ball around a center on the slice: the slice
+        # projection is orthogonal, so the ball projection after it is exact
+        return _project_ball(self.project_trace_zero(x), data["center"], data["radius"])
 
 
 _GEOMETRY: dict[int, _Geometry] = {}
@@ -477,10 +484,6 @@ def min_mu_infeasible(
     return _ball_misses(deltas[None, :], skew_norm[:, None], affine_gap[:, None])
 
 
-def _ball_block(x, rho, data):
-    return _project_ball(x, data["center"], data["radius"])
-
-
 def min_mu_batch(
     targets: np.ndarray,
     d: int,
@@ -494,7 +497,8 @@ def min_mu_batch(
     (``min_mu_infeasible`` evaluates the same test over a whole δ grid, so
     callers can keep such pairs out of the batch).  Its x_opt is the
     trace-zero projection of herm(T).  Deeper infeasibility (the ball
-    misses the cone) is not screened and surfaces as MaxIters.
+    misses the cone) is not screened and surfaces as MaxIters; every
+    other x_opt, MaxIters too, lies in the δ-ball and on the slice.
     """
     st = settings or SolverSettings()
     st.validate()
@@ -508,8 +512,9 @@ def min_mu_batch(
     t_h, x_affine, skew_norm, affine_gap = _reach(t_full, geo)
     scale = np.maximum(1.0, _fro(t_h))
     misses = _ball_misses(deltas, skew_norm, affine_gap)
-    # effective hermitian-space ball radius
-    radius = np.sqrt(np.maximum(deltas**2 - skew_norm**2, 0.0))
+    # the δ-ball's cut with the hermitian trace-zero slice: a ball there
+    # around the slice point of herm(T)
+    radius = np.sqrt(np.maximum(deltas**2 - skew_norm**2 - affine_gap**2, 0.0))
 
     reports: list[Optional[SolveReport]] = [None] * b
     dead = np.nonzero(misses)[0]
@@ -533,24 +538,18 @@ def min_mu_batch(
 
     def z_update(s, rho, data):
         # μ appears only in the objective (coefficient 1) and the cone block
-        return [s[0] / 3, s[1] - 1.0 / rho]
+        return [s[0] / 2, s[1] - 1.0 / rho]
 
     (x_sol, mu_sol), iters, converged = _admm(
         [t_h_l.copy(), geo.cone_deficit(t_h_l) * d],
-        [((0,), geo.affine_block), ((0, 1), shifted_cone_block), ((0,), _ball_block)],
+        [((0,), geo.slice_ball_block), ((0, 1), shifted_cone_block)],
         z_update,
-        {"center": t_h_l, "radius": radius[live]},
+        {"center": x_affine[live], "radius": radius[live]},
         scale_l,
         st,
-        # the ball block's output, made exactly trace-annihilating, and the
-        # cone block's μ
-        finish=lambda outs, z, done: [
-            geo.project_trace_zero(outs[2][done]), np.maximum(0.0, outs[1][1][done])
-        ],
-        settle=lambda z, data: [
-            geo.project_trace_zero(_project_ball(z[0], data["center"], data["radius"])),
-            np.maximum(0.0, z[1]),
-        ],
+        # the slice-ball block's output and the cone block's μ
+        finish=lambda outs, z, done: [outs[0][done], np.maximum(0.0, outs[1][1][done])],
+        settle=lambda z, data: [geo.slice_ball_block(z[0], None, data), np.maximum(0.0, z[1])],
     )
 
     # lift μ the last ~1e-9 so the returned pair is exactly cone-feasible;

@@ -120,6 +120,42 @@ def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypa
         assert not out.exists()
 
 
+# every float flag a fitting command reads, with the commands that take it
+FLOAT_FLAGS = [
+    ("fit", "--epsilon"), ("mu", "--epsilon"), ("multifit", "--epsilon"),
+    ("sweep-epsilon", "--from"), ("sweep-epsilon", "--to"), ("sweep-epsilon", "--step"),
+    ("fit", "--precision"), ("sweep-epsilon", "--precision"),
+    ("fit", "--delta-step"), ("mu", "--delta-step"), ("multifit", "--delta-step"),
+    ("sweep-epsilon", "--delta-step"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_non_finite_float_flags_exit_3_before_any_work(
+    tmp_path, snap, monkeypatch, command, flag, value
+):
+    """Rejected as the flags are parsed: no verdict, report or traceback.
+    Finite values keep their meaning (`mu --epsilon 0` is NoResult, sweep
+    rows at epsilon <= 0 are absent; tests above and below)."""
+
+    def no_work(*args):
+        raise AssertionError("the snapshot was processed")
+
+    monkeypatch.setattr(cli, "read_matrix_file", no_work)
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],
+        "mu": ["mu", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],
+        "multifit": ["multifit", "--in", f"{snap['depol']},{snap['depol']}", "--times", "1,2",
+                     "--epsilon", "0.05", "--report", str(out)],
+        "sweep-epsilon": ["sweep-epsilon", "--in", snap["depol"], "--from", "0.01", "--to",
+                          "0.05", "--step", "0.02", "--csv", str(out)],
+    }[command]
+    assert cli.main([*argv, f"{flag}={value}"]) == cli.EXIT_INPUT_ERROR
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert cli.main(["fit", "--help"]) == cli.EXIT_OK
     assert "--samples" in capsys.readouterr().out

@@ -46,18 +46,18 @@ GOLDEN = {
     "depol-0.2@1e+04": ("Markovian", 0, "samples", [0, 0, 0, 0], 1,
                         None, None, 0.044329548046338464),
     "unital-bench@1e+04": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
-                           0.07790307842411665, 4.569176807220499, 0.031280200145080705),
+                           0.07790307842411665, 4.569176793368797, 0.031280200145080705),
     "unital-weak-t1@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
     "unital-weak-t2@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
     "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None),
     "xgate@1e+05": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 2,
-                    0.06954367685598314, 2.563876031710542, 0.04508851283691049),
+                    0.06954367685598314, 2.5638760448407796, 0.04508851283691049),
     "depol-0.1@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
                         None, None, 0.011092271623487642),
     "depol-0.2@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
                         None, None, 0.012797672697245407),
     "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
-                           0.06667759669106713, 5.746707391960349, 0.02680759056218518),
+                           0.06667759669106713, 5.7467074114239125, 0.02680759056218518),
     "unital-weak-t1@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
     "unital-weak-t2@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
     "identity@1e+05": ("Identity", 0, "identity", None, None, None, None, None),

@@ -1,8 +1,9 @@
 """The white-noise measure: the (branch, delta) screen in front of the P2
 solver, the delta sweep on the benchmark unital channel, one batch over a
 stack of repaired samples against the per-sample loop it replaced, the
-MaxIters count, and the sweep against the closed-form noise rate of
-``analytical_mu_unital``.
+panel winners' rates against tight-tolerance solves, the X gate batch's
+iteration bound, the MaxIters count, and the sweep against the
+closed-form noise rate of ``analytical_mu_unital``.
 """
 
 import numpy as np
@@ -302,6 +303,59 @@ def test_a_sample_that_fails_the_log_audit_is_skipped():
     )
     with pytest.raises(NumericalFailure, match="all 2 samples"):
         non_markovianity(m, np.stack([bad, bad]), EPSILON)
+
+
+def _panel_stack(spec, shots, repaired):
+    """Snapshot and the stack of samples `fit` hands to the fallback."""
+    if repaired:
+        m, samples = _stack(spec, shots, EPSILON)
+        return m, np.stack([r for _, r in samples])
+    m = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
+    return m, m[None]
+
+
+# the panel's NonMarkovian inputs: the X gate fits repaired samples, the
+# benchmark unital its raw snapshot
+@pytest.mark.parametrize(
+    "spec, shots, repaired",
+    [
+        (ChannelSpec("xgate"), 10**4, True),
+        (ChannelSpec("xgate"), 10**5, True),
+        (ChannelSpec("unital", {"gamma": BENCH_GAMMA}), 10**4, False),
+        (ChannelSpec("unital", {"gamma": BENCH_GAMMA}), 10**5, False),
+    ],
+    ids=["X gate 1e4", "X gate 1e5", "benchmark 1e4", "benchmark 1e5"],
+)
+def test_winner_mu_is_within_1e7_of_a_tight_solve(spec, shots, repaired):
+    """The winner's rate against a solve of its own (target, delta) at
+    1e-13 tolerances."""
+    m, stack = _panel_stack(spec, shots, repaired)
+    res, maxiters = non_markovianity(m, stack, EPSILON)
+    assert res is not None and maxiters == 0
+    spectral, l0 = checked_log(stack[res.basis_sample])
+    target = branch_targets(l0, spectral, np.array([res.branch]))[0]
+    tight = solver.SolverSettings(primal_tol=1e-13, dual_tol=1e-13)
+    ref = solver.solve_min_mu(target, 2, res.delta_used, tight)
+    assert ref.status == solver.OPTIMAL
+    assert res.mu_min == pytest.approx(ref.mu, abs=1e-7)
+
+
+def test_x_gate_fallback_batch_converges_in_under_1000_iterations(monkeypatch):
+    """Every pair of the X gate (1e4 shots) fallback batch is Optimal, the
+    slowest within 1000 iterations."""
+    batch = solver.min_mu_batch
+    reports = []
+
+    def counted(targets, d, deltas):
+        out = batch(targets, d, deltas)
+        reports.extend(out)
+        return out
+
+    monkeypatch.setattr(solver, "min_mu_batch", counted)
+    non_markovianity(*_panel_stack(ChannelSpec("xgate"), 10**4, True), EPSILON)
+    assert len(reports) == 54
+    assert all(rep.status == solver.OPTIMAL for rep in reports)
+    assert max(rep.iterations for rep in reports) <= 1000
 
 
 def test_maxiters_reports_are_counted(monkeypatch):
