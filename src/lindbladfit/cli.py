@@ -8,9 +8,9 @@ setting that went into it, and the wall time, so a report alone is enough
 to reproduce the run.  ``sweep-epsilon`` writes a plot-ready CSV instead.
 
 ``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`: repair
-the snapshot once, take the best-fit Lindbladian over all repaired samples,
-and when it misses epsilon ask the same samples, in one batch, for the
-least white-noise rate mu.
+the snapshot once, search the branches of all repaired samples in one
+best-fit call, and when its winner misses epsilon ask the same samples, in
+one batch, for the least white-noise rate mu.
 
 Exit codes: 0 when any verdict is produced, 2 for NoResult, 3 for bad
 input, 4 for a numerical failure.
@@ -19,13 +19,11 @@ input, 4 for a numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -134,9 +132,11 @@ def _verdict_exit(verdict: str) -> int:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"--{flag} expects comma-separated numbers, got {text!r}") from exc
+        values = [_finite(part) for part in text.split(",") if part.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(
+            f"--{flag} expects comma-separated finite numbers, got {text!r}"
+        ) from exc
     if not values:
         raise InputError(f"--{flag} must list at least one number")
     return values
@@ -165,55 +165,6 @@ def _sample_config(args: argparse.Namespace) -> preprocess.RandomBasisConfig:
     return cfg
 
 
-def _fit_sample(mat: np.ndarray, policy: fitting.BranchPolicy, sample):
-    """Best fit over every branch of one repaired sample:
-    (k, fit, skipped, MaxIters P1 solves)."""
-    k, repaired = sample
-    try:
-        result, maxiters = fitting.best_fit_lindbladian(
-            mat, repaired, math.inf, policy, basis_sample_id=k
-        )
-    except NumericalFailure:
-        # A random basis can come out ill-conditioned enough to fail the
-        # logarithm audit; one bad draw must not abort the whole scan.
-        return k, None, True, 0
-    return k, result, False, maxiters
-
-
-def _fit_over_samples(
-    mat: np.ndarray,
-    samples: list[tuple[int, np.ndarray]],
-    policy: fitting.BranchPolicy,
-    jobs: int,
-    trace: Optional[list],
-) -> tuple[Optional[fitting.FitResult], int, int]:
-    """Minimum-distance fit over repaired samples, reduced by (distance, id).
-
-    Every sample is searched with an unbounded acceptance radius so the
-    per-sample distance is known even when it later fails the epsilon
-    test; the caller applies that test once to the winner, which is the
-    same decision the per-sample test would have produced.  Returns the
-    winner, the number of samples skipped for numerical reasons, and the
-    number of (P1) solves over all samples that ended MaxIters.
-    """
-    work = functools.partial(_fit_sample, mat, policy)
-    if jobs <= 1:
-        results = [work(sample) for sample in samples]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, samples, chunksize=4))
-    if trace is not None:
-        trace.extend([k, None if fit is None else fit.distance] for k, fit, _, _ in results)
-    skipped = sum(failed for _, _, failed, _ in results)
-    if results and skipped == len(results):
-        raise NumericalFailure(
-            f"all {skipped} repaired samples failed the logarithm audit"
-        )
-    fits = [fit for _, fit, _, _ in results if fit is not None]
-    best = min(fits, key=lambda fit: (fit.distance, fit.basis_sample_id), default=None)
-    return best, skipped, sum(maxiters for *_, maxiters in results)
-
-
 class _Decision(NamedTuple):
     kind: str
     verdict: str
@@ -231,23 +182,25 @@ def _decide(
     cfg: preprocess.RandomBasisConfig,
     precision: float,
     delta_step: float,
-    jobs: int,
     trace: Optional[list] = None,
     memo: Optional[dict] = None,
 ) -> _Decision:
     """The verdict on one snapshot at one epsilon.
 
-    Repairs the snapshot once and materializes its samples once.  The
-    best fit over them, by (distance, sample id), is Markovian when it
-    lands within epsilon.  Otherwise the same samples, stacked, go through
-    one ``nonmarkov.non_markovianity`` call, which solves every sample's
+    Repairs the snapshot once and stacks its samples once; sample k sits at
+    position k of the stack, so a winner's position is its sample id.  One
+    ``fitting.best_fit_lindbladian`` call searches every sample's branches
+    with an unbounded acceptance radius, so each sample's best distance is
+    known for the trace; the least (distance, sample id) is Markovian when
+    it lands within epsilon.  Otherwise the same stack goes through one
+    ``nonmarkov.non_markovianity`` call, which solves every sample's
     (branch, delta) pairs in one batch and picks the least mu, ties going
-    to the lower sample id.  The decision counts the MaxIters solves of
-    each solver stage it ran, (P1) over all samples and (P2).
+    to the lower sample id.  The decision counts the samples skipped by the
+    logarithm audit and the MaxIters solves of each solver stage it ran.
 
     Within one pipeline kind the samples do not depend on epsilon (it only
     decides whether the cluster bases are accepted, not what their vectors
-    are), so ``memo`` keeps each kind's samples and best fit for the next
+    are), so ``memo`` keeps each kind's stack and best fit for the next
     call on the same snapshot: a sweep runs each branch search once.
     """
     kind, stream = preprocess.repaired_samples(mat, precision, epsilon, cfg)
@@ -255,16 +208,21 @@ def _decide(
         return _Decision(kind, "Identity")
     memo = {} if memo is None else memo
     if kind not in memo:
-        samples = list(stream)
-        memo[kind] = (samples, *_fit_over_samples(mat, samples, policy, jobs, trace))
-    samples, fit, skipped, p1_maxiters = memo[kind]
+        stack = np.stack([r for _, r in stream])
+        fits: dict = {}
+        fit, p1_maxiters = fitting.best_fit_lindbladian(
+            mat, stack, math.inf, policy, sample_fits=fits
+        )
+        if trace is not None:
+            trace.extend([k, getattr(fits.get(k), "distance", None)] for k in range(len(stack)))
+        memo[kind] = (stack, fit, len(stack) - len(fits), p1_maxiters)
+    stack, fit, skipped, p1_maxiters = memo[kind]
     if fit is not None and fit.distance < epsilon:
         return _Decision(kind, "Markovian", fit=fit, skipped=skipped, p1_maxiters=p1_maxiters)
     # No branch of any sample lands inside the epsilon ball; ask instead
-    # how much white noise would reconcile the snapshot.  Sample k sits at
-    # position k of the stack, so the winner's position is its sample id.
+    # how much white noise would reconcile the snapshot.
     mu, p2_maxiters = nonmarkov.non_markovianity(
-        mat, np.stack([r for _, r in samples]), epsilon, policy, delta_step=delta_step
+        mat, stack, epsilon, policy, delta_step=delta_step
     )
     verdict = "NoResult" if mu is None else "NonMarkovian"
     return _Decision(
@@ -350,12 +308,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "precision": args.precision,
         "seed": args.seed,
         "delta_step": args.delta_step,
-        "jobs": args.jobs,
     }
     trace: Optional[list] = [] if args.trace else None
-    decision = _decide(
-        mat, args.epsilon, policy, cfg, args.precision, args.delta_step, args.jobs, trace
-    )
+    decision = _decide(mat, args.epsilon, policy, cfg, args.precision, args.delta_step, trace)
     doc: dict[str, Any] = {
         "input_digest": _file_digest(args.infile),
         "settings": settings,
@@ -450,8 +405,7 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
         # fit refuses epsilon <= 0: no candidate can pass distance < epsilon.
         if eps > 0:
             decision = _decide(
-                mat, eps, policy, cfg, args.precision, args.delta_step, args.jobs,
-                memo=memo,
+                mat, eps, policy, cfg, args.precision, args.delta_step, memo=memo
             )
             if decision.verdict == "Identity":
                 # Consistent with the identity map: no noise needed.
@@ -579,9 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=1, help="random repaired bases")
         p.add_argument("--precision", type=_finite, default=preprocess.DEFAULT_PRECISION)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--jobs", type=_positive(int), default=1, help="parallel sample fits"
-        )
 
     def common_fit_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")

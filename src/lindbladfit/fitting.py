@@ -1,29 +1,36 @@
 """Best-fit Lindbladian search over matrix-logarithm branches.
 
-Given a tomographic snapshot M and a matrix R with simple spectrum (either
-M itself or a basis-repaired stand-in produced by the cluster
-pre-processing), every candidate generator lives on some branch
+Given a tomographic snapshot M and a stack of matrices R_k with simple
+spectra (M itself, a stack of one, or the basis-repaired samples produced
+by the cluster pre-processing), every candidate generator lives on some
+branch
 
-    L_m = log R + 2*pi*i * sum_j m_j P_j,
+    L_m = log R_k + 2*pi*i * sum_j m_j P_j,
 
-with P_j the spectral projectors of R.  Each branch target is pushed
+with P_j the spectral projectors of R_k.  Each branch target is pushed
 through the closest-generator program and the winner is the candidate
 whose exponential lands closest to the *raw* snapshot M, accepted only
-when that distance beats epsilon.
+when that distance beats epsilon.  A sample whose logarithm fails its
+audit is skipped; the search fails only when every sample does.
 
 Branches are enumerated exhaustively over {-m_max..m_max}^(d^2), ordered
-by increasing sum of |m_j| with lexicographic tie-break, and solved in
-that order, so results are deterministic.  Early termination is allowed
-only once a branch gets within 1e-12 of the snapshot.
+by increasing sum of |m_j| with lexicographic tie-break, so results are
+deterministic.  The closest-generator program sees a target only through
+its hermitian part (the skew part adds a constant to the objective), so
+branches whose targets share herm(T) share one solution and one distance.
+Each sample's branches are grouped into these herm classes first
+(``herm_classes``), each class is solved once at its leader, its lowest
+enumeration position, and every member gets that solution and distance.
 
-The closest-generator program sees a target only through its hermitian
-part (the skew part adds a constant to the objective), so branches whose
-targets share herm(T) share one solution and one distance.  The search
-groups the branches into these herm classes first (``herm_classes``),
-solves each class once at its leader, its lowest enumeration position,
-and gives every member that solution and distance.  Members of one class
-therefore tie exactly, and the winner is the first class by (distance,
-leader position).
+All samples solve in lockstep rounds, one solver batch per round: round 0
+holds every sample's first leader, each later round the next ``P1_CHUNK``
+leaders of every sample still running.  A sample stops early, on its own,
+once a round lands one of its classes within 1e-12 of the snapshot; when
+the snapshot is already an exponential of a Lindbladian, its leading
+branch does so in round 0 and the rest of the grid is never touched.  Each
+sample's winner is its first Lindblad-certified class by distance, then
+leader position; the overall winner is the least (distance, sample), and
+its ``basis_sample_id`` is its position in the stack.
 
 ``nonmarkov.non_markovianity`` and ``multisnap.best_fit_multi`` accept a
 candidate through the same certificate: its exponential lands strictly
@@ -76,7 +83,7 @@ EARLY_STOP_DISTANCE = 1e-12
 #: Tolerance of the is-it-really-a-Lindbladian audit on every search's winner.
 VERIFY_TOL = 1e-7
 
-#: Herm classes solved per (P1) batch after the first, singleton one.
+#: Herm classes per sample in each (P1) round after the first, singleton one.
 P1_CHUNK = 256
 
 #: Branch targets whose hermitian parts lie within this distance, relative
@@ -114,7 +121,7 @@ class FitResult:
     lindbladian: np.ndarray
     distance: float
     branch: tuple[int, ...]
-    basis_sample_id: Optional[int] = None
+    basis_sample_id: Optional[int] = None  # stack position; None for a series fit
 
 
 def _shell(dim: int, m_max: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -205,59 +212,90 @@ def herm_classes(targets: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _branch_setup(
-    m_snapshot, r: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, int, SpectralData, np.ndarray]:
-    """The checks and the logarithm every single-snapshot branch search
-    starts from: (snapshot matrix, side dimension, spectrum of R, log R)."""
+def _audited_logs(
+    m_snapshot, r, epsilon: float
+) -> tuple[np.ndarray, int, list[tuple[int, SpectralData, np.ndarray]]]:
+    """The checks and logarithms every single-snapshot search starts from:
+    (snapshot matrix, side dimension, [(k, spectrum, log R_k)]).
+
+    ``r`` is one matrix or a (K, n, n) stack of repaired samples; a single
+    matrix is a stack of one.  A sample whose logarithm fails its audit
+    (``checked_log``) is left out, since one ill-conditioned random basis
+    must not abort the search; when every sample fails, ``NumericalFailure``
+    is raised.
+    """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
     m = snapshot_matrix(m_snapshot)
-    r = np.asarray(r, dtype=complex)
-    if r.shape != m.shape:
+    stack = np.asarray(r, dtype=complex)
+    if stack.ndim == 2:
+        stack = stack[None]
+    if stack.shape[1:] != m.shape:
         raise OutOfRange(
-            f"snapshot and repaired matrix disagree: {m.shape} vs {r.shape}"
+            f"snapshot and repaired matrix disagree: {m.shape} vs {stack.shape[1:]}"
         )
-    d = side_dim(r.shape[0])
-    spectral, l0 = checked_log(r)
-    return m, d, spectral, l0
+    d = side_dim(m.shape[0])
+    audited, failure = [], None
+    for k, repaired in enumerate(stack):
+        try:
+            audited.append((k, *checked_log(repaired)))
+        except NumericalFailure as exc:
+            failure = exc
+    if not audited:
+        raise NumericalFailure(
+            f"all {len(stack)} samples failed the logarithm audit; last: {failure}"
+        ) from failure
+    return m, d, audited
 
 
 def _solve_classes(
-    m: np.ndarray, targets: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Solve (P1) once per herm class of the branch targets, leaders in order.
+    m: np.ndarray, targets: list[np.ndarray], d: int
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+    """Solve (P1) once per herm class of each sample's branch targets.
 
-    Returns the class of every branch (-1 where the class was never solved
-    because the search stopped early), each solved class's Choi-side
-    solution and exponential's distance to M, and the number of solves
-    the solver reported as MaxIters.  Classes are numbered in the order
-    of their leaders.
+    ``targets`` holds one stack of branch targets per sample; all samples
+    solve in lockstep rounds of one solver batch each (see the module
+    docstring).  Returns, per sample, the class of every branch (-1 where
+    the class was never solved because the sample stopped early), each
+    solved class's Choi-side solution and its exponential's distance to M;
+    and the number of solves the solver reported as MaxIters.  Classes are
+    numbered in the order of their leaders.
     """
-    owner = herm_classes(targets)
-    leaders = np.unique(owner)
-    label = np.searchsorted(leaders, owner)
-
-    # The first solve is a singleton chunk: for a snapshot that is already
-    # an exponential of a Lindbladian, the leading branch lands below the
-    # early-stop distance and the remaining grid is never touched.
-    bounds = [0, 1]
-    while bounds[-1] < len(leaders):
-        bounds.append(min(bounds[-1] + P1_CHUNK, len(leaders)))
-
-    xs, dists, maxiters = [], [], 0
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        reports = solver.closest_lindbladian_batch(targets[leaders[start:end]], d)
-        x_stack = np.stack([report.x_opt for report in reports])
+    labels, leaders = [], []
+    for sample_targets in targets:
+        owner = herm_classes(sample_targets)
+        leaders.append(np.unique(owner))
+        labels.append(np.searchsorted(leaders[-1], owner))
+    xs = [[] for _ in targets]
+    dists = [[] for _ in targets]
+    count = np.zeros(len(targets), dtype=int)  # classes solved per sample
+    running = list(range(len(targets)))
+    size, maxiters = 1, 0
+    while running:
+        picks = [leaders[k][count[k]:count[k] + size] for k in running]
+        reports = solver.closest_lindbladian_batch(
+            np.concatenate([targets[k][p] for k, p in zip(running, picks)]), d
+        )
+        x_round = np.stack([report.x_opt for report in reports])
         maxiters += sum(report.status == solver.MAX_ITERS for report in reports)
-        exps = expm(gamma_involution(x_stack))
-        xs.append(x_stack)
-        dists.append(np.linalg.norm(m[None, :, :] - exps, axis=(-2, -1)))
-        if np.any(dists[-1] < EARLY_STOP_DISTANCE):
-            break
-    distances = np.concatenate(dists)
-    label[label >= len(distances)] = -1
-    return label, np.concatenate(xs), distances, maxiters
+        d_round = np.linalg.norm(
+            m[None, :, :] - expm(gamma_involution(x_round)), axis=(-2, -1)
+        )
+        cuts = np.cumsum([len(p) for p in picks])[:-1]
+        for k, x, dist in zip(running, np.split(x_round, cuts), np.split(d_round, cuts)):
+            xs[k].append(x)
+            dists[k].append(dist)
+            count[k] += len(dist)
+        running = [
+            k for k in running
+            if count[k] < len(leaders[k]) and not np.any(dists[k][-1] < EARLY_STOP_DISTANCE)
+        ]
+        size = P1_CHUNK
+    for label, n in zip(labels, count):
+        label[label >= n] = -1
+    solved = [(label, np.concatenate(x), np.concatenate(dist))
+              for label, x, dist in zip(labels, xs, dists)]
+    return solved, maxiters
 
 
 def best_fit_lindbladian(
@@ -266,36 +304,50 @@ def best_fit_lindbladian(
     epsilon: float,
     policy: BranchPolicy = BranchPolicy(),
     *,
-    basis_sample_id: Optional[int] = None,
+    sample_fits: Optional[dict] = None,
 ) -> tuple[Optional[FitResult], int]:
-    """Search all logarithm branches of R for the Lindbladian closest to M.
+    """Search all logarithm branches of every sample for the Lindbladian
+    closest to M.
 
-    Returns the minimal-distance result whose exponential lands strictly
-    within ``epsilon`` of the raw snapshot (None when no branch does), and
-    the number of (P1) solves the solver reported as MaxIters.  Every
-    member of a herm class shares its leader's distance, so ties are
-    broken by enumeration order.
+    ``r`` is one matrix or a (K, n, n) stack of repaired samples.  Returns
+    the winner, the least (distance, sample) of the samples' winners whose
+    exponential lands strictly within ``epsilon`` of the raw snapshot (None
+    when no branch of any sample does), and the number of (P1) solves the
+    solver reported as MaxIters.  When ``sample_fits`` is given, it receives
+    each audited sample's own winner (or None), keyed by stack position;
+    samples that failed the logarithm audit are absent.
     """
-    m, d, spectral, l0 = _branch_setup(m_snapshot, r, epsilon)
+    m, d, audited = _audited_logs(m_snapshot, r, epsilon)
     branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
-    targets = branch_targets(l0, spectral, branches)
-    label, x_opts, distances, maxiters = _solve_classes(m, targets, d)
+    targets = [branch_targets(l0, spectral, branches) for _, spectral, l0 in audited]
+    solved, maxiters = _solve_classes(m, targets, d)
 
-    # Distances below the early-stop threshold are ties in exact arithmetic
-    # (all branches of log R share the exponential R); rank them as zero so
-    # they too are resolved by enumeration order instead of floating-point
-    # jitter.  Class numbers follow leader positions, so a stable sort
-    # breaks the remaining ties by enumeration order.
-    ranked = np.where(distances >= EARLY_STOP_DISTANCE, distances, 0.0)
-    for k in np.argsort(ranked, kind="stable"):
-        if distances[k] >= epsilon:
-            break
-        lindbladian = gamma_involution(x_opts[k])
-        if is_lindbladian(lindbladian, tol=VERIFY_TOL).ok:
-            return FitResult(
-                lindbladian=lindbladian,
-                distance=float(distances[k]),
-                branch=tuple(int(v) for v in branches[np.argmax(label == k)]),
-                basis_sample_id=basis_sample_id,
-            ), maxiters
-    return None, maxiters
+    fits = {}
+    for (k, _, _), (label, x_opts, distances) in zip(audited, solved):
+        fits[k] = None
+        # Distances below the early-stop threshold are ties in exact
+        # arithmetic (all branches of log R share the exponential R); rank
+        # them as zero so they too are resolved by enumeration order instead
+        # of floating-point jitter.  Class numbers follow leader positions,
+        # so a stable sort breaks the remaining ties by enumeration order.
+        ranked = np.where(distances >= EARLY_STOP_DISTANCE, distances, 0.0)
+        for c in np.argsort(ranked, kind="stable"):
+            if distances[c] >= epsilon:
+                break
+            lindbladian = gamma_involution(x_opts[c])
+            if is_lindbladian(lindbladian, tol=VERIFY_TOL).ok:
+                fits[k] = FitResult(
+                    lindbladian=lindbladian,
+                    distance=float(distances[c]),
+                    branch=tuple(int(v) for v in branches[np.argmax(label == c)]),
+                    basis_sample_id=k,
+                )
+                break
+    if sample_fits is not None:
+        sample_fits.update(fits)
+    best = min(
+        (fit for fit in fits.values() if fit is not None),
+        key=lambda fit: (fit.distance, fit.basis_sample_id),
+        default=None,
+    )
+    return best, maxiters

@@ -35,7 +35,7 @@ from .errors import NumericalFailure, OutOfRange, PreconditionViolated
 from .fitting import (
     VERIFY_TOL,
     BranchPolicy,
-    _branch_setup,
+    _audited_logs,
     branch_targets,
     enumerate_branches,
     snapshot_matrix,
@@ -175,21 +175,12 @@ def non_markovianity(
     Returns the winner (None when no point is accepted) and the number of
     solved pairs the solver reported as MaxIters.
     """
-    m = snapshot_matrix(m_snapshot)
-    stack = np.asarray(r, dtype=complex)
-    if stack.ndim == 2:
-        stack = stack[None]
+    m, d, audited = _audited_logs(m_snapshot, r, epsilon)
     branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
 
     # live (sample, branch, delta) pairs, each sample's in row-major order
     sample, bi, di, targets, deltas = [], [], [], [], []
-    failure = None
-    for k, repaired in enumerate(stack):
-        try:
-            _, d, spectral, l0 = _branch_setup(m, repaired, epsilon)
-        except NumericalFailure as exc:
-            failure = exc
-            continue
+    for k, spectral, l0 in audited:
         grid = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step).grid()
         sample_targets = branch_targets(l0, spectral, branches)
         b, j = np.nonzero(~solver.min_mu_infeasible(sample_targets, d, grid))
@@ -198,10 +189,6 @@ def non_markovianity(
         di.append(j)
         targets.append(sample_targets[b])
         deltas.append(grid[j])
-    if not sample:
-        raise NumericalFailure(
-            f"all {len(stack)} samples failed the logarithm audit; last: {failure}"
-        ) from failure
     sample, bi, di, targets, deltas = (
         np.concatenate(v) for v in (sample, bi, di, targets, deltas)
     )

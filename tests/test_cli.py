@@ -1,16 +1,17 @@
 """The command-line front end: exit codes, the `fit` report, the mu
-fallback's one P2 batch, the P1 and P2 MaxIters counts, `--jobs` and
-`--trace`, and `sweep-epsilon` rows against `fit` at the same epsilon.
+fallback's one P2 batch, the P1 and P2 MaxIters counts, `--trace`, samples
+that fail the logarithm audit, and `sweep-epsilon` rows against `fit` at
+the same epsilon.
 """
 
 import json
-import multiprocessing
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, preprocess, solver
+from lindbladfit import cli, fitting, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -96,7 +97,8 @@ def test_input_errors_exit_3(tmp_path, snap):
     [("--delta-step", "0"), ("--delta-step", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
 )
 def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypatch, flag, value):
-    """Rejected as the flags are parsed, whatever the verdict would be."""
+    """Rejected as the flags are parsed, whatever the verdict would be.
+    `--jobs` is not a flag of any command: like any unknown flag, it exits 3."""
 
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
@@ -153,6 +155,25 @@ def test_non_finite_float_flags_exit_3_before_any_work(
                           "0.05", "--step", "0.02", "--csv", str(out)],
     }[command]
     assert cli.main([*argv, f"{flag}={value}"]) == cli.EXIT_INPUT_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multifit", "--in", "{depol},{depol}", "--times", "1,inf", "--epsilon", "0.05",
+         "--report", "{out}"],
+        ["simulate", "--channel", "unital", "--gamma", "0.1,0.2,nan", "--t", "1", "--out", "{out}"],
+        ["simulate", "--channel", "depolarizing", "--p", "inf", "--out", "{out}"],
+    ],
+    ids=["times", "gamma", "p"],
+)
+def test_non_finite_list_elements_exit_3(tmp_path, snap, argv):
+    """Every element of a number-list flag must be finite: no report, no
+    matrix file, no traceback."""
+    out = tmp_path / "out"
+    argv = [arg.format(depol=snap["depol"], out=out) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     assert not out.exists()
 
 
@@ -276,18 +297,6 @@ def test_p1_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatc
     assert doc["p1_maxiters"] == statuses.count(solver.MAX_ITERS) > len(statuses) // 2
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers inherit the cut solver only when forked",
-)
-def test_p1_maxiters_count_survives_worker_processes(tmp_path, snap, monkeypatch):
-    short_p1(monkeypatch, [])
-    flags = ("--samples", "4")
-    _, serial = fit(tmp_path, snap["depol"], EPSILON, *flags)
-    _, parallel = fit(tmp_path, snap["depol"], EPSILON, *flags, "--jobs", "2")
-    assert parallel["p1_maxiters"] == serial["p1_maxiters"] > 0
-
-
 @pytest.mark.parametrize("scale", [0.5, 0.0], ids=["half identity", "zero"])
 def test_one_cluster_far_from_the_identity_is_not_identity(tmp_path, scale):
     """A spectrum that is one tight positive cluster is Identity only when
@@ -305,19 +314,75 @@ def test_identity_report(tmp_path, snap):
     assert doc["trace"] == {"samples": []}
 
 
-def test_jobs_and_trace(tmp_path, snap):
-    flags = ("--samples", "4", "--trace")
-    _, serial = fit(tmp_path, snap["depol"], EPSILON, *flags)
-    _, parallel = fit(tmp_path, snap["depol"], EPSILON, *flags, "--jobs", "2")
-    assert parallel["settings"].pop("jobs") == 2
-    assert serial["settings"].pop("jobs") == 1
-    assert parallel == serial
-    # One [sample id, best distance over its branches] entry per sample, and
-    # the report's winner is the least of them.
-    samples = serial["trace"]["samples"]
+def test_trace_lists_every_sample(tmp_path, snap):
+    """One [sample id, best distance over its branches] entry per sample,
+    and the report's winner is the least of them."""
+    _, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4", "--trace")
+    samples = doc["trace"]["samples"]
     assert [k for k, _ in samples] == [0, 1, 2, 3]
     k, distance = min(samples, key=lambda entry: (entry[1], entry[0]))
-    assert (k, distance) == (serial["result"]["basis_sample"], serial["result"]["distance"])
+    assert (k, distance) == (doc["result"]["basis_sample"], doc["result"]["distance"])
+    assert "samples_skipped" not in doc
+
+
+def _ill_conditioned():
+    """A 4x4 matrix whose exp(log R) round trip fails the logarithm audit:
+    two of its eigenvectors are 1e-6 apart."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((4, 4)) + 0j
+    v[:, 1] = v[:, 0] + 1e-6 * rng.standard_normal(4)
+    return (v * np.array([1.0, 0.5, 0.7, 0.9])) @ np.linalg.inv(v)
+
+
+def fail_audit(monkeypatch, bad):
+    """Swap the repaired samples at the positions in ``bad`` for a matrix
+    that fails the logarithm audit; returns the list that records the
+    original samples of the latest repair."""
+    repair = preprocess.repaired_samples
+    drawn = []
+
+    def swapped(*args):
+        kind, stream = repair(*args)
+        drawn.clear()
+
+        def samples():
+            for k, r in stream:
+                drawn.append(r)
+                yield k, _ill_conditioned() if k in bad else r
+
+        return kind, samples()
+
+    monkeypatch.setattr(preprocess, "repaired_samples", swapped)
+    return drawn
+
+
+def test_a_sample_that_fails_the_log_audit_is_skipped(tmp_path, snap, monkeypatch):
+    """Sample 3, the winner of the clean run, fails the audit; the other
+    three decide."""
+    flags = ("--samples", "4", "--trace")
+    _, clean = fit(tmp_path, snap["depol"], EPSILON, *flags)
+    assert clean["result"]["basis_sample"] == 3
+    drawn = fail_audit(monkeypatch, {3})
+    code, doc = fit(tmp_path, snap["depol"], EPSILON, *flags)
+    assert (code, doc["verdict"], doc["samples_skipped"]) == (cli.EXIT_OK, "Markovian", 1)
+    samples = doc["trace"]["samples"]
+    assert samples[3] == [3, None]
+    assert samples[:3] == clean["trace"]["samples"][:3]
+    # the verdict is the one the three good samples give alone
+    good = [0, 1, 2]
+    want, _ = fitting.best_fit_lindbladian(
+        cli.read_matrix_file(snap["depol"]), np.stack([drawn[k] for k in good]), math.inf
+    )
+    res = doc["result"]
+    assert res["basis_sample"] == good[want.basis_sample_id]
+    assert (res["distance"], res["branch"]) == (want.distance, list(want.branch))
+
+
+def test_all_samples_failing_the_log_audit_exits_4(tmp_path, snap, monkeypatch):
+    fail_audit(monkeypatch, {0, 1, 2, 3})
+    assert fit(tmp_path, snap["depol"], EPSILON, "--samples", "4") == (
+        cli.EXIT_NUMERICAL_FAILURE, None
+    )
 
 
 # ----------------------------------------------------------------------

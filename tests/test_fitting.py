@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, fitting, preprocess
+from lindbladfit import cli, fitting, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -162,9 +162,12 @@ def test_transfer_matrix_accepted_as_snapshot():
 
 
 def test_basis_sample_id_passthrough():
+    """The winner's basis_sample_id is its position in the stack."""
     t = unital_transfer((0.3, 0.5, 0.8))
-    res, _ = best_fit_lindbladian(t.mat, t.mat, 1e-6, basis_sample_id=17)
-    assert res.basis_sample_id == 17
+    assert best_fit_lindbladian(t.mat, t.mat, 1e-6)[0].basis_sample_id == 0
+    far = unital_transfer((0.4, 0.6, 0.9)).mat
+    res, _ = best_fit_lindbladian(t.mat, np.stack([far, far, t.mat]), 1e-6)
+    assert res.basis_sample_id == 2
 
 
 def test_fit_input_validation():
@@ -221,17 +224,26 @@ def _repaired(spec, shots, samples):
 
 
 def _class_solve(mat, r, policy):
+    """(branches, targets, label, x_opts, distances) of one sample's search."""
     spectral, l0 = checked_log(r)
     branches = np.array(list(enumerate_branches(policy, r.shape[0])))
     targets = branch_targets(l0, spectral, branches)
     d = side_dim(r.shape[0])
-    return (branches, targets) + _solve_classes(mat, targets, d)
+    (solved,), _ = _solve_classes(mat, [targets], d)
+    return (branches, targets) + solved
 
 
 @pytest.fixture(scope="module")
-def depol_case():
-    """d=2 depolarizing p=0.1: the fourth repaired sample wins the fit."""
-    mat, samples = _repaired(ChannelSpec("depolarizing", {"p": 0.1}), 10**4, 4)
+def depol_stack():
+    """d=2 depolarizing p=0.1, 10^4 shots: the snapshot and its four
+    repaired samples."""
+    return _repaired(ChannelSpec("depolarizing", {"p": 0.1}), 10**4, 4)
+
+
+@pytest.fixture(scope="module")
+def depol_case(depol_stack):
+    """The fourth repaired sample, the one that wins the fit."""
+    mat, samples = depol_stack
     return mat, samples[3], BranchPolicy(1)
 
 
@@ -264,7 +276,7 @@ def test_herm_classes_never_chain():
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
 def test_quotient_matches_per_branch_solves(case, request):
     mat, r, policy = request.getfixturevalue(case)
-    branches, targets, label, x_opts, distances, _ = _class_solve(mat, r, policy)
+    branches, targets, label, x_opts, distances = _class_solve(mat, r, policy)
     assert (label >= 0).all()
     assert len(distances) < len(branches)  # some class has several members
     d = side_dim(r.shape[0])
@@ -287,13 +299,70 @@ def test_quotient_winner_does_not_depend_on_chunk_size(case, request, monkeypatc
 def test_class_members_report_the_lowest_enumeration_position(depol_case):
     """The winning class reports its lowest enumeration position."""
     mat, r, policy = depol_case
-    branches, _, label, _, distances, _ = _class_solve(mat, r, policy)
+    branches, _, label, _, distances = _class_solve(mat, r, policy)
     res, _ = best_fit_lindbladian(mat, r, np.inf, policy)
     won = [tuple(b) for b in branches].index(res.branch)
     members = np.nonzero(label == label[won])[0]
     assert len(members) >= 5  # the five branches that tie in distance
     assert won == members.min()
     assert res.distance == distances[label[won]]
+
+
+# ----------------------------------------------------------------------
+# the stacked search
+# ----------------------------------------------------------------------
+
+def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
+    """One search over the stack picks what one search per sample, reduced
+    by (distance, sample id), picks; also with single-class rounds."""
+    mat, samples = depol_stack
+    policy = BranchPolicy(1)
+    per_sample = [best_fit_lindbladian(mat, r, np.inf, policy)[0] for r in samples]
+    want = min(range(len(samples)), key=lambda k: (per_sample[k].distance, k))
+    fits = {}
+    res, _ = best_fit_lindbladian(mat, np.stack(samples), np.inf, policy, sample_fits=fits)
+    assert res.basis_sample_id == want == 3
+    assert (res.distance, res.branch) == (per_sample[want].distance, per_sample[want].branch)
+    assert np.array_equal(res.lindbladian, per_sample[want].lindbladian)
+    assert [fits[k].distance for k in range(4)] == [fit.distance for fit in per_sample]
+    monkeypatch.setattr(fitting, "P1_CHUNK", 1)
+    chunked, _ = best_fit_lindbladian(mat, np.stack(samples), np.inf, policy)
+    assert (chunked.basis_sample_id, chunked.branch) == (want, res.branch)
+    assert chunked.distance == pytest.approx(res.distance, abs=1e-12)
+
+
+def test_early_stop_is_per_sample(monkeypatch):
+    """Sample 0 is the snapshot exp(L) itself and stops after the singleton
+    round; the noisy sample 1 still solves every one of its classes."""
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)).mat)
+    rng = np.random.default_rng(1)
+    noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    noisy = m + 0.05 * noise / frobenius(noise)
+    spectral, l0 = checked_log(noisy)
+    branches = np.array(list(enumerate_branches(BranchPolicy(1), 4)))
+    classes = len(np.unique(herm_classes(branch_targets(l0, spectral, branches))))
+    batch = solver.closest_lindbladian_batch
+    rounds = []
+
+    def counting(targets, d):
+        rounds.append(len(targets))
+        return batch(targets, d)
+
+    monkeypatch.setattr(solver, "closest_lindbladian_batch", counting)
+    monkeypatch.setattr(fitting, "P1_CHUNK", 8)
+    res, _ = best_fit_lindbladian(m, np.stack([m, noisy]), 1e-6)
+    assert classes > 17  # sample 1 runs at least three rounds after the first
+    assert rounds == [2] + [min(8, classes - j) for j in range(1, classes, 8)]
+    assert res.basis_sample_id == 0 and res.distance < 1e-9
+
+
+def test_a_single_matrix_is_a_stack_of_one(depol_case):
+    mat, r, policy = depol_case
+    a, a_maxiters = best_fit_lindbladian(mat, r, np.inf, policy)
+    b, b_maxiters = best_fit_lindbladian(mat, r[None], np.inf, policy)
+    assert a.basis_sample_id == b.basis_sample_id == 0
+    assert (a.distance, a.branch, a_maxiters) == (b.distance, b.branch, b_maxiters)
+    assert np.array_equal(a.lindbladian, b.lindbladian)
 
 
 @pytest.mark.parametrize("shots", [10**4, 10**5])
