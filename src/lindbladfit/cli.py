@@ -92,10 +92,12 @@ def read_matrix_file(path: str) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: expected an object with dim and data") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputError(f"{path}: dim must be a JSON integer, got {dim!r}")
     if dim < 1 or not isinstance(data, list) or len(data) != dim * dim:
         raise InputError(
             f"{path}: data length {len(data) if isinstance(data, list) else '?'}"
@@ -149,13 +151,13 @@ def _float_list(text: str, flag: str) -> list[float]:
 def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
     policy = fitting.BranchPolicy(m_max=args.m_max, max_branches=args.max_branches)
     policy.validate()
-    if policy.max_branches is None:
-        grid = (2 * policy.m_max + 1) ** dim
-        if grid > MAX_UNCAPPED_BRANCHES:
-            raise InputError(
-                f"m_max={policy.m_max} enumerates {grid} logarithm branches at"
-                f" dimension {dim}; pass --max-branches to cap the search"
-            )
+    grid = (2 * policy.m_max + 1) ** dim
+    if min(grid, policy.max_branches or grid) > MAX_UNCAPPED_BRANCHES:
+        raise InputError(
+            f"m_max={policy.m_max} enumerates {grid} logarithm branches at"
+            f" dimension {dim}; pass --max-branches {MAX_UNCAPPED_BRANCHES} or"
+            " less to cap the search"
+        )
     return policy
 
 

@@ -15,26 +15,29 @@ snapshot series: minimize Σ_c ‖t_c X − T_c‖_F under a δ-ball per term pl
 the same affine/cone constraints.
 
 All three are solved by one engine, ``_admm``: lockstep, over-relaxed
-consensus ADMM over a batch of problems.  The engine owns the iteration
-(over-relaxation, consensus sums, dual updates, primal and dual residuals,
-the stopping test), retires each problem as it converges, balances each
-problem's step size ρ every 100 iterations and settles the problems
-still running at ``max_iters``.  A program supplies only its prox blocks,
-its consensus update and what to record:
+consensus ADMM over a batch of problems, with one consensus matrix X per
+problem.  The engine owns the iteration (over-relaxation, consensus sums,
+dual updates, primal and dual residuals, the stopping test), retires each
+problem as it converges, balances each problem's step size ρ every 100
+iterations and settles the problems still running at ``max_iters``.  A
+program supplies only its prox blocks, its consensus update and what to
+record:
 
   * (P1): affine and cone blocks; z = (T + ρS)/(1 + 2ρ)
-  * (P2): slice-ball and shifted cone on (X, μ) blocks; z = S/2 for X
-          and S − 1/ρ for μ
+  * (P2): slice-ball and noise-rate blocks; z = S/2
   * joint: affine, cone and one scaled-distance block per series term;
            z = S/(2 + q)
 
 where S is the sum of the over-relaxed block outputs and their duals.
-The prox blocks are closed-form projections:
+The prox blocks are closed forms:
 
   * affine set  {Tr₁[X] = 0}:  X ↦ X − (1/d)·1⊗Tr₁[X]
   * cone set    {ω⊥Xω⊥ ⪰ 0}:  subtract the negative spectral part of ω⊥Xω⊥
   * slice-ball set {Tr₁[X] = 0} ∩ δ-ball:  the affine projection, then the
                                ball projection within the slice
+  * noise rate  d·max(0, −λ_min(ω⊥Xω⊥)):  lift the eigenvalues of ω⊥Xω⊥
+                               below a floor f ≤ 0 up to f, with f the root
+                               of Σ relu(f − λ_i) = d/ρ (a water level)
   * ball / distance prox:      radial closed forms (1-D after reduction);
                                the joint program's 1-D root is one masked
                                Newton iteration over the whole batch
@@ -42,9 +45,10 @@ The prox blocks are closed-form projections:
 Hermiticity is structural: every projection maps hermitian matrices to
 hermitian matrices, and the target is replaced by its hermitian part (the
 skew part contributes a constant offset ‖skew‖_F in quadrature, which is
-added back to reported objectives and ball radii).  The (P2) epigraph
-variable μ is handled by projecting (ω⊥Xω⊥, μ) jointly onto
-{(Y, μ) : Y + (μ/d)·1 ⪰ 0, μ ≥ 0} via a spectral shift.
+added back to reported objectives and ball radii).  (P2) has no epigraph
+variable: at fixed X the least feasible μ is d·max(0, −λ_min(ω⊥Xω⊥)), so
+the engine minimizes that function of X over the slice-ball, and the
+reported μ is its value at the returned X.
 
 Infeasible problems never reach the engine.  ``min_mu_infeasible`` screens
 a (target, δ) grid for (P2) by broadcasting one skew norm and one affine
@@ -184,45 +188,13 @@ class _Geometry:
         vh = v.conj().swapaxes(-1, -2)
         return x - (v * neg[..., None, :]) @ vh
 
-    def project_cone_shifted(self, x: np.ndarray, mu: np.ndarray):
-        """Joint projection of (X, μ) onto {ω⊥Xω⊥ + (μ/d)·1 ⪰ 0, μ ≥ 0}.
-
-        For fixed μ the optimal X lifts eigenvalues of ω⊥Xω⊥ to the floor
-        −μ/d, costing Σ relu(−μ/d − λ_i)²; adding (μ − μ₀)² gives a convex
-        piecewise-quadratic in μ whose minimizer is found exactly by
-        scanning the active-set intervals.
-        """
-        d = float(self.d)
-        w, v = self.compress_eig(x)  # w ascending, shape (B, n)
-        b, n = w.shape
-        # With the k smallest eigenvalues below the floor, the stationary
-        # point of Σ_{i≤k}(μ/d + w_i)² + (μ − μ₀)² is
-        #   μ_k = (μ₀ − S_k/d) / (1 + k/d²),
-        # valid while exactly those k are active: μ ∈ [−d·w_{k+1}, −d·w_k).
-        s = np.concatenate([np.zeros((b, 1)), np.cumsum(w, axis=1)], axis=1)
-        k = np.arange(n + 1)
-        cand = (mu[:, None] - s / d) / (1.0 + k / d**2)
-        upper = np.concatenate([np.full((b, 1), np.inf), -d * w], axis=1)
-        lower = np.concatenate([-d * w, np.full((b, 1), -np.inf)], axis=1)
-        cand = np.clip(cand, np.maximum(lower, 0.0), np.maximum(upper, 0.0))
-        cand = np.concatenate([cand, np.zeros((b, 1))], axis=1)  # always try μ=0
-        # evaluate the exact objective at every candidate, take the best
-        deficit = np.maximum(0.0, -cand[..., None] / d - w[:, None, :])
-        fval = np.sum(deficit**2, axis=-1) + (cand - mu[:, None]) ** 2
-        best = np.argmin(fval, axis=1)
-        mu_new = np.maximum(0.0, cand[np.arange(b), best])
-        floor = -mu_new[:, None] / d
-        lift = np.maximum(w, floor) - w
-        vh = v.conj().swapaxes(-1, -2)
-        x_new = x + (v * lift[..., None, :]) @ vh
-        return x_new, mu_new
-
-    def cone_deficit(self, x: np.ndarray, mu: np.ndarray | float = 0.0) -> np.ndarray:
-        """max(0, −λ_min(ω⊥Xω⊥) − μ/d), batched."""
+    def cone_deficit(self, x: np.ndarray) -> np.ndarray:
+        """max(0, −λ_min(ω⊥Xω⊥)), batched."""
         w = np.linalg.eigvalsh(herm(self.perp @ x @ self.perp))
-        return np.maximum(0.0, -w[..., 0] - np.asarray(mu) / self.d)
+        # + 0.0 turns the −0.0 of an exact-zero λ_min into 0.0
+        return np.maximum(0.0, -w[..., 0]) + 0.0
 
-    # prox blocks of the engine: (x, ρ, per-problem data) → projection
+    # prox blocks of the engine: (x, ρ, per-problem data) → prox output
     def affine_block(self, x, rho, data):
         return self.project_trace_zero(x)
 
@@ -233,6 +205,24 @@ class _Geometry:
         # {Tr₁[X] = 0} ∩ ball around a center on the slice: the slice
         # projection is orthogonal, so the ball projection after it is exact
         return _project_ball(self.project_trace_zero(x), data["center"], data["radius"])
+
+    def noise_rate_block(self, x, rho, data):
+        """prox of X ↦ d·max(0, −λ_min(ω⊥Xω⊥)) with step 1/ρ.
+
+        Lifts the eigenvalues of ω⊥Xω⊥ below a floor f ≤ 0 up to f, where
+        f is the root of Σ relu(f − λ_i) = d/ρ; f = 0 (the cone projection)
+        when Σ relu(−λ_i) ≤ d/ρ.
+        """
+        w, v = self.compress_eig(x)  # w ascending
+        # With the k smallest eigenvalues below the floor, the root is
+        # f_k = (d/ρ + Σ_{i≤k} λ_i)/k; the active count is the largest k
+        # with λ_k < f_k (k = 1 always qualifies).
+        f = (self.d / rho[:, None] + np.cumsum(w, axis=-1)) / np.arange(1, w.shape[-1] + 1)
+        k = np.sum(w < f, axis=-1)
+        floor = np.minimum(f[np.arange(len(f)), k - 1], 0.0)
+        lift = np.maximum(w, floor[:, None]) - w
+        vh = v.conj().swapaxes(-1, -2)
+        return x + (v * lift[..., None, :]) @ vh
 
 
 _GEOMETRY: dict[int, _Geometry] = {}
@@ -283,7 +273,7 @@ def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
 
 
 def _admm(
-    z: list,
+    z: np.ndarray,
     blocks: list,
     z_update: Callable,
     data: dict,
@@ -294,92 +284,65 @@ def _admm(
 ):
     """Lockstep over-relaxed consensus ADMM over a batch of problems.
 
-    ``z`` lists the parts of the consensus variable at their start values:
-    the matrix X, plus the scalar μ for (P2), each with the problem axis
-    first.  ``blocks`` lists (parts, prox) pairs; prox(*v, ρ, data) maps
-    the block's inputs v = z − u on its parts to their projections, a
-    tuple when the block owns more than one part.  ``z_update(S, ρ,
-    data)`` turns the per-part sums S of the over-relaxed outputs plus
-    their duals into the new z.  ``data`` holds per-problem arrays
-    (problem axis first), compacted with the iterates as problems retire.
+    ``z`` is the consensus variable at its start value, one matrix per
+    problem (problem axis first).  Each of ``blocks`` is a prox
+    prox(v, ρ, data) that maps its input v = z − u to its projection.
+    ``z_update(S, ρ, data)`` turns the sum S of the over-relaxed block
+    outputs plus their duals into the new z.  ``data`` holds per-problem
+    arrays (problem axis first), compacted with the iterates as problems
+    retire.
 
     A problem converges once its primal residual (the distance of the
     block outputs from z) and its dual residual (ρ times the z step,
-    counted once per block on each part) are below primal_tol and
-    dual_tol times its ``scale``.  It then records ``finish(outs, z,
-    done)``: one value per part for the retiring rows, from the block
-    outputs ``outs`` (one entry per block, as its prox returned it) and
-    the updated z.  Every 100 iterations ρ doubles where the primal
-    residual exceeds ten times the dual one and halves in the reverse
-    case, with the scaled duals rescaled to match.  Problems still
-    running at max_iters record ``settle(z, data)``.
+    counted once per block) are below primal_tol and dual_tol times its
+    ``scale``.  It then records ``finish(outs, z, done)``: the solutions
+    of the retiring rows, from the block outputs ``outs`` and the updated
+    z.  Every 100 iterations ρ doubles where the primal residual exceeds
+    ten times the dual one and halves in the reverse case, with the scaled
+    duals rescaled to match.  Problems still running at max_iters record
+    ``settle(z, data)``.
 
-    Returns (one array per part, iterations, converged).
+    Returns (solutions, iterations, converged).
     """
     alpha = st.over_relaxation
-    nz = len(z)
-    # One link per (block, part), part-major: the consensus sums and the
-    # primal residual run over the links in this order.
-    links = [(k, p) for p in range(nz) for k, (parts, _) in enumerate(blocks) if p in parts]
-    # each block's prox with the (link, part) of each of its inputs, and
-    # where each link's output sits in what its block's prox returns
-    proxes = [
-        (prox, [(links.index((k, p)), p) for p in parts])
-        for k, (parts, prox) in enumerate(blocks)
-    ]
-    pick = [(k, None if len(blocks[k][0]) == 1 else blocks[k][0].index(p), p) for k, p in links]
-    weight = [sum(q == p for _, q in links) for p in range(nz)]
-    sq = [_fro_sq if zp.ndim == 3 else np.square for zp in z]
-
     b = len(scale)
-    out = [np.empty_like(zp) for zp in z]
+    out = np.empty_like(z)
     primal_tol, dual_tol = st.primal_tol * scale, st.dual_tol * scale
     rho = np.full(b, st.rho)
-    u = [np.zeros_like(z[p]) for _, p in links]
+    u = [np.zeros_like(z) for _ in blocks]
     active = np.arange(b)
     iters = np.full(b, st.max_iters)
     converged = np.zeros(b, dtype=bool)
     for it in range(1, st.max_iters + 1):
-        # The body is plain loops over the precomputed links: it runs once
-        # per iteration, where per-call overhead shows on small batches.
-        outs = []
-        for prox, inputs in proxes:
-            outs.append(prox(*[z[p] - u[j] for j, p in inputs], rho, data))
-        x, xh = [], []
-        sums: list = [None] * nz
-        z_rest = [(1 - alpha) * zp for zp in z]
-        for j, (k, i, p) in enumerate(pick):
-            xj = outs[k] if i is None else outs[k][i]
-            hj = alpha * xj + z_rest[p]
-            sums[p] = hj + u[j] if sums[p] is None else sums[p] + hj + u[j]
-            x.append(xj)
-            xh.append(hj)
-        z_new = z_update(sums, rho, data)
-        primal = dual = None
-        for j, (_, _, p) in enumerate(pick):
-            u[j] += xh[j] - z_new[p]
-            r = sq[p](x[j] - z_new[p])
+        outs = [prox(z - uk, rho, data) for prox, uk in zip(blocks, u)]
+        z_rest = (1 - alpha) * z
+        xh = [alpha * xk + z_rest for xk in outs]
+        # summed left to right over the blocks: ((h₀ + u₀) + h₁) + u₁ ...
+        s = xh[0] + u[0]
+        for hk, uk in zip(xh[1:], u[1:]):
+            s = s + hk + uk
+        z_new = z_update(s, rho, data)
+        primal = None
+        for xk, hk, uk in zip(outs, xh, u):
+            uk += hk - z_new
+            r = _fro_sq(xk - z_new)
             primal = r if primal is None else primal + r
-        for p in range(nz):
-            r = weight[p] * sq[p](z_new[p] - z[p])
-            dual = r if dual is None else dual + r
         primal = np.sqrt(primal)
-        dual = rho * np.sqrt(dual)
+        dual = rho * np.sqrt(len(blocks) * _fro_sq(z_new - z))
         z = z_new
 
         done = (primal <= primal_tol) & (dual <= dual_tol)
         if done.any():
             idx = active[done]
-            for o, v in zip(out, finish(outs, z, done)):
-                o[idx] = v
+            out[idx] = finish(outs, z, done)
             iters[idx] = it
             converged[idx] = True
             keep = ~done
             active = active[keep]
             if not active.size:
                 break
-            z = [zp[keep] for zp in z]
-            u = [uj[keep] for uj in u]
+            z = z[keep]
+            u = [uk[keep] for uk in u]
             rho, primal, dual = rho[keep], primal[keep], dual[keep]
             primal_tol, dual_tol = primal_tol[keep], dual_tol[keep]
             data = {key: v[keep] for key, v in data.items()}
@@ -389,12 +352,11 @@ def _admm(
             shrink = dual > 10 * primal
             rho[grow] *= 2.0
             rho[shrink] /= 2.0
-            for uj in u:
-                uj[grow] /= 2.0
-                uj[shrink] *= 2.0
+            for uk in u:
+                uk[grow] /= 2.0
+                uk[shrink] *= 2.0
     if active.size:  # hit max_iters
-        for o, v in zip(out, settle(z, data)):
-            o[active] = v
+        out[active] = settle(z, data)
     return out, iters, converged
 
 
@@ -422,18 +384,18 @@ def closest_lindbladian_batch(
     scale = np.maximum(1.0, _fro(t_h))
 
     def z_update(s, rho, data):
-        return [(data["t"] + rho[:, None, None] * s[0]) / (1 + 2 * rho)[:, None, None]]
+        return (data["t"] + rho[:, None, None] * s) / (1 + 2 * rho)[:, None, None]
 
-    (x_sol,), iters, converged = _admm(
-        [t_h.copy()],
-        [((0,), geo.affine_block), ((0,), geo.cone_block)],
+    x_sol, iters, converged = _admm(
+        t_h.copy(),
+        [geo.affine_block, geo.cone_block],
         z_update,
         {"t": t_h},
         scale,
         st,
         # the cone block's output, made exactly trace-annihilating
-        finish=lambda outs, z, done: [geo.project_trace_zero(outs[1][done])],
-        settle=lambda z, data: [geo.project_trace_zero(geo.project_cone(z[0]))],
+        finish=lambda outs, z, done: geo.project_trace_zero(outs[1][done]),
+        settle=lambda z, data: geo.project_trace_zero(geo.project_cone(z)),
     )
     cone_res = geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
@@ -492,13 +454,16 @@ def min_mu_batch(
 ) -> list[SolveReport]:
     """Solve (P2) for stacks of (target, δ) pairs in lockstep.
 
+    (P2) is solved over X alone: minimize d·max(0, −λ_min(ω⊥Xω⊥)) over the
+    slice-ball {Tr₁[X] = 0, ‖X − T‖_F ≤ δ}, and μ = d·max(0, −λ_min) of the
+    returned X, the least rate that makes it cone-feasible (never −0.0).
+
     A pair is reported Infeasible when δ² < ‖skew(T)‖² + ‖Tr₁-component‖²,
     i.e. when the ball cannot even reach the hermitian affine subspace
     (``min_mu_infeasible`` evaluates the same test over a whole δ grid, so
     callers can keep such pairs out of the batch).  Its x_opt is the
-    trace-zero projection of herm(T).  Deeper infeasibility (the ball
-    misses the cone) is not screened and surfaces as MaxIters; every
-    other x_opt, MaxIters too, lies in the δ-ball and on the slice.
+    trace-zero projection of herm(T).  Every other x_opt, MaxIters too,
+    lies in the δ-ball and on the slice.
     """
     st = settings or SolverSettings()
     st.validate()
@@ -533,40 +498,28 @@ def min_mu_batch(
     t_h_l = t_h[live]
     scale_l = scale[live]
 
-    def shifted_cone_block(x, mu, rho, data):
-        return geo.project_cone_shifted(x, mu)
-
-    def z_update(s, rho, data):
-        # μ appears only in the objective (coefficient 1) and the cone block
-        return [s[0] / 2, s[1] - 1.0 / rho]
-
-    (x_sol, mu_sol), iters, converged = _admm(
-        [t_h_l.copy(), geo.cone_deficit(t_h_l) * d],
-        [((0,), geo.slice_ball_block), ((0, 1), shifted_cone_block)],
-        z_update,
+    x_sol, iters, converged = _admm(
+        t_h_l.copy(),
+        [geo.slice_ball_block, geo.noise_rate_block],
+        lambda s, rho, data: s / 2,
         {"center": x_affine[live], "radius": radius[live]},
         scale_l,
         st,
-        # the slice-ball block's output and the cone block's μ
-        finish=lambda outs, z, done: [outs[0][done], np.maximum(0.0, outs[1][1][done])],
-        settle=lambda z, data: [geo.slice_ball_block(z[0], None, data), np.maximum(0.0, z[1])],
+        # the slice-ball block's output: in the ball and on the slice
+        finish=lambda outs, z, done: outs[0][done],
+        settle=lambda z, data: geo.slice_ball_block(z, None, data),
     )
 
-    # lift μ the last ~1e-9 so the returned pair is exactly cone-feasible;
-    # an honest 0 stays 0 because the deficit is then itself ~0
-    mu_sol = np.maximum(mu_sol, d * geo.cone_deficit(x_sol))
-    cone_res = geo.cone_deficit(x_sol, mu_sol)
+    # the least rate that makes the returned X cone-feasible, so the
+    # shifted cone constraint holds with no residual
+    mu_sol = d * geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
     ball_res = np.maximum(
         0.0, np.sqrt(_fro(x_sol - t_h_l) ** 2 + skew_norm[live] ** 2) - deltas[live]
     )
-    ok = (
-        converged
-        & (cone_res <= st.cone_tol * scale_l)
-        & (ball_res <= 10 * st.primal_tol * scale_l)
-    )
+    ok = converged & (ball_res <= 10 * st.primal_tol * scale_l)
     solved = _reports(
-        x_sol, mu_sol, (affine_res, cone_res, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
+        x_sol, mu_sol, (affine_res, 0.0, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
         iters, mu=mu_sol
     )
     for i, rep in zip(live, solved):
@@ -581,7 +534,8 @@ def solve_min_mu(
     settings: Optional[SolverSettings] = None,
 ) -> SolveReport:
     """Find the smallest cone shift μ compatible with staying δ-close to the
-    target — program (P2).  μ is never clamped away from an honest 0."""
+    target — program (P2), the one-problem form of ``min_mu_batch``.  μ is
+    the shift the returned X needs, so an X inside the cone gives exactly 0."""
     return min_mu_batch(np.asarray(target)[None], d, [delta], settings)[0]
 
 
@@ -755,17 +709,17 @@ def _joint_admm(
             return _prox_scaled_distance(
                 x, data["t"][:, c], data["skew_sq"][:, c], t_sc[c], rho, data["delta"]
             )
-        return (0,), prox
+        return prox
 
-    (z_sol,), iters, converged = _admm(
-        [t_h[:, 0] / t_sc[0]],
-        [((0,), geo.affine_block), ((0,), geo.cone_block)] + [term_block(c) for c in range(q)],
-        lambda s, rho, data: [s[0] / (2 + q)],
+    z_sol, iters, converged = _admm(
+        t_h[:, 0] / t_sc[0],
+        [geo.affine_block, geo.cone_block] + [term_block(c) for c in range(q)],
+        lambda s, rho, data: s / (2 + q),
         {"t": t_h, "skew_sq": skew_sq, "delta": deltas},
         scale,
         st,
-        finish=lambda outs, z, done: [z[0][done]],
-        settle=lambda z, data: [z[0]],
+        finish=lambda outs, z, done: z[done],
+        settle=lambda z, data: z,
     )
 
     x_fin = geo.project_trace_zero(geo.project_cone(z_sol))

@@ -76,11 +76,29 @@ def matrix(doc):
 # exit codes
 # ----------------------------------------------------------------------
 
-def test_input_errors_exit_3(tmp_path, snap):
+def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert fit(tmp_path, str(tmp_path / "missing.json"))[0] == cli.EXIT_INPUT_ERROR
     assert fit(tmp_path, str(bad_json))[0] == cli.EXIT_INPUT_ERROR
+    # dim must be a JSON integer: 4.9 and "4" used to be read as 4, true as 1
+    with open(snap["unital"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for dim in (4.9, "4", True):
+        bad_dim = tmp_path / "bad_dim.json"
+        bad_dim.write_text(json.dumps({**doc, "dim": dim}))
+        assert fit(tmp_path, str(bad_dim)) == (cli.EXIT_INPUT_ERROR, None), dim
+    # a cap above the uncapped limit is no cap: 3^16 = 43,046,721 branches at
+    # d=4 would be enumerated, so the input is refused before any of them
+    def no_enumeration(*args):
+        raise AssertionError("branches were enumerated")
+
+    monkeypatch.setattr(fitting, "enumerate_branches", no_enumeration)
+    ququart = tmp_path / "ququart.json"
+    cli.write_matrix_file(str(ququart), np.diag([1.0] + [0.9] * 15))
+    assert fit(tmp_path, str(ququart), EPSILON, "--max-branches", "50000000") == (
+        cli.EXIT_INPUT_ERROR, None
+    )
     for epsilon in (0, -0.1):
         assert fit(tmp_path, snap["depol"], epsilon) == (cli.EXIT_INPUT_ERROR, None)
     out = tmp_path / "out.json"

@@ -51,13 +51,13 @@ GOLDEN = {
     "unital-weak-t2@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
     "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None),
     "xgate@1e+05": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 2,
-                    0.06954367685598314, 2.5638760448407796, 0.04508851283691049),
+                    0.06954367685598314, 2.563876031712057, 0.04508851283691049),
     "depol-0.1@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
                         None, None, 0.011092271623487642),
     "depol-0.2@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
                         None, None, 0.012797672697245407),
     "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
-                           0.06667759669106713, 5.7467074114239125, 0.02680759056218518),
+                           0.06667759669106713, 5.746707391960351, 0.02680759056218518),
     "unital-weak-t1@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
     "unital-weak-t2@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
     "identity@1e+05": ("Identity", 0, "identity", None, None, None, None, None),

@@ -258,18 +258,35 @@ def test_one_batch_over_samples_matches_the_per_sample_loop(spec, shots, epsilon
 
 
 @pytest.mark.parametrize(
-    "t, shots, epsilon, loop_pick",
-    [(1.0, 10**4, 0.3, 3), (2.0, 10**5, 0.2, 0)],
+    "t, shots, epsilon, raise_sample_0, loop_pick",
+    [(1.0, 10**4, 0.3, True, 3), (2.0, 10**5, 0.2, False, 0)],
     ids=["smaller raw mu in sample 3", "smaller delta in sample 3"],
 )
-def test_cross_sample_ties_go_to_the_lower_sample(t, shots, epsilon, loop_pick):
+def test_cross_sample_ties_go_to_the_lower_sample(
+    t, shots, epsilon, raise_sample_0, loop_pick, monkeypatch
+):
     """Weak unital: samples 0 and 3 both reach a rate below the tie
     tolerance, and sample 3's winner has the smaller raw rate (t=1) or the
-    same rate at a smaller delta (t=2).  One ranking over the whole stack
-    counts both rates as zero and takes the lower sample.  The per-sample
-    loop compared raw rates, so it took sample 3 in the first case."""
+    same rate at a smaller delta (t=2).  The solver returns both rates as
+    exactly 0, so for t=1 every rate of sample 0 is raised by half the tie
+    tolerance.  One ranking over the whole stack counts both rates as zero
+    and takes the lower sample.  The per-sample loop compared raw rates, so
+    it took sample 3 in the first case."""
     spec = ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": t})
     m, samples = _stack(spec, shots, epsilon)
+    if raise_sample_0:
+        spectral, l0 = checked_log(samples[0][1])
+        own = branch_targets(l0, spectral, np.array(list(enumerate_branches(BranchPolicy(), 4))))
+        batch = solver.min_mu_batch
+
+        def raised(targets, d, deltas):
+            reports = batch(targets, d, deltas)
+            for target, rep in zip(targets, reports):
+                if rep.mu is not None and any(np.array_equal(target, o) for o in own):
+                    rep.mu += MU_TIE_TOL / 2
+            return reports
+
+        monkeypatch.setattr(solver, "min_mu_batch", raised)
     first, last = (non_markovianity(m, samples[k][1], epsilon)[0] for k in (0, 3))
     assert max(first.mu_min, last.mu_min) < MU_TIE_TOL
     assert (last.mu_min, last.delta_used) < (first.mu_min, first.delta_used)
@@ -279,6 +296,16 @@ def test_cross_sample_ties_go_to_the_lower_sample(t, shots, epsilon, loop_pick):
         first.mu_min, first.delta_used, first.branch
     )
     assert _per_sample_loop(m, samples, epsilon)[1] == loop_pick
+
+
+def test_a_zero_rate_is_not_negative_zero():
+    """Weak unital t=2 (10^5 shots), sample 3 at epsilon 0.2: the winner's
+    compressed spectrum has an exact-zero least eigenvalue, whose negation
+    is -0.0.  The rate is reported as +0.0."""
+    spec = ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": 2.0})
+    m, samples = _stack(spec, 10**5, 0.2)
+    res, _ = non_markovianity(m, samples[3][1], 0.2)
+    assert res.mu_min == 0.0 and not np.signbit(res.mu_min)
 
 
 def _ill_conditioned():

@@ -198,6 +198,40 @@ def test_slice_ball_block_is_the_projection_onto_the_intersection():
     np.testing.assert_allclose(geo.slice_ball_block(x[4:], None, touch), c[4:], atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_noise_rate_block_against_a_bisection_on_the_floor(d):
+    """The prox of X -> d*max(0, -lambda_min(perp X perp)) at step 1/rho
+    against a written-out floor: bisect f on sum relu(f - lambda_i) = d/rho,
+    cap it at 0, and lift the compressed eigenvalues below f up to f.  The
+    first rows take d/rho below sum relu(-lambda_i), so f < 0; the last
+    rows take twice that sum, where the prox is the cone projection."""
+    geo = solver._geometry(d)
+    n = d * d
+    rng = np.random.default_rng(60 + d)
+    raw = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+    x = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
+    w, v = geo.compress_eig(x)
+    deficit = np.sum(np.maximum(-w, 0.0), axis=-1)
+    share = np.concatenate([np.linspace(0.05, 0.95, 8), np.full(4, 2.0)])
+    rho = d / (share * deficit)
+    got = geo.noise_rate_block(x, rho, None)
+
+    for i in range(len(x)):
+        lo, hi = w[i, 0], w[i, 0] + d / rho[i]  # the sum is 0 at lo, >= d/rho at hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.sum(np.maximum(mid - w[i], 0.0)) < d / rho[i]:
+                lo = mid
+            else:
+                hi = mid
+        floor = min(0.5 * (lo + hi), 0.0)
+        assert (floor < 0) == (i < 8)
+        lift = np.maximum(w[i], floor) - w[i]
+        want = x[i] + (v[i] * lift) @ v[i].conj().T
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[8:], geo.project_cone(x[8:]))
+
+
 def test_markovian_target_needs_no_noise():
     c = lindbladian_choi(2, seed=3)
     rep = solve_min_mu(c, 2, delta=0.1)
@@ -261,22 +295,20 @@ def test_mu_batch_matches_singles():
         single = solve_min_mu(c, 2, delta)
         assert rep.mu == pytest.approx(single.mu, abs=1e-9)
 
-    # At rho = 10 the residual balancing halves rho at iterations 200 and
-    # 400, then doubles it at 500 for two of the three problems still
-    # running; one problem retires at 40, two at 554 and 555, one is cut
-    # at max_iters, and a skewed target with a small ball is screened.
-    st = SolverSettings(rho=10.0, max_iters=560)
+    # At rho = 10 the residual balancing halves rho at iteration 100 for
+    # the two problems still running; one problem retires at 1 and one at
+    # 94, before that step, one at 101, after it, one is cut at max_iters,
+    # and a skewed target with a small ball is screened.
+    st = SolverSettings(rho=10.0, max_iters=105)
     c4 = tp_correct(herm(random_choi_target(2, seed=54)), 2)
     targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c4, random_choi_target(2, seed=31)])
     deltas = [0.1, 0.3, 0.6, 0.3, 0.1]
     batch = min_mu_batch(targets, 2, deltas, st)
     assert [rep.status for rep in batch] == [
-        "Optimal", "Optimal", "Optimal", "MaxIters", "Infeasible"
+        "Optimal", "Optimal", "MaxIters", "Optimal", "Infeasible"
     ]
-    assert batch[0].iterations < 100 < batch[2].iterations < batch[1].iterations < st.max_iters
+    assert batch[0].iterations < batch[1].iterations < 100 < batch[3].iterations < st.max_iters
     for t, delta, rep in zip(targets, deltas, batch):
         single = solve_min_mu(t, 2, delta, st)
-        assert (rep.status, rep.iterations) == (single.status, single.iterations)
-        np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
-        if rep.mu is not None:
-            assert rep.mu == pytest.approx(single.mu, abs=1e-12)
+        assert (rep.status, rep.iterations, rep.mu) == (single.status, single.iterations, single.mu)
+        assert np.array_equal(rep.x_opt, single.x_opt)
