@@ -104,9 +104,13 @@ def read_matrix_file(path: str) -> np.ndarray:
             f" does not match dim {dim}"
         )
     try:
+        # JSON numbers only: true and false are ints to Python
+        if any(isinstance(v, bool) or not isinstance(v, (int, float))
+               for pair in data for v in pair):
+            raise TypeError("entries must be JSON numbers")
         flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: entries must be [re, im] pairs") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: entries must be [re, im] pairs of JSON numbers") from exc
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise InputError(f"{path}: matrix entries must be finite")
     return flat.reshape(dim, dim)

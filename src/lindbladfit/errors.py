@@ -20,10 +20,6 @@ class NotPerfectSquareDim(LindbladFitError):
     """A superoperator-shaped argument whose dimension is not d**2."""
 
 
-class NotHermitian(LindbladFitError):
-    """Hermitian input required (within tolerance) but not supplied."""
-
-
 class DegenerateSpectrum(LindbladFitError):
     """Two eigenvalues coincide within the resolution threshold.
 

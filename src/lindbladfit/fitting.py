@@ -22,15 +22,13 @@ Each sample's branches are grouped into these herm classes first
 (``herm_classes``), each class is solved once at its leader, its lowest
 enumeration position, and every member gets that solution and distance.
 
-All samples solve in lockstep rounds, one solver batch per round: round 0
-holds every sample's first leader, each later round the next ``P1_CHUNK``
-leaders of every sample still running.  A sample stops early, on its own,
-once a round lands one of its classes within 1e-12 of the snapshot; when
-the snapshot is already an exponential of a Lindbladian, its leading
-branch does so in round 0 and the rest of the grid is never touched.  Each
-sample's winner is its first Lindblad-certified class by distance, then
-leader position; the overall winner is the least (distance, sample), and
-its ``basis_sample_id`` is its position in the stack.
+All samples' class leaders go to the solver in one batch, sample-major,
+and their exponentials are taken in one ``expm`` call; the solver bounds
+its own working set.  Each sample's winner is its first Lindblad-certified
+class by distance, then leader position; distances below
+``DISTANCE_TIE_TOL`` rank as ties.  The overall winner is the least
+(distance, sample), and its ``basis_sample_id`` is its position in the
+stack.
 
 ``nonmarkov.non_markovianity`` and ``multisnap.best_fit_multi`` accept a
 candidate through the same certificate: its exponential lands strictly
@@ -77,14 +75,12 @@ TWO_PI = 2.0 * np.pi
 #: The exp/log round-trip residual above which R is rejected outright.
 ROUND_TRIP_TOL = 1e-6
 
-#: Distance below which the branch search may stop before exhausting the grid.
-EARLY_STOP_DISTANCE = 1e-12
+#: Distances below this are zeros up to round-off; ranking treats them as
+#: ties resolved by enumeration order (pairs with ``nonmarkov.MU_TIE_TOL``).
+DISTANCE_TIE_TOL = 1e-12
 
 #: Tolerance of the is-it-really-a-Lindbladian audit on every search's winner.
 VERIFY_TOL = 1e-7
-
-#: Herm classes per sample in each (P1) round after the first, singleton one.
-P1_CHUNK = 256
 
 #: Branch targets whose hermitian parts lie within this distance, relative
 #: to max(1, largest |herm T|), share one closest-generator solve.
@@ -253,49 +249,28 @@ def _solve_classes(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
     """Solve (P1) once per herm class of each sample's branch targets.
 
-    ``targets`` holds one stack of branch targets per sample; all samples
-    solve in lockstep rounds of one solver batch each (see the module
-    docstring).  Returns, per sample, the class of every branch (-1 where
-    the class was never solved because the sample stopped early), each
-    solved class's Choi-side solution and its exponential's distance to M;
-    and the number of solves the solver reported as MaxIters.  Classes are
-    numbered in the order of their leaders.
+    ``targets`` holds one stack of branch targets per sample; every
+    sample's class leaders are solved in one solver batch (see the module
+    docstring).  Returns, per sample, the class of every branch, each
+    class's Choi-side solution and its exponential's distance to M; and the
+    number of solves the solver reported as MaxIters.  Classes are numbered
+    in the order of their leaders.
     """
     labels, leaders = [], []
     for sample_targets in targets:
         owner = herm_classes(sample_targets)
         leaders.append(np.unique(owner))
         labels.append(np.searchsorted(leaders[-1], owner))
-    xs = [[] for _ in targets]
-    dists = [[] for _ in targets]
-    count = np.zeros(len(targets), dtype=int)  # classes solved per sample
-    running = list(range(len(targets)))
-    size, maxiters = 1, 0
-    while running:
-        picks = [leaders[k][count[k]:count[k] + size] for k in running]
-        reports = solver.closest_lindbladian_batch(
-            np.concatenate([targets[k][p] for k, p in zip(running, picks)]), d
-        )
-        x_round = np.stack([report.x_opt for report in reports])
-        maxiters += sum(report.status == solver.MAX_ITERS for report in reports)
-        d_round = np.linalg.norm(
-            m[None, :, :] - expm(gamma_involution(x_round)), axis=(-2, -1)
-        )
-        cuts = np.cumsum([len(p) for p in picks])[:-1]
-        for k, x, dist in zip(running, np.split(x_round, cuts), np.split(d_round, cuts)):
-            xs[k].append(x)
-            dists[k].append(dist)
-            count[k] += len(dist)
-        running = [
-            k for k in running
-            if count[k] < len(leaders[k]) and not np.any(dists[k][-1] < EARLY_STOP_DISTANCE)
-        ]
-        size = P1_CHUNK
-    for label, n in zip(labels, count):
-        label[label >= n] = -1
-    solved = [(label, np.concatenate(x), np.concatenate(dist))
-              for label, x, dist in zip(labels, xs, dists)]
-    return solved, maxiters
+    reports = solver.closest_lindbladian_batch(
+        np.concatenate([t[lead] for t, lead in zip(targets, leaders)]), d
+    )
+    x_opts = np.stack([report.x_opt for report in reports])
+    maxiters = sum(report.status == solver.MAX_ITERS for report in reports)
+    distances = np.linalg.norm(
+        m[None, :, :] - expm(gamma_involution(x_opts)), axis=(-2, -1)
+    )
+    cuts = np.cumsum([len(lead) for lead in leaders])[:-1]
+    return list(zip(labels, np.split(x_opts, cuts), np.split(distances, cuts))), maxiters
 
 
 def best_fit_lindbladian(
@@ -325,12 +300,12 @@ def best_fit_lindbladian(
     fits = {}
     for (k, _, _), (label, x_opts, distances) in zip(audited, solved):
         fits[k] = None
-        # Distances below the early-stop threshold are ties in exact
-        # arithmetic (all branches of log R share the exponential R); rank
-        # them as zero so they too are resolved by enumeration order instead
-        # of floating-point jitter.  Class numbers follow leader positions,
-        # so a stable sort breaks the remaining ties by enumeration order.
-        ranked = np.where(distances >= EARLY_STOP_DISTANCE, distances, 0.0)
+        # Distances below DISTANCE_TIE_TOL are ties in exact arithmetic
+        # (all branches of log R share the exponential R); rank them as zero
+        # so they too are resolved by enumeration order instead of
+        # floating-point jitter.  Class numbers follow leader positions, so
+        # a stable sort breaks the remaining ties by enumeration order.
+        ranked = np.where(distances >= DISTANCE_TIE_TOL, distances, 0.0)
         for c in np.argsort(ranked, kind="stable"):
             if distances[c] >= epsilon:
                 break

@@ -22,7 +22,6 @@ import scipy.linalg
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
-    NotHermitian,
     NotPerfectSquareDim,
     NumericalFailure,
     SingularInput,
@@ -41,7 +40,6 @@ __all__ = [
     "herm",
     "frobenius",
     "one_norm",
-    "min_eig_hermitian_part",
     "expm",
     "max_entangled",
     "side_dim",
@@ -256,19 +254,6 @@ def frobenius(a: np.ndarray) -> float:
 def one_norm(a: np.ndarray) -> float:
     """Entrywise one-norm sum_jk |a_jk| (not the induced operator norm)."""
     return float(np.sum(np.abs(a)))
-
-
-def min_eig_hermitian_part(a: np.ndarray, herm_tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a hermitian matrix.
-
-    Raises NotHermitian when the anti-hermitian part is larger than
-    ``herm_tol`` relative to the matrix scale.
-    """
-    a = _as_square(a)
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > herm_tol * max(1.0, float(np.linalg.norm(a))):
-        raise NotHermitian(f"anti-hermitian defect {defect:.3e} exceeds tolerance")
-    return float(np.linalg.eigvalsh(a)[0])
 
 
 def expm(a: np.ndarray) -> np.ndarray:

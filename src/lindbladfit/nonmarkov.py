@@ -64,9 +64,6 @@ __all__ = [
 #: them as ties resolved by (sample, delta, branch) order.
 MU_TIE_TOL = 1e-12
 
-#: Live (branch, delta) pairs per (P2) batch.
-P2_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class DeltaSweep:
@@ -159,7 +156,7 @@ def non_markovianity(
     ``r`` is one matrix or a (K, n, n) stack of repaired samples of the
     snapshot; a single matrix is a stack of one.  Each sample gets its own
     logarithm, delta grid and screen, and the live pairs of all samples go
-    through one lockstep ``solver.min_mu_batch`` (in ``P2_CHUNK`` pieces).
+    through one ``solver.min_mu_batch`` call.
     Most grid points never reach the solver: one vectorized screen
     (``solver.min_mu_infeasible``) per sample first drops every pair whose
     delta-ball misses the hermitian trace-zero slice (every branch that
@@ -195,10 +192,7 @@ def non_markovianity(
     if not bi.size:
         return None, 0
 
-    reports = []
-    for start in range(0, len(targets), P2_CHUNK):
-        stop = start + P2_CHUNK
-        reports += solver.min_mu_batch(targets[start:stop], d, deltas[start:stop])
+    reports = solver.min_mu_batch(targets, d, deltas)
     generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
     distances = np.linalg.norm(m[None, :, :] - expm(generators), axis=(-2, -1))
     mus = np.array([rep.mu for rep in reports])

@@ -19,9 +19,11 @@ consensus ADMM over a batch of problems, with one consensus matrix X per
 problem.  The engine owns the iteration (over-relaxation, consensus sums,
 dual updates, primal and dual residuals, the stopping test), retires each
 problem as it converges, balances each problem's step size ρ every 100
-iterations and settles the problems still running at ``max_iters``.  A
-program supplies only its prox blocks, its consensus update and what to
-record:
+iterations and settles the problems still running at ``max_iters``.  It
+also owns the only bound on the working set: a batch of any size runs in
+pieces of at most ``CHUNK`` problems, so callers pass all their problems
+in one call.  A program supplies only its prox blocks, its consensus
+update and what to record:
 
   * (P1): affine and cone blocks; z = (T + ρS)/(1 + 2ρ)
   * (P2): slice-ball and noise-rate blocks; z = S/2
@@ -272,6 +274,11 @@ def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Problems iterated together; bounds the engine's working set (a few
+#: iterate blocks per problem) when a caller passes a large batch.
+CHUNK = 8192
+
+
 def _admm(
     z: np.ndarray,
     blocks: list,
@@ -302,8 +309,27 @@ def _admm(
     duals rescaled to match.  Problems still running at max_iters record
     ``settle(z, data)``.
 
+    The batch runs in consecutive pieces of at most ``CHUNK`` problems; an
+    empty batch runs no iteration.  Each problem's iterates are independent
+    of the others, so the pieces do not change any result.
+
     Returns (solutions, iterations, converged).
     """
+    b = len(scale)
+    out = np.empty_like(z)
+    iters = np.full(b, st.max_iters)
+    converged = np.zeros(b, dtype=bool)
+    for start in range(0, b, CHUNK):
+        piece = slice(start, start + CHUNK)
+        out[piece], iters[piece], converged[piece] = _admm_piece(
+            z[piece], blocks, z_update, {key: v[piece] for key, v in data.items()},
+            scale[piece], st, finish, settle,
+        )
+    return out, iters, converged
+
+
+def _admm_piece(z, blocks, z_update, data, scale, st, finish, settle):
+    """``_admm`` over one piece of the batch, all of its problems in lockstep."""
     alpha = st.over_relaxation
     b = len(scale)
     out = np.empty_like(z)
@@ -492,9 +518,6 @@ def min_mu_batch(
         reports[i] = rep
 
     live = np.nonzero(~misses)[0]
-    if live.size == 0:
-        return reports  # type: ignore[return-value]
-
     t_h_l = t_h[live]
     scale_l = scale[live]
 
@@ -597,11 +620,6 @@ def dykstra_closest_lindbladian(
 # ---------------------------------------------------------------------------
 
 
-#: Joint problems iterated together; bounds the working set (2 + q iterate
-#: blocks per problem) when a caller passes a large (δ, assignment) grid.
-JOINT_CHUNK = 8192
-
-
 def _radial_root(g: np.ndarray, s2: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Roots r ∈ [0, g] of r/√(r² + s2) + c·(r − g) = 0, batched.
 
@@ -698,7 +716,7 @@ def _joint_admm(
     geo: _Geometry,
     st: SolverSettings,
 ) -> list[SolveReport]:
-    """Consensus ADMM for a chunk of joint fits that passed the screen."""
+    """Consensus ADMM for the joint fits that passed the screen."""
     q = t_full.shape[1]
     t_h = herm(t_full)
     skew_sq = _fro(t_full - t_h) ** 2
@@ -757,9 +775,8 @@ def solve_joint_fit_batch(
     Problems that ``joint_infeasibility`` rules out are reported
     Infeasible without iterating; their ball residual is the excess.  The
     rest run the consensus ADMM engine (one prox block per series term
-    plus the affine and cone blocks) in chunks of JOINT_CHUNK.  Each
-    problem's iterates are independent, so results do not depend on the
-    batch composition.
+    plus the affine and cone blocks) in one call.  Each problem's iterates
+    are independent, so results do not depend on the batch composition.
     """
     st = settings or SolverSettings()
     st.validate()
@@ -787,10 +804,8 @@ def solve_joint_fit_batch(
     for i, rep in zip(screened, _reports(x0, np.nan, (0.0, 0.0, excess[screened]), INFEASIBLE, 0)):
         reports[i] = rep
     live = np.flatnonzero(excess == 0)
-    for start in range(0, live.size, JOINT_CHUNK):
-        idx = live[start : start + JOINT_CHUNK]
-        for i, rep in zip(idx, _joint_admm(t_full[idx], t_sc, deltas[idx], geo, st)):
-            reports[i] = rep
+    for i, rep in zip(live, _joint_admm(t_full[live], t_sc, deltas[live], geo, st)):
+        reports[i] = rep
     return reports  # type: ignore[return-value]
 
 

@@ -88,6 +88,13 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
         bad_dim = tmp_path / "bad_dim.json"
         bad_dim.write_text(json.dumps({**doc, "dim": dim}))
         assert fit(tmp_path, str(bad_dim)) == (cli.EXIT_INPUT_ERROR, None), dim
+    # entries must be JSON numbers that fit a float: complex(True, False)
+    # used to read as 1, and a 400-digit integer raised OverflowError
+    for first in ([True, False], [10**400, 0]):
+        data = [first] + [[float(i % 5 == 0), 0.0] for i in range(1, 16)]
+        bad_entries = tmp_path / "bad_entries.json"
+        bad_entries.write_text(json.dumps({"dim": 4, "data": data}))
+        assert fit(tmp_path, str(bad_entries)) == (cli.EXIT_INPUT_ERROR, None), first
     # a cap above the uncapped limit is no cap: 3^16 = 43,046,721 branches at
     # d=4 would be enumerated, so the input is refused before any of them
     def no_enumeration(*args):

@@ -149,7 +149,7 @@ def test_chunk_size_does_not_change_the_answer(monkeypatch):
         TomographyConfig(shots=10**4, seed=3),
     )
     a, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
-    monkeypatch.setattr(fitting, "P1_CHUNK", 1)
+    monkeypatch.setattr(solver, "CHUNK", 1)
     b, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
     assert a.branch == b.branch
     assert np.allclose(a.lindbladian, b.lindbladian, atol=1e-12)
@@ -277,7 +277,6 @@ def test_herm_classes_never_chain():
 def test_quotient_matches_per_branch_solves(case, request):
     mat, r, policy = request.getfixturevalue(case)
     branches, targets, label, x_opts, distances = _class_solve(mat, r, policy)
-    assert (label >= 0).all()
     assert len(distances) < len(branches)  # some class has several members
     d = side_dim(r.shape[0])
     for b, target in enumerate(targets):
@@ -290,7 +289,7 @@ def test_quotient_matches_per_branch_solves(case, request):
 def test_quotient_winner_does_not_depend_on_chunk_size(case, request, monkeypatch):
     mat, r, policy = request.getfixturevalue(case)
     a, _ = best_fit_lindbladian(mat, r, np.inf, policy)
-    monkeypatch.setattr(fitting, "P1_CHUNK", 1)
+    monkeypatch.setattr(solver, "CHUNK", 1)
     b, _ = best_fit_lindbladian(mat, r, np.inf, policy)
     assert a.branch == b.branch
     assert a.distance == pytest.approx(b.distance, abs=1e-12)
@@ -314,7 +313,7 @@ def test_class_members_report_the_lowest_enumeration_position(depol_case):
 
 def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
     """One search over the stack picks what one search per sample, reduced
-    by (distance, sample id), picks; also with single-class rounds."""
+    by (distance, sample id), picks; also with one-problem solver pieces."""
     mat, samples = depol_stack
     policy = BranchPolicy(1)
     per_sample = [best_fit_lindbladian(mat, r, np.inf, policy)[0] for r in samples]
@@ -325,34 +324,34 @@ def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
     assert (res.distance, res.branch) == (per_sample[want].distance, per_sample[want].branch)
     assert np.array_equal(res.lindbladian, per_sample[want].lindbladian)
     assert [fits[k].distance for k in range(4)] == [fit.distance for fit in per_sample]
-    monkeypatch.setattr(fitting, "P1_CHUNK", 1)
+    monkeypatch.setattr(solver, "CHUNK", 1)
     chunked, _ = best_fit_lindbladian(mat, np.stack(samples), np.inf, policy)
     assert (chunked.basis_sample_id, chunked.branch) == (want, res.branch)
     assert chunked.distance == pytest.approx(res.distance, abs=1e-12)
 
 
-def test_early_stop_is_per_sample(monkeypatch):
-    """Sample 0 is the snapshot exp(L) itself and stops after the singleton
-    round; the noisy sample 1 still solves every one of its classes."""
+def test_one_solver_call_holds_every_sample(monkeypatch):
+    """Sample 0 is the snapshot exp(L) itself, sample 1 a noisy copy: one
+    solver call holds every class leader of both, and sample 0 wins."""
     m = expm(random_lindblad_generator(2, np.random.default_rng(0)).mat)
     rng = np.random.default_rng(1)
     noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     noisy = m + 0.05 * noise / frobenius(noise)
-    spectral, l0 = checked_log(noisy)
     branches = np.array(list(enumerate_branches(BranchPolicy(1), 4)))
-    classes = len(np.unique(herm_classes(branch_targets(l0, spectral, branches))))
+    classes = []
+    for r in (m, noisy):
+        spectral, l0 = checked_log(r)
+        classes.append(len(np.unique(herm_classes(branch_targets(l0, spectral, branches)))))
     batch = solver.closest_lindbladian_batch
-    rounds = []
+    calls = []
 
     def counting(targets, d):
-        rounds.append(len(targets))
+        calls.append(len(targets))
         return batch(targets, d)
 
     monkeypatch.setattr(solver, "closest_lindbladian_batch", counting)
-    monkeypatch.setattr(fitting, "P1_CHUNK", 8)
     res, _ = best_fit_lindbladian(m, np.stack([m, noisy]), 1e-6)
-    assert classes > 17  # sample 1 runs at least three rounds after the first
-    assert rounds == [2] + [min(8, classes - j) for j in range(1, classes, 8)]
+    assert calls == [sum(classes)]
     assert res.basis_sample_id == 0 and res.distance < 1e-9
 
 

@@ -11,7 +11,6 @@ from lindbladfit import linalg
 from lindbladfit.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
-    NotHermitian,
     NotPerfectSquareDim,
     SingularInput,
 )
@@ -24,7 +23,6 @@ from lindbladfit.linalg import (
     gamma_involution,
     matrix_log_principal,
     max_entangled,
-    min_eig_hermitian_part,
     one_norm,
     partial_trace_first,
     side_dim,
@@ -340,13 +338,6 @@ def test_herm_skew_split():
     s = a - h
     assert np.allclose(h, h.conj().T)
     assert np.allclose(s, -s.conj().T)
-
-
-def test_min_eig_hermitian_part():
-    h = np.diag([3.0, -1.5, 2.0])
-    assert min_eig_hermitian_part(h) == -1.5
-    with pytest.raises(NotHermitian):
-        min_eig_hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_side_dim():

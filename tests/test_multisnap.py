@@ -199,7 +199,7 @@ def test_batch_matches_single_solves(weak_series, monkeypatch):
         solver.OPTIMAL, solver.MAX_ITERS, solver.INFEASIBLE
     }
     assert len({rep.iterations for rep in reports}) == 4
-    monkeypatch.setattr(solver, "JOINT_CHUNK", 3)
+    monkeypatch.setattr(solver, "CHUNK", 3)
     chunked = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii, settings)
     for rep, other in zip(reports, chunked):
         assert (rep.status, rep.iterations) == (other.status, other.iterations)

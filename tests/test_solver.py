@@ -287,7 +287,7 @@ def test_large_ball_reaches_the_cone():
     assert rep.mu <= 1e-7
 
 
-def test_mu_batch_matches_singles():
+def test_mu_batch_matches_singles(monkeypatch):
     c1 = tp_correct(herm(random_choi_target(2, seed=51)), 2)
     c2 = tp_correct(herm(random_choi_target(2, seed=52)), 2)
     batch = min_mu_batch(np.stack([c1, c2]), 2, [0.3, 0.6])
@@ -312,3 +312,28 @@ def test_mu_batch_matches_singles():
         single = solve_min_mu(t, 2, delta, st)
         assert (rep.status, rep.iterations, rep.mu) == (single.status, single.iterations, single.mu)
         assert np.array_equal(rep.x_opt, single.x_opt)
+    # the engine runs the four live problems in two pieces of two
+    monkeypatch.setattr(solver, "CHUNK", 2)
+    for rep, piece in zip(batch, min_mu_batch(targets, 2, deltas, st)):
+        assert (rep.status, rep.iterations, rep.mu, rep.residuals) == (
+            piece.status, piece.iterations, piece.mu, piece.residuals
+        )
+        assert np.array_equal(rep.x_opt, piece.x_opt)
+
+
+def test_empty_batch_runs_no_iteration(monkeypatch):
+    """No prox block runs for an empty stack, in any of the three programs."""
+    calls = []
+
+    def counted(prox):
+        def wrapper(self, *args):
+            calls.append(prox.__name__)
+            return prox(self, *args)
+        return wrapper
+
+    for name in ("affine_block", "cone_block", "slice_ball_block", "noise_rate_block"):
+        monkeypatch.setattr(solver._Geometry, name, counted(getattr(solver._Geometry, name)))
+    assert closest_lindbladian_batch(np.zeros((0, 4, 4)), 2) == []
+    assert min_mu_batch(np.zeros((0, 4, 4)), 2, []) == []
+    assert solver.solve_joint_fit_batch(np.zeros((0, 2, 4, 4)), [1.0, 2.0], 2, []) == []
+    assert calls == []
