@@ -31,7 +31,8 @@ import numpy as np
 from . import fitting, nonmarkov, preprocess
 from .channels import ChannelSpec, TomographyConfig, simulate_process_tomography
 from .errors import (
-    InputError, LindbladFitError, NotPerfectSquareDim, NumericalFailure, OutOfRange,
+    DimensionMismatch, InputError, LindbladFitError, NotPerfectSquareDim, NumericalFailure,
+    OutOfRange,
 )
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
@@ -610,7 +611,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if not exc.code else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (InputError, NotPerfectSquareDim, OutOfRange, OSError) as exc:
+    except (InputError, DimensionMismatch, NotPerfectSquareDim, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalFailure as exc:

@@ -9,11 +9,13 @@ joint program minimizes the summed log-space misfit
 
 over hermitian trace-compatible cone-feasible X, with each term also
 capped by a trust radius delta, and L_mc^c ranging over logarithm
-branches of M_c.  The accepted candidate is the one with the smallest
-summed snapshot distance, provided every individual snapshot distance
-beats epsilon and the sum beats q*epsilon (a candidate must average below
-epsilon per snapshot to count at all); ties go to the earlier (delta,
-assignment) grid position.
+branches of M_c: the branch policy's enumeration (entries within
+±m_max, as for a single snapshot) for one snapshot at a time, with every
+other snapshot on its principal branch.  The accepted candidate is the
+one with the smallest summed snapshot distance, provided every
+individual snapshot distance beats epsilon and the sum beats q*epsilon
+(a candidate must average below epsilon per snapshot to count at all);
+ties go to the earlier (delta, assignment) grid position.
 
 The search runs in batched steps.  The per-snapshot branch targets are
 stacked per assignment, and ``solver.joint_infeasibility`` screens the
@@ -106,14 +108,14 @@ class SnapshotSeries:
 def _joint_assignments(policy: BranchPolicy, count: int, dim: int):
     """Branch vectors per snapshot, enumerated jointly: the all-zero
     assignment plus every assignment where exactly one snapshot moves to a
-    branch with entries in {-1, 0, 1}.  (The full product grid over the
-    per-snapshot enumerations is exponentially larger.)
+    nonzero branch of ``enumerate_branches(policy, dim)``.  (The full
+    product grid over the per-snapshot enumerations is exponentially
+    larger.)
     """
     zero = (0,) * dim
     yield (zero,) * count
-    inner = BranchPolicy(m_max=min(policy.m_max, 1), max_branches=policy.max_branches)
     for c in range(count):
-        for m in enumerate_branches(inner, dim):
+        for m in enumerate_branches(policy, dim):
             if m == zero:
                 continue
             yield tuple(m if cc == c else zero for cc in range(count))

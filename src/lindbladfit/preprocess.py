@@ -64,9 +64,6 @@ IDENTITY = "identity"
 PASSTHROUGH = "passthrough"
 SAMPLES = "samples"
 
-# Relative singular-value threshold below which a kernel direction counts
-# as exact (as opposed to the approximate fallback gated by residual_tol).
-_STRICT_KERNEL_TOL = 1e-10
 _CONDITION_LIMIT = 1e8
 _MAX_RESAMPLE = 32
 _ND2_HALVING_CAP = 60
@@ -197,8 +194,7 @@ def _cluster_kernel(s: SpectralData, set_a, set_b, residual_tol):
     ``w`` spans the cluster ``set_a`` and ``u`` its partner ``set_b``.
     Returns (w, x): the n = |set_a| unit vectors x = (conj(alpha), beta),
     as rows, that minimize the residual.  Returns None unless every
-    residual is exact (relative to the largest singular value) or below
-    ``residual_tol``.
+    residual is below ``residual_tol``.
     """
     w = s.right_vectors[:, sorted(set_a)]
     n = w.shape[1]
@@ -207,8 +203,7 @@ def _cluster_kernel(s: SpectralData, set_a, set_b, residual_tol):
     resid = np.zeros(2 * n)
     resid[: sv.size] = sv
     resid = resid[n:]
-    exact = np.all(resid < _STRICT_KERNEL_TOL * max(1.0, float(sv[0])))
-    if not exact and (residual_tol is None or not np.all(resid < residual_tol)):
+    if not np.all(resid < residual_tol):
         return None
     return w, np.conj(vh[n:, :])
 
@@ -222,7 +217,7 @@ def conjugate_basis(
     s: SpectralData,
     set_a: Sequence[int],
     set_b: Sequence[int],
-    residual_tol: Optional[float] = None,
+    residual_tol: float,
 ) -> Optional[np.ndarray]:
     """Basis of adjoint pairs for a complex or negative-real cluster.
 
@@ -230,11 +225,10 @@ def conjugate_basis(
     ``w`` spanning the cluster ``set_a`` and ``u`` spanning the conjugate
     cluster ``set_b`` (the same set for negative real eigenvalues): each
     solution yields a unit column v = sum_j alpha_j w_j whose adjoint lies
-    in the partner span.  Returns None when the joint kernel is too small,
-    i.e. the two spans are not adjoints of each other.  With
-    ``residual_tol`` set, nearly compliant vectors (smallest singular
-    directions with residual below the tolerance) are accepted as well,
-    which is the relevant mode for noisy snapshots.
+    in the partner span.  The solutions are the smallest singular
+    directions, accepted when every residual is below ``residual_tol``, so
+    the nearly compliant vectors of a noisy snapshot count.  Returns None
+    otherwise, i.e. when the two spans are not adjoints of each other.
     """
     if len(set_a) != len(set_b):
         raise DimensionMismatch(
@@ -275,7 +269,7 @@ def real_positive_basis(
     s: SpectralData,
     set_a: Sequence[int],
     p: float,
-    residual_tol: Optional[float] = None,
+    residual_tol: float,
 ) -> Optional[np.ndarray]:
     """Self-adjoint and adjoint-pair columns for a positive-real cluster.
 
@@ -380,7 +374,7 @@ def build_cluster_bases(
     s: SpectralData,
     partition: ClusterPartition,
     p: float,
-    residual_tol: Optional[float],
+    residual_tol: float,
 ) -> Optional[list]:
     """The draw plan: one step (pool, c1, c2) per drawn column, in draw order.
 

@@ -19,7 +19,7 @@ consensus ADMM over a batch of problems, with one consensus matrix X per
 problem.  The engine owns the iteration (over-relaxation, consensus sums,
 dual updates, primal and dual residuals, the stopping test), retires each
 problem as it converges, balances each problem's step size ρ every 100
-iterations and settles the problems still running at ``max_iters``.  It
+iterations and settles the problems still running at ``ITER_LIMIT``.  It
 also owns the only bound on the working set: a batch of any size runs in
 pieces of at most ``CHUNK`` problems, so callers pass all their problems
 in one call.  A program supplies only its prox blocks, its consensus
@@ -64,7 +64,9 @@ path, not the iteration.
 
 All solves are deterministic: fixed initialization at the hermitian part
 of the target, no randomness, and per-problem arithmetic independent of
-how problems are batched.
+how problems are batched.  Every program runs at the one accuracy set by
+the module constants ``TOL``, ``ITER_LIMIT``, ``OVER_RELAXATION`` and
+``RHO``, read at each solve.
 """
 
 from __future__ import annotations
@@ -78,39 +80,23 @@ from .errors import DimensionMismatch, OutOfRange
 from .linalg import herm, max_entangled, partial_trace_first
 
 # ---------------------------------------------------------------------------
-# settings / report types
+# numerics / report types
 # ---------------------------------------------------------------------------
+
+#: Bound on the primal and dual residuals of the stopping test and on the
+#: cone deficit of the returned X, each times max(1, ‖target‖_F); the
+#: ball residual may reach ten times it.
+TOL = 1e-9
+#: Iterations after which a problem still running is settled as MaxIters.
+ITER_LIMIT = 50_000
+#: Over-relaxation of the engine, in (1, 2).
+OVER_RELAXATION = 1.6
+#: Step size ρ every problem starts from.
+RHO = 1.0
 
 OPTIMAL = "Optimal"
 MAX_ITERS = "MaxIters"
 INFEASIBLE = "Infeasible"
-
-
-@dataclass
-class SolverSettings:
-    """Tolerances and iteration limits for the projection solvers.
-
-    primal_tol / dual_tol bound the ADMM fixed-point residuals (scaled by
-    max(1, ‖target‖_F)); cone_tol bounds the eigenvalue violation of the
-    returned iterate.  over_relaxation must lie in (1, 2).
-    """
-
-    primal_tol: float = 1e-9
-    dual_tol: float = 1e-9
-    cone_tol: float = 1e-9
-    max_iters: int = 50_000
-    over_relaxation: float = 1.6
-    rho: float = 1.0
-
-    def validate(self) -> None:
-        if min(self.primal_tol, self.dual_tol, self.cone_tol) <= 0:
-            raise OutOfRange("solver tolerances must be positive")
-        if self.max_iters < 1:
-            raise OutOfRange("max_iters must be at least 1")
-        if not 1.0 < self.over_relaxation < 2.0:
-            raise OutOfRange("over_relaxation must lie in (1, 2)")
-        if self.rho <= 0:
-            raise OutOfRange("rho must be positive")
 
 
 @dataclass
@@ -120,8 +106,9 @@ class SolveReport:
     x_opt is hermitian.  residuals = (affine, cone, ball) are constraint
     violations of x_opt: entrywise 1-norm of Tr₁[x], eigenvalue deficit of
     the cone constraint, and distance beyond the δ-ball (0.0 when the
-    program has no ball).  status is Optimal, MaxIters or Infeasible; on
-    Optimal all residuals are within tolerance.  mu is None for (P1).
+    program has no ball).  status is Optimal, MaxIters (still running
+    after ``ITER_LIMIT`` iterations, or converged with a residual over its
+    ``TOL`` bound) or Infeasible.  mu is None for (P1).
     """
 
     x_opt: np.ndarray
@@ -259,10 +246,11 @@ def _project_ball(x: np.ndarray, center: np.ndarray, radius: np.ndarray) -> np.n
 
 
 def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
+    """A (B, d², d²) stack of targets; one d²×d² target becomes B = 1."""
     t = np.asarray(target, dtype=complex)
     if t.ndim == 2:
         t = t[None]
-    if t.shape[-1] != d * d or t.shape[-2] != d * d:
+    if t.ndim != 3 or t.shape[1:] != (d * d, d * d):
         raise DimensionMismatch(
             f"target must be {d * d}x{d * d} for side dimension {d}, got {t.shape}"
         )
@@ -285,7 +273,6 @@ def _admm(
     z_update: Callable,
     data: dict,
     scale: np.ndarray,
-    st: SolverSettings,
     finish: Callable,
     settle: Callable,
 ):
@@ -301,13 +288,14 @@ def _admm(
 
     A problem converges once its primal residual (the distance of the
     block outputs from z) and its dual residual (ρ times the z step,
-    counted once per block) are below primal_tol and dual_tol times its
-    ``scale``.  It then records ``finish(outs, z, done)``: the solutions
-    of the retiring rows, from the block outputs ``outs`` and the updated
-    z.  Every 100 iterations ρ doubles where the primal residual exceeds
+    counted once per block) are both at most ``TOL`` times its ``scale``.
+    It then records ``finish(outs, z, done)``: the solutions of the
+    retiring rows, from the block outputs ``outs`` and the updated z.
+    Every 100 iterations ρ doubles where the primal residual exceeds
     ten times the dual one and halves in the reverse case, with the scaled
-    duals rescaled to match.  Problems still running at max_iters record
-    ``settle(z, data)``.
+    duals rescaled to match.  Problems still running after ``ITER_LIMIT``
+    iterations record ``settle(z, data)``.  Every problem starts from the
+    step size ``RHO``, with over-relaxation ``OVER_RELAXATION``.
 
     The batch runs in consecutive pieces of at most ``CHUNK`` problems; an
     empty batch runs no iteration.  Each problem's iterates are independent
@@ -317,29 +305,29 @@ def _admm(
     """
     b = len(scale)
     out = np.empty_like(z)
-    iters = np.full(b, st.max_iters)
+    iters = np.full(b, ITER_LIMIT)
     converged = np.zeros(b, dtype=bool)
     for start in range(0, b, CHUNK):
         piece = slice(start, start + CHUNK)
         out[piece], iters[piece], converged[piece] = _admm_piece(
             z[piece], blocks, z_update, {key: v[piece] for key, v in data.items()},
-            scale[piece], st, finish, settle,
+            scale[piece], finish, settle,
         )
     return out, iters, converged
 
 
-def _admm_piece(z, blocks, z_update, data, scale, st, finish, settle):
+def _admm_piece(z, blocks, z_update, data, scale, finish, settle):
     """``_admm`` over one piece of the batch, all of its problems in lockstep."""
-    alpha = st.over_relaxation
+    alpha = OVER_RELAXATION
     b = len(scale)
     out = np.empty_like(z)
-    primal_tol, dual_tol = st.primal_tol * scale, st.dual_tol * scale
-    rho = np.full(b, st.rho)
+    tol = TOL * scale
+    rho = np.full(b, RHO)
     u = [np.zeros_like(z) for _ in blocks]
     active = np.arange(b)
-    iters = np.full(b, st.max_iters)
+    iters = np.full(b, ITER_LIMIT)
     converged = np.zeros(b, dtype=bool)
-    for it in range(1, st.max_iters + 1):
+    for it in range(1, ITER_LIMIT + 1):
         outs = [prox(z - uk, rho, data) for prox, uk in zip(blocks, u)]
         z_rest = (1 - alpha) * z
         xh = [alpha * xk + z_rest for xk in outs]
@@ -357,7 +345,7 @@ def _admm_piece(z, blocks, z_update, data, scale, st, finish, settle):
         dual = rho * np.sqrt(len(blocks) * _fro_sq(z_new - z))
         z = z_new
 
-        done = (primal <= primal_tol) & (dual <= dual_tol)
+        done = (primal <= tol) & (dual <= tol)
         if done.any():
             idx = active[done]
             out[idx] = finish(outs, z, done)
@@ -370,7 +358,7 @@ def _admm_piece(z, blocks, z_update, data, scale, st, finish, settle):
             z = z[keep]
             u = [uk[keep] for uk in u]
             rho, primal, dual = rho[keep], primal[keep], dual[keep]
-            primal_tol, dual_tol = primal_tol[keep], dual_tol[keep]
+            tol = tol[keep]
             data = {key: v[keep] for key, v in data.items()}
         if it % 100 == 0:
             # deterministic residual balancing
@@ -381,7 +369,7 @@ def _admm_piece(z, blocks, z_update, data, scale, st, finish, settle):
             for uk in u:
                 uk[grow] /= 2.0
                 uk[shrink] *= 2.0
-    if active.size:  # hit max_iters
+    if active.size:  # hit ITER_LIMIT
         out[active] = settle(z, data)
     return out, iters, converged
 
@@ -391,18 +379,14 @@ def _admm_piece(z, blocks, z_update, data, scale, st, finish, settle):
 # ---------------------------------------------------------------------------
 
 
-def closest_lindbladian_batch(
-    targets: np.ndarray,
-    d: int,
-    settings: Optional[SolverSettings] = None,
-) -> list[SolveReport]:
+def closest_lindbladian_batch(targets: np.ndarray, d: int) -> list[SolveReport]:
     """Solve (P1) for a stack of targets in lockstep.
 
-    Returns one SolveReport per target.  Each problem's iterates are
-    independent, so results do not depend on the batch composition.
+    ``targets`` is (B, d², d²), or one d²×d² target.  Returns one
+    SolveReport per target; (P1) is never infeasible (X = 0 qualifies).
+    Each problem's iterates are independent, so results do not depend on
+    the batch composition.
     """
-    st = settings or SolverSettings()
-    st.validate()
     geo = _geometry(d)
     t_full = _as_batch(targets, d)
     t_h = herm(t_full)
@@ -418,7 +402,6 @@ def closest_lindbladian_batch(
         z_update,
         {"t": t_h},
         scale,
-        st,
         # the cone block's output, made exactly trace-annihilating
         finish=lambda outs, z, done: geo.project_trace_zero(outs[1][done]),
         settle=lambda z, data: geo.project_trace_zero(geo.project_cone(z)),
@@ -426,18 +409,10 @@ def closest_lindbladian_batch(
     cone_res = geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
     obj = np.sqrt(_fro(x_sol - t_h) ** 2 + skew_norm**2)
-    ok = converged & (cone_res <= st.cone_tol * scale)
+    ok = converged & (cone_res <= TOL * scale)
     return _reports(
         x_sol, obj, (affine_res, cone_res, 0.0), np.where(ok, OPTIMAL, MAX_ITERS), iters
     )
-
-
-def solve_closest_lindbladian(
-    target: np.ndarray, d: int, settings: Optional[SolverSettings] = None
-) -> SolveReport:
-    """Project a matrix onto the hermitian, trace-annihilating, conditionally
-    positive cone — program (P1).  Never infeasible (X = 0 qualifies)."""
-    return closest_lindbladian_batch(np.asarray(target)[None], d, settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +451,14 @@ def min_mu_batch(
     targets: np.ndarray,
     d: int,
     deltas: Sequence[float] | np.ndarray,
-    settings: Optional[SolverSettings] = None,
 ) -> list[SolveReport]:
     """Solve (P2) for stacks of (target, δ) pairs in lockstep.
 
-    (P2) is solved over X alone: minimize d·max(0, −λ_min(ω⊥Xω⊥)) over the
-    slice-ball {Tr₁[X] = 0, ‖X − T‖_F ≤ δ}, and μ = d·max(0, −λ_min) of the
-    returned X, the least rate that makes it cone-feasible (never −0.0).
+    ``targets`` is (B, d², d²), or one d²×d² target; ``deltas`` broadcasts
+    to (B,).  (P2) is solved over X alone: minimize d·max(0, −λ_min(ω⊥Xω⊥))
+    over the slice-ball {Tr₁[X] = 0, ‖X − T‖_F ≤ δ}.  μ is the shift the
+    returned X needs, d·max(0, −λ_min) of it, so an X inside the cone gives
+    exactly 0 (never −0.0).
 
     A pair is reported Infeasible when δ² < ‖skew(T)‖² + ‖Tr₁-component‖²,
     i.e. when the ball cannot even reach the hermitian affine subspace
@@ -491,8 +467,6 @@ def min_mu_batch(
     trace-zero projection of herm(T).  Every other x_opt, MaxIters too,
     lies in the δ-ball and on the slice.
     """
-    st = settings or SolverSettings()
-    st.validate()
     geo = _geometry(d)
     t_full = _as_batch(targets, d)
     b = t_full.shape[0]
@@ -527,7 +501,6 @@ def min_mu_batch(
         lambda s, rho, data: s / 2,
         {"center": x_affine[live], "radius": radius[live]},
         scale_l,
-        st,
         # the slice-ball block's output: in the ball and on the slice
         finish=lambda outs, z, done: outs[0][done],
         settle=lambda z, data: geo.slice_ball_block(z, None, data),
@@ -540,7 +513,7 @@ def min_mu_batch(
     ball_res = np.maximum(
         0.0, np.sqrt(_fro(x_sol - t_h_l) ** 2 + skew_norm[live] ** 2) - deltas[live]
     )
-    ok = converged & (ball_res <= 10 * st.primal_tol * scale_l)
+    ok = converged & (ball_res <= 10 * TOL * scale_l)
     solved = _reports(
         x_sol, mu_sol, (affine_res, 0.0, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
         iters, mu=mu_sol
@@ -550,33 +523,18 @@ def min_mu_batch(
     return reports  # type: ignore[return-value]
 
 
-def solve_min_mu(
-    target: np.ndarray,
-    d: int,
-    delta: float,
-    settings: Optional[SolverSettings] = None,
-) -> SolveReport:
-    """Find the smallest cone shift μ compatible with staying δ-close to the
-    target — program (P2), the one-problem form of ``min_mu_batch``.  μ is
-    the shift the returned X needs, so an X inside the cone gives exactly 0."""
-    return min_mu_batch(np.asarray(target)[None], d, [delta], settings)[0]
-
-
 # ---------------------------------------------------------------------------
 # Dykstra cross-check for (P1)
 # ---------------------------------------------------------------------------
 
 
-def dykstra_closest_lindbladian(
-    target: np.ndarray, d: int, settings: Optional[SolverSettings] = None
-) -> SolveReport:
+def dykstra_closest_lindbladian(target: np.ndarray, d: int) -> SolveReport:
     """Independent (P1) solve by Dykstra's alternating projections.
 
     Converges to the same projection as the ADMM path; used as the
-    in-repo oracle for solver agreement.  Single problem, no batching.
+    in-repo oracle for solver agreement.  Single problem, no batching;
+    it stops on the engine's ``TOL`` and ``ITER_LIMIT``.
     """
-    st = settings or SolverSettings()
-    st.validate()
     geo = _geometry(d)
     t_full = _as_batch(target, d)
     t_h = herm(t_full)
@@ -588,7 +546,7 @@ def dykstra_closest_lindbladian(
     q = np.zeros_like(x)
     status = MAX_ITERS
     it = 0
-    for it in range(1, st.max_iters + 1):
+    for it in range(1, ITER_LIMIT + 1):
         y = geo.project_trace_zero(x + p)
         p = x + p - y
         x_new = geo.project_cone(y + q)
@@ -596,7 +554,7 @@ def dykstra_closest_lindbladian(
         gap = float(_fro(x_new - y)[0])
         step = float(_fro(x_new - x)[0])
         x = x_new
-        if gap <= st.primal_tol * scale and step <= st.dual_tol * scale:
+        if gap <= TOL * scale and step <= TOL * scale:
             status = OPTIMAL
             break
 
@@ -604,7 +562,7 @@ def dykstra_closest_lindbladian(
     cone_res = float(geo.cone_deficit(x_fin)[0])
     affine_res = float(_one_norm(partial_trace_first(x_fin))[0])
     obj = float(np.sqrt(_fro(x_fin - t_h)[0] ** 2 + skew_norm**2))
-    if status == OPTIMAL and cone_res > st.cone_tol * scale:
+    if status == OPTIMAL and cone_res > TOL * scale:
         status = MAX_ITERS
     return SolveReport(
         x_opt=x_fin[0],
@@ -714,7 +672,6 @@ def _joint_admm(
     t_sc: np.ndarray,
     deltas: np.ndarray,
     geo: _Geometry,
-    st: SolverSettings,
 ) -> list[SolveReport]:
     """Consensus ADMM for the joint fits that passed the screen."""
     q = t_full.shape[1]
@@ -735,7 +692,6 @@ def _joint_admm(
         lambda s, rho, data: s / (2 + q),
         {"t": t_h, "skew_sq": skew_sq, "delta": deltas},
         scale,
-        st,
         finish=lambda outs, z, done: z[done],
         settle=lambda z, data: z,
     )
@@ -745,11 +701,7 @@ def _joint_admm(
     affine_res = _one_norm(partial_trace_first(x_fin))
     dists = _fro(t_sc[:, None, None] * x_fin[:, None] - t_full)
     ball_res = np.maximum(0.0, dists.max(axis=1) - deltas)
-    ok = (
-        converged
-        & (cone_res <= st.cone_tol * scale)
-        & (ball_res <= 10 * st.primal_tol * scale)
-    )
+    ok = converged & (cone_res <= TOL * scale) & (ball_res <= 10 * TOL * scale)
     return _reports(
         x_fin, dists.sum(axis=1), (affine_res, cone_res, ball_res),
         np.where(ok, OPTIMAL, MAX_ITERS), iters
@@ -761,7 +713,6 @@ def solve_joint_fit_batch(
     times: Sequence[float] | np.ndarray,
     d: int,
     deltas: Sequence[float] | np.ndarray,
-    settings: Optional[SolverSettings] = None,
 ) -> list[SolveReport]:
     """Solve a stack of joint fits in lockstep; one SolveReport per problem.
 
@@ -778,8 +729,6 @@ def solve_joint_fit_batch(
     plus the affine and cone blocks) in one call.  Each problem's iterates
     are independent, so results do not depend on the batch composition.
     """
-    st = settings or SolverSettings()
-    st.validate()
     geo = _geometry(d)
     t_full = np.asarray(targets, dtype=complex)
     n = d * d
@@ -804,17 +753,13 @@ def solve_joint_fit_batch(
     for i, rep in zip(screened, _reports(x0, np.nan, (0.0, 0.0, excess[screened]), INFEASIBLE, 0)):
         reports[i] = rep
     live = np.flatnonzero(excess == 0)
-    for i, rep in zip(live, _joint_admm(t_full[live], t_sc, deltas[live], geo, st)):
+    for i, rep in zip(live, _joint_admm(t_full[live], t_sc, deltas[live], geo)):
         reports[i] = rep
     return reports  # type: ignore[return-value]
 
 
 def solve_joint_fit(
-    targets: Sequence[np.ndarray],
-    times: Sequence[float],
-    d: int,
-    delta: float,
-    settings: Optional[SolverSettings] = None,
+    targets: Sequence[np.ndarray], times: Sequence[float], d: int, delta: float
 ) -> SolveReport:
     """Fit one hermitian cone/affine-feasible X to several scaled targets.
 
@@ -822,4 +767,4 @@ def solve_joint_fit(
     some skew part already exceeds δ or two balls are provably disjoint.
     """
     stacked = np.stack([_as_batch(t, d)[0] for t in targets])
-    return solve_joint_fit_batch(stacked[None], times, d, [delta], settings)[0]
+    return solve_joint_fit_batch(stacked[None], times, d, [delta])[0]

@@ -95,14 +95,19 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
         bad_entries = tmp_path / "bad_entries.json"
         bad_entries.write_text(json.dumps({"dim": 4, "data": data}))
         assert fit(tmp_path, str(bad_entries)) == (cli.EXIT_INPUT_ERROR, None), first
+    # a series mixing a d=2 and a d=4 snapshot
+    ququart = tmp_path / "ququart.json"
+    cli.write_matrix_file(str(ququart), np.diag([1.0] + [0.9] * 15))
+    assert run(
+        tmp_path, "multifit", "--in", f"{snap['depol']},{ququart}", "--times", "1,2",
+        "--epsilon", str(EPSILON),
+    ) == (cli.EXIT_INPUT_ERROR, None)
     # a cap above the uncapped limit is no cap: 3^16 = 43,046,721 branches at
     # d=4 would be enumerated, so the input is refused before any of them
     def no_enumeration(*args):
         raise AssertionError("branches were enumerated")
 
     monkeypatch.setattr(fitting, "enumerate_branches", no_enumeration)
-    ququart = tmp_path / "ququart.json"
-    cli.write_matrix_file(str(ququart), np.diag([1.0] + [0.9] * 15))
     assert fit(tmp_path, str(ququart), EPSILON, "--max-branches", "50000000") == (
         cli.EXIT_INPUT_ERROR, None
     )
@@ -286,31 +291,33 @@ def test_mu_fallback_is_one_p2_batch(tmp_path, snap, monkeypatch):
 
 @pytest.mark.parametrize("command", ["fit", "mu"])
 def test_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch, command):
-    """With the P2 solver cut at a few iterations, every solved pair ends
+    """With the solvers cut at a few iterations, every solved P2 pair ends
     MaxIters and the report says how many."""
     batch = solver.min_mu_batch
     statuses = []
 
-    def short(targets, d, deltas):
-        reports = batch(targets, d, deltas, solver.SolverSettings(max_iters=5))
+    def recording(targets, d, deltas):
+        reports = batch(targets, d, deltas)
         statuses.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "min_mu_batch", short)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 5)
+    monkeypatch.setattr(solver, "min_mu_batch", recording)
     _, doc = run(tmp_path, command, "--in", snap["unital"], "--epsilon", str(EPSILON))
     assert doc["p2_maxiters"] == statuses.count(solver.MAX_ITERS) == len(statuses) > 0
 
 
 def short_p1(monkeypatch, statuses):
-    """Cut every P1 solve at 5 iterations, recording the statuses."""
+    """Cut every solve (P1 and P2) at 5 iterations, recording the P1 statuses."""
     batch = solver.closest_lindbladian_batch
 
-    def short(targets, d):
-        reports = batch(targets, d, solver.SolverSettings(max_iters=5))
+    def recording(targets, d):
+        reports = batch(targets, d)
         statuses.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "closest_lindbladian_batch", short)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 5)
+    monkeypatch.setattr(solver, "closest_lindbladian_batch", recording)
 
 
 def test_p1_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch):

@@ -36,7 +36,7 @@ from lindbladfit.linalg import (
     matrix_log_principal,
     side_dim,
 )
-from lindbladfit.solver import solve_closest_lindbladian
+from lindbladfit.solver import closest_lindbladian_batch
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_quotient_matches_per_branch_solves(case, request):
     assert len(distances) < len(branches)  # some class has several members
     d = side_dim(r.shape[0])
     for b, target in enumerate(targets):
-        x = solve_closest_lindbladian(target, d).x_opt
+        x = closest_lindbladian_batch(target, d)[0].x_opt
         dist = frobenius(mat - expm(gamma_involution(x)))
         assert dist == pytest.approx(distances[label[b]], abs=1e-9)
 

@@ -184,9 +184,9 @@ def lindbladian_series(seed, times=(0.5, 1.0), noise=1e-3):
 
 
 def test_batch_matches_single_solves(weak_series, monkeypatch):
-    # Converged after 1 and 381 iterations, cut at max_iters, and screened;
-    # residual balancing drives the problems to different step sizes ρ.
-    settings = solver.SolverSettings(max_iters=600)
+    # Converged after 1 and 381 iterations, cut at the iteration limit, and
+    # screened; residual balancing drives the problems to different step sizes ρ.
+    monkeypatch.setattr(solver, "ITER_LIMIT", 600)
     deltas, _, grid = assignment_grid(weak_series[2])
     batch = np.array([
         grid[0], grid[0], grid[1], grid[40],  # zero branch at two radii; two moved branches
@@ -194,18 +194,18 @@ def test_batch_matches_single_solves(weak_series, monkeypatch):
         lindbladian_series(3, noise=0.05),
     ])
     radii = [deltas[3], deltas[20], deltas[20], deltas[20], 0.5, 0.01, 5.0]
-    reports = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii, settings)
+    reports = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii)
     assert {rep.status for rep in reports} == {
         solver.OPTIMAL, solver.MAX_ITERS, solver.INFEASIBLE
     }
     assert len({rep.iterations for rep in reports}) == 4
     monkeypatch.setattr(solver, "CHUNK", 3)
-    chunked = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii, settings)
+    chunked = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii)
     for rep, other in zip(reports, chunked):
         assert (rep.status, rep.iterations) == (other.status, other.iterations)
         np.testing.assert_array_equal(rep.x_opt, other.x_opt)
     for targets, delta, rep in zip(batch, radii, reports):
-        single = solver.solve_joint_fit(list(targets), TIMES, 2, delta, settings)
+        single = solver.solve_joint_fit(list(targets), TIMES, 2, delta)
         assert rep.status == single.status
         assert rep.iterations == single.iterations
         np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
@@ -323,8 +323,8 @@ def joint_calls(monkeypatch):
     batch = solver.solve_joint_fit_batch
     calls = []
 
-    def recording(targets, times, d, deltas, settings=None):
-        reports = batch(targets, times, d, deltas, settings)
+    def recording(targets, times, d, deltas):
+        reports = batch(targets, times, d, deltas)
         calls.append((np.array(targets), np.array(deltas), reports))
         return reports
 
@@ -388,16 +388,10 @@ def test_reuse_matches_all_pairs(case, joint_calls):
 
 
 def test_maxiters_probe_is_not_reused(weak_series, joint_calls, monkeypatch):
-    """A probe cut at max_iters covers only its own pair: every other live
-    pair of its assignment is solved again, and each cut solve is counted."""
-    batch = solver.solve_joint_fit_batch
-    monkeypatch.setattr(
-        solver,
-        "solve_joint_fit_batch",
-        lambda targets, times, d, deltas: batch(
-            targets, times, d, deltas, solver.SolverSettings(max_iters=20)
-        ),
-    )
+    """A probe cut at the iteration limit covers only its own pair: every
+    other live pair of its assignment is solved again, and each cut solve
+    is counted."""
+    monkeypatch.setattr(solver, "ITER_LIMIT", 20)
     series = SnapshotSeries(weak_series[1], TIMES)
     deltas, _, targets = assignment_grid(weak_series[1])
     live = int(np.sum(solver.joint_infeasibility(targets, TIMES, deltas[:, None]) == 0))
@@ -420,12 +414,12 @@ def write_series(tmp_path, name, mats):
     return ",".join(paths)
 
 
-def run_multifit(tmp_path, files, times="1,2"):
+def run_multifit(tmp_path, files, times="1,2", *flags):
     report = tmp_path / "report.json"
     report.unlink(missing_ok=True)
     code = cli.main([
         "multifit", "--in", files, "--times", times,
-        "--epsilon", str(EPSILON), "--report", str(report),
+        "--epsilon", str(EPSILON), *flags, "--report", str(report),
     ])
     return code, (json.loads(report.read_text()) if report.exists() else None)
 
@@ -450,6 +444,21 @@ def test_cli_multifit_markovian(tmp_path, weak_series):
     assert is_lindbladian(gen, tol=res["lindblad_check_tolerance"]).ok
 
 
+def test_cli_multifit_m_max_2_enumerates_its_branches(tmp_path, weak_series):
+    """--m-max bounds the branch entries of multifit as of fit: at m_max = 2
+    each snapshot in turn takes every one of the 5^4 - 1 nonzero branches.
+    The weak series keeps its principal-branch answer."""
+    policy = fitting.BranchPolicy(m_max=2)
+    assert len(list(_joint_assignments(policy, 2, 4))) == 1 + 2 * (5**4 - 1)
+    files = write_series(tmp_path, "weak", weak_series[1])
+    _, base = run_multifit(tmp_path, files)
+    code, doc = run_multifit(tmp_path, files, "1,2", "--m-max", "2")
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "Markovian")
+    assert (base["settings"]["m_max"], doc["settings"]["m_max"]) == (1, 2)
+    assert doc["result"]["distance"] == base["result"]["distance"]
+    assert doc["result"]["branch"] == [0] * 8
+
+
 def test_cli_multifit_no_result(tmp_path):
     files = write_series(tmp_path, "bench", unital_series(BENCH_GAMMA, 1))
     code, doc = run_multifit(tmp_path, files)
@@ -462,12 +471,13 @@ def test_cli_multifit_counts_maxiters(tmp_path, weak_series, monkeypatch):
     batch = solver.solve_joint_fit_batch
     statuses = []
 
-    def short(targets, times, d, deltas):
-        reports = batch(targets, times, d, deltas, solver.SolverSettings(max_iters=20))
+    def recording(targets, times, d, deltas):
+        reports = batch(targets, times, d, deltas)
         statuses.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "solve_joint_fit_batch", short)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 20)
+    monkeypatch.setattr(solver, "solve_joint_fit_batch", recording)
     _, doc = run_multifit(tmp_path, write_series(tmp_path, "weak", weak_series[1]))
     assert doc["joint_maxiters"] == statuses.count(solver.MAX_ITERS) == len(statuses) > 0
 

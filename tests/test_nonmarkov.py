@@ -87,13 +87,12 @@ def test_screen_is_the_ball_test(screen_grid):
     assert mask[:-1].any() and not mask[:-1].all()
 
 
-def test_screen_matches_min_mu_batch_status(screen_grid):
+def test_screen_matches_min_mu_batch_status(screen_grid, monkeypatch):
     targets, deltas, critical = screen_grid
     mask = solver.min_mu_infeasible(targets, 2, deltas)
     bi, di = np.indices(mask.shape).reshape(2, -1)
-    reports = solver.min_mu_batch(
-        targets[bi], 2, deltas[di], solver.SolverSettings(max_iters=20)
-    )
+    monkeypatch.setattr(solver, "ITER_LIMIT", 20)
+    reports = solver.min_mu_batch(targets[bi], 2, deltas[di])
     status = np.array([rep.status == solver.INFEASIBLE for rep in reports])
     assert (status == mask.ravel()).all()
     # the ball touches the slice at the critical radius
@@ -353,16 +352,16 @@ def _panel_stack(spec, shots, repaired):
     ],
     ids=["X gate 1e4", "X gate 1e5", "benchmark 1e4", "benchmark 1e5"],
 )
-def test_winner_mu_is_within_1e7_of_a_tight_solve(spec, shots, repaired):
+def test_winner_mu_is_within_1e7_of_a_tight_solve(spec, shots, repaired, monkeypatch):
     """The winner's rate against a solve of its own (target, delta) at
-    1e-13 tolerances."""
+    1e-13 tolerance."""
     m, stack = _panel_stack(spec, shots, repaired)
     res, maxiters = non_markovianity(m, stack, EPSILON)
     assert res is not None and maxiters == 0
     spectral, l0 = checked_log(stack[res.basis_sample])
     target = branch_targets(l0, spectral, np.array([res.branch]))[0]
-    tight = solver.SolverSettings(primal_tol=1e-13, dual_tol=1e-13)
-    ref = solver.solve_min_mu(target, 2, res.delta_used, tight)
+    monkeypatch.setattr(solver, "TOL", 1e-13)
+    ref = solver.min_mu_batch(target, 2, res.delta_used)[0]
     assert ref.status == solver.OPTIMAL
     assert res.mu_min == pytest.approx(ref.mu, abs=1e-7)
 
@@ -391,12 +390,13 @@ def test_maxiters_reports_are_counted(monkeypatch):
     batch = solver.min_mu_batch
     solved = []
 
-    def short(targets, d, deltas):
-        reports = batch(targets, d, deltas, solver.SolverSettings(max_iters=5))
+    def recording(targets, d, deltas):
+        reports = batch(targets, d, deltas)
         solved.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "min_mu_batch", short)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 5)
+    monkeypatch.setattr(solver, "min_mu_batch", recording)
     m = bench_snapshot(10**4)
     _, maxiters = non_markovianity(m, np.stack([m, m]), EPSILON)
     assert maxiters == solved.count(solver.MAX_ITERS) == len(solved) > 0

@@ -10,7 +10,7 @@ import pytest
 
 from lindbladfit import solver
 from lindbladfit.channels import is_lindbladian, random_lindblad_generator
-from lindbladfit.errors import OutOfRange
+from lindbladfit.errors import DimensionMismatch
 from lindbladfit.linalg import (
     frobenius,
     gamma_involution,
@@ -18,12 +18,9 @@ from lindbladfit.linalg import (
     partial_trace_first,
 )
 from lindbladfit.solver import (
-    SolverSettings,
     closest_lindbladian_batch,
     dykstra_closest_lindbladian,
     min_mu_batch,
-    solve_closest_lindbladian,
-    solve_min_mu,
 )
 
 
@@ -49,28 +46,16 @@ def lindbladian_choi(d, seed):
 
 
 # ----------------------------------------------------------------------
-# settings
+# target shapes
 # ----------------------------------------------------------------------
 
-def test_default_settings_validate():
-    SolverSettings().validate()
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"primal_tol": 0.0},
-        {"dual_tol": -1e-9},
-        {"cone_tol": 0.0},
-        {"max_iters": 0},
-        {"over_relaxation": 1.0},
-        {"over_relaxation": 2.0},
-        {"rho": 0.0},
-    ],
-)
-def test_settings_rejects_bad_values(kwargs):
-    with pytest.raises(OutOfRange):
-        SolverSettings(**kwargs).validate()
+@pytest.mark.parametrize("shape", [(4,), (1, 1, 4, 4)], ids=["1-D", "4-D"])
+def test_badly_shaped_targets_are_refused(shape):
+    target = np.zeros(shape)
+    with pytest.raises(DimensionMismatch):
+        closest_lindbladian_batch(target, 2)
+    with pytest.raises(DimensionMismatch):
+        min_mu_batch(target, 2, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +64,7 @@ def test_settings_rejects_bad_values(kwargs):
 
 def test_in_cone_target_is_fixed_point():
     c = lindbladian_choi(2, seed=0)
-    rep = solve_closest_lindbladian(c, 2)
+    rep = closest_lindbladian_batch(c, 2)[0]
     assert rep.status == "Optimal"
     assert rep.objective <= 1e-7
     assert frobenius(rep.x_opt - herm(c)) <= 1e-6
@@ -87,13 +72,13 @@ def test_in_cone_target_is_fixed_point():
 
 
 def test_zero_target():
-    rep = solve_closest_lindbladian(np.zeros((4, 4)), 2)
+    rep = closest_lindbladian_batch(np.zeros((4, 4)), 2)[0]
     assert rep.status == "Optimal"
     assert rep.objective == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_output_is_feasible():
-    rep = solve_closest_lindbladian(random_choi_target(2, seed=1), 2)
+    rep = closest_lindbladian_batch(random_choi_target(2, seed=1), 2)[0]
     assert rep.status == "Optimal"
     assert rep.objective > 0.1
     affine, cone, ball = rep.residuals
@@ -109,7 +94,7 @@ def test_projection_output_is_feasible():
 def test_split_solver_matches_alternating_projections(seed):
     """Two unrelated algorithms agree on the projection to 1e-6."""
     target = random_choi_target(2, seed=100 + seed)
-    rep = solve_closest_lindbladian(target, 2)
+    rep = closest_lindbladian_batch(target, 2)[0]
     dyk = dykstra_closest_lindbladian(target, 2)
     assert rep.status == "Optimal"
     assert abs(rep.objective - dyk.objective) <= 1e-6
@@ -119,42 +104,43 @@ def test_split_solver_matches_alternating_projections(seed):
 
 def test_projection_scale_equivariance():
     target = random_choi_target(2, seed=7)
-    base = solve_closest_lindbladian(target, 2)
+    base = closest_lindbladian_batch(target, 2)[0]
     for c in (0.25, 4.0):
-        scaled = solve_closest_lindbladian(c * target, 2)
+        scaled = closest_lindbladian_batch(c * target, 2)[0]
         assert scaled.objective == pytest.approx(c * base.objective, rel=1e-6)
         assert frobenius(scaled.x_opt - c * base.x_opt) <= 1e-6 * max(1.0, c)
 
 
-def test_batch_results_are_composition_independent():
+def test_batch_results_are_composition_independent(monkeypatch):
     targets = np.stack([random_choi_target(2, seed=s) for s in (11, 12, 13)])
     batch = closest_lindbladian_batch(targets, 2)
     for i, t in enumerate(targets):
-        single = solve_closest_lindbladian(t, 2)
+        single = closest_lindbladian_batch(t, 2)[0]
         assert frobenius(batch[i].x_opt - single.x_opt) <= 1e-9
         assert batch[i].objective == pytest.approx(single.objective, abs=1e-10)
 
     # At rho = 10 the residual balancing halves rho at iteration 100 for
     # the problems still running; they retire at different iterations (1,
-    # 128, 171, 176) and the first one is cut at max_iters.
-    st = SolverSettings(rho=10.0, max_iters=200)
+    # 128, 171, 176) and the first one is cut at the iteration limit.
+    monkeypatch.setattr(solver, "RHO", 10.0)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 200)
     targets = np.stack(
         [random_choi_target(2, seed=s) for s in (11, 12, 13)]
         + [lindbladian_choi(2, seed=3) + 0.01 * random_choi_target(2, seed=103),
            lindbladian_choi(2, seed=4)]
     )
-    batch = closest_lindbladian_batch(targets, 2, st)
+    batch = closest_lindbladian_batch(targets, 2)
     iters = [rep.iterations for rep in batch]
-    assert batch[0].status == "MaxIters" and iters[0] == st.max_iters
+    assert batch[0].status == "MaxIters" and iters[0] == 200
     assert len(set(iters)) == len(iters) and sum(100 < i < 200 for i in iters) == 3
     for t, rep in zip(targets, batch):
-        single = solve_closest_lindbladian(t, 2, st)
+        single = closest_lindbladian_batch(t, 2)[0]
         assert (rep.status, rep.iterations) == (single.status, single.iterations)
         np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
 
 
 def test_four_level_projection():
-    rep = solve_closest_lindbladian(random_choi_target(4, seed=2, scale=0.5), 4)
+    rep = closest_lindbladian_batch(random_choi_target(4, seed=2, scale=0.5), 4)[0]
     assert rep.status == "Optimal"
     check = is_lindbladian(gamma_involution(rep.x_opt), tol=1e-6)
     assert check.ok, check.residuals
@@ -234,7 +220,7 @@ def test_noise_rate_block_against_a_bisection_on_the_floor(d):
 
 def test_markovian_target_needs_no_noise():
     c = lindbladian_choi(2, seed=3)
-    rep = solve_min_mu(c, 2, delta=0.1)
+    rep = min_mu_batch(c, 2, 0.1)[0]
     assert rep.status == "Optimal"
     assert rep.mu is not None and rep.mu <= 1e-8
 
@@ -244,7 +230,7 @@ def test_zero_radius_oracle_on_projector_direction():
     eigenvalue deficit.  The anti-noise direction gives mu = c exactly."""
     perp = max_entangled(2).omega_perp
     c_target = gamma_involution(0.3 * perp)
-    rep = solve_min_mu(c_target, 2, delta=0.0)
+    rep = min_mu_batch(c_target, 2, 0.0)[0]
     assert rep.status == "Optimal"
     assert rep.mu == pytest.approx(0.3, abs=1e-7)
 
@@ -256,7 +242,7 @@ def test_zero_radius_oracle_random(seed):
     perp = max_entangled(d).omega_perp
     lam = np.linalg.eigvalsh(perp @ c @ perp)[0]
     expected = d * max(0.0, -float(lam))
-    rep = solve_min_mu(c, d, delta=0.0)
+    rep = min_mu_batch(c, d, 0.0)[0]
     assert rep.status == "Optimal"
     assert rep.mu == pytest.approx(expected, abs=1e-6)
 
@@ -265,7 +251,7 @@ def test_skewed_target_with_small_ball_is_infeasible():
     target = random_choi_target(2, seed=31)  # generic: large skew part
     skew = frobenius(target - herm(target))
     assert skew > 0.5
-    rep = solve_min_mu(target, 2, delta=0.25 * skew)
+    rep = min_mu_batch(target, 2, 0.25 * skew)[0]
     assert rep.status == "Infeasible"
 
 
@@ -281,8 +267,8 @@ def test_mu_non_increasing_in_delta():
 
 def test_large_ball_reaches_the_cone():
     c = tp_correct(herm(random_choi_target(2, seed=41)), 2)
-    dist = solve_closest_lindbladian(c, 2).objective
-    rep = solve_min_mu(c, 2, delta=1.05 * dist)
+    dist = closest_lindbladian_batch(c, 2)[0].objective
+    rep = min_mu_batch(c, 2, 1.05 * dist)[0]
     assert rep.status == "Optimal"
     assert rep.mu <= 1e-7
 
@@ -292,29 +278,30 @@ def test_mu_batch_matches_singles(monkeypatch):
     c2 = tp_correct(herm(random_choi_target(2, seed=52)), 2)
     batch = min_mu_batch(np.stack([c1, c2]), 2, [0.3, 0.6])
     for rep, (c, delta) in zip(batch, [(c1, 0.3), (c2, 0.6)]):
-        single = solve_min_mu(c, 2, delta)
+        single = min_mu_batch(c, 2, delta)[0]
         assert rep.mu == pytest.approx(single.mu, abs=1e-9)
 
     # At rho = 10 the residual balancing halves rho at iteration 100 for
     # the two problems still running; one problem retires at 1 and one at
-    # 94, before that step, one at 101, after it, one is cut at max_iters,
-    # and a skewed target with a small ball is screened.
-    st = SolverSettings(rho=10.0, max_iters=105)
+    # 94, before that step, one at 101, after it, one is cut at the
+    # iteration limit, and a skewed target with a small ball is screened.
+    monkeypatch.setattr(solver, "RHO", 10.0)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 105)
     c4 = tp_correct(herm(random_choi_target(2, seed=54)), 2)
     targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c4, random_choi_target(2, seed=31)])
     deltas = [0.1, 0.3, 0.6, 0.3, 0.1]
-    batch = min_mu_batch(targets, 2, deltas, st)
+    batch = min_mu_batch(targets, 2, deltas)
     assert [rep.status for rep in batch] == [
         "Optimal", "Optimal", "MaxIters", "Optimal", "Infeasible"
     ]
-    assert batch[0].iterations < batch[1].iterations < 100 < batch[3].iterations < st.max_iters
+    assert batch[0].iterations < batch[1].iterations < 100 < batch[3].iterations < 105
     for t, delta, rep in zip(targets, deltas, batch):
-        single = solve_min_mu(t, 2, delta, st)
+        single = min_mu_batch(t, 2, delta)[0]
         assert (rep.status, rep.iterations, rep.mu) == (single.status, single.iterations, single.mu)
         assert np.array_equal(rep.x_opt, single.x_opt)
     # the engine runs the four live problems in two pieces of two
     monkeypatch.setattr(solver, "CHUNK", 2)
-    for rep, piece in zip(batch, min_mu_batch(targets, 2, deltas, st)):
+    for rep, piece in zip(batch, min_mu_batch(targets, 2, deltas)):
         assert (rep.status, rep.iterations, rep.mu, rep.residuals) == (
             piece.status, piece.iterations, piece.mu, piece.residuals
         )
