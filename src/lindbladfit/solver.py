@@ -12,20 +12,30 @@ Both programs live in the real vector space of hermitian d²×d² matrices X
 where ω is the normalized maximally entangled vector and ω⊥ the projector
 onto its orthogonal complement.  A third program fits one generator to a
 snapshot series: minimize Σ_c ‖t_c X − T_c‖_F under a δ-ball per term plus
-the same affine/cone constraints.
+the same affine/cone constraints.  Every cone test and projection works on
+the (d²−1)×(d²−1) block VᴴXV, with V an orthonormal basis of ω⊥ (the cone
+K = {X : VᴴXV ⪰ 0}).
 
-All three are solved by one engine, ``_admm``: lockstep, over-relaxed
-consensus ADMM over a batch of problems, with one consensus matrix X per
-problem.  The engine owns the iteration (over-relaxation, consensus sums,
-dual updates, primal and dual residuals, the stopping test), retires each
-problem as it converges, balances each problem's step size ρ every 100
-iterations and settles the problems still running at ``ITER_LIMIT``.  It
-also owns the only bound on the working set: a batch of any size runs in
-pieces of at most ``CHUNK`` problems, so callers pass all their problems
-in one call.  A program supplies only its prox blocks, its consensus
+(P1) is a projection onto K ∩ {Tr₁[X] = 0} with only d² equality
+constraints, solved by semismooth Newton on its dual in the hermitian d×d
+multiplier Y of Tr₁[X] = 0 (the method of Qi and Sun for the nearest
+correlation matrix, SIAM J. Matrix Anal. Appl. 28 (2006) 360-385).  The
+dual θ(Y) = ½‖[VᴴWV]₋‖² + Re⟨Y, Tr₁T⟩ − (d/2)‖Y‖², W = T − 1⊗Y, is
+concave with gradient F(Y) = Tr₁Π_K(W), where Π_K(W) = W − V[VᴴWV]₋Vᴴ.
+Each step solves one regularized d²×d² system in the generalized Jacobian
+of F, which is built from the same eigendecomposition of VᴴWV as F, and
+takes an Armijo step on θ; a handful of steps and eigendecompositions
+finish a problem.  The answer is the trace-zero projection of Π_K(W).
+
+(P2) and the joint fit are solved by one engine, ``_admm``: lockstep,
+over-relaxed consensus ADMM over a batch of problems, with one consensus
+matrix X per problem.  The engine owns the iteration (over-relaxation,
+consensus sums, dual updates, primal and dual residuals, the stopping
+test), retires each problem as it converges, balances each problem's step
+size ρ every 100 iterations and settles the problems still running at
+``ITER_LIMIT``.  A program supplies only its prox blocks, its consensus
 update and what to record:
 
-  * (P1): affine and cone blocks; z = (T + ρS)/(1 + 2ρ)
   * (P2): slice-ball and noise-rate blocks; z = S/2
   * joint: affine, cone and one scaled-distance block per series term;
            z = S/(2 + q)
@@ -34,21 +44,25 @@ where S is the sum of the over-relaxed block outputs and their duals.
 The prox blocks are closed forms:
 
   * affine set  {Tr₁[X] = 0}:  X ↦ X − (1/d)·1⊗Tr₁[X]
-  * cone set    {ω⊥Xω⊥ ⪰ 0}:  subtract the negative spectral part of ω⊥Xω⊥
+  * cone set    {VᴴXV ⪰ 0}:    subtract the negative spectral part of VᴴXV
   * slice-ball set {Tr₁[X] = 0} ∩ δ-ball:  the affine projection, then the
                                ball projection within the slice
-  * noise rate  d·max(0, −λ_min(ω⊥Xω⊥)):  lift the eigenvalues of ω⊥Xω⊥
+  * noise rate  d·max(0, −λ_min(VᴴXV)):  lift the eigenvalues of VᴴXV
                                below a floor f ≤ 0 up to f, with f the root
                                of Σ relu(f − λ_i) = d/ρ (a water level)
   * ball / distance prox:      radial closed forms (1-D after reduction);
                                the joint program's 1-D root is one masked
                                Newton iteration over the whole batch
 
+Both solvers bound their working set the same way: a batch of any size
+runs in pieces of at most ``CHUNK`` problems, so callers pass all their
+problems in one call.
+
 Hermiticity is structural: every projection maps hermitian matrices to
 hermitian matrices, and the target is replaced by its hermitian part (the
 skew part contributes a constant offset ‖skew‖_F in quadrature, which is
 added back to reported objectives and ball radii).  (P2) has no epigraph
-variable: at fixed X the least feasible μ is d·max(0, −λ_min(ω⊥Xω⊥)), so
+variable: at fixed X the least feasible μ is d·max(0, −λ_min(VᴴXV)), so
 the engine minimizes that function of X over the slice-ball, and the
 reported μ is its value at the returned X.
 
@@ -59,14 +73,15 @@ gap per target against every δ; ``joint_infeasibility`` screens a whole
 gaps of each assignment.
 
 An independent Dykstra alternating-projection solver for (P1) is provided
-as a cross-check; it shares only the elementary projections with the ADMM
-path, not the iteration.
+as a cross-check; it shares only the elementary projections with the
+Newton path, not the iteration.
 
-All solves are deterministic: fixed initialization at the hermitian part
-of the target, no randomness, and per-problem arithmetic independent of
-how problems are batched.  Every program runs at the one accuracy set by
-the module constants ``TOL``, ``ITER_LIMIT``, ``OVER_RELAXATION`` and
-``RHO``, read at each solve.
+All solves are deterministic: fixed initialization (the hermitian part of
+the target; for (P1) the dual point Y = Tr₁T/d), no randomness, and
+per-problem arithmetic independent of how problems are batched.  Every
+program runs at the one accuracy set by the module constants ``TOL`` and
+``ITER_LIMIT``, and the engine also reads ``OVER_RELAXATION`` and
+``RHO``, all read at each solve.
 """
 
 from __future__ import annotations
@@ -83,11 +98,13 @@ from .linalg import herm, max_entangled, partial_trace_first
 # numerics / report types
 # ---------------------------------------------------------------------------
 
-#: Bound on the primal and dual residuals of the stopping test and on the
-#: cone deficit of the returned X, each times max(1, ‖target‖_F); the
-#: ball residual may reach ten times it.
+#: Bound on the primal and dual residuals of the engine's stopping test,
+#: on ‖F‖ of the (P1) Newton stopping test and on the cone deficit of the
+#: returned X, each times max(1, ‖target‖_F); the ball residual may reach
+#: ten times it.
 TOL = 1e-9
-#: Iterations after which a problem still running is settled as MaxIters.
+#: Iterations (Newton steps for (P1)) after which a problem still running
+#: is settled as MaxIters.
 ITER_LIMIT = 50_000
 #: Over-relaxation of the engine, in (1, 2).
 OVER_RELAXATION = 1.6
@@ -107,8 +124,10 @@ class SolveReport:
     violations of x_opt: entrywise 1-norm of Tr₁[x], eigenvalue deficit of
     the cone constraint, and distance beyond the δ-ball (0.0 when the
     program has no ball).  status is Optimal, MaxIters (still running
-    after ``ITER_LIMIT`` iterations, or converged with a residual over its
-    ``TOL`` bound) or Infeasible.  mu is None for (P1).
+    after ``ITER_LIMIT`` iterations, stalled in the (P1) line search, or
+    converged with a residual over its ``TOL`` bound) or Infeasible.
+    iterations counts Newton steps for (P1) and ADMM iterations for (P2)
+    and the joint fit.  mu is None for (P1).
     """
 
     x_opt: np.ndarray
@@ -146,7 +165,13 @@ def _reports(x, objective, residuals, status, iterations, mu=None):
 class _Geometry:
     def __init__(self, d: int):
         self.d = d
-        self.perp = max_entangled(d).omega_perp
+        # columns: an orthonormal basis of ω⊥, the eigenvalue-1 eigenvectors
+        # of its (real) projector; every cone eigendecomposition is of size
+        # d² − 1
+        ent = max_entangled(d)
+        self.basis = np.linalg.eigh(ent.omega_perp.real)[1][:, 1:]
+        # 1/d − d·ωωᴴ: trace-annihilating, and 1/d on ω⊥
+        self.cone_lift = np.eye(d * d) / d - d * np.outer(ent.omega, ent.omega.conj())
         self.eye_d = np.eye(d, dtype=complex)
 
     def embed_second(self, y: np.ndarray) -> np.ndarray:
@@ -159,27 +184,30 @@ class _Geometry:
         """Orthogonal projection onto {Tr₁[X] = 0}; keeps hermiticity."""
         return x - self.embed_second(partial_trace_first(x)) / self.d
 
-    def compress_eig(self, x: np.ndarray):
-        """Eigendecomposition of ω⊥ X ω⊥ (batched).
+    def compress(self, x: np.ndarray) -> np.ndarray:
+        """VᴴXV, batched: the ω⊥ block of X in the basis V."""
+        return self.basis.T @ x @ self.basis
 
-        The ω-direction contributes one exact-zero eigenvalue that is inert
-        in every clip/shift below.
+    def compress_eig(self, x: np.ndarray):
+        """Eigenvalues λ (ascending) of VᴴXV and the vectors A = VQ (batched).
+
+        A is d²×(d²−1) with orthonormal columns in ω⊥, so a spectral change
+        of the cone block is X + A·diag(Δλ)·Aᴴ.
         """
-        c = self.perp @ x @ self.perp
-        return np.linalg.eigh(herm(c))
+        w, q = np.linalg.eigh(self.compress(x))
+        return w, self.basis @ q
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
         """Projection onto {X : ω⊥ X ω⊥ ⪰ 0} (negative-part subtraction)."""
-        w, v = self.compress_eig(x)
+        w, a = self.compress_eig(x)
         neg = np.minimum(w, 0.0)
         if not neg.any():
             return x
-        vh = v.conj().swapaxes(-1, -2)
-        return x - (v * neg[..., None, :]) @ vh
+        return x - (a * neg[..., None, :]) @ a.conj().swapaxes(-1, -2)
 
     def cone_deficit(self, x: np.ndarray) -> np.ndarray:
         """max(0, −λ_min(ω⊥Xω⊥)), batched."""
-        w = np.linalg.eigvalsh(herm(self.perp @ x @ self.perp))
+        w = np.linalg.eigvalsh(self.compress(x))
         # + 0.0 turns the −0.0 of an exact-zero λ_min into 0.0
         return np.maximum(0.0, -w[..., 0]) + 0.0
 
@@ -202,7 +230,7 @@ class _Geometry:
         f is the root of Σ relu(f − λ_i) = d/ρ; f = 0 (the cone projection)
         when Σ relu(−λ_i) ≤ d/ρ.
         """
-        w, v = self.compress_eig(x)  # w ascending
+        w, a = self.compress_eig(x)  # w ascending
         # With the k smallest eigenvalues below the floor, the root is
         # f_k = (d/ρ + Σ_{i≤k} λ_i)/k; the active count is the largest k
         # with λ_k < f_k (k = 1 always qualifies).
@@ -210,8 +238,7 @@ class _Geometry:
         k = np.sum(w < f, axis=-1)
         floor = np.minimum(f[np.arange(len(f)), k - 1], 0.0)
         lift = np.maximum(w, floor[:, None]) - w
-        vh = v.conj().swapaxes(-1, -2)
-        return x + (v * lift[..., None, :]) @ vh
+        return x + (a * lift[..., None, :]) @ a.conj().swapaxes(-1, -2)
 
 
 _GEOMETRY: dict[int, _Geometry] = {}
@@ -262,8 +289,10 @@ def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: Problems iterated together; bounds the engine's working set (a few
-#: iterate blocks per problem) when a caller passes a large batch.
+#: Problems iterated together; bounds the working set of both solvers
+#: when a caller passes a large batch: a few iterate blocks per problem in
+#: the engine, and in the (P1) Newton path also the Jacobian block of
+#: d²·(d²−1)² complex entries (58 kB per problem at d = 4).
 CHUNK = 8192
 
 
@@ -303,16 +332,27 @@ def _admm(
 
     Returns (solutions, iterations, converged).
     """
-    b = len(scale)
-    out = np.empty_like(z)
+    return _in_pieces(
+        z,
+        lambda piece: _admm_piece(
+            z[piece], blocks, z_update, {key: v[piece] for key, v in data.items()},
+            scale[piece], finish, settle,
+        ),
+    )
+
+
+def _in_pieces(like: np.ndarray, solve: Callable):
+    """(solutions, iterations, converged) of ``solve(piece)`` over the
+    consecutive slices of at most ``CHUNK`` problems, joined; ``like`` has
+    the solutions' shape and dtype, one problem per row.  An empty batch
+    calls no ``solve``."""
+    b = len(like)
+    out = np.empty_like(like)
     iters = np.full(b, ITER_LIMIT)
     converged = np.zeros(b, dtype=bool)
     for start in range(0, b, CHUNK):
         piece = slice(start, start + CHUNK)
-        out[piece], iters[piece], converged[piece] = _admm_piece(
-            z[piece], blocks, z_update, {key: v[piece] for key, v in data.items()},
-            scale[piece], finish, settle,
-        )
+        out[piece], iters[piece], converged[piece] = solve(piece)
     return out, iters, converged
 
 
@@ -379,32 +419,174 @@ def _admm_piece(z, blocks, z_update, data, scale, finish, settle):
 # ---------------------------------------------------------------------------
 
 
+#: Armijo factor of the dual line search: a step must gain at least this
+#: share of its first-order gain in θ.
+_ARMIJO = 1e-4
+#: Step lengths 1, 1/2, 1/4, ... a Newton step tries before its problem stalls.
+_TRIALS = 30
+#: Cap c of the Newton regularization κ = min(c, ‖F‖).  The dual Jacobian
+#: is at least 1/d (the ω row and column of X are free), so κ only keeps
+#: the step well-defined; a larger c slows Newton towards a gradient step.
+_KAPPA_CAP = 1e-6
+
+
+def _herm_coords(y: np.ndarray) -> np.ndarray:
+    """Hermitian d×d → real d²-vector, isometric: Y_rr at (r, r), and for
+    r < s √2·Re Y_rs at (r, s) and √2·Im Y_rs at (s, r); batched."""
+    d = y.shape[-1]
+    c = np.sqrt(2.0) * (np.triu(y.real, 1) - np.tril(y.imag, -1))
+    c[..., np.arange(d), np.arange(d)] = y.real[..., np.arange(d), np.arange(d)]
+    return c.reshape(y.shape[:-2] + (d * d,))
+
+
+def _from_herm_coords(c: np.ndarray, d: int) -> np.ndarray:
+    """The inverse of ``_herm_coords``."""
+    c = c.reshape(c.shape[:-1] + (d, d))
+    upper = (np.triu(c, 1) + 1j * np.triu(c.swapaxes(-1, -2), 1)) / np.sqrt(2.0)
+    diag = c[..., np.arange(d), np.arange(d)]
+    return upper + upper.conj().swapaxes(-1, -2) + diag[..., None] * np.eye(d)
+
+
+def _dual_point(geo: _Geometry, t: np.ndarray, tr_t: np.ndarray, y: np.ndarray) -> dict:
+    """The dual of (P1) at Y, batched: W = T − 1⊗Y, the spectrum (λ, A) of
+    its cone block, X = Π_K(W), the gradient F = Tr₁X, θ(Y), and the scale
+    of θ's rounding: ‖λ₋‖₁‖W‖ (each λ is off by up to ε‖W‖) plus the
+    magnitudes of θ's other two terms."""
+    w = t - geo.embed_second(y)
+    lam, a = geo.compress_eig(w)
+    neg = np.minimum(lam, 0.0)
+    x = w - (a * neg[..., None, :]) @ a.conj().swapaxes(-1, -2)
+    linear = np.real(np.sum(y.conj() * tr_t, axis=(-2, -1)))
+    quadratic = 0.5 * geo.d * _fro_sq(y)
+    return {
+        "y": y, "lam": lam, "a": a, "x": x, "f": partial_trace_first(x),
+        "theta": 0.5 * np.sum(neg**2, axis=-1) + linear - quadratic,
+        "noise": -np.sum(neg, axis=-1) * _fro(w) + np.abs(linear) + quadratic,
+    }
+
+
+def _dual_jacobian(geo: _Geometry, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The generalized Jacobian M of −F at a dual point, in the real
+    coordinates of ``_herm_coords``: (B, d², d²), symmetric, 1/d ⪯ M ⪯ d.
+
+    M_jk = d·δ_jk − ⟨E_j, Ω∘E_k⟩ with E_j = Aᴴ(1⊗H_j)A for the hermitian
+    basis H_j behind the coordinates and Ω the divided differences of
+    min(λ, 0).  One (B, d², d²−1, d²−1) block holds the E_j: it is built
+    from the E_rs = Aᴴ(1⊗e_r e_sᵀ)A in place, scaled by √Ω and viewed as
+    real, so M = d − G·Gᵀ.
+    """
+    d = geo.d
+    b, n, m = a.shape
+    rows = a.reshape(b, d, d, m).swapaxes(1, 2)  # [b, r, j, x] = A[b, (j, r), x]
+    e = rows.conj().swapaxes(-1, -2)[:, :, None] @ rows[:, None, :]
+    for r, s in zip(*np.triu_indices(d, 1)):
+        e_rs = e[:, r, s].copy()
+        e[:, r, s] += e[:, s, r]  # (E_rs + E_sr)/√2
+        e[:, r, s] *= np.sqrt(0.5)
+        e[:, s, r] -= e_rs  # i(E_rs − E_sr)/√2
+        e[:, s, r] *= -1j * np.sqrt(0.5)
+    neg = lam < 0
+    low = np.minimum(lam, 0.0)
+    mixed = neg[:, :, None] != neg[:, None, :]
+    gap = np.where(mixed, lam[:, :, None] - lam[:, None, :], 1.0)
+    omega = np.where(
+        mixed, (low[:, :, None] - low[:, None, :]) / gap, neg[:, :, None] & neg[:, None, :]
+    )
+    e *= np.sqrt(omega)[:, None, None]
+    g = e.reshape(b, d * d, m * m).view(float)
+    return d * np.eye(d * d) - g @ g.swapaxes(-1, -2)
+
+
+def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
+    """(P1) by semismooth Newton on its dual, one piece in lockstep.
+
+    Maximizes the concave θ(Y) = ½‖[VᴴWV]₋‖² + Re⟨Y, Tr₁T⟩ − (d/2)‖Y‖²,
+    W = T − 1⊗Y, whose gradient is F(Y) = Tr₁Π_K(W), from the affine-only
+    answer Y = Tr₁T/d.  Each step solves (M + κ)ΔY = F with κ = min(c, ‖F‖)
+    and backtracks on θ (Armijo, with an allowance of 1e-14 times the
+    rounding scales of both θ values, without which the test fails on
+    rounding once ‖F‖ nears ``TOL``).  A problem retires once
+    ‖F‖ ≤ ``TOL``·scale and records the trace-zero projection of Π_K(W).
+    A problem still running after ``ITER_LIMIT`` steps, or whose step
+    fails every trial length, records ``_settle_p1`` of its current
+    Π_K(W).  Returns (solutions, Newton steps, converged).
+    """
+    d = geo.d
+    out = np.empty_like(t)
+    iters = np.empty(len(t), dtype=int)
+    converged = np.zeros(len(t), dtype=bool)
+    tr_t = partial_trace_first(t)
+    run = {"row": np.arange(len(t)), "t": t, "tr_t": tr_t, "tol": TOL * scale,
+           **_dual_point(geo, t, tr_t, tr_t / d)}
+
+    def retire(leave, x, ok):
+        rows = run["row"][leave]
+        out[rows], iters[rows], converged[rows] = x, it, ok
+        return {key: v[~leave] for key, v in run.items()}
+
+    for it in range(ITER_LIMIT + 1):
+        fnorm = _fro(run["f"])
+        done = fnorm <= run["tol"]
+        if done.any():
+            run = retire(done, geo.project_trace_zero(run["x"][done]), True)
+            fnorm = fnorm[~done]
+        if it == ITER_LIMIT:
+            run = retire(np.ones(len(fnorm), dtype=bool), _settle_p1(geo, run["x"]), False)
+        if not run["row"].size:
+            break
+        jac = _dual_jacobian(geo, run["lam"], run["a"])
+        jac += np.minimum(_KAPPA_CAP, fnorm)[:, None, None] * np.eye(d * d)
+        rhs = _herm_coords(run["f"])
+        coords = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        step = _from_herm_coords(coords, d)
+        gain = _ARMIJO * np.sum(rhs * coords, axis=-1)
+        length = np.ones(len(fnorm))
+        pending = np.arange(len(fnorm))
+        for _ in range(_TRIALS):
+            trial = _dual_point(
+                geo, run["t"][pending], run["tr_t"][pending],
+                run["y"][pending] + length[pending, None, None] * step[pending],
+            )
+            slack = 1e-14 * (run["noise"][pending] + trial["noise"])
+            ok = trial["theta"] >= run["theta"][pending] + length[pending] * gain[pending] - slack
+            for key, v in trial.items():
+                run[key][pending[ok]] = v[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            length[pending] /= 2
+        if pending.size:  # stalled: no trial length gains enough
+            stalled = np.zeros(len(fnorm), dtype=bool)
+            stalled[pending] = True
+            run = retire(stalled, _settle_p1(geo, run["x"][stalled]), False)
+    return out, iters, converged
+
+
+def _settle_p1(geo: _Geometry, x: np.ndarray) -> np.ndarray:
+    """A trace-zero, cone-feasible point from the cone points x = Π_K(W) of
+    unfinished Newton solves: the trace-zero projection plus the least
+    multiple of ``_Geometry.cone_lift`` that closes its cone deficit."""
+    x = geo.project_trace_zero(x)
+    return x + (geo.d * geo.cone_deficit(x))[:, None, None] * geo.cone_lift
+
+
 def closest_lindbladian_batch(targets: np.ndarray, d: int) -> list[SolveReport]:
     """Solve (P1) for a stack of targets in lockstep.
 
     ``targets`` is (B, d², d²), or one d²×d² target.  Returns one
     SolveReport per target; (P1) is never infeasible (X = 0 qualifies).
-    Each problem's iterates are independent, so results do not depend on
-    the batch composition.
+    The solver is semismooth Newton on the d²-dimensional dual
+    (``_newton_piece``); ``iterations`` counts Newton steps.  Each
+    problem's iterates are independent, so results do not depend on the
+    batch composition.
     """
     geo = _geometry(d)
     t_full = _as_batch(targets, d)
     t_h = herm(t_full)
     skew_norm = _fro(t_full - t_h)
     scale = np.maximum(1.0, _fro(t_h))
-
-    def z_update(s, rho, data):
-        return (data["t"] + rho[:, None, None] * s) / (1 + 2 * rho)[:, None, None]
-
-    x_sol, iters, converged = _admm(
-        t_h.copy(),
-        [geo.affine_block, geo.cone_block],
-        z_update,
-        {"t": t_h},
-        scale,
-        # the cone block's output, made exactly trace-annihilating
-        finish=lambda outs, z, done: geo.project_trace_zero(outs[1][done]),
-        settle=lambda z, data: geo.project_trace_zero(geo.project_cone(z)),
+    x_sol, iters, converged = _in_pieces(
+        t_h, lambda piece: _newton_piece(t_h[piece], scale[piece], geo)
     )
     cone_res = geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
@@ -531,7 +713,7 @@ def min_mu_batch(
 def dykstra_closest_lindbladian(target: np.ndarray, d: int) -> SolveReport:
     """Independent (P1) solve by Dykstra's alternating projections.
 
-    Converges to the same projection as the ADMM path; used as the
+    Converges to the same projection as the Newton path; used as the
     in-repo oracle for solver agreement.  Single problem, no batching;
     it stops on the engine's ``TOL`` and ``ITER_LIMIT``.
     """

@@ -308,7 +308,8 @@ def test_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch, 
 
 
 def short_p1(monkeypatch, statuses):
-    """Cut every solve (P1 and P2) at 5 iterations, recording the P1 statuses."""
+    """Cut every solve at 2 iterations (Newton steps for P1, ADMM iterations
+    for P2), recording the P1 statuses."""
     batch = solver.closest_lindbladian_batch
 
     def recording(targets, d):
@@ -316,7 +317,7 @@ def short_p1(monkeypatch, statuses):
         statuses.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "ITER_LIMIT", 5)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 2)
     monkeypatch.setattr(solver, "closest_lindbladian_batch", recording)
 
 

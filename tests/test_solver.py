@@ -2,7 +2,7 @@
 
 Both programs run over hermitian matrices in the Choi picture; the
 alternating-projection routine provides an independent optimality check
-for the splitting solver.
+for the (P1) Newton solver.
 """
 
 import numpy as np
@@ -11,7 +11,9 @@ import pytest
 from lindbladfit import solver
 from lindbladfit.channels import is_lindbladian, random_lindblad_generator
 from lindbladfit.errors import DimensionMismatch
+from lindbladfit.fitting import branch_targets, checked_log
 from lindbladfit.linalg import (
+    expm,
     frobenius,
     gamma_involution,
     max_entangled,
@@ -119,24 +121,28 @@ def test_batch_results_are_composition_independent(monkeypatch):
         assert frobenius(batch[i].x_opt - single.x_opt) <= 1e-9
         assert batch[i].objective == pytest.approx(single.objective, abs=1e-10)
 
-    # At rho = 10 the residual balancing halves rho at iteration 100 for
-    # the problems still running; they retire at different iterations (1,
-    # 128, 171, 176) and the first one is cut at the iteration limit.
-    monkeypatch.setattr(solver, "RHO", 10.0)
-    monkeypatch.setattr(solver, "ITER_LIMIT", 200)
-    targets = np.stack(
-        [random_choi_target(2, seed=s) for s in (11, 12, 13)]
-        + [lindbladian_choi(2, seed=3) + 0.01 * random_choi_target(2, seed=103),
-           lindbladian_choi(2, seed=4)]
-    )
+    # Cut at 3 Newton steps: an in-cone target retires at its start, a
+    # target near the cone after 2 steps, a random one after 3, and a
+    # random one that needs 4 is settled at the limit.
+    monkeypatch.setattr(solver, "ITER_LIMIT", 3)
+    targets = np.stack([
+        lindbladian_choi(2, seed=4),
+        lindbladian_choi(2, seed=3) + 0.03 * random_choi_target(2, seed=103),
+        random_choi_target(2, seed=14),
+        random_choi_target(2, seed=11),
+    ])
     batch = closest_lindbladian_batch(targets, 2)
-    iters = [rep.iterations for rep in batch]
-    assert batch[0].status == "MaxIters" and iters[0] == 200
-    assert len(set(iters)) == len(iters) and sum(100 < i < 200 for i in iters) == 3
+    assert [rep.status for rep in batch] == ["Optimal"] * 3 + ["MaxIters"]
+    assert [rep.iterations for rep in batch] == [0, 2, 3, 3]
     for t, rep in zip(targets, batch):
         single = closest_lindbladian_batch(t, 2)[0]
         assert (rep.status, rep.iterations) == (single.status, single.iterations)
         np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
+    # the four problems in two pieces of two
+    monkeypatch.setattr(solver, "CHUNK", 2)
+    for rep, piece in zip(batch, closest_lindbladian_batch(targets, 2)):
+        assert (rep.status, rep.iterations) == (piece.status, piece.iterations)
+        np.testing.assert_allclose(rep.x_opt, piece.x_opt, rtol=0, atol=1e-12)
 
 
 def test_four_level_projection():
@@ -144,6 +150,122 @@ def test_four_level_projection():
     assert rep.status == "Optimal"
     check = is_lindbladian(gamma_involution(rep.x_opt), tol=1e-6)
     assert check.ok, check.residuals
+
+
+# ----------------------------------------------------------------------
+# (P1) by semismooth Newton on the dual
+# ----------------------------------------------------------------------
+
+#: Branch vectors {eigenvalue index: m_j} per side dimension whose targets
+#: leave the cone; the last shifts a complex pair by ±2πi·m and puts
+#: ‖herm T‖_F near 180.
+SHIFTS = {
+    2: [{2: -1}, {2: -1, 3: 1}, {2: 20, 3: -20}],
+    4: [{}, {3: -1}, {5: 14, 6: -14}],
+}
+
+
+def shifted_branch_targets(d):
+    """Choi-side targets log M + 2πi Σ m_j P_j of a random d-level channel
+    M = exp(L), one per entry of SHIFTS[d]."""
+    gen = random_lindblad_generator(d, np.random.default_rng(20 + d))
+    spectral, l0 = checked_log(expm(gen.mat))
+    branches = np.zeros((len(SHIFTS[d]), d * d), dtype=int)
+    for row, shift in zip(branches, SHIFTS[d]):
+        row[list(shift)] = list(shift.values())
+    return branch_targets(l0, spectral, branches)
+
+
+def herm_norms(targets):
+    return np.array([max(1.0, frobenius(herm(t))) for t in targets])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_newton_matches_dykstra_and_a_tight_solve_on_branch_targets(d, monkeypatch):
+    targets = shifted_branch_targets(d)
+    scale = herm_norms(targets)
+    assert 170 < scale[-1] < 190
+    reps = closest_lindbladian_batch(targets, d)
+    dykstra = [dykstra_closest_lindbladian(t, d) for t in targets]
+    monkeypatch.setattr(solver, "TOL", 1e-13)
+    tight = closest_lindbladian_batch(targets, d)
+    for rep, dyk, ref, s in zip(reps, dykstra, tight, scale):
+        assert rep.status == dyk.status == ref.status == "Optimal"
+        assert rep.iterations > 0
+        assert frobenius(rep.x_opt - dyk.x_opt) <= 1e-8 * s
+        assert frobenius(rep.x_opt - ref.x_opt) <= 1e-8 * s
+        assert abs(rep.objective - ref.objective) <= 1e-8 * s
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_newton_solution_meets_the_kkt_conditions(d):
+    """The cone correction X − W lives in ω⊥, so the multiplier is read off
+    the ω column: (T − X)ω = (1⊗Y)ω, whose (j, c) entry is Y_cj/√d.  Then
+    X = Π_K(T − 1⊗Y) and Tr₁Π_K(T − 1⊗Y) = 0, with Π_K written out with
+    the projector ω⊥ instead of the solver's basis."""
+    targets = shifted_branch_targets(d)
+    ent = max_entangled(d)
+    for t, rep, s in zip(targets, closest_lindbladian_batch(targets, d), herm_norms(targets)):
+        t = herm(t)
+        y = np.sqrt(d) * ((t - rep.x_opt) @ ent.omega).reshape(d, d).T
+        assert frobenius(y - herm(y)) <= 1e-8 * s
+        w = t - np.kron(np.eye(d), y)
+        lam, vec = np.linalg.eigh(ent.omega_perp @ w @ ent.omega_perp)
+        cone_point = w - (vec * np.minimum(lam, 0.0)) @ vec.conj().T
+        assert frobenius(partial_trace_first(cone_point)) <= 1e-8 * s
+        assert frobenius(cone_point - rep.x_opt) <= 1e-8 * s
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_dual_jacobian_is_the_derivative_of_the_dual_gradient(d):
+    """M against central differences of −F, at a point where no cone
+    eigenvalue is near 0; and 1/d ⪯ M ⪯ d.  The coordinates are an
+    isometry, and ``_from_herm_coords`` inverts them."""
+    geo = solver._geometry(d)
+    t = herm(random_choi_target(d, seed=70 + d))[None]
+    tr_t = partial_trace_first(t)
+    y = herm(random_choi_target(d, seed=80 + d)[:d, :d])[None]
+    pt = solver._dual_point(geo, t, tr_t, y)
+    assert np.min(np.abs(pt["lam"])) > 1e-3
+    jac = solver._dual_jacobian(geo, pt["lam"], pt["a"])[0]
+    h = 1e-6
+    for k in range(d * d):
+        e = solver._from_herm_coords(np.eye(d * d)[k], d)
+        f_up, f_down = (
+            solver._herm_coords(solver._dual_point(geo, t, tr_t, y + sign * h * e)["f"][0])
+            for sign in (1, -1)
+        )
+        np.testing.assert_allclose(jac[:, k], -(f_up - f_down) / (2 * h), rtol=0, atol=1e-7)
+    w = np.linalg.eigvalsh(jac)
+    assert 1 / d - 1e-12 <= w[0] and w[-1] <= d + 1e-12
+
+    c = solver._herm_coords(y)
+    np.testing.assert_allclose(np.linalg.norm(c), frobenius(y[0]), rtol=1e-15)
+    np.testing.assert_allclose(solver._from_herm_coords(c, d), y, rtol=0, atol=1e-15)
+
+
+def test_newton_cut_at_the_iteration_limit_settles_trace_zero_and_cone_feasible(monkeypatch):
+    targets = shifted_branch_targets(4)
+    optimal = closest_lindbladian_batch(targets, 4)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 1)
+    for rep, best, s in zip(closest_lindbladian_batch(targets, 4), optimal, herm_norms(targets)):
+        assert (rep.status, rep.iterations) == ("MaxIters", 1)
+        affine, cone, _ = rep.residuals
+        assert affine <= 1e-12 * s and cone <= 1e-12 * s
+        assert rep.objective >= best.objective - 1e-9 * s
+
+
+def test_a_stalled_line_search_settles_trace_zero_and_cone_feasible(monkeypatch):
+    """An Armijo factor of 2 fails every trial length of a concave ascent,
+    so each problem off the cone stalls at its first step; its settled
+    point is built from the start, and an in-cone target still retires."""
+    monkeypatch.setattr(solver, "_ARMIJO", 2.0)
+    targets = np.concatenate([shifted_branch_targets(2), lindbladian_choi(2, seed=4)[None]])
+    reps = closest_lindbladian_batch(targets, 2)
+    assert [(rep.status, rep.iterations) for rep in reps] == [("MaxIters", 0)] * 3 + [("Optimal", 0)]
+    for rep, s in zip(reps, herm_norms(targets)):
+        affine, cone, _ = rep.residuals
+        assert affine <= 1e-12 * s and cone <= 1e-12 * s
 
 
 # ----------------------------------------------------------------------
@@ -309,17 +431,19 @@ def test_mu_batch_matches_singles(monkeypatch):
 
 
 def test_empty_batch_runs_no_iteration(monkeypatch):
-    """No prox block runs for an empty stack, in any of the three programs."""
+    """No prox block and no dual point runs for an empty stack, in any of
+    the three programs."""
     calls = []
 
-    def counted(prox):
-        def wrapper(self, *args):
-            calls.append(prox.__name__)
-            return prox(self, *args)
+    def counted(step):
+        def wrapper(*args):
+            calls.append(step.__name__)
+            return step(*args)
         return wrapper
 
     for name in ("affine_block", "cone_block", "slice_ball_block", "noise_rate_block"):
         monkeypatch.setattr(solver._Geometry, name, counted(getattr(solver._Geometry, name)))
+    monkeypatch.setattr(solver, "_dual_point", counted(solver._dual_point))
     assert closest_lindbladian_batch(np.zeros((0, 4, 4)), 2) == []
     assert min_mu_batch(np.zeros((0, 4, 4)), 2, []) == []
     assert solver.solve_joint_fit_batch(np.zeros((0, 2, 4, 4)), [1.0, 2.0], 2, []) == []
