@@ -449,17 +449,18 @@ def _from_herm_coords(c: np.ndarray, d: int) -> np.ndarray:
 
 def _dual_point(geo: _Geometry, t: np.ndarray, tr_t: np.ndarray, y: np.ndarray) -> dict:
     """The dual of (P1) at Y, batched: W = T − 1⊗Y, the spectrum (λ, A) of
-    its cone block, X = Π_K(W), the gradient F = Tr₁X, θ(Y), and the scale
-    of θ's rounding: ‖λ₋‖₁‖W‖ (each λ is off by up to ε‖W‖) plus the
-    magnitudes of θ's other two terms."""
+    its cone block, X = Π_K(W), the gradient F = Tr₁X and its norm, θ(Y),
+    and the scale of θ's rounding: ‖λ₋‖₁‖W‖ (each λ is off by up to ε‖W‖)
+    plus the magnitudes of θ's other two terms."""
     w = t - geo.embed_second(y)
     lam, a = geo.compress_eig(w)
     neg = np.minimum(lam, 0.0)
     x = w - (a * neg[..., None, :]) @ a.conj().swapaxes(-1, -2)
     linear = np.real(np.sum(y.conj() * tr_t, axis=(-2, -1)))
     quadratic = 0.5 * geo.d * _fro_sq(y)
+    f = partial_trace_first(x)
     return {
-        "y": y, "lam": lam, "a": a, "x": x, "f": partial_trace_first(x),
+        "y": y, "lam": lam, "a": a, "x": x, "f": f, "fnorm": _fro(f),
         "theta": 0.5 * np.sum(neg**2, axis=-1) + linear - quadratic,
         "noise": -np.sum(neg, axis=-1) * _fro(w) + np.abs(linear) + quadratic,
     }
@@ -505,7 +506,10 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
     answer Y = Tr₁T/d.  Each step solves (M + κ)ΔY = F with κ = min(c, ‖F‖)
     and backtracks on θ (Armijo, with an allowance of 1e-14 times the
     rounding scales of both θ values, without which the test fails on
-    rounding once ‖F‖ nears ``TOL``).  A problem retires once
+    rounding once ‖F‖ nears ``TOL``).  A step whose gain in θ lies within
+    that allowance must halve ‖F‖, as Newton does near the answer; so a
+    problem whose ‖F‖ cannot reach ``TOL``·scale for rounding stalls
+    instead of running to ``ITER_LIMIT``.  A problem retires once
     ‖F‖ ≤ ``TOL``·scale and records the trace-zero projection of Π_K(W).
     A problem still running after ``ITER_LIMIT`` steps, or whose step
     fails every trial length, records ``_settle_p1`` of its current
@@ -525,38 +529,39 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
         return {key: v[~leave] for key, v in run.items()}
 
     for it in range(ITER_LIMIT + 1):
-        fnorm = _fro(run["f"])
-        done = fnorm <= run["tol"]
+        done = run["fnorm"] <= run["tol"]
         if done.any():
             run = retire(done, geo.project_trace_zero(run["x"][done]), True)
-            fnorm = fnorm[~done]
         if it == ITER_LIMIT:
-            run = retire(np.ones(len(fnorm), dtype=bool), _settle_p1(geo, run["x"]), False)
+            run = retire(np.ones(len(run["row"]), dtype=bool), _settle_p1(geo, run["x"]), False)
         if not run["row"].size:
             break
         jac = _dual_jacobian(geo, run["lam"], run["a"])
-        jac += np.minimum(_KAPPA_CAP, fnorm)[:, None, None] * np.eye(d * d)
+        jac += np.minimum(_KAPPA_CAP, run["fnorm"])[:, None, None] * np.eye(d * d)
         rhs = _herm_coords(run["f"])
         coords = np.linalg.solve(jac, rhs[..., None])[..., 0]
         step = _from_herm_coords(coords, d)
         gain = _ARMIJO * np.sum(rhs * coords, axis=-1)
-        length = np.ones(len(fnorm))
-        pending = np.arange(len(fnorm))
+        length = np.ones(len(run["row"]))
+        pending = np.arange(len(run["row"]))
         for _ in range(_TRIALS):
             trial = _dual_point(
                 geo, run["t"][pending], run["tr_t"][pending],
                 run["y"][pending] + length[pending, None, None] * step[pending],
             )
             slack = 1e-14 * (run["noise"][pending] + trial["noise"])
-            ok = trial["theta"] >= run["theta"][pending] + length[pending] * gain[pending] - slack
+            rise = trial["theta"] - run["theta"][pending]
+            ok = (rise >= length[pending] * gain[pending] - slack) & (
+                (rise > slack) | (trial["fnorm"] <= 0.5 * run["fnorm"][pending])
+            )
             for key, v in trial.items():
                 run[key][pending[ok]] = v[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
             length[pending] /= 2
-        if pending.size:  # stalled: no trial length gains enough
-            stalled = np.zeros(len(fnorm), dtype=bool)
+        if pending.size:  # stalled: no trial length passes
+            stalled = np.zeros(len(run["row"]), dtype=bool)
             stalled[pending] = True
             run = retire(stalled, _settle_p1(geo, run["x"][stalled]), False)
     return out, iters, converged

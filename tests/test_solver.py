@@ -268,6 +268,19 @@ def test_a_stalled_line_search_settles_trace_zero_and_cone_feasible(monkeypatch)
         assert affine <= 1e-12 * s and cone <= 1e-12 * s
 
 
+def test_an_unreachable_tol_stalls_at_the_rounding_floor(monkeypatch):
+    """At TOL = 0 no ‖F‖ is small enough; once θ's gain is inside its
+    rounding allowance and ‖F‖ no longer halves, each problem stalls
+    within a few steps, not at ITER_LIMIT, on the answer of a default solve."""
+    targets = shifted_branch_targets(2)
+    reference = closest_lindbladian_batch(targets, 2)
+    monkeypatch.setattr(solver, "TOL", 0.0)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 100)
+    for rep, ref, s in zip(closest_lindbladian_batch(targets, 2), reference, herm_norms(targets)):
+        assert rep.status == "MaxIters" and rep.iterations < 10
+        assert frobenius(rep.x_opt - ref.x_opt) <= 1e-8 * s
+
+
 # ----------------------------------------------------------------------
 # (P2) minimum noise rate within a delta-ball
 # ----------------------------------------------------------------------
