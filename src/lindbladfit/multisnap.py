@@ -19,17 +19,16 @@ ties go to the earlier (delta, assignment) grid position.
 
 The search runs in batched steps.  The per-snapshot branch targets are
 stacked per assignment, and ``solver.joint_infeasibility`` screens the
-whole (delta, assignment) grid at once.  Each assignment that survives
-is solved once, at its largest live delta, in one lockstep
-``solver.solve_joint_fit_batch`` call: the probe.  An Optimal probe
-whose snapshot misfits ||t_c X - T_c||_F all fit inside a smaller delta
-of the same assignment is also that delta's solution, since shrinking
-the trust radius only shrinks the feasible set.  The live pairs no
-probe covers (every pair of a MaxIters probe among them) go to a second
-batch call.  One ``expm`` call then gives every distinct solution's
-snapshot distances, and the reduction walks the solutions by (summed
-distance, earliest grid position they stand for) to the first one that
-passes the Lindblad audit.
+whole (delta, assignment) grid at once.  The trust radius does not enter
+the joint solve: each assignment with a live delta is solved once, in one
+lockstep ``solver.solve_joint_fit_batch`` call (reweighted (P1)
+projections), and a live (delta, assignment) pair keeps that solution
+only when its snapshot misfits ||t_c X - T_c||_F all fit inside delta,
+where the uncapped optimum is also the capped one.  Every other pair is
+dropped.  One ``expm`` call then gives the kept solutions' snapshot
+distances, and the reduction walks them by (summed distance, earliest
+grid position they are kept at) to the first one that passes the
+Lindblad audit.
 """
 
 from __future__ import annotations
@@ -99,9 +98,9 @@ class SnapshotSeries:
                     f"expected {shape}"
                 )
         t = [float(v) for v in self.times]
-        if t[0] <= 0 or any(b <= a for a, b in zip(t, t[1:])):
+        if not all(np.isfinite(t)) or t[0] <= 0 or any(b <= a for a, b in zip(t, t[1:])):
             raise OutOfRange(
-                f"times must be positive and strictly increasing, got {t}"
+                f"times must be finite, positive and strictly increasing, got {t}"
             )
 
 
@@ -171,45 +170,28 @@ def best_fit_multi(
     if not assign_idx.size:
         return None, 0
 
-    # The grid increases, so each live assignment's last pair, at its
-    # largest live δ, is its probe.
-    live, last = np.unique(assign_idx[::-1], return_index=True)
-    probe = assign_idx.size - 1 - last
-    slot = np.searchsorted(live, assign_idx)
-    reports = solver.solve_joint_fit_batch(
-        targets[live], times, d, deltas[delta_idx[probe]]
-    )
+    live, slot = np.unique(assign_idx, return_inverse=True)
+    reports = solver.solve_joint_fit_batch(targets[live], times, d)
+    maxiters = sum(rep.status == solver.MAX_ITERS for rep in reports)
     x = np.stack([rep.x_opt for rep in reports])
     misfit = np.linalg.norm(
         times[:, None, None] * x[:, None] - targets[live], axis=(-2, -1)
     ).max(axis=1)
-    optimal = np.array([rep.status == solver.OPTIMAL for rep in reports])
-    # Solution of every live pair: its probe's where the probe covers it.
-    # A probe stands for its own pair whatever its status, as that pair's
-    # own solve.
-    owner = np.where(optimal[slot] & (misfit[slot] <= deltas[delta_idx]), slot, -1)
-    owner[probe] = np.arange(live.size)
-    rest = np.flatnonzero(owner < 0)
-    if rest.size:
-        reports = reports + solver.solve_joint_fit_batch(
-            targets[assign_idx[rest]], times, d, deltas[delta_idx[rest]]
-        )
-        owner[rest] = live.size + np.arange(rest.size)
-    maxiters = sum(rep.status == solver.MAX_ITERS for rep in reports)
+    # A solution stands for the live pairs whose δ its misfits fit inside,
+    # and ranks at the earliest of them.
+    kept, first = np.unique(slot[misfit[slot] <= deltas[delta_idx]], return_index=True)
 
-    generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
+    generators = gamma_involution(x[kept])
     exps = expm(times[None, :, None, None] * generators[:, None])
     dists = np.linalg.norm(np.array(mats)[None] - exps, axis=(-2, -1))
     distance = dists.sum(axis=1)
     fits = (dists.max(axis=1) < epsilon) & (distance < q * epsilon)
-    # A solution ranks at the earliest grid position it stands for.
-    _, first = np.unique(owner, return_index=True)
     order = np.lexsort((first, distance))
     for k in order[fits[order]]:
         if is_lindbladian(generators[k], tol=VERIFY_TOL).ok:
             return FitResult(
                 lindbladian=generators[k],
                 distance=float(distance[k]),
-                branch=tuple(int(v) for v in assignments[assign_idx[first[k]]].ravel()),
+                branch=tuple(int(v) for v in assignments[live[kept[k]]].ravel()),
             ), maxiters
     return None, maxiters

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse import csr_matrix
 
 from .errors import (
     DegenerateSpectrum,
@@ -100,17 +98,21 @@ class ClusterPartition:
 
 
 def _components(adjacency: np.ndarray) -> list:
-    """Connected components of a boolean adjacency matrix, as sorted tuples."""
-    n_comp, labels = connected_components(
-        csr_matrix(adjacency), directed=False
-    )
-    out = []
-    for c in range(n_comp):
-        members = tuple(int(i) for i in np.flatnonzero(labels == c))
-        if len(members) >= 2:
-            out.append(members)
-    out.sort()
-    return out
+    """Connected components of at least two members of a boolean adjacency
+    matrix (read as undirected), as sorted tuples.
+
+    Each squaring of the reachability matrix doubles the path length it
+    covers, so a fixpoint comes within log2(n) + 1 squarings; a row of it
+    is then its node's component.
+    """
+    reach = adjacency | adjacency.T | np.eye(len(adjacency), dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    members = {tuple(int(i) for i in np.flatnonzero(row)) for row in reach}
+    return sorted(m for m in members if len(m) >= 2)
 
 
 def _cluster_sets(eigenvalues: np.ndarray, p: float):

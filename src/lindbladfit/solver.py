@@ -11,12 +11,12 @@ Both programs live in the real vector space of hermitian d²×d² matrices X
 
 where ω is the normalized maximally entangled vector and ω⊥ the projector
 onto its orthogonal complement.  A third program fits one generator to a
-snapshot series: minimize Σ_c ‖t_c X − T_c‖_F under a δ-ball per term plus
-the same affine/cone constraints.  Every cone test and projection works on
-the (d²−1)×(d²−1) block VᴴXV, with V an orthonormal basis of ω⊥ (the cone
+snapshot series: minimize Σ_c ‖t_c X − T_c‖_F under the same affine/cone
+constraints.  Every cone test and projection works on the
+(d²−1)×(d²−1) block VᴴXV, with V an orthonormal basis of ω⊥ (the cone
 K = {X : VᴴXV ⪰ 0}).
 
-(P1) is a projection onto K ∩ {Tr₁[X] = 0} with only d² equality
+(P1) is a projection Π onto K ∩ {Tr₁[X] = 0} with only d² equality
 constraints, solved by semismooth Newton on its dual in the hermitian d×d
 multiplier Y of Tr₁[X] = 0 (the method of Qi and Sun for the nearest
 correlation matrix, SIAM J. Matrix Anal. Appl. 28 (2006) 360-385).  The
@@ -27,46 +27,34 @@ of F, which is built from the same eigendecomposition of VᴴWV as F, and
 takes an Armijo step on θ; a handful of steps and eigendecompositions
 finish a problem.  The answer is the trace-zero projection of Π_K(W).
 
-(P2) and the joint fit are solved by one engine, ``_admm``: lockstep,
-over-relaxed consensus ADMM over a batch of problems, with one consensus
-matrix X per problem.  The engine owns the iteration (over-relaxation,
-consensus sums, dual updates, primal and dual residuals, the stopping
-test), retires each problem as it converges, balances each problem's step
-size ρ every 100 iterations and settles the problems still running at
-``ITER_LIMIT``.  A program supplies only its prox blocks, its consensus
-update and what to record:
+The other two programs are outer loops around Π, so this Newton solver is
+the only one:
 
-  * (P2): slice-ball and noise-rate blocks; z = S/2
-  * joint: affine, cone and one scaled-distance block per series term;
-           z = S/(2 + q)
+  * (P2) is a root search.  C = 1/d − d·ωωᴴ annihilates Tr₁ and is 1/d
+    on ω⊥, so X meets the constraints at rate μ exactly when X + μC lies
+    in Π's set, and the distance from herm T to those X is
+    g(μ) = ‖Z − Π(Z)‖, Z = herm T + μC.  g is convex and nonincreasing,
+    so the least μ is 0 when g(0) ≤ δ′ = √(δ² − ‖skew T‖²) and otherwise
+    the root of g = δ′.  Newton's method on ½g² − ½δ′² climbs to it from
+    μ = 0 without overshooting; its derivative ⟨Z − Π(Z), C⟩ comes from
+    the same projection.  The answer is X = Π(Z) − μC.
+  * The joint fit is iteratively reweighted (P1), majorize–minimize on
+    the sum of norms (Beck and Sabach, J. Optim. Theory Appl. 164 (2015)):
+    X⁺ = Π(Σ_c w_c t_c herm T_c / Σ_c w_c t_c²) with
+    w_c ∝ 1/‖t_c X − T_c‖_F, a step that never increases the objective.
 
-where S is the sum of the over-relaxed block outputs and their duals.
-The prox blocks are closed forms:
-
-  * affine set  {Tr₁[X] = 0}:  X ↦ X − (1/d)·1⊗Tr₁[X]
-  * cone set    {VᴴXV ⪰ 0}:    subtract the negative spectral part of VᴴXV
-  * slice-ball set {Tr₁[X] = 0} ∩ δ-ball:  the affine projection, then the
-                               ball projection within the slice
-  * noise rate  d·max(0, −λ_min(VᴴXV)):  lift the eigenvalues of VᴴXV
-                               below a floor f ≤ 0 up to f, with f the root
-                               of Σ relu(f − λ_i) = d/ρ (a water level)
-  * ball / distance prox:      radial closed forms (1-D after reduction);
-                               the joint program's 1-D root is one masked
-                               Newton iteration over the whole batch
-
-Both solvers bound their working set the same way: a batch of any size
-runs in pieces of at most ``CHUNK`` problems, so callers pass all their
-problems in one call.
+Both outer loops run in lockstep over the batch and retire each problem
+as it converges.  A problem still running after ``ITER_LIMIT`` outer
+steps, or one whose inner (P1) solve ends MaxIters, is MaxIters.  Every
+(P1) solve runs in pieces of at most ``CHUNK`` problems, so callers pass
+all their problems in one call.
 
 Hermiticity is structural: every projection maps hermitian matrices to
 hermitian matrices, and the target is replaced by its hermitian part (the
 skew part contributes a constant offset ‖skew‖_F in quadrature, which is
-added back to reported objectives and ball radii).  (P2) has no epigraph
-variable: at fixed X the least feasible μ is d·max(0, −λ_min(VᴴXV)), so
-the engine minimizes that function of X over the slice-ball, and the
-reported μ is its value at the returned X.
+added back to reported objectives and ball radii).
 
-Infeasible problems never reach the engine.  ``min_mu_infeasible`` screens
+Infeasible problems never reach the solver.  ``min_mu_infeasible`` screens
 a (target, δ) grid for (P2) by broadcasting one skew norm and one affine
 gap per target against every δ; ``joint_infeasibility`` screens a whole
 (δ, assignment) grid of joint fits from the skew norms and pairwise ball
@@ -76,18 +64,17 @@ An independent Dykstra alternating-projection solver for (P1) is provided
 as a cross-check; it shares only the elementary projections with the
 Newton path, not the iteration.
 
-All solves are deterministic: fixed initialization (the hermitian part of
-the target; for (P1) the dual point Y = Tr₁T/d), no randomness, and
+All solves are deterministic: fixed initialization (the dual point
+Y = Tr₁T/d of each (P1) solve, μ = 0, equal weights), no randomness, and
 per-problem arithmetic independent of how problems are batched.  Every
 program runs at the one accuracy set by the module constants ``TOL`` and
-``ITER_LIMIT``, and the engine also reads ``OVER_RELAXATION`` and
-``RHO``, all read at each solve.
+``ITER_LIMIT``, read at each solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,18 +85,15 @@ from .linalg import herm, max_entangled, partial_trace_first
 # numerics / report types
 # ---------------------------------------------------------------------------
 
-#: Bound on the primal and dual residuals of the engine's stopping test,
-#: on ‖F‖ of the (P1) Newton stopping test and on the cone deficit of the
-#: returned X, each times max(1, ‖target‖_F); the ball residual may reach
-#: ten times it.
+#: Bound on ‖F‖ of the (P1) Newton stopping test, on the cone deficit of
+#: the returned X, on g − δ′ at the (P2) root and on the last step of the
+#: joint reweighting, each times max(1, ‖target‖_F); the (P2) ball
+#: residual may reach ten times it.
 TOL = 1e-9
-#: Iterations (Newton steps for (P1)) after which a problem still running
-#: is settled as MaxIters.
+#: Newton steps of a (P1) solve, and outer steps of a (P2) root search or
+#: a joint reweighting, after which a problem still running is settled as
+#: MaxIters.
 ITER_LIMIT = 50_000
-#: Over-relaxation of the engine, in (1, 2).
-OVER_RELAXATION = 1.6
-#: Step size ρ every problem starts from.
-RHO = 1.0
 
 OPTIMAL = "Optimal"
 MAX_ITERS = "MaxIters"
@@ -122,12 +106,13 @@ class SolveReport:
 
     x_opt is hermitian.  residuals = (affine, cone, ball) are constraint
     violations of x_opt: entrywise 1-norm of Tr₁[x], eigenvalue deficit of
-    the cone constraint, and distance beyond the δ-ball (0.0 when the
-    program has no ball).  status is Optimal, MaxIters (still running
-    after ``ITER_LIMIT`` iterations, stalled in the (P1) line search, or
-    converged with a residual over its ``TOL`` bound) or Infeasible.
-    iterations counts Newton steps for (P1) and ADMM iterations for (P2)
-    and the joint fit.  mu is None for (P1).
+    the (shifted) cone constraint, and distance beyond the δ-ball (0.0 when
+    the program has no ball).  status is Optimal, MaxIters (still running
+    after ``ITER_LIMIT`` steps, stalled in a (P1) line search, or converged
+    with a residual over its ``TOL`` bound) or Infeasible.  iterations
+    counts Newton steps for (P1), Newton steps on μ for (P2) and
+    reweighting steps for the joint fit; each outer step of the last two
+    is one (P1) solve.  mu is None for (P1) and the joint fit.
     """
 
     x_opt: np.ndarray
@@ -211,35 +196,6 @@ class _Geometry:
         # + 0.0 turns the −0.0 of an exact-zero λ_min into 0.0
         return np.maximum(0.0, -w[..., 0]) + 0.0
 
-    # prox blocks of the engine: (x, ρ, per-problem data) → prox output
-    def affine_block(self, x, rho, data):
-        return self.project_trace_zero(x)
-
-    def cone_block(self, x, rho, data):
-        return self.project_cone(x)
-
-    def slice_ball_block(self, x, rho, data):
-        # {Tr₁[X] = 0} ∩ ball around a center on the slice: the slice
-        # projection is orthogonal, so the ball projection after it is exact
-        return _project_ball(self.project_trace_zero(x), data["center"], data["radius"])
-
-    def noise_rate_block(self, x, rho, data):
-        """prox of X ↦ d·max(0, −λ_min(ω⊥Xω⊥)) with step 1/ρ.
-
-        Lifts the eigenvalues of ω⊥Xω⊥ below a floor f ≤ 0 up to f, where
-        f is the root of Σ relu(f − λ_i) = d/ρ; f = 0 (the cone projection)
-        when Σ relu(−λ_i) ≤ d/ρ.
-        """
-        w, a = self.compress_eig(x)  # w ascending
-        # With the k smallest eigenvalues below the floor, the root is
-        # f_k = (d/ρ + Σ_{i≤k} λ_i)/k; the active count is the largest k
-        # with λ_k < f_k (k = 1 always qualifies).
-        f = (self.d / rho[:, None] + np.cumsum(w, axis=-1)) / np.arange(1, w.shape[-1] + 1)
-        k = np.sum(w < f, axis=-1)
-        floor = np.minimum(f[np.arange(len(f)), k - 1], 0.0)
-        lift = np.maximum(w, floor[:, None]) - w
-        return x + (a * lift[..., None, :]) @ a.conj().swapaxes(-1, -2)
-
 
 _GEOMETRY: dict[int, _Geometry] = {}
 
@@ -262,16 +218,6 @@ def _one_norm(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x), axis=(-2, -1))
 
 
-def _project_ball(x: np.ndarray, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Batched projection onto ‖X − center‖_F ≤ radius (radius shape (B,))."""
-    diff = x - center
-    dist = _fro(diff)
-    scale = np.ones_like(dist)
-    over = dist > radius
-    scale[over] = radius[over] / dist[over]
-    return center + diff * scale[:, None, None]
-
-
 def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
     """A (B, d², d²) stack of targets; one d²×d² target becomes B = 1."""
     t = np.asarray(target, dtype=complex)
@@ -282,136 +228,6 @@ def _as_batch(target: np.ndarray, d: int) -> np.ndarray:
             f"target must be {d * d}x{d * d} for side dimension {d}, got {t.shape}"
         )
     return t
-
-
-# ---------------------------------------------------------------------------
-# the consensus-ADMM engine
-# ---------------------------------------------------------------------------
-
-
-#: Problems iterated together; bounds the working set of both solvers
-#: when a caller passes a large batch: a few iterate blocks per problem in
-#: the engine, and in the (P1) Newton path also the Jacobian block of
-#: d²·(d²−1)² complex entries (58 kB per problem at d = 4).
-CHUNK = 8192
-
-
-def _admm(
-    z: np.ndarray,
-    blocks: list,
-    z_update: Callable,
-    data: dict,
-    scale: np.ndarray,
-    finish: Callable,
-    settle: Callable,
-):
-    """Lockstep over-relaxed consensus ADMM over a batch of problems.
-
-    ``z`` is the consensus variable at its start value, one matrix per
-    problem (problem axis first).  Each of ``blocks`` is a prox
-    prox(v, ρ, data) that maps its input v = z − u to its projection.
-    ``z_update(S, ρ, data)`` turns the sum S of the over-relaxed block
-    outputs plus their duals into the new z.  ``data`` holds per-problem
-    arrays (problem axis first), compacted with the iterates as problems
-    retire.
-
-    A problem converges once its primal residual (the distance of the
-    block outputs from z) and its dual residual (ρ times the z step,
-    counted once per block) are both at most ``TOL`` times its ``scale``.
-    It then records ``finish(outs, z, done)``: the solutions of the
-    retiring rows, from the block outputs ``outs`` and the updated z.
-    Every 100 iterations ρ doubles where the primal residual exceeds
-    ten times the dual one and halves in the reverse case, with the scaled
-    duals rescaled to match.  Problems still running after ``ITER_LIMIT``
-    iterations record ``settle(z, data)``.  Every problem starts from the
-    step size ``RHO``, with over-relaxation ``OVER_RELAXATION``.
-
-    The batch runs in consecutive pieces of at most ``CHUNK`` problems; an
-    empty batch runs no iteration.  Each problem's iterates are independent
-    of the others, so the pieces do not change any result.
-
-    Returns (solutions, iterations, converged).
-    """
-    return _in_pieces(
-        z,
-        lambda piece: _admm_piece(
-            z[piece], blocks, z_update, {key: v[piece] for key, v in data.items()},
-            scale[piece], finish, settle,
-        ),
-    )
-
-
-def _in_pieces(like: np.ndarray, solve: Callable):
-    """(solutions, iterations, converged) of ``solve(piece)`` over the
-    consecutive slices of at most ``CHUNK`` problems, joined; ``like`` has
-    the solutions' shape and dtype, one problem per row.  An empty batch
-    calls no ``solve``."""
-    b = len(like)
-    out = np.empty_like(like)
-    iters = np.full(b, ITER_LIMIT)
-    converged = np.zeros(b, dtype=bool)
-    for start in range(0, b, CHUNK):
-        piece = slice(start, start + CHUNK)
-        out[piece], iters[piece], converged[piece] = solve(piece)
-    return out, iters, converged
-
-
-def _admm_piece(z, blocks, z_update, data, scale, finish, settle):
-    """``_admm`` over one piece of the batch, all of its problems in lockstep."""
-    alpha = OVER_RELAXATION
-    b = len(scale)
-    out = np.empty_like(z)
-    tol = TOL * scale
-    rho = np.full(b, RHO)
-    u = [np.zeros_like(z) for _ in blocks]
-    active = np.arange(b)
-    iters = np.full(b, ITER_LIMIT)
-    converged = np.zeros(b, dtype=bool)
-    for it in range(1, ITER_LIMIT + 1):
-        outs = [prox(z - uk, rho, data) for prox, uk in zip(blocks, u)]
-        z_rest = (1 - alpha) * z
-        xh = [alpha * xk + z_rest for xk in outs]
-        # summed left to right over the blocks: ((h₀ + u₀) + h₁) + u₁ ...
-        s = xh[0] + u[0]
-        for hk, uk in zip(xh[1:], u[1:]):
-            s = s + hk + uk
-        z_new = z_update(s, rho, data)
-        primal = None
-        for xk, hk, uk in zip(outs, xh, u):
-            uk += hk - z_new
-            r = _fro_sq(xk - z_new)
-            primal = r if primal is None else primal + r
-        primal = np.sqrt(primal)
-        dual = rho * np.sqrt(len(blocks) * _fro_sq(z_new - z))
-        z = z_new
-
-        done = (primal <= tol) & (dual <= tol)
-        if done.any():
-            idx = active[done]
-            out[idx] = finish(outs, z, done)
-            iters[idx] = it
-            converged[idx] = True
-            keep = ~done
-            active = active[keep]
-            if not active.size:
-                break
-            z = z[keep]
-            u = [uk[keep] for uk in u]
-            rho, primal, dual = rho[keep], primal[keep], dual[keep]
-            tol = tol[keep]
-            data = {key: v[keep] for key, v in data.items()}
-        if it % 100 == 0:
-            # deterministic residual balancing
-            grow = primal > 10 * dual
-            shrink = dual > 10 * primal
-            rho[grow] *= 2.0
-            rho[shrink] /= 2.0
-            for uk in u:
-                uk[grow] /= 2.0
-                uk[shrink] *= 2.0
-    if active.size:  # hit ITER_LIMIT
-        out[active] = settle(z, data)
-    return out, iters, converged
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +391,25 @@ def _settle_p1(geo: _Geometry, x: np.ndarray) -> np.ndarray:
     return x + (geo.d * geo.cone_deficit(x))[:, None, None] * geo.cone_lift
 
 
+#: Problems a (P1) Newton pass holds at once; bounds the working set of
+#: every solver when a caller passes a large batch, most of it the Jacobian
+#: block of d²·(d²−1)² complex entries (58 kB per problem at d = 4).
+CHUNK = 8192
+
+
+def _in_pieces(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
+    """``_newton_piece`` over the consecutive slices of at most ``CHUNK``
+    problems of the hermitian stack t, joined: (solutions, Newton steps,
+    converged).  An empty batch runs no solve."""
+    out = np.empty_like(t)
+    iters = np.empty(len(t), dtype=int)
+    converged = np.empty(len(t), dtype=bool)
+    for start in range(0, len(t), CHUNK):
+        piece = slice(start, start + CHUNK)
+        out[piece], iters[piece], converged[piece] = _newton_piece(t[piece], scale[piece], geo)
+    return out, iters, converged
+
+
 def closest_lindbladian_batch(targets: np.ndarray, d: int) -> list[SolveReport]:
     """Solve (P1) for a stack of targets in lockstep.
 
@@ -590,9 +425,7 @@ def closest_lindbladian_batch(targets: np.ndarray, d: int) -> list[SolveReport]:
     t_h = herm(t_full)
     skew_norm = _fro(t_full - t_h)
     scale = np.maximum(1.0, _fro(t_h))
-    x_sol, iters, converged = _in_pieces(
-        t_h, lambda piece: _newton_piece(t_h[piece], scale[piece], geo)
-    )
+    x_sol, iters, converged = _in_pieces(t_h, scale, geo)
     cone_res = geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
     obj = np.sqrt(_fro(x_sol - t_h) ** 2 + skew_norm**2)
@@ -634,6 +467,51 @@ def min_mu_infeasible(
     return _ball_misses(deltas[None, :], skew_norm[:, None], affine_gap[:, None])
 
 
+def _min_mu_root(t_h, radius, cap, scale, geo):
+    """The least μ ≥ 0 with g(μ) = ‖Z − Π(Z)‖ ≤ radius, Z = t_h + μC, per
+    problem, in lockstep: (X, μ, Newton steps, converged).
+
+    Newton's method on ½g² − ½radius² from μ = 0, with derivative
+    ⟨Z − Π(Z), C⟩.  g is convex and nonincreasing, so the steps climb to
+    the root from below; they are capped at ``cap``, from where on g rests
+    at its floor, the distance to the trace-zero slice (the screen put it
+    within the radius).  A problem retires once g − radius ≤ ``TOL``·scale
+    or μ reaches the cap, with X = Π(Z) − μC.  It does not converge when
+    it is still running after ``ITER_LIMIT`` steps or when one of its
+    projections ends MaxIters.
+    """
+    c = geo.cone_lift
+    x = np.empty_like(t_h)
+    mu_out = np.empty(len(t_h))
+    steps = np.empty(len(t_h), dtype=int)
+    converged = np.ones(len(t_h), dtype=bool)
+    rows = np.arange(len(t_h))
+    mu = np.zeros(len(t_h))
+    for it in range(ITER_LIMIT + 1):
+        if not rows.size:
+            break
+        z = t_h[rows] + mu[:, None, None] * c
+        p, _, ok = _in_pieces(z, scale[rows], geo)
+        converged[rows] &= ok
+        r = z - p
+        g = _fro(r)
+        done = (g - radius[rows] <= TOL * scale[rows]) | (mu >= cap[rows])
+        leave = done | (it == ITER_LIMIT)
+        out = rows[leave]
+        x[out] = p[leave] - mu[leave, None, None] * c
+        mu_out[out], steps[out] = mu[leave], it
+        converged[out] &= done[leave]
+        # C is real symmetric and R = Z − Π(Z) hermitian: ⟨R, C⟩ = Σ Re R·C
+        slope = np.sum(r.real * c.real, axis=(-2, -1))
+        descent = slope < 0
+        newton = np.where(
+            descent, 0.5 * (g**2 - radius[rows] ** 2) / np.where(descent, -slope, 1.0), np.inf
+        )
+        mu = np.minimum(mu + newton, cap[rows])[~leave]
+        rows = rows[~leave]
+    return x, mu_out, steps, converged
+
+
 def min_mu_batch(
     targets: np.ndarray,
     d: int,
@@ -642,31 +520,30 @@ def min_mu_batch(
     """Solve (P2) for stacks of (target, δ) pairs in lockstep.
 
     ``targets`` is (B, d², d²), or one d²×d² target; ``deltas`` broadcasts
-    to (B,).  (P2) is solved over X alone: minimize d·max(0, −λ_min(ω⊥Xω⊥))
-    over the slice-ball {Tr₁[X] = 0, ‖X − T‖_F ≤ δ}.  μ is the shift the
-    returned X needs, d·max(0, −λ_min) of it, so an X inside the cone gives
-    exactly 0 (never −0.0).
+    to (B,).  The least μ is the root of g(μ) = δ′ (``_min_mu_root``), and
+    exactly 0.0 when the (P1) projection of herm(T) already lies within
+    δ′ = √(δ² − ‖skew T‖²); the returned X is that projection for μ = 0,
+    and in general the projection of herm(T) + μC shifted back by −μC.
+    ``iterations`` counts Newton steps on μ, each one (P1) solve.
 
     A pair is reported Infeasible when δ² < ‖skew(T)‖² + ‖Tr₁-component‖²,
     i.e. when the ball cannot even reach the hermitian affine subspace
     (``min_mu_infeasible`` evaluates the same test over a whole δ grid, so
     callers can keep such pairs out of the batch).  Its x_opt is the
-    trace-zero projection of herm(T).  Every other x_opt, MaxIters too,
-    lies in the δ-ball and on the slice.
+    trace-zero projection of herm(T).  Every other x_opt lies on the
+    slice; a MaxIters one may stop short of the root, outside the ball by
+    its ball residual.
     """
     geo = _geometry(d)
     t_full = _as_batch(targets, d)
     b = t_full.shape[0]
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (b,)).copy()
-    if np.any(deltas < 0):
+    if not np.all(deltas >= 0):
         raise OutOfRange("delta must be nonnegative")
 
     t_h, x_affine, skew_norm, affine_gap = _reach(t_full, geo)
     scale = np.maximum(1.0, _fro(t_h))
     misses = _ball_misses(deltas, skew_norm, affine_gap)
-    # the δ-ball's cut with the hermitian trace-zero slice: a ball there
-    # around the slice point of herm(T)
-    radius = np.sqrt(np.maximum(deltas**2 - skew_norm**2 - affine_gap**2, 0.0))
 
     reports: list[Optional[SolveReport]] = [None] * b
     dead = np.nonzero(misses)[0]
@@ -681,28 +558,22 @@ def min_mu_batch(
     live = np.nonzero(~misses)[0]
     t_h_l = t_h[live]
     scale_l = scale[live]
-
-    x_sol, iters, converged = _admm(
-        t_h_l.copy(),
-        [geo.slice_ball_block, geo.noise_rate_block],
-        lambda s, rho, data: s / 2,
-        {"center": x_affine[live], "radius": radius[live]},
+    x_sol, mu_sol, iters, converged = _min_mu_root(
+        t_h_l,
+        np.sqrt(np.maximum(deltas[live] ** 2 - skew_norm[live] ** 2, 0.0)),
+        # the rate at which the slice point of herm(T) enters the cone
+        d * geo.cone_deficit(x_affine[live]),
         scale_l,
-        # the slice-ball block's output: in the ball and on the slice
-        finish=lambda outs, z, done: outs[0][done],
-        settle=lambda z, data: geo.slice_ball_block(z, None, data),
+        geo,
     )
-
-    # the least rate that makes the returned X cone-feasible, so the
-    # shifted cone constraint holds with no residual
-    mu_sol = d * geo.cone_deficit(x_sol)
     affine_res = _one_norm(partial_trace_first(x_sol))
+    cone_res = geo.cone_deficit(x_sol + mu_sol[:, None, None] * geo.cone_lift)
     ball_res = np.maximum(
         0.0, np.sqrt(_fro(x_sol - t_h_l) ** 2 + skew_norm[live] ** 2) - deltas[live]
     )
-    ok = converged & (ball_res <= 10 * TOL * scale_l)
+    ok = converged & (cone_res <= TOL * scale_l) & (ball_res <= 10 * TOL * scale_l)
     solved = _reports(
-        x_sol, mu_sol, (affine_res, 0.0, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
+        x_sol, mu_sol, (affine_res, cone_res, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
         iters, mu=mu_sol
     )
     for i, rep in zip(live, solved):
@@ -720,7 +591,7 @@ def dykstra_closest_lindbladian(target: np.ndarray, d: int) -> SolveReport:
 
     Converges to the same projection as the Newton path; used as the
     in-repo oracle for solver agreement.  Single problem, no batching;
-    it stops on the engine's ``TOL`` and ``ITER_LIMIT``.
+    it stops on the module's ``TOL`` and ``ITER_LIMIT``.
     """
     geo = _geometry(d)
     t_full = _as_batch(target, d)
@@ -765,66 +636,6 @@ def dykstra_closest_lindbladian(target: np.ndarray, d: int) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _radial_root(g: np.ndarray, s2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Roots r ∈ [0, g] of r/√(r² + s2) + c·(r − g) = 0, batched.
-
-    The left side is increasing and concave in r, so Newton started at the
-    s2 → 0 closed form r₀ = max(g − 1/c, 0), which never exceeds the root,
-    climbs to it from below.  Bisection keeps every step inside the
-    bracket [lo, hi]; a step onto the bracket's end is kept, so an exact
-    root (f = 0) ends the problem at once.  A problem stops once its step
-    falls below 1e-15·max(1, g).
-    """
-    lo = np.zeros_like(g)
-    hi = g.copy()
-    r = np.maximum(g - 1.0 / c, 0.0)
-    todo = np.arange(g.size)
-    for _ in range(60):
-        rr, gg, ss, cc = r[todo], g[todo], s2[todo], c[todo]
-        den = np.sqrt(rr * rr + ss)
-        pos = den > 0
-        safe = np.where(pos, den, 1.0)
-        f = np.where(pos, rr / safe, 1.0) + cc * (rr - gg)
-        above = f > 0
-        hi[todo[above]] = rr[above]
-        lo[todo[~above]] = rr[~above]
-        df = np.where(pos, ss / safe**3, 0.0) + cc
-        step = rr - f / df
-        lo_t, hi_t = lo[todo], hi[todo]
-        step = np.where((lo_t <= step) & (step <= hi_t), step, 0.5 * (lo_t + hi_t))
-        r[todo] = step
-        todo = todo[np.abs(step - rr) > 1e-15 * np.maximum(1.0, gg)]
-        if not todo.size:
-            break
-    return r
-
-
-def _prox_scaled_distance(
-    v: np.ndarray,
-    target_h: np.ndarray,
-    skew_sq: np.ndarray,
-    t_scale: float,
-    rho: np.ndarray,
-    radius: np.ndarray,
-) -> np.ndarray:
-    """prox of X ↦ √(‖t·X − A‖² + s²) (+ ball indicator at that radius), batched.
-
-    Radial reduction: with G = t·V − A, g = ‖G‖, the minimizer moves V
-    along −G to reach magnitude r*, the root of
-        r/√(r² + s²) + (ρ/t²)(r − g) = 0
-    clipped into [0, √(max(radius² − s², 0))].  s², ρ and the radius are
-    per problem; the roots of the whole batch come from one masked Newton
-    iteration (``_radial_root``).
-    """
-    g_mat = t_scale * v - target_h
-    g = _fro(g_mat)
-    r = _radial_root(g, skew_sq, rho / t_scale**2)
-    r = np.minimum(np.maximum(r, 0.0), np.sqrt(np.maximum(radius**2 - skew_sq, 0.0)))
-    moves = g >= 1e-300
-    step = np.where(moves, (r - g) / (t_scale * np.where(moves, g, 1.0)), 0.0)
-    return v + step[:, None, None] * g_mat
-
-
 def joint_infeasibility(
     targets: np.ndarray, times: Sequence[float] | np.ndarray, deltas
 ) -> np.ndarray:
@@ -854,67 +665,62 @@ def joint_infeasibility(
     return np.where(np.any(skew_sq > delta_sq, axis=-1), np.inf, excess)
 
 
-def _joint_admm(
-    t_full: np.ndarray,
-    t_sc: np.ndarray,
-    deltas: np.ndarray,
-    geo: _Geometry,
-) -> list[SolveReport]:
-    """Consensus ADMM for the joint fits that passed the screen."""
-    q = t_full.shape[1]
-    t_h = herm(t_full)
-    skew_sq = _fro(t_full - t_h) ** 2
-    scale = np.maximum(1.0, np.max(_fro(t_h) / t_sc, axis=1))
+def _reweighted_p1(t_h, skew_sq, t_sc, scale, geo):
+    """Σ_c ‖t_c·X − T_c‖_F minimized over (P1)'s set, per problem, in
+    lockstep: (X, reweighting steps, converged).
 
-    def term_block(c):
-        def prox(x, rho, data):
-            return _prox_scaled_distance(
-                x, data["t"][:, c], data["skew_sq"][:, c], t_sc[c], rho, data["delta"]
-            )
-        return prox
-
-    z_sol, iters, converged = _admm(
-        t_h[:, 0] / t_sc[0],
-        [geo.affine_block, geo.cone_block] + [term_block(c) for c in range(q)],
-        lambda s, rho, data: s / (2 + q),
-        {"t": t_h, "skew_sq": skew_sq, "delta": deltas},
-        scale,
-        finish=lambda outs, z, done: z[done],
-        settle=lambda z, data: z,
-    )
-
-    x_fin = geo.project_trace_zero(geo.project_cone(z_sol))
-    cone_res = geo.cone_deficit(x_fin)
-    affine_res = _one_norm(partial_trace_first(x_fin))
-    dists = _fro(t_sc[:, None, None] * x_fin[:, None] - t_full)
-    ball_res = np.maximum(0.0, dists.max(axis=1) - deltas)
-    ok = converged & (cone_res <= TOL * scale) & (ball_res <= 10 * TOL * scale)
-    return _reports(
-        x_fin, dists.sum(axis=1), (affine_res, cone_res, ball_res),
-        np.where(ok, OPTIMAL, MAX_ITERS), iters
-    )
+    Step 0 projects the unweighted mean; every later step projects the
+    mean Σ_c w_c t_c herm T_c / Σ_c w_c t_c² with w_c = min_k r_k / r_c,
+    r_c = ‖t_c·X − T_c‖_F at the last X (so no weight exceeds 1).  A
+    problem retires once its step ‖X⁺ − X‖ is at most ``TOL``·scale.  It
+    does not converge when it is still running after ``ITER_LIMIT`` steps
+    or when one of its projections ends MaxIters.
+    """
+    x = np.empty_like(t_h[:, 0])
+    steps = np.empty(len(t_h), dtype=int)
+    converged = np.ones(len(t_h), dtype=bool)
+    rows = np.arange(len(t_h))
+    w = np.ones(t_h.shape[:2])
+    last = None
+    for it in range(ITER_LIMIT + 1):
+        if not rows.size:
+            break
+        wt = w * t_sc
+        mean = np.sum(wt[:, :, None, None] * t_h[rows], axis=1) / (wt @ t_sc)[:, None, None]
+        new, _, ok = _in_pieces(mean, scale[rows], geo)
+        converged[rows] &= ok
+        done = np.zeros(len(rows), dtype=bool) if last is None else (
+            _fro(new - last) <= TOL * scale[rows]
+        )
+        leave = done | (it == ITER_LIMIT)
+        out = rows[leave]
+        x[out], steps[out] = new[leave], it
+        converged[out] &= done[leave]
+        misfit = np.sqrt(_fro_sq(t_sc[:, None, None] * new[:, None] - t_h[rows]) + skew_sq[rows])
+        misfit = np.maximum(misfit, np.finfo(float).tiny)
+        w = (misfit.min(axis=1, keepdims=True) / misfit)[~leave]
+        last = new[~leave]
+        rows = rows[~leave]
+    return x, steps, converged
 
 
 def solve_joint_fit_batch(
-    targets: np.ndarray,
-    times: Sequence[float] | np.ndarray,
-    d: int,
-    deltas: Sequence[float] | np.ndarray,
+    targets: np.ndarray, times: Sequence[float] | np.ndarray, d: int
 ) -> list[SolveReport]:
     """Solve a stack of joint fits in lockstep; one SolveReport per problem.
 
     ``targets`` is (B, q, d², d²).  Problem i fits one hermitian X to the
-    q targets T_c = targets[i, c] at the shared ``times``, with trust
-    radius δ = deltas[i]:
+    q targets T_c = targets[i, c] at the shared ``times``:
 
         minimize   Σ_c ‖t_c·X − T_c‖_F
-        subject to ‖t_c·X − T_c‖_F ≤ δ for every c,  Tr₁[X] = 0,  ω⊥Xω⊥ ⪰ 0.
+        subject to Tr₁[X] = 0,  ω⊥Xω⊥ ⪰ 0,
 
-    Problems that ``joint_infeasibility`` rules out are reported
-    Infeasible without iterating; their ball residual is the excess.  The
-    rest run the consensus ADMM engine (one prox block per series term
-    plus the affine and cone blocks) in one call.  Each problem's iterates
-    are independent, so results do not depend on the batch composition.
+    by reweighted (P1) projections (``_reweighted_p1``); ``objective`` is
+    the sum and ``iterations`` counts reweighting steps.  Each problem's
+    iterates are independent, so results do not depend on the batch
+    composition.  Callers that bound each misfit by a trust radius
+    (``joint_infeasibility`` screens those bounds) check the returned
+    misfits against it.
     """
     geo = _geometry(d)
     t_full = np.asarray(targets, dtype=complex)
@@ -923,35 +729,28 @@ def solve_joint_fit_batch(
         raise DimensionMismatch(
             f"targets must be (B, q, {n}, {n}) for side dimension {d}, got {t_full.shape}"
         )
-    b, q = t_full.shape[:2]
+    q = t_full.shape[1]
     t_sc = np.asarray(times, dtype=float)
     if q == 0 or t_sc.shape != (q,):
         raise DimensionMismatch("one time per target required")
-    if np.any(t_sc <= 0):
-        raise OutOfRange("times must be positive")
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (b,))
-    if np.any(deltas < 0):
-        raise OutOfRange("delta must be nonnegative")
+    if not np.all(np.isfinite(t_sc) & (t_sc > 0)):
+        raise OutOfRange(f"times must be positive and finite, got {t_sc.tolist()}")
 
-    excess = joint_infeasibility(t_full, t_sc, deltas)
-    reports: list[Optional[SolveReport]] = [None] * b
-    screened = np.flatnonzero(excess > 0)
-    x0 = geo.project_trace_zero(herm(t_full[screened, 0]) / t_sc[0])
-    for i, rep in zip(screened, _reports(x0, np.nan, (0.0, 0.0, excess[screened]), INFEASIBLE, 0)):
-        reports[i] = rep
-    live = np.flatnonzero(excess == 0)
-    for i, rep in zip(live, _joint_admm(t_full[live], t_sc, deltas[live], geo)):
-        reports[i] = rep
-    return reports  # type: ignore[return-value]
+    t_h = herm(t_full)
+    scale = np.maximum(1.0, np.max(_fro(t_h) / t_sc, axis=1))
+    x_sol, iters, converged = _reweighted_p1(t_h, _fro_sq(t_full - t_h), t_sc, scale, geo)
+    cone_res = geo.cone_deficit(x_sol)
+    affine_res = _one_norm(partial_trace_first(x_sol))
+    dists = _fro(t_sc[:, None, None] * x_sol[:, None] - t_full)
+    ok = converged & (cone_res <= TOL * scale)
+    return _reports(
+        x_sol, dists.sum(axis=1), (affine_res, cone_res, 0.0),
+        np.where(ok, OPTIMAL, MAX_ITERS), iters
+    )
 
 
-def solve_joint_fit(
-    targets: Sequence[np.ndarray], times: Sequence[float], d: int, delta: float
-) -> SolveReport:
-    """Fit one hermitian cone/affine-feasible X to several scaled targets.
-
-    The one-problem form of ``solve_joint_fit_batch``: infeasible when
-    some skew part already exceeds δ or two balls are provably disjoint.
-    """
+def solve_joint_fit(targets: Sequence[np.ndarray], times: Sequence[float], d: int) -> SolveReport:
+    """Fit one hermitian cone/affine-feasible X to several scaled targets:
+    the one-problem form of ``solve_joint_fit_batch``."""
     stacked = np.stack([_as_batch(t, d)[0] for t in targets])
-    return solve_joint_fit_batch(stacked[None], times, d, [delta])[0]
+    return solve_joint_fit_batch(stacked[None], times, d)[0]

@@ -308,7 +308,7 @@ def test_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch, 
 
 
 def short_p1(monkeypatch, statuses):
-    """Cut every solve at 2 iterations (Newton steps for P1, ADMM iterations
+    """Cut every solve at 2 steps (Newton steps for P1, Newton steps on mu
     for P2), recording the P1 statuses."""
     batch = solver.closest_lindbladian_batch
 

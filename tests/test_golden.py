@@ -51,7 +51,7 @@ GOLDEN = {
     "unital-weak-t2@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
     "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None),
     "xgate@1e+05": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 2,
-                    0.06954367685598314, 2.563876031712057, 0.04508851283691049),
+                    0.06954367685598314, 2.5638760292318374, 0.04508851283691049),
     "depol-0.1@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
                         None, None, 0.011092271623487642),
     "depol-0.2@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
@@ -64,7 +64,7 @@ GOLDEN = {
     "iswap@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
     "depol-cz@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
     "unital-weak-series-s1": ("Markovian", 0, None, [0] * 8, None,
-                              None, None, 0.0021156132301658613),
+                              None, None, 0.0021156120097405597),
     "unital-weak-series-s2": ("Markovian", 0, None, [0] * 8, None,
                               None, None, 0.002610434026653802),
     "unital-weak-series-s3": ("Markovian", 0, None, [0] * 8, None,

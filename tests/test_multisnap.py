@@ -1,8 +1,7 @@
-"""Joint fits across snapshot series: the batched joint solver, its
-feasibility screen and radial prox, the answers of ``best_fit_multi`` on
-simulated unital series against an all-pairs reference, its reuse of one
-solve per branch assignment and its MaxIters count, and the ``multifit``
-CLI command.
+"""Joint fits across snapshot series: the batched joint solver and its
+feasibility screen, the answers of ``best_fit_multi`` on simulated unital
+series against an all-pairs reference, its one solve per branch
+assignment and its MaxIters count, and the ``multifit`` CLI command.
 """
 
 import itertools
@@ -11,7 +10,6 @@ import json
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from lindbladfit import cli, fitting, multisnap, solver
 from lindbladfit.channels import (
@@ -126,52 +124,6 @@ def test_screen_allows_balls_within_margin():
 
 
 # ----------------------------------------------------------------------
-# radial prox
-# ----------------------------------------------------------------------
-
-def reference_root(g, s, c):
-    def h(r):
-        return (r / np.hypot(r, s) if r > 0 else 0.0) + c * (r - g)
-
-    return brentq(h, 0.0, g, xtol=1e-16, rtol=4 * np.finfo(float).eps)
-
-
-def test_prox_root_matches_brentq():
-    rng = np.random.default_rng(7)
-    b, n = 64, 4
-    v = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
-    target = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
-    t = 1.7
-    g = np.linalg.norm(t * v - target, axis=(-2, -1))
-    s = rng.uniform(0.0, 2.0, b)
-    s[::4] = 0.0
-    # about half the problems have g < t²/ρ, where the s → 0 start is r₀ = 0
-    rho = t**2 / (g * rng.uniform(0.3, 3.0, b))
-    radius = np.full(b, 1e3)
-    radius[1::3] = np.hypot(s[1::3], 0.25 * g[1::3])  # the ball clips these
-    out = solver._prox_scaled_distance(v, target, s**2, t, rho, radius)
-
-    assert (g < t**2 / rho).sum() > 10 and (g > t**2 / rho).sum() > 10
-    clipped = 0
-    for i in range(b):
-        root = reference_root(g[i], s[i], rho[i] / t**2)
-        r_max = np.sqrt(max(radius[i] ** 2 - s[i] ** 2, 0.0))
-        clipped += root > r_max
-        r = min(root, r_max)
-        g_mat = t * v[i] - target[i]
-        expected = v[i] + (r - g[i]) / (t * g[i]) * g_mat
-        np.testing.assert_allclose(out[i], expected, rtol=0, atol=1e-12)
-    assert clipped >= 3
-
-
-def test_radial_root_at_zero_skew_is_closed_form():
-    g = np.array([0.0, 0.5, 2.0, 3.0])
-    c = np.array([1.0, 1.0, 1.0, 0.25])
-    r = solver._radial_root(g, np.zeros(4), c)
-    np.testing.assert_allclose(r, np.maximum(g - 1.0 / c, 0.0), atol=1e-15)
-
-
-# ----------------------------------------------------------------------
 # batched joint solver
 # ----------------------------------------------------------------------
 
@@ -184,44 +136,58 @@ def lindbladian_series(seed, times=(0.5, 1.0), noise=1e-3):
 
 
 def test_batch_matches_single_solves(weak_series, monkeypatch):
-    # Converged after 1 and 381 iterations, cut at the iteration limit, and
-    # screened; residual balancing drives the problems to different step sizes ρ.
-    monkeypatch.setattr(solver, "ITER_LIMIT", 600)
-    deltas, _, grid = assignment_grid(weak_series[2])
+    """Cut at 15 reweighting steps: the zero branch of a weak series is
+    still running, two moved branches retire after 3 steps, an exact
+    series after 1 and two noisy ones after 10.  Batch, singles and pieces
+    of three give the same reports."""
+    monkeypatch.setattr(solver, "ITER_LIMIT", 15)
+    _, _, grid = assignment_grid(weak_series[2])
     batch = np.array([
-        grid[0], grid[0], grid[1], grid[40],  # zero branch at two radii; two moved branches
+        grid[0], grid[1], grid[40],
         lindbladian_series(1), lindbladian_series(2, noise=0.0),
         lindbladian_series(3, noise=0.05),
     ])
-    radii = [deltas[3], deltas[20], deltas[20], deltas[20], 0.5, 0.01, 5.0]
-    reports = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii)
-    assert {rep.status for rep in reports} == {
-        solver.OPTIMAL, solver.MAX_ITERS, solver.INFEASIBLE
-    }
-    assert len({rep.iterations for rep in reports}) == 4
+    reports = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2)
+    assert [(rep.status, rep.iterations) for rep in reports] == [
+        (solver.MAX_ITERS, 15), (solver.OPTIMAL, 3), (solver.OPTIMAL, 3),
+        (solver.OPTIMAL, 10), (solver.OPTIMAL, 1), (solver.OPTIMAL, 10),
+    ]
     monkeypatch.setattr(solver, "CHUNK", 3)
-    chunked = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2, radii)
-    for rep, other in zip(reports, chunked):
-        assert (rep.status, rep.iterations) == (other.status, other.iterations)
-        np.testing.assert_array_equal(rep.x_opt, other.x_opt)
-    for targets, delta, rep in zip(batch, radii, reports):
-        single = solver.solve_joint_fit(list(targets), TIMES, 2, delta)
-        assert rep.status == single.status
-        assert rep.iterations == single.iterations
-        np.testing.assert_allclose(rep.x_opt, single.x_opt, rtol=0, atol=1e-12)
-        if rep.status != solver.INFEASIBLE:
-            assert rep.objective == pytest.approx(single.objective, abs=1e-12)
-        np.testing.assert_allclose(rep.residuals, single.residuals, rtol=0, atol=1e-12)
+    chunked = solver.solve_joint_fit_batch(batch, np.array(TIMES), 2)
+    singles = [solver.solve_joint_fit(list(targets), TIMES, 2) for targets in batch]
+    for rep, *others in zip(reports, chunked, singles):
+        for other in others:
+            assert (rep.status, rep.iterations, rep.objective, rep.residuals) == (
+                other.status, other.iterations, other.objective, other.residuals
+            )
+            np.testing.assert_array_equal(rep.x_opt, other.x_opt)
 
 
-def test_batch_screen_marks_infeasible(weak_series):
-    deltas, _, grid = assignment_grid(weak_series[1])
-    reports = solver.solve_joint_fit_batch(grid[:8], TIMES, 2, deltas[0])
-    excess = solver.joint_infeasibility(grid[:8], TIMES, deltas[0])
-    for rep, e in zip(reports, excess):
-        assert (rep.status == solver.INFEASIBLE) == (e > 0)
-        if e > 0:
-            assert rep.iterations == 0 and rep.residuals[2] == e
+def test_joint_objective_never_increases(weak_series, monkeypatch):
+    """Each reweighting step minimizes a majorizer of the summed misfit, so
+    the objective after k steps does not increase with k."""
+    _, _, grid = assignment_grid(weak_series[2])
+    batch = np.array([grid[0], grid[40], lindbladian_series(1), lindbladian_series(3, noise=0.05)])
+    objectives = []
+    for limit in range(21):
+        monkeypatch.setattr(solver, "ITER_LIMIT", limit)
+        objectives.append([rep.objective for rep in solver.solve_joint_fit_batch(batch, TIMES, 2)])
+    steps = np.diff(objectives, axis=0)
+    assert np.all(steps <= 0)
+    assert np.all(steps[0] < 0)
+
+
+@pytest.mark.parametrize("t", [0.7, 2.0])
+def test_one_snapshot_joint_fit_is_the_p1_projection(weak_series, t):
+    """At q = 1 the reweighting is one projection of T/t, repeated once to
+    confirm it."""
+    _, _, grid = assignment_grid(weak_series[1])
+    for target in (grid[0, 0], grid[5, 0], lindbladian_series(5, noise=0.5)[0]):
+        rep = solver.solve_joint_fit([target], (t,), 2)
+        ref = solver.closest_lindbladian_batch(target / t, 2)[0]
+        assert (rep.status, rep.iterations) == (solver.OPTIMAL, 1)
+        np.testing.assert_allclose(rep.x_opt, ref.x_opt, rtol=0, atol=1e-12)
+        assert rep.objective == pytest.approx(t * ref.objective, rel=1e-12)
 
 
 def test_exact_series_fits_at_zero_objective():
@@ -229,7 +195,7 @@ def test_exact_series_fits_at_zero_objective():
     gen = random_lindblad_generator(2, rng).mat
     times = (0.3, 0.9, 1.4)
     targets = [gamma_involution(t * gen) for t in times]
-    rep = solver.solve_joint_fit(targets, times, 2, 0.1)
+    rep = solver.solve_joint_fit(targets, times, 2)
     assert rep.status == solver.OPTIMAL
     assert rep.objective < 1e-6
     assert is_lindbladian(gamma_involution(rep.x_opt), tol=1e-7).ok
@@ -238,13 +204,18 @@ def test_exact_series_fits_at_zero_objective():
 def test_joint_fit_validates_input():
     targets = lindbladian_series(4)
     with pytest.raises(DimensionMismatch):
-        solver.solve_joint_fit(list(targets), (1.0,), 2, 0.1)
-    with pytest.raises(OutOfRange):
-        solver.solve_joint_fit(list(targets), (1.0, -1.0), 2, 0.1)
-    with pytest.raises(OutOfRange):
-        solver.solve_joint_fit_batch(targets[None], (1.0, 2.0), 2, [-0.1])
+        solver.solve_joint_fit(list(targets), (1.0,), 2)
     with pytest.raises(DimensionMismatch):
-        solver.solve_joint_fit_batch(targets, (1.0, 2.0), 2, [0.1])
+        solver.solve_joint_fit_batch(targets, (1.0, 2.0), 2)
+    for times in [(1.0, -1.0), (np.nan, 2.0), (1.0, np.inf)]:
+        with pytest.raises(OutOfRange):
+            solver.solve_joint_fit(list(targets), times, 2)
+
+
+@pytest.mark.parametrize("times", [(np.nan, 2.0), (1.0, np.inf)], ids=["nan", "inf"])
+def test_series_with_non_finite_times_is_refused(weak_series, times):
+    with pytest.raises(OutOfRange):
+        best_fit_multi(SnapshotSeries(weak_series[1], times), EPSILON)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +223,7 @@ def test_joint_fit_validates_input():
 # ----------------------------------------------------------------------
 
 GOLDEN_DISTANCES = {
-    1: 0.0021156132301652897,
+    1: 0.0021156120097405597,
     2: 0.002610434026653962,
     3: 0.002352034438161084,
 }
@@ -282,8 +253,8 @@ def test_benchmark_unital_series_has_no_fit():
 
 def all_pairs_best_fit_multi(series, epsilon, policy=fitting.BranchPolicy(), delta_step=0.01):
     """The reference: every live (δ, assignment) pair solved on its own,
-    each pair's exponential taken, and the pairs ranked by (summed
-    distance, grid position)."""
+    kept where its misfits fit inside its δ, each kept pair's exponential
+    taken, and the pairs ranked by (summed distance, grid position)."""
     q = series.count
     times = np.asarray(series.times, dtype=float)
     mats = [series.matrix(c) for c in range(q)]
@@ -297,12 +268,16 @@ def all_pairs_best_fit_multi(series, epsilon, policy=fitting.BranchPolicy(), del
         targets[:, c] = fitting.branch_targets(l0, spectral, branches)[inverse.reshape(-1)]
     excess = solver.joint_infeasibility(targets, times, deltas[:, None])
     delta_idx, assign_idx = np.nonzero(excess == 0)
-    if not assign_idx.size:
-        return None
-    reports = solver.solve_joint_fit_batch(
-        targets[assign_idx], times, int(np.sqrt(n)), deltas[delta_idx]
-    )
-    generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
+    reports = [
+        solver.solve_joint_fit(list(targets[a]), times, int(np.sqrt(n))) for a in assign_idx
+    ]
+    kept = [
+        k for k, (rep, j, a) in enumerate(zip(reports, delta_idx, assign_idx))
+        if max(fro(t * rep.x_opt - target) for t, target in zip(times, targets[a])) <= deltas[j]
+    ]
+    if not kept:
+        return None, len(reports)
+    generators = gamma_involution(np.stack([reports[k].x_opt for k in kept]))
     exps = batched_expm(times[None, :, None, None] * generators[:, None])
     dists = np.linalg.norm(np.array(mats)[None] - exps, axis=(-2, -1))
     distance = dists.sum(axis=1)
@@ -312,45 +287,43 @@ def all_pairs_best_fit_multi(series, epsilon, policy=fitting.BranchPolicy(), del
             return fitting.FitResult(
                 lindbladian=generators[k],
                 distance=float(distance[k]),
-                branch=tuple(int(v) for v in assignments[assign_idx[k]].ravel()),
-            )
-    return None
+                branch=tuple(int(v) for v in assignments[assign_idx[kept[k]]].ravel()),
+            ), len(reports)
+    return None, len(reports)
 
 
 @pytest.fixture
 def joint_calls(monkeypatch):
-    """Every ``solve_joint_fit_batch`` call: (targets, deltas, reports)."""
+    """The targets and reports of every ``solve_joint_fit_batch`` call."""
     batch = solver.solve_joint_fit_batch
     calls = []
 
-    def recording(targets, times, d, deltas):
-        reports = batch(targets, times, d, deltas)
-        calls.append((np.array(targets), np.array(deltas), reports))
+    def recording(targets, times, d):
+        reports = batch(targets, times, d)
+        calls.append((np.array(targets), reports))
         return reports
 
     monkeypatch.setattr(solver, "solve_joint_fit_batch", recording)
     return calls
 
 
-# name: (gamma, shots, tomography seed, epsilon, problems solved by the
-# all-pairs reference, sizes of the solver batches, answer tolerance)
+# name: (gamma, shots, tomography seed, epsilon, live pairs solved by the
+# all-pairs reference, live assignments solved by best_fit_multi)
 REUSE_CASES = {
-    "weak-s1": (WEAK_GAMMA, 10**5, 1, EPSILON, 60, [1], 0.0),
-    "weak-s2": (WEAK_GAMMA, 10**5, 2, EPSILON, 59, [1], 0.0),
-    "weak-s3": (WEAK_GAMMA, 10**5, 3, EPSILON, 60, [1], 0.0),
-    # the smallest radius binds the probe's misfit: that pair is re-solved
-    "weak-1e3-shots": (WEAK_GAMMA, 10**3, 1, 0.01, 12, [1, 1], 0.0),
-    "skewed-1e3-shots": ([0.05, 0.05, 0.4], 10**3, 1, 0.01, 12, [1, 1], 0.0),
-    # The reference's winner is a smaller-δ solve whose ball binds during
-    # its iterations, so its X differs from the probe's at the solver
-    # tolerance: the answers agree to the golden tolerance, not bitwise.
-    "fast-1e3-shots": ([0.3, 0.5, 0.8], 10**3, 1, 0.5, 189, [1], 1e-9),
+    "weak-s1": (WEAK_GAMMA, 10**5, 1, EPSILON, 60, 1),
+    "weak-s2": (WEAK_GAMMA, 10**5, 2, EPSILON, 59, 1),
+    "weak-s3": (WEAK_GAMMA, 10**5, 3, EPSILON, 60, 1),
+    # the smallest radius is below the solution's largest misfit: that
+    # pair is dropped
+    "weak-1e3-shots": (WEAK_GAMMA, 10**3, 1, 0.01, 12, 1),
+    "skewed-1e3-shots": ([0.05, 0.05, 0.4], 10**3, 1, 0.01, 12, 1),
+    "fast-1e3-shots": ([0.3, 0.5, 0.8], 10**3, 1, 0.5, 189, 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_reuse_matches_all_pairs(case, joint_calls):
-    gamma, shots, seed, epsilon, ref_problems, sizes, tol = REUSE_CASES[case]
+    gamma, shots, seed, epsilon, ref_problems, solved = REUSE_CASES[case]
     series = SnapshotSeries(
         [
             simulate_process_tomography(
@@ -361,44 +334,23 @@ def test_reuse_matches_all_pairs(case, joint_calls):
         ],
         TIMES,
     )
-    expected = all_pairs_best_fit_multi(series, epsilon)
-    (ref_targets, ref_deltas, ref_reports), = joint_calls
+    expected, ref_count = all_pairs_best_fit_multi(series, epsilon)
+    references = {t[0].tobytes(): reports[0] for t, reports in joint_calls}
     joint_calls.clear()
     fit, maxiters = best_fit_multi(series, epsilon)
 
-    assert len(ref_reports) == ref_problems
-    assert [len(reports) for _, _, reports in joint_calls] == sizes
+    assert ref_count == ref_problems
+    assert [len(reports) for _, reports in joint_calls] == [solved]
     assert maxiters == 0
     if expected is None:
         assert fit is None
-    elif tol == 0:
+    else:
         np.testing.assert_array_equal(fit.lindbladian, expected.lindbladian)
         assert (fit.distance, fit.branch) == (expected.distance, expected.branch)
-    else:
-        assert fit.branch == expected.branch
-        assert fit.distance == pytest.approx(expected.distance, abs=tol)
-        np.testing.assert_allclose(fit.lindbladian, expected.lindbladian, rtol=0, atol=10 * tol)
     # every problem solved is one of the reference's, with the same solution
-    for targets, deltas, reports in joint_calls:
-        for t, delta, rep in zip(targets, deltas, reports):
-            (i,) = np.flatnonzero(
-                (ref_deltas == delta) & (ref_targets == t).all(axis=(1, 2, 3))
-            )
-            np.testing.assert_array_equal(rep.x_opt, ref_reports[i].x_opt)
-
-
-def test_maxiters_probe_is_not_reused(weak_series, joint_calls, monkeypatch):
-    """A probe cut at the iteration limit covers only its own pair: every
-    other live pair of its assignment is solved again, and each cut solve
-    is counted."""
-    monkeypatch.setattr(solver, "ITER_LIMIT", 20)
-    series = SnapshotSeries(weak_series[1], TIMES)
-    deltas, _, targets = assignment_grid(weak_series[1])
-    live = int(np.sum(solver.joint_infeasibility(targets, TIMES, deltas[:, None]) == 0))
-    _, maxiters = best_fit_multi(series, EPSILON)
-    statuses = [rep.status for _, _, reports in joint_calls for rep in reports]
-    assert [len(reports) for _, _, reports in joint_calls] == [1, live - 1]
-    assert maxiters == statuses.count(solver.MAX_ITERS) == live
+    (targets, reports), = joint_calls
+    for t, rep in zip(targets, reports):
+        np.testing.assert_array_equal(rep.x_opt, references[t.tobytes()].x_opt)
 
 
 # ----------------------------------------------------------------------
@@ -471,12 +423,12 @@ def test_cli_multifit_counts_maxiters(tmp_path, weak_series, monkeypatch):
     batch = solver.solve_joint_fit_batch
     statuses = []
 
-    def recording(targets, times, d, deltas):
-        reports = batch(targets, times, d, deltas)
+    def recording(targets, times, d):
+        reports = batch(targets, times, d)
         statuses.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "ITER_LIMIT", 20)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 10)
     monkeypatch.setattr(solver, "solve_joint_fit_batch", recording)
     _, doc = run_multifit(tmp_path, write_series(tmp_path, "weak", weak_series[1]))
     assert doc["joint_maxiters"] == statuses.count(solver.MAX_ITERS) == len(statuses) > 0

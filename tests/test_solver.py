@@ -2,15 +2,17 @@
 
 Both programs run over hermitian matrices in the Choi picture; the
 alternating-projection routine provides an independent optimality check
-for the (P1) Newton solver.
+for the (P1) Newton solver, and a bisection over its distances checks the
+(P2) root.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lindbladfit import solver
 from lindbladfit.channels import is_lindbladian, random_lindblad_generator
-from lindbladfit.errors import DimensionMismatch
+from lindbladfit.errors import DimensionMismatch, OutOfRange
 from lindbladfit.fitting import branch_targets, checked_log
 from lindbladfit.linalg import (
     expm,
@@ -285,74 +287,6 @@ def test_an_unreachable_tol_stalls_at_the_rounding_floor(monkeypatch):
 # (P2) minimum noise rate within a delta-ball
 # ----------------------------------------------------------------------
 
-def test_slice_ball_block_is_the_projection_onto_the_intersection():
-    """The closed-form prox of (P2) against Dykstra's alternating
-    projections between the trace-zero slice and the delta-ball, on random
-    hermitian inputs; radius 0 is a target on the slice with a point ball.
-    At radius = gap the ball only touches the slice, where Dykstra crawls:
-    the intersection is the slice point of the center, checked directly."""
-    geo = solver._geometry(2)
-    rng = np.random.default_rng(5)
-    raw = rng.standard_normal((2, 16, 4, 4)) + 1j * rng.standard_normal((2, 16, 4, 4))
-    x, t = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
-    t[:4] = geo.project_trace_zero(t[:4])
-    _, c, _, gap = solver._reach(t, geo)
-    radius = gap * np.repeat([0.0, 1.2, 3.0, 100.0], 4)
-    data = {"center": c, "radius": np.sqrt(np.maximum(radius**2 - gap**2, 0.0))}
-    got = geo.slice_ball_block(x, None, data)
-
-    ref, p, q = x.copy(), np.zeros_like(x), np.zeros_like(x)
-    for _ in range(1000):
-        y = geo.project_trace_zero(ref + p)
-        p = ref + p - y
-        ref_new = solver._project_ball(y + q, t, radius)
-        q = y + q - ref_new
-        ref = ref_new
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-    # the ball step moves every row at 1.2 gap and none at 100 gap
-    on_slice = geo.project_trace_zero(x)
-    reach = solver._fro(on_slice - c)
-    assert np.all(reach[4:8] > data["radius"][4:8])
-    assert np.all(reach[12:] < data["radius"][12:])
-
-    touch = {"center": c[4:], "radius": np.zeros(12)}
-    np.testing.assert_allclose(geo.slice_ball_block(x[4:], None, touch), c[4:], atol=1e-15)
-
-
-@pytest.mark.parametrize("d", [2, 4])
-def test_noise_rate_block_against_a_bisection_on_the_floor(d):
-    """The prox of X -> d*max(0, -lambda_min(perp X perp)) at step 1/rho
-    against a written-out floor: bisect f on sum relu(f - lambda_i) = d/rho,
-    cap it at 0, and lift the compressed eigenvalues below f up to f.  The
-    first rows take d/rho below sum relu(-lambda_i), so f < 0; the last
-    rows take twice that sum, where the prox is the cone projection."""
-    geo = solver._geometry(d)
-    n = d * d
-    rng = np.random.default_rng(60 + d)
-    raw = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
-    x = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
-    w, v = geo.compress_eig(x)
-    deficit = np.sum(np.maximum(-w, 0.0), axis=-1)
-    share = np.concatenate([np.linspace(0.05, 0.95, 8), np.full(4, 2.0)])
-    rho = d / (share * deficit)
-    got = geo.noise_rate_block(x, rho, None)
-
-    for i in range(len(x)):
-        lo, hi = w[i, 0], w[i, 0] + d / rho[i]  # the sum is 0 at lo, >= d/rho at hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if np.sum(np.maximum(mid - w[i], 0.0)) < d / rho[i]:
-                lo = mid
-            else:
-                hi = mid
-        floor = min(0.5 * (lo + hi), 0.0)
-        assert (floor < 0) == (i < 8)
-        lift = np.maximum(w[i], floor) - w[i]
-        want = x[i] + (v[i] * lift) @ v[i].conj().T
-        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(got[8:], geo.project_cone(x[8:]))
-
-
 def test_markovian_target_needs_no_noise():
     c = lindbladian_choi(2, seed=3)
     rep = min_mu_batch(c, 2, 0.1)[0]
@@ -416,25 +350,26 @@ def test_mu_batch_matches_singles(monkeypatch):
         single = min_mu_batch(c, 2, delta)[0]
         assert rep.mu == pytest.approx(single.mu, abs=1e-9)
 
-    # At rho = 10 the residual balancing halves rho at iteration 100 for
-    # the two problems still running; one problem retires at 1 and one at
-    # 94, before that step, one at 101, after it, one is cut at the
-    # iteration limit, and a skewed target with a small ball is screened.
-    monkeypatch.setattr(solver, "RHO", 10.0)
-    monkeypatch.setattr(solver, "ITER_LIMIT", 105)
+    # Cut at 6 outer steps: a Markovian target retires at step 0 with
+    # mu = 0, c1 at 0.9 of its P1 distance after 3 steps and c2 after 6;
+    # c1 at 0.3 and c4 are cut at the limit, and a skewed target with a
+    # small ball is screened.
+    monkeypatch.setattr(solver, "ITER_LIMIT", 6)
     c4 = tp_correct(herm(random_choi_target(2, seed=54)), 2)
-    targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c4, random_choi_target(2, seed=31)])
-    deltas = [0.1, 0.3, 0.6, 0.3, 0.1]
+    targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c1, c4, random_choi_target(2, seed=31)])
+    deltas = [0.1, 0.9 * closest_lindbladian_batch(c1, 2)[0].objective, 0.6, 0.3, 0.3, 0.1]
     batch = min_mu_batch(targets, 2, deltas)
-    assert [rep.status for rep in batch] == [
-        "Optimal", "Optimal", "MaxIters", "Optimal", "Infeasible"
+    assert [(rep.status, rep.iterations) for rep in batch] == [
+        ("Optimal", 0), ("Optimal", 3), ("Optimal", 6), ("MaxIters", 6), ("MaxIters", 6),
+        ("Infeasible", 0),
     ]
-    assert batch[0].iterations < batch[1].iterations < 100 < batch[3].iterations < 105
     for t, delta, rep in zip(targets, deltas, batch):
         single = min_mu_batch(t, 2, delta)[0]
-        assert (rep.status, rep.iterations, rep.mu) == (single.status, single.iterations, single.mu)
+        assert (rep.status, rep.iterations, rep.mu, rep.residuals) == (
+            single.status, single.iterations, single.mu, single.residuals
+        )
         assert np.array_equal(rep.x_opt, single.x_opt)
-    # the engine runs the four live problems in two pieces of two
+    # every projection runs in pieces of two
     monkeypatch.setattr(solver, "CHUNK", 2)
     for rep, piece in zip(batch, min_mu_batch(targets, 2, deltas)):
         assert (rep.status, rep.iterations, rep.mu, rep.residuals) == (
@@ -443,8 +378,58 @@ def test_mu_batch_matches_singles(monkeypatch):
         assert np.array_equal(rep.x_opt, piece.x_opt)
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_mu_is_the_root_of_a_bisection_on_dykstra_distances(d):
+    """The least mu against an independent root search: brentq on
+    g(mu) - delta, where g(mu) is the Dykstra distance from T + mu*C to the
+    P1 set (C = 1/d - d*omega*omega^H, trace-annihilating and 1/d on the
+    complement of omega).  g reaches 0 at the rate that lifts T into the
+    cone, which brackets the root."""
+    geo = solver._geometry(d)
+    perp = max_entangled(d).omega_perp
+    lift = np.eye(d * d) / d - d * (np.eye(d * d) - perp)
+    np.testing.assert_allclose(partial_trace_first(lift), 0, atol=1e-15)
+    np.testing.assert_allclose(perp @ lift @ perp, perp / d, atol=1e-15)
+    for seed, share in zip(range(3), (0.2, 0.5, 0.9)):
+        c = tp_correct(herm(random_choi_target(d, seed=300 + 10 * d + seed, scale=0.5)), d)
+        delta = share * closest_lindbladian_batch(c, d)[0].objective
+        rep = min_mu_batch(c, d, delta)[0]
+        top = d * max(0.0, -np.linalg.eigvalsh(perp @ c @ perp)[0])
+        root = brentq(
+            lambda mu: dykstra_closest_lindbladian(c + mu * lift, d).objective - delta,
+            0.0, top, xtol=1e-10,
+        )
+        assert rep.status == "Optimal" and rep.iterations > 0
+        assert rep.mu == pytest.approx(root, abs=1e-7)
+        assert frobenius(rep.x_opt - c) == pytest.approx(delta, abs=1e-8)
+        assert np.linalg.eigvalsh(geo.compress(rep.x_opt))[0] >= -rep.mu / d - 1e-9
+
+
+def test_mu_is_exactly_zero_when_the_projection_is_in_the_ball():
+    """g(0) <= delta': mu is +0.0, no Newton step is taken, and X is the P1
+    projection itself, also for a skewed target whose ball only just
+    reaches it."""
+    c = tp_correct(herm(random_choi_target(2, seed=41)), 2)
+    skewed = random_choi_target(2, seed=43, scale=0.2)
+    targets = np.stack([lindbladian_choi(2, seed=3), c, skewed])
+    p1 = closest_lindbladian_batch(targets, 2)
+    deltas = [0.0, 1.5 * p1[1].objective, p1[2].objective * (1 + 1e-12)]
+    for rep, ref in zip(min_mu_batch(targets, 2, deltas), p1):
+        assert (rep.status, rep.iterations, rep.objective) == ("Optimal", 0, 0.0)
+        assert rep.mu == 0.0 and np.copysign(1.0, rep.mu) == 1.0
+        assert np.array_equal(rep.x_opt, ref.x_opt)
+
+
+def test_nan_delta_is_refused():
+    c = lindbladian_choi(2, seed=3)
+    with pytest.raises(OutOfRange):
+        min_mu_batch(c, 2, np.nan)
+    with pytest.raises(OutOfRange):
+        min_mu_batch(np.stack([c, c]), 2, [0.1, np.nan])
+
+
 def test_empty_batch_runs_no_iteration(monkeypatch):
-    """No prox block and no dual point runs for an empty stack, in any of
+    """No Newton piece and no dual point runs for an empty stack, in any of
     the three programs."""
     calls = []
 
@@ -454,10 +439,9 @@ def test_empty_batch_runs_no_iteration(monkeypatch):
             return step(*args)
         return wrapper
 
-    for name in ("affine_block", "cone_block", "slice_ball_block", "noise_rate_block"):
-        monkeypatch.setattr(solver._Geometry, name, counted(getattr(solver._Geometry, name)))
-    monkeypatch.setattr(solver, "_dual_point", counted(solver._dual_point))
+    for name in ("_newton_piece", "_dual_point"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
     assert closest_lindbladian_batch(np.zeros((0, 4, 4)), 2) == []
     assert min_mu_batch(np.zeros((0, 4, 4)), 2, []) == []
-    assert solver.solve_joint_fit_batch(np.zeros((0, 2, 4, 4)), [1.0, 2.0], 2, []) == []
+    assert solver.solve_joint_fit_batch(np.zeros((0, 2, 4, 4)), [1.0, 2.0], 2) == []
     assert calls == []
