@@ -346,7 +346,6 @@ _MEAS_BASES = [
     np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),   # Y
     np.eye(2, dtype=complex),                                    # Z
 ]
-_MEAS_LABELS = "XYZ"
 
 
 def _product_columns(factors: Sequence[np.ndarray]) -> np.ndarray:

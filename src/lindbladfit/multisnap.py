@@ -8,27 +8,27 @@ joint program minimizes the summed log-space misfit
     sum_c || t_c X - (L_mc^c)^Gamma ||_F
 
 over hermitian trace-compatible cone-feasible X, with each term also
-capped by a trust radius delta, and L_mc^c ranging over logarithm
+capped by one trust radius delta, and L_mc^c ranging over logarithm
 branches of M_c: the branch policy's enumeration (entries within
 ±m_max, as for a single snapshot) for one snapshot at a time, with every
-other snapshot on its principal branch.  The accepted candidate is the
-one with the smallest summed snapshot distance, provided every
-individual snapshot distance beats epsilon and the sum beats q*epsilon
-(a candidate must average below epsilon per snapshot to count at all);
-ties go to the earlier (delta, assignment) grid position.
+other snapshot on its principal branch.  delta is the last point of the
+single-snapshot delta grid of snapshot ``DELTA_GRID_SNAPSHOT``.  The
+accepted candidate is the one with the smallest summed snapshot
+distance, provided every individual snapshot distance beats epsilon;
+ties go to the earlier assignment.
 
 The search runs in batched steps.  The per-snapshot branch targets are
-stacked per assignment, and ``solver.joint_infeasibility`` screens the
-whole (delta, assignment) grid at once.  The trust radius does not enter
-the joint solve: each assignment with a live delta is solved once, in one
-lockstep ``solver.solve_joint_fit_batch`` call (reweighted (P1)
-projections), and a live (delta, assignment) pair keeps that solution
-only when its snapshot misfits ||t_c X - T_c||_F all fit inside delta,
-where the uncapped optimum is also the capped one.  Every other pair is
-dropped.  One ``expm`` call then gives the kept solutions' snapshot
-distances, and the reduction walks them by (summed distance, earliest
-grid position they are kept at) to the first one that passes the
-Lindblad audit.
+stacked per assignment, and ``solver.joint_infeasible`` screens every
+assignment at delta.  The trust radius does not enter the joint solve:
+each live assignment is solved once, in one lockstep
+``solver.solve_joint_fit_batch`` call (reweighted (P1) projections), and
+keeps its solution only when its snapshot misfits ||t_c X - T_c||_F all
+fit inside delta, where the uncapped optimum is also the capped one.
+Both the screen and this test only pass more often as delta grows, so
+no smaller radius of the grid could keep an assignment that delta drops.
+One ``expm`` call then gives the kept solutions' snapshot distances, and
+the reduction walks them by summed distance to the first one that passes
+the Lindblad audit.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def best_fit_multi(
 
     Returns the joint solution with the smallest summed snapshot
     distance among those where every snapshot individually lands within
-    epsilon.  The trust radius follows the logarithm of snapshot
+    epsilon and every snapshot misfit in log space within the trust
+    radius.  The radius is the last point of the delta grid that
+    ``delta_step`` lays from the logarithm of snapshot
     ``DELTA_GRID_SNAPSHOT`` (the radius-from-epsilon relation does not
     single out a snapshot; the ``multifit`` report names it), and the
     returned distance is the sum over the series.  The winning branch
@@ -151,9 +153,9 @@ def best_fit_multi(
     d = side_dim(n)
 
     logs = [checked_log(m) for m in mats]
-    deltas = DeltaSweep.from_epsilon(
+    delta = DeltaSweep.from_epsilon(
         epsilon, frobenius(logs[DELTA_GRID_SNAPSHOT][1]), delta_step
-    ).grid()
+    ).grid()[-1]
 
     assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
     # One batched target call per snapshot over its distinct branches; an
@@ -163,31 +165,24 @@ def best_fit_multi(
         branches, inverse = np.unique(assignments[:, c], axis=0, return_inverse=True)
         targets[:, c] = branch_targets(l0, spectral, branches)[inverse.reshape(-1)]
 
-    # Live pairs in grid order, δ-major, then assignment: the enumeration
-    # order that breaks ties between equal summed distances.
-    excess = solver.joint_infeasibility(targets, times, deltas[:, None])
-    delta_idx, assign_idx = np.nonzero(excess == 0)
-    if not assign_idx.size:
+    live = np.flatnonzero(~solver.joint_infeasible(targets, times, delta))
+    if not live.size:
         return None, 0
 
-    live, slot = np.unique(assign_idx, return_inverse=True)
     reports = solver.solve_joint_fit_batch(targets[live], times, d)
     maxiters = sum(rep.status == solver.MAX_ITERS for rep in reports)
     x = np.stack([rep.x_opt for rep in reports])
     misfit = np.linalg.norm(
         times[:, None, None] * x[:, None] - targets[live], axis=(-2, -1)
     ).max(axis=1)
-    # A solution stands for the live pairs whose δ its misfits fit inside,
-    # and ranks at the earliest of them.
-    kept, first = np.unique(slot[misfit[slot] <= deltas[delta_idx]], return_index=True)
+    kept = np.flatnonzero(misfit <= delta)
 
     generators = gamma_involution(x[kept])
     exps = expm(times[None, :, None, None] * generators[:, None])
     dists = np.linalg.norm(np.array(mats)[None] - exps, axis=(-2, -1))
     distance = dists.sum(axis=1)
-    fits = (dists.max(axis=1) < epsilon) & (distance < q * epsilon)
-    order = np.lexsort((first, distance))
-    for k in order[fits[order]]:
+    order = np.argsort(distance, kind="stable")
+    for k in order[dists.max(axis=1)[order] < epsilon]:
         if is_lindbladian(generators[k], tol=VERIFY_TOL).ok:
             return FitResult(
                 lindbladian=generators[k],

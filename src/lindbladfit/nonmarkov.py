@@ -23,11 +23,11 @@ sweep and as a cheap epsilon suggestion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.special
 
 from . import solver
 from .channels import is_lindbladian
@@ -97,14 +97,24 @@ class DeltaSweep:
 
         That delta is exactly W0(epsilon/|L0|) (principal Lambert W), the
         radius below which no log-ball point can move the exponential by
-        more than epsilon; the sweep tops out at ten times it.
+        more than epsilon; the sweep tops out at ten times it.  W0 comes
+        from Halley's method on w·exp(w) = x, started at log1p(x) (above
+        the root), until a step is at most 4e-16·|w|.
         """
         if epsilon <= 0:
             raise OutOfRange(f"epsilon must be positive, got {epsilon}")
         if l0_norm <= 0:
             raise OutOfRange(f"norm of the logarithm must be positive, got {l0_norm}")
-        delta_min = float(scipy.special.lambertw(epsilon / l0_norm).real)
-        sweep = cls(delta_min, 10.0 * delta_min, delta_step)
+        x = epsilon / l0_norm
+        w = math.log1p(x)
+        for _ in range(100):
+            e = math.exp(w)
+            f = w * e - x
+            step = f / (e * (w + 1) - (w + 2) * f / (2 * w + 2))
+            w -= step
+            if abs(step) <= 4e-16 * abs(w):
+                break
+        sweep = cls(w, 10.0 * w, delta_step)
         sweep.validate()
         return sweep
 

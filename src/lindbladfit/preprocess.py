@@ -93,9 +93,6 @@ class ClusterPartition:
     def has_clusters(self) -> bool:
         return bool(self.positive_sets or self.negative_sets or self.complex_sets)
 
-    def real_sets(self):
-        return tuple(self.positive_sets) + tuple(self.negative_sets)
-
 
 def _components(adjacency: np.ndarray) -> list:
     """Connected components of at least two members of a boolean adjacency
@@ -555,8 +552,9 @@ def repaired_samples(
     * PASSTHROUGH: no clusters, or some cluster admits no usable
       structured basis; the stream holds the (nudged) input as sample 0.
     * SAMPLES: the stream yields ``cfg.samples`` repaired matrices
-      R = S diag(lambda) S^-1, each with the snapshot's spectrum, computed
-      one at a time so large sample counts run in constant memory.
+      R = S diag(lambda) S^-1, each with the snapshot's spectrum, drawn
+      only as it is read, so a caller that already holds this kind's
+      samples (the ``sweep-epsilon`` memo) draws none.
       Sample k draws from the stream keyed by (cfg.seed, k), so it does
       not depend on how many samples are taken.
 

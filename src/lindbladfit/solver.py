@@ -56,9 +56,8 @@ added back to reported objectives and ball radii).
 
 Infeasible problems never reach the solver.  ``min_mu_infeasible`` screens
 a (target, δ) grid for (P2) by broadcasting one skew norm and one affine
-gap per target against every δ; ``joint_infeasibility`` screens a whole
-(δ, assignment) grid of joint fits from the skew norms and pairwise ball
-gaps of each assignment.
+gap per target against every δ; ``joint_infeasible`` screens a stack of
+joint fits at one δ from the skew norms and pairwise ball gaps of each.
 
 An independent Dykstra alternating-projection solver for (P1) is provided
 as a cross-check; it shares only the elementary projections with the
@@ -636,33 +635,28 @@ def dykstra_closest_lindbladian(target: np.ndarray, d: int) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def joint_infeasibility(
-    targets: np.ndarray, times: Sequence[float] | np.ndarray, deltas
+def joint_infeasible(
+    targets: np.ndarray, times: Sequence[float] | np.ndarray, delta: float
 ) -> np.ndarray:
-    """Ball excess that proves joint fits infeasible; 0 where no test fires.
+    """(A,) mask of the joint fits that no X keeps within δ of every target.
 
-    ``targets`` is (..., q, d², d²), one target per snapshot, and ``deltas``
-    broadcasts against its leading axes: a (D, 1) column of radii against
-    A stacked assignments gives the (D, A) screen, with the skew norms and
-    the pairwise gaps computed once per assignment.  The excess is inf
-    where some skew part alone exceeds δ.  Otherwise it is gap − r_a − r_b
-    for the first pair a < b of balls (radius √(δ² − ‖skew T_c‖²)/t_c
-    around herm(T_c)/t_c) that lie more than 1e-12 apart.
+    ``targets`` is (A, q, d², d²), one target per snapshot.  A fit is
+    infeasible when some skew part alone exceeds δ, or when two of its
+    balls (radius √(δ² − ‖skew T_c‖²)/t_c around herm(T_c)/t_c) lie more
+    than 1e-12 apart.
     """
     t = np.asarray(targets, dtype=complex)
     t_sc = np.asarray(times, dtype=float)
     t_h = herm(t)
     skew_sq = _fro(t - t_h) ** 2
     scaled = t_h / t_sc[:, None, None]
-    delta_sq = np.asarray(deltas, dtype=float)[..., None] ** 2
+    delta_sq = float(delta) ** 2
     radius = np.sqrt(np.maximum(delta_sq - skew_sq, 0.0)) / t_sc
-    pairs = list(zip(*np.triu_indices(t.shape[-3], 1)))
-    excess = np.zeros(radius.shape[:-1])
-    for a, b in reversed(pairs):  # the first disjoint pair writes last
+    dead = np.any(skew_sq > delta_sq, axis=-1)
+    for a, b in zip(*np.triu_indices(t.shape[-3], 1)):
         gap = _fro(scaled[..., a, :, :] - scaled[..., b, :, :])
-        r_a, r_b = radius[..., a], radius[..., b]
-        excess = np.where(gap > r_a + r_b + 1e-12, gap - r_a - r_b, excess)
-    return np.where(np.any(skew_sq > delta_sq, axis=-1), np.inf, excess)
+        dead |= gap > radius[..., a] + radius[..., b] + 1e-12
+    return dead
 
 
 def _reweighted_p1(t_h, skew_sq, t_sc, scale, geo):
@@ -719,8 +713,8 @@ def solve_joint_fit_batch(
     the sum and ``iterations`` counts reweighting steps.  Each problem's
     iterates are independent, so results do not depend on the batch
     composition.  Callers that bound each misfit by a trust radius
-    (``joint_infeasibility`` screens those bounds) check the returned
-    misfits against it.
+    (``joint_infeasible`` screens that bound) check the returned misfits
+    against it.
     """
     geo = _geometry(d)
     t_full = np.asarray(targets, dtype=complex)

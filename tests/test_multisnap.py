@@ -82,45 +82,37 @@ def scalar_screen(targets, times, delta):
     return 0.0
 
 
-def test_grid_screen_matches_scalar_tests(weak_series):
+def test_screen_mask_matches_scalar_tests(weak_series):
     deltas, assignments, targets = assignment_grid(weak_series[1])
     # the sweep, plus radii on the skew test's boundary
     skew = np.unique([fro(t - 0.5 * (t + t.conj().T)) for t in targets.reshape(-1, 4, 4)])
-    deltas = np.concatenate([deltas, skew[:: len(skew) // 8]])
-    grid = solver.joint_infeasibility(targets, TIMES, deltas[:, None])
-    assert grid.shape == (len(deltas), len(assignments))
-    expected = np.array([
-        [scalar_screen(list(t), TIMES, float(delta)) for t in targets] for delta in deltas
-    ])
-    assert np.isinf(expected).any() and (expected == 0).any()
-    np.testing.assert_allclose(grid, expected, rtol=1e-13, atol=0)
-    assert np.array_equal(grid == 0, expected == 0)
+    masks, expected = [], []
+    for delta in np.concatenate([deltas, skew[:: len(skew) // 8]]):
+        masks.append(solver.joint_infeasible(targets, TIMES, delta))
+        expected.append([scalar_screen(list(t), TIMES, float(delta)) != 0 for t in targets])
+    assert masks[0].shape == (len(assignments),) and masks[0].dtype == bool
+    assert np.any(expected) and not np.all(expected)
+    np.testing.assert_array_equal(masks, expected)
 
 
-def test_screen_reports_first_disjoint_pair():
+def test_screen_marks_a_disjoint_series_dead():
     rng = np.random.default_rng(3)
     base = rng.standard_normal((4, 4))
     base = base + base.T
     times = (1.0, 2.0, 3.0)
     # snapshot 2 sits far from both others; pairs (0, 2) and (1, 2) are disjoint
     targets = np.array([base, 2 * base, 3 * base + 30 * np.eye(4)])
-    excess = solver.joint_infeasibility(targets, times, 0.5)
-    assert excess == pytest.approx(scalar_screen(list(targets), times, 0.5), rel=1e-13)
-    gap = np.linalg.norm(targets[0] / 1.0 - targets[2] / 3.0)
-    assert excess == pytest.approx(gap - 0.5 - 0.5 / 3.0, rel=1e-13)
-    assert solver.joint_infeasibility(targets[:1], times[:1], 0.5) == 0.0
+    assert scalar_screen(list(targets), times, 0.5) > 0
+    assert solver.joint_infeasible(targets[None], times, 0.5).tolist() == [True]
+    assert solver.joint_infeasible(targets[None, :1], times[:1], 0.5).tolist() == [False]
 
 
 def test_screen_allows_balls_within_margin():
     # unit balls around 0 and x·E: disjoint only beyond the 1e-12 margin
     unit = np.zeros((4, 4))
     unit[0, 0] = 1.0
-    excess = [
-        float(solver.joint_infeasibility(np.array([0 * unit, x * unit]), (1.0, 1.0), 1.0))
-        for x in (2.0, 2.0 + 5e-13, 2.0 + 5e-12)
-    ]
-    assert excess[:2] == [0.0, 0.0]
-    assert excess[2] == pytest.approx(5e-12, rel=1e-3)
+    targets = np.array([[0 * unit, x * unit] for x in (2.0, 2.0 + 5e-13, 2.0 + 5e-12)])
+    assert solver.joint_infeasible(targets, (1.0, 1.0), 1.0).tolist() == [False, False, True]
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +258,8 @@ def all_pairs_best_fit_multi(series, epsilon, policy=fitting.BranchPolicy(), del
     for c, (spectral, l0) in enumerate(logs):
         branches, inverse = np.unique(assignments[:, c], axis=0, return_inverse=True)
         targets[:, c] = fitting.branch_targets(l0, spectral, branches)[inverse.reshape(-1)]
-    excess = solver.joint_infeasibility(targets, times, deltas[:, None])
-    delta_idx, assign_idx = np.nonzero(excess == 0)
+    live = [~solver.joint_infeasible(targets, times, delta) for delta in deltas]
+    delta_idx, assign_idx = np.nonzero(live)
     reports = [
         solver.solve_joint_fit(list(targets[a]), times, int(np.sqrt(n))) for a in assign_idx
     ]
@@ -307,32 +299,34 @@ def joint_calls(monkeypatch):
     return calls
 
 
-# name: (gamma, shots, tomography seed, epsilon, live pairs solved by the
-# all-pairs reference, live assignments solved by best_fit_multi)
+# name: (gamma, shots, tomography seed, epsilon, times, live pairs solved
+# by the all-pairs reference, live assignments solved by best_fit_multi)
 REUSE_CASES = {
-    "weak-s1": (WEAK_GAMMA, 10**5, 1, EPSILON, 60, 1),
-    "weak-s2": (WEAK_GAMMA, 10**5, 2, EPSILON, 59, 1),
-    "weak-s3": (WEAK_GAMMA, 10**5, 3, EPSILON, 60, 1),
+    "weak-s1": (WEAK_GAMMA, 10**5, 1, EPSILON, TIMES, 60, 1),
+    "weak-s2": (WEAK_GAMMA, 10**5, 2, EPSILON, TIMES, 59, 1),
+    "weak-s3": (WEAK_GAMMA, 10**5, 3, EPSILON, TIMES, 60, 1),
     # the smallest radius is below the solution's largest misfit: that
     # pair is dropped
-    "weak-1e3-shots": (WEAK_GAMMA, 10**3, 1, 0.01, 12, 1),
-    "skewed-1e3-shots": ([0.05, 0.05, 0.4], 10**3, 1, 0.01, 12, 1),
-    "fast-1e3-shots": ([0.3, 0.5, 0.8], 10**3, 1, 0.5, 189, 1),
+    "weak-1e3-shots": (WEAK_GAMMA, 10**3, 1, 0.01, TIMES, 12, 1),
+    "skewed-1e3-shots": ([0.05, 0.05, 0.4], 10**3, 1, 0.01, TIMES, 12, 1),
+    "fast-1e3-shots": ([0.3, 0.5, 0.8], 10**3, 1, 0.5, TIMES, 189, 1),
+    # three snapshots: 241 assignments, one of them live
+    "weak-1e4-shots-3-snapshots": (WEAK_GAMMA, 10**4, 2, EPSILON, (0.5, 1.0, 2.0), 111, 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_reuse_matches_all_pairs(case, joint_calls):
-    gamma, shots, seed, epsilon, ref_problems, solved = REUSE_CASES[case]
+    gamma, shots, seed, epsilon, times, ref_problems, solved = REUSE_CASES[case]
     series = SnapshotSeries(
         [
             simulate_process_tomography(
                 ChannelSpec("unital", {"gamma": gamma, "t": t}),
                 TomographyConfig(shots=shots, seed=seed),
             ).mat
-            for t in TIMES
+            for t in times
         ],
-        TIMES,
+        times,
     )
     expected, ref_count = all_pairs_best_fit_multi(series, epsilon)
     references = {t[0].tobytes(): reports[0] for t, reports in joint_calls}

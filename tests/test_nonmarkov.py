@@ -1,16 +1,24 @@
 """The white-noise measure: the (branch, delta) screen in front of the P2
-solver, the delta sweep on the benchmark unital channel, one batch over a
-stack of repaired samples against the per-sample loop it replaced, the
-panel winners' rates against tight-tolerance solves, the X gate batch's
-iteration bound, the MaxIters count, and the sweep against the
-closed-form noise rate of ``analytical_mu_unital``.
+solver, the Lambert W start of the delta grid (and the ``cli`` import
+that no longer pulls in ``scipy.special``), the delta sweep on the
+benchmark unital channel, one batch over a stack of repaired samples
+against the per-sample loop it replaced, the panel winners' rates against
+tight-tolerance solves, the X gate batch's iteration bound, the MaxIters
+count, and the sweep against the closed-form noise rate of
+``analytical_mu_unital``.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.linalg import expm
 
+import lindbladfit
 from lindbladfit import preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
@@ -123,6 +131,27 @@ def test_empty_screen_grid():
     mask = solver.min_mu_infeasible(np.zeros((0, 4, 4)), 2, [0.1, 0.2])
     assert mask.shape == (0, 2)
     assert solver.min_mu_batch(np.zeros((0, 4, 4)), 2, []) == []
+
+
+def test_delta_min_is_lambert_w0():
+    """delta_min solves epsilon = exp(delta)·delta·|L0|: W0(epsilon/|L0|),
+    against scipy's Lambert W over ten decades."""
+    from scipy.special import lambertw
+
+    xs = np.logspace(-8, 2, 2001)
+    ours = np.array([DeltaSweep.from_epsilon(float(x), 1.0).delta_min for x in xs])
+    np.testing.assert_allclose(ours, lambertw(xs).real, rtol=1e-15, atol=0)
+    delta = DeltaSweep.from_epsilon(EPSILON, 3.0).delta_min
+    assert delta * np.exp(delta) * 3.0 == pytest.approx(EPSILON, rel=1e-15)
+
+
+def test_cli_import_leaves_scipy_special_out():
+    code = "import sys, lindbladfit.cli; sys.exit('scipy.special' in sys.modules)"
+    src = str(Path(lindbladfit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=120
+    )
+    assert done.returncode == 0
 
 
 @pytest.mark.parametrize(

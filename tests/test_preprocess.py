@@ -52,7 +52,7 @@ def test_clustered_spectrum_keeps_the_snapshot_spectrum(depol):
     assert [k for k, _ in stream] == [0, 1, 2, 3]
     s = eig_full(depol)
     partition = preprocess.detect_clusters(s, P)
-    clustered = {i for set_ in partition.real_sets() + partition.complex_sets for i in set_}
+    clustered = {i for set_ in partition.positive_sets + partition.negative_sets + partition.complex_sets for i in set_}
     single = [i for i in range(len(s.eigenvalues)) if i not in clustered]
     assert clustered and single
     for _, r in stream:
