@@ -40,9 +40,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "PAULIS",
     "TransferMatrix",
-    "LindbladGenerator",
     "LindbladCheck",
     "ChannelSpec",
     "TomographyConfig",
@@ -63,8 +61,6 @@ _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-PAULIS = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 
 
 def x_gate() -> np.ndarray:
@@ -196,19 +192,9 @@ def depolarizing_cz_transfer(
 # Lindblad generators
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LindbladGenerator:
-    """Generator built from Hamiltonian + jump operators, with its matrix."""
-
-    d: int
-    hamiltonian: np.ndarray
-    jumps: tuple[np.ndarray, ...]
-    mat: np.ndarray
-
-
 def lindblad_generator(
     h: np.ndarray, jumps: Sequence[np.ndarray] = (), herm_tol: float = 1e-10
-) -> LindbladGenerator:
+) -> np.ndarray:
     """Transfer-matrix form of ``L(rho) = i[rho, H] + sum_a (J rho J^dag - (1/2){J^dag J, rho})``.
 
     The commutator sign convention matches generators acting as
@@ -226,12 +212,12 @@ def lindblad_generator(
         j = np.asarray(j, dtype=complex)
         jj = j.conj().T @ j
         mat += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
-    return LindbladGenerator(d, h, tuple(np.asarray(j, complex) for j in jumps), mat)
+    return mat
 
 
 def random_lindblad_generator(
     d: int, rng: np.random.Generator, n_jumps: int = 2, scale: float = 1.0
-) -> LindbladGenerator:
+) -> np.ndarray:
     """Random generator for round-trip tests: gaussian H and jump operators."""
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = scale * herm(raw)

@@ -37,7 +37,7 @@ from .errors import (
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
 from .linalg import eig_full, frobenius, side_dim  # noqa: F401
-from .multisnap import DELTA_GRID_SNAPSHOT, SnapshotSeries, best_fit_multi
+from .multisnap import DELTA_GRID_SNAPSHOT, best_fit_multi
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 2
@@ -435,7 +435,7 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
 
 def cmd_multifit(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    paths = [part for part in args.infile.split(",") if part.strip()]
+    paths = [part.strip() for part in args.infile.split(",") if part.strip()]
     if not paths:
         raise InputError("--in must list at least one matrix file")
     times = _float_list(args.times, "times")
@@ -447,7 +447,6 @@ def cmd_multifit(args: argparse.Namespace) -> int:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     mats = [read_matrix_file(path) for path in paths]
     policy = _policy(args, mats[0].shape[0])
-    series = SnapshotSeries(snapshots=mats, times=tuple(times))
 
     doc: dict[str, Any] = {
         "input_digest": [_file_digest(path) for path in paths],
@@ -463,7 +462,7 @@ def cmd_multifit(args: argparse.Namespace) -> int:
         },
     }
     fit, doc["joint_maxiters"] = best_fit_multi(
-        series, args.epsilon, policy, delta_step=args.delta_step
+        mats, times, args.epsilon, policy, delta_step=args.delta_step
     )
     if fit is None:
         doc["verdict"] = "NoResult"

@@ -46,7 +46,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import solver
-from .channels import TransferMatrix, is_lindbladian
+from .channels import is_lindbladian
 from .errors import NumericalFailure, OutOfRange
 from .linalg import (
     SpectralData,
@@ -63,7 +63,6 @@ __all__ = [
     "BranchPolicy",
     "FitResult",
     "enumerate_branches",
-    "snapshot_matrix",
     "checked_log",
     "branch_targets",
     "herm_classes",
@@ -157,13 +156,6 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
     return chained
 
 
-def snapshot_matrix(m_snapshot) -> np.ndarray:
-    """The complex matrix of a snapshot given as a TransferMatrix or an array."""
-    if isinstance(m_snapshot, TransferMatrix):
-        return m_snapshot.mat
-    return np.asarray(m_snapshot, dtype=complex)
-
-
 def checked_log(r: np.ndarray) -> tuple[SpectralData, np.ndarray]:
     """Eigendecompose R, take the principal log, and audit the round trip."""
     spectral = eig_full(r)
@@ -222,7 +214,7 @@ def _audited_logs(
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
-    m = snapshot_matrix(m_snapshot)
+    m = np.asarray(m_snapshot, dtype=complex)
     stack = np.asarray(r, dtype=complex)
     if stack.ndim == 2:
         stack = stack[None]

@@ -33,7 +33,6 @@ the Lindblad audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,60 +47,14 @@ from .fitting import (
     enumerate_branches,
     branch_targets,
     checked_log,
-    snapshot_matrix,
 )
 from .linalg import expm, frobenius, gamma_involution, side_dim
 from .nonmarkov import DeltaSweep
 
-__all__ = [
-    "DELTA_GRID_SNAPSHOT",
-    "SnapshotSeries",
-    "best_fit_multi",
-]
+__all__ = ["DELTA_GRID_SNAPSHOT", "best_fit_multi"]
 
 #: The snapshot whose logarithm's norm sets the delta grid of the sweep.
 DELTA_GRID_SNAPSHOT = 0
-
-
-@dataclass(frozen=True)
-class SnapshotSeries:
-    """Snapshots M_c at strictly increasing positive times t_c.
-
-    A meaningful series has at least two snapshots; a single-snapshot
-    series is still accepted and makes the joint driver collapse to the
-    plain single-snapshot program (used as a consistency check).
-    """
-
-    snapshots: Sequence
-    times: Sequence[float]
-
-    @property
-    def count(self) -> int:
-        return len(self.snapshots)
-
-    def matrix(self, c: int) -> np.ndarray:
-        return snapshot_matrix(self.snapshots[c])
-
-    def validate(self) -> None:
-        if self.count < 1:
-            raise OutOfRange("a series needs at least one snapshot")
-        if len(self.times) != self.count:
-            raise DimensionMismatch(
-                f"{self.count} snapshots but {len(self.times)} times"
-            )
-        shape = self.matrix(0).shape
-        side_dim(shape[0])
-        for c in range(self.count):
-            if self.matrix(c).shape != shape:
-                raise DimensionMismatch(
-                    f"snapshot {c} has shape {self.matrix(c).shape}, "
-                    f"expected {shape}"
-                )
-        t = [float(v) for v in self.times]
-        if not all(np.isfinite(t)) or t[0] <= 0 or any(b <= a for a, b in zip(t, t[1:])):
-            raise OutOfRange(
-                f"times must be finite, positive and strictly increasing, got {t}"
-            )
 
 
 def _joint_assignments(policy: BranchPolicy, count: int, dim: int):
@@ -121,7 +74,8 @@ def _joint_assignments(policy: BranchPolicy, count: int, dim: int):
 
 
 def best_fit_multi(
-    series: SnapshotSeries,
+    snapshots: Sequence,
+    times: Sequence[float],
     epsilon: float,
     policy: BranchPolicy = BranchPolicy(),
     *,
@@ -140,17 +94,34 @@ def best_fit_multi(
     assignment is returned flattened, snapshot by snapshot, so a
     single-snapshot series reports the plain branch vector.
 
+    ``snapshots`` are the matrices M_c at the finite, positive, strictly
+    increasing ``times`` t_c.  A meaningful series has two or more; a
+    single snapshot collapses the joint program to the plain
+    single-snapshot one (used as a consistency check).
+
     Returns the fit (None when no candidate fits) and the number of joint
     solves the solver reported as MaxIters.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
-    series.validate()
-    q = series.count
-    times = np.asarray(series.times, dtype=float)
-    mats = [series.matrix(c) for c in range(q)]
+    mats = [np.asarray(m, dtype=complex) for m in snapshots]
+    q = len(mats)
+    if q < 1:
+        raise OutOfRange("a series needs at least one snapshot")
+    if len(times) != q:
+        raise DimensionMismatch(f"{q} snapshots but {len(times)} times")
     n = mats[0].shape[0]
     d = side_dim(n)
+    for c, m in enumerate(mats):
+        if m.shape != mats[0].shape:
+            raise DimensionMismatch(
+                f"snapshot {c} has shape {m.shape}, expected {mats[0].shape}"
+            )
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)) or times[0] <= 0 or np.any(times[1:] <= times[:-1]):
+        raise OutOfRange(
+            f"times must be finite, positive and strictly increasing, got {times.tolist()}"
+        )
 
     logs = [checked_log(m) for m in mats]
     delta = DeltaSweep.from_epsilon(

@@ -38,7 +38,6 @@ from .fitting import (
     _audited_logs,
     branch_targets,
     enumerate_branches,
-    snapshot_matrix,
 )
 from .linalg import (
     eig_full,
@@ -67,7 +66,7 @@ MU_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DeltaSweep:
-    """Grid of trust radii delta_min + k*delta_step on [delta_min, delta_max).
+    """Grid of trust radii delta_min + k*delta_step on [delta_min, 10*delta_min).
 
     The start is included and the end excluded, so the grid always contains
     at least the single point delta_min; a step wider than the whole span
@@ -76,7 +75,6 @@ class DeltaSweep:
     """
 
     delta_min: float
-    delta_max: float
     delta_step: float
 
     def validate(self) -> None:
@@ -84,10 +82,6 @@ class DeltaSweep:
             raise OutOfRange(f"delta_min must be positive, got {self.delta_min}")
         if not (self.delta_step > 0):
             raise OutOfRange(f"delta_step must be positive, got {self.delta_step}")
-        if self.delta_max < self.delta_min:
-            raise OutOfRange(
-                f"delta_max {self.delta_max} below delta_min {self.delta_min}"
-            )
 
     @classmethod
     def from_epsilon(
@@ -114,13 +108,13 @@ class DeltaSweep:
             w -= step
             if abs(step) <= 4e-16 * abs(w):
                 break
-        sweep = cls(w, 10.0 * w, delta_step)
+        sweep = cls(w, delta_step)
         sweep.validate()
         return sweep
 
     def grid(self) -> np.ndarray:
         self.validate()
-        span = self.delta_max - self.delta_min
+        span = 10.0 * self.delta_min - self.delta_min
         count = max(1, int(np.ceil(span / self.delta_step - 1e-12)))
         return self.delta_min + self.delta_step * np.arange(count)
 
@@ -236,7 +230,7 @@ def analytical_mu_unital(m_snapshot) -> AnalyticalMu:
     Choi form, and the returned epsilon is the exponential's distance to the
     snapshot.
     """
-    m = snapshot_matrix(m_snapshot)
+    m = np.asarray(m_snapshot, dtype=complex)
     d = side_dim(m.shape[0])
     n = m.shape[0]
     spectral = eig_full(m)

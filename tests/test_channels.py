@@ -165,13 +165,13 @@ def test_dephasing_generator_matrix():
     """Pure dephasing: H = 0, jump sqrt(g) Z gives diag(0, -2g, -2g, 0)."""
     g = 0.35
     gen = lindblad_generator(np.zeros((2, 2)), [np.sqrt(g) * Z])
-    assert np.allclose(gen.mat, g * np.diag([0.0, -2.0, -2.0, 0.0]), atol=1e-14)
+    assert np.allclose(gen, g * np.diag([0.0, -2.0, -2.0, 0.0]), atol=1e-14)
 
 
 def test_hamiltonian_generator_matrix():
     h = np.diag([0.7, -0.2])
     gen = lindblad_generator(h)
-    assert np.allclose(gen.mat, 1j * np.diag([0.0, -0.9, 0.9, 0.0]), atol=1e-14)
+    assert np.allclose(gen, 1j * np.diag([0.0, -0.9, 0.9, 0.0]), atol=1e-14)
 
 
 def test_generator_rejects_non_hermitian_hamiltonian():
@@ -184,7 +184,7 @@ def test_random_generators_are_lindbladians(d):
     rng = np.random.default_rng(99)
     for _ in range(50):
         gen = random_lindblad_generator(d, rng)
-        check = is_lindbladian(gen.mat, tol=1e-9)
+        check = is_lindbladian(gen, tol=1e-9)
         assert check.ok, check.residuals
 
 
@@ -195,7 +195,7 @@ def test_generator_exponential_is_cpt():
     for _ in range(5):
         gen = random_lindblad_generator(2, rng)
         for t in (0.1, 1.0, 3.0):
-            snap = expm(t * gen.mat)
+            snap = expm(t * gen)
             from lindbladfit.channels import TransferMatrix
 
             res = TransferMatrix(2, snap).cpt_residuals()
@@ -214,7 +214,7 @@ def test_zero_is_a_lindbladian():
 
 def test_negated_dissipator_fails_ccp():
     gen = lindblad_generator(np.zeros((2, 2)), [Z])
-    check = is_lindbladian(-gen.mat)
+    check = is_lindbladian(-gen)
     assert not check.ok
     assert check.ccp > 0.5
     assert check.hermiticity <= 1e-12

@@ -207,6 +207,18 @@ def test_non_finite_list_elements_exit_3(tmp_path, snap, argv):
     assert not out.exists()
 
 
+def test_multifit_lists_may_have_spaces_after_the_commas(tmp_path, snap):
+    """--in is split like --times: a space after a comma is not part of the
+    next path."""
+    paths = [snap["depol"], snap["depol"]]
+    plain = run(tmp_path, "multifit", "--in", ",".join(paths), "--times", "1,2",
+                "--epsilon", str(EPSILON))
+    spaced = run(tmp_path, "multifit", "--in", ", ".join(paths), "--times", "1, 2",
+                 "--epsilon", str(EPSILON))
+    assert plain[0] != cli.EXIT_INPUT_ERROR
+    assert spaced == plain
+
+
 def test_help_exits_0(capsys):
     assert cli.main(["fit", "--help"]) == cli.EXIT_OK
     assert "--samples" in capsys.readouterr().out

@@ -311,7 +311,7 @@ def test_trace_slot_vanishes_for_generators():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         gen = random_lindblad_generator(2, rng)
-        assert one_norm(partial_trace_first(gamma_involution(gen.mat))) <= 1e-10
+        assert one_norm(partial_trace_first(gamma_involution(gen))) <= 1e-10
 
 
 # ----------------------------------------------------------------------

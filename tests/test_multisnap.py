@@ -22,7 +22,7 @@ from lindbladfit.channels import (
 from lindbladfit.errors import DimensionMismatch, OutOfRange
 from lindbladfit.linalg import expm as batched_expm
 from lindbladfit.linalg import frobenius, gamma_involution
-from lindbladfit.multisnap import SnapshotSeries, _joint_assignments, best_fit_multi
+from lindbladfit.multisnap import _joint_assignments, best_fit_multi
 from lindbladfit.nonmarkov import DeltaSweep
 
 EPSILON = 0.05
@@ -121,7 +121,7 @@ def test_screen_allows_balls_within_margin():
 
 def lindbladian_series(seed, times=(0.5, 1.0), noise=1e-3):
     rng = np.random.default_rng(seed)
-    gen = random_lindblad_generator(2, rng).mat
+    gen = random_lindblad_generator(2, rng)
     return np.array([
         gamma_involution(t * gen) + noise * rng.standard_normal((4, 4)) for t in times
     ])
@@ -184,7 +184,7 @@ def test_one_snapshot_joint_fit_is_the_p1_projection(weak_series, t):
 
 def test_exact_series_fits_at_zero_objective():
     rng = np.random.default_rng(11)
-    gen = random_lindblad_generator(2, rng).mat
+    gen = random_lindblad_generator(2, rng)
     times = (0.3, 0.9, 1.4)
     targets = [gamma_involution(t * gen) for t in times]
     rep = solver.solve_joint_fit(targets, times, 2)
@@ -207,7 +207,29 @@ def test_joint_fit_validates_input():
 @pytest.mark.parametrize("times", [(np.nan, 2.0), (1.0, np.inf)], ids=["nan", "inf"])
 def test_series_with_non_finite_times_is_refused(weak_series, times):
     with pytest.raises(OutOfRange):
-        best_fit_multi(SnapshotSeries(weak_series[1], times), EPSILON)
+        best_fit_multi(weak_series[1], times, EPSILON)
+
+
+@pytest.mark.parametrize(
+    "count, times, error",
+    [
+        (0, (), OutOfRange),
+        (2, (1.0,), DimensionMismatch),
+        (None, TIMES, DimensionMismatch),
+        (2, (2.0, 1.0), OutOfRange),
+        (2, (1.0, 1.0), OutOfRange),
+        (2, (0.0, 1.0), OutOfRange),
+    ],
+    ids=["empty", "count-mismatch", "mixed-shapes", "decreasing", "repeated", "zero"],
+)
+def test_malformed_series_is_refused(weak_series, count, times, error):
+    """``count`` snapshots of the weak series, or (None) a d=2 snapshot
+    followed by a d=4 one."""
+    mats = weak_series[1][:count] if count is not None else [
+        weak_series[1][0], np.eye(16, dtype=complex)
+    ]
+    with pytest.raises(error):
+        best_fit_multi(mats, times, EPSILON)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +246,7 @@ GOLDEN_DISTANCES = {
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DISTANCES))
 def test_weak_unital_series_is_markovian(weak_series, seed):
     mats = weak_series[seed]
-    fit, maxiters = best_fit_multi(SnapshotSeries(mats, TIMES), EPSILON)
+    fit, maxiters = best_fit_multi(mats, TIMES, EPSILON)
     assert fit is not None and maxiters == 0
     assert fit.branch == (0,) * 8
     assert fit.distance == pytest.approx(GOLDEN_DISTANCES[seed], abs=1e-9)
@@ -236,20 +258,19 @@ def test_weak_unital_series_is_markovian(weak_series, seed):
 
 def test_benchmark_unital_series_has_no_fit():
     mats = unital_series(BENCH_GAMMA, 1)
-    assert best_fit_multi(SnapshotSeries(mats, TIMES), EPSILON) == (None, 0)
+    assert best_fit_multi(mats, TIMES, EPSILON) == (None, 0)
 
 
 # ----------------------------------------------------------------------
 # one solve per live assignment, against every (δ, assignment) pair
 # ----------------------------------------------------------------------
 
-def all_pairs_best_fit_multi(series, epsilon, policy=fitting.BranchPolicy(), delta_step=0.01):
+def all_pairs_best_fit_multi(mats, times, epsilon, policy=fitting.BranchPolicy(), delta_step=0.01):
     """The reference: every live (δ, assignment) pair solved on its own,
     kept where its misfits fit inside its δ, each kept pair's exponential
     taken, and the pairs ranked by (summed distance, grid position)."""
-    q = series.count
-    times = np.asarray(series.times, dtype=float)
-    mats = [series.matrix(c) for c in range(q)]
+    q = len(mats)
+    times = np.asarray(times, dtype=float)
     n = mats[0].shape[0]
     logs = [fitting.checked_log(m) for m in mats]
     deltas = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step).grid()
@@ -318,20 +339,17 @@ REUSE_CASES = {
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_reuse_matches_all_pairs(case, joint_calls):
     gamma, shots, seed, epsilon, times, ref_problems, solved = REUSE_CASES[case]
-    series = SnapshotSeries(
-        [
-            simulate_process_tomography(
-                ChannelSpec("unital", {"gamma": gamma, "t": t}),
-                TomographyConfig(shots=shots, seed=seed),
-            ).mat
-            for t in times
-        ],
-        times,
-    )
-    expected, ref_count = all_pairs_best_fit_multi(series, epsilon)
+    mats = [
+        simulate_process_tomography(
+            ChannelSpec("unital", {"gamma": gamma, "t": t}),
+            TomographyConfig(shots=shots, seed=seed),
+        ).mat
+        for t in times
+    ]
+    expected, ref_count = all_pairs_best_fit_multi(mats, times, epsilon)
     references = {t[0].tobytes(): reports[0] for t, reports in joint_calls}
     joint_calls.clear()
-    fit, maxiters = best_fit_multi(series, epsilon)
+    fit, maxiters = best_fit_multi(mats, times, epsilon)
 
     assert ref_count == ref_problems
     assert [len(reports) for _, reports in joint_calls] == [solved]

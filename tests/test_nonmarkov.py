@@ -444,6 +444,6 @@ def test_sweep_agrees_with_the_analytical_noise_rate(shots):
 
 def test_analytical_mu_is_exact_on_the_exact_channel():
     exact = ChannelSpec("unital", {"gamma": BENCH_GAMMA}).transfer()
-    res = analytical_mu_unital(exact)
+    res = analytical_mu_unital(exact.mat)
     assert res.epsilon < 1e-12
     assert res.mu > 0

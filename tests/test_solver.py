@@ -46,7 +46,7 @@ def random_choi_target(d, seed, scale=1.0):
 
 def lindbladian_choi(d, seed):
     gen = random_lindblad_generator(d, np.random.default_rng(seed))
-    return gamma_involution(gen.mat)
+    return gamma_involution(gen)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +171,7 @@ def shifted_branch_targets(d):
     """Choi-side targets log M + 2πi Σ m_j P_j of a random d-level channel
     M = exp(L), one per entry of SHIFTS[d]."""
     gen = random_lindblad_generator(d, np.random.default_rng(20 + d))
-    spectral, l0 = checked_log(expm(gen.mat))
+    spectral, l0 = checked_log(expm(gen))
     branches = np.zeros((len(SHIFTS[d]), d * d), dtype=int)
     for row, shift in zip(branches, SHIFTS[d]):
         row[list(shift)] = list(shift.values())
