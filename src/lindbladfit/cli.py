@@ -31,8 +31,8 @@ import numpy as np
 from . import fitting, nonmarkov, preprocess
 from .channels import ChannelSpec, TomographyConfig, simulate_process_tomography
 from .errors import (
-    DimensionMismatch, InputError, LindbladFitError, NotPerfectSquareDim, NumericalFailure,
-    OutOfRange,
+    DimensionMismatch, InputError, LindbladFitError, NotCompletelyPositive, NotPerfectSquareDim,
+    NumericalFailure, OutOfRange,
 )
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
@@ -53,6 +53,10 @@ MU_ABSENT_SENTINEL = 1000.0
 # Refuse to materialize absurd branch grids; (2*m_max+1)^(d^2) explodes in
 # d and the capped prefix is the documented way to search high dimensions.
 MAX_UNCAPPED_BRANCHES = 1_000_000
+
+# Refuse sweep grids of more rows than this: each row is a fit verdict, and
+# the grid is built whole first (a 1e-12 step over [0, 1] would need 8 TB).
+MAX_SWEEP_ROWS = 1_000_000
 
 _CHANNELS = {
     "xgate": "xgate",
@@ -389,8 +393,10 @@ def _epsilon_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise InputError(f"--step must be positive, got {step}")
     if stop <= start:
         return np.empty(0)
-    count = int(math.ceil((stop - start) / step - 1e-12))
-    return start + step * np.arange(count)
+    rows = (stop - start) / step - 1e-12
+    if not rows <= MAX_SWEEP_ROWS:  # also refuses an overflow to inf
+        raise InputError(f"the sweep grid has {rows:.3g} rows, above {MAX_SWEEP_ROWS}")
+    return start + step * np.arange(int(math.ceil(rows)))
 
 
 def _csv_number(value: Optional[float]) -> str:
@@ -515,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate a finite-shot tomography snapshot")
     sim.add_argument("--channel", required=True, help="channel kind (e.g. xgate, unital)")
     sim.add_argument("--gamma", help="comma-separated unital rates")
-    sim.add_argument("--t", type=float, help="evolution time for the unital channel")
+    sim.add_argument("--t", type=_finite, help="evolution time for the unital channel")
     sim.add_argument("--p", help="depolarizing probability (or four mixture weights)")
     sim.add_argument("--shots", type=int, default=10_000)
     sim.add_argument("--seed", type=int, default=0)
@@ -610,7 +616,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if not exc.code else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (InputError, DimensionMismatch, NotPerfectSquareDim, OutOfRange, OSError) as exc:
+    except (InputError, DimensionMismatch, NotCompletelyPositive, NotPerfectSquareDim,
+            OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalFailure as exc:

@@ -7,11 +7,11 @@ its exponential stays within epsilon of M.  Operationally this is a sweep
 over trust radii delta and logarithm branches of every repaired sample of
 M; the grid points whose delta-ball reaches the hermitian trace-zero slice
 solve the noise-minimization program, all samples' points in one batch,
-and a candidate is accepted only through the certificate of ``fitting``:
-its exponential lands strictly within epsilon of the raw snapshot, and the
-noisy generator passes the Lindblad test at ``fitting.VERIFY_TOL``.  The
-least mu wins, ties (rates below ``MU_TIE_TOL`` count as zero) going to
-the lower sample, then the smaller delta, then the earlier branch.
+and a candidate is accepted only through the certificate of ``fitting``
+(``first_certified``): its exponential lands strictly within epsilon of
+the raw snapshot, and the noisy generator passes the Lindblad test.  The
+least mu wins, ties (``fitting.ranked``) going to the lower sample, then
+the smaller delta, then the earlier branch.
 
 The module also carries a closed-form estimate for channels with real,
 positive, well-separated spectra (one eigenvalue near 1): filter the
@@ -30,14 +30,17 @@ from typing import Optional
 import numpy as np
 
 from . import solver
-from .channels import is_lindbladian
+# is_lindbladian and enumerate_branches are not called here; the benchmark
+# tracer (perfbench/spans.py) still looks them up on this module.
+from .channels import is_lindbladian  # noqa: F401
 from .errors import NumericalFailure, OutOfRange, PreconditionViolated
 from .fitting import (
-    VERIFY_TOL,
     BranchPolicy,
-    _audited_logs,
-    branch_targets,
-    enumerate_branches,
+    enumerate_branches,  # noqa: F401
+    exp_distances,
+    first_certified,
+    ranked,
+    search_setup,
 )
 from .linalg import (
     eig_full,
@@ -58,11 +61,6 @@ __all__ = [
     "markovianity_score",
     "analytical_mu_unital",
 ]
-
-#: Noise rates below this are zeros up to solver tolerance; ranking treats
-#: them as ties resolved by (sample, delta, branch) order.
-MU_TIE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DeltaSweep:
@@ -168,54 +166,44 @@ def non_markovianity(
 
     A grid point is accepted only when its exponential lands strictly within
     epsilon of the raw snapshot and passes the Lindblad certificate; the
-    winner is the first accepted point by (mu, sample, delta, branch), with
-    rates below ``MU_TIE_TOL`` ranked as zero, and ``basis_sample`` is its
-    position in the stack.  A sample whose logarithm fails its audit is
-    skipped; when every sample fails, ``NumericalFailure`` is raised.
+    winner is the first accepted point by (``fitting.ranked`` mu, sample,
+    delta, branch), and ``basis_sample`` is its position in the stack.  A
+    sample whose logarithm fails its audit is skipped; when every sample
+    fails, ``NumericalFailure`` is raised.
 
     Returns the winner (None when no point is accepted) and the number of
     solved pairs the solver reported as MaxIters.
     """
-    m, d, audited = _audited_logs(m_snapshot, r, epsilon)
-    branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
+    m, d, branches, searches = search_setup(m_snapshot, r, epsilon, policy)
 
     # live (sample, branch, delta) pairs, each sample's in row-major order
-    sample, bi, di, targets, deltas = [], [], [], [], []
-    for k, spectral, l0 in audited:
-        grid = DeltaSweep.from_epsilon(epsilon, frobenius(l0), delta_step).grid()
-        sample_targets = branch_targets(l0, spectral, branches)
+    live = []
+    for k, l0_norm, sample_targets in searches:
+        grid = DeltaSweep.from_epsilon(epsilon, l0_norm, delta_step).grid()
         b, j = np.nonzero(~solver.min_mu_infeasible(sample_targets, d, grid))
-        sample.append(np.full(b.size, k))
-        bi.append(b)
-        di.append(j)
-        targets.append(sample_targets[b])
-        deltas.append(grid[j])
-    sample, bi, di, targets, deltas = (
-        np.concatenate(v) for v in (sample, bi, di, targets, deltas)
-    )
+        live.append((np.full(b.size, k), b, j, sample_targets[b], grid[j]))
+    sample, bi, di, targets, deltas = (np.concatenate(v) for v in zip(*live))
     if not bi.size:
         return None, 0
 
     reports = solver.min_mu_batch(targets, d, deltas)
     generators = gamma_involution(np.stack([rep.x_opt for rep in reports]))
-    distances = np.linalg.norm(m[None, :, :] - expm(generators), axis=(-2, -1))
+    distances = exp_distances(m[None], np.ones(1), generators)[:, 0]
     mus = np.array([rep.mu for rep in reports])
     maxiters = sum(rep.status == solver.MAX_ITERS for rep in reports)
 
-    ranked = np.where(mus >= MU_TIE_TOL, mus, 0.0)
-    omega_perp = max_entangled(d).omega_perp
-    order = np.lexsort((bi, di, sample, ranked))
-    for k in order[distances[order] < epsilon]:
-        if is_lindbladian(generators[k] - mus[k] * omega_perp, tol=VERIFY_TOL).ok:
-            return MuResult(
-                generator=generators[k],
-                mu_min=float(mus[k]),
-                delta_used=float(deltas[k]),
-                branch=tuple(int(v) for v in branches[bi[k]]),
-                distance=float(distances[k]),
-                basis_sample=int(sample[k]),
-            ), maxiters
-    return None, maxiters
+    order = np.lexsort((bi, di, sample, ranked(mus)))
+    k = first_certified(order, distances < epsilon, generators, mus)
+    if k is None:
+        return None, maxiters
+    return MuResult(
+        generator=generators[k],
+        mu_min=float(mus[k]),
+        delta_used=float(deltas[k]),
+        branch=tuple(int(v) for v in branches[bi[k]]),
+        distance=float(distances[k]),
+        basis_sample=int(sample[k]),
+    ), maxiters
 
 
 def analytical_mu_unital(m_snapshot) -> AnalyticalMu:

@@ -116,6 +116,16 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
     out = tmp_path / "out.json"
     assert cli.main(["simulate", "--channel", "bogus", "--out", str(out)]) == cli.EXIT_INPUT_ERROR
     assert not out.exists()
+    # unital rates and a time that give no completely positive channel
+    for flags in (["--t", "-1"], ["--gamma", "1,1,-5", "--t", "1"]):
+        argv = ["simulate", "--channel", "unital", *flags, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR, flags
+        assert not out.exists()
+    # a sweep grid above MAX_SWEEP_ROWS is refused before it is built
+    argv = ["sweep-epsilon", "--in", snap["depol"], "--from", "0", "--to", "1",
+            "--step", "1e-300", "--csv", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert not out.exists()
     assert cli.main(["fit", "--in", snap["depol"], "--epsilon", "0.05", "--bogus"]) == (
         cli.EXIT_INPUT_ERROR
     )
@@ -195,12 +205,14 @@ def test_non_finite_float_flags_exit_3_before_any_work(
          "--report", "{out}"],
         ["simulate", "--channel", "unital", "--gamma", "0.1,0.2,nan", "--t", "1", "--out", "{out}"],
         ["simulate", "--channel", "depolarizing", "--p", "inf", "--out", "{out}"],
+        ["simulate", "--channel", "unital", "--t", "nan", "--out", "{out}"],
+        ["simulate", "--channel", "unital", "--t", "inf", "--out", "{out}"],
     ],
-    ids=["times", "gamma", "p"],
+    ids=["times", "gamma", "p", "t-nan", "t-inf"],
 )
 def test_non_finite_list_elements_exit_3(tmp_path, snap, argv):
-    """Every element of a number-list flag must be finite: no report, no
-    matrix file, no traceback."""
+    """Every element of a number-list flag, and ``--t``, must be finite: no
+    report, no matrix file, no traceback."""
     out = tmp_path / "out"
     argv = [arg.format(depol=snap["depol"], out=out) for arg in argv]
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR

@@ -22,11 +22,11 @@ from lindbladfit.channels import (
 from lindbladfit.errors import DegenerateSpectrum, OutOfRange
 from lindbladfit.fitting import (
     BranchPolicy,
-    _solve_classes,
     best_fit_lindbladian,
     branch_targets,
     checked_log,
     enumerate_branches,
+    exp_distances,
     herm_classes,
 )
 from lindbladfit.linalg import (
@@ -222,9 +222,11 @@ def _class_solve(mat, r, policy):
     spectral, l0 = checked_log(r)
     branches = np.array(list(enumerate_branches(policy, r.shape[0])))
     targets = branch_targets(l0, spectral, branches)
-    d = side_dim(r.shape[0])
-    (solved,), _ = _solve_classes(mat, [targets], d)
-    return (branches, targets) + solved
+    leaders, label = np.unique(herm_classes(targets), return_inverse=True)
+    reports = closest_lindbladian_batch(targets[leaders], side_dim(r.shape[0]))
+    x_opts = np.stack([report.x_opt for report in reports])
+    distances = exp_distances(mat[None], np.ones(1), gamma_involution(x_opts))[:, 0]
+    return branches, targets, label, x_opts, distances
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +255,7 @@ def test_herm_classes_group_by_hermitian_part_only():
     a, b, skew = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     skew = skew - skew.conj().T
     jitter = 1e-13 * rng.standard_normal((4, 4))
-    stack = np.stack([a, b, a + skew + jitter, b - 3 * skew, a + 1e-6, a])
+    stack = np.stack([a, b, a + skew + jitter, b - 3 * skew, a + 1e-3, a])
     assert list(herm_classes(stack)) == [0, 1, 0, 1, 4, 0]
 
 

@@ -28,6 +28,7 @@ from lindbladfit.channels import (
 )
 from lindbladfit.errors import NumericalFailure
 from lindbladfit.fitting import (
+    TIE_TOL,
     VERIFY_TOL,
     BranchPolicy,
     branch_targets,
@@ -36,7 +37,6 @@ from lindbladfit.fitting import (
 )
 from lindbladfit.linalg import frobenius, gamma_involution, herm, max_entangled
 from lindbladfit.nonmarkov import (
-    MU_TIE_TOL,
     DeltaSweep,
     analytical_mu_unital,
     non_markovianity,
@@ -177,7 +177,7 @@ def _snapshot_and_sample(spec, repaired):
 
 def _below_tie_tol(delta, mu):
     """Distinct rates that all rank as zero, falling as delta grows."""
-    return MU_TIE_TOL / (2 + delta)
+    return TIE_TOL / (2 + delta)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +224,7 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
         generator = gamma_involution(rep.x_opt)
         distance = frobenius(m - expm(generator))
         if distance < EPSILON:
-            tied = rep.mu if rep.mu >= MU_TIE_TOL else 0.0
+            tied = rep.mu if rep.mu >= TIE_TOL else 0.0
             candidates.append(((tied, deltas[j], b), rep.mu, generator, distance))
     want = next(
         c for c in sorted(candidates, key=lambda c: c[0])
@@ -311,12 +311,12 @@ def test_cross_sample_ties_go_to_the_lower_sample(
             reports = batch(targets, d, deltas)
             for target, rep in zip(targets, reports):
                 if rep.mu is not None and any(np.array_equal(target, o) for o in own):
-                    rep.mu += MU_TIE_TOL / 2
+                    rep.mu += TIE_TOL / 2
             return reports
 
         monkeypatch.setattr(solver, "min_mu_batch", raised)
     first, last = (non_markovianity(m, samples[k][1], epsilon)[0] for k in (0, 3))
-    assert max(first.mu_min, last.mu_min) < MU_TIE_TOL
+    assert max(first.mu_min, last.mu_min) < TIE_TOL
     assert (last.mu_min, last.delta_used) < (first.mu_min, first.delta_used)
     res, _ = non_markovianity(m, np.stack([r for _, r in samples]), epsilon)
     assert res.basis_sample == 0
