@@ -69,6 +69,16 @@ _CHANNELS = {
     "depolarizing-cz": "depolarizing-cz",
 }
 
+# the simulate flags each channel kind reads; any other one is refused
+_CHANNEL_FLAGS = {
+    "xgate": (),
+    "iswap": (),
+    "identity": (),
+    "depolarizing": ("p",),
+    "unital": ("gamma", "t"),
+    "depolarizing-cz": ("p",),
+}
+
 
 # ----------------------------------------------------------------------
 # Matrix files and reports
@@ -103,7 +113,9 @@ def read_matrix_file(path: str) -> np.ndarray:
         raise InputError(f"{path}: expected an object with dim and data") from exc
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputError(f"{path}: dim must be a JSON integer, got {dim!r}")
-    if dim < 1 or not isinstance(data, list) or len(data) != dim * dim:
+    if dim < 4:
+        raise InputError(f"{path}: dim must be d*d with d >= 2, got {dim}")
+    if not isinstance(data, list) or len(data) != dim * dim:
         raise InputError(
             f"{path}: data length {len(data) if isinstance(data, list) else '?'}"
             f" does not match dim {dim}"
@@ -279,6 +291,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"unknown channel {args.channel!r}; choose from"
             f" {', '.join(sorted(set(_CHANNELS)))}"
         )
+    for flag in ("gamma", "t", "p"):
+        if getattr(args, flag) is not None and flag not in _CHANNEL_FLAGS[kind]:
+            raise InputError(f"channel {args.channel!r} does not take --{flag}")
     params: dict[str, Any] = {}
     if args.gamma is not None:
         params["gamma"] = _float_list(args.gamma, "gamma")
@@ -286,12 +301,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         params["t"] = args.t
     if args.p is not None:
         probs = _float_list(args.p, "p")
-        if kind == "depolarizing-cz":
+        if kind == "depolarizing-cz" and len(probs) == 4:
             params["probs"] = probs
-        elif len(probs) == 1:
+        elif kind == "depolarizing" and len(probs) == 1:
             params["p"] = probs[0]
         else:
-            raise InputError(f"channel {args.channel!r} takes a single --p value")
+            count = "four --p values" if kind == "depolarizing-cz" else "a single --p value"
+            raise InputError(f"channel {args.channel!r} takes {count}, got {len(probs)}")
+    elif kind == "depolarizing":
+        raise InputError(f"channel {args.channel!r} requires --p")
     spec = ChannelSpec(kind, params)
     snapshot = simulate_process_tomography(
         spec, TomographyConfig(shots=args.shots, seed=args.seed)

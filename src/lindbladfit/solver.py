@@ -54,10 +54,12 @@ hermitian matrices, and the target is replaced by its hermitian part (the
 skew part contributes a constant offset ‖skew‖_F in quadrature, which is
 added back to reported objectives and ball radii).
 
-Infeasible problems never reach the solver.  ``min_mu_infeasible`` screens
-a (target, δ) grid for (P2) by broadcasting one skew norm and one affine
-gap per target against every δ; ``joint_infeasible`` screens a stack of
-joint fits at one δ from the skew norms and pairwise ball gaps of each.
+Infeasible problems never reach the solver: the caller screens them out
+and the solver solves every problem it is handed.  ``min_mu_infeasible``
+screens a (target, δ) grid for (P2) by broadcasting one skew norm and one
+affine gap per target against every δ; ``joint_infeasible`` screens a
+stack of joint fits at one δ from the skew norms and pairwise ball gaps of
+each.
 
 An independent Dykstra alternating-projection solver for (P1) is provided
 as a cross-check; it shares only the elementary projections with the
@@ -96,6 +98,8 @@ ITER_LIMIT = 50_000
 
 OPTIMAL = "Optimal"
 MAX_ITERS = "MaxIters"
+# no solve reports it; the benchmark tracer (perfbench/spans.py) still
+# counts reports with this status.
 INFEASIBLE = "Infeasible"
 
 
@@ -108,7 +112,7 @@ class SolveReport:
     the (shifted) cone constraint, and distance beyond the δ-ball (0.0 when
     the program has no ball).  status is Optimal, MaxIters (still running
     after ``ITER_LIMIT`` steps, stalled in a (P1) line search, or converged
-    with a residual over its ``TOL`` bound) or Infeasible.  iterations
+    with a residual over its ``TOL`` bound).  iterations
     counts Newton steps for (P1), Newton steps on μ for (P2) and
     reweighting steps for the joint fit; each outer step of the last two
     is one (P1) solve.  mu is None for (P1) and the joint fit.
@@ -447,23 +451,20 @@ def _reach(t_full: np.ndarray, geo: _Geometry):
     return t_h, x0, _fro(t_full - t_h), _fro(t_h - x0)
 
 
-def _ball_misses(deltas, skew_norm, affine_gap) -> np.ndarray:
-    """δ² − ‖skew‖² < gap²: the δ-ball misses the hermitian trace-zero slice."""
-    return ~(deltas**2 - skew_norm**2 >= affine_gap**2 - 1e-30)
-
-
 def min_mu_infeasible(
     targets: np.ndarray, d: int, deltas: Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """(B, D) mask of the (target, δ) pairs that (P2) reports Infeasible.
+    """(B, D) mask of the (target, δ) pairs whose δ-ball misses the
+    hermitian trace-zero slice: δ² − ‖skew T‖² < gap², with gap the
+    distance from herm(T) to the slice.  ``min_mu_batch`` solves only the
+    pairs this keeps.
 
     The skew norm and the affine gap are computed once per target and
-    broadcast against the whole δ grid; this is the same test
-    ``min_mu_batch`` applies to each of its pairs.
+    broadcast against the whole δ grid.
     """
     _, _, skew_norm, affine_gap = _reach(_as_batch(targets, d), _geometry(d))
-    deltas = np.asarray(deltas, dtype=float)
-    return _ball_misses(deltas[None, :], skew_norm[:, None], affine_gap[:, None])
+    deltas = np.asarray(deltas, dtype=float)[None, :]
+    return ~(deltas**2 - skew_norm[:, None] ** 2 >= affine_gap[:, None] ** 2 - 1e-30)
 
 
 def _min_mu_root(t_h, radius, cap, scale, geo):
@@ -473,11 +474,11 @@ def _min_mu_root(t_h, radius, cap, scale, geo):
     Newton's method on ½g² − ½radius² from μ = 0, with derivative
     ⟨Z − Π(Z), C⟩.  g is convex and nonincreasing, so the steps climb to
     the root from below; they are capped at ``cap``, from where on g rests
-    at its floor, the distance to the trace-zero slice (the screen put it
-    within the radius).  A problem retires once g − radius ≤ ``TOL``·scale
-    or μ reaches the cap, with X = Π(Z) − μC.  It does not converge when
-    it is still running after ``ITER_LIMIT`` steps or when one of its
-    projections ends MaxIters.
+    at its floor, the distance to the trace-zero slice (within the radius
+    for every pair ``min_mu_infeasible`` keeps).  A problem retires once
+    g − radius ≤ ``TOL``·scale or μ reaches the cap, with X = Π(Z) − μC.
+    It does not converge when it is still running after ``ITER_LIMIT``
+    steps or when one of its projections ends MaxIters.
     """
     c = geo.cone_lift
     x = np.empty_like(t_h)
@@ -525,59 +526,35 @@ def min_mu_batch(
     and in general the projection of herm(T) + μC shifted back by −μC.
     ``iterations`` counts Newton steps on μ, each one (P1) solve.
 
-    A pair is reported Infeasible when δ² < ‖skew(T)‖² + ‖Tr₁-component‖²,
-    i.e. when the ball cannot even reach the hermitian affine subspace
-    (``min_mu_infeasible`` evaluates the same test over a whole δ grid, so
-    callers can keep such pairs out of the batch).  Its x_opt is the
-    trace-zero projection of herm(T).  Every other x_opt lies on the
-    slice; a MaxIters one may stop short of the root, outside the ball by
-    its ball residual.
+    Callers pass only pairs that ``min_mu_infeasible`` keeps: every pair
+    is solved.  A pair whose ball misses the hermitian trace-zero slice
+    ends MaxIters at the slice, outside its ball by its ball residual, as
+    does a MaxIters pair that stops short of the root.
     """
     geo = _geometry(d)
     t_full = _as_batch(targets, d)
-    b = t_full.shape[0]
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (b,)).copy()
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (t_full.shape[0],))
     if not np.all(deltas >= 0):
         raise OutOfRange("delta must be nonnegative")
 
-    t_h, x_affine, skew_norm, affine_gap = _reach(t_full, geo)
+    t_h, x_affine, skew_norm, _ = _reach(t_full, geo)
     scale = np.maximum(1.0, _fro(t_h))
-    misses = _ball_misses(deltas, skew_norm, affine_gap)
-
-    reports: list[Optional[SolveReport]] = [None] * b
-    dead = np.nonzero(misses)[0]
-    x0 = x_affine[dead]
-    ball0 = np.maximum(
-        0.0, np.sqrt(affine_gap[dead] ** 2 + skew_norm[dead] ** 2) - deltas[dead]
-    )
-    infeasible = _reports(x0, np.nan, (0.0, geo.cone_deficit(x0), ball0), INFEASIBLE, 0)
-    for i, rep in zip(dead, infeasible):
-        reports[i] = rep
-
-    live = np.nonzero(~misses)[0]
-    t_h_l = t_h[live]
-    scale_l = scale[live]
     x_sol, mu_sol, iters, converged = _min_mu_root(
-        t_h_l,
-        np.sqrt(np.maximum(deltas[live] ** 2 - skew_norm[live] ** 2, 0.0)),
+        t_h,
+        np.sqrt(np.maximum(deltas**2 - skew_norm**2, 0.0)),
         # the rate at which the slice point of herm(T) enters the cone
-        d * geo.cone_deficit(x_affine[live]),
-        scale_l,
+        d * geo.cone_deficit(x_affine),
+        scale,
         geo,
     )
     affine_res = _one_norm(partial_trace_first(x_sol))
     cone_res = geo.cone_deficit(x_sol + mu_sol[:, None, None] * geo.cone_lift)
-    ball_res = np.maximum(
-        0.0, np.sqrt(_fro(x_sol - t_h_l) ** 2 + skew_norm[live] ** 2) - deltas[live]
-    )
-    ok = converged & (cone_res <= TOL * scale_l) & (ball_res <= 10 * TOL * scale_l)
-    solved = _reports(
+    ball_res = np.maximum(0.0, np.sqrt(_fro(x_sol - t_h) ** 2 + skew_norm**2) - deltas)
+    ok = converged & (cone_res <= TOL * scale) & (ball_res <= 10 * TOL * scale)
+    return _reports(
         x_sol, mu_sol, (affine_res, cone_res, ball_res), np.where(ok, OPTIMAL, MAX_ITERS),
         iters, mu=mu_sol
     )
-    for i, rep in zip(live, solved):
-        reports[i] = rep
-    return reports  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

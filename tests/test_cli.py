@@ -219,6 +219,66 @@ def test_non_finite_list_elements_exit_3(tmp_path, snap, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--in", "{one}", "--epsilon", "0.05", "--report", "{out}"],
+        ["multifit", "--in", "{one}", "--times", "1", "--epsilon", "0.05", "--report", "{out}"],
+        ["sweep-epsilon", "--in", "{one}", "--from", "0.01", "--to", "0.05", "--step", "0.02",
+         "--csv", "{out}"],
+        ["mu", "--in", "{one}", "--epsilon", "0.05", "--report", "{out}"],
+    ],
+    ids=["fit", "multifit", "sweep-epsilon", "mu"],
+)
+def test_one_by_one_matrix_file_exits_3(tmp_path, argv):
+    """A transfer matrix is d²×d² with d >= 2: a 1×1 file used to crash
+    three commands and get NoResult from `mu`.  Larger side dimensions
+    than qubits are still read."""
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"dim": 1, "data": [[0.5, 0.0]]}))
+    out = tmp_path / "out"
+    assert cli.main([arg.format(one=one, out=out) for arg in argv]) == cli.EXIT_INPUT_ERROR
+    assert not out.exists()
+    nine = tmp_path / "nine.json"
+    cli.write_matrix_file(str(nine), np.eye(9))
+    assert np.array_equal(cli.read_matrix_file(str(nine)), np.eye(9))
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--channel", "depolarizing"], "--p"),
+        (["--channel", "depolcz", "--p", "0.1,0.2"], "--p"),
+        (["--channel", "xgate", "--t", "5"], "--t"),
+        (["--channel", "iswap", "--gamma", "1,2,3"], "--gamma"),
+        (["--channel", "identity", "--p", "0.1"], "--p"),
+        (["--channel", "depolarizing", "--p", "0.1", "--gamma", "1,2,3"], "--gamma"),
+        (["--channel", "depolarizing", "--p", "0.1,0.2"], "--p"),
+        (["--channel", "unital", "--p", "0.1"], "--p"),
+    ],
+    ids=["depol-no-p", "depolcz-two-p", "xgate-t", "iswap-gamma", "identity-p",
+         "depol-gamma", "depol-two-p", "unital-p"],
+)
+def test_simulate_takes_only_the_flags_its_channel_reads(tmp_path, capsys, flags, named):
+    """Each channel kind takes only the flags it reads, and depolarizing
+    needs its --p: anything else exits 3 naming the flag, with no file."""
+    out = tmp_path / "out.json"
+    assert cli.main(["simulate", *flags, "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_passes_the_flags_its_channel_reads(tmp_path):
+    out = tmp_path / "out.json"
+    probs = [0.1, 0.07, 0.08, 0.09]
+    argv = ["simulate", "--channel", "depolcz", "--p", ",".join(map(str, probs)),
+            "--shots", "100", "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    spec = ChannelSpec("depolarizing-cz", {"probs": probs})
+    want = simulate_process_tomography(spec, TomographyConfig(shots=100, seed=3)).mat
+    assert np.array_equal(cli.read_matrix_file(str(out)), want)
+
+
 def test_multifit_lists_may_have_spaces_after_the_commas(tmp_path, snap):
     """--in is split like --times: a space after a comma is not part of the
     next path."""

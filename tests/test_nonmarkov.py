@@ -95,36 +95,33 @@ def test_screen_is_the_ball_test(screen_grid):
     assert mask[:-1].any() and not mask[:-1].all()
 
 
-def test_screen_matches_min_mu_batch_status(screen_grid, monkeypatch):
+def test_screen_matches_min_mu_batch_status(screen_grid):
+    """The (P2) contract over the whole grid: every pair the screen keeps
+    solves Optimal inside its ball.  Solved anyway, a dropped pair ends
+    MaxIters outside its ball, unless it lies within 1e-9 (relative) of its
+    critical radius, where the ball residual still meets the solver's
+    10·TOL·scale bound."""
     targets, deltas, critical = screen_grid
     mask = solver.min_mu_infeasible(targets, 2, deltas)
     bi, di = np.indices(mask.shape).reshape(2, -1)
-    monkeypatch.setattr(solver, "ITER_LIMIT", 20)
     reports = solver.min_mu_batch(targets[bi], 2, deltas[di])
-    status = np.array([rep.status == solver.INFEASIBLE for rep in reports])
-    assert (status == mask.ravel()).all()
+    status = np.array([rep.status for rep in reports])
+    ball = np.array([rep.residuals[2] for rep in reports])
+    kept = ~mask.ravel()
+    assert kept.sum() == 46 and (status[kept] == solver.OPTIMAL).all()
+    assert ball[kept].max() <= 3.5e-9
+    near = deltas[di] >= np.array(critical)[bi] * (1 - 1.5e-9)
+    dead_far, dead_near = ~kept & ~near, ~kept & near
+    assert dead_far.sum() == 36 and (status[dead_far] == solver.MAX_ITERS).all()
+    assert (ball[dead_far] > 0).all()
+    scale = np.maximum(1.0, solver._fro(herm(targets)))[bi]
+    assert dead_near.sum() == 6 and (status[dead_near] == solver.OPTIMAL).all()
+    assert ball[dead_near].max() <= 4.3e-9
+    assert (ball[dead_near] <= 10 * solver.TOL * scale[dead_near]).all()
     # the ball touches the slice at the critical radius
     for b, c in enumerate(critical[:-1]):
         below, above = np.searchsorted(deltas, [c * (1 - 1e-9), c * (1 + 1e-9)])
         assert mask[b, below] and not mask[b, above]
-
-
-def test_infeasible_reports_keep_their_fields(screen_grid):
-    """The batched Infeasible reports equal the old one-pair-at-a-time
-    construction, kept here as the reference."""
-    targets, _, critical = screen_grid
-    geo = solver._geometry(2)
-    deltas = 0.5 * np.array(critical[:3])
-    reports = solver.min_mu_batch(targets[:3], 2, deltas)
-    for target, delta, rep in zip(targets[:3], deltas, reports):
-        t_h = herm(target[None])
-        skew = solver._fro(target[None] - t_h)[0]
-        x0 = geo.project_trace_zero(t_h)[0]
-        ball = max(0.0, np.sqrt(solver._fro(x0[None] - t_h)[0] ** 2 + skew**2) - delta)
-        assert rep.status == solver.INFEASIBLE and rep.mu is None
-        assert rep.iterations == 0 and np.isnan(rep.objective)
-        assert np.array_equal(rep.x_opt, x0)
-        assert rep.residuals == (0.0, float(geo.cone_deficit(x0[None])[0]), float(ball))
 
 
 def test_empty_screen_grid():
@@ -193,8 +190,9 @@ def _below_tie_tol(delta, mu):
 )
 def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, adjust, monkeypatch):
     """The sweep's reduction against a plain loop over every (branch, delta)
-    pair, unscreened: keep the pairs within epsilon, sort them by (mu with
-    ties zeroed, delta, branch) and take the first that passes the Lindblad
+    pair, solved unscreened: keep the pairs whose ball reaches the slice and
+    whose exponential lies within epsilon, sort them by (mu with ties
+    zeroed, delta, branch) and take the first that passes the Lindblad
     test.  ``adjust`` rewrites each solved rate (from its delta) to make
     pairs tie; both sides see the same rates."""
     if adjust is not None:
@@ -203,8 +201,7 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
         def adjusted(targets, d, deltas):
             reports = batch(targets, d, deltas)
             for delta, rep in zip(deltas, reports):
-                if rep.mu is not None:  # None: Infeasible
-                    rep.mu = float(adjust(delta, rep.mu))
+                rep.mu = float(adjust(delta, rep.mu))
             return reports
 
         monkeypatch.setattr(solver, "min_mu_batch", adjusted)
@@ -216,10 +213,13 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
     reports = solver.min_mu_batch(np.repeat(targets, len(deltas), axis=0), 2,
                                   np.tile(deltas, len(branches)))
     perp = max_entangled(2).omega_perp
+    balls = [reach(t, 2) for t in targets]
     candidates = []
     for k, rep in enumerate(reports):
         b, j = divmod(k, len(deltas))
-        if rep.mu is None or rep.mu >= 1e9:
+        skew, gap = balls[b]
+        # a ball that misses the slice is a pair the sweep's screen drops
+        if deltas[j] ** 2 - skew**2 < gap**2 - 1e-30 or rep.mu >= 1e9:
             continue
         generator = gamma_involution(rep.x_opt)
         distance = frobenius(m - expm(generator))

@@ -320,8 +320,10 @@ def test_skewed_target_with_small_ball_is_infeasible():
     target = random_choi_target(2, seed=31)  # generic: large skew part
     skew = frobenius(target - herm(target))
     assert skew > 0.5
+    assert solver.min_mu_infeasible(target, 2, [0.25 * skew]).all()
+    # solved anyway, the pair stops at the slice, outside its ball
     rep = min_mu_batch(target, 2, 0.25 * skew)[0]
-    assert rep.status == "Infeasible"
+    assert rep.status == "MaxIters" and rep.residuals[2] > 0
 
 
 def test_mu_non_increasing_in_delta():
@@ -353,7 +355,7 @@ def test_mu_batch_matches_singles(monkeypatch):
     # Cut at 6 outer steps: a Markovian target retires at step 0 with
     # mu = 0, c1 at 0.9 of its P1 distance after 3 steps and c2 after 6;
     # c1 at 0.3 and c4 are cut at the limit, and a skewed target with a
-    # small ball is screened.
+    # small ball (one the screen drops) stops at the slice.
     monkeypatch.setattr(solver, "ITER_LIMIT", 6)
     c4 = tp_correct(herm(random_choi_target(2, seed=54)), 2)
     targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c1, c4, random_choi_target(2, seed=31)])
@@ -361,7 +363,7 @@ def test_mu_batch_matches_singles(monkeypatch):
     batch = min_mu_batch(targets, 2, deltas)
     assert [(rep.status, rep.iterations) for rep in batch] == [
         ("Optimal", 0), ("Optimal", 3), ("Optimal", 6), ("MaxIters", 6), ("MaxIters", 6),
-        ("Infeasible", 0),
+        ("MaxIters", 1),
     ]
     for t, delta, rep in zip(targets, deltas, batch):
         single = min_mu_batch(t, 2, delta)[0]
