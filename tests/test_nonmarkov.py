@@ -1,13 +1,14 @@
 """The white-noise measure: the (branch, delta) screen in front of the P2
-solver, the Lambert W start of the delta grid (and the ``cli`` import
-that no longer pulls in ``scipy.special``), the delta sweep on the
-benchmark unital channel, one batch over a stack of repaired samples
-against the per-sample loop it replaced, the panel winners' rates against
-tight-tolerance solves, the X gate batch's iteration bound, the MaxIters
-count, and the sweep against the closed-form noise rate of
-``analytical_mu_unital``.
+solver, the Lambert W start of the delta grid, a ``cli`` import and run
+that load no scipy module at all (scipy serves the tests only, as an
+oracle), the delta sweep on the benchmark unital channel, one batch over
+a stack of repaired samples against the per-sample loop it replaced, the
+panel winners' rates against tight-tolerance solves, the X gate batch's
+iteration bound, the MaxIters count, and the sweep against the
+closed-form noise rate of ``analytical_mu_unital``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -142,13 +143,39 @@ def test_delta_min_is_lambert_w0():
     assert delta * np.exp(delta) * 3.0 == pytest.approx(EPSILON, rel=1e-15)
 
 
-def test_cli_import_leaves_scipy_special_out():
-    code = "import sys, lindbladfit.cli; sys.exit('scipy.special' in sys.modules)"
+NO_SCIPY_RUN = """
+import sys
+from lindbladfit import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_loaded(), scipy_loaded()
+out = sys.argv[1]
+for argv in (
+    ["simulate", "--channel", "xgate", "--shots", "10000", "--seed", "1", "--out", out + "/x.json"],
+    ["fit", "--in", out + "/x.json", "--samples", "4", "--epsilon", "0.05", "--report", out + "/fit.json"],
+    ["simulate", "--channel", "unital", "--gamma", "0.1,0.2,0.3", "--t", "1", "--shots", "100000", "--seed", "1", "--out", out + "/m1.json"],
+    ["simulate", "--channel", "unital", "--gamma", "0.1,0.2,0.3", "--t", "2", "--shots", "100000", "--seed", "1", "--out", out + "/m2.json"],
+    ["multifit", "--in", out + "/m1.json," + out + "/m2.json", "--times", "1,2", "--epsilon", "0.05", "--report", out + "/multi.json"],
+):
+    assert cli.main(argv) == 0, argv
+assert not scipy_loaded(), scipy_loaded()
+"""
+
+
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    """The runtime needs numpy alone: neither importing the CLI nor a
+    ``simulate``, ``fit --samples 4`` and ``multifit`` run loads any scipy
+    module (``scipy.special`` included)."""
     src = str(Path(lindbladfit.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=120
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
-    assert done.returncode == 0
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "fit.json").read_text())["verdict"] == "NonMarkovian"
+    assert json.loads((tmp_path / "multi.json").read_text())["verdict"] == "Markovian"
 
 
 @pytest.mark.parametrize(
