@@ -8,8 +8,11 @@ setting that went into it, and the wall time, so a report alone is enough
 to reproduce the run.  ``sweep-epsilon`` writes a plot-ready CSV instead.
 
 ``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`: repair
-the snapshot once, search the branches of all repaired samples in one
-best-fit call, and when its winner misses epsilon ask the same samples, in
+the snapshot once and try the candidates with the least work first.  The
+snapshot's own fit (and its mirror's, for a lone negative eigenvalue) comes
+from one best-fit call; when it lands at round-off no sample is drawn.
+Otherwise the repaired samples get one more best-fit call, and when the
+winner of all candidates misses epsilon the same candidates are asked, in
 one batch, for the least white-noise rate mu.
 
 Exit codes: 0 when any verdict is produced, 2 for NoResult, 3 for bad
@@ -19,6 +22,7 @@ input, 4 for a numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -188,14 +192,79 @@ def _sample_config(args: argparse.Namespace) -> preprocess.RandomBasisConfig:
     return cfg
 
 
+# Candidate tags besides a repaired sample's int id: the nudged snapshot
+# and its mirrored lone negative eigenvalue (preprocess.Repair).
+RAW, MIRRORED = "raw", "mirrored"
+
+
+class _Candidates:
+    """Every candidate of one snapshot, in order, with its own P1 fit.
+
+    The snapshot's own candidates come first: RAW, then MIRRORED when it
+    exists.  Repaired samples 0..K-1 follow, tagged by their ids, once they
+    are drawn.  None of them depends on epsilon, so a ``sweep-epsilon`` run
+    keeps one instance for all its rows and solves each candidate once.
+    """
+
+    def __init__(self) -> None:
+        self.tags: list = []
+        self.stack: list = []
+        self.fits: dict = {}  # tag -> own winner or None; audit failures absent
+        self.own = 0  # how many of the tags are the snapshot's own
+        self.drawn = False
+        self.p1_maxiters = 0
+        self.skipped = 0
+
+    def search(self, mat: np.ndarray, tags: list, stack: list, policy) -> int:
+        """Append candidates with their own P1 fits, from one
+        ``fitting.best_fit_lindbladian`` call; returns how many of them
+        failed the logarithm audit."""
+        fits: dict = {}
+        try:
+            _, maxiters = fitting.best_fit_lindbladian(
+                mat, np.stack(stack), math.inf, policy, sample_fits=fits
+            )
+        except NumericalFailure:  # every one failed: the others may decide
+            maxiters = 0
+        self.fits.update((tags[k], fit) for k, fit in fits.items())
+        self.tags += tags
+        self.stack += stack
+        self.p1_maxiters += maxiters
+        return len(tags) - len(fits)
+
+    def best(self, count: int):
+        """Tag of the least ``fitting.ranked`` distance among the first
+        ``count`` candidates, the earlier one on a tie; None when none fits."""
+        tags = [tag for tag in self.tags[:count] if self.fits.get(tag) is not None]
+        if not tags:
+            return None
+        distances = np.array([self.fits[tag].distance for tag in tags])
+        return tags[int(np.argmin(fitting.ranked(distances)))]
+
+
 class _Decision(NamedTuple):
     kind: str
     verdict: str
     fit: Optional[fitting.FitResult] = None
     mu: Optional[nonmarkov.MuResult] = None
+    candidate: Optional[str] = None
     skipped: int = 0
     p1_maxiters: Optional[int] = None
     p2_maxiters: Optional[int] = None
+
+
+def _label(kind: str, tag):
+    """A tag as reports show it.  The passthrough pipeline's one sample is
+    the nudged snapshot itself, so its reports keep calling raw sample 0."""
+    return 0 if kind == preprocess.PASSTHROUGH and tag == RAW else tag
+
+
+def _named(kind: str, tag) -> tuple:
+    """(candidate name or None, basis sample or None) of a tag in a report."""
+    label = _label(kind, tag)
+    if not isinstance(label, int):
+        return label, None
+    return ("sample" if kind == preprocess.SAMPLES else None), label
 
 
 def _decide(
@@ -206,50 +275,76 @@ def _decide(
     precision: float,
     delta_step: float,
     trace: Optional[list] = None,
-    memo: Optional[dict] = None,
+    memo: Optional[_Candidates] = None,
 ) -> _Decision:
     """The verdict on one snapshot at one epsilon.
 
-    Repairs the snapshot once and stacks its samples once; sample k sits at
-    position k of the stack, so a winner's position is its sample id.  One
-    ``fitting.best_fit_lindbladian`` call searches every sample's branches
-    with an unbounded acceptance radius, so each sample's best distance is
-    known for the trace; the least (distance, sample id) is Markovian when
-    it lands within epsilon.  Otherwise the same stack goes through one
-    ``nonmarkov.non_markovianity`` call, which solves every sample's
+    Repairs the snapshot once.  The candidates, in order, are the nudged
+    snapshot ("raw"), its mirror when it has one lone real negative
+    eigenvalue ("mirrored"), and in the ``samples`` pipeline the repaired
+    samples.  Raw and mirrored get their own
+    ``fitting.best_fit_lindbladian`` call, with an unbounded acceptance
+    radius so that each candidate's best distance is known for the trace.
+    When raw (or mirrored) lands below ``fitting.TIE_TOL`` and epsilon, no
+    sample can beat it under the tie rule: the verdict is Markovian and no
+    sample is drawn.  Otherwise the samples are stacked once and searched
+    in one more call.  The least ``fitting.ranked`` distance, ties going to
+    the earlier candidate, is Markovian when it lands within epsilon.
+    Otherwise the whole stack goes through one
+    ``nonmarkov.non_markovianity`` call, which solves every candidate's
     (branch, delta) pairs in one batch and picks the least mu, ties going
-    to the lower sample id.  The decision counts the samples skipped by the
-    logarithm audit and the MaxIters solves of each solver stage it ran.
+    to the earlier candidate.  The decision counts the samples skipped by
+    the logarithm audit and the MaxIters solves of each solver stage it ran.
 
-    Within one pipeline kind the samples do not depend on epsilon (it only
-    decides whether the cluster bases are accepted, not what their vectors
-    are), so ``memo`` keeps each kind's stack and best fit for the next
-    call on the same snapshot: a sweep runs each branch search once.
+    ``memo`` keeps the candidates and their fits for the next call on the
+    same snapshot: a sweep searches each candidate once.
     """
-    kind, stream = preprocess.repaired_samples(mat, precision, epsilon, cfg)
+    repair = preprocess.repaired_samples(mat, precision, epsilon, cfg)
+    kind = repair.kind
     if kind == preprocess.IDENTITY:
         return _Decision(kind, "Identity")
-    memo = {} if memo is None else memo
-    if kind not in memo:
-        stack = np.stack([r for _, r in stream])
-        fits: dict = {}
-        fit, p1_maxiters = fitting.best_fit_lindbladian(
-            mat, stack, math.inf, policy, sample_fits=fits
+    found = _Candidates() if memo is None else memo
+    if not found.tags:
+        tags, stack = [RAW], [repair.snapshot]
+        if repair.mirrored is not None:
+            tags.append(MIRRORED)
+            stack.append(repair.mirrored)
+        found.search(mat, tags, stack, policy)
+        found.own = len(tags)
+    count = found.own
+    if kind == preprocess.SAMPLES:
+        best = found.best(count)
+        tied = best is not None and found.fits[best].distance < min(fitting.TIE_TOL, epsilon)
+        if not (found.drawn or tied):
+            samples = list(repair.samples)
+            found.skipped = found.search(
+                mat, [k for k, _ in samples], [r for _, r in samples], policy
+            )
+            found.drawn = True
+        if found.drawn:
+            count = len(found.tags)
+    if trace is not None:
+        trace.extend(
+            [_label(kind, tag), getattr(found.fits.get(tag), "distance", None)]
+            for tag in found.tags[:count]
         )
-        if trace is not None:
-            trace.extend([k, getattr(fits.get(k), "distance", None)] for k in range(len(stack)))
-        memo[kind] = (stack, fit, len(stack) - len(fits), p1_maxiters)
-    stack, fit, skipped, p1_maxiters = memo[kind]
-    if fit is not None and fit.distance < epsilon:
-        return _Decision(kind, "Markovian", fit=fit, skipped=skipped, p1_maxiters=p1_maxiters)
-    # No branch of any sample lands inside the epsilon ball; ask instead
+    common = dict(skipped=found.skipped, p1_maxiters=found.p1_maxiters)
+    best = found.best(count)
+    if best is not None and found.fits[best].distance < epsilon:
+        candidate, sample = _named(kind, best)
+        fit = dataclasses.replace(found.fits[best], basis_sample_id=sample)
+        return _Decision(kind, "Markovian", fit=fit, candidate=candidate, **common)
+    # No branch of any candidate lands inside the epsilon ball; ask instead
     # how much white noise would reconcile the snapshot.
     mu, p2_maxiters = nonmarkov.non_markovianity(
-        mat, stack, epsilon, policy, delta_step=delta_step
+        mat, np.stack(found.stack[:count]), epsilon, policy, delta_step=delta_step
     )
-    verdict = "NoResult" if mu is None else "NonMarkovian"
+    if mu is None:
+        return _Decision(kind, "NoResult", p2_maxiters=p2_maxiters, **common)
+    candidate, sample = _named(kind, found.tags[mu.basis_sample])
     return _Decision(
-        kind, verdict, mu=mu, skipped=skipped, p1_maxiters=p1_maxiters, p2_maxiters=p2_maxiters
+        kind, "NonMarkovian", mu=dataclasses.replace(mu, basis_sample=sample),
+        candidate=candidate, p2_maxiters=p2_maxiters, **common
     )
 
 
@@ -361,6 +456,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             decision.mu, args.epsilon, args.delta_step, d
         )
         doc["result"]["basis_sample"] = decision.mu.basis_sample
+    if decision.candidate is not None:
+        doc["result"]["candidate"] = decision.candidate
     if trace is not None:
         doc["trace"] = {"samples": trace}
     doc["wall_time_s"] = time.perf_counter() - started
@@ -427,9 +524,9 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     policy = _policy(args, mat.shape[0])
     cfg = _sample_config(args)
 
-    # Each row is fit's verdict at its epsilon; the memo runs each pipeline
-    # kind's branch search once for the whole grid.
-    memo: dict = {}
+    # Each row is fit's verdict at its epsilon; the memo runs each
+    # candidate's branch search once for the whole grid.
+    memo = _Candidates()
     lines = [CSV_HEADER]
     for eps in grid.tolist():
         mu = distance = None

@@ -25,7 +25,7 @@ enumeration position, and every member gets that solution and distance.
 All samples' class leaders go to the solver in one batch, sample-major,
 and their exponentials are taken in one ``expm`` call.  Each sample's
 winner is its first certified class by distance, then leader position;
-the overall winner is the least (distance, sample), and its
+the overall winner is the least (``ranked`` distance, sample), and its
 ``basis_sample_id`` is its position in the stack.
 
 Every search (``nonmarkov`` and ``multisnap`` too) accepts by one rule:
@@ -64,6 +64,7 @@ __all__ = [
     "FitResult",
     "enumerate_branches",
     "checked_log",
+    "checked_logs",
     "branch_targets",
     "herm_classes",
     "search_setup",
@@ -122,7 +123,7 @@ class FitResult:
     lindbladian: np.ndarray
     distance: float
     branch: tuple[int, ...]
-    basis_sample_id: Optional[int] = None  # stack position; None for a series fit
+    basis_sample_id: Optional[int] = None  # stack position; the CLI names its candidate
 
 
 def _shell(dim: int, m_max: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -162,17 +163,36 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
     return chained
 
 
+def checked_logs(stack: np.ndarray) -> list:
+    """`checked_log` of each matrix of a (K, n, n) stack, with one ``expm``
+    call for all round trips: (spectral data, principal log) per matrix,
+    or the ``NumericalFailure`` that rejects it."""
+    audited = []
+    for r in stack:
+        try:
+            spectral = eig_full(r)
+            audited.append((spectral, matrix_log_principal(spectral)))
+        except NumericalFailure as exc:
+            audited.append(exc)
+    ok = [k for k, a in enumerate(audited) if not isinstance(a, NumericalFailure)]
+    if ok:
+        exps = expm(np.stack([audited[k][1] for k in ok]))
+        for k, e in zip(ok, exps):
+            round_trip = frobenius(stack[k] - e) / max(1.0, frobenius(stack[k]))
+            if round_trip > ROUND_TRIP_TOL:
+                audited[k] = NumericalFailure(
+                    f"exp(log R) misses R by {round_trip:.3e}; "
+                    "spectrum too ill-conditioned for a branch search"
+                )
+    return audited
+
+
 def checked_log(r: np.ndarray) -> tuple[SpectralData, np.ndarray]:
     """Eigendecompose R, take the principal log, and audit the round trip."""
-    spectral = eig_full(r)
-    l0 = matrix_log_principal(spectral)
-    round_trip = frobenius(r - expm(l0)) / max(1.0, frobenius(r))
-    if round_trip > ROUND_TRIP_TOL:
-        raise NumericalFailure(
-            f"exp(log R) misses R by {round_trip:.3e}; "
-            "spectrum too ill-conditioned for a branch search"
-        )
-    return spectral, l0
+    (audited,) = checked_logs(np.asarray(r, dtype=complex)[None])
+    if isinstance(audited, NumericalFailure):
+        raise audited
+    return audited
 
 
 def branch_targets(
@@ -211,9 +231,10 @@ def search_setup(m_snapshot, r, epsilon: float, policy: BranchPolicy) -> tuple:
     branch vectors, [(k, ||log R_k||, branch targets of R_k)]).
 
     ``r`` is one matrix or a (K, n, n) stack of repaired samples.  A sample
-    whose logarithm fails its audit (``checked_log``) is left out, since one
-    ill-conditioned random basis must not abort the search; when every
-    sample fails, ``NumericalFailure`` is raised.
+    whose logarithm fails its audit (``checked_logs``, one ``expm`` for the
+    whole stack) is left out, since one ill-conditioned random basis must
+    not abort the search; when every sample fails, ``NumericalFailure`` is
+    raised.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
@@ -226,16 +247,12 @@ def search_setup(m_snapshot, r, epsilon: float, policy: BranchPolicy) -> tuple:
             f"snapshot and repaired matrix disagree: {m.shape} vs {stack.shape[1:]}"
         )
     d = side_dim(m.shape[0])
-    audited, failure = [], None
-    for k, repaired in enumerate(stack):
-        try:
-            audited.append((k, *checked_log(repaired)))
-        except NumericalFailure as exc:
-            failure = exc
+    logs = checked_logs(stack)
+    audited = [(k, *a) for k, a in enumerate(logs) if not isinstance(a, NumericalFailure)]
     if not audited:
         raise NumericalFailure(
-            f"all {len(stack)} samples failed the logarithm audit; last: {failure}"
-        ) from failure
+            f"all {len(stack)} samples failed the logarithm audit; last: {logs[-1]}"
+        ) from logs[-1]
     branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
     return m, d, branches, [
         (k, frobenius(l0), branch_targets(l0, spectral, branches))
@@ -281,12 +298,12 @@ def best_fit_lindbladian(
     closest to M.
 
     ``r`` is one matrix or a (K, n, n) stack of repaired samples.  Returns
-    the winner, the least (distance, sample) of the samples' winners whose
-    exponential lands strictly within ``epsilon`` of the raw snapshot (None
-    when no branch of any sample does), and the number of (P1) solves the
-    solver reported as MaxIters.  When ``sample_fits`` is given, it receives
-    each audited sample's own winner (or None), keyed by stack position;
-    samples that failed the logarithm audit are absent.
+    the winner, the least (``ranked`` distance, sample) of the samples'
+    winners whose exponential lands strictly within ``epsilon`` of the raw
+    snapshot (None when no branch of any sample does), and the number of
+    (P1) solves the solver reported as MaxIters.  When ``sample_fits`` is
+    given, it receives each audited sample's own winner (or None), keyed by
+    stack position; samples that failed the logarithm audit are absent.
     """
     m, d, branches, searches = search_setup(m_snapshot, r, epsilon, policy)
     leaders = [np.unique(herm_classes(targets)) for _, _, targets in searches]
@@ -312,9 +329,9 @@ def best_fit_lindbladian(
         )
     if sample_fits is not None:
         sample_fits.update(fits)
-    best = min(
-        (fit for fit in fits.values() if fit is not None),
-        key=lambda fit: (fit.distance, fit.basis_sample_id),
-        default=None,
-    )
-    return best, maxiters
+    # fits follow stack order, so argmin's first minimum is the lower sample
+    winners = [fit for fit in fits.values() if fit is not None]
+    if not winners:
+        return None, maxiters
+    best = np.argmin(ranked(np.array([fit.distance for fit in winners])))
+    return winners[int(best)], maxiters

@@ -126,7 +126,7 @@ class MuResult:
     delta_used: float
     branch: tuple[int, ...]
     distance: float
-    basis_sample: int
+    basis_sample: Optional[int]  # stack position; the CLI names its candidate
 
 
 @dataclass

@@ -22,13 +22,15 @@ snapshot famously "fits" the identity).  The repair implemented here:
    (`repaired_samples`, the lazy generator the fit stage consumes).
 
 Inputs whose spectrum is outright degenerate are first nudged onto a
-nearby matrix with simple spectrum by `perturb_to_nd2`.
+nearby matrix with simple spectrum by `perturb_to_nd2`.  A snapshot with
+one lone real negative eigenvalue also gets a mirror, with that eigenvalue
+replaced by its modulus (`mirrored_negative`), as a candidate of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +51,8 @@ __all__ = [
     "real_positive_basis",
     "random_hp_basis",
     "perturb_to_nd2",
+    "Repair",
+    "mirrored_negative",
     "repaired_samples",
     "DEFAULT_PRECISION",
     "IDENTITY",
@@ -536,10 +540,40 @@ def perturb_to_nd2(m: np.ndarray, budget: float) -> np.ndarray:
 # Orchestration
 # ----------------------------------------------------------------------
 
+class Repair(NamedTuple):
+    """What the repair pipeline hands the fit stage (`repaired_samples`)."""
+
+    kind: str
+    snapshot: np.ndarray  # the input, nudged onto a simple spectrum
+    mirrored: Optional[np.ndarray]  # see `mirrored_negative`
+    samples: Iterator[tuple[int, np.ndarray]]
+
+
+def mirrored_negative(s: SpectralData, p: float) -> Optional[np.ndarray]:
+    """S diag(lambda') S^-1, where lambda' is the spectrum with its one real
+    negative eigenvalue replaced by |lambda|; None unless exactly one
+    eigenvalue is real (imaginary part below ``p``, as in `detect_clusters`)
+    and negative.
+
+    A lone negative real has no real logarithm, so no branch of the
+    snapshot's own logarithm is hermiticity-preserving; the mirror has
+    one.  In a hermiticity-preserving snapshot the partner of a complex
+    eigenvalue is its conjugate, with the same real part, so a lone
+    negative within ``p`` of the real axis is real.
+    """
+    lam = s.eigenvalues.copy()
+    lone = np.flatnonzero((np.abs(lam.imag) < p) & (lam.real < 0))
+    if lone.size != 1:
+        return None
+    lam[lone] = np.abs(lam[lone])
+    return (s.right_vectors * lam) @ s.left_vectors
+
+
 def repaired_samples(
     m: np.ndarray, p: float, epsilon: float, cfg: RandomBasisConfig
-) -> tuple[str, Iterator[tuple[int, np.ndarray]]]:
-    """The repair pipeline: its kind and a lazy stream of (sample id, matrix).
+) -> Repair:
+    """The repair pipeline: its kind, the nudged snapshot, its mirror and a
+    lazy stream of (sample id, matrix).
 
     Nudges a degenerate input onto a simple spectrum (`perturb_to_nd2`),
     detects clusters at precision ``p`` and builds the draw plan
@@ -547,17 +581,20 @@ def repaired_samples(
 
     * IDENTITY: the whole spectrum is one positive cluster and the input
       lies within ``epsilon`` of the identity, so the data is consistent
-      with the identity map; the stream is empty.  A single positive
-      cluster away from the identity is repaired like any other.
+      with the identity map; the stream is empty and there is no mirror.
+      A single positive cluster away from the identity is repaired like
+      any other.
     * PASSTHROUGH: no clusters, or some cluster admits no usable
       structured basis; the stream holds the (nudged) input as sample 0.
     * SAMPLES: the stream yields ``cfg.samples`` repaired matrices
       R = S diag(lambda) S^-1, each with the snapshot's spectrum, drawn
-      only as it is read, so a caller that already holds this kind's
-      samples (the ``sweep-epsilon`` memo) draws none.
+      only as it is read, so a caller that decides without them, or
+      already holds this kind's samples (the ``sweep-epsilon`` memo),
+      draws none.
       Sample k draws from the stream keyed by (cfg.seed, k), so it does
       not depend on how many samples are taken.
 
+    ``mirrored`` is `mirrored_negative` of the nudged snapshot.
     ``epsilon`` scales the tolerance under which nearly compliant basis
     vectors are accepted; on shot-noise data the kernels are never exact,
     so this approximate mode is the one that actually fires.
@@ -566,17 +603,18 @@ def repaired_samples(
     m = perturb_to_nd2(np.asarray(m, dtype=complex), _ND2_BUDGET)
     s = eig_full(m)
     partition = detect_clusters(s, p)
+    mirrored = mirrored_negative(s, p)
     if not partition.has_clusters:
-        return PASSTHROUGH, iter([(0, m)])
+        return Repair(PASSTHROUGH, m, mirrored, iter([(0, m)]))
     if partition.consistent_with_identity and frobenius(m - np.eye(len(m))) < epsilon:
-        return IDENTITY, iter(())
+        return Repair(IDENTITY, m, None, iter(()))
     plan = build_cluster_bases(s, partition, p, max(1e-8, float(epsilon)))
     if plan is None:
-        return PASSTHROUGH, iter([(0, m)])
+        return Repair(PASSTHROUGH, m, mirrored, iter([(0, m)]))
 
     def generate() -> Iterator[tuple[int, np.ndarray]]:
         for k in range(cfg.samples):
             basis = random_hp_basis(s, plan, cfg, k)
             yield k, (basis * s.eigenvalues) @ np.linalg.inv(basis)
 
-    return SAMPLES, generate()
+    return Repair(SAMPLES, m, mirrored, generate())

@@ -16,6 +16,7 @@ from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
     is_lindbladian,
+    random_lindblad_generator,
     simulate_process_tomography,
 )
 from lindbladfit.linalg import frobenius, max_entangled
@@ -327,7 +328,9 @@ def test_markovian_report(tmp_path, snap):
     assert frobenius(mat - expm(gen)) == pytest.approx(res["distance"], rel=1e-9)
     assert res["distance"] < doc["settings"]["epsilon"] == EPSILON
     assert is_lindbladian(gen, tol=res["lindblad_check_tolerance"]).ok
-    assert res["basis_sample"] in range(4) and len(res["branch"]) == 4
+    # the nudged snapshot's own fit lands at round-off: no sample is drawn
+    assert (res["candidate"], res["basis_sample"]) == ("raw", None)
+    assert res["distance"] < fitting.TIE_TOL and len(res["branch"]) == 4
     assert doc["p1_maxiters"] == 0
     assert "p2_maxiters" not in doc  # the mu fallback never ran
 
@@ -347,8 +350,17 @@ def test_nonmarkovian_report(tmp_path, snap):
     assert (doc["p1_maxiters"], doc["p2_maxiters"]) == (0, 0)
 
 
-def test_no_result_report(tmp_path, snap):
-    code, doc = fit(tmp_path, snap["depol"], 0.001)
+def half_identity(tmp_path):
+    """Matrix file of 0.5 I at d=2: one tight positive cluster away from the
+    identity, so it is repaired, and no candidate, raw included, fits or
+    reaches a noise rate."""
+    path = tmp_path / "half.json"
+    cli.write_matrix_file(str(path), 0.5 * np.eye(4))
+    return str(path)
+
+
+def test_no_result_report(tmp_path):
+    code, doc = fit(tmp_path, half_identity(tmp_path))
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_NO_RESULT, "NoResult", "samples")
     assert "result" not in doc
     assert doc["p2_maxiters"] == 0
@@ -431,15 +443,83 @@ def test_identity_report(tmp_path, snap):
     assert doc["trace"] == {"samples": []}
 
 
+# The X gate's raw fit lies 1.74 away and its samples' 1.27 to 1.69: at this
+# radius one sample's fit is Markovian.
+WIDE = 2.0
+
+
 def test_trace_lists_every_sample(tmp_path, snap):
-    """One [sample id, best distance over its branches] entry per sample,
-    and the report's winner is the least of them."""
-    _, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4", "--trace")
+    """One [candidate, best distance over its branches] entry per candidate,
+    raw first, and the report's winner is the least of them."""
+    _, doc = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4", "--trace")
     samples = doc["trace"]["samples"]
-    assert [k for k, _ in samples] == [0, 1, 2, 3]
-    k, distance = min(samples, key=lambda entry: (entry[1], entry[0]))
-    assert (k, distance) == (doc["result"]["basis_sample"], doc["result"]["distance"])
+    assert [k for k, _ in samples] == ["raw", 0, 1, 2, 3]
+    k, distance = min(samples, key=lambda entry: entry[1])
+    res = doc["result"]
+    assert (k, distance) == (res["basis_sample"], res["distance"])
+    assert (doc["verdict"], res["candidate"]) == ("Markovian", "sample")
     assert "samples_skipped" not in doc
+
+
+def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
+    """A depolarizing snapshot's own fit lands at round-off: no sample can
+    beat it under the tie rule, so none is drawn and the trace lists raw
+    alone."""
+    drawn = []
+    draw = preprocess.random_hp_basis
+
+    def counting(*args):
+        drawn.append(args[-1])
+        return draw(*args)
+
+    monkeypatch.setattr(preprocess, "random_hp_basis", counting)
+    code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4", "--trace")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "samples")
+    assert drawn == []
+    [(k, distance)] = doc["trace"]["samples"]
+    assert (k, distance) == ("raw", doc["result"]["distance"]) and distance < fitting.TIE_TOL
+
+
+def test_lone_negative_eigenvalue_is_mirrored_to_a_noise_rate(tmp_path):
+    """Benchmark unital at tomography seed 2 has one real negative
+    eigenvalue, which no logarithm of the snapshot can take: every (P2)
+    pair failed the screen and the verdict was NoResult.  The mirrored
+    candidate gives a certified noise rate, measured against the raw
+    snapshot."""
+    spec, shots = CHANNELS["unital"]
+    mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=2)).mat
+    path = str(tmp_path / "unital-seed2.json")
+    cli.write_matrix_file(path, mat)
+    code, doc = fit(tmp_path, path, EPSILON, "--trace")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "NonMarkovian", "passthrough")
+    res = doc["result"]
+    assert (res["candidate"], res["basis_sample"]) == ("mirrored", None)
+    assert res["mu_min"] == pytest.approx(2.371331, abs=1e-6)
+    gen = matrix(res["generator"])
+    assert frobenius(mat - expm(gen)) == pytest.approx(res["distance"], rel=1e-9)
+    assert res["distance"] < EPSILON
+    perp = max_entangled(2).omega_perp
+    assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
+    assert [k for k, _ in doc["trace"]["samples"]] == [0, "mirrored"]
+
+
+def test_noiseless_markovian_channels_are_markovian(tmp_path):
+    """exp(L) of random Lindbladians: 30 at d=2, and a d=3 one whose
+    clustered spectrum takes the samples pipeline at the default flags.
+    Before the raw candidate, 2 of the 30 answered NonMarkovian and 2, and
+    the qutrit, NoResult."""
+    path = str(tmp_path / "exact.json")
+    runs = [(2, 0.3, seed, ("--samples", "8")) for seed in range(1000, 1030)]
+    runs.append((3, 0.15, 1003, ()))
+    missed = []
+    for d, scale, seed, flags in runs:
+        gen = random_lindblad_generator(d, np.random.default_rng(seed), scale=scale)
+        cli.write_matrix_file(path, expm(gen))
+        _, doc = fit(tmp_path, path, EPSILON, *flags)
+        if doc["verdict"] != "Markovian":
+            missed.append((d, seed, doc["verdict"]))
+    assert missed == []
+    assert (doc["pipeline"], doc["result"]["candidate"]) == ("samples", "raw")
 
 
 def _ill_conditioned():
@@ -452,54 +532,75 @@ def _ill_conditioned():
 
 
 def fail_audit(monkeypatch, bad):
-    """Swap the repaired samples at the positions in ``bad`` for a matrix
-    that fails the logarithm audit; returns the list that records the
-    original samples of the latest repair."""
+    """Swap the candidates in ``bad`` (sample ids, and "raw" for the nudged
+    snapshot) for a matrix that fails the logarithm audit; returns the list
+    that records the original samples of the latest repair."""
     repair = preprocess.repaired_samples
     drawn = []
 
     def swapped(*args):
-        kind, stream = repair(*args)
+        found = repair(*args)
         drawn.clear()
 
         def samples():
-            for k, r in stream:
+            for k, r in found.samples:
                 drawn.append(r)
                 yield k, _ill_conditioned() if k in bad else r
 
-        return kind, samples()
+        snapshot = _ill_conditioned() if "raw" in bad else found.snapshot
+        return found._replace(snapshot=snapshot, samples=samples())
 
     monkeypatch.setattr(preprocess, "repaired_samples", swapped)
     return drawn
 
 
 def test_a_sample_that_fails_the_log_audit_is_skipped(tmp_path, snap, monkeypatch):
-    """Sample 3, the winner of the clean run, fails the audit; the other
-    three decide."""
+    """Sample 0, the winner of the clean run, fails the audit; raw and the
+    other three decide."""
     flags = ("--samples", "4", "--trace")
-    _, clean = fit(tmp_path, snap["depol"], EPSILON, *flags)
-    assert clean["result"]["basis_sample"] == 3
-    drawn = fail_audit(monkeypatch, {3})
-    code, doc = fit(tmp_path, snap["depol"], EPSILON, *flags)
+    _, clean = fit(tmp_path, snap["xgate"], WIDE, *flags)
+    assert clean["result"]["basis_sample"] == 0
+    drawn = fail_audit(monkeypatch, {0})
+    code, doc = fit(tmp_path, snap["xgate"], WIDE, *flags)
     assert (code, doc["verdict"], doc["samples_skipped"]) == (cli.EXIT_OK, "Markovian", 1)
     samples = doc["trace"]["samples"]
-    assert samples[3] == [3, None]
-    assert samples[:3] == clean["trace"]["samples"][:3]
-    # the verdict is the one the three good samples give alone
-    good = [0, 1, 2]
+    assert samples.pop(1) == [0, None]
+    assert samples == [entry for entry in clean["trace"]["samples"] if entry[0] != 0]
+    # the verdict is the one raw and the three good samples give alone
+    mat = cli.read_matrix_file(snap["xgate"])
+    good = ["raw", 1, 2, 3]
     want, _ = fitting.best_fit_lindbladian(
-        cli.read_matrix_file(snap["depol"]), np.stack([drawn[k] for k in good]), math.inf
+        mat, np.stack([mat] + [drawn[k] for k in good[1:]]), math.inf
     )
     res = doc["result"]
-    assert res["basis_sample"] == good[want.basis_sample_id]
+    assert (res["candidate"], res["basis_sample"]) == ("sample", good[want.basis_sample_id])
     assert (res["distance"], res["branch"]) == (want.distance, list(want.branch))
 
 
 def test_all_samples_failing_the_log_audit_exits_4(tmp_path, snap, monkeypatch):
+    """With every sample failing the audit raw decides alone; when raw fails
+    too, no candidate is left."""
     fail_audit(monkeypatch, {0, 1, 2, 3})
-    assert fit(tmp_path, snap["depol"], EPSILON, "--samples", "4") == (
+    code, doc = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4")
+    assert (code, doc["result"]["candidate"], doc["samples_skipped"]) == (cli.EXIT_OK, "raw", 4)
+    fail_audit(monkeypatch, {"raw", 0, 1, 2, 3})
+    assert fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4") == (
         cli.EXIT_NUMERICAL_FAILURE, None
     )
+
+
+def test_a_raw_snapshot_that_fails_the_log_audit_is_not_a_skipped_sample(
+    tmp_path, snap, monkeypatch
+):
+    """samples_skipped counts repaired samples only; raw's failure shows in
+    the trace."""
+    fail_audit(monkeypatch, {"raw"})
+    code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4", "--trace")
+    assert (code, doc["verdict"], doc["result"]["basis_sample"]) == (
+        cli.EXIT_OK, "NonMarkovian", 0
+    )
+    assert doc["trace"]["samples"][0] == ["raw", None]
+    assert "samples_skipped" not in doc
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +650,7 @@ def test_sweep_identity_rows_at_nonpositive_epsilon_are_absent(tmp_path, snap):
     assert cells[3][:3] == ["0.05", "0", "0"]
 
 
-def test_samples_are_drawn_once(tmp_path, snap, monkeypatch):
+def test_samples_are_drawn_once(tmp_path, monkeypatch):
     """The mu fallback reuses the fit's samples, and a sweep draws them once."""
     drawn = []
     draw = preprocess.random_hp_basis
@@ -559,8 +660,25 @@ def test_samples_are_drawn_once(tmp_path, snap, monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(preprocess, "random_hp_basis", counting)
-    code, doc = fit(tmp_path, snap["depol"], 0.001, "--samples", "2")
+    code, doc = fit(tmp_path, half_identity(tmp_path), EPSILON, "--samples", "2")
     assert (code, doc["pipeline"], drawn) == (cli.EXIT_NO_RESULT, "samples", [0, 1])
     drawn.clear()
-    lines = sweep(tmp_path, snap["depol"], 0.005, 0.03, 0.01, "--samples", "2")
+    lines = sweep(tmp_path, half_identity(tmp_path), 0.005, 0.03, 0.01, "--samples", "2")
     assert (len(lines), drawn) == (4, [0, 1])
+
+
+@pytest.mark.parametrize("name, calls", [("xgate", 2), ("depol", 1)])
+def test_a_sweep_searches_each_candidate_once(tmp_path, snap, monkeypatch, name, calls):
+    """Three rows, one P1 search of raw, and one of the samples unless raw
+    decides alone."""
+    search = fitting.best_fit_lindbladian
+    stacks = []
+
+    def counting(mat, stack, *args, **kwargs):
+        stacks.append(len(stack))
+        return search(mat, stack, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "best_fit_lindbladian", counting)
+    lines = sweep(tmp_path, snap[name], 0.005, 0.03, 0.01, "--samples", "2")
+    assert len(lines) == 4
+    assert stacks == [1, 2][:calls]

@@ -19,7 +19,7 @@ from lindbladfit.channels import (
     unitary_transfer,
     x_gate,
 )
-from lindbladfit.errors import DegenerateSpectrum, OutOfRange
+from lindbladfit.errors import DegenerateSpectrum, NumericalFailure, OutOfRange
 from lindbladfit.fitting import (
     BranchPolicy,
     best_fit_lindbladian,
@@ -213,7 +213,7 @@ def _repaired(spec, shots, samples):
     """Snapshot (tomography seed 1) and the repaired matrices ``fit`` searches."""
     mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
     cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
-    _, stream = preprocess.repaired_samples(mat, preprocess.DEFAULT_PRECISION, 0.05, cfg)
+    stream = preprocess.repaired_samples(mat, preprocess.DEFAULT_PRECISION, 0.05, cfg).samples
     return mat, [r for _, r in stream]
 
 
@@ -324,6 +324,34 @@ def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
     chunked, _ = best_fit_lindbladian(mat, np.stack(samples), np.inf, policy)
     assert (chunked.basis_sample_id, chunked.branch) == (want, res.branch)
     assert chunked.distance == pytest.approx(res.distance, abs=1e-12)
+
+
+def test_the_log_audits_of_a_stack_share_one_expm(depol_stack, monkeypatch):
+    """search_setup audits every sample with one expm call; each audit is
+    the one checked_log gives alone, and a failing sample is rejected."""
+    mat, samples = depol_stack
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((4, 4)) + 0j
+    v[:, 1] = v[:, 0] + 1e-6 * rng.standard_normal(4)  # nearly parallel eigenvectors
+    bad = (v * np.array([1.0, 0.5, 0.7, 0.9])) @ np.linalg.inv(v)
+    stack = np.stack([samples[0], bad, samples[1]])
+    exponential = fitting.expm
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return exponential(a)
+
+    monkeypatch.setattr(fitting, "expm", counting)
+    logs = fitting.checked_logs(stack)
+    assert calls == [(3, 4, 4)]
+    searches = fitting.search_setup(mat, stack, 0.05, BranchPolicy(1))[3]
+    assert len(calls) == 2 and [k for k, _, _ in searches] == [0, 2]
+    assert isinstance(logs[1], NumericalFailure) and "misses R" in str(logs[1])
+    for k in (0, 2):
+        spectral, l0 = checked_log(stack[k])
+        assert np.array_equal(logs[k][1], l0)
+        assert np.array_equal(logs[k][0].eigenvalues, spectral.eigenvalues)
 
 
 def test_one_solver_call_holds_every_sample(monkeypatch):

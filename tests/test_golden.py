@@ -3,8 +3,8 @@
 The inputs are the 20 of ``perfbench/panel.py`` (14 ``qubit-fit``, 2
 ``ququart-branch``, 4 ``series-multifit``), built from that module so
 specs, shots, flags and tomography seeds stay the benchmark's own.  Each
-report is pinned: verdict, exit code, pipeline, branch and basis sample
-exactly, delta, mu and distance within 1e-9, and its certificate
+report is pinned: verdict, exit code, pipeline, winning candidate, branch
+and basis sample exactly, delta, mu and distance within 1e-9, and its certificate
 (recomputed distance, Lindblad check, exit code) must hold.
 
 The ground-truth rows ask whether the verdict agrees with the input's
@@ -37,49 +37,51 @@ def _load_panel():
 
 panel = _load_panel()
 
-# name: (verdict, exit code, pipeline, branch, basis sample, delta, mu, distance)
+# name: (verdict, exit code, pipeline, candidate, branch, basis sample, delta,
+#        mu, distance)
 GOLDEN = {
-    "xgate@1e+04": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 0,
+    "xgate@1e+04": ("NonMarkovian", 0, "samples", "sample", [0, 0, 0, 0], 0,
                     0.04742927456779011, 4.9116739172593675, 0.03988401416723959),
-    "depol-0.1@1e+04": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
-                        None, None, 0.04981834185333277),
-    "depol-0.2@1e+04": ("Markovian", 0, "samples", [0, 0, 0, 0], 1,
-                        None, None, 0.044329548046338464),
-    "unital-bench@1e+04": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
+    "depol-0.1@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                        None, None, 1.1424824313914204e-15),
+    "depol-0.2@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                        None, None, 6.48736591897582e-16),
+    "unital-bench@1e+04": ("NonMarkovian", 0, "passthrough", None, [0, 0, 0, 0], 0,
                            0.07790307842411665, 4.569176793368797, 0.031280200145080705),
-    "unital-weak-t1@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
-    "unital-weak-t2@1e+04": ("NoResult", 2, "samples", None, None, None, None, None),
-    "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None),
-    "xgate@1e+05": ("NonMarkovian", 0, "samples", [0, 0, 0, 0], 2,
+    "unital-weak-t1@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                             None, None, 5.568973853619114e-16),
+    "unital-weak-t2@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                             None, None, 4.861462800857275e-16),
+    "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None, None),
+    "xgate@1e+05": ("NonMarkovian", 0, "samples", "sample", [0, 0, 0, 0], 2,
                     0.06954367685598314, 2.5638760292318374, 0.04508851283691049),
-    "depol-0.1@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
-                        None, None, 0.011092271623487642),
-    "depol-0.2@1e+05": ("Markovian", 0, "samples", [0, 0, 0, 0], 3,
-                        None, None, 0.012797672697245407),
-    "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", [0, 0, 0, 0], 0,
+    "depol-0.1@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                        None, None, 1.5692660731617238e-15),
+    "depol-0.2@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                        None, None, 1.6327771283188252e-15),
+    "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", None, [0, 0, 0, 0], 0,
                            0.06667759669106713, 5.746707391960351, 0.02680759056218518),
-    "unital-weak-t1@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
-    "unital-weak-t2@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
-    "identity@1e+05": ("Identity", 0, "identity", None, None, None, None, None),
-    "iswap@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
-    "depol-cz@1e+05": ("NoResult", 2, "samples", None, None, None, None, None),
-    "unital-weak-series-s1": ("Markovian", 0, None, [0] * 8, None,
+    "unital-weak-t1@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                             None, None, 9.098133367390006e-16),
+    "unital-weak-t2@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
+                             None, None, 6.19987751763208e-16),
+    "identity@1e+05": ("Identity", 0, "identity", None, None, None, None, None, None),
+    "iswap@1e+05": ("NoResult", 2, "samples", None, None, None, None, None, None),
+    "depol-cz@1e+05": ("Markovian", 0, "samples", "raw", [0] * 16, None,
+                       None, None, 0.03998814810013773),
+    "unital-weak-series-s1": ("Markovian", 0, None, None, [0] * 8, None,
                               None, None, 0.0021156120097405597),
-    "unital-weak-series-s2": ("Markovian", 0, None, [0] * 8, None,
+    "unital-weak-series-s2": ("Markovian", 0, None, None, [0] * 8, None,
                               None, None, 0.002610434026653802),
-    "unital-weak-series-s3": ("Markovian", 0, None, [0] * 8, None,
+    "unital-weak-series-s3": ("Markovian", 0, None, None, [0] * 8, None,
                               None, None, 0.002352034438160954),
-    "unital-bench-series": ("NoResult", 2, None, None, None, None, None, None),
+    "unital-bench-series": ("NoResult", 2, None, None, None, None, None, None, None),
 }
 
 # Inputs whose verdict contradicts their label today, with the defect.
 DEFECTS = {
     "xgate@1e+04": "X gate never fits: NonMarkovian with mu > 0 for a unitary",
     "xgate@1e+05": "X gate never fits: NonMarkovian with mu > 0 for a unitary",
-    "unital-weak-t1@1e+04": "weak unital NoResult: the raw snapshot is never tried",
-    "unital-weak-t2@1e+04": "weak unital NoResult: the raw snapshot is never tried",
-    "unital-weak-t1@1e+05": "weak unital NoResult: the raw snapshot is never tried",
-    "unital-weak-t2@1e+05": "weak unital NoResult: the raw snapshot is never tried",
     "iswap@1e+05": "ISWAP NoResult: its clustered d=4 snapshot has no fitting sample",
 }
 
@@ -106,10 +108,12 @@ def test_golden_covers_the_panel(reports):
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_report(reports, name):
     inp, code, doc = reports[name]
-    verdict, exit_code, pipeline, branch, sample, delta, mu, distance = GOLDEN[name]
+    verdict, exit_code, pipeline, candidate, branch, sample, delta, mu, distance = GOLDEN[name]
     res = doc.get("result", {})
     assert (doc["verdict"], code, doc.get("pipeline")) == (verdict, exit_code, pipeline)
-    assert (res.get("branch"), res.get("basis_sample")) == (branch, sample)
+    assert (res.get("candidate"), res.get("branch"), res.get("basis_sample")) == (
+        candidate, branch, sample
+    )
     for key, want in (("delta", delta), ("mu_min", mu), ("distance", distance)):
         if want is None:
             assert res.get(key) is None, key

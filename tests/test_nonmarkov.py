@@ -195,7 +195,7 @@ def _snapshot_and_sample(spec, repaired):
     if not repaired:
         return m, m
     cfg = preprocess.RandomBasisConfig(samples=1, seed=0)
-    _, stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, EPSILON, cfg)
+    stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, EPSILON, cfg).samples
     return m, next(stream)[1]
 
 
@@ -267,7 +267,7 @@ def _stack(spec, shots, epsilon, samples=4):
     """Snapshot (tomography seed 1) and its repaired samples, as `fit` draws them."""
     m = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
     cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
-    _, stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, epsilon, cfg)
+    stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, epsilon, cfg).samples
     return m, list(stream)
 
 

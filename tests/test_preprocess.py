@@ -19,8 +19,8 @@ def snapshot(spec, shots, seed=1):
 
 def samples(mat, count, seed=0):
     cfg = preprocess.RandomBasisConfig(samples=count, seed=seed)
-    kind, stream = preprocess.repaired_samples(mat, P, EPSILON, cfg)
-    return kind, list(stream)
+    repair = preprocess.repaired_samples(mat, P, EPSILON, cfg)
+    return repair.kind, list(repair.samples)
 
 
 @pytest.mark.parametrize(
@@ -281,3 +281,46 @@ def test_all_zero_pool_raises_after_the_retries(repair, partner):
     cfg = preprocess.RandomBasisConfig(samples=1)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
         preprocess.random_hp_basis(s, plan, cfg, 0)
+
+
+# ----------------------------------------------------------------------
+# the mirrored lone negative eigenvalue
+# ----------------------------------------------------------------------
+
+BENCH_UNITAL = ChannelSpec("unital", {"gamma": [-200.0, 201.0, 200.5]})
+
+
+def test_a_lone_negative_eigenvalue_is_mirrored():
+    """Benchmark unital at tomography seed 2: the one real negative
+    eigenvalue becomes |lambda|, the other eigenpairs stay, and the mirror
+    stays hermiticity-preserving."""
+    mat = snapshot(BENCH_UNITAL, 10**4, seed=2)
+    s = eig_full(mat)
+    mirrored = preprocess.mirrored_negative(s, P)
+    j = int(np.argmin(s.eigenvalues.real))
+    assert s.eigenvalues[j].real < 0
+    want = s.eigenvalues.copy()
+    want[j] = abs(want[j])
+    mirror = eig_full(mirrored)
+    assert np.allclose(np.sort_complex(mirror.eigenvalues), np.sort_complex(want), atol=1e-12)
+    assert np.allclose(mirrored @ s.right_vectors, s.right_vectors * want, atol=1e-12)
+    choi = gamma_involution(mirrored)
+    assert np.allclose(choi, choi.conj().T, atol=1e-12)
+    repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
+    assert repair.kind == preprocess.PASSTHROUGH
+    assert np.array_equal(repair.mirrored, mirrored)
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(ChannelSpec("xgate"), 1), (ChannelSpec("xgate"), 2), (BENCH_UNITAL, 1),
+     (ChannelSpec("depolarizing", {"p": 0.2}), 1)],
+    ids=["conjugate pair", "two negative reals", "no negative", "depolarizing"],
+)
+def test_no_mirror_without_a_lone_negative_eigenvalue(spec, seed):
+    """The X gate's pair near -1 is complex at seed 1 and two reals at
+    seed 2; neither is mirrored."""
+    mat = snapshot(spec, 10**4, seed=seed)
+    assert preprocess.mirrored_negative(eig_full(mat), P) is None
+    repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
+    assert repair.mirrored is None
