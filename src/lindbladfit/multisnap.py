@@ -40,13 +40,13 @@ from . import solver
 # expm and is_lindbladian are not called here; the benchmark tracer
 # (perfbench/spans.py) still looks them up on this module.
 from .channels import is_lindbladian  # noqa: F401
-from .errors import DimensionMismatch, OutOfRange
+from .errors import DimensionMismatch, NumericalFailure, OutOfRange
 from .fitting import (
     BranchPolicy,
     FitResult,
     enumerate_branches,
     branch_targets,
-    checked_log,
+    checked_logs,
     exp_distances,
     first_certified,
     ranked,
@@ -126,7 +126,10 @@ def best_fit_multi(
             f"times must be finite, positive and strictly increasing, got {times.tolist()}"
         )
 
-    logs = [checked_log(m) for m in mats]
+    logs = checked_logs(np.array(mats))
+    for audited in logs:
+        if isinstance(audited, NumericalFailure):
+            raise audited
     delta = DeltaSweep.from_epsilon(
         epsilon, frobenius(logs[DELTA_GRID_SNAPSHOT][1]), delta_step
     ).grid()[-1]

@@ -35,9 +35,13 @@ the only one:
     in Π's set, and the distance from herm T to those X is
     g(μ) = ‖Z − Π(Z)‖, Z = herm T + μC.  g is convex and nonincreasing,
     so the least μ is 0 when g(0) ≤ δ′ = √(δ² − ‖skew T‖²) and otherwise
-    the root of g = δ′.  Newton's method on ½g² − ½δ′² climbs to it from
-    μ = 0 without overshooting; its derivative ⟨Z − Π(Z), C⟩ comes from
-    the same projection.  The answer is X = Π(Z) − μC.
+    the root of g = δ′.  Newton's method on g − δ′ climbs to it from
+    μ = 0: g's tangent lies below it, so no step passes the root, and a
+    step on a stretch where g is affine lands on it.  Its derivative
+    g′ = ⟨Z − Π(Z), C⟩/g comes from the same projection.  At μ = 0 the
+    projection depends on the target alone, so a batch projects each
+    distinct target once there, however many δ share it.  The answer is
+    X = Π(Z) − μC.
   * The joint fit is iteratively reweighted (P1), majorize–minimize on
     the sum of norms (Beck and Sabach, J. Optim. Theory Appl. 164 (2015)):
     X⁺ = Π(Σ_c w_c t_c herm T_c / Σ_c w_c t_c²) with
@@ -471,14 +475,20 @@ def _min_mu_root(t_h, radius, cap, scale, geo):
     """The least μ ≥ 0 with g(μ) = ‖Z − Π(Z)‖ ≤ radius, Z = t_h + μC, per
     problem, in lockstep: (X, μ, Newton steps, converged).
 
-    Newton's method on ½g² − ½radius² from μ = 0, with derivative
-    ⟨Z − Π(Z), C⟩.  g is convex and nonincreasing, so the steps climb to
-    the root from below; they are capped at ``cap``, from where on g rests
-    at its floor, the distance to the trace-zero slice (within the radius
-    for every pair ``min_mu_infeasible`` keeps).  A problem retires once
-    g − radius ≤ ``TOL``·scale or μ reaches the cap, with X = Π(Z) − μC.
-    It does not converge when it is still running after ``ITER_LIMIT``
-    steps or when one of its projections ends MaxIters.
+    Newton's method on g − radius from μ = 0: the step is
+    (g − radius)·g / −⟨Z − Π(Z), C⟩, since g′ = ⟨Z − Π(Z), C⟩/g.  g is
+    convex and nonincreasing, so its tangent lies below it and each step
+    ends at or below the root; on a stretch where g is affine one step
+    reaches it.  (Newton on ½g² − ½radius² also climbs from below, but
+    while g ≫ radius its step only halves g, as the Babylonian square
+    root does, costing about log₂(g(0)/radius) steps before it converges
+    fast.)  Step 0 projects each distinct target once: at μ = 0, Z is
+    the target itself.  The steps are capped at ``cap``, from where on g
+    rests at its floor, the distance to the trace-zero slice (within the
+    radius for every pair ``min_mu_infeasible`` keeps).  A problem
+    retires once g − radius ≤ ``TOL``·scale or μ reaches the cap, with
+    X = Π(Z) − μC.  It does not converge when it is still running after
+    ``ITER_LIMIT`` steps or when one of its projections ends MaxIters.
     """
     c = geo.cone_lift
     x = np.empty_like(t_h)
@@ -491,7 +501,12 @@ def _min_mu_root(t_h, radius, cap, scale, geo):
         if not rows.size:
             break
         z = t_h[rows] + mu[:, None, None] * c
-        p, _, ok = _in_pieces(z, scale[rows], geo)
+        if it == 0:  # every problem sits at μ = 0: project each distinct target once
+            _, first, inverse = np.unique(z, axis=0, return_index=True, return_inverse=True)
+            p, _, ok = _in_pieces(z[first], scale[first], geo)
+            p, ok = p[inverse.reshape(-1)], ok[inverse.reshape(-1)]
+        else:
+            p, _, ok = _in_pieces(z, scale[rows], geo)
         converged[rows] &= ok
         r = z - p
         g = _fro(r)
@@ -501,11 +516,12 @@ def _min_mu_root(t_h, radius, cap, scale, geo):
         x[out] = p[leave] - mu[leave, None, None] * c
         mu_out[out], steps[out] = mu[leave], it
         converged[out] &= done[leave]
-        # C is real symmetric and R = Z − Π(Z) hermitian: ⟨R, C⟩ = Σ Re R·C
+        # C is real symmetric and R = Z − Π(Z) hermitian: g′ = ⟨R, C⟩/g with
+        # ⟨R, C⟩ = Σ Re R·C
         slope = np.sum(r.real * c.real, axis=(-2, -1))
         descent = slope < 0
         newton = np.where(
-            descent, 0.5 * (g**2 - radius[rows] ** 2) / np.where(descent, -slope, 1.0), np.inf
+            descent, (g - radius[rows]) * g / np.where(descent, -slope, 1.0), np.inf
         )
         mu = np.minimum(mu + newton, cap[rows])[~leave]
         rows = rows[~leave]

@@ -54,7 +54,7 @@ GOLDEN = {
                              None, None, 4.861462800857275e-16),
     "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None, None),
     "xgate@1e+05": ("NonMarkovian", 0, "samples", "sample", [0, 0, 0, 0], 2,
-                    0.06954367685598314, 2.5638760292318374, 0.04508851283691049),
+                    0.06954367685598314, 2.5638760317120517, 0.04508851283691049),
     "depol-0.1@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                         None, None, 1.5692660731617238e-15),
     "depol-0.2@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,

@@ -19,7 +19,7 @@ from lindbladfit.channels import (
     random_lindblad_generator,
     simulate_process_tomography,
 )
-from lindbladfit.errors import DimensionMismatch, OutOfRange
+from lindbladfit.errors import DimensionMismatch, NumericalFailure, OutOfRange
 from lindbladfit.linalg import expm as batched_expm
 from lindbladfit.linalg import frobenius, gamma_involution
 from lindbladfit.multisnap import _joint_assignments, best_fit_multi
@@ -254,6 +254,32 @@ def test_weak_unital_series_is_markovian(weak_series, seed):
     assert max(dists) < EPSILON
     assert sum(dists) == pytest.approx(fit.distance, abs=1e-12)
     assert is_lindbladian(fit.lindbladian, tol=fitting.VERIFY_TOL).ok
+
+
+def test_a_series_audits_its_logs_with_one_expm(weak_series, monkeypatch):
+    """Every snapshot's log audit shares one expm call (the second is the
+    winner search's), the fit is unchanged, and a snapshot that fails its
+    audit raises its NumericalFailure."""
+    mats = weak_series[1]
+    want, _ = best_fit_multi(mats, TIMES, EPSILON)
+    exponential = fitting.expm
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return exponential(a)
+
+    monkeypatch.setattr(fitting, "expm", counting)
+    fit, _ = best_fit_multi(mats, TIMES, EPSILON)
+    assert calls[0] == (2, 4, 4) and len(calls) == 2
+    assert (fit.distance, fit.branch) == (want.distance, want.branch)
+    assert np.array_equal(fit.lindbladian, want.lindbladian)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((4, 4)) + 0j
+    v[:, 1] = v[:, 0] + 1e-6 * rng.standard_normal(4)  # nearly parallel eigenvectors
+    bad = (v * np.array([1.0, 0.5, 0.7, 0.9])) @ np.linalg.inv(v)
+    with pytest.raises(NumericalFailure, match="misses R"):
+        best_fit_multi([mats[0], bad], TIMES, EPSILON)
 
 
 def test_benchmark_unital_series_has_no_fit():

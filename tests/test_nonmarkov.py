@@ -423,8 +423,8 @@ def test_winner_mu_is_within_1e7_of_a_tight_solve(spec, shots, repaired, monkeyp
 
 
 def test_x_gate_fallback_batch_converges_in_under_1000_iterations(monkeypatch):
-    """Every pair of the X gate (1e4 shots) fallback batch is Optimal, the
-    slowest within 1000 iterations."""
+    """Every pair of the X gate (1e4 shots) fallback batch is Optimal, in
+    165 outer steps in all and at most 4 for one pair."""
     batch = solver.min_mu_batch
     reports = []
 
@@ -437,12 +437,13 @@ def test_x_gate_fallback_batch_converges_in_under_1000_iterations(monkeypatch):
     non_markovianity(*_panel_stack(ChannelSpec("xgate"), 10**4, True), EPSILON)
     assert len(reports) == 54
     assert all(rep.status == solver.OPTIMAL for rep in reports)
-    assert max(rep.iterations for rep in reports) <= 1000
+    assert sum(rep.iterations for rep in reports) == 165
+    assert max(rep.iterations for rep in reports) == 4
 
 
 def test_maxiters_reports_are_counted(monkeypatch):
-    """With the solver cut at a few iterations, every solved pair is
-    MaxIters, and the count is the number of pairs solved."""
+    """With the solver cut at one step (each pair needs two), every solved
+    pair is MaxIters, and the count is the number of pairs solved."""
     batch = solver.min_mu_batch
     solved = []
 
@@ -451,7 +452,7 @@ def test_maxiters_reports_are_counted(monkeypatch):
         solved.extend(rep.status for rep in reports)
         return reports
 
-    monkeypatch.setattr(solver, "ITER_LIMIT", 5)
+    monkeypatch.setattr(solver, "ITER_LIMIT", 1)
     monkeypatch.setattr(solver, "min_mu_batch", recording)
     m = bench_snapshot(10**4)
     _, maxiters = non_markovianity(m, np.stack([m, m]), EPSILON)

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lindbladfit import solver
-from lindbladfit.channels import is_lindbladian, random_lindblad_generator
+from lindbladfit import cli, solver
+from lindbladfit.channels import (
+    ChannelSpec,
+    TomographyConfig,
+    is_lindbladian,
+    random_lindblad_generator,
+    simulate_process_tomography,
+)
 from lindbladfit.errors import DimensionMismatch, OutOfRange
 from lindbladfit.fitting import branch_targets, checked_log
 from lindbladfit.linalg import (
@@ -29,7 +35,7 @@ from lindbladfit.solver import (
 
 
 def herm(a):
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def tp_correct(c, d):
@@ -352,32 +358,111 @@ def test_mu_batch_matches_singles(monkeypatch):
         single = min_mu_batch(c, 2, delta)[0]
         assert rep.mu == pytest.approx(single.mu, abs=1e-9)
 
-    # Cut at 6 outer steps: a Markovian target retires at step 0 with
-    # mu = 0, c1 at 0.9 of its P1 distance after 3 steps and c2 after 6;
-    # c1 at 0.3 and c4 are cut at the limit, and a skewed target with a
-    # small ball (one the screen drops) stops at the slice.
-    monkeypatch.setattr(solver, "ITER_LIMIT", 6)
+    # Newton on g: a Markovian target retires at step 0 with mu = 0, c1 at
+    # 0.9 of its P1 distance and c4 after 3 steps, c2 and c1 at 0.3 after
+    # 4, and a skewed target with a small ball (one the screen drops) stops
+    # at the slice after 1.
     c4 = tp_correct(herm(random_choi_target(2, seed=54)), 2)
     targets = np.stack([lindbladian_choi(2, seed=3), c1, c2, c1, c4, random_choi_target(2, seed=31)])
     deltas = [0.1, 0.9 * closest_lindbladian_batch(c1, 2)[0].objective, 0.6, 0.3, 0.3, 0.1]
-    batch = min_mu_batch(targets, 2, deltas)
-    assert [(rep.status, rep.iterations) for rep in batch] == [
-        ("Optimal", 0), ("Optimal", 3), ("Optimal", 6), ("MaxIters", 6), ("MaxIters", 6),
+    assert [(rep.status, rep.iterations) for rep in min_mu_batch(targets, 2, deltas)] == [
+        ("Optimal", 0), ("Optimal", 3), ("Optimal", 4), ("Optimal", 4), ("Optimal", 3),
         ("MaxIters", 1),
     ]
-    for t, delta, rep in zip(targets, deltas, batch):
-        single = min_mu_batch(t, 2, delta)[0]
-        assert (rep.status, rep.iterations, rep.mu, rep.residuals) == (
-            single.status, single.iterations, single.mu, single.residuals
-        )
-        assert np.array_equal(rep.x_opt, single.x_opt)
+    # Cut at 3 steps, which also cuts the inner P1 solves, every pair but
+    # the Markovian one ends MaxIters; each report, cut or not, is the one
+    # its pair gets alone
+    monkeypatch.setattr(solver, "ITER_LIMIT", 3)
+    batch = min_mu_batch(targets, 2, deltas)
+    assert [(rep.status, rep.iterations) for rep in batch] == [
+        ("Optimal", 0), ("MaxIters", 3), ("MaxIters", 3), ("MaxIters", 3), ("MaxIters", 3),
+        ("MaxIters", 1),
+    ]
+    assert_reports_equal(batch, [min_mu_batch(t, 2, delta)[0] for t, delta in zip(targets, deltas)])
     # every projection runs in pieces of two
     monkeypatch.setattr(solver, "CHUNK", 2)
-    for rep, piece in zip(batch, min_mu_batch(targets, 2, deltas)):
-        assert (rep.status, rep.iterations, rep.mu, rep.residuals) == (
-            piece.status, piece.iterations, piece.mu, piece.residuals
+    assert_reports_equal(batch, min_mu_batch(targets, 2, deltas))
+
+
+def assert_reports_equal(got, want):
+    """Reports bit-identical, field by field."""
+    assert len(got) == len(want)
+    for rep, ref in zip(got, want):
+        assert (rep.status, rep.iterations, rep.mu, rep.objective, rep.residuals) == (
+            ref.status, ref.iterations, ref.mu, ref.objective, ref.residuals
         )
-        assert np.array_equal(rep.x_opt, piece.x_opt)
+        assert np.array_equal(rep.x_opt, ref.x_opt)
+
+
+def test_step_zero_projects_each_distinct_target_once(monkeypatch):
+    """At mu = 0 a pair's projection depends on its target alone: one
+    target at three deltas and two copies of another take two step-0
+    projections, and each report is the one its pair gets alone, also in
+    pieces of two."""
+    c1 = tp_correct(herm(random_choi_target(2, seed=51)), 2)
+    c2 = tp_correct(herm(random_choi_target(2, seed=52)), 2)
+    targets = np.stack([c1, c2, c1, c2.copy(), c1])
+    deltas = [0.3, 0.6, 0.6, 0.4, 0.9]
+    pieces = solver._in_pieces
+    sizes = []
+
+    def spy(t, scale, geo):
+        sizes.append(len(t))
+        return pieces(t, scale, geo)
+
+    monkeypatch.setattr(solver, "_in_pieces", spy)
+    batch = min_mu_batch(targets, 2, deltas)
+    assert sizes[0] == 2
+    assert sum(sizes[1:]) == sum(rep.iterations for rep in batch) > 0
+    assert_reports_equal(batch, [min_mu_batch(t, 2, delta)[0] for t, delta in zip(targets, deltas)])
+    monkeypatch.setattr(solver, "CHUNK", 2)
+    assert_reports_equal(batch, min_mu_batch(targets, 2, deltas))
+
+
+@pytest.fixture(scope="module")
+def fallback_pairs(tmp_path_factory):
+    """name -> (targets, deltas) of the one P2 batch of the X gate fallback
+    (``fit --samples 4``) and the benchmark unital ``mu`` subcommand, at
+    1e4 shots, tomography seed 1, epsilon 0.05."""
+    root = tmp_path_factory.mktemp("fallbacks")
+    runs = {
+        "xgate": (ChannelSpec("xgate"), ["fit", "--samples", "4"]),
+        "unital": (ChannelSpec("unital", {"gamma": [-200.0, 201.0, 200.5]}), ["mu"]),
+    }
+    batch = solver.min_mu_batch
+    pairs = {}
+    for name, (spec, argv) in runs.items():
+        calls = []
+
+        def recording(targets, d, deltas):
+            calls.append((np.asarray(targets), np.asarray(deltas)))
+            return batch(targets, d, deltas)
+
+        path = str(root / f"{name}.json")
+        mat = simulate_process_tomography(spec, TomographyConfig(shots=10**4, seed=1)).mat
+        cli.write_matrix_file(path, mat)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "min_mu_batch", recording)
+            cli.main([*argv, "--in", path, "--epsilon", "0.05", "--report", str(root / "r.json")])
+        (pairs[name],) = calls
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["xgate", "unital"])
+def test_root_is_tol_accurate_and_never_overshoots(fallback_pairs, name, monkeypatch):
+    """Against the same pairs solved at TOL = 1e-12, each mu lies below by
+    at most TOL*scale (the inner P1 solves are only TOL-accurate) and above
+    by no more than rounding: the Newton iterate climbs to the root."""
+    targets, deltas = fallback_pairs[name]
+    scale = np.maximum(1.0, np.linalg.norm(herm(targets), axis=(-2, -1)))
+    mu = np.array([rep.mu for rep in min_mu_batch(targets, 2, deltas)])
+    tol = solver.TOL
+    monkeypatch.setattr(solver, "TOL", 1e-12)
+    tight = min_mu_batch(targets, 2, deltas)
+    assert all(rep.status == solver.OPTIMAL for rep in tight)
+    ref = np.array([rep.mu for rep in tight])
+    assert np.all(ref - mu <= tol * scale)
+    assert np.all(mu - ref <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("d", [2, 4])
