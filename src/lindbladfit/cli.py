@@ -15,6 +15,12 @@ Otherwise the repaired samples get one more best-fit call, and when the
 winner of all candidates misses epsilon the same candidates are asked, in
 one batch, for the least white-noise rate mu.
 
+Each report's ``input_digest`` hashes the very bytes its matrices were
+parsed from: every matrix file is read once.  `main` builds its parser on
+its first call and reuses it for every later call in the process, so a
+caller that runs many verdicts in one interpreter pays for it once;
+`build_parser` still returns a fresh parser.
+
 Exit codes: 0 when any verdict is produced, 2 for NoResult, 3 for bad
 input, 4 for a numerical failure.
 """
@@ -103,11 +109,23 @@ def write_matrix_file(path: str, mat: np.ndarray) -> None:
 
 
 def read_matrix_file(path: str) -> np.ndarray:
+    return _read_input(path)[0]
+
+
+def _read_input(path: str) -> tuple[np.ndarray, str]:
+    """The matrix in a matrix file and the sha256 digest of the bytes it was
+    parsed from: the file is read once, so a report's ``input_digest``
+    names exactly what its verdict saw."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
@@ -134,14 +152,7 @@ def read_matrix_file(path: str) -> np.ndarray:
         raise InputError(f"{path}: entries must be [re, im] pairs of JSON numbers") from exc
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise InputError(f"{path}: matrix entries must be finite")
-    return flat.reshape(dim, dim)
-
-
-def _file_digest(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return "sha256:" + digest.hexdigest()
+    return flat.reshape(dim, dim), digest
 
 
 def _emit_report(doc: dict[str, Any], path: Optional[str]) -> None:
@@ -215,14 +226,15 @@ class _Candidates:
         self.p1_maxiters = 0
         self.skipped = 0
 
-    def search(self, mat: np.ndarray, tags: list, stack: list, policy) -> int:
+    def search(self, mat: np.ndarray, tags: list, stack: list, policy, spectra=()) -> int:
         """Append candidates with their own P1 fits, from one
-        ``fitting.best_fit_lindbladian`` call; returns how many of them
+        ``fitting.best_fit_lindbladian`` call (``spectra``: the spectral
+        data of the first candidates, when known); returns how many of them
         failed the logarithm audit."""
         fits: dict = {}
         try:
             _, maxiters = fitting.best_fit_lindbladian(
-                mat, np.stack(stack), math.inf, policy, sample_fits=fits
+                mat, np.stack(stack), math.inf, policy, sample_fits=fits, spectra=spectra
             )
         except NumericalFailure:  # every one failed: the others may decide
             maxiters = 0
@@ -309,7 +321,7 @@ def _decide(
         if repair.mirrored is not None:
             tags.append(MIRRORED)
             stack.append(repair.mirrored)
-        found.search(mat, tags, stack, policy)
+        found.search(mat, tags, stack, policy, [repair.spectral])
         found.own = len(tags)
     count = found.own
     if kind == preprocess.SAMPLES:
@@ -415,7 +427,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    mat = read_matrix_file(args.infile)
+    mat, digest = _read_input(args.infile)
     if args.epsilon <= 0:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
@@ -436,7 +448,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     trace: Optional[list] = [] if args.trace else None
     decision = _decide(mat, args.epsilon, policy, cfg, args.precision, args.delta_step, trace)
     doc: dict[str, Any] = {
-        "input_digest": _file_digest(args.infile),
+        "input_digest": digest,
         "settings": settings,
         "pipeline": decision.kind,
         "verdict": decision.verdict,
@@ -467,7 +479,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_mu(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    mat = read_matrix_file(args.infile)
+    mat, digest = _read_input(args.infile)
     if args.epsilon < 0:
         raise InputError(f"--epsilon must be nonnegative, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
@@ -481,7 +493,7 @@ def cmd_mu(args: argparse.Namespace) -> int:
         "delta_step": args.delta_step,
     }
     doc: dict[str, Any] = {
-        "input_digest": _file_digest(args.infile),
+        "input_digest": digest,
         "settings": settings,
     }
     if args.epsilon == 0:
@@ -566,11 +578,11 @@ def cmd_multifit(args: argparse.Namespace) -> int:
         )
     if args.epsilon <= 0:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
-    mats = [read_matrix_file(path) for path in paths]
+    mats, digests = zip(*(_read_input(path) for path in paths))
     policy = _policy(args, mats[0].shape[0])
 
     doc: dict[str, Any] = {
-        "input_digest": [_file_digest(path) for path in paths],
+        "input_digest": list(digests),
         "settings": {
             "command": "multifit",
             "input": paths,
@@ -719,8 +731,17 @@ def _merge_number_lists(argv: list[str]) -> list[str]:
     return merged
 
 
+# Built by the first `main` call and reused by every later one in the
+# process: parsing leaves no state in the parser, and building it costs
+# more than a verdict settled by the raw fit.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     if argv is None:
         argv = sys.argv[1:]
     try:

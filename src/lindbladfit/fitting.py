@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -163,14 +163,16 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
     return chained
 
 
-def checked_logs(stack: np.ndarray) -> list:
+def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> list:
     """`checked_log` of each matrix of a (K, n, n) stack, with one ``expm``
     call for all round trips: (spectral data, principal log) per matrix,
-    or the ``NumericalFailure`` that rejects it."""
+    or the ``NumericalFailure`` that rejects it.  ``spectra`` holds the
+    `eig_full` of the first matrices where the caller already has it; only
+    the others are eigendecomposed here."""
     audited = []
-    for r in stack:
+    for k, r in enumerate(stack):
         try:
-            spectral = eig_full(r)
+            spectral = spectra[k] if k < len(spectra) else eig_full(r)
             audited.append((spectral, matrix_log_principal(spectral)))
         except NumericalFailure as exc:
             audited.append(exc)
@@ -199,9 +201,9 @@ def branch_targets(
     l0: np.ndarray, spectral: SpectralData, branches: np.ndarray
 ) -> np.ndarray:
     """Choi-side targets (L_m)^Gamma for a whole stack of branch vectors."""
-    projectors = spectral.projectors
-    shifts = np.einsum("bj,jkl->bkl", branches.astype(complex), projectors)
-    return gamma_involution(l0[None, :, :] + TWO_PI * 1j * shifts)
+    n = len(l0)
+    shifts = branches.astype(complex) @ spectral.projectors.reshape(n, n * n)
+    return gamma_involution(l0[None, :, :] + TWO_PI * 1j * shifts.reshape(-1, n, n))
 
 
 def herm_classes(targets: np.ndarray) -> np.ndarray:
@@ -226,15 +228,18 @@ def herm_classes(targets: np.ndarray) -> np.ndarray:
     return rep
 
 
-def search_setup(m_snapshot, r, epsilon: float, policy: BranchPolicy) -> tuple:
+def search_setup(
+    m_snapshot, r, epsilon: float, policy: BranchPolicy,
+    spectra: Sequence[SpectralData] = (),
+) -> tuple:
     """What every single-snapshot search starts from: (snapshot matrix, d,
     branch vectors, [(k, ||log R_k||, branch targets of R_k)]).
 
     ``r`` is one matrix or a (K, n, n) stack of repaired samples.  A sample
     whose logarithm fails its audit (``checked_logs``, one ``expm`` for the
-    whole stack) is left out, since one ill-conditioned random basis must
-    not abort the search; when every sample fails, ``NumericalFailure`` is
-    raised.
+    whole stack, reusing ``spectra`` for the first samples) is left out,
+    since one ill-conditioned random basis must not abort the search; when
+    every sample fails, ``NumericalFailure`` is raised.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
@@ -247,7 +252,7 @@ def search_setup(m_snapshot, r, epsilon: float, policy: BranchPolicy) -> tuple:
             f"snapshot and repaired matrix disagree: {m.shape} vs {stack.shape[1:]}"
         )
     d = side_dim(m.shape[0])
-    logs = checked_logs(stack)
+    logs = checked_logs(stack, spectra)
     audited = [(k, *a) for k, a in enumerate(logs) if not isinstance(a, NumericalFailure)]
     if not audited:
         raise NumericalFailure(
@@ -293,6 +298,7 @@ def best_fit_lindbladian(
     policy: BranchPolicy = BranchPolicy(),
     *,
     sample_fits: Optional[dict] = None,
+    spectra: Sequence[SpectralData] = (),
 ) -> tuple[Optional[FitResult], int]:
     """Search all logarithm branches of every sample for the Lindbladian
     closest to M.
@@ -304,8 +310,10 @@ def best_fit_lindbladian(
     (P1) solves the solver reported as MaxIters.  When ``sample_fits`` is
     given, it receives each audited sample's own winner (or None), keyed by
     stack position; samples that failed the logarithm audit are absent.
+    ``spectra`` holds the `eig_full` of the first samples where the caller
+    already has it (``checked_logs``).
     """
-    m, d, branches, searches = search_setup(m_snapshot, r, epsilon, policy)
+    m, d, branches, searches = search_setup(m_snapshot, r, epsilon, policy, spectra)
     leaders = [np.unique(herm_classes(targets)) for _, _, targets in searches]
     reports = solver.closest_lindbladian_batch(
         np.concatenate([t[lead] for (_, _, t), lead in zip(searches, leaders)]), d

@@ -545,6 +545,7 @@ class Repair(NamedTuple):
 
     kind: str
     snapshot: np.ndarray  # the input, nudged onto a simple spectrum
+    spectral: SpectralData  # `eig_full` of the snapshot
     mirrored: Optional[np.ndarray]  # see `mirrored_negative`
     samples: Iterator[tuple[int, np.ndarray]]
 
@@ -572,11 +573,14 @@ def mirrored_negative(s: SpectralData, p: float) -> Optional[np.ndarray]:
 def repaired_samples(
     m: np.ndarray, p: float, epsilon: float, cfg: RandomBasisConfig
 ) -> Repair:
-    """The repair pipeline: its kind, the nudged snapshot, its mirror and a
-    lazy stream of (sample id, matrix).
+    """The repair pipeline: its kind, the nudged snapshot with its spectral
+    data, its mirror and a lazy stream of (sample id, matrix).
 
-    Nudges a degenerate input onto a simple spectrum (`perturb_to_nd2`),
-    detects clusters at precision ``p`` and builds the draw plan
+    Eigendecomposes the input once, and only when that raises
+    ``DegenerateSpectrum`` nudges it onto a simple spectrum
+    (`perturb_to_nd2`) and eigendecomposes the nudged matrix; the fit
+    stage reuses that spectral data for the snapshot's own log audit.  It
+    then detects clusters at precision ``p`` and builds the draw plan
     (`build_cluster_bases`).  The kind is then:
 
     * IDENTITY: the whole spectrum is one positive cluster and the input
@@ -600,21 +604,25 @@ def repaired_samples(
     so this approximate mode is the one that actually fires.
     """
     cfg.validate()
-    m = perturb_to_nd2(np.asarray(m, dtype=complex), _ND2_BUDGET)
-    s = eig_full(m)
+    m = np.asarray(m, dtype=complex)
+    try:
+        s = eig_full(m)
+    except DegenerateSpectrum:
+        m = perturb_to_nd2(m, _ND2_BUDGET)
+        s = eig_full(m)
     partition = detect_clusters(s, p)
     mirrored = mirrored_negative(s, p)
     if not partition.has_clusters:
-        return Repair(PASSTHROUGH, m, mirrored, iter([(0, m)]))
+        return Repair(PASSTHROUGH, m, s, mirrored, iter([(0, m)]))
     if partition.consistent_with_identity and frobenius(m - np.eye(len(m))) < epsilon:
-        return Repair(IDENTITY, m, None, iter(()))
+        return Repair(IDENTITY, m, s, None, iter(()))
     plan = build_cluster_bases(s, partition, p, max(1e-8, float(epsilon)))
     if plan is None:
-        return Repair(PASSTHROUGH, m, mirrored, iter([(0, m)]))
+        return Repair(PASSTHROUGH, m, s, mirrored, iter([(0, m)]))
 
     def generate() -> Iterator[tuple[int, np.ndarray]]:
         for k in range(cfg.samples):
             basis = random_hp_basis(s, plan, cfg, k)
             yield k, (basis * s.eigenvalues) @ np.linalg.inv(basis)
 
-    return Repair(SAMPLES, m, mirrored, generate())
+    return Repair(SAMPLES, m, s, mirrored, generate())

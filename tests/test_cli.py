@@ -1,17 +1,21 @@
 """The command-line front end: exit codes, the `fit` report, the mu
 fallback's one P2 batch, the P1 and P2 MaxIters counts, `--trace`, samples
-that fail the logarithm audit, and `sweep-epsilon` rows against `fit` at
-the same epsilon.
+that fail the logarithm audit, `sweep-epsilon` rows against `fit` at the
+same epsilon, and the fixed cost of a verdict: one read per matrix file,
+one parser per process and one eigendecomposition per snapshot.
 """
 
+import collections
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, fitting, preprocess, solver
+from lindbladfit import cli, fitting, nonmarkov, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -19,7 +23,7 @@ from lindbladfit.channels import (
     random_lindblad_generator,
     simulate_process_tomography,
 )
-from lindbladfit.linalg import frobenius, max_entangled
+from lindbladfit.linalg import eig_full, frobenius, max_entangled
 
 EPSILON = 0.05
 CHANNELS = {
@@ -82,6 +86,9 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
     bad_json.write_text("{not json")
     assert fit(tmp_path, str(tmp_path / "missing.json"))[0] == cli.EXIT_INPUT_ERROR
     assert fit(tmp_path, str(bad_json))[0] == cli.EXIT_INPUT_ERROR
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    assert fit(tmp_path, str(not_utf8)) == (cli.EXIT_INPUT_ERROR, None)
     # dim must be a JSON integer: 4.9 and "4" used to be read as 4, true as 1
     with open(snap["unital"], encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -144,7 +151,7 @@ def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypa
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
 
-    monkeypatch.setattr(cli, "read_matrix_file", no_work)
+    monkeypatch.setattr(cli, "_read_input", no_work)
     out = tmp_path / "out"
     commands = [
         ["fit", "--in", snap["depol"], "--epsilon", "0.05", "--report", str(out)],  # Markovian
@@ -185,7 +192,7 @@ def test_non_finite_float_flags_exit_3_before_any_work(
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
 
-    monkeypatch.setattr(cli, "read_matrix_file", no_work)
+    monkeypatch.setattr(cli, "_read_input", no_work)
     out = tmp_path / "out"
     argv = {
         "fit": ["fit", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],
@@ -547,8 +554,10 @@ def fail_audit(monkeypatch, bad):
                 drawn.append(r)
                 yield k, _ill_conditioned() if k in bad else r
 
-        snapshot = _ill_conditioned() if "raw" in bad else found.snapshot
-        return found._replace(snapshot=snapshot, samples=samples())
+        if "raw" in bad:
+            bad_raw = _ill_conditioned()
+            found = found._replace(snapshot=bad_raw, spectral=eig_full(bad_raw))
+        return found._replace(samples=samples())
 
     monkeypatch.setattr(preprocess, "repaired_samples", swapped)
     return drawn
@@ -682,3 +691,118 @@ def test_a_sweep_searches_each_candidate_once(tmp_path, snap, monkeypatch, name,
     lines = sweep(tmp_path, snap[name], 0.005, 0.03, 0.01, "--samples", "2")
     assert len(lines) == 4
     assert stacks == [1, 2][:calls]
+
+
+# ----------------------------------------------------------------------
+# the fixed cost of a verdict
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["fit", "mu", "multifit"])
+def test_the_digest_hashes_the_bytes_that_were_parsed(tmp_path, snap, monkeypatch, command):
+    """The input file is rewritten while the verdict is being made: the
+    report still carries the digest of the bytes its verdict was made on."""
+    path = tmp_path / "input.json"
+    original = Path(snap["depol"]).read_bytes()
+    path.write_bytes(original)
+    owner, attr = {
+        "fit": (cli, "_decide"),
+        "mu": (nonmarkov, "non_markovianity"),
+        "multifit": (cli, "best_fit_multi"),
+    }[command]
+    solve = getattr(owner, attr)
+
+    def rewriting(*args, **kwargs):
+        path.write_bytes(Path(snap["unital"]).read_bytes())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, rewriting)
+    inputs = {"multifit": ["--in", f"{path},{snap['depol']}", "--times", "1,2"]}
+    code, doc = run(tmp_path, command, *inputs.get(command, ["--in", str(path)]),
+                    "--epsilon", str(EPSILON))
+    assert path.read_bytes() != original
+    digest = "sha256:" + hashlib.sha256(original).hexdigest()
+    assert doc["input_digest"] == ([digest, digest] if command == "multifit" else digest)
+
+
+def test_one_parser_serves_a_whole_process(tmp_path, snap, monkeypatch, capsys):
+    """`main` builds its parser on its first call only, and a call leaves
+    nothing in it for the next: every report equals the one a freshly
+    built parser gives, and `fit` without --trace has no trace."""
+    calls = [
+        ["fit", "--in", snap["depol"], "--epsilon", str(EPSILON), "--trace"],
+        ["fit", "--in", snap["depol"], "--epsilon", str(EPSILON), "--bogus"],
+        ["--help"],
+        ["mu", "--in", snap["unital"], "--epsilon", str(EPSILON)],
+        ["multifit", "--in", f"{snap['depol']},{snap['depol']}", "--times", "1,2",
+         "--epsilon", str(EPSILON)],
+        ["fit", "--in", snap["depol"], "--epsilon", str(EPSILON)],
+    ]
+
+    def outcome(argv):
+        if "--help" in argv:
+            return cli.main(argv), "--samples" in capsys.readouterr().out
+        return run(tmp_path, *argv)
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(argv))
+    build = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    shared = [outcome(argv) for argv in calls]
+    assert len(built) == 1
+    assert shared == fresh
+    assert [code for code, _ in shared] == [
+        cli.EXIT_OK, cli.EXIT_INPUT_ERROR, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_NO_RESULT, cli.EXIT_OK
+    ]
+    assert "trace" in shared[0][1] and "trace" not in shared[-1][1]
+
+
+def eig_calls(monkeypatch):
+    """Every `eig_full` call, as (use site, stage): the stage is "fallback"
+    once the mu fallback has started, "search" before."""
+    calls = []
+    stage = ["search"]
+    for module in (preprocess, fitting):
+        def spy(m, *args, _site=module.__name__.rsplit(".", 1)[-1], _eig=module.eig_full):
+            calls.append((_site, stage[0]))
+            return _eig(m, *args)
+
+        monkeypatch.setattr(module, "eig_full", spy)
+    fallback = nonmarkov.non_markovianity
+
+    def marking(*args, **kwargs):
+        stage[0] = "fallback"
+        return fallback(*args, **kwargs)
+
+    monkeypatch.setattr(nonmarkov, "non_markovianity", marking)
+    return calls
+
+
+def test_a_raw_decided_verdict_eigendecomposes_its_snapshot_once(tmp_path, snap, monkeypatch):
+    """The repair's eigendecomposition serves the raw candidate's log audit,
+    and a simple spectrum is never nudged."""
+    calls = eig_calls(monkeypatch)
+    code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
+    assert (code, doc["result"]["candidate"]) == (cli.EXIT_OK, "raw")
+    assert calls == [("preprocess", "search")]
+
+
+def test_each_candidate_is_eigendecomposed_once_in_the_search(tmp_path, snap, monkeypatch):
+    """X gate, four samples: the snapshot once in the repair, each sample
+    once in the P1 search.  The mu fallback audits all five candidates a
+    second time (the FOUND line on `nonmarkov.non_markovianity` re-running
+    `fitting.search_setup` on the stack `best_fit_lindbladian` audited)."""
+    calls = eig_calls(monkeypatch)
+    code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4")
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
+    assert collections.Counter(calls) == {
+        ("preprocess", "search"): 1, ("fitting", "search"): 4, ("fitting", "fallback"): 5,
+    }

@@ -274,6 +274,31 @@ def test_perturb_to_nd2():
     np.testing.assert_array_equal(preprocess.perturb_to_nd2(simple, 1e-8), simple)
 
 
+@pytest.mark.parametrize(
+    "mat, nudged",
+    [(np.eye(4), True), (snapshot(ChannelSpec("xgate"), 10**4), False)],
+    ids=["degenerate", "simple"],
+)
+def test_only_a_degenerate_input_is_nudged(monkeypatch, mat, nudged):
+    """The repair eigendecomposes its input once and calls `perturb_to_nd2`
+    only when that raises; it hands on the spectral data of the snapshot
+    it kept."""
+    nudge = preprocess.perturb_to_nd2
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return nudge(*args)
+
+    monkeypatch.setattr(preprocess, "perturb_to_nd2", counting)
+    repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
+    assert len(calls) == nudged
+    assert np.array_equal(repair.snapshot, mat) != nudged
+    want = eig_full(repair.snapshot)
+    for field in ("eigenvalues", "right_vectors", "left_vectors"):
+        assert np.array_equal(getattr(repair.spectral, field), getattr(want, field))
+
+
 @pytest.mark.parametrize("partner", [None, 1], ids=["real slot", "pair"])
 def test_all_zero_pool_raises_after_the_retries(repair, partner):
     s = repair["xgate"][1]
