@@ -12,8 +12,9 @@ the snapshot once and try the candidates with the least work first.  The
 snapshot's own fit (and its mirror's, for a lone negative eigenvalue) comes
 from one best-fit call; when it lands at round-off no sample is drawn.
 Otherwise the repaired samples get one more best-fit call, and when the
-winner of all candidates misses epsilon the same candidates are asked, in
-one batch, for the least white-noise rate mu.
+winner of all candidates misses epsilon the same candidates, with the
+logarithms audited for their fits, are asked in one batch for the least
+white-noise rate mu.
 
 Each report's ``input_digest`` hashes the very bytes its matrices were
 parsed from: every matrix file is read once.  `main` builds its parser on
@@ -209,38 +210,40 @@ RAW, MIRRORED = "raw", "mirrored"
 
 
 class _Candidates:
-    """Every candidate of one snapshot, in order, with its own P1 fit.
+    """Every candidate of one snapshot, in order, with its audited logarithm
+    and its own P1 fit.
 
     The snapshot's own candidates come first: RAW, then MIRRORED when it
     exists.  Repaired samples 0..K-1 follow, tagged by their ids, once they
     are drawn.  None of them depends on epsilon, so a ``sweep-epsilon`` run
-    keeps one instance for all its rows and solves each candidate once.
+    keeps one instance for all its rows and audits and solves each
+    candidate once; the mu fallback reuses the audited logarithms.
     """
 
     def __init__(self) -> None:
         self.tags: list = []
-        self.stack: list = []
-        self.fits: dict = {}  # tag -> own winner or None; audit failures absent
+        self.logs: list = []  # fitting.checked_logs entry of each tag
+        self.fits: dict = {}  # tag -> own fit or None; audit failures absent
         self.own = 0  # how many of the tags are the snapshot's own
         self.drawn = False
         self.p1_maxiters = 0
         self.skipped = 0
 
     def search(self, mat: np.ndarray, tags: list, stack: list, policy, spectra=()) -> int:
-        """Append candidates with their own P1 fits, from one
-        ``fitting.best_fit_lindbladian`` call (``spectra``: the spectral
-        data of the first candidates, when known); returns how many of them
+        """Append candidates, audited by one ``fitting.checked_logs`` call
+        (``spectra``: the spectral data of the first candidates, when
+        known), with their own P1 fits from one
+        ``fitting.best_fit_lindbladian`` call; returns how many of them
         failed the logarithm audit."""
+        logs = fitting.checked_logs(np.stack(stack), spectra)
         fits: dict = {}
         try:
-            _, maxiters = fitting.best_fit_lindbladian(
-                mat, np.stack(stack), math.inf, policy, sample_fits=fits, spectra=spectra
-            )
+            fits, maxiters = fitting.best_fit_lindbladian(mat, logs, policy)
         except NumericalFailure:  # every one failed: the others may decide
             maxiters = 0
         self.fits.update((tags[k], fit) for k, fit in fits.items())
         self.tags += tags
-        self.stack += stack
+        self.logs += logs
         self.p1_maxiters += maxiters
         return len(tags) - len(fits)
 
@@ -294,15 +297,15 @@ def _decide(
     Repairs the snapshot once.  The candidates, in order, are the nudged
     snapshot ("raw"), its mirror when it has one lone real negative
     eigenvalue ("mirrored"), and in the ``samples`` pipeline the repaired
-    samples.  Raw and mirrored get their own
-    ``fitting.best_fit_lindbladian`` call, with an unbounded acceptance
-    radius so that each candidate's best distance is known for the trace.
-    When raw (or mirrored) lands below ``fitting.TIE_TOL`` and epsilon, no
-    sample can beat it under the tie rule: the verdict is Markovian and no
-    sample is drawn.  Otherwise the samples are stacked once and searched
-    in one more call.  The least ``fitting.ranked`` distance, ties going to
-    the earlier candidate, is Markovian when it lands within epsilon.
-    Otherwise the whole stack goes through one
+    samples.  Raw and mirrored get their own `_Candidates.search`, so each
+    candidate's best distance is known for the trace.  When raw (or
+    mirrored) lands below ``fitting.TIE_TOL`` and epsilon, no sample can
+    beat it under the tie rule: the verdict is Markovian and no sample is
+    drawn.  Otherwise the samples are stacked once and searched in one more
+    call.  The least ``fitting.ranked`` distance (`_Candidates.best`), ties
+    going to the earlier candidate, is Markovian when it lands strictly
+    within epsilon; nothing else ranks the fits or applies epsilon to them.
+    Otherwise the logarithms the searches audited go through one
     ``nonmarkov.non_markovianity`` call, which solves every candidate's
     (branch, delta) pairs in one batch and picks the least mu, ties going
     to the earlier candidate.  The decision counts the samples skipped by
@@ -349,7 +352,7 @@ def _decide(
     # No branch of any candidate lands inside the epsilon ball; ask instead
     # how much white noise would reconcile the snapshot.
     mu, p2_maxiters = nonmarkov.non_markovianity(
-        mat, np.stack(found.stack[:count]), epsilon, policy, delta_step=delta_step
+        mat, found.logs[:count], epsilon, policy, delta_step=delta_step
     )
     if mu is None:
         return _Decision(kind, "NoResult", p2_maxiters=p2_maxiters, **common)
@@ -503,7 +506,8 @@ def cmd_mu(args: argparse.Namespace) -> int:
         doc["detail"] = "epsilon is zero: no candidate can pass distance < 0"
     else:
         mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
-            mat, mat, args.epsilon, policy, delta_step=args.delta_step
+            mat, fitting.checked_logs(mat[None]), args.epsilon, policy,
+            delta_step=args.delta_step,
         )
         if mu is None:
             doc["verdict"] = "NoResult"

@@ -1,17 +1,18 @@
 """Best-fit Lindbladian search over matrix-logarithm branches.
 
-Given a tomographic snapshot M and a stack of matrices R_k with simple
-spectra (M itself, a stack of one, or the basis-repaired samples produced
-by the cluster pre-processing), every candidate generator lives on some
-branch
+Given a tomographic snapshot M and the audited logarithms of a stack of
+matrices R_k with simple spectra (M itself, or the basis-repaired samples
+produced by the cluster pre-processing; ``checked_logs``), every candidate
+generator lives on some branch
 
     L_m = log R_k + 2*pi*i * sum_j m_j P_j,
 
 with P_j the spectral projectors of R_k.  Each branch target is pushed
-through the closest-generator program and the winner is the candidate
-whose exponential lands closest to the *raw* snapshot M, accepted only
-when that distance beats epsilon.  A sample whose logarithm fails its
-audit is skipped; the search fails only when every sample does.
+through the closest-generator program, and each sample's fit is the
+certified candidate whose exponential lands closest to the *raw* snapshot
+M.  A sample whose logarithm failed its audit is skipped; the search fails
+only when every sample did.  The search applies no acceptance radius: the
+caller ranks the samples' fits and holds the winner against epsilon.
 
 Branches are enumerated exhaustively over {-m_max..m_max}^(d^2), ordered
 by increasing sum of |m_j| with lexicographic tie-break, so results are
@@ -23,15 +24,14 @@ Each sample's branches are grouped into these herm classes first
 enumeration position, and every member gets that solution and distance.
 
 All samples' class leaders go to the solver in one batch, sample-major,
-and their exponentials are taken in one ``expm`` call.  Each sample's
-winner is its first certified class by distance, then leader position;
-the overall winner is the least (``ranked`` distance, sample), and its
-``basis_sample_id`` is its position in the stack.
+and their exponentials are taken in one ``expm`` call.  Each sample's fit
+is its first certified class by distance, then leader position, keyed by
+its position in the stack.
 
-Every search (``nonmarkov`` and ``multisnap`` too) accepts by one rule:
+Every search (``nonmarkov`` and ``multisnap`` too) certifies by one rule:
 ``ranked`` ties values below ``TIE_TOL`` at zero, and ``first_certified``
 walks that order to the first candidate whose exponential lands strictly
-within epsilon of the raw snapshot (of each snapshot, for a series) and
+within a radius of the raw snapshot (of each snapshot, for a series) and
 whose generator (G - mu * omega_perp, for a noise rate) passes the
 Lindblad test at ``VERIFY_TOL``.
 """
@@ -63,7 +63,6 @@ __all__ = [
     "BranchPolicy",
     "FitResult",
     "enumerate_branches",
-    "checked_log",
     "checked_logs",
     "branch_targets",
     "herm_classes",
@@ -118,7 +117,7 @@ class BranchPolicy:
 
 @dataclass
 class FitResult:
-    """A Lindbladian whose exponential reproduces the snapshot within epsilon."""
+    """A certified Lindbladian and the distance of its exponential to the snapshot."""
 
     lindbladian: np.ndarray
     distance: float
@@ -164,9 +163,10 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
 
 
 def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> list:
-    """`checked_log` of each matrix of a (K, n, n) stack, with one ``expm``
-    call for all round trips: (spectral data, principal log) per matrix,
-    or the ``NumericalFailure`` that rejects it.  ``spectra`` holds the
+    """Eigendecompose each matrix of a (K, n, n) stack, take its principal
+    log and audit the round trip, with one ``expm`` call for all round
+    trips: (spectral data, principal log) per matrix, or the
+    ``NumericalFailure`` that rejects it.  ``spectra`` holds the
     `eig_full` of the first matrices where the caller already has it; only
     the others are eigendecomposed here."""
     audited = []
@@ -186,14 +186,6 @@ def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> lis
                     f"exp(log R) misses R by {round_trip:.3e}; "
                     "spectrum too ill-conditioned for a branch search"
                 )
-    return audited
-
-
-def checked_log(r: np.ndarray) -> tuple[SpectralData, np.ndarray]:
-    """Eigendecompose R, take the principal log, and audit the round trip."""
-    (audited,) = checked_logs(np.asarray(r, dtype=complex)[None])
-    if isinstance(audited, NumericalFailure):
-        raise audited
     return audited
 
 
@@ -228,36 +220,27 @@ def herm_classes(targets: np.ndarray) -> np.ndarray:
     return rep
 
 
-def search_setup(
-    m_snapshot, r, epsilon: float, policy: BranchPolicy,
-    spectra: Sequence[SpectralData] = (),
-) -> tuple:
+def search_setup(m_snapshot, logs: Sequence, policy: BranchPolicy) -> tuple:
     """What every single-snapshot search starts from: (snapshot matrix, d,
     branch vectors, [(k, ||log R_k||, branch targets of R_k)]).
 
-    ``r`` is one matrix or a (K, n, n) stack of repaired samples.  A sample
-    whose logarithm fails its audit (``checked_logs``, one ``expm`` for the
-    whole stack, reusing ``spectra`` for the first samples) is left out,
-    since one ill-conditioned random basis must not abort the search; when
-    every sample fails, ``NumericalFailure`` is raised.
+    ``logs`` is the ``checked_logs`` audit of a stack of samples.  A sample
+    that failed it is left out, since one ill-conditioned random basis must
+    not abort the search; when every sample failed, ``NumericalFailure``
+    is raised.
     """
-    if epsilon <= 0:
-        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
     m = np.asarray(m_snapshot, dtype=complex)
-    stack = np.asarray(r, dtype=complex)
-    if stack.ndim == 2:
-        stack = stack[None]
-    if stack.shape[1:] != m.shape:
-        raise OutOfRange(
-            f"snapshot and repaired matrix disagree: {m.shape} vs {stack.shape[1:]}"
-        )
-    d = side_dim(m.shape[0])
-    logs = checked_logs(stack, spectra)
     audited = [(k, *a) for k, a in enumerate(logs) if not isinstance(a, NumericalFailure)]
     if not audited:
         raise NumericalFailure(
-            f"all {len(stack)} samples failed the logarithm audit; last: {logs[-1]}"
+            f"all {len(logs)} samples failed the logarithm audit; last: {logs[-1]}"
         ) from logs[-1]
+    for _, _, l0 in audited:
+        if l0.shape != m.shape:
+            raise OutOfRange(
+                f"snapshot and repaired matrix disagree: {m.shape} vs {l0.shape}"
+            )
+    d = side_dim(m.shape[0])
     branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
     return m, d, branches, [
         (k, frobenius(l0), branch_targets(l0, spectral, branches))
@@ -279,9 +262,10 @@ def exp_distances(snapshots: np.ndarray, times, generators: np.ndarray) -> np.nd
 
 
 def first_certified(order, within, generators, mus=None) -> Optional[int]:
-    """The first k of ``order`` that lands ``within`` epsilon and whose
-    generator (less ``mus[k]`` * omega_perp, for a noise rate) passes the
-    Lindblad test at ``VERIFY_TOL``; None when no k does."""
+    """The first k of ``order`` that the mask ``within`` admits (its
+    exponential lands inside the radius) and whose generator (less
+    ``mus[k]`` * omega_perp, for a noise rate) passes the Lindblad test at
+    ``VERIFY_TOL``; None when no k does."""
     if mus is not None:
         omega_perp = max_entangled(side_dim(generators.shape[-1])).omega_perp
     for k in order[within[order]]:
@@ -292,28 +276,17 @@ def first_certified(order, within, generators, mus=None) -> Optional[int]:
 
 
 def best_fit_lindbladian(
-    m_snapshot,
-    r: np.ndarray,
-    epsilon: float,
-    policy: BranchPolicy = BranchPolicy(),
-    *,
-    sample_fits: Optional[dict] = None,
-    spectra: Sequence[SpectralData] = (),
-) -> tuple[Optional[FitResult], int]:
+    m_snapshot, logs: Sequence, policy: BranchPolicy = BranchPolicy()
+) -> tuple[dict, int]:
     """Search all logarithm branches of every sample for the Lindbladian
     closest to M.
 
-    ``r`` is one matrix or a (K, n, n) stack of repaired samples.  Returns
-    the winner, the least (``ranked`` distance, sample) of the samples'
-    winners whose exponential lands strictly within ``epsilon`` of the raw
-    snapshot (None when no branch of any sample does), and the number of
-    (P1) solves the solver reported as MaxIters.  When ``sample_fits`` is
-    given, it receives each audited sample's own winner (or None), keyed by
-    stack position; samples that failed the logarithm audit are absent.
-    ``spectra`` holds the `eig_full` of the first samples where the caller
-    already has it (``checked_logs``).
+    ``logs`` is the ``checked_logs`` audit of a stack of samples.  Returns
+    each audited sample's own fit (None when no branch certifies), keyed by
+    stack position, and the number of (P1) solves the solver reported as
+    MaxIters; samples that failed the audit are absent.
     """
-    m, d, branches, searches = search_setup(m_snapshot, r, epsilon, policy, spectra)
+    m, d, branches, searches = search_setup(m_snapshot, logs, policy)
     leaders = [np.unique(herm_classes(targets)) for _, _, targets in searches]
     reports = solver.closest_lindbladian_batch(
         np.concatenate([t[lead] for (_, _, t), lead in zip(searches, leaders)]), d
@@ -328,18 +301,11 @@ def best_fit_lindbladian(
         searches, leaders, np.split(generators, cuts), np.split(distances, cuts)
     ):
         # Leaders follow enumeration order, so a stable sort breaks ties by it.
-        c = first_certified(np.argsort(ranked(dists), kind="stable"), dists < epsilon, gens)
+        c = first_certified(np.argsort(ranked(dists), kind="stable"), np.isfinite(dists), gens)
         fits[k] = None if c is None else FitResult(
             lindbladian=gens[c],
             distance=float(dists[c]),
             branch=tuple(int(v) for v in branches[lead[c]]),
             basis_sample_id=k,
         )
-    if sample_fits is not None:
-        sample_fits.update(fits)
-    # fits follow stack order, so argmin's first minimum is the lower sample
-    winners = [fit for fit in fits.values() if fit is not None]
-    if not winners:
-        return None, maxiters
-    best = np.argmin(ranked(np.array([fit.distance for fit in winners])))
-    return winners[int(best)], maxiters
+    return fits, maxiters

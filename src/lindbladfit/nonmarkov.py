@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def markovianity_score(mu_min: float, d: int) -> float:
 
 def non_markovianity(
     m_snapshot,
-    r: np.ndarray,
+    logs: Sequence,
     epsilon: float,
     policy: BranchPolicy = BranchPolicy(),
     *,
@@ -155,10 +155,11 @@ def non_markovianity(
 ) -> tuple[Optional[MuResult], int]:
     """Smallest white-noise rate over every (sample, delta, branch), or None.
 
-    ``r`` is one matrix or a (K, n, n) stack of repaired samples of the
-    snapshot; a single matrix is a stack of one.  Each sample gets its own
-    logarithm, delta grid and screen, and the live pairs of all samples go
-    through one ``solver.min_mu_batch`` call.
+    ``logs`` is the ``fitting.checked_logs`` audit of a stack of samples of
+    the snapshot (the snapshot itself is a stack of one), so a caller that
+    has already searched the samples for a fit hands on the logarithms it
+    audited.  Each sample gets its own delta grid and screen, and the live
+    pairs of all samples go through one ``solver.min_mu_batch`` call.
     Most grid points never reach the solver: one vectorized screen
     (``solver.min_mu_infeasible``) per sample first drops every pair whose
     delta-ball misses the hermitian trace-zero slice (every branch that
@@ -168,13 +169,15 @@ def non_markovianity(
     epsilon of the raw snapshot and passes the Lindblad certificate; the
     winner is the first accepted point by (``fitting.ranked`` mu, sample,
     delta, branch), and ``basis_sample`` is its position in the stack.  A
-    sample whose logarithm fails its audit is skipped; when every sample
-    fails, ``NumericalFailure`` is raised.
+    sample that failed its audit is skipped; when every sample failed,
+    ``NumericalFailure`` is raised.
 
     Returns the winner (None when no point is accepted) and the number of
     solved pairs the solver reported as MaxIters.
     """
-    m, d, branches, searches = search_setup(m_snapshot, r, epsilon, policy)
+    if epsilon <= 0:
+        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
+    m, d, branches, searches = search_setup(m_snapshot, logs, policy)
 
     # live (sample, branch, delta) pairs, each sample's in row-major order
     live = []

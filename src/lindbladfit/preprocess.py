@@ -479,14 +479,6 @@ def random_hp_basis(
 # Simple-spectrum repair for degenerate inputs
 # ----------------------------------------------------------------------
 
-def _is_simple(m: np.ndarray) -> bool:
-    try:
-        eig_full(m)
-    except DegenerateSpectrum:
-        return False
-    return True
-
-
 def _probe_matrix(n: int, scale: float) -> np.ndarray:
     """A fixed diagonal hermiticity-preserving matrix with simple spectrum.
 
@@ -506,31 +498,36 @@ def _probe_matrix(n: int, scale: float) -> np.ndarray:
     return probe * (scale / frobenius(probe))
 
 
-def perturb_to_nd2(m: np.ndarray, budget: float) -> np.ndarray:
+def perturb_to_nd2(m: np.ndarray, budget: float) -> tuple[np.ndarray, SpectralData]:
     """Nudge a matrix with degenerate spectrum onto a simple-spectrum
-    neighbor within ``budget`` in Frobenius norm.
+    neighbor within ``budget`` in Frobenius norm; returns the matrix kept
+    and its `eig_full`.
 
     Mixes toward a fixed diagonal probe that preserves hermiticity, so a
     hermiticity-preserving input stays hermiticity-preserving exactly.
     The mixing weight is halved until the spectrum is simple; only
     finitely many weights can fail, so this terminates (capped at
     {cap} halvings).  An already simple input is returned unchanged.
+    Each matrix tried is eigendecomposed once.
     """.format(cap=_ND2_HALVING_CAP)
     if budget <= 0:
         raise OutOfRange(f"perturbation budget must be positive, got {budget}")
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
-    if _is_simple(m):
-        return m
+    try:
+        return m, eig_full(m)
+    except DegenerateSpectrum:
+        pass
     probe = _probe_matrix(m.shape[0], max(1.0, frobenius(m)))
     delta = probe - m
     alpha = min(0.5, 0.999 * budget / frobenius(delta))
     for _ in range(_ND2_HALVING_CAP):
         candidate = (1.0 - alpha) * m + alpha * probe
-        if _is_simple(candidate):
-            return candidate
-        alpha /= 2.0
+        try:
+            return candidate, eig_full(candidate)
+        except DegenerateSpectrum:
+            alpha /= 2.0
     raise NumericalFailure(
         "could not reach a simple-spectrum neighbor within the budget"
     )
@@ -576,11 +573,10 @@ def repaired_samples(
     """The repair pipeline: its kind, the nudged snapshot with its spectral
     data, its mirror and a lazy stream of (sample id, matrix).
 
-    Eigendecomposes the input once, and only when that raises
-    ``DegenerateSpectrum`` nudges it onto a simple spectrum
-    (`perturb_to_nd2`) and eigendecomposes the nudged matrix; the fit
-    stage reuses that spectral data for the snapshot's own log audit.  It
-    then detects clusters at precision ``p`` and builds the draw plan
+    Takes the snapshot and its spectral data from `perturb_to_nd2`, which
+    eigendecomposes a simple input once and nudges a degenerate one; the
+    fit stage reuses that spectral data for the snapshot's own log audit.
+    It then detects clusters at precision ``p`` and builds the draw plan
     (`build_cluster_bases`).  The kind is then:
 
     * IDENTITY: the whole spectrum is one positive cluster and the input
@@ -604,12 +600,7 @@ def repaired_samples(
     so this approximate mode is the one that actually fires.
     """
     cfg.validate()
-    m = np.asarray(m, dtype=complex)
-    try:
-        s = eig_full(m)
-    except DegenerateSpectrum:
-        m = perturb_to_nd2(m, _ND2_BUDGET)
-        s = eig_full(m)
+    m, s = perturb_to_nd2(m, _ND2_BUDGET)
     partition = detect_clusters(s, p)
     mirrored = mirrored_negative(s, p)
     if not partition.has_clusters:

@@ -1,14 +1,15 @@
-"""The command-line front end: exit codes, the `fit` report, the mu
+"""The command-line front end: exit codes, the `fit` report, the one
+ranking of the candidates' fits and its strict epsilon test, the mu
 fallback's one P2 batch, the P1 and P2 MaxIters counts, `--trace`, samples
 that fail the logarithm audit, `sweep-epsilon` rows against `fit` at the
 same epsilon, and the fixed cost of a verdict: one read per matrix file,
-one parser per process and one eigendecomposition per snapshot.
+one parser per process, one eigendecomposition per snapshot and one
+logarithm audit per candidate.
 """
 
 import collections
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,35 @@ def test_trace_lists_every_sample(tmp_path, snap):
     assert "samples_skipped" not in doc
 
 
+def test_epsilon_is_a_strict_bound_on_the_winner(tmp_path, snap):
+    """The least distance among the candidates is Markovian only strictly
+    inside epsilon: at epsilon equal to it the mu fallback decides, at the
+    next float above it the same fit is the verdict."""
+    _, wide = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4")
+    least = wide["result"]["distance"]
+    code, at = fit(tmp_path, snap["xgate"], repr(least), "--samples", "4")
+    assert code == cli.EXIT_OK and at["verdict"] == "NonMarkovian"
+    above_least = repr(float(np.nextafter(least, np.inf)))
+    _, above = fit(tmp_path, snap["xgate"], above_least, "--samples", "4")
+    assert above["verdict"] == "Markovian"
+    keys = ("distance", "branch", "basis_sample", "candidate")
+    assert [above["result"][k] for k in keys] == [wide["result"][k] for k in keys]
+
+
+def test_candidates_rank_by_distance_with_ties_to_the_earlier():
+    """`_Candidates.best` is the one ranking of the P1 fits: the least
+    `fitting.ranked` distance, the earlier candidate on a tie.  Two copies
+    of an exact exp(L) both land at round-off and tie; a far candidate
+    listed first does not win."""
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
+    far = expm(random_lindblad_generator(2, np.random.default_rng(1)))
+    found = cli._Candidates()
+    assert found.search(m, ["far", "a", "b"], [far, m, m], fitting.BranchPolicy()) == 0
+    assert found.fits["far"].distance > 0.01
+    assert max(found.fits["a"].distance, found.fits["b"].distance) < fitting.TIE_TOL
+    assert (found.best(1), found.best(3)) == ("far", "a")
+
+
 def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
     """A depolarizing snapshot's own fit lands at round-off: no sample can
     beat it under the tie rule, so none is drawn and the trace lists raw
@@ -578,9 +608,10 @@ def test_a_sample_that_fails_the_log_audit_is_skipped(tmp_path, snap, monkeypatc
     # the verdict is the one raw and the three good samples give alone
     mat = cli.read_matrix_file(snap["xgate"])
     good = ["raw", 1, 2, 3]
-    want, _ = fitting.best_fit_lindbladian(
-        mat, np.stack([mat] + [drawn[k] for k in good[1:]]), math.inf
+    fits, _ = fitting.best_fit_lindbladian(
+        mat, fitting.checked_logs(np.stack([mat] + [drawn[k] for k in good[1:]]))
     )
+    want = min(fits.values(), key=lambda fit: (fit.distance, fit.basis_sample_id))
     res = doc["result"]
     assert (res["candidate"], res["basis_sample"]) == ("sample", good[want.basis_sample_id])
     assert (res["distance"], res["branch"]) == (want.distance, list(want.branch))
@@ -639,6 +670,8 @@ def fit_row(tmp_path, path, epsilon, *flags):
         ("identity", (0, 0.1, 0.05), (), 2),
         ("depol", (0.005, 0.03, 0.01), ("--samples", "2"), 3),
         ("unital", (0.02, 0.06, 0.02), (), 2),
+        # every row reaches the mu fallback
+        ("xgate", (0.04, 0.07, 0.01), ("--samples", "4"), 3),
     ],
 )
 def test_sweep_rows_are_fit_verdicts(tmp_path, snap, name, grid, flags, count):
@@ -683,14 +716,32 @@ def test_a_sweep_searches_each_candidate_once(tmp_path, snap, monkeypatch, name,
     search = fitting.best_fit_lindbladian
     stacks = []
 
-    def counting(mat, stack, *args, **kwargs):
-        stacks.append(len(stack))
-        return search(mat, stack, *args, **kwargs)
+    def counting(mat, logs, *args, **kwargs):
+        stacks.append(len(logs))
+        return search(mat, logs, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "best_fit_lindbladian", counting)
     lines = sweep(tmp_path, snap[name], 0.005, 0.03, 0.01, "--samples", "2")
     assert len(lines) == 4
     assert stacks == [1, 2][:calls]
+
+
+def test_a_sweep_audits_each_candidate_once(tmp_path, snap, monkeypatch):
+    """Ten X-gate rows, each decided by the mu fallback: raw and the four
+    samples have their logarithms audited once for the whole sweep, and the
+    fallback reuses those audits."""
+    audit = fitting.checked_logs
+    audited = []
+
+    def counting(stack, *args, **kwargs):
+        audited.append(len(stack))
+        return audit(stack, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "checked_logs", counting)
+    lines = sweep(tmp_path, snap["xgate"], 0.01, 0.11, 0.01, "--samples", "4")
+    assert len(lines) == 11
+    assert all(line.split(",")[1] for line in lines[1:])  # every row has a mu
+    assert sum(audited) == 5
 
 
 # ----------------------------------------------------------------------
@@ -797,12 +848,9 @@ def test_a_raw_decided_verdict_eigendecomposes_its_snapshot_once(tmp_path, snap,
 
 def test_each_candidate_is_eigendecomposed_once_in_the_search(tmp_path, snap, monkeypatch):
     """X gate, four samples: the snapshot once in the repair, each sample
-    once in the P1 search.  The mu fallback audits all five candidates a
-    second time (the FOUND line on `nonmarkov.non_markovianity` re-running
-    `fitting.search_setup` on the stack `best_fit_lindbladian` audited)."""
+    once in the P1 search, and none in the mu fallback, which reuses the
+    logarithms the search audited."""
     calls = eig_calls(monkeypatch)
     code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4")
     assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
-    assert collections.Counter(calls) == {
-        ("preprocess", "search"): 1, ("fitting", "search"): 4, ("fitting", "fallback"): 5,
-    }
+    assert collections.Counter(calls) == {("preprocess", "search"): 1, ("fitting", "search"): 4}

@@ -1,5 +1,6 @@
 """Branch enumeration, the herm-class quotient and the branch-search
-generator fit."""
+generator fit: each audited sample's own certified fit, with no acceptance
+radius (the CLI ranks the fits and applies epsilon)."""
 
 import itertools
 import json
@@ -24,7 +25,7 @@ from lindbladfit.fitting import (
     BranchPolicy,
     best_fit_lindbladian,
     branch_targets,
-    checked_log,
+    checked_logs,
     enumerate_branches,
     exp_distances,
     herm_classes,
@@ -107,10 +108,16 @@ def test_branch_policy_validation():
 # the fit itself
 # ----------------------------------------------------------------------
 
+def own_fit(m, r, policy=BranchPolicy()):
+    """The fit of the one matrix ``r``, audited and searched as a stack of one."""
+    fits, _ = best_fit_lindbladian(m, checked_logs(np.asarray(r)[None]), policy)
+    return fits[0]
+
+
 def test_exact_markovian_snapshot_recovered():
     gen = random_lindblad_generator(2, np.random.default_rng(0))
     m = expm(gen)
-    res, _ = best_fit_lindbladian(m, m, 1e-6)
+    res = own_fit(m, m)
     assert res is not None
     assert res.branch == (0, 0, 0, 0)
     assert res.distance <= 1e-9
@@ -119,23 +126,24 @@ def test_exact_markovian_snapshot_recovered():
 
 
 def test_acceptance_radius_is_honest():
-    """No result is returned when every branch exponential misses the
-    snapshot by more than epsilon."""
+    """A sample's fit reports how far its exponential lands from the
+    snapshot, however far that is: it is not held against any radius here
+    (the CLI applies epsilon, `tests/test_cli.py`)."""
     gen = random_lindblad_generator(2, np.random.default_rng(0))
     r = expm(gen)
     rng = np.random.default_rng(1)
     noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = r + 0.5 * noise / frobenius(noise)
-    assert best_fit_lindbladian(m, r, 0.1)[0] is None
-    res, _ = best_fit_lindbladian(m, r, 1.0)
+    res = own_fit(m, r)
     assert res is not None
     assert res.distance == pytest.approx(0.5, abs=1e-6)
+    assert res.distance == pytest.approx(frobenius(m - expm(res.lindbladian)), rel=1e-12)
 
 
 def test_wider_branch_search_never_hurts():
     t = unital_transfer((0.9, 0.7, -0.1))  # negative rate: log is not CCP
     dists = [
-        best_fit_lindbladian(t.mat, t.mat, np.inf, BranchPolicy(m))[0].distance
+        own_fit(t.mat, t.mat, BranchPolicy(m)).distance
         for m in (0, 1, 2)
     ]
     assert dists[0] > 1e-3
@@ -148,34 +156,35 @@ def test_chunk_size_does_not_change_the_answer(monkeypatch):
         ChannelSpec("unital", {"gamma": [0.3, 0.5, 0.8]}),
         TomographyConfig(shots=10**4, seed=3),
     )
-    a, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
+    a = own_fit(snap.mat, snap.mat, BranchPolicy(1))
     monkeypatch.setattr(solver, "CHUNK", 1)
-    b, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
+    b = own_fit(snap.mat, snap.mat, BranchPolicy(1))
     assert a.branch == b.branch
     assert np.allclose(a.lindbladian, b.lindbladian, atol=1e-12)
 
 
 def test_basis_sample_id_passthrough():
-    """The winner's basis_sample_id is its position in the stack."""
+    """Each fit is keyed by, and its basis_sample_id is, its position in
+    the stack; the one that matches the snapshot lands at round-off."""
     t = unital_transfer((0.3, 0.5, 0.8))
-    assert best_fit_lindbladian(t.mat, t.mat, 1e-6)[0].basis_sample_id == 0
+    assert own_fit(t.mat, t.mat).basis_sample_id == 0
     far = unital_transfer((0.4, 0.6, 0.9)).mat
-    res, _ = best_fit_lindbladian(t.mat, np.stack([far, far, t.mat]), 1e-6)
-    assert res.basis_sample_id == 2
+    fits, _ = best_fit_lindbladian(t.mat, checked_logs(np.stack([far, far, t.mat])))
+    assert {k: fit.basis_sample_id for k, fit in fits.items()} == {0: 0, 1: 1, 2: 2}
+    assert fits[2].distance < 1e-6 < fits[0].distance == fits[1].distance
 
 
 def test_fit_input_validation():
     t = unital_transfer((0.3, 0.5, 0.8))
+    wrong_size = np.diag(np.linspace(0.2, 1.0, 9)).astype(complex)
     with pytest.raises(OutOfRange):
-        best_fit_lindbladian(t.mat, t.mat, 0.0)
-    with pytest.raises(OutOfRange):
-        best_fit_lindbladian(t.mat, np.eye(9, dtype=complex), 1e-3)
+        best_fit_lindbladian(t.mat, checked_logs(wrong_size[None]))
 
 
 def test_degenerate_snapshot_is_rejected():
     m = unitary_transfer(x_gate()).mat  # eigenvalues {1, 1, -1, -1}
     with pytest.raises(DegenerateSpectrum):
-        best_fit_lindbladian(m, m, 1e-3)
+        best_fit_lindbladian(m, checked_logs(m[None]))
 
 
 def test_exponential_perturbation_bound():
@@ -184,23 +193,22 @@ def test_exponential_perturbation_bound():
     |e^C - e^L| <= |C-L| e^|C-L| e^|L|."""
     t = unital_transfer((0.3, 0.5, 0.8))
     l_r = matrix_log_principal(eig_full(t.mat))
-    res, _ = best_fit_lindbladian(t.mat, t.mat, 1e-6)
+    res = own_fit(t.mat, t.mat)
     gap = frobenius(res.lindbladian - l_r)
     lhs = frobenius(expm(res.lindbladian) - expm(l_r))
     assert lhs <= gap * np.exp(gap) * np.exp(frobenius(l_r)) + 1e-15
 
 
 def test_noisy_snapshot_fit_quality_tracks_noise():
-    """With open acceptance radius the best exponential is at least as close
-    to the snapshot as the exact channel is (the endpoints differ by shot
-    noise only)."""
+    """The best exponential is at least as close to the snapshot as the
+    exact channel is (the endpoints differ by shot noise only)."""
     exact = unital_transfer((0.3, 0.5, 0.8)).mat
     snap = simulate_process_tomography(
         ChannelSpec("unital", {"gamma": [0.3, 0.5, 0.8]}),
         TomographyConfig(shots=10**4, seed=5),
     )
     noise = frobenius(snap.mat - exact)
-    res, _ = best_fit_lindbladian(snap.mat, snap.mat, np.inf, BranchPolicy(1))
+    res = own_fit(snap.mat, snap.mat, BranchPolicy(1))
     assert res.distance <= noise
     assert is_lindbladian(res.lindbladian, tol=1e-6).ok
 
@@ -219,7 +227,7 @@ def _repaired(spec, shots, samples):
 
 def _class_solve(mat, r, policy):
     """(branches, targets, label, x_opts, distances) of one sample's search."""
-    spectral, l0 = checked_log(r)
+    spectral, l0 = checked_logs(r[None])[0]
     branches = np.array(list(enumerate_branches(policy, r.shape[0])))
     targets = branch_targets(l0, spectral, branches)
     leaders, label = np.unique(herm_classes(targets), return_inverse=True)
@@ -284,9 +292,9 @@ def test_quotient_matches_per_branch_solves(case, request):
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
 def test_quotient_winner_does_not_depend_on_chunk_size(case, request, monkeypatch):
     mat, r, policy = request.getfixturevalue(case)
-    a, _ = best_fit_lindbladian(mat, r, np.inf, policy)
+    a = own_fit(mat, r, policy)
     monkeypatch.setattr(solver, "CHUNK", 1)
-    b, _ = best_fit_lindbladian(mat, r, np.inf, policy)
+    b = own_fit(mat, r, policy)
     assert a.branch == b.branch
     assert a.distance == pytest.approx(b.distance, abs=1e-12)
 
@@ -295,7 +303,7 @@ def test_class_members_report_the_lowest_enumeration_position(depol_case):
     """The winning class reports its lowest enumeration position."""
     mat, r, policy = depol_case
     branches, _, label, _, distances = _class_solve(mat, r, policy)
-    res, _ = best_fit_lindbladian(mat, r, np.inf, policy)
+    res = own_fit(mat, r, policy)
     won = [tuple(b) for b in branches].index(res.branch)
     members = np.nonzero(label == label[won])[0]
     assert len(members) >= 5  # the five branches that tie in distance
@@ -308,27 +316,35 @@ def test_class_members_report_the_lowest_enumeration_position(depol_case):
 # ----------------------------------------------------------------------
 
 def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
-    """One search over the stack picks what one search per sample, reduced
-    by (distance, sample id), picks; also with one-problem solver pieces."""
+    """One search over the stack gives each sample the fit a search of its
+    own gives, also with one-problem solver pieces; the CLI's ranking of
+    those fits picks what reducing the per-sample fits by (distance,
+    sample id) picks."""
     mat, samples = depol_stack
     policy = BranchPolicy(1)
-    per_sample = [best_fit_lindbladian(mat, r, np.inf, policy)[0] for r in samples]
+    per_sample = [own_fit(mat, r, policy) for r in samples]
     want = min(range(len(samples)), key=lambda k: (per_sample[k].distance, k))
-    fits = {}
-    res, _ = best_fit_lindbladian(mat, np.stack(samples), np.inf, policy, sample_fits=fits)
-    assert res.basis_sample_id == want == 3
-    assert (res.distance, res.branch) == (per_sample[want].distance, per_sample[want].branch)
-    assert np.array_equal(res.lindbladian, per_sample[want].lindbladian)
-    assert [fits[k].distance for k in range(4)] == [fit.distance for fit in per_sample]
+    fits, _ = best_fit_lindbladian(mat, checked_logs(np.stack(samples)), policy)
+    for k, fit in enumerate(per_sample):
+        assert (fits[k].distance, fits[k].branch, fits[k].basis_sample_id) == (
+            fit.distance, fit.branch, k
+        )
+        assert np.array_equal(fits[k].lindbladian, fit.lindbladian)
+    found = cli._Candidates()
+    found.search(mat, list(range(len(samples))), samples, policy)
+    assert found.best(len(samples)) == want == 3
+    assert found.fits[want].distance == per_sample[want].distance
     monkeypatch.setattr(solver, "CHUNK", 1)
-    chunked, _ = best_fit_lindbladian(mat, np.stack(samples), np.inf, policy)
-    assert (chunked.basis_sample_id, chunked.branch) == (want, res.branch)
-    assert chunked.distance == pytest.approx(res.distance, abs=1e-12)
+    chunked, _ = best_fit_lindbladian(mat, checked_logs(np.stack(samples)), policy)
+    for k, fit in fits.items():
+        assert chunked[k].branch == fit.branch
+        assert chunked[k].distance == pytest.approx(fit.distance, abs=1e-12)
 
 
 def test_the_log_audits_of_a_stack_share_one_expm(depol_stack, monkeypatch):
-    """search_setup audits every sample with one expm call; each audit is
-    the one checked_log gives alone, and a failing sample is rejected."""
+    """checked_logs audits every sample with one expm call, each audit is
+    the one a stack of one gives, and a failing sample is rejected;
+    search_setup reuses the audit and takes no exponential of its own."""
     mat, samples = depol_stack
     rng = np.random.default_rng(0)
     v = rng.standard_normal((4, 4)) + 0j
@@ -345,27 +361,29 @@ def test_the_log_audits_of_a_stack_share_one_expm(depol_stack, monkeypatch):
     monkeypatch.setattr(fitting, "expm", counting)
     logs = fitting.checked_logs(stack)
     assert calls == [(3, 4, 4)]
-    searches = fitting.search_setup(mat, stack, 0.05, BranchPolicy(1))[3]
-    assert len(calls) == 2 and [k for k, _, _ in searches] == [0, 2]
+    searches = fitting.search_setup(mat, logs, BranchPolicy(1))[3]
+    assert len(calls) == 1 and [k for k, _, _ in searches] == [0, 2]
     assert isinstance(logs[1], NumericalFailure) and "misses R" in str(logs[1])
     for k in (0, 2):
-        spectral, l0 = checked_log(stack[k])
+        spectral, l0 = checked_logs(stack[k][None])[0]
         assert np.array_equal(logs[k][1], l0)
         assert np.array_equal(logs[k][0].eigenvalues, spectral.eigenvalues)
 
 
 def test_one_solver_call_holds_every_sample(monkeypatch):
     """Sample 0 is the snapshot exp(L) itself, sample 1 a noisy copy: one
-    solver call holds every class leader of both, and sample 0 wins."""
+    solver call holds every class leader of both, and sample 0's fit lands
+    at round-off, closer than sample 1's."""
     m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     noisy = m + 0.05 * noise / frobenius(noise)
     branches = np.array(list(enumerate_branches(BranchPolicy(1), 4)))
-    classes = []
-    for r in (m, noisy):
-        spectral, l0 = checked_log(r)
-        classes.append(len(np.unique(herm_classes(branch_targets(l0, spectral, branches)))))
+    logs = checked_logs(np.stack([m, noisy]))
+    classes = [
+        len(np.unique(herm_classes(branch_targets(l0, spectral, branches))))
+        for spectral, l0 in logs
+    ]
     batch = solver.closest_lindbladian_batch
     calls = []
 
@@ -374,18 +392,9 @@ def test_one_solver_call_holds_every_sample(monkeypatch):
         return batch(targets, d)
 
     monkeypatch.setattr(solver, "closest_lindbladian_batch", counting)
-    res, _ = best_fit_lindbladian(m, np.stack([m, noisy]), 1e-6)
+    fits, _ = best_fit_lindbladian(m, logs)
     assert calls == [sum(classes)]
-    assert res.basis_sample_id == 0 and res.distance < 1e-9
-
-
-def test_a_single_matrix_is_a_stack_of_one(depol_case):
-    mat, r, policy = depol_case
-    a, a_maxiters = best_fit_lindbladian(mat, r, np.inf, policy)
-    b, b_maxiters = best_fit_lindbladian(mat, r[None], np.inf, policy)
-    assert a.basis_sample_id == b.basis_sample_id == 0
-    assert (a.distance, a.branch, a_maxiters) == (b.distance, b.branch, b_maxiters)
-    assert np.array_equal(a.lindbladian, b.lindbladian)
+    assert fits[0].distance < 1e-9 < fits[1].distance
 
 
 @pytest.mark.parametrize("shots", [10**4, 10**5])

@@ -48,7 +48,7 @@ def weak_series():
 
 def assignment_grid(mats, policy=fitting.BranchPolicy()):
     """(deltas, assignments, stacked targets (A, q, n, n)) as multifit builds them."""
-    logs = [fitting.checked_log(m) for m in mats]
+    logs = fitting.checked_logs(np.stack(mats))
     deltas = DeltaSweep.from_epsilon(EPSILON, frobenius(logs[0][1])).grid()
     n = mats[0].shape[0]
     assignments = list(_joint_assignments(policy, len(mats), n))
@@ -298,7 +298,7 @@ def all_pairs_best_fit_multi(mats, times, epsilon, policy=fitting.BranchPolicy()
     q = len(mats)
     times = np.asarray(times, dtype=float)
     n = mats[0].shape[0]
-    logs = [fitting.checked_log(m) for m in mats]
+    logs = fitting.checked_logs(np.stack(mats))
     deltas = DeltaSweep.from_epsilon(epsilon, frobenius(logs[0][1]), delta_step).grid()
     assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
     targets = np.empty(assignments.shape[:2] + (n, n), dtype=complex)

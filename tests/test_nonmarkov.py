@@ -3,9 +3,10 @@ solver, the Lambert W start of the delta grid, a ``cli`` import and run
 that load no scipy module at all (scipy serves the tests only, as an
 oracle), the delta sweep on the benchmark unital channel, one batch over
 a stack of repaired samples against the per-sample loop it replaced, the
-panel winners' rates against tight-tolerance solves, the X gate batch's
-iteration bound, the MaxIters count, and the sweep against the
-closed-form noise rate of ``analytical_mu_unital``.
+refusal of a nonpositive epsilon, the panel winners' rates against
+tight-tolerance solves, the X gate batch's iteration bound, the MaxIters
+count, and the sweep against the closed-form noise rate of
+``analytical_mu_unital``.
 """
 
 import json
@@ -27,13 +28,13 @@ from lindbladfit.channels import (
     is_lindbladian,
     simulate_process_tomography,
 )
-from lindbladfit.errors import NumericalFailure
+from lindbladfit.errors import NumericalFailure, OutOfRange
 from lindbladfit.fitting import (
     TIE_TOL,
     VERIFY_TOL,
     BranchPolicy,
     branch_targets,
-    checked_log,
+    checked_logs,
     enumerate_branches,
 )
 from lindbladfit.linalg import frobenius, gamma_involution, herm, max_entangled
@@ -53,6 +54,12 @@ def bench_snapshot(shots):
         ChannelSpec("unital", {"gamma": BENCH_GAMMA}),
         TomographyConfig(shots=shots, seed=1),
     ).mat
+
+
+def mu_of(m, r, epsilon):
+    """`non_markovianity` of a matrix (a stack of one) or of a (K, n, n)
+    stack, audited here as the CLI audits its candidates."""
+    return non_markovianity(m, checked_logs(np.reshape(r, (-1,) + m.shape)), epsilon)
 
 
 def reach(target, d):
@@ -183,7 +190,7 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
 )
 def test_benchmark_unital_noise_rate(shots, mu):
     m = bench_snapshot(shots)
-    res, maxiters = non_markovianity(m, m, EPSILON)
+    res, maxiters = mu_of(m, m, EPSILON)
     assert res is not None and maxiters == 0
     assert res.mu_min == pytest.approx(mu, abs=1e-6)
     assert res.branch == (0, 0, 0, 0)
@@ -233,7 +240,7 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
 
         monkeypatch.setattr(solver, "min_mu_batch", adjusted)
     m, r = _snapshot_and_sample(spec, repaired)
-    spectral, l0 = checked_log(r)
+    spectral, l0 = checked_logs(r[None])[0]
     deltas = DeltaSweep.from_epsilon(EPSILON, frobenius(l0)).grid()
     branches = list(enumerate_branches(BranchPolicy(), 4))
     targets = branch_targets(l0, spectral, np.array(branches))
@@ -257,7 +264,7 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
         c for c in sorted(candidates, key=lambda c: c[0])
         if is_lindbladian(c[2] - c[1] * perp, tol=VERIFY_TOL).ok
     )
-    res, _ = non_markovianity(m, r, EPSILON)
+    res, _ = mu_of(m, r, EPSILON)
     assert (res.mu_min, res.delta_used, res.branch) == (want[1], want[0][1], branches[want[0][2]])
     assert res.distance == pytest.approx(want[3], abs=1e-12)
     np.testing.assert_allclose(res.generator, want[2], rtol=0, atol=1e-12)
@@ -279,7 +286,7 @@ def _per_sample_loop(m, samples, epsilon):
     best, best_k, maxiters = None, None, 0
     for k, repaired in samples:
         try:
-            result, count = non_markovianity(m, repaired, epsilon)
+            result, count = mu_of(m, repaired, epsilon)
         except NumericalFailure:
             continue
         maxiters += count
@@ -303,7 +310,7 @@ def _per_sample_loop(m, samples, epsilon):
 def test_one_batch_over_samples_matches_the_per_sample_loop(spec, shots, epsilon):
     m, samples = _stack(spec, shots, epsilon)
     want, want_k, want_maxiters = _per_sample_loop(m, samples, epsilon)
-    res, maxiters = non_markovianity(m, np.stack([r for _, r in samples]), epsilon)
+    res, maxiters = mu_of(m, np.stack([r for _, r in samples]), epsilon)
     assert want is not None and maxiters == want_maxiters == 0
     assert res.basis_sample == want_k
     assert (res.mu_min, res.delta_used, res.branch, res.distance) == (
@@ -330,7 +337,7 @@ def test_cross_sample_ties_go_to_the_lower_sample(
     spec = ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": t})
     m, samples = _stack(spec, shots, epsilon)
     if raise_sample_0:
-        spectral, l0 = checked_log(samples[0][1])
+        spectral, l0 = checked_logs(samples[0][1][None])[0]
         own = branch_targets(l0, spectral, np.array(list(enumerate_branches(BranchPolicy(), 4))))
         batch = solver.min_mu_batch
 
@@ -342,10 +349,10 @@ def test_cross_sample_ties_go_to_the_lower_sample(
             return reports
 
         monkeypatch.setattr(solver, "min_mu_batch", raised)
-    first, last = (non_markovianity(m, samples[k][1], epsilon)[0] for k in (0, 3))
+    first, last = (mu_of(m, samples[k][1], epsilon)[0] for k in (0, 3))
     assert max(first.mu_min, last.mu_min) < TIE_TOL
     assert (last.mu_min, last.delta_used) < (first.mu_min, first.delta_used)
-    res, _ = non_markovianity(m, np.stack([r for _, r in samples]), epsilon)
+    res, _ = mu_of(m, np.stack([r for _, r in samples]), epsilon)
     assert res.basis_sample == 0
     assert (res.mu_min, res.delta_used, res.branch) == (
         first.mu_min, first.delta_used, first.branch
@@ -359,7 +366,7 @@ def test_a_zero_rate_is_not_negative_zero():
     is -0.0.  The rate is reported as +0.0."""
     spec = ChannelSpec("unital", {"gamma": WEAK_GAMMA, "t": 2.0})
     m, samples = _stack(spec, 10**5, 0.2)
-    res, _ = non_markovianity(m, samples[3][1], 0.2)
+    res, _ = mu_of(m, samples[3][1], 0.2)
     assert res.mu_min == 0.0 and not np.signbit(res.mu_min)
 
 
@@ -375,16 +382,25 @@ def _ill_conditioned():
 def test_a_sample_that_fails_the_log_audit_is_skipped():
     m = bench_snapshot(10**4)
     bad = _ill_conditioned()
-    with pytest.raises(NumericalFailure, match="misses R"):
-        checked_log(bad)
-    alone, _ = non_markovianity(m, m, EPSILON)
-    res, _ = non_markovianity(m, np.stack([bad, m, bad]), EPSILON)
+    [failure] = checked_logs(bad[None])
+    assert isinstance(failure, NumericalFailure) and "misses R" in str(failure)
+    alone, _ = mu_of(m, m, EPSILON)
+    res, _ = mu_of(m, np.stack([bad, m, bad]), EPSILON)
     assert res.basis_sample == 1
     assert (res.mu_min, res.delta_used, res.branch) == (
         alone.mu_min, alone.delta_used, alone.branch
     )
     with pytest.raises(NumericalFailure, match="all 2 samples"):
-        non_markovianity(m, np.stack([bad, bad]), EPSILON)
+        mu_of(m, np.stack([bad, bad]), EPSILON)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -EPSILON])
+def test_epsilon_must_be_positive(epsilon):
+    """The strict test distance < epsilon admits nothing at epsilon <= 0,
+    so such a budget is refused before any work."""
+    m = bench_snapshot(10**4)
+    with pytest.raises(OutOfRange, match="epsilon must be positive"):
+        mu_of(m, m, epsilon)
 
 
 def _panel_stack(spec, shots, repaired):
@@ -412,9 +428,9 @@ def test_winner_mu_is_within_1e7_of_a_tight_solve(spec, shots, repaired, monkeyp
     """The winner's rate against a solve of its own (target, delta) at
     1e-13 tolerance."""
     m, stack = _panel_stack(spec, shots, repaired)
-    res, maxiters = non_markovianity(m, stack, EPSILON)
+    res, maxiters = mu_of(m, stack, EPSILON)
     assert res is not None and maxiters == 0
-    spectral, l0 = checked_log(stack[res.basis_sample])
+    spectral, l0 = checked_logs(stack[res.basis_sample][None])[0]
     target = branch_targets(l0, spectral, np.array([res.branch]))[0]
     monkeypatch.setattr(solver, "TOL", 1e-13)
     ref = solver.min_mu_batch(target, 2, res.delta_used)[0]
@@ -434,7 +450,7 @@ def test_x_gate_fallback_batch_converges_in_under_1000_iterations(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "min_mu_batch", counted)
-    non_markovianity(*_panel_stack(ChannelSpec("xgate"), 10**4, True), EPSILON)
+    mu_of(*_panel_stack(ChannelSpec("xgate"), 10**4, True), EPSILON)
     assert len(reports) == 54
     assert all(rep.status == solver.OPTIMAL for rep in reports)
     assert sum(rep.iterations for rep in reports) == 165
@@ -455,7 +471,7 @@ def test_maxiters_reports_are_counted(monkeypatch):
     monkeypatch.setattr(solver, "ITER_LIMIT", 1)
     monkeypatch.setattr(solver, "min_mu_batch", recording)
     m = bench_snapshot(10**4)
-    _, maxiters = non_markovianity(m, np.stack([m, m]), EPSILON)
+    _, maxiters = mu_of(m, np.stack([m, m]), EPSILON)
     assert maxiters == solved.count(solver.MAX_ITERS) == len(solved) > 0
 
 
@@ -464,7 +480,7 @@ def test_sweep_agrees_with_the_analytical_noise_rate(shots):
     """The sweep may spend the epsilon budget, so its mu is at most the
     closed-form rate of the filtered snapshot, and close to it."""
     m = bench_snapshot(shots)
-    swept = non_markovianity(m, m, EPSILON)[0].mu_min
+    swept = mu_of(m, m, EPSILON)[0].mu_min
     closed = analytical_mu_unital(m).mu
     assert swept <= closed
     assert swept >= 0.95 * closed

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from lindbladfit import preprocess
-from lindbladfit.channels import ChannelSpec, TomographyConfig, simulate_process_tomography
+from lindbladfit.channels import (
+    ChannelSpec,
+    TomographyConfig,
+    simulate_process_tomography,
+    unitary_transfer,
+    x_gate,
+)
 from lindbladfit.errors import NumericalFailure
 from lindbladfit.linalg import eig_full, gamma_involution, vec_adjoint
 
@@ -264,36 +270,59 @@ def test_odd_negative_cluster_passes_through():
     assert [k for k, _ in stream] == [0]
 
 
-def test_perturb_to_nd2():
-    nudged = preprocess.perturb_to_nd2(np.eye(4), 1e-8)
-    eig_full(nudged)  # simple spectrum, or DegenerateSpectrum
+def eig_spy(monkeypatch):
+    """Records every `eig_full` call `preprocess` makes."""
+    eig = preprocess.eig_full
+    calls = []
+
+    def counting(m, *args):
+        calls.append(1)
+        return eig(m, *args)
+
+    monkeypatch.setattr(preprocess, "eig_full", counting)
+    return calls
+
+
+def test_perturb_to_nd2(monkeypatch):
+    """A degenerate input is nudged within the budget onto a simple
+    spectrum that stays hermiticity-preserving, and comes back with that
+    spectrum's `eig_full`; each matrix tried is eigendecomposed once (2
+    calls), and a simple input is returned unchanged after one."""
+    calls = eig_spy(monkeypatch)
+    nudged, spectral = preprocess.perturb_to_nd2(np.eye(4), 1e-8)
+    assert len(calls) == 2
+    want = eig_full(nudged)  # simple spectrum, or DegenerateSpectrum
+    for field in ("eigenvalues", "right_vectors", "left_vectors"):
+        assert np.array_equal(getattr(spectral, field), getattr(want, field))
     assert np.linalg.norm(nudged - np.eye(4)) <= 1e-8
     g = gamma_involution(nudged)
     assert np.array_equal(g, g.conj().T)
+    calls.clear()
     simple = np.diag([1.0, 0.7, 0.4, 0.2]).astype(complex)
-    np.testing.assert_array_equal(preprocess.perturb_to_nd2(simple, 1e-8), simple)
+    kept, spectral = preprocess.perturb_to_nd2(simple, 1e-8)
+    np.testing.assert_array_equal(kept, simple)
+    np.testing.assert_array_equal(spectral.eigenvalues, eig_full(simple).eigenvalues)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
-    "mat, nudged",
-    [(np.eye(4), True), (snapshot(ChannelSpec("xgate"), 10**4), False)],
-    ids=["degenerate", "simple"],
+    "mat, eigs",
+    [
+        (np.eye(4), 2),
+        (unitary_transfer(x_gate()).mat, 2),
+        (snapshot(ChannelSpec("xgate"), 10**4), 1),
+    ],
+    ids=["degenerate", "exact X gate", "simple"],
 )
-def test_only_a_degenerate_input_is_nudged(monkeypatch, mat, nudged):
-    """The repair eigendecomposes its input once and calls `perturb_to_nd2`
-    only when that raises; it hands on the spectral data of the snapshot
-    it kept."""
-    nudge = preprocess.perturb_to_nd2
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return nudge(*args)
-
-    monkeypatch.setattr(preprocess, "perturb_to_nd2", counting)
+def test_only_a_degenerate_input_is_nudged(monkeypatch, mat, eigs):
+    """The repair takes its snapshot and spectral data from
+    `perturb_to_nd2`: a simple input is eigendecomposed once and kept as
+    it is, a degenerate one is nudged and eigendecomposed twice (the input,
+    then the neighbour kept)."""
+    calls = eig_spy(monkeypatch)
     repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
-    assert len(calls) == nudged
-    assert np.array_equal(repair.snapshot, mat) != nudged
+    assert len(calls) == eigs
+    assert np.array_equal(repair.snapshot, mat) == (eigs == 1)
     want = eig_full(repair.snapshot)
     for field in ("eigenvalues", "right_vectors", "left_vectors"):
         assert np.array_equal(getattr(repair.spectral, field), getattr(want, field))

@@ -19,7 +19,7 @@ from lindbladfit.channels import (
     simulate_process_tomography,
 )
 from lindbladfit.errors import DimensionMismatch, OutOfRange
-from lindbladfit.fitting import branch_targets, checked_log
+from lindbladfit.fitting import branch_targets, checked_logs
 from lindbladfit.linalg import (
     expm,
     frobenius,
@@ -177,7 +177,7 @@ def shifted_branch_targets(d):
     """Choi-side targets log M + 2πi Σ m_j P_j of a random d-level channel
     M = exp(L), one per entry of SHIFTS[d]."""
     gen = random_lindblad_generator(d, np.random.default_rng(20 + d))
-    spectral, l0 = checked_log(expm(gen))
+    spectral, l0 = checked_logs(expm(gen)[None])[0]
     branches = np.zeros((len(SHIFTS[d]), d * d), dtype=int)
     for row, shift in zip(branches, SHIFTS[d]):
         row[list(shift)] = list(shift.values())
