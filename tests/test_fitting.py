@@ -341,6 +341,23 @@ def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
         assert chunked[k].distance == pytest.approx(fit.distance, abs=1e-12)
 
 
+def test_a_single_matrix_is_a_stack_of_one(depol_case):
+    """A matrix searched as a stack of one gets the fit each of its copies
+    gets in a stack of two, with half the MaxIters, whether checked_logs
+    eigendecomposes it or is handed its spectrum."""
+    mat, r, policy = depol_case
+    a, a_maxiters = best_fit_lindbladian(mat, checked_logs(r[None]), policy)
+    b, b_maxiters = best_fit_lindbladian(
+        mat, checked_logs(np.stack([r, r]), spectra=[eig_full(r)]), policy
+    )
+    assert list(a) == [0] and list(b) == [0, 1]
+    assert 2 * a_maxiters == b_maxiters
+    for k, fit in b.items():
+        assert fit.basis_sample_id == k
+        assert (fit.distance, fit.branch) == (a[0].distance, a[0].branch)
+        assert np.array_equal(fit.lindbladian, a[0].lindbladian)
+
+
 def test_the_log_audits_of_a_stack_share_one_expm(depol_stack, monkeypatch):
     """checked_logs audits every sample with one expm call, each audit is
     the one a stack of one gives, and a failing sample is rejected;
