@@ -23,7 +23,8 @@ correlation matrix, SIAM J. Matrix Anal. Appl. 28 (2006) 360-385).  The
 dual θ(Y) = ½‖[VᴴWV]₋‖² + Re⟨Y, Tr₁T⟩ − (d/2)‖Y‖², W = T − 1⊗Y, is
 concave with gradient F(Y) = Tr₁Π_K(W), where Π_K(W) = W − V[VᴴWV]₋Vᴴ.
 Each step solves one regularized d²×d² system in the generalized Jacobian
-of F, which is built from the same eigendecomposition of VᴴWV as F, and
+of F, which is built from the same eigendecomposition of VᴴWV as F, from
+the smaller of its two eigenvalue sets (negative or nonnegative), and
 takes an Armijo step on θ; a handful of steps and eigendecompositions
 finish a problem.  The answer is the trace-zero projection of Π_K(W).
 
@@ -164,12 +165,22 @@ class _Geometry:
         self.basis = np.linalg.eigh(ent.omega_perp.real)[1][:, 1:]
         # 1/d − d·ωωᴴ: trace-annihilating, and 1/d on ω⊥
         self.cone_lift = np.eye(d * d) / d - d * np.outer(ent.omega, ent.omega.conj())
-        self.eye_d = np.eye(d, dtype=complex)
+        # rows: the hermitian basis H_j = Σ_rs T_j,rs e_r e_sᵀ behind the
+        # coordinates of ``_herm_coords``
+        self.herm_basis = _from_herm_coords(np.eye(d * d), d).reshape(d * d, d * d)
+        # the two Jacobians of a spectrum with no negative eigenvalue (d) and
+        # with no nonnegative one (d − C); C_jl = Tr(H̃_j P H̃_l P) = ⟨E_j, E_l⟩,
+        # H̃ = 1⊗H and P = VVᴴ the projector onto ω⊥
+        lifted = self.basis @ self.basis.T @ self.embed_second(self.herm_basis.reshape(-1, d, d))
+        self.jac_none = d * np.eye(d * d)
+        self.jac_all = self.jac_none - np.einsum("jab,lba->jl", lifted, lifted).real
 
     def embed_second(self, y: np.ndarray) -> np.ndarray:
         """Batched 1_d ⊗ Y: (..., d, d) → (..., d², d²)."""
         d = self.d
-        out = np.einsum("jk,...cr->...jckr", self.eye_d, y)
+        out = np.zeros(y.shape[:-2] + (d, d, d, d), dtype=complex)
+        for j in range(d):
+            out[..., j, :, j, :] = y
         return out.reshape(y.shape[:-2] + (d * d, d * d))
 
     def project_trace_zero(self, x: np.ndarray) -> np.ndarray:
@@ -293,32 +304,48 @@ def _dual_jacobian(geo: _Geometry, lam: np.ndarray, a: np.ndarray) -> np.ndarray
     """The generalized Jacobian M of −F at a dual point, in the real
     coordinates of ``_herm_coords``: (B, d², d²), symmetric, 1/d ⪯ M ⪯ d.
 
-    M_jk = d·δ_jk − ⟨E_j, Ω∘E_k⟩ with E_j = Aᴴ(1⊗H_j)A for the hermitian
+    M_jl = d·δ_jl − Re⟨E_j, Ω∘E_l⟩ with E_j = Aᴴ(1⊗H_j)A for the hermitian
     basis H_j behind the coordinates and Ω the divided differences of
-    min(λ, 0).  One (B, d², d²−1, d²−1) block holds the E_j: it is built
-    from the E_rs = Aᴴ(1⊗e_r e_sᵀ)A in place, scaled by √Ω and viewed as
-    real, so M = d − G·Gᵀ.
+    min(λ, 0), which are 1 where both eigenvalues are negative and 0 where
+    neither is.  So each problem works on the smaller side S of its
+    spectrum, k = min(n₋, n₊) eigenvalues, as Qi and Sun do.  Let Σ be the
+    real sum of W∘conj(E_j)∘E_l over the rows x ∈ S, with W = 1 on S×S and
+    2λ_x/(λ_x − λ_y) on x ∈ S against y ∉ S (a mixed pair and its mirror).
+    When S is the negative side, M = d − Σ; when it is the nonnegative
+    side, Σ = Re⟨E_j, (1 − Ω)∘E_l⟩ and M = d − C + Σ, with the constant
+    C_jl = ⟨E_j, E_l⟩ = Tr(H̃_j P H̃_l P) of ``_Geometry.jac_all``.  At
+    k = 0, M is one of the two constants.  The k rows of every
+    E_rs = Aᴴ(1⊗e_r e_sᵀ)A come from one product per problem; scaled by √W,
+    mapped to the E_j by ``_Geometry.herm_basis`` and viewed as real, they
+    form a (d², 2km) block G with Σ = G·Gᵀ.  Problems are grouped by k, so
+    each one's arithmetic is its own.
     """
     d = geo.d
-    b, n, m = a.shape
-    rows = a.reshape(b, d, d, m).swapaxes(1, 2)  # [b, r, j, x] = A[b, (j, r), x]
-    e = rows.conj().swapaxes(-1, -2)[:, :, None] @ rows[:, None, :]
-    for r, s in zip(*np.triu_indices(d, 1)):
-        e_rs = e[:, r, s].copy()
-        e[:, r, s] += e[:, s, r]  # (E_rs + E_sr)/√2
-        e[:, r, s] *= np.sqrt(0.5)
-        e[:, s, r] -= e_rs  # i(E_rs − E_sr)/√2
-        e[:, s, r] *= -1j * np.sqrt(0.5)
-    neg = lam < 0
-    low = np.minimum(lam, 0.0)
-    mixed = neg[:, :, None] != neg[:, None, :]
-    gap = np.where(mixed, lam[:, :, None] - lam[:, None, :], 1.0)
-    omega = np.where(
-        mixed, (low[:, :, None] - low[:, None, :]) / gap, neg[:, :, None] & neg[:, None, :]
-    )
-    e *= np.sqrt(omega)[:, None, None]
-    g = e.reshape(b, d * d, m * m).view(float)
-    return d * np.eye(d * d) - g @ g.swapaxes(-1, -2)
+    n, m = a.shape[1:]
+    n_neg = np.count_nonzero(lam < 0, axis=-1)
+    top = 2 * n_neg > m  # the nonnegative side is the smaller
+    jac = np.where(top[:, None, None], geo.jac_all, geo.jac_none)
+    sizes = np.where(top, m - n_neg, n_neg)
+    for k in np.unique(sizes[sizes > 0]):
+        g = np.flatnonzero(sizes == k)
+        # eigh sorts λ ascending: reversing a spectrum whose smaller side is
+        # the nonnegative one puts S first there too; W is unchanged
+        flip = top[g]
+        lam_g = np.where(flip[:, None], lam[g, ::-1], lam[g])
+        a_g = np.where(flip[:, None, None], a[g, :, ::-1], a[g])
+        lam_own = lam_g[:, :k, None]
+        weight = np.ones((len(g), k, m))
+        weight[..., k:] = np.sqrt(2 * lam_own / (lam_own - lam_g[:, None, k:]))
+        # [r, x, s, y] = Σ_j conj A[(j, r), x] A[(j, s), y] = (E_rs)_xy, x ∈ S
+        left = a_g[..., :k].conj().reshape(-1, d, d * k).swapaxes(-1, -2)
+        rows = (left @ a_g.reshape(-1, d, d * m)).reshape(-1, d, k, d, m)
+        blocks = np.empty((len(g), d, d, k, m), dtype=complex)
+        np.multiply(rows.transpose(0, 1, 3, 2, 4), weight[:, None, None], out=blocks)
+        # row j: √W∘E_j on the rows x ∈ S, viewed as real
+        e = (geo.herm_basis @ blocks.reshape(-1, n, k * m)).view(float)
+        part = e @ e.swapaxes(-1, -2)
+        jac[g] += np.where(flip[:, None, None], part, -part)
+    return jac
 
 
 def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
@@ -399,8 +426,9 @@ def _settle_p1(geo: _Geometry, x: np.ndarray) -> np.ndarray:
 
 
 #: Problems a (P1) Newton pass holds at once; bounds the working set of
-#: every solver when a caller passes a large batch, most of it the Jacobian
-#: block of d²·(d²−1)² complex entries (58 kB per problem at d = 4).
+#: every solver when a caller passes a large batch: per problem a few d²×d²
+#: complex matrices and the Jacobian's (d², k, d²−1) complex block, at most
+#: 27 kB at d = 4 (k ≤ 7).
 CHUNK = 8192
 
 

@@ -3,7 +3,8 @@
 Both programs run over hermitian matrices in the Choi picture; the
 alternating-projection routine provides an independent optimality check
 for the (P1) Newton solver, and a bisection over its distances checks the
-(P2) root.
+(P2) root.  The Newton Jacobian, built from the smaller side of each cone
+spectrum, is checked against the full-block formula kept here.
 """
 
 import numpy as np
@@ -224,17 +225,24 @@ def test_newton_solution_meets_the_kkt_conditions(d):
         assert frobenius(cone_point - rep.x_opt) <= 1e-8 * s
 
 
-@pytest.mark.parametrize("d", [2, 4])
-def test_dual_jacobian_is_the_derivative_of_the_dual_gradient(d):
+@pytest.mark.parametrize("d, shift, top", [
+    pytest.param(2, 0.0, True, id="2"),
+    pytest.param(4, 0.0, False, id="4"),
+    pytest.param(4, 1.0, True, id="4-nonnegative-side"),
+])
+def test_dual_jacobian_is_the_derivative_of_the_dual_gradient(d, shift, top):
     """M against central differences of −F, at a point where no cone
-    eigenvalue is near 0; and 1/d ⪯ M ⪯ d.  The coordinates are an
-    isometry, and ``_from_herm_coords`` inverts them."""
+    eigenvalue is near 0; and 1/d ⪯ M ⪯ d.  Adding shift·1 to Y moves every
+    cone eigenvalue down by it; ``top`` says whether the smaller side of
+    the spectrum is the nonnegative one.  The coordinates are an isometry,
+    and ``_from_herm_coords`` inverts them."""
     geo = solver._geometry(d)
     t = herm(random_choi_target(d, seed=70 + d))[None]
     tr_t = partial_trace_first(t)
-    y = herm(random_choi_target(d, seed=80 + d)[:d, :d])[None]
+    y = herm(random_choi_target(d, seed=80 + d)[:d, :d])[None] + shift * np.eye(d)
     pt = solver._dual_point(geo, t, tr_t, y)
     assert np.min(np.abs(pt["lam"])) > 1e-3
+    assert (2 * np.count_nonzero(pt["lam"] < 0) > d * d - 1) == top
     jac = solver._dual_jacobian(geo, pt["lam"], pt["a"])[0]
     h = 1e-6
     for k in range(d * d):
@@ -250,6 +258,62 @@ def test_dual_jacobian_is_the_derivative_of_the_dual_gradient(d):
     c = solver._herm_coords(y)
     np.testing.assert_allclose(np.linalg.norm(c), frobenius(y[0]), rtol=1e-15)
     np.testing.assert_allclose(solver._from_herm_coords(c, d), y, rtol=0, atol=1e-15)
+
+
+def full_block_jacobian(geo, lam, a):
+    """The dual Jacobian from the whole spectrum, the reference for
+    ``solver._dual_jacobian``: M_jk = d·δ_jk − ⟨E_j, Ω∘E_k⟩ with one
+    (B, d², d²−1, d²−1) block holding the E_j = Aᴴ(1⊗H_j)A.  It is built
+    from the E_rs = Aᴴ(1⊗e_r e_sᵀ)A in place, scaled by √Ω and viewed as
+    real, so M = d − G·Gᵀ."""
+    d = geo.d
+    b, n, m = a.shape
+    rows = a.reshape(b, d, d, m).swapaxes(1, 2)  # [b, r, j, x] = A[b, (j, r), x]
+    e = rows.conj().swapaxes(-1, -2)[:, :, None] @ rows[:, None, :]
+    for r, s in zip(*np.triu_indices(d, 1)):
+        e_rs = e[:, r, s].copy()
+        e[:, r, s] += e[:, s, r]  # (E_rs + E_sr)/√2
+        e[:, r, s] *= np.sqrt(0.5)
+        e[:, s, r] -= e_rs  # i(E_rs − E_sr)/√2
+        e[:, s, r] *= -1j * np.sqrt(0.5)
+    neg = lam < 0
+    low = np.minimum(lam, 0.0)
+    mixed = neg[:, :, None] != neg[:, None, :]
+    gap = np.where(mixed, lam[:, :, None] - lam[:, None, :], 1.0)
+    omega = np.where(
+        mixed, (low[:, :, None] - low[:, None, :]) / gap, neg[:, :, None] & neg[:, None, :]
+    )
+    e *= np.sqrt(omega)[:, None, None]
+    g = e.reshape(b, d * d, m * m).view(float)
+    return d * np.eye(d * d) - g @ g.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dual_jacobian_matches_the_full_block_formula(d):
+    """One batch of cone spectra (λ ascending, A = V·Q for a random unitary
+    Q): no negative eigenvalue, all negative, one negative, one nonnegative,
+    the two near-even splits, and the two smaller sides holding an exact 0
+    (weight 2 against it, or weight 0 from it).  Each Jacobian is also the
+    one its spectrum gets alone."""
+    geo = solver._geometry(d)
+    m = d * d - 1
+    rng = np.random.default_rng(90 + d)
+    splits = [(0, None), (m, None), (1, None), (m - 1, None), (m // 2, None),
+              (m // 2 + 1, None), (1, 1), (m - 1, m - 1)]
+    lam = np.empty((len(splits), m))
+    a = np.empty((len(splits), d * d, m), dtype=complex)
+    for row, (n_neg, zero) in enumerate(splits):
+        size = rng.uniform(0.1, 2.0, m)
+        lam[row] = np.sort(np.concatenate([-size[:n_neg], size[n_neg:]]))
+        if zero is not None:
+            lam[row, zero] = 0.0
+        q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        a[row] = geo.basis @ q
+    jac = solver._dual_jacobian(geo, lam, a)
+    np.testing.assert_allclose(jac, full_block_jacobian(geo, lam, a), rtol=0, atol=1e-12 * d)
+    for row in range(len(splits)):
+        alone = solver._dual_jacobian(geo, lam[row:row + 1], a[row:row + 1])
+        assert np.array_equal(jac[row], alone[0])
 
 
 def test_newton_cut_at_the_iteration_limit_settles_trace_zero_and_cone_feasible(monkeypatch):
@@ -417,6 +481,46 @@ def test_step_zero_projects_each_distinct_target_once(monkeypatch):
     assert_reports_equal(batch, [min_mu_batch(t, 2, delta)[0] for t, delta in zip(targets, deltas)])
     monkeypatch.setattr(solver, "CHUNK", 2)
     assert_reports_equal(batch, min_mu_batch(targets, 2, deltas))
+
+
+def test_four_level_batches_match_singles_across_jacobian_groups(monkeypatch):
+    """d=4 P1 and P2 batches whose problems reach one Newton step with the
+    smaller side of their spectra on different sides and of different
+    sizes k: every report is the one its problem gets alone, bit for bit,
+    also in pieces of two."""
+    targets = np.concatenate([
+        shifted_branch_targets(4),
+        np.stack([tp_correct(herm(random_choi_target(4, seed=s, scale=0.5)), 4) for s in (2, 3)]),
+    ])
+    jacobian = solver._dual_jacobian
+    groups = []
+
+    def spy(geo, lam, a):
+        n_neg = np.count_nonzero(lam < 0, axis=-1)
+        m = lam.shape[-1]
+        groups.append({(bool(2 * n > m), int(min(n, m - n))) for n in n_neg})
+        return jacobian(geo, lam, a)
+
+    def mixed(step):
+        return {side for side, _ in step} == {False, True} and len({k for _, k in step}) > 1
+
+    monkeypatch.setattr(solver, "_dual_jacobian", spy)
+    p1 = closest_lindbladian_batch(targets, 4)
+    assert any(mixed(step) for step in groups)
+    assert_reports_equal(p1, [closest_lindbladian_batch(t, 4)[0] for t in targets])
+
+    p2_targets = np.stack([tp_correct(herm(t), 4) for t in targets])
+    deltas = [0.5 * rep.objective for rep in closest_lindbladian_batch(p2_targets, 4)]
+    groups.clear()
+    p2 = min_mu_batch(p2_targets, 4, deltas)
+    assert all(rep.status == "Optimal" and rep.iterations > 0 for rep in p2)
+    assert any(mixed(step) for step in groups)
+    singles = [min_mu_batch(t, 4, delta)[0] for t, delta in zip(p2_targets, deltas)]
+    assert_reports_equal(p2, singles)
+
+    monkeypatch.setattr(solver, "CHUNK", 2)
+    assert_reports_equal(p1, closest_lindbladian_batch(targets, 4))
+    assert_reports_equal(p2, min_mu_batch(p2_targets, 4, deltas))
 
 
 @pytest.fixture(scope="module")
