@@ -7,6 +7,12 @@ commands emit a JSON report carrying the input digest, the verdict
 setting that went into it, and the wall time, so a report alone is enough
 to reproduce the run.  ``sweep-epsilon`` writes a plot-ready CSV instead.
 
+Every report takes one path.  The command's decision writes the verdict's
+fields (for ``fit``, `_decide`, whose ``result`` names the winning
+candidate); one closing step, `_close`, adds the digest, the settings
+(every parsed flag but the input and report paths and ``--trace``) and the
+wall time, writes the report and sets the exit code.
+
 ``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`: repair
 the snapshot once and try the candidates with the least work first.  The
 snapshot's own fit (and its mirror's, for a lone negative eigenvalue) comes
@@ -14,7 +20,8 @@ from one best-fit call; when it lands at round-off no sample is drawn.
 Otherwise the repaired samples get one more best-fit call, and when the
 winner of all candidates misses epsilon the same candidates, with the
 logarithms audited for their fits, are asked in one batch for the least
-white-noise rate mu.
+white-noise rate mu.  A sweep row reads its mu and distance from the
+fields `_decide` writes.
 
 Each report's ``input_digest`` hashes the very bytes its matrices were
 parsed from: every matrix file is read once.  `main` builds its parser on
@@ -29,13 +36,12 @@ input, 4 for a numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
 import sys
 import time
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -136,7 +142,7 @@ def _read_input(path: str) -> tuple[np.ndarray, str]:
         raise InputError(f"{path}: expected an object with dim and data") from exc
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputError(f"{path}: dim must be a JSON integer, got {dim!r}")
-    if dim < 4:
+    if dim < 4 or math.isqrt(dim) ** 2 != dim:
         raise InputError(f"{path}: dim must be d*d with d >= 2, got {dim}")
     if not isinstance(data, list) or len(data) != dim * dim:
         raise InputError(
@@ -154,19 +160,6 @@ def _read_input(path: str) -> tuple[np.ndarray, str]:
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise InputError(f"{path}: matrix entries must be finite")
     return flat.reshape(dim, dim), digest
-
-
-def _emit_report(doc: dict[str, Any], path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _verdict_exit(verdict: str) -> int:
-    return EXIT_NO_RESULT if verdict == "NoResult" else EXIT_OK
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -257,29 +250,21 @@ class _Candidates:
         return tags[int(np.argmin(fitting.ranked(distances)))]
 
 
-class _Decision(NamedTuple):
-    kind: str
-    verdict: str
-    fit: Optional[fitting.FitResult] = None
-    mu: Optional[nonmarkov.MuResult] = None
-    candidate: Optional[str] = None
-    skipped: int = 0
-    p1_maxiters: Optional[int] = None
-    p2_maxiters: Optional[int] = None
-
-
 def _label(kind: str, tag):
     """A tag as reports show it.  The passthrough pipeline's one sample is
     the nudged snapshot itself, so its reports keep calling raw sample 0."""
     return 0 if kind == preprocess.PASSTHROUGH and tag == RAW else tag
 
 
-def _named(kind: str, tag) -> tuple:
-    """(candidate name or None, basis sample or None) of a tag in a report."""
+def _named(kind: str, tag) -> dict[str, Any]:
+    """The ``basis_sample`` of a tag in a report (None for a candidate
+    that is no sample) and its ``candidate`` name, when it has one."""
     label = _label(kind, tag)
     if not isinstance(label, int):
-        return label, None
-    return ("sample" if kind == preprocess.SAMPLES else None), label
+        return {"candidate": label, "basis_sample": None}
+    if kind == preprocess.SAMPLES:
+        return {"candidate": "sample", "basis_sample": label}
+    return {"basis_sample": label}
 
 
 def _decide(
@@ -291,8 +276,10 @@ def _decide(
     delta_step: float,
     trace: Optional[list] = None,
     memo: Optional[_Candidates] = None,
-) -> _Decision:
-    """The verdict on one snapshot at one epsilon.
+) -> dict[str, Any]:
+    """The verdict on one snapshot at one epsilon, as its report fields:
+    ``pipeline`` and ``verdict`` and, where they apply, ``detail``,
+    ``samples_skipped``, ``p1_maxiters``, ``p2_maxiters`` and ``result``.
 
     Repairs the snapshot once.  The candidates, in order, are the nudged
     snapshot ("raw"), its mirror when it has one lone real negative
@@ -308,16 +295,19 @@ def _decide(
     Otherwise the logarithms the searches audited go through one
     ``nonmarkov.non_markovianity`` call, which solves every candidate's
     (branch, delta) pairs in one batch and picks the least mu, ties going
-    to the earlier candidate.  The decision counts the samples skipped by
-    the logarithm audit and the MaxIters solves of each solver stage it ran.
+    to the earlier candidate.  The winner's ``result`` names it (`_named`).
+    The decision counts the samples skipped by the logarithm audit and the
+    MaxIters solves of each solver stage it ran.
 
     ``memo`` keeps the candidates and their fits for the next call on the
     same snapshot: a sweep searches each candidate once.
     """
     repair = preprocess.repaired_samples(mat, precision, epsilon, cfg)
     kind = repair.kind
+    doc: dict[str, Any] = {"pipeline": kind}
     if kind == preprocess.IDENTITY:
-        return _Decision(kind, "Identity")
+        doc.update(verdict="Identity", detail="channel is consistent with the identity map")
+        return doc
     found = _Candidates() if memo is None else memo
     if not found.tags:
         tags, stack = [RAW], [repair.snapshot]
@@ -343,24 +333,28 @@ def _decide(
             [_label(kind, tag), getattr(found.fits.get(tag), "distance", None)]
             for tag in found.tags[:count]
         )
-    common = dict(skipped=found.skipped, p1_maxiters=found.p1_maxiters)
+    doc["p1_maxiters"] = found.p1_maxiters
+    if found.skipped:
+        doc["samples_skipped"] = found.skipped
     best = found.best(count)
     if best is not None and found.fits[best].distance < epsilon:
-        candidate, sample = _named(kind, best)
-        fit = dataclasses.replace(found.fits[best], basis_sample_id=sample)
-        return _Decision(kind, "Markovian", fit=fit, candidate=candidate, **common)
-    # No branch of any candidate lands inside the epsilon ball; ask instead
-    # how much white noise would reconcile the snapshot.
-    mu, p2_maxiters = nonmarkov.non_markovianity(
-        mat, found.logs[:count], epsilon, policy, delta_step=delta_step
-    )
-    if mu is None:
-        return _Decision(kind, "NoResult", p2_maxiters=p2_maxiters, **common)
-    candidate, sample = _named(kind, found.tags[mu.basis_sample])
-    return _Decision(
-        kind, "NonMarkovian", mu=dataclasses.replace(mu, basis_sample=sample),
-        candidate=candidate, p2_maxiters=p2_maxiters, **common
-    )
+        doc.update(verdict="Markovian", result=_markovian_result(found.fits[best], epsilon))
+    else:
+        # No branch of any candidate lands inside the epsilon ball; ask
+        # instead how much white noise would reconcile the snapshot.
+        mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
+            mat, found.logs[:count], epsilon, policy, delta_step=delta_step
+        )
+        if mu is None:
+            doc["verdict"] = "NoResult"
+            return doc
+        best = found.tags[mu.basis_sample]
+        doc.update(
+            verdict="NonMarkovian",
+            result=_nonmarkovian_result(mu, epsilon, delta_step, side_dim(len(mat))),
+        )
+    doc["result"].update(_named(kind, best))
+    return doc
 
 
 def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
@@ -369,7 +363,6 @@ def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
         "distance": fit.distance,
         "distance_tolerance": epsilon,
         "branch": list(fit.branch),
-        "basis_sample": fit.basis_sample_id,
         "lindblad_check_tolerance": fitting.VERIFY_TOL,
     }
 
@@ -388,6 +381,32 @@ def _nonmarkovian_result(
         "distance_tolerance": epsilon,
         "lindblad_check_tolerance": fitting.VERIFY_TOL,
     }
+
+
+# Parsed flags that shape no verdict: the input and report paths, the
+# trace switch and the handler.  Every other flag is a report setting.
+_NOT_SETTINGS = ("func", "infile", "report", "trace")
+
+
+def _close(args: argparse.Namespace, started: float, digest, doc: dict, **settings) -> int:
+    """The one closing step of every report: add the input digest, the
+    settings and the wall time to the verdict's fields ``doc``, write the
+    report to ``--report`` (stdout without it) and return its exit code.
+    The settings are the parsed flags less `_NOT_SETTINGS`, with the input
+    path as ``input``; ``settings`` overrides any of them."""
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
+    doc.update(
+        input_digest=digest,
+        settings={**flags, "input": args.infile, **settings},
+        wall_time_s=time.perf_counter() - started,
+    )
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return EXIT_NO_RESULT if doc["verdict"] == "NoResult" else EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -435,49 +454,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
     cfg = _sample_config(args)
-    d = side_dim(mat.shape[0])
-
-    settings = {
-        "command": "fit",
-        "input": args.infile,
-        "epsilon": args.epsilon,
-        "m_max": args.m_max,
-        "max_branches": args.max_branches,
-        "samples": args.samples,
-        "precision": args.precision,
-        "seed": args.seed,
-        "delta_step": args.delta_step,
-    }
     trace: Optional[list] = [] if args.trace else None
-    decision = _decide(mat, args.epsilon, policy, cfg, args.precision, args.delta_step, trace)
-    doc: dict[str, Any] = {
-        "input_digest": digest,
-        "settings": settings,
-        "pipeline": decision.kind,
-        "verdict": decision.verdict,
-    }
-    if decision.verdict == "Identity":
-        doc["detail"] = "channel is consistent with the identity map"
-    if decision.skipped:
-        doc["samples_skipped"] = decision.skipped
-    if decision.p1_maxiters is not None:
-        doc["p1_maxiters"] = decision.p1_maxiters
-    if decision.p2_maxiters is not None:
-        doc["p2_maxiters"] = decision.p2_maxiters
-    if decision.fit is not None:
-        doc["result"] = _markovian_result(decision.fit, args.epsilon)
-    elif decision.mu is not None:
-        doc["result"] = _nonmarkovian_result(
-            decision.mu, args.epsilon, args.delta_step, d
-        )
-        doc["result"]["basis_sample"] = decision.mu.basis_sample
-    if decision.candidate is not None:
-        doc["result"]["candidate"] = decision.candidate
+    doc = _decide(mat, args.epsilon, policy, cfg, args.precision, args.delta_step, trace)
     if trace is not None:
         doc["trace"] = {"samples": trace}
-    doc["wall_time_s"] = time.perf_counter() - started
-    _emit_report(doc, args.report)
-    return _verdict_exit(doc["verdict"])
+    return _close(args, started, digest, doc)
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
@@ -486,37 +467,21 @@ def cmd_mu(args: argparse.Namespace) -> int:
     if args.epsilon < 0:
         raise InputError(f"--epsilon must be nonnegative, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
-    d = side_dim(mat.shape[0])
-    settings = {
-        "command": "mu",
-        "input": args.infile,
-        "epsilon": args.epsilon,
-        "m_max": args.m_max,
-        "max_branches": args.max_branches,
-        "delta_step": args.delta_step,
-    }
-    doc: dict[str, Any] = {
-        "input_digest": digest,
-        "settings": settings,
-    }
+    doc: dict[str, Any] = {"verdict": "NoResult"}
     if args.epsilon == 0:
         # The acceptance test is a strict inequality against epsilon, so a
         # zero budget can never admit a candidate; skip the scan entirely.
-        doc["verdict"] = "NoResult"
         doc["detail"] = "epsilon is zero: no candidate can pass distance < 0"
     else:
         mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
             mat, fitting.checked_logs(mat[None]), args.epsilon, policy,
             delta_step=args.delta_step,
         )
-        if mu is None:
-            doc["verdict"] = "NoResult"
-        else:
-            doc["verdict"] = "NonMarkovian"
-            doc["result"] = _nonmarkovian_result(mu, args.epsilon, args.delta_step, d)
-    doc["wall_time_s"] = time.perf_counter() - started
-    _emit_report(doc, args.report)
-    return _verdict_exit(doc["verdict"])
+        if mu is not None:
+            doc.update(verdict="NonMarkovian", result=_nonmarkovian_result(
+                mu, args.epsilon, args.delta_step, side_dim(mat.shape[0])
+            ))
+    return _close(args, started, digest, doc)
 
 
 def _epsilon_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -548,16 +513,12 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
         mu = distance = None
         # fit refuses epsilon <= 0: no candidate can pass distance < epsilon.
         if eps > 0:
-            decision = _decide(
-                mat, eps, policy, cfg, args.precision, args.delta_step, memo=memo
-            )
-            if decision.verdict == "Identity":
+            doc = _decide(mat, eps, policy, cfg, args.precision, args.delta_step, memo=memo)
+            if doc["verdict"] == "Identity":
                 # Consistent with the identity map: no noise needed.
                 mu, distance = 0.0, float(frobenius(mat - np.eye(mat.shape[0])))
-            elif decision.fit is not None:
-                mu, distance = 0.0, decision.fit.distance
-            elif decision.mu is not None:
-                mu, distance = decision.mu.mu_min, decision.mu.distance
+            elif "result" in doc:  # a Markovian fit needs no noise
+                mu, distance = doc["result"].get("mu_min", 0.0), doc["result"]["distance"]
         sentinel = MU_ABSENT_SENTINEL if mu is None else mu
         cells = [_csv_number(v) for v in (eps, mu, sentinel, distance)]
         lines.append(",".join(cells + [str(args.samples), str(args.m_max)]))
@@ -585,33 +546,20 @@ def cmd_multifit(args: argparse.Namespace) -> int:
     mats, digests = zip(*(_read_input(path) for path in paths))
     policy = _policy(args, mats[0].shape[0])
 
-    doc: dict[str, Any] = {
-        "input_digest": list(digests),
-        "settings": {
-            "command": "multifit",
-            "input": paths,
-            "times": times,
-            "epsilon": args.epsilon,
-            "m_max": args.m_max,
-            "max_branches": args.max_branches,
-            "delta_step": args.delta_step,
-            "delta_grid_snapshot": DELTA_GRID_SNAPSHOT,
-        },
-    }
-    fit, doc["joint_maxiters"] = best_fit_multi(
+    fit, maxiters = best_fit_multi(
         mats, times, args.epsilon, policy, delta_step=args.delta_step
     )
-    if fit is None:
-        doc["verdict"] = "NoResult"
-    else:
-        doc["verdict"] = "Markovian"
-        doc["result"] = _markovian_result(fit, len(paths) * args.epsilon)
-        doc["result"]["distance_note"] = (
-            "sum of per-snapshot distances; each is below epsilon"
-        )
-    doc["wall_time_s"] = time.perf_counter() - started
-    _emit_report(doc, args.report)
-    return _verdict_exit(doc["verdict"])
+    doc: dict[str, Any] = {"verdict": "NoResult", "joint_maxiters": maxiters}
+    if fit is not None:
+        doc.update(verdict="Markovian", result={
+            **_markovian_result(fit, len(paths) * args.epsilon),
+            "basis_sample": None,
+            "distance_note": "sum of per-snapshot distances; each is below epsilon",
+        })
+    return _close(
+        args, started, list(digests), doc,
+        input=paths, times=times, delta_grid_snapshot=DELTA_GRID_SNAPSHOT,
+    )
 
 
 # ----------------------------------------------------------------------

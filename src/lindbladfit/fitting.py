@@ -49,7 +49,6 @@ from .channels import is_lindbladian
 from .errors import NumericalFailure, OutOfRange
 from .linalg import (
     SpectralData,
-    eig_full,
     expm,
     frobenius,
     gamma_involution,
@@ -58,6 +57,7 @@ from .linalg import (
     max_entangled,
     side_dim,
 )
+from .preprocess import perturb_to_nd2
 
 __all__ = [
     "BranchPolicy",
@@ -122,7 +122,6 @@ class FitResult:
     lindbladian: np.ndarray
     distance: float
     branch: tuple[int, ...]
-    basis_sample_id: Optional[int] = None  # stack position; the CLI names its candidate
 
 
 def _shell(dim: int, m_max: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -164,15 +163,18 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
 
 def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> list:
     """Eigendecompose each matrix of a (K, n, n) stack, take its principal
-    log and audit the round trip, with one ``expm`` call for all round
-    trips: (spectral data, principal log) per matrix, or the
-    ``NumericalFailure`` that rejects it.  ``spectra`` holds the
+    log and audit the round trip to the matrix, with one ``expm`` call for
+    all round trips: (spectral data, principal log) per matrix, or the
+    ``NumericalFailure`` that rejects it.  A matrix with a degenerate
+    spectrum is first nudged onto a simple one by
+    ``preprocess.perturb_to_nd2``, the nudge the repair gives a snapshot,
+    which eigendecomposes a simple matrix once.  ``spectra`` holds the
     `eig_full` of the first matrices where the caller already has it; only
     the others are eigendecomposed here."""
     audited = []
     for k, r in enumerate(stack):
         try:
-            spectral = spectra[k] if k < len(spectra) else eig_full(r)
+            spectral = spectra[k] if k < len(spectra) else perturb_to_nd2(r)[1]
             audited.append((spectral, matrix_log_principal(spectral)))
         except NumericalFailure as exc:
             audited.append(exc)
@@ -306,6 +308,5 @@ def best_fit_lindbladian(
             lindbladian=gens[c],
             distance=float(dists[c]),
             branch=tuple(int(v) for v in branches[lead[c]]),
-            basis_sample_id=k,
         )
     return fits, maxiters

@@ -498,7 +498,7 @@ def _probe_matrix(n: int, scale: float) -> np.ndarray:
     return probe * (scale / frobenius(probe))
 
 
-def perturb_to_nd2(m: np.ndarray, budget: float) -> tuple[np.ndarray, SpectralData]:
+def perturb_to_nd2(m: np.ndarray, budget: float = _ND2_BUDGET) -> tuple[np.ndarray, SpectralData]:
     """Nudge a matrix with degenerate spectrum onto a simple-spectrum
     neighbor within ``budget`` in Frobenius norm; returns the matrix kept
     and its `eig_full`.
@@ -600,7 +600,7 @@ def repaired_samples(
     so this approximate mode is the one that actually fires.
     """
     cfg.validate()
-    m, s = perturb_to_nd2(m, _ND2_BUDGET)
+    m, s = perturb_to_nd2(m)
     partition = detect_clusters(s, p)
     mirrored = mirrored_negative(s, p)
     if not partition.has_clusters:

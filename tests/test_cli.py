@@ -21,6 +21,7 @@ from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
     is_lindbladian,
+    lindblad_generator,
     random_lindblad_generator,
     simulate_process_tomography,
 )
@@ -323,9 +324,92 @@ def test_mu_on_a_singular_matrix_exits_4(tmp_path):
     assert (code, doc) == (cli.EXIT_NUMERICAL_FAILURE, None)
 
 
+def test_every_command_refuses_a_side_that_is_not_a_square(tmp_path):
+    """A 5x5 file is no transfer matrix.  `fit` and `mu` refused it when
+    they took the side dimension; `sweep-epsilon` answered it, with Identity
+    rows near the identity."""
+    path = str(tmp_path / "five.json")
+    cli.write_matrix_file(path, np.eye(5) + np.diag(np.arange(5)) / 1000)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["fit", "--in", path, "--epsilon", "0.05", "--report", out],
+        ["mu", "--in", path, "--epsilon", "0.05", "--report", out],
+        ["multifit", "--in", path, "--times", "1", "--epsilon", "0.05", "--report", out],
+        ["sweep-epsilon", "--in", path, "--from", "0.01", "--to", "0.05", "--step", "0.02",
+         "--csv", out],
+    ):
+        assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert not Path(out).exists()
+
+
+# ----------------------------------------------------------------------
+# degenerate snapshots: every command audits them nudged onto a simple
+# spectrum (`preprocess.perturb_to_nd2`); each of these exited 4
+# ----------------------------------------------------------------------
+
+def dephasing_series(tmp_path):
+    """Matrix files of the exact qubit dephasing series exp(t L), L with the
+    one jump 0.3 Z, at t = 1 and 2; each has the spectrum {1, 1, q, q}."""
+    gen = lindblad_generator(np.zeros((2, 2)), [0.3 * np.diag([1.0, -1.0])])
+    paths = [str(tmp_path / f"dephasing-{t}.json") for t in (1, 2)]
+    for t, path in zip((1, 2), paths):
+        cli.write_matrix_file(path, expm(t * gen))
+    return paths
+
+
+def test_multifit_answers_an_exact_markovian_series(tmp_path):
+    paths = dephasing_series(tmp_path)
+    code, doc = run(tmp_path, "multifit", "--in", ",".join(paths), "--times", "1,2",
+                    "--epsilon", str(EPSILON))
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "Markovian")
+    res = doc["result"]
+    assert res["distance"] < 1e-6
+    assert is_lindbladian(matrix(res["lindbladian"]), tol=res["lindblad_check_tolerance"]).ok
+
+
+def test_mu_answers_an_exact_degenerate_snapshot(tmp_path):
+    path = dephasing_series(tmp_path)[0]
+    code, doc = run(tmp_path, "mu", "--in", path, "--epsilon", str(EPSILON))
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
+    assert doc["result"]["distance"] < EPSILON
+
+
+def test_a_mirror_that_collides_with_an_eigenvalue_is_nudged(tmp_path):
+    """The exact Pauli channel with Pauli eigenvalues (1, 0.4, -0.4, 0.1):
+    the mirror of its lone negative eigenvalue doubles 0.4.  Both
+    candidates are audited and fitted, and neither fits nor reaches a
+    noise rate."""
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]
+    vecs = [np.asarray(p, dtype=complex).reshape(-1) for p in paulis]
+    mat = sum(lam * np.outer(v, v.conj()) / 2 for lam, v in zip((1, 0.4, -0.4, 0.1), vecs))
+    path = str(tmp_path / "pauli.json")
+    cli.write_matrix_file(path, mat)
+    code, doc = fit(tmp_path, path, EPSILON, "--trace")
+    assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
+    assert [k for k, d in doc["trace"]["samples"] if d is not None] == [0, "mirrored"]
+
+
 # ----------------------------------------------------------------------
 # the fit report
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, argv, keys",
+    [
+        ("fit", ["--trace"], {"samples", "precision", "seed"}),
+        ("mu", [], set()),
+        ("multifit", ["--times", "1"], {"times", "delta_grid_snapshot"}),
+    ],
+)
+def test_report_settings_are_the_flags_that_shape_the_verdict(
+    tmp_path, snap, command, argv, keys
+):
+    """Settings are pinned: a new flag must be added here on purpose.  The
+    report path and --trace shape no verdict and are never settings."""
+    code, doc = run(tmp_path, command, "--in", snap["depol"], "--epsilon", str(EPSILON), *argv)
+    common = {"command", "input", "epsilon", "m_max", "max_branches", "delta_step"}
+    assert set(doc["settings"]) == common | keys
+    assert doc["settings"]["command"] == command
 
 def test_markovian_report(tmp_path, snap):
     code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
@@ -611,10 +695,10 @@ def test_a_sample_that_fails_the_log_audit_is_skipped(tmp_path, snap, monkeypatc
     fits, _ = fitting.best_fit_lindbladian(
         mat, fitting.checked_logs(np.stack([mat] + [drawn[k] for k in good[1:]]))
     )
-    want = min(fits.values(), key=lambda fit: (fit.distance, fit.basis_sample_id))
+    k = min(fits, key=lambda k: (fits[k].distance, k))
     res = doc["result"]
-    assert (res["candidate"], res["basis_sample"]) == ("sample", good[want.basis_sample_id])
-    assert (res["distance"], res["branch"]) == (want.distance, list(want.branch))
+    assert (res["candidate"], res["basis_sample"]) == ("sample", good[k])
+    assert (res["distance"], res["branch"]) == (fits[k].distance, list(fits[k].branch))
 
 
 def test_all_samples_failing_the_log_audit_exits_4(tmp_path, snap, monkeypatch):
@@ -818,15 +902,18 @@ def test_one_parser_serves_a_whole_process(tmp_path, snap, monkeypatch, capsys):
 
 def eig_calls(monkeypatch):
     """Every `eig_full` call, as (use site, stage): the stage is "fallback"
-    once the mu fallback has started, "search" before."""
+    once the mu fallback has started, "search" before.  The repair and the
+    logarithm audit (through `preprocess.perturb_to_nd2`) both call it in
+    `preprocess`."""
     calls = []
     stage = ["search"]
-    for module in (preprocess, fitting):
-        def spy(m, *args, _site=module.__name__.rsplit(".", 1)[-1], _eig=module.eig_full):
-            calls.append((_site, stage[0]))
-            return _eig(m, *args)
+    eig = preprocess.eig_full
 
-        monkeypatch.setattr(module, "eig_full", spy)
+    def spy(m, *args):
+        calls.append(("preprocess", stage[0]))
+        return eig(m, *args)
+
+    monkeypatch.setattr(preprocess, "eig_full", spy)
     fallback = nonmarkov.non_markovianity
 
     def marking(*args, **kwargs):
@@ -848,9 +935,9 @@ def test_a_raw_decided_verdict_eigendecomposes_its_snapshot_once(tmp_path, snap,
 
 def test_each_candidate_is_eigendecomposed_once_in_the_search(tmp_path, snap, monkeypatch):
     """X gate, four samples: the snapshot once in the repair, each sample
-    once in the P1 search, and none in the mu fallback, which reuses the
-    logarithms the search audited."""
+    once in the P1 search's logarithm audit, and none in the mu fallback,
+    which reuses the logarithms the search audited."""
     calls = eig_calls(monkeypatch)
     code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4")
     assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
-    assert collections.Counter(calls) == {("preprocess", "search"): 1, ("fitting", "search"): 4}
+    assert collections.Counter(calls) == {("preprocess", "search"): 5}
