@@ -13,15 +13,16 @@ candidate); one closing step, `_close`, adds the digest, the settings
 (every parsed flag but the input and report paths and ``--trace``) and the
 wall time, writes the report and sets the exit code.
 
-``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`: repair
-the snapshot once and try the candidates with the least work first.  The
-snapshot's own fit (and its mirror's, for a lone negative eigenvalue) comes
-from one best-fit call; when it lands at round-off no sample is drawn.
-Otherwise the repaired samples get one more best-fit call, and when the
-winner of all candidates misses epsilon the same candidates, with the
-logarithms audited for their fits, are asked in one batch for the least
-white-noise rate mu.  A sweep row reads its mu and distance from the
-fields `_decide` writes.
+``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`, on one
+`preprocess.Repair` of the snapshot, which epsilon does not change: a sweep
+repairs its snapshot once for all its rows.  The decision tries the
+candidates with the least work first.  The snapshot's own fit (and its
+mirror's, for a lone negative eigenvalue) comes from one best-fit call;
+when it lands at round-off no sample is drawn.  Otherwise the repaired
+samples get one more best-fit call, and when the winner of all candidates
+misses epsilon the same candidates, with the logarithms audited for their
+fits, are asked in one batch for the least white-noise rate mu.  A sweep
+row reads its mu and distance from the fields `_decide` writes.
 
 Each report's ``input_digest`` hashes the very bytes its matrices were
 parsed from: every matrix file is read once.  `main` builds its parser on
@@ -191,12 +192,6 @@ def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
     return policy
 
 
-def _sample_config(args: argparse.Namespace) -> preprocess.RandomBasisConfig:
-    cfg = preprocess.RandomBasisConfig(samples=args.samples, seed=args.seed)
-    cfg.validate()
-    return cfg
-
-
 # Candidate tags besides a repaired sample's int id: the nudged snapshot
 # and its mirrored lone negative eigenvalue (preprocess.Repair).
 RAW, MIRRORED = "raw", "mirrored"
@@ -250,38 +245,32 @@ class _Candidates:
         return tags[int(np.argmin(fitting.ranked(distances)))]
 
 
-def _label(kind: str, tag):
-    """A tag as reports show it.  The passthrough pipeline's one sample is
-    the nudged snapshot itself, so its reports keep calling raw sample 0."""
-    return 0 if kind == preprocess.PASSTHROUGH and tag == RAW else tag
-
-
-def _named(kind: str, tag) -> dict[str, Any]:
-    """The ``basis_sample`` of a tag in a report (None for a candidate
-    that is no sample) and its ``candidate`` name, when it has one."""
-    label = _label(kind, tag)
-    if not isinstance(label, int):
-        return {"candidate": label, "basis_sample": None}
-    if kind == preprocess.SAMPLES:
-        return {"candidate": "sample", "basis_sample": label}
-    return {"basis_sample": label}
+def _named(tag) -> dict[str, Any]:
+    """A tag's ``candidate`` name and ``basis_sample`` in a report: "raw"
+    and "mirrored" are no sample; sample k is candidate "sample"."""
+    if isinstance(tag, int):
+        return {"candidate": "sample", "basis_sample": tag}
+    return {"candidate": tag, "basis_sample": None}
 
 
 def _decide(
     mat: np.ndarray,
     epsilon: float,
     policy: fitting.BranchPolicy,
-    cfg: preprocess.RandomBasisConfig,
-    precision: float,
-    delta_step: float,
+    repair: preprocess.Repair,
+    found: _Candidates,
+    args: argparse.Namespace,
     trace: Optional[list] = None,
-    memo: Optional[_Candidates] = None,
 ) -> dict[str, Any]:
     """The verdict on one snapshot at one epsilon, as its report fields:
     ``pipeline`` and ``verdict`` and, where they apply, ``detail``,
     ``samples_skipped``, ``p1_maxiters``, ``p2_maxiters`` and ``result``.
 
-    Repairs the snapshot once.  The candidates, in order, are the nudged
+    ``repair`` is the snapshot's `preprocess.Repair` and ``found`` its
+    `_Candidates`; neither depends on epsilon, so a sweep passes the same
+    two to every row and repairs, draws and searches each candidate once.
+    ``args`` gives the sample count and seed (``--samples``, ``--seed``)
+    and ``--delta-step``.  The candidates, in order, are the nudged
     snapshot ("raw"), its mirror when it has one lone real negative
     eigenvalue ("mirrored"), and in the ``samples`` pipeline the repaired
     samples.  Raw and mirrored get their own `_Candidates.search`, so each
@@ -298,17 +287,12 @@ def _decide(
     to the earlier candidate.  The winner's ``result`` names it (`_named`).
     The decision counts the samples skipped by the logarithm audit and the
     MaxIters solves of each solver stage it ran.
-
-    ``memo`` keeps the candidates and their fits for the next call on the
-    same snapshot: a sweep searches each candidate once.
     """
-    repair = preprocess.repaired_samples(mat, precision, epsilon, cfg)
-    kind = repair.kind
+    kind = repair.kind(epsilon)
     doc: dict[str, Any] = {"pipeline": kind}
     if kind == preprocess.IDENTITY:
         doc.update(verdict="Identity", detail="channel is consistent with the identity map")
         return doc
-    found = _Candidates() if memo is None else memo
     if not found.tags:
         tags, stack = [RAW], [repair.snapshot]
         if repair.mirrored is not None:
@@ -321,17 +305,15 @@ def _decide(
         best = found.best(count)
         tied = best is not None and found.fits[best].distance < min(fitting.TIE_TOL, epsilon)
         if not (found.drawn or tied):
-            samples = list(repair.samples)
-            found.skipped = found.search(
-                mat, [k for k, _ in samples], [r for _, r in samples], policy
-            )
+            ids = list(range(args.samples))
+            stack = [repair.sample(args.seed, k) for k in ids]
+            found.skipped = found.search(mat, ids, stack, policy)
             found.drawn = True
         if found.drawn:
             count = len(found.tags)
     if trace is not None:
         trace.extend(
-            [_label(kind, tag), getattr(found.fits.get(tag), "distance", None)]
-            for tag in found.tags[:count]
+            [tag, getattr(found.fits.get(tag), "distance", None)] for tag in found.tags[:count]
         )
     doc["p1_maxiters"] = found.p1_maxiters
     if found.skipped:
@@ -343,7 +325,7 @@ def _decide(
         # No branch of any candidate lands inside the epsilon ball; ask
         # instead how much white noise would reconcile the snapshot.
         mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
-            mat, found.logs[:count], epsilon, policy, delta_step=delta_step
+            mat, found.logs[:count], epsilon, policy, delta_step=args.delta_step
         )
         if mu is None:
             doc["verdict"] = "NoResult"
@@ -351,9 +333,9 @@ def _decide(
         best = found.tags[mu.basis_sample]
         doc.update(
             verdict="NonMarkovian",
-            result=_nonmarkovian_result(mu, epsilon, delta_step, side_dim(len(mat))),
+            result=_nonmarkovian_result(mu, epsilon, args.delta_step, side_dim(len(mat))),
         )
-    doc["result"].update(_named(kind, best))
+    doc["result"].update(_named(best))
     return doc
 
 
@@ -453,9 +435,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.epsilon <= 0:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
-    cfg = _sample_config(args)
+    repair = preprocess.Repair(mat, args.precision)
     trace: Optional[list] = [] if args.trace else None
-    doc = _decide(mat, args.epsilon, policy, cfg, args.precision, args.delta_step, trace)
+    doc = _decide(mat, args.epsilon, policy, repair, _Candidates(), args, trace)
     if trace is not None:
         doc["trace"] = {"samples": trace}
     return _close(args, started, digest, doc)
@@ -503,17 +485,17 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     mat = read_matrix_file(args.infile)
     grid = _epsilon_grid(args.start, args.stop, args.step)
     policy = _policy(args, mat.shape[0])
-    cfg = _sample_config(args)
 
-    # Each row is fit's verdict at its epsilon; the memo runs each
-    # candidate's branch search once for the whole grid.
-    memo = _Candidates()
+    # Each row is fit's verdict at its epsilon.  One repair and one set of
+    # candidates serve every row, built at the first row fit would accept.
+    repair, found = None, _Candidates()
     lines = [CSV_HEADER]
     for eps in grid.tolist():
         mu = distance = None
         # fit refuses epsilon <= 0: no candidate can pass distance < epsilon.
         if eps > 0:
-            doc = _decide(mat, eps, policy, cfg, args.precision, args.delta_step, memo=memo)
+            repair = repair or preprocess.Repair(mat, args.precision)
+            doc = _decide(mat, eps, policy, repair, found, args)
             if doc["verdict"] == "Identity":
                 # Consistent with the identity map: no noise needed.
                 mu, distance = 0.0, float(frobenius(mat - np.eye(mat.shape[0])))
@@ -621,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def sample_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--samples", type=int, default=1, help="random repaired bases")
+        p.add_argument("--samples", type=_positive(int), default=1, help="random repaired bases")
         p.add_argument("--precision", type=_finite, default=preprocess.DEFAULT_PRECISION)
         p.add_argument("--seed", type=int, default=0)
 

@@ -11,6 +11,7 @@ import collections
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,11 +145,13 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--delta-step", "0"), ("--delta-step", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
+    [("--delta-step", "0"), ("--delta-step", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
+     ("--samples", "0"), ("--samples", "-1")],
 )
 def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypatch, flag, value):
     """Rejected as the flags are parsed, whatever the verdict would be.
-    `--jobs` is not a flag of any command: like any unknown flag, it exits 3."""
+    `--jobs` is not a flag of any command: like any unknown flag, it exits 3.
+    `--samples` is a flag of `fit` and `sweep-epsilon`."""
 
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
@@ -386,7 +389,7 @@ def test_a_mirror_that_collides_with_an_eigenvalue_is_nudged(tmp_path):
     cli.write_matrix_file(path, mat)
     code, doc = fit(tmp_path, path, EPSILON, "--trace")
     assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
-    assert [k for k, d in doc["trace"]["samples"] if d is not None] == [0, "mirrored"]
+    assert [k for k, d in doc["trace"]["samples"] if d is not None] == ["raw", "mirrored"]
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +441,7 @@ def test_nonmarkovian_report(tmp_path, snap):
     assert res["mu_min"] == pytest.approx(4.569177, abs=1e-6)
     perp = max_entangled(2).omega_perp
     assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
-    assert res["basis_sample"] == 0
+    assert (res["candidate"], res["basis_sample"]) == ("raw", None)
     assert (doc["p1_maxiters"], doc["p2_maxiters"]) == (0, 0)
 
 
@@ -621,7 +624,7 @@ def test_lone_negative_eigenvalue_is_mirrored_to_a_noise_rate(tmp_path):
     assert res["distance"] < EPSILON
     perp = max_entangled(2).omega_perp
     assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
-    assert [k for k, _ in doc["trace"]["samples"]] == [0, "mirrored"]
+    assert [k for k, _ in doc["trace"]["samples"]] == ["raw", "mirrored"]
 
 
 def test_noiseless_markovian_channels_are_markovian(tmp_path):
@@ -655,25 +658,27 @@ def _ill_conditioned():
 def fail_audit(monkeypatch, bad):
     """Swap the candidates in ``bad`` (sample ids, and "raw" for the nudged
     snapshot) for a matrix that fails the logarithm audit; returns the list
-    that records the original samples of the latest repair."""
-    repair = preprocess.repaired_samples
+    that records the original samples of the latest repair.  The samples
+    are still drawn from the snapshot's own plan."""
+    make = preprocess.Repair
     drawn = []
 
     def swapped(*args):
-        found = repair(*args)
+        repair = make(*args)
         drawn.clear()
 
-        def samples():
-            for k, r in found.samples:
-                drawn.append(r)
-                yield k, _ill_conditioned() if k in bad else r
+        def sample(seed, k):
+            drawn.append(repair.sample(seed, k))
+            return _ill_conditioned() if k in bad else drawn[-1]
 
+        swap = SimpleNamespace(kind=repair.kind, snapshot=repair.snapshot,
+                               spectral=repair.spectral, mirrored=repair.mirrored, sample=sample)
         if "raw" in bad:
-            bad_raw = _ill_conditioned()
-            found = found._replace(snapshot=bad_raw, spectral=eig_full(bad_raw))
-        return found._replace(samples=samples())
+            swap.snapshot = _ill_conditioned()
+            swap.spectral = eig_full(swap.snapshot)
+        return swap
 
-    monkeypatch.setattr(preprocess, "repaired_samples", swapped)
+    monkeypatch.setattr(preprocess, "Repair", swapped)
     return drawn
 
 
@@ -826,6 +831,60 @@ def test_a_sweep_audits_each_candidate_once(tmp_path, snap, monkeypatch):
     assert len(lines) == 11
     assert all(line.split(",")[1] for line in lines[1:])  # every row has a mu
     assert sum(audited) == 5
+
+
+REPAIR_STEPS = ("perturb_to_nd2", "detect_clusters", "build_cluster_bases")
+
+
+def repair_calls(monkeypatch):
+    """Counts the calls of each step of the repair in `REPAIR_STEPS`."""
+    calls = collections.Counter()
+    for name in REPAIR_STEPS:
+        step = getattr(preprocess, name)
+
+        def counting(*args, _name=name, _step=step):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(preprocess, name, counting)
+    return calls
+
+
+def test_a_sweep_repairs_its_snapshot_once(tmp_path, snap, monkeypatch):
+    """Ten X-gate rows: one nudge, one cluster detection and one draw plan
+    for the whole sweep."""
+    calls = repair_calls(monkeypatch)
+    lines = sweep(tmp_path, snap["xgate"], 0.05, 0.15, 0.01, "--samples", "4")
+    assert len(lines) == 11
+    assert calls == dict.fromkeys(REPAIR_STEPS, 1)
+
+
+def test_an_identity_verdict_builds_no_plan(tmp_path, snap, monkeypatch):
+    calls = repair_calls(monkeypatch)
+    code, doc = fit(tmp_path, snap["identity"], EPSILON)
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "Identity")
+    assert calls == {"perturb_to_nd2": 1, "detect_clusters": 1}
+
+
+def test_a_sweep_across_the_kernel_tolerance_matches_fit(tmp_path):
+    """Depolarizing p = 0.1 with 1e-4 of complex noise, which leaves a
+    kernel residual of 1.9e-3: its rows run passthrough up to that epsilon
+    and samples above it.  Every row is `fit`'s verdict at its epsilon."""
+    spec, shots = ChannelSpec("depolarizing", {"p": 0.1}), 10**4
+    mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
+    rng = np.random.default_rng(7)
+    mat = mat + 1e-4 * (rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape))
+    path = str(tmp_path / "bumped.json")
+    cli.write_matrix_file(path, mat)
+    lines = sweep(tmp_path, path, 0.0002, 0.0042, 0.0005, "--samples", "4")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 8
+    for eps, mu, sentinel, distance, _, _ in rows:
+        assert (mu, sentinel, distance) == fit_row(tmp_path, path, eps, "--samples", "4"), eps
+    pipelines = [fit(tmp_path, path, eps, "--samples", "4")[1]["pipeline"] for eps, *_ in rows[3:5]]
+    assert pipelines == ["passthrough", "samples"]
+    # below the raw fit's distance no noise rate is found; above it raw fits
+    assert (rows[0][1:3], rows[1][1]) == (["", "1000"], "0")
 
 
 # ----------------------------------------------------------------------

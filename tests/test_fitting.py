@@ -231,9 +231,9 @@ def test_noisy_snapshot_fit_quality_tracks_noise():
 def _repaired(spec, shots, samples):
     """Snapshot (tomography seed 1) and the repaired matrices ``fit`` searches."""
     mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
-    cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
-    stream = preprocess.repaired_samples(mat, preprocess.DEFAULT_PRECISION, 0.05, cfg).samples
-    return mat, [r for _, r in stream]
+    repair = preprocess.Repair(mat, preprocess.DEFAULT_PRECISION)
+    assert repair.kind(0.05) == preprocess.SAMPLES
+    return mat, [repair.sample(0, k) for k in range(samples)]
 
 
 def _class_solve(mat, r, policy):

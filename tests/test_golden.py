@@ -46,7 +46,7 @@ GOLDEN = {
                         None, None, 1.1424824313914204e-15),
     "depol-0.2@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                         None, None, 6.48736591897582e-16),
-    "unital-bench@1e+04": ("NonMarkovian", 0, "passthrough", None, [0, 0, 0, 0], 0,
+    "unital-bench@1e+04": ("NonMarkovian", 0, "passthrough", "raw", [0, 0, 0, 0], None,
                            0.07790307842411665, 4.569176793368797, 0.031280200145080705),
     "unital-weak-t1@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                              None, None, 5.568973853619114e-16),
@@ -59,7 +59,7 @@ GOLDEN = {
                         None, None, 1.5692660731617238e-15),
     "depol-0.2@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                         None, None, 1.6327771283188252e-15),
-    "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", None, [0, 0, 0, 0], 0,
+    "unital-bench@1e+05": ("NonMarkovian", 0, "passthrough", "raw", [0, 0, 0, 0], None,
                            0.06667759669106713, 5.746707391960351, 0.02680759056218518),
     "unital-weak-t1@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                              None, None, 9.098133367390006e-16),

@@ -201,9 +201,9 @@ def _snapshot_and_sample(spec, repaired):
     m = simulate_process_tomography(spec, TomographyConfig(shots=10**4, seed=1)).mat
     if not repaired:
         return m, m
-    cfg = preprocess.RandomBasisConfig(samples=1, seed=0)
-    stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, EPSILON, cfg).samples
-    return m, next(stream)[1]
+    repair = preprocess.Repair(m, preprocess.DEFAULT_PRECISION)
+    assert repair.kind(EPSILON) == preprocess.SAMPLES
+    return m, repair.sample(0, 0)
 
 
 def _below_tie_tol(delta, mu):
@@ -273,9 +273,9 @@ def test_winner_is_the_first_certified_pair_by_mu_delta_branch(spec, repaired, a
 def _stack(spec, shots, epsilon, samples=4):
     """Snapshot (tomography seed 1) and its repaired samples, as `fit` draws them."""
     m = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
-    cfg = preprocess.RandomBasisConfig(samples=samples, seed=0)
-    stream = preprocess.repaired_samples(m, preprocess.DEFAULT_PRECISION, epsilon, cfg).samples
-    return m, list(stream)
+    repair = preprocess.Repair(m, preprocess.DEFAULT_PRECISION)
+    assert repair.kind(epsilon) == preprocess.SAMPLES
+    return m, [(k, repair.sample(0, k)) for k in range(samples)]
 
 
 def _per_sample_loop(m, samples, epsilon):

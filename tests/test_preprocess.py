@@ -1,5 +1,6 @@
-"""The repair pipeline: its lazy sample generator ``preprocess.repaired_samples``,
-cluster detection, the draw plan and its walk, and ``perturb_to_nd2``."""
+"""The repair pipeline: ``preprocess.Repair``, its kind at each epsilon and
+its samples, cluster detection, the draw plan and its walk, and
+``perturb_to_nd2``."""
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ def snapshot(spec, shots, seed=1):
 
 
 def samples(mat, count, seed=0):
-    cfg = preprocess.RandomBasisConfig(samples=count, seed=seed)
-    repair = preprocess.repaired_samples(mat, P, EPSILON, cfg)
-    return repair.kind, list(repair.samples)
+    """The repair's kind at EPSILON and, in the samples pipeline, its
+    samples 0..count-1."""
+    repair = preprocess.Repair(mat, P)
+    kind = repair.kind(EPSILON)
+    drawn = [repair.sample(seed, k) for k in range(count)] if kind == preprocess.SAMPLES else []
+    return kind, drawn
 
 
 @pytest.mark.parametrize(
@@ -41,10 +45,8 @@ def test_identity_channel_gives_no_samples(mat):
 def test_separated_spectrum_passes_the_input_through():
     # eigenvalues 1, 0.74, 0.50, 0.30: no two within the precision
     mat = snapshot(ChannelSpec("unital", {"gamma": [0.8, 0.4, -0.1]}), 10**5)
-    kind, stream = samples(mat, 4)
-    assert kind == preprocess.PASSTHROUGH
-    assert len(stream) == 1 and stream[0][0] == 0
-    np.testing.assert_array_equal(stream[0][1], mat)
+    assert samples(mat, 4) == (preprocess.PASSTHROUGH, [])
+    np.testing.assert_array_equal(preprocess.Repair(mat, P).snapshot, mat)
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +57,13 @@ def depol():
 def test_clustered_spectrum_keeps_the_snapshot_spectrum(depol):
     kind, stream = samples(depol, 4)
     assert kind == preprocess.SAMPLES
-    assert [k for k, _ in stream] == [0, 1, 2, 3]
+    assert len(stream) == 4
     s = eig_full(depol)
     partition = preprocess.detect_clusters(s, P)
     clustered = {i for set_ in partition.positive_sets + partition.negative_sets + partition.complex_sets for i in set_}
     single = [i for i in range(len(s.eigenvalues)) if i not in clustered]
     assert clustered and single
-    for _, r in stream:
+    for r in stream:
         assert not np.allclose(r, depol, atol=1e-6)  # the eigenbasis did change
         gaps = np.abs(np.linalg.eigvals(r)[:, None] - s.eigenvalues[None, :])
         # every eigenvalue of R has a partner in the snapshot's spectrum and back
@@ -76,16 +78,17 @@ def test_sample_k_depends_only_on_seed_and_k(depol):
     _, four = samples(depol, 4)
     _, again = samples(depol, 4)
     _, two = samples(depol, 2)
-    for (k, r), (k2, r2) in zip(four, again):
-        assert k == k2
+    for r, r2 in zip(four, again):
         np.testing.assert_array_equal(r, r2)
     assert len(two) == 2
-    for (k, r), (k2, r2) in zip(four, two):
-        assert k == k2
+    for r, r2 in zip(four, two):
         np.testing.assert_array_equal(r, r2)
-    assert not np.array_equal(four[0][1], four[1][1])
+    # drawn out of order, from one repair, sample 1 is the same
+    repair = preprocess.Repair(depol, P)
+    np.testing.assert_array_equal(repair.sample(0, 1), four[1])
+    assert not np.array_equal(four[0], four[1])
     _, other_seed = samples(depol, 2, seed=1)
-    assert not np.array_equal(other_seed[0][1], four[0][1])
+    assert not np.array_equal(other_seed[0], four[0])
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +110,8 @@ def repair():
         mat = snapshot(spec, shots)
         s = eig_full(mat)
         partition = preprocess.detect_clusters(s, P)
-        plan = preprocess.build_cluster_bases(s, partition, P, EPSILON)
+        plan, residual = preprocess.build_cluster_bases(s, partition, P)
+        assert residual < 1e-12  # shot-noise tomography: the kernels are exact
         out[name] = (mat, s, partition, plan)
     return out
 
@@ -162,11 +166,11 @@ def _match_conjugates(lam, set_a, set_b):
     return mapping
 
 
-def three_loop_basis(s, partition, pools, cfg, sample_index):
+def three_loop_basis(s, partition, pools, seed, sample_index):
     """Reference: the draw as one loop per cluster kind, re-deriving the
     slots and conjugate partners on every attempt."""
     gauss = preprocess._complex_gaussian
-    rng = np.random.default_rng((cfg.seed, sample_index))
+    rng = np.random.default_rng((seed, sample_index))
     lam = s.eigenvalues
     for _ in range(preprocess._MAX_RESAMPLE):
         new_basis = np.array(s.right_vectors, copy=True)
@@ -219,25 +223,24 @@ def three_loop_basis(s, partition, pools, cfg, sample_index):
 @pytest.mark.parametrize("name", list(CLUSTERED))
 def test_plan_walk_equals_the_three_loop_draw(repair, name):
     _, s, partition, plan = repair[name]
-    pools = {set_: preprocess.real_positive_basis(s, set_, P, EPSILON)
+    pools = {set_: preprocess.real_positive_basis(s, set_, P)[0]
              for set_ in partition.positive_sets}
-    pools.update({set_: preprocess.conjugate_basis(s, set_, set_, EPSILON)
+    pools.update({set_: preprocess.conjugate_basis(s, set_, set_)[0]
                   for set_ in partition.negative_sets})
     for ia, ib in partition.conjugate_pairs:
         set_a, set_b = partition.complex_sets[ia], partition.complex_sets[ib]
-        pools[set_a] = preprocess.conjugate_basis(s, set_a, set_b, EPSILON)
-    cfg = preprocess.RandomBasisConfig(samples=8, seed=0)
+        pools[set_a] = preprocess.conjugate_basis(s, set_a, set_b)[0]
     for k in range(8):
         np.testing.assert_array_equal(
-            preprocess.random_hp_basis(s, plan, cfg, k),
-            three_loop_basis(s, partition, pools, cfg, k),
+            preprocess.random_hp_basis(s, plan, 0, k),
+            three_loop_basis(s, partition, pools, 0, k),
         )
 
 
 def repaired(mat):
     kind, stream = samples(mat, 8)
     assert kind == preprocess.SAMPLES
-    return [r for _, r in stream]
+    return stream
 
 
 # depol is test_clustered_spectrum_keeps_the_snapshot_spectrum
@@ -264,10 +267,33 @@ def test_odd_negative_cluster_passes_through():
     s = eig_full(mat)
     partition = preprocess.detect_clusters(s, P)
     assert partition.negative_sets == ((1, 2, 3),)
-    assert preprocess.build_cluster_bases(s, partition, P, EPSILON) is None
-    kind, stream = samples(mat, 4)
-    assert kind == preprocess.PASSTHROUGH
-    assert [k for k, _ in stream] == [0]
+    assert preprocess.build_cluster_bases(s, partition, P) == (None, np.inf)
+    assert samples(mat, 4) == (preprocess.PASSTHROUGH, [])
+
+
+def bumped(mat):
+    """``mat`` plus 1e-4 of seeded complex noise, which breaks its
+    hermiticity preservation, so the cluster kernels are no longer exact."""
+    rng = np.random.default_rng(7)
+    return mat + 1e-4 * (rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape))
+
+
+def test_the_kernel_tolerance_picks_the_pipeline(depol):
+    """A plan exists at every epsilon; it is drawn from only while its
+    largest kernel residual (here 1.9e-3) lies strictly below
+    max(1e-8, epsilon)."""
+    repair = preprocess.Repair(bumped(depol), P)
+    plan, residual = preprocess.build_cluster_bases(repair.spectral, repair.partition, P)
+    assert plan is not None and 1e-3 < residual < EPSILON
+    assert repair.kind(EPSILON) == preprocess.SAMPLES
+    assert repair.kind(0.001) == preprocess.PASSTHROUGH
+    assert repair.kind(residual) == preprocess.PASSTHROUGH
+    assert repair.kind(np.nextafter(residual, np.inf)) == preprocess.SAMPLES
+    # the plan does not depend on epsilon: the same samples at either side
+    kind, drawn = samples(bumped(depol), 2)
+    assert kind == preprocess.SAMPLES
+    for k, r in enumerate(drawn):
+        np.testing.assert_array_equal(repair.sample(0, k), r)
 
 
 def eig_spy(monkeypatch):
@@ -320,7 +346,7 @@ def test_only_a_degenerate_input_is_nudged(monkeypatch, mat, eigs):
     it is, a degenerate one is nudged and eigendecomposed twice (the input,
     then the neighbour kept)."""
     calls = eig_spy(monkeypatch)
-    repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
+    repair = preprocess.Repair(mat, P)
     assert len(calls) == eigs
     assert np.array_equal(repair.snapshot, mat) == (eigs == 1)
     want = eig_full(repair.snapshot)
@@ -332,9 +358,8 @@ def test_only_a_degenerate_input_is_nudged(monkeypatch, mat, eigs):
 def test_all_zero_pool_raises_after_the_retries(repair, partner):
     s = repair["xgate"][1]
     plan = [(np.zeros((4, 2), dtype=complex), 0, partner)]
-    cfg = preprocess.RandomBasisConfig(samples=1)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
-        preprocess.random_hp_basis(s, plan, cfg, 0)
+        preprocess.random_hp_basis(s, plan, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +385,8 @@ def test_a_lone_negative_eigenvalue_is_mirrored():
     assert np.allclose(mirrored @ s.right_vectors, s.right_vectors * want, atol=1e-12)
     choi = gamma_involution(mirrored)
     assert np.allclose(choi, choi.conj().T, atol=1e-12)
-    repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
-    assert repair.kind == preprocess.PASSTHROUGH
+    repair = preprocess.Repair(mat, P)
+    assert repair.kind(EPSILON) == preprocess.PASSTHROUGH
     assert np.array_equal(repair.mirrored, mirrored)
 
 
@@ -376,5 +401,4 @@ def test_no_mirror_without_a_lone_negative_eigenvalue(spec, seed):
     seed 2; neither is mirrored."""
     mat = snapshot(spec, 10**4, seed=seed)
     assert preprocess.mirrored_negative(eig_full(mat), P) is None
-    repair = preprocess.repaired_samples(mat, P, EPSILON, preprocess.RandomBasisConfig(1))
-    assert repair.mirrored is None
+    assert preprocess.Repair(mat, P).mirrored is None
