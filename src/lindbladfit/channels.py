@@ -62,6 +62,15 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+#: Frobenius defect of U^dag U from I above which `unitary_transfer` refuses a gate.
+_UNITARY_TOL = 1e-10
+#: Slack of the complete-positivity inequalities in `unital_transfer`.
+_CP_TOL = 1e-12
+#: Relative antihermitian part above which `lindblad_generator` refuses H.
+_HERM_TOL = 1e-10
+#: Jump operators of a `random_lindblad_generator`.
+_N_JUMPS = 2
+
 
 def x_gate() -> np.ndarray:
     return _X.copy()
@@ -96,12 +105,12 @@ class TransferMatrix:
         return herm_res, pos_res, trace_res
 
 
-def unitary_transfer(u: np.ndarray, tol: float = 1e-10) -> TransferMatrix:
+def unitary_transfer(u: np.ndarray) -> TransferMatrix:
     """Transfer matrix U (x) U* of conjugation by a unitary."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"gate must be square, got {u.shape}")
-    if frobenius(u.conj().T @ u - np.eye(u.shape[0])) > tol:
+    if frobenius(u.conj().T @ u - np.eye(u.shape[0])) > _UNITARY_TOL:
         raise NotUnitary("gate is not unitary within tolerance")
     return TransferMatrix(u.shape[0], np.kron(u, u.conj()))
 
@@ -133,9 +142,7 @@ def depolarizing_transfer(p: float) -> TransferMatrix:
     return TransferMatrix(2, _kraus_transfer(2, kraus))
 
 
-def unital_transfer(
-    gamma: Sequence[float], t: float = 1.0, cp_tol: float = 1e-12
-) -> TransferMatrix:
+def unital_transfer(gamma: Sequence[float], t: float = 1.0) -> TransferMatrix:
     """Unital Pauli channel evolved for time t from constant rates gamma.
 
     The evolution has Kraus operators ``A_0 = (1/2) sqrt(1+G1+G2+G3) I`` and
@@ -153,7 +160,7 @@ def unital_transfer(
             [np.exp(-t * (g2 + g3)), np.exp(-t * (g1 + g3)), np.exp(-t * (g1 + g2))]
         )
     for i, j, k in itertools.permutations(range(3)):
-        if caps[i] + caps[j] > 1.0 + caps[k] + cp_tol:
+        if caps[i] + caps[j] > 1.0 + caps[k] + _CP_TOL:
             raise NotCompletelyPositive(
                 f"Gamma_{i + 1} + Gamma_{j + 1} = {caps[i] + caps[j]:.6f} exceeds "
                 f"1 + Gamma_{k + 1} = {1 + caps[k]:.6f}"
@@ -192,9 +199,7 @@ def depolarizing_cz_transfer(
 # Lindblad generators
 # ----------------------------------------------------------------------
 
-def lindblad_generator(
-    h: np.ndarray, jumps: Sequence[np.ndarray] = (), herm_tol: float = 1e-10
-) -> np.ndarray:
+def lindblad_generator(h: np.ndarray, jumps: Sequence[np.ndarray] = ()) -> np.ndarray:
     """Transfer-matrix form of ``L(rho) = i[rho, H] + sum_a (J rho J^dag - (1/2){J^dag J, rho})``.
 
     The commutator sign convention matches generators acting as
@@ -203,7 +208,7 @@ def lindblad_generator(
     """
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
-    if frobenius(h - h.conj().T) > herm_tol * max(1.0, frobenius(h)):
+    if frobenius(h - h.conj().T) > _HERM_TOL * max(1.0, frobenius(h)):
         raise NotHermitianHamiltonian("Hamiltonian must be hermitian")
     eye = np.eye(d, dtype=complex)
     # i [rho, H]  ->  i (kron(I, H^T) - kron(H, I)) acting on vec(rho)
@@ -215,9 +220,7 @@ def lindblad_generator(
     return mat
 
 
-def random_lindblad_generator(
-    d: int, rng: np.random.Generator, n_jumps: int = 2, scale: float = 1.0
-) -> np.ndarray:
+def random_lindblad_generator(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random generator for round-trip tests: gaussian H and jump operators."""
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = scale * herm(raw)
@@ -225,7 +228,7 @@ def random_lindblad_generator(
         scale
         * 0.5
         * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        for _ in range(n_jumps)
+        for _ in range(_N_JUMPS)
     ]
     return lindblad_generator(h, jumps)
 

@@ -13,16 +13,16 @@ candidate); one closing step, `_close`, adds the digest, the settings
 (every parsed flag but the input and report paths and ``--trace``) and the
 wall time, writes the report and sets the exit code.
 
-``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`, on one
-`preprocess.Repair` of the snapshot, which epsilon does not change: a sweep
-repairs its snapshot once for all its rows.  The decision tries the
-candidates with the least work first.  The snapshot's own fit (and its
-mirror's, for a lone negative eigenvalue) comes from one best-fit call;
-when it lands at round-off no sample is drawn.  Otherwise the repaired
-samples get one more best-fit call, and when the winner of all candidates
-misses epsilon the same candidates, with the logarithms audited for their
-fits, are asked in one batch for the least white-noise rate mu.  A sweep
-row reads its mu and distance from the fields `_decide` writes.
+``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`, on
+one candidate table of the snapshot, `_Candidates`, which epsilon does not
+change: a sweep repairs its snapshot, and audits and searches each
+candidate, once for all its rows.  The decision tries the candidates with
+the least work first: the snapshot's own group (it and, for a lone
+negative eigenvalue, its mirror), and, unless the own fit lands at
+round-off, the repaired samples.  When the winner misses epsilon, the
+same candidates' audited logarithms are asked in one batch for the least
+white-noise rate mu.  A sweep row reads its mu and distance from the
+fields `_decide` writes.
 
 Each report's ``input_digest`` hashes the very bytes its matrices were
 parsed from: every matrix file is read once.  `main` builds its parser on
@@ -42,7 +42,8 @@ import json
 import math
 import sys
 import time
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -197,52 +198,68 @@ def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
 RAW, MIRRORED = "raw", "mirrored"
 
 
-class _Candidates:
-    """Every candidate of one snapshot, in order, with its audited logarithm
-    and its own P1 fit.
+class _Group(NamedTuple):
+    """Candidates searched together: their tags, their ``fitting.checked_logs``
+    entries, each one's own P1 fit (None when no branch certifies or the
+    audit failed) and the P1 call's MaxIters count."""
 
-    The snapshot's own candidates come first: RAW, then MIRRORED when it
-    exists.  Repaired samples 0..K-1 follow, tagged by their ids, once they
-    are drawn.  None of them depends on epsilon, so a ``sweep-epsilon`` run
-    keeps one instance for all its rows and audits and solves each
-    candidate once; the mu fallback reuses the audited logarithms.
+    tags: list
+    logs: list
+    fits: list
+    p1_maxiters: int
+
+
+def _best(fits: list) -> Optional[int]:
+    """Position of the least ``fitting.ranked`` distance among ``fits``, the
+    earlier one on a tie; None when none fits."""
+    fitted = [k for k, fit in enumerate(fits) if fit is not None]
+    if not fitted:
+        return None
+    distances = np.array([fits[k].distance for k in fitted])
+    return fitted[int(np.argmin(fitting.ranked(distances)))]
+
+
+class _Candidates:
+    """The candidate table of one snapshot: its `preprocess.Repair`, its own
+    group (RAW, then MIRRORED when the repair has one) and its samples group
+    (``--samples`` repaired samples from ``--seed``, tagged by their ids).
+
+    Each is built on first use and only once, and none depends on epsilon.
+    A group is audited by one ``fitting.checked_logs`` call, whose
+    logarithms the mu fallback reuses, and searched by one
+    ``fitting.best_fit_lindbladian`` call.
     """
 
-    def __init__(self) -> None:
-        self.tags: list = []
-        self.logs: list = []  # fitting.checked_logs entry of each tag
-        self.fits: dict = {}  # tag -> own fit or None; audit failures absent
-        self.own = 0  # how many of the tags are the snapshot's own
-        self.drawn = False
-        self.p1_maxiters = 0
-        self.skipped = 0
+    def __init__(self, mat: np.ndarray, policy: fitting.BranchPolicy,
+                 args: argparse.Namespace) -> None:
+        self.mat, self.policy, self.args = mat, policy, args
 
-    def search(self, mat: np.ndarray, tags: list, stack: list, policy, spectra=()) -> int:
-        """Append candidates, audited by one ``fitting.checked_logs`` call
-        (``spectra``: the spectral data of the first candidates, when
-        known), with their own P1 fits from one
-        ``fitting.best_fit_lindbladian`` call; returns how many of them
-        failed the logarithm audit."""
+    @cached_property
+    def repair(self) -> preprocess.Repair:
+        return preprocess.Repair(self.mat, self.args.precision)
+
+    @cached_property
+    def own(self) -> _Group:
+        tags, stack = [RAW], [self.repair.snapshot]
+        if self.repair.mirrored is not None:
+            tags.append(MIRRORED)
+            stack.append(self.repair.mirrored)
+        return self._search(tags, stack, [self.repair.spectral])
+
+    @cached_property
+    def samples(self) -> _Group:
+        ids = list(range(self.args.samples))
+        return self._search(ids, [self.repair.sample(self.args.seed, k) for k in ids])
+
+    def _search(self, tags: list, stack: list, spectra=()) -> _Group:
+        """``spectra``: the spectral data of the first candidates, when known."""
         logs = fitting.checked_logs(np.stack(stack), spectra)
-        fits: dict = {}
+        fits, maxiters = {}, 0
         try:
-            fits, maxiters = fitting.best_fit_lindbladian(mat, logs, policy)
+            fits, maxiters = fitting.best_fit_lindbladian(self.mat, logs, self.policy)
         except NumericalFailure:  # every one failed: the others may decide
-            maxiters = 0
-        self.fits.update((tags[k], fit) for k, fit in fits.items())
-        self.tags += tags
-        self.logs += logs
-        self.p1_maxiters += maxiters
-        return len(tags) - len(fits)
-
-    def best(self, count: int):
-        """Tag of the least ``fitting.ranked`` distance among the first
-        ``count`` candidates, the earlier one on a tie; None when none fits."""
-        tags = [tag for tag in self.tags[:count] if self.fits.get(tag) is not None]
-        if not tags:
-            return None
-        distances = np.array([self.fits[tag].distance for tag in tags])
-        return tags[int(np.argmin(fitting.ranked(distances)))]
+            pass
+        return _Group(tags, logs, [fits.get(k) for k in range(len(tags))], maxiters)
 
 
 def _named(tag) -> dict[str, Any]:
@@ -253,89 +270,66 @@ def _named(tag) -> dict[str, Any]:
     return {"candidate": tag, "basis_sample": None}
 
 
-def _decide(
-    mat: np.ndarray,
-    epsilon: float,
-    policy: fitting.BranchPolicy,
-    repair: preprocess.Repair,
-    found: _Candidates,
-    args: argparse.Namespace,
-    trace: Optional[list] = None,
-) -> dict[str, Any]:
-    """The verdict on one snapshot at one epsilon, as its report fields:
-    ``pipeline`` and ``verdict`` and, where they apply, ``detail``,
-    ``samples_skipped``, ``p1_maxiters``, ``p2_maxiters`` and ``result``.
+def _decide(found: _Candidates, epsilon: float, trace: Optional[list] = None) -> dict[str, Any]:
+    """The verdict on the snapshot of the table ``found`` at one epsilon, as
+    its report fields: ``pipeline`` and ``verdict`` and, where they apply,
+    ``detail``, ``samples_skipped``, ``p1_maxiters``, ``p2_maxiters`` and
+    ``result``; ``trace`` gets [tag, best distance] of each candidate tried.
 
-    ``repair`` is the snapshot's `preprocess.Repair` and ``found`` its
-    `_Candidates`; neither depends on epsilon, so a sweep passes the same
-    two to every row and repairs, draws and searches each candidate once.
-    ``args`` gives the sample count and seed (``--samples``, ``--seed``)
-    and ``--delta-step``.  The candidates, in order, are the nudged
-    snapshot ("raw"), its mirror when it has one lone real negative
-    eigenvalue ("mirrored"), and in the ``samples`` pipeline the repaired
-    samples.  Raw and mirrored get their own `_Candidates.search`, so each
-    candidate's best distance is known for the trace.  When raw (or
-    mirrored) lands below ``fitting.TIE_TOL`` and epsilon, no sample can
-    beat it under the tie rule: the verdict is Markovian and no sample is
-    drawn.  Otherwise the samples are stacked once and searched in one more
-    call.  The least ``fitting.ranked`` distance (`_Candidates.best`), ties
-    going to the earlier candidate, is Markovian when it lands strictly
-    within epsilon; nothing else ranks the fits or applies epsilon to them.
-    Otherwise the logarithms the searches audited go through one
-    ``nonmarkov.non_markovianity`` call, which solves every candidate's
-    (branch, delta) pairs in one batch and picks the least mu, ties going
-    to the earlier candidate.  The winner's ``result`` names it (`_named`).
-    The decision counts the samples skipped by the logarithm audit and the
-    MaxIters solves of each solver stage it ran.
+    The own group is always tried.  The ``samples`` pipeline adds the
+    samples group unless the best own fit lands below
+    min(``fitting.TIE_TOL``, epsilon), which no sample can beat under the
+    tie rule.  The chosen fits are ranked once (`_best`), and the winner is
+    Markovian when it lands strictly within epsilon; nothing else ranks the
+    fits or applies epsilon to them.  Otherwise the chosen candidates'
+    audited logarithms go through one ``nonmarkov.non_markovianity`` call,
+    which picks the least mu, ties going to the earlier candidate.
+
+    The groups a sweep row sees depend on its epsilon alone, not on what
+    earlier rows searched, and no answer changes against rows that see
+    every group searched so far: as epsilon rises the pipeline
+    (`preprocess.Repair.kind`) only moves from passthrough to samples to
+    identity, and a row whose own fit ties is won by that own candidate
+    with or without the samples, since it ranks at zero and comes first.
     """
-    kind = repair.kind(epsilon)
+    kind = found.repair.kind(epsilon)
     doc: dict[str, Any] = {"pipeline": kind}
     if kind == preprocess.IDENTITY:
         doc.update(verdict="Identity", detail="channel is consistent with the identity map")
         return doc
-    if not found.tags:
-        tags, stack = [RAW], [repair.snapshot]
-        if repair.mirrored is not None:
-            tags.append(MIRRORED)
-            stack.append(repair.mirrored)
-        found.search(mat, tags, stack, policy, [repair.spectral])
-        found.own = len(tags)
-    count = found.own
+    groups = [found.own]
     if kind == preprocess.SAMPLES:
-        best = found.best(count)
-        tied = best is not None and found.fits[best].distance < min(fitting.TIE_TOL, epsilon)
-        if not (found.drawn or tied):
-            ids = list(range(args.samples))
-            stack = [repair.sample(args.seed, k) for k in ids]
-            found.skipped = found.search(mat, ids, stack, policy)
-            found.drawn = True
-        if found.drawn:
-            count = len(found.tags)
+        k = _best(found.own.fits)
+        if k is None or not found.own.fits[k].distance < min(fitting.TIE_TOL, epsilon):
+            groups.append(found.samples)
+            skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
+            if skipped:
+                doc["samples_skipped"] = skipped
+    tags = sum((group.tags for group in groups), [])
+    logs = sum((group.logs for group in groups), [])
+    fits = sum((group.fits for group in groups), [])
     if trace is not None:
-        trace.extend(
-            [tag, getattr(found.fits.get(tag), "distance", None)] for tag in found.tags[:count]
-        )
-    doc["p1_maxiters"] = found.p1_maxiters
-    if found.skipped:
-        doc["samples_skipped"] = found.skipped
-    best = found.best(count)
-    if best is not None and found.fits[best].distance < epsilon:
-        doc.update(verdict="Markovian", result=_markovian_result(found.fits[best], epsilon))
+        trace.extend([tag, getattr(fit, "distance", None)] for tag, fit in zip(tags, fits))
+    doc["p1_maxiters"] = sum(group.p1_maxiters for group in groups)
+    best = _best(fits)
+    if best is not None and fits[best].distance < epsilon:
+        doc.update(verdict="Markovian", result=_markovian_result(fits[best], epsilon))
     else:
         # No branch of any candidate lands inside the epsilon ball; ask
         # instead how much white noise would reconcile the snapshot.
+        delta_step = found.args.delta_step
         mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
-            mat, found.logs[:count], epsilon, policy, delta_step=args.delta_step
+            found.mat, logs, epsilon, found.policy, delta_step=delta_step
         )
         if mu is None:
             doc["verdict"] = "NoResult"
             return doc
-        best = found.tags[mu.basis_sample]
+        best = mu.basis_sample
         doc.update(
             verdict="NonMarkovian",
-            result=_nonmarkovian_result(mu, epsilon, args.delta_step, side_dim(len(mat))),
+            result=_nonmarkovian_result(mu, epsilon, delta_step, side_dim(len(found.mat))),
         )
-    doc["result"].update(_named(best))
+    doc["result"].update(_named(tags[best]))
     return doc
 
 
@@ -435,9 +429,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.epsilon <= 0:
         raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     policy = _policy(args, mat.shape[0])
-    repair = preprocess.Repair(mat, args.precision)
     trace: Optional[list] = [] if args.trace else None
-    doc = _decide(mat, args.epsilon, policy, repair, _Candidates(), args, trace)
+    doc = _decide(_Candidates(mat, policy, args), args.epsilon, trace)
     if trace is not None:
         doc["trace"] = {"samples": trace}
     return _close(args, started, digest, doc)
@@ -486,16 +479,15 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     grid = _epsilon_grid(args.start, args.stop, args.step)
     policy = _policy(args, mat.shape[0])
 
-    # Each row is fit's verdict at its epsilon.  One repair and one set of
-    # candidates serve every row, built at the first row fit would accept.
-    repair, found = None, _Candidates()
+    # Each row is fit's verdict at its epsilon.  One candidate table serves
+    # every row; it repairs the snapshot at the first row fit would accept.
+    found = _Candidates(mat, policy, args)
     lines = [CSV_HEADER]
     for eps in grid.tolist():
         mu = distance = None
         # fit refuses epsilon <= 0: no candidate can pass distance < epsilon.
         if eps > 0:
-            repair = repair or preprocess.Repair(mat, args.precision)
-            doc = _decide(mat, eps, policy, repair, found, args)
+            doc = _decide(found, eps)
             if doc["verdict"] == "Identity":
                 # Consistent with the identity map: no noise needed.
                 mu, distance = 0.0, float(frobenius(mat - np.eye(mat.shape[0])))
@@ -598,13 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="cap the branch search to the first N of the canonical order",
         )
-        p.add_argument(
-            "--delta-step", dest="delta_step", type=_positive(_finite), default=0.01
-        )
+        p.add_argument("--delta-step", type=_positive(_finite), default=nonmarkov.DELTA_STEP)
 
     def sample_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--samples", type=_positive(int), default=1, help="random repaired bases")
-        p.add_argument("--precision", type=_finite, default=preprocess.DEFAULT_PRECISION)
+        p.add_argument(
+            "--precision", type=_positive(_finite), default=preprocess.DEFAULT_PRECISION
+        )
         p.add_argument("--seed", type=int, default=0)
 
     def common_fit_flags(p: argparse.ArgumentParser) -> None:

@@ -47,6 +47,11 @@ __all__ = [
 
 TWO_PI_I = 2j * np.pi
 
+#: Relative eigenvalue gap below which `eig_full` calls a spectrum degenerate.
+_GAP_TOL = 1e-12
+#: `matrix_log_principal` refuses an eigenvalue of at most this modulus.
+_ZERO_TOL = 1e-14
+
 
 def side_dim(n: int) -> int:
     """Return d for n = d**2, raising if n is not a perfect square."""
@@ -89,20 +94,12 @@ class SpectralData:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def projector(self, j: int) -> np.ndarray:
-        """Spectral projector P_j = |r_j><l_j| (idempotent, rank one)."""
-        return np.outer(self.right_vectors[:, j], self.left_vectors[j, :])
-
     @property
     def projectors(self) -> np.ndarray:
         """All spectral projectors, shape (n, n, n)."""
         return np.einsum(
             "ij,jk->jik", self.right_vectors, self.left_vectors
         )
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum_j lambda_j P_j, which should reproduce the source matrix."""
-        return (self.right_vectors * self.eigenvalues) @ self.left_vectors
 
 
 def _canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
@@ -120,11 +117,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / phases[None, :]
 
 
-def eig_full(m: np.ndarray, gap_tol: float = 1e-12) -> SpectralData:
+def eig_full(m: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a matrix with simple spectrum.
 
     Raises DegenerateSpectrum when two eigenvalues are closer than
-    ``gap_tol`` relative to the spectral scale; such matrices must go
+    ``_GAP_TOL`` relative to the spectral scale; such matrices must go
     through the cluster pre-processing instead of this routine.
     """
     m = _as_square(m)
@@ -136,10 +133,10 @@ def eig_full(m: np.ndarray, gap_tol: float = 1e-12) -> SpectralData:
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
     gaps = np.abs(eigenvalues[:, None] - eigenvalues[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) < gap_tol * scale:
+    if np.min(gaps) < _GAP_TOL * scale:
         raise DegenerateSpectrum(
             f"eigenvalue gap {np.min(gaps):.3e} below threshold "
-            f"{gap_tol * scale:.3e}; route through pre-processing"
+            f"{_GAP_TOL * scale:.3e}; route through pre-processing"
         )
 
     order = _canonical_order(eigenvalues)
@@ -155,14 +152,14 @@ def eig_full(m: np.ndarray, gap_tol: float = 1e-12) -> SpectralData:
 # Matrix logarithm and its branches
 # ----------------------------------------------------------------------
 
-def matrix_log_principal(s: SpectralData, zero_tol: float = 1e-14) -> np.ndarray:
+def matrix_log_principal(s: SpectralData) -> np.ndarray:
     """Principal-branch logarithm L0 = sum_j log(lambda_j) P_j.
 
     ``log`` is the principal complex logarithm, imaginary part in (-pi, pi].
     numpy places the branch cut so that negative reals map to +i*pi, which
     is exactly the (-pi, pi] convention.
     """
-    if np.min(np.abs(s.eigenvalues)) <= zero_tol:
+    if np.min(np.abs(s.eigenvalues)) <= _ZERO_TOL:
         raise SingularInput("zero eigenvalue: matrix logarithm undefined")
     return (s.right_vectors * np.log(s.eigenvalues)) @ s.left_vectors
 

@@ -52,7 +52,7 @@ from .fitting import (
     ranked,
 )
 from .linalg import expm, frobenius, gamma_involution, side_dim  # noqa: F401
-from .nonmarkov import DeltaSweep
+from .nonmarkov import DELTA_STEP, DeltaSweep
 
 __all__ = ["DELTA_GRID_SNAPSHOT", "best_fit_multi"]
 
@@ -82,7 +82,7 @@ def best_fit_multi(
     epsilon: float,
     policy: BranchPolicy = BranchPolicy(),
     *,
-    delta_step: float = 0.01,
+    delta_step: float = DELTA_STEP,
 ) -> tuple[Optional[FitResult], int]:
     """One generator for the whole series, or None when none fits.
 

@@ -62,6 +62,9 @@ __all__ = [
     "analytical_mu_unital",
 ]
 
+#: Step of every delta grid a caller does not set: ``--delta-step``'s default.
+DELTA_STEP = 0.01
+
 @dataclass(frozen=True)
 class DeltaSweep:
     """Grid of trust radii delta_min + k*delta_step on [delta_min, 10*delta_min).
@@ -83,7 +86,7 @@ class DeltaSweep:
 
     @classmethod
     def from_epsilon(
-        cls, epsilon: float, l0_norm: float, delta_step: float = 0.01
+        cls, epsilon: float, l0_norm: float, delta_step: float = DELTA_STEP
     ) -> "DeltaSweep":
         """Start the sweep at the delta solving epsilon = exp(delta)*delta*|L0|.
 
@@ -151,7 +154,7 @@ def non_markovianity(
     epsilon: float,
     policy: BranchPolicy = BranchPolicy(),
     *,
-    delta_step: float = 0.01,
+    delta_step: float = DELTA_STEP,
 ) -> tuple[Optional[MuResult], int]:
     """Smallest white-noise rate over every (sample, delta, branch), or None.
 

@@ -477,9 +477,9 @@ def _probe_matrix(n: int, scale: float) -> np.ndarray:
     return probe * (scale / frobenius(probe))
 
 
-def perturb_to_nd2(m: np.ndarray, budget: float = _ND2_BUDGET) -> tuple[np.ndarray, SpectralData]:
+def perturb_to_nd2(m: np.ndarray) -> tuple[np.ndarray, SpectralData]:
     """Nudge a matrix with degenerate spectrum onto a simple-spectrum
-    neighbor within ``budget`` in Frobenius norm; returns the matrix kept
+    neighbor within {budget:g} in Frobenius norm; returns the matrix kept
     and its `eig_full`.
 
     Mixes toward a fixed diagonal probe that preserves hermiticity, so a
@@ -488,9 +488,7 @@ def perturb_to_nd2(m: np.ndarray, budget: float = _ND2_BUDGET) -> tuple[np.ndarr
     finitely many weights can fail, so this terminates (capped at
     {cap} halvings).  An already simple input is returned unchanged.
     Each matrix tried is eigendecomposed once.
-    """.format(cap=_ND2_HALVING_CAP)
-    if budget <= 0:
-        raise OutOfRange(f"perturbation budget must be positive, got {budget}")
+    """.format(budget=_ND2_BUDGET, cap=_ND2_HALVING_CAP)
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
@@ -500,7 +498,7 @@ def perturb_to_nd2(m: np.ndarray, budget: float = _ND2_BUDGET) -> tuple[np.ndarr
         pass
     probe = _probe_matrix(m.shape[0], max(1.0, frobenius(m)))
     delta = probe - m
-    alpha = min(0.5, 0.999 * budget / frobenius(delta))
+    alpha = min(0.5, 0.999 * _ND2_BUDGET / frobenius(delta))
     for _ in range(_ND2_HALVING_CAP):
         candidate = (1.0 - alpha) * m + alpha * probe
         try:

@@ -26,6 +26,7 @@ from lindbladfit.channels import (
     random_lindblad_generator,
     simulate_process_tomography,
 )
+from lindbladfit.errors import NumericalFailure
 from lindbladfit.linalg import eig_full, frobenius, max_entangled
 
 EPSILON = 0.05
@@ -146,12 +147,14 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
 @pytest.mark.parametrize(
     "flag, value",
     [("--delta-step", "0"), ("--delta-step", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
-     ("--samples", "0"), ("--samples", "-1")],
+     ("--samples", "0"), ("--samples", "-1"), ("--precision", "0"), ("--precision", "-0.1")],
 )
 def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypatch, flag, value):
-    """Rejected as the flags are parsed, whatever the verdict would be.
-    `--jobs` is not a flag of any command: like any unknown flag, it exits 3.
-    `--samples` is a flag of `fit` and `sweep-epsilon`."""
+    """Rejected as the flags are parsed, whatever the verdict would be and
+    whatever the grid: a sweep whose rows all have epsilon <= 0 repairs
+    nothing (it exited 0 on `--precision 0`).  `--jobs` is not a flag of any
+    command: like any unknown flag, it exits 3.  `--samples` and
+    `--precision` are flags of `fit` and `sweep-epsilon`."""
 
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
@@ -163,6 +166,8 @@ def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypa
         ["fit", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],  # NonMarkovian
         ["sweep-epsilon", "--in", snap["depol"], "--from", "0.01", "--to", "0.05",
          "--step", "0.02", "--csv", str(out)],
+        ["sweep-epsilon", "--in", snap["depol"], "--from", "-0.1", "--to", "0",
+         "--step", "0.05", "--csv", str(out)],
     ]
     if flag == "--delta-step":
         commands += [
@@ -572,17 +577,20 @@ def test_epsilon_is_a_strict_bound_on_the_winner(tmp_path, snap):
 
 
 def test_candidates_rank_by_distance_with_ties_to_the_earlier():
-    """`_Candidates.best` is the one ranking of the P1 fits: the least
+    """`_best` is the one ranking of a candidate table's P1 fits: the least
     `fitting.ranked` distance, the earlier candidate on a tie.  Two copies
     of an exact exp(L) both land at round-off and tie; a far candidate
     listed first does not win."""
     m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
     far = expm(random_lindblad_generator(2, np.random.default_rng(1)))
-    found = cli._Candidates()
-    assert found.search(m, ["far", "a", "b"], [far, m, m], fitting.BranchPolicy()) == 0
-    assert found.fits["far"].distance > 0.01
-    assert max(found.fits["a"].distance, found.fits["b"].distance) < fitting.TIE_TOL
-    assert (found.best(1), found.best(3)) == ("far", "a")
+    group = cli._Candidates(m, fitting.BranchPolicy(), None)._search(
+        ["far", "a", "b"], [far, m, m]
+    )
+    assert not any(isinstance(log, NumericalFailure) for log in group.logs)
+    far_fit, a, b = group.fits
+    assert far_fit.distance > 0.01
+    assert max(a.distance, b.distance) < fitting.TIE_TOL
+    assert (cli._best(group.fits[:1]), cli._best(group.fits)) == (0, 1)
 
 
 def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):

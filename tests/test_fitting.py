@@ -339,10 +339,9 @@ def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
     for k, fit in enumerate(per_sample):
         assert (fits[k].distance, fits[k].branch) == (fit.distance, fit.branch)
         assert np.array_equal(fits[k].lindbladian, fit.lindbladian)
-    found = cli._Candidates()
-    found.search(mat, list(range(len(samples))), samples, policy)
-    assert found.best(len(samples)) == want == 3
-    assert found.fits[want].distance == per_sample[want].distance
+    group = cli._Candidates(mat, policy, None)._search(list(range(len(samples))), samples)
+    assert cli._best(group.fits) == want == 3
+    assert group.fits[want].distance == per_sample[want].distance
     monkeypatch.setattr(solver, "CHUNK", 1)
     chunked, _ = best_fit_lindbladian(mat, checked_logs(np.stack(samples)), policy)
     for k, fit in fits.items():

@@ -54,7 +54,7 @@ def test_eig_diag_canonical_order():
     for j, orig in enumerate([3, 2, 1, 0]):
         expected = np.zeros((4, 4))
         expected[orig, orig] = 1.0
-        assert np.allclose(s.projector(j), expected, atol=1e-12)
+        assert np.allclose(s.projectors[j], expected, atol=1e-12)
 
 
 def test_eig_rejects_degenerate_spectrum():
@@ -96,16 +96,18 @@ def test_spectral_invariants_random():
             assert np.max(np.abs(s.left_vectors @ s.right_vectors - eye)) <= 1e-10
             assert np.max(np.abs(s.projectors.sum(axis=0) - eye)) <= 1e-8
             src = random_simple(dim, seed=1000 * dim + trial)
-            assert frobenius(s.reconstruct() - src) <= 1e-8
+            reconstructed = (s.right_vectors * s.eigenvalues) @ s.left_vectors
+            assert frobenius(reconstructed - src) <= 1e-8
 
 
 def test_projector_stack_matches_single():
+    """Each stacked projector is the rank-one |r_j><l_j| and idempotent."""
     s = eig_full(random_simple(4, seed=3))
     stack = s.projectors
     assert stack.shape == (4, 4, 4)
     for j in range(4):
-        assert np.allclose(stack[j], s.projector(j))
-        p = s.projector(j)
+        p = stack[j]
+        assert np.allclose(p, np.outer(s.right_vectors[:, j], s.left_vectors[j]))
         assert np.allclose(p @ p, p, atol=1e-10)
 
 
@@ -156,7 +158,7 @@ def test_branch_shifts_one_slot():
     s = eig_full(m)
     l0 = matrix_log_principal(s)
     lm = branch(l0, s, np.array([1, 0, 0, 0]))
-    assert np.allclose(lm - l0, 2j * np.pi * s.projector(0), atol=1e-12)
+    assert np.allclose(lm - l0, 2j * np.pi * s.projectors[0], atol=1e-12)
 
 
 def test_branch_rejects_wrong_length():

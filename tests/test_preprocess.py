@@ -315,7 +315,7 @@ def test_perturb_to_nd2(monkeypatch):
     spectrum's `eig_full`; each matrix tried is eigendecomposed once (2
     calls), and a simple input is returned unchanged after one."""
     calls = eig_spy(monkeypatch)
-    nudged, spectral = preprocess.perturb_to_nd2(np.eye(4), 1e-8)
+    nudged, spectral = preprocess.perturb_to_nd2(np.eye(4))
     assert len(calls) == 2
     want = eig_full(nudged)  # simple spectrum, or DegenerateSpectrum
     for field in ("eigenvalues", "right_vectors", "left_vectors"):
@@ -325,7 +325,7 @@ def test_perturb_to_nd2(monkeypatch):
     assert np.array_equal(g, g.conj().T)
     calls.clear()
     simple = np.diag([1.0, 0.7, 0.4, 0.2]).astype(complex)
-    kept, spectral = preprocess.perturb_to_nd2(simple, 1e-8)
+    kept, spectral = preprocess.perturb_to_nd2(simple)
     np.testing.assert_array_equal(kept, simple)
     np.testing.assert_array_equal(spectral.eigenvalues, eig_full(simple).eigenvalues)
     assert len(calls) == 1
