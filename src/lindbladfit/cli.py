@@ -19,10 +19,13 @@ change: a sweep repairs its snapshot, and audits and searches each
 candidate, once for all its rows.  The decision tries the candidates with
 the least work first: the snapshot's own group (it and, for a lone
 negative eigenvalue, its mirror), and, unless the own fit lands at
-round-off, the repaired samples.  When the winner misses epsilon, the
-same candidates' audited logarithms are asked in one batch for the least
-white-noise rate mu.  A sweep row reads its mu and distance from the
-fields `_decide` writes.
+round-off, the unitary frame (one projection, no branch search; it
+settles unitary-dominated snapshots such as the X gate and ISWAP) and
+the repaired samples.  When the winner misses epsilon, the audited
+logarithms of the own and samples candidates are asked in one batch for
+the least white-noise rate mu; the unitary frame has no logarithm of the
+snapshot and takes no part.  A sweep row reads its mu and distance from
+the fields `_decide` writes.
 
 Each report's ``input_digest`` hashes the very bytes its matrices were
 parsed from: every matrix file is read once.  `main` builds its parser on
@@ -30,8 +33,9 @@ its first call and reuses it for every later call in the process, so a
 caller that runs many verdicts in one interpreter pays for it once;
 `build_parser` still returns a fresh parser.
 
-Exit codes: 0 when any verdict is produced, 2 for NoResult, 3 for bad
-input, 4 for a numerical failure.
+Exit codes: 0 when any verdict is produced, 2 for NoResult (also when
+every candidate's logarithm fails its audit), 3 for bad input, 4 for a
+numerical failure.
 """
 
 from __future__ import annotations
@@ -193,18 +197,20 @@ def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
     return policy
 
 
-# Candidate tags besides a repaired sample's int id: the nudged snapshot
-# and its mirrored lone negative eigenvalue (preprocess.Repair).
-RAW, MIRRORED = "raw", "mirrored"
+# Candidate tags besides a repaired sample's int id: the nudged snapshot,
+# its mirrored lone negative eigenvalue (preprocess.Repair) and the
+# unitary frame (fitting.unitary_frame).
+RAW, MIRRORED, UNITARY = "raw", "mirrored", "unitary"
 
 
 class _Group(NamedTuple):
     """Candidates searched together: their tags, their ``fitting.checked_logs``
-    entries, each one's own P1 fit (None when no branch certifies or the
+    entries (None for the unitary frame, which has no logarithm of the
+    snapshot), each one's own P1 fit (None when no branch certifies or the
     audit failed) and the P1 call's MaxIters count."""
 
     tags: list
-    logs: list
+    logs: Optional[list]
     fits: list
     p1_maxiters: int
 
@@ -221,13 +227,15 @@ def _best(fits: list) -> Optional[int]:
 
 class _Candidates:
     """The candidate table of one snapshot: its `preprocess.Repair`, its own
-    group (RAW, then MIRRORED when the repair has one) and its samples group
-    (``--samples`` repaired samples from ``--seed``, tagged by their ids).
+    group (RAW, then MIRRORED when the repair has one), its unitary group
+    (UNITARY, the one ``fitting.unitary_frame`` fit of the snapshot) and its
+    samples group (``--samples`` repaired samples from ``--seed``, tagged by
+    their ids).
 
     Each is built on first use and only once, and none depends on epsilon.
-    A group is audited by one ``fitting.checked_logs`` call, whose
-    logarithms the mu fallback reuses, and searched by one
-    ``fitting.best_fit_lindbladian`` call.
+    The own and samples groups are audited by one ``fitting.checked_logs``
+    call each, whose logarithms the mu fallback reuses, and searched by one
+    ``fitting.best_fit_lindbladian`` call each.
     """
 
     def __init__(self, mat: np.ndarray, policy: fitting.BranchPolicy,
@@ -247,6 +255,11 @@ class _Candidates:
         return self._search(tags, stack, [self.repair.spectral])
 
     @cached_property
+    def unitary(self) -> _Group:
+        fit, maxiters = fitting.unitary_frame(self.mat)
+        return _Group([UNITARY], None, [fit], maxiters)
+
+    @cached_property
     def samples(self) -> _Group:
         ids = list(range(self.args.samples))
         return self._search(ids, [self.repair.sample(self.args.seed, k) for k in ids])
@@ -263,8 +276,8 @@ class _Candidates:
 
 
 def _named(tag) -> dict[str, Any]:
-    """A tag's ``candidate`` name and ``basis_sample`` in a report: "raw"
-    and "mirrored" are no sample; sample k is candidate "sample"."""
+    """A tag's ``candidate`` name and ``basis_sample`` in a report: "raw",
+    "mirrored" and "unitary" are no sample; sample k is candidate "sample"."""
     if isinstance(tag, int):
         return {"candidate": "sample", "basis_sample": tag}
     return {"candidate": tag, "basis_sample": None}
@@ -276,21 +289,26 @@ def _decide(found: _Candidates, epsilon: float, trace: Optional[list] = None) ->
     ``detail``, ``samples_skipped``, ``p1_maxiters``, ``p2_maxiters`` and
     ``result``; ``trace`` gets [tag, best distance] of each candidate tried.
 
-    The own group is always tried.  The ``samples`` pipeline adds the
-    samples group unless the best own fit lands below
-    min(``fitting.TIE_TOL``, epsilon), which no sample can beat under the
-    tie rule.  The chosen fits are ranked once (`_best`), and the winner is
-    Markovian when it lands strictly within epsilon; nothing else ranks the
-    fits or applies epsilon to them.  Otherwise the chosen candidates'
-    audited logarithms go through one ``nonmarkov.non_markovianity`` call,
-    which picks the least mu, ties going to the earlier candidate.
+    The own group is always tried.  Unless the best own fit lands below
+    min(``fitting.TIE_TOL``, epsilon), which no other candidate can beat
+    under the tie rule, the unitary group follows it, and in the
+    ``samples`` pipeline the samples group follows that.  The chosen fits
+    are ranked once (`_best`), and the winner is Markovian when it lands
+    strictly within epsilon; nothing else ranks the fits or applies
+    epsilon to them.  Otherwise the audited logarithms of the chosen own
+    and samples candidates go through one ``nonmarkov.non_markovianity``
+    call, which picks the least mu, ties going to the earlier candidate.
+    The unitary frame has no logarithm of the snapshot, so the mu fallback
+    never sees it.
 
     The groups a sweep row sees depend on its epsilon alone, not on what
     earlier rows searched, and no answer changes against rows that see
     every group searched so far: as epsilon rises the pipeline
     (`preprocess.Repair.kind`) only moves from passthrough to samples to
     identity, and a row whose own fit ties is won by that own candidate
-    with or without the samples, since it ranks at zero and comes first.
+    with or without the unitary and samples groups, since it ranks at zero
+    and comes first.  The mu fallback does not depend on the unitary group
+    at all.
     """
     kind = found.repair.kind(epsilon)
     doc: dict[str, Any] = {"pipeline": kind}
@@ -298,15 +316,15 @@ def _decide(found: _Candidates, epsilon: float, trace: Optional[list] = None) ->
         doc.update(verdict="Identity", detail="channel is consistent with the identity map")
         return doc
     groups = [found.own]
-    if kind == preprocess.SAMPLES:
-        k = _best(found.own.fits)
-        if k is None or not found.own.fits[k].distance < min(fitting.TIE_TOL, epsilon):
+    k = _best(found.own.fits)
+    if k is None or not found.own.fits[k].distance < min(fitting.TIE_TOL, epsilon):
+        groups.append(found.unitary)
+        if kind == preprocess.SAMPLES:
             groups.append(found.samples)
             skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
             if skipped:
                 doc["samples_skipped"] = skipped
     tags = sum((group.tags for group in groups), [])
-    logs = sum((group.logs for group in groups), [])
     fits = sum((group.fits for group in groups), [])
     if trace is not None:
         trace.extend([tag, getattr(fit, "distance", None)] for tag, fit in zip(tags, fits))
@@ -314,23 +332,40 @@ def _decide(found: _Candidates, epsilon: float, trace: Optional[list] = None) ->
     best = _best(fits)
     if best is not None and fits[best].distance < epsilon:
         doc.update(verdict="Markovian", result=_markovian_result(fits[best], epsilon))
-    else:
-        # No branch of any candidate lands inside the epsilon ball; ask
-        # instead how much white noise would reconcile the snapshot.
-        delta_step = found.args.delta_step
-        mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
-            found.mat, logs, epsilon, found.policy, delta_step=delta_step
-        )
-        if mu is None:
-            doc["verdict"] = "NoResult"
-            return doc
-        best = mu.basis_sample
-        doc.update(
-            verdict="NonMarkovian",
-            result=_nonmarkovian_result(mu, epsilon, delta_step, side_dim(len(found.mat))),
-        )
-    doc["result"].update(_named(tags[best]))
+        doc["result"].update(_named(tags[best]))
+        return doc
+    # No candidate lands inside the epsilon ball; ask instead how much
+    # white noise would reconcile the snapshot.
+    logged = [group for group in groups if group.logs is not None]
+    mu = _mu_fallback(doc, found.mat, sum((group.logs for group in logged), []), epsilon,
+                      found.policy, found.args.delta_step)
+    if mu is not None:
+        doc["result"].update(_named(sum((group.tags for group in logged), [])[mu.basis_sample]))
     return doc
+
+
+def _mu_fallback(doc: dict, mat: np.ndarray, logs: list, epsilon: float,
+                 policy: fitting.BranchPolicy, delta_step: float) -> Optional[nonmarkov.MuResult]:
+    """Write the mu verdict of the audited logarithms ``logs`` into ``doc``:
+    NonMarkovian with its result, or NoResult, with a ``detail`` quoting
+    the last failure when every logarithm failed its audit.  Returns the
+    winner, or None."""
+    if all(isinstance(log, NumericalFailure) for log in logs):
+        doc.update(verdict="NoResult", detail=(
+            f"all {len(logs)} candidates failed the logarithm audit; last: {logs[-1]}"
+        ))
+        return None
+    mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
+        mat, logs, epsilon, policy, delta_step=delta_step
+    )
+    if mu is None:
+        doc["verdict"] = "NoResult"
+        return None
+    doc.update(
+        verdict="NonMarkovian",
+        result=_nonmarkovian_result(mu, epsilon, delta_step, side_dim(len(mat))),
+    )
+    return mu
 
 
 def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
@@ -338,7 +373,7 @@ def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
         "lindbladian": _matrix_doc(fit.lindbladian),
         "distance": fit.distance,
         "distance_tolerance": epsilon,
-        "branch": list(fit.branch),
+        "branch": None if fit.branch is None else list(fit.branch),
         "lindblad_check_tolerance": fitting.VERIFY_TOL,
     }
 
@@ -448,14 +483,8 @@ def cmd_mu(args: argparse.Namespace) -> int:
         # zero budget can never admit a candidate; skip the scan entirely.
         doc["detail"] = "epsilon is zero: no candidate can pass distance < 0"
     else:
-        mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
-            mat, fitting.checked_logs(mat[None]), args.epsilon, policy,
-            delta_step=args.delta_step,
-        )
-        if mu is not None:
-            doc.update(verdict="NonMarkovian", result=_nonmarkovian_result(
-                mu, args.epsilon, args.delta_step, side_dim(mat.shape[0])
-            ))
+        _mu_fallback(doc, mat, fitting.checked_logs(mat[None]), args.epsilon, policy,
+                     args.delta_step)
     return _close(args, started, digest, doc)
 
 

@@ -45,8 +45,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import solver
-from .channels import is_lindbladian
-from .errors import NumericalFailure, OutOfRange
+from .channels import is_lindbladian, lindblad_generator
+from .errors import NumericalFailure, OutOfRange, SingularInput
 from .linalg import (
     SpectralData,
     expm,
@@ -71,6 +71,7 @@ __all__ = [
     "exp_distances",
     "first_certified",
     "best_fit_lindbladian",
+    "unitary_frame",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -117,11 +118,13 @@ class BranchPolicy:
 
 @dataclass
 class FitResult:
-    """A certified Lindbladian and the distance of its exponential to the snapshot."""
+    """A certified Lindbladian and the distance of its exponential to the
+    snapshot; ``branch`` is None for a fit with no branch of log M
+    (``unitary_frame``)."""
 
     lindbladian: np.ndarray
     distance: float
-    branch: tuple[int, ...]
+    branch: Optional[tuple[int, ...]]
 
 
 def _shell(dim: int, m_max: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -168,7 +171,8 @@ def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> lis
     ``NumericalFailure`` that rejects it.  A matrix with a degenerate
     spectrum is first nudged onto a simple one by
     ``preprocess.perturb_to_nd2``, the nudge the repair gives a snapshot,
-    which eigendecomposes a simple matrix once.  ``spectra`` holds the
+    which eigendecomposes a simple matrix once.  A zero eigenvalue, which
+    has no logarithm, fails the audit too.  ``spectra`` holds the
     `eig_full` of the first matrices where the caller already has it; only
     the others are eigendecomposed here."""
     audited = []
@@ -178,6 +182,8 @@ def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> lis
             audited.append((spectral, matrix_log_principal(spectral)))
         except NumericalFailure as exc:
             audited.append(exc)
+        except SingularInput as exc:
+            audited.append(NumericalFailure(str(exc)))
     ok = [k for k, a in enumerate(audited) if not isinstance(a, NumericalFailure)]
     if ok:
         exps = expm(np.stack([audited[k][1] for k in ok]))
@@ -310,3 +316,40 @@ def best_fit_lindbladian(
             branch=tuple(int(v) for v in branches[lead[c]]),
         )
     return fits, maxiters
+
+
+def unitary_frame(m_snapshot) -> tuple[Optional[FitResult], int]:
+    """The unitary-frame candidate of a snapshot M: the Hamiltonian of its
+    nearest unitary, plus the closest generator of what that unitary leaves.
+
+    K, the top eigenvector of herm Gamma(M) reshaped row-major d x d, is
+    M's leading Kraus operator, and U = W V^H from ``svd(K) = W S V^H`` is
+    the unitary nearest K (its polar factor: Fan and Hoffman, Proc. AMS 6
+    (1955); Higham, *Functions of Matrices*, ch. 8).  H = i log U, taken on
+    U's eigenvalues, gives the exact Lindbladian L_H with exp(L_H) =
+    U (x) U*.  The principal log of exp(-L_H) M, audited by
+    ``checked_logs`` (which nudges it when degenerate, as it is, the
+    identity, on an exact unitary), is projected by one P1 solve to X, and
+    the candidate is G = L_H + Gamma(X), Lindbladian because +-L_H lies in
+    the cone's lineality space.  It needs no repair and no branch search.
+
+    Returns G's fit, measured against M and certified by
+    ``first_certified`` (None when the audit fails or G is not
+    certified), and the number of P1 solves that ended MaxIters.
+    """
+    m = np.asarray(m_snapshot, dtype=complex)
+    d = side_dim(m.shape[0])
+    kraus = np.linalg.eigh(herm(gamma_involution(m)))[1][:, -1].reshape(d, d)
+    w, _, vh = np.linalg.svd(kraus)
+    phases, vectors = np.linalg.eig(w @ vh)
+    l_h = lindblad_generator(herm((vectors * (1j * np.log(phases))) @ np.linalg.inv(vectors)))
+    [audit] = checked_logs((expm(-l_h) @ m)[None])
+    if isinstance(audit, NumericalFailure):
+        return None, 0
+    [report] = solver.closest_lindbladian_batch(gamma_involution(audit[1])[None], d)
+    generator = l_h + gamma_involution(report.x_opt)
+    distance = exp_distances(m[None], np.ones(1), generator[None])[:, 0]
+    maxiters = int(report.status == solver.MAX_ITERS)
+    if first_certified(np.zeros(1, dtype=int), np.isfinite(distance), generator[None]) is None:
+        return None, maxiters
+    return FitResult(lindbladian=generator, distance=float(distance[0]), branch=None), maxiters

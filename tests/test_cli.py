@@ -30,6 +30,10 @@ from lindbladfit.errors import NumericalFailure
 from lindbladfit.linalg import eig_full, frobenius, max_entangled
 
 EPSILON = 0.05
+# Below the X gate's unitary-frame distance (0.0203 at 1e4 shots, seed 1):
+# its raw snapshot, frame and repaired samples all miss, and the mu
+# fallback decides.
+LOW = 0.01
 CHANNELS = {
     "depol": (ChannelSpec("depolarizing", {"p": 0.2}), 10**5),
     "identity": (ChannelSpec("identity"), 10**5),
@@ -325,11 +329,30 @@ def test_non_square_side_exits_3(tmp_path):
     assert fit(tmp_path, str(path)) == (cli.EXIT_INPUT_ERROR, None)
 
 
-def test_mu_on_a_singular_matrix_exits_4(tmp_path):
+def test_mu_on_a_singular_matrix_is_no_result(tmp_path):
+    """A zero eigenvalue has no logarithm: the audit fails, and with no
+    candidate left `mu` answers NoResult with the failure as its detail.
+    It exited 4."""
     path = tmp_path / "singular.json"
-    cli.write_matrix_file(str(path), np.diag([0.0, 0.3, 0.6, 0.9]))
-    code, doc = run(tmp_path, "mu", "--in", str(path), "--epsilon", "0.05")
-    assert (code, doc) == (cli.EXIT_NUMERICAL_FAILURE, None)
+    for diagonal in ((0.0, 0.3, 0.6, 0.9), (1.0, 0.5, 0.3, 0.0)):
+        cli.write_matrix_file(str(path), np.diag(diagonal))
+        code, doc = run(tmp_path, "mu", "--in", str(path), "--epsilon", "0.05")
+        assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
+        assert "zero eigenvalue" in doc["detail"] and "result" not in doc
+
+
+def test_fit_and_sweep_on_a_singular_matrix_are_no_result(tmp_path):
+    """diag(1, 0.5, 0.3, 0): the raw snapshot and its unitary frame both
+    fail their logarithm audit, so `fit` and every sweep row answer
+    NoResult, not exit 4."""
+    path = str(tmp_path / "singular.json")
+    cli.write_matrix_file(path, np.diag([1.0, 0.5, 0.3, 0.0]))
+    code, doc = fit(tmp_path, path, EPSILON, "--trace")
+    assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
+    assert "zero eigenvalue" in doc["detail"]
+    assert all(distance is None for _, distance in doc["trace"]["samples"])
+    lines = sweep(tmp_path, path, 0.01, 0.04, 0.01)
+    assert [line.split(",")[1:4] for line in lines[1:]] == [["", "1000", ""]] * 3
 
 
 def test_every_command_refuses_a_side_that_is_not_a_square(tmp_path):
@@ -394,7 +417,9 @@ def test_a_mirror_that_collides_with_an_eigenvalue_is_nudged(tmp_path):
     cli.write_matrix_file(path, mat)
     code, doc = fit(tmp_path, path, EPSILON, "--trace")
     assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
-    assert [k for k, d in doc["trace"]["samples"] if d is not None] == ["raw", "mirrored"]
+    assert [k for k, d in doc["trace"]["samples"] if d is not None] == [
+        "raw", "mirrored", "unitary"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -450,6 +475,23 @@ def test_nonmarkovian_report(tmp_path, snap):
     assert (doc["p1_maxiters"], doc["p2_maxiters"]) == (0, 0)
 
 
+@pytest.mark.parametrize("shots, mu", [(10**4, 4.569177), (10**5, 5.746707)])
+def test_benchmark_unital_stays_nonmarkovian_past_its_unitary_frame(tmp_path, shots, mu):
+    """Benchmark unital's unitary frame lands about 0.6 away, far outside
+    epsilon, and the mu fallback never sees it: the verdict and mu are the
+    raw candidate's."""
+    spec = CHANNELS["unital"][0]
+    path = str(tmp_path / "unital.json")
+    cli.write_matrix_file(path, simulate_process_tomography(
+        spec, TomographyConfig(shots=shots, seed=1)).mat)
+    code, doc = fit(tmp_path, path, EPSILON, "--trace")
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
+    res = doc["result"]
+    assert (res["candidate"], res["mu_min"]) == ("raw", pytest.approx(mu, abs=1e-6))
+    frame = dict(doc["trace"]["samples"])["unitary"]
+    assert 0.5 < frame < 0.7
+
+
 def half_identity(tmp_path):
     """Matrix file of 0.5 I at d=2: one tight positive cluster away from the
     identity, so it is repaired, and no candidate, raw included, fits or
@@ -467,8 +509,9 @@ def test_no_result_report(tmp_path):
 
 
 def test_mu_fallback_is_one_p2_batch(tmp_path, snap, monkeypatch):
-    """The X gate's four repaired samples all miss epsilon; their (branch,
-    delta) pairs go to the P2 solver in one call."""
+    """Below its unitary frame's distance the X gate's raw snapshot and its
+    four repaired samples all miss epsilon; their (branch, delta) pairs go
+    to the P2 solver in one call."""
     batch = solver.min_mu_batch
     calls = []
 
@@ -477,12 +520,12 @@ def test_mu_fallback_is_one_p2_batch(tmp_path, snap, monkeypatch):
         return batch(*args)
 
     monkeypatch.setattr(solver, "min_mu_batch", counting)
-    code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4")
+    code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4")
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "NonMarkovian", "samples")
     assert len(calls) == 1
     res = doc["result"]
-    assert res["basis_sample"] == 0
-    assert res["mu_min"] == pytest.approx(4.911674, abs=1e-6)
+    assert res["basis_sample"] == 1
+    assert res["mu_min"] == pytest.approx(8.893983, abs=1e-6)
 
 
 @pytest.mark.parametrize("command", ["fit", "mu"])
@@ -536,28 +579,31 @@ def test_one_cluster_far_from_the_identity_is_not_identity(tmp_path, scale):
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_NO_RESULT, "NoResult", "samples")
 
 
-def test_identity_report(tmp_path, snap):
+def test_identity_report(tmp_path, snap, monkeypatch):
+    built = frames_built(monkeypatch)
     code, doc = fit(tmp_path, snap["identity"], EPSILON, "--trace")
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Identity", "identity")
     assert "result" not in doc and "p1_maxiters" not in doc  # P1 never ran
-    assert doc["trace"] == {"samples": []}
+    assert doc["trace"] == {"samples": []} and built == []
 
 
-# The X gate's raw fit lies 1.74 away and its samples' 1.27 to 1.69: at this
-# radius one sample's fit is Markovian.
+# The X gate's raw fit lies 1.74 away, its unitary frame's 0.0203 and its
+# samples' 1.27 to 1.69: at this radius every fit is Markovian.
 WIDE = 2.0
 
 
 def test_trace_lists_every_sample(tmp_path, snap):
     """One [candidate, best distance over its branches] entry per candidate,
-    raw first, and the report's winner is the least of them."""
+    raw first, then the unitary frame and the samples, and the report's
+    winner is the least of them."""
     _, doc = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4", "--trace")
     samples = doc["trace"]["samples"]
-    assert [k for k, _ in samples] == ["raw", 0, 1, 2, 3]
+    assert [k for k, _ in samples] == ["raw", "unitary", 0, 1, 2, 3]
     k, distance = min(samples, key=lambda entry: entry[1])
     res = doc["result"]
-    assert (k, distance) == (res["basis_sample"], res["distance"])
-    assert (doc["verdict"], res["candidate"]) == ("Markovian", "sample")
+    assert (k, distance) == (res["candidate"], res["distance"])
+    assert (doc["verdict"], res["candidate"], res["basis_sample"]) == ("Markovian", "unitary", None)
+    assert res["branch"] is None
     assert "samples_skipped" not in doc
 
 
@@ -593,10 +639,23 @@ def test_candidates_rank_by_distance_with_ties_to_the_earlier():
     assert (cli._best(group.fits[:1]), cli._best(group.fits)) == (0, 1)
 
 
+def frames_built(monkeypatch):
+    """The snapshots `fitting.unitary_frame` is called on."""
+    built = []
+    frame = fitting.unitary_frame
+
+    def counting(mat):
+        built.append(mat)
+        return frame(mat)
+
+    monkeypatch.setattr(fitting, "unitary_frame", counting)
+    return built
+
+
 def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
-    """A depolarizing snapshot's own fit lands at round-off: no sample can
-    beat it under the tie rule, so none is drawn and the trace lists raw
-    alone."""
+    """A depolarizing snapshot's own fit lands at round-off: no sample and
+    no unitary frame can beat it under the tie rule, so no sample is drawn,
+    no frame is built and the trace lists raw alone."""
     drawn = []
     draw = preprocess.random_hp_basis
 
@@ -605,9 +664,10 @@ def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(preprocess, "random_hp_basis", counting)
+    built = frames_built(monkeypatch)
     code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4", "--trace")
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "samples")
-    assert drawn == []
+    assert drawn == [] and built == []
     [(k, distance)] = doc["trace"]["samples"]
     assert (k, distance) == ("raw", doc["result"]["distance"]) and distance < fitting.TIE_TOL
 
@@ -632,7 +692,7 @@ def test_lone_negative_eigenvalue_is_mirrored_to_a_noise_rate(tmp_path):
     assert res["distance"] < EPSILON
     perp = max_entangled(2).omega_perp
     assert is_lindbladian(gen - res["mu_min"] * perp, tol=res["lindblad_check_tolerance"]).ok
-    assert [k for k, _ in doc["trace"]["samples"]] == ["raw", "mirrored"]
+    assert [k for k, _ in doc["trace"]["samples"]] == ["raw", "mirrored", "unitary"]
 
 
 def test_noiseless_markovian_channels_are_markovian(tmp_path):
@@ -691,39 +751,42 @@ def fail_audit(monkeypatch, bad):
 
 
 def test_a_sample_that_fails_the_log_audit_is_skipped(tmp_path, snap, monkeypatch):
-    """Sample 0, the winner of the clean run, fails the audit; raw and the
-    other three decide."""
+    """Sample 1, the winner of the clean run's mu fallback, fails the
+    audit; raw and the other three decide, and raw wins."""
     flags = ("--samples", "4", "--trace")
-    _, clean = fit(tmp_path, snap["xgate"], WIDE, *flags)
-    assert clean["result"]["basis_sample"] == 0
-    drawn = fail_audit(monkeypatch, {0})
-    code, doc = fit(tmp_path, snap["xgate"], WIDE, *flags)
-    assert (code, doc["verdict"], doc["samples_skipped"]) == (cli.EXIT_OK, "Markovian", 1)
+    _, clean = fit(tmp_path, snap["xgate"], LOW, *flags)
+    assert clean["result"]["basis_sample"] == 1
+    drawn = fail_audit(monkeypatch, {1})
+    code, doc = fit(tmp_path, snap["xgate"], LOW, *flags)
+    assert (code, doc["verdict"], doc["samples_skipped"]) == (cli.EXIT_OK, "NonMarkovian", 1)
     samples = doc["trace"]["samples"]
-    assert samples.pop(1) == [0, None]
-    assert samples == [entry for entry in clean["trace"]["samples"] if entry[0] != 0]
+    assert samples.pop(3) == [1, None]
+    assert samples == [entry for entry in clean["trace"]["samples"] if entry[0] != 1]
     # the verdict is the one raw and the three good samples give alone
     mat = cli.read_matrix_file(snap["xgate"])
-    good = ["raw", 1, 2, 3]
-    fits, _ = fitting.best_fit_lindbladian(
-        mat, fitting.checked_logs(np.stack([mat] + [drawn[k] for k in good[1:]]))
+    good = ["raw", 0, 2, 3]
+    mu, _ = nonmarkov.non_markovianity(
+        mat, fitting.checked_logs(np.stack([mat] + [drawn[k] for k in good[1:]])), LOW
     )
-    k = min(fits, key=lambda k: (fits[k].distance, k))
     res = doc["result"]
-    assert (res["candidate"], res["basis_sample"]) == ("sample", good[k])
-    assert (res["distance"], res["branch"]) == (fits[k].distance, list(fits[k].branch))
+    assert good[mu.basis_sample] == "raw"
+    assert (res["candidate"], res["basis_sample"]) == ("raw", None)
+    assert (res["mu_min"], res["branch"]) == (mu.mu_min, list(mu.branch))
 
 
-def test_all_samples_failing_the_log_audit_exits_4(tmp_path, snap, monkeypatch):
+def test_all_candidates_failing_the_log_audit_are_no_result(tmp_path, snap, monkeypatch):
     """With every sample failing the audit raw decides alone; when raw fails
-    too, no candidate is left."""
+    too, no logarithm is left for the mu fallback, and the verdict is
+    NoResult with the last failure as its detail (it exited 4)."""
     fail_audit(monkeypatch, {0, 1, 2, 3})
-    code, doc = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4")
-    assert (code, doc["result"]["candidate"], doc["samples_skipped"]) == (cli.EXIT_OK, "raw", 4)
-    fail_audit(monkeypatch, {"raw", 0, 1, 2, 3})
-    assert fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4") == (
-        cli.EXIT_NUMERICAL_FAILURE, None
+    code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4")
+    assert (code, doc["verdict"], doc["result"]["candidate"], doc["samples_skipped"]) == (
+        cli.EXIT_OK, "NonMarkovian", "raw", 4
     )
+    fail_audit(monkeypatch, {"raw", 0, 1, 2, 3})
+    code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4")
+    assert (code, doc["verdict"], doc["samples_skipped"]) == (cli.EXIT_NO_RESULT, "NoResult", 4)
+    assert doc["detail"].startswith("all 5 candidates failed the logarithm audit; last: exp(log R)")
 
 
 def test_a_raw_snapshot_that_fails_the_log_audit_is_not_a_skipped_sample(
@@ -732,9 +795,9 @@ def test_a_raw_snapshot_that_fails_the_log_audit_is_not_a_skipped_sample(
     """samples_skipped counts repaired samples only; raw's failure shows in
     the trace."""
     fail_audit(monkeypatch, {"raw"})
-    code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4", "--trace")
+    code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4", "--trace")
     assert (code, doc["verdict"], doc["result"]["basis_sample"]) == (
-        cli.EXIT_OK, "NonMarkovian", 0
+        cli.EXIT_OK, "NonMarkovian", 1
     )
     assert doc["trace"]["samples"][0] == ["raw", None]
     assert "samples_skipped" not in doc
@@ -767,8 +830,8 @@ def fit_row(tmp_path, path, epsilon, *flags):
         ("identity", (0, 0.1, 0.05), (), 2),
         ("depol", (0.005, 0.03, 0.01), ("--samples", "2"), 3),
         ("unital", (0.02, 0.06, 0.02), (), 2),
-        # every row reaches the mu fallback
-        ("xgate", (0.04, 0.07, 0.01), ("--samples", "4"), 3),
+        # the mu fallback below the unitary frame's distance, the frame above
+        ("xgate", (0.01, 0.04, 0.01), ("--samples", "4"), 3),
     ],
 )
 def test_sweep_rows_are_fit_verdicts(tmp_path, snap, name, grid, flags, count):
@@ -780,6 +843,19 @@ def test_sweep_rows_are_fit_verdicts(tmp_path, snap, name, grid, flags, count):
     for eps, mu, sentinel, distance, row_samples, m_max in rows:
         assert (row_samples, m_max) == (samples, "1")
         assert (mu, sentinel, distance) == fit_row(tmp_path, snap[name], eps, *flags), eps
+
+
+def test_a_sweep_across_the_unitary_frame_distance(tmp_path, snap):
+    """X gate rows at 0.01 and 0.02 lie below its frame's 0.0203 and are
+    NonMarkovian, the row at 0.03 is the frame's Markovian fit (mu 0).
+    `test_sweep_rows_are_fit_verdicts` holds each row against `fit`."""
+    lines = sweep(tmp_path, snap["xgate"], 0.01, 0.04, 0.01, "--samples", "4")
+    rows = [line.split(",") for line in lines[1:]]
+    verdicts = [fit(tmp_path, snap["xgate"], eps, "--samples", "4")[1] for eps, *_ in rows]
+    assert [doc["verdict"] for doc in verdicts] == ["NonMarkovian", "NonMarkovian", "Markovian"]
+    assert verdicts[-1]["result"]["candidate"] == "unitary"
+    assert [float(row[1]) > 0 for row in rows] == [True, True, False]
+    assert float(rows[-1][3]) == pytest.approx(0.020259003493, abs=1e-9)
 
 
 def test_sweep_identity_rows_at_nonpositive_epsilon_are_absent(tmp_path, snap):
@@ -824,9 +900,10 @@ def test_a_sweep_searches_each_candidate_once(tmp_path, snap, monkeypatch, name,
 
 
 def test_a_sweep_audits_each_candidate_once(tmp_path, snap, monkeypatch):
-    """Ten X-gate rows, each decided by the mu fallback: raw and the four
-    samples have their logarithms audited once for the whole sweep, and the
-    fallback reuses those audits."""
+    """Ten X-gate rows, the first two decided by the mu fallback and the
+    rest by the unitary frame: the frame is built once, and raw, the frame's
+    residual and the four samples have their logarithms audited once for
+    the whole sweep; the fallback reuses those audits."""
     audit = fitting.checked_logs
     audited = []
 
@@ -835,10 +912,12 @@ def test_a_sweep_audits_each_candidate_once(tmp_path, snap, monkeypatch):
         return audit(stack, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "checked_logs", counting)
+    built = frames_built(monkeypatch)
     lines = sweep(tmp_path, snap["xgate"], 0.01, 0.11, 0.01, "--samples", "4")
     assert len(lines) == 11
     assert all(line.split(",")[1] for line in lines[1:])  # every row has a mu
-    assert sum(audited) == 5
+    assert [line.split(",")[1] == "0" for line in lines[1:]] == [False] * 2 + [True] * 8
+    assert (sum(audited), len(built)) == (6, 1)
 
 
 REPAIR_STEPS = ("perturb_to_nd2", "detect_clusters", "build_cluster_bases")
@@ -859,10 +938,10 @@ def repair_calls(monkeypatch):
 
 
 def test_a_sweep_repairs_its_snapshot_once(tmp_path, snap, monkeypatch):
-    """Ten X-gate rows: one nudge, one cluster detection and one draw plan
-    for the whole sweep."""
+    """Ten X-gate rows across its unitary frame's distance: one nudge, one
+    cluster detection and one draw plan for the whole sweep."""
     calls = repair_calls(monkeypatch)
-    lines = sweep(tmp_path, snap["xgate"], 0.05, 0.15, 0.01, "--samples", "4")
+    lines = sweep(tmp_path, snap["xgate"], 0.01, 0.11, 0.01, "--samples", "4")
     assert len(lines) == 11
     assert calls == dict.fromkeys(REPAIR_STEPS, 1)
 
@@ -1001,10 +1080,11 @@ def test_a_raw_decided_verdict_eigendecomposes_its_snapshot_once(tmp_path, snap,
 
 
 def test_each_candidate_is_eigendecomposed_once_in_the_search(tmp_path, snap, monkeypatch):
-    """X gate, four samples: the snapshot once in the repair, each sample
-    once in the P1 search's logarithm audit, and none in the mu fallback,
-    which reuses the logarithms the search audited."""
+    """X gate, four samples: the snapshot once in the repair, the unitary
+    frame's residual once and each sample once in their logarithm audits,
+    and none in the mu fallback, which reuses the logarithms the search
+    audited."""
     calls = eig_calls(monkeypatch)
-    code, doc = fit(tmp_path, snap["xgate"], EPSILON, "--samples", "4")
+    code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4")
     assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
-    assert collections.Counter(calls) == {("preprocess", "search"): 5}
+    assert collections.Counter(calls) == {("preprocess", "search"): 6}

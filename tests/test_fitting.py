@@ -1,6 +1,7 @@
 """Branch enumeration, the herm-class quotient and the branch-search
 generator fit: each audited sample's own certified fit, with no acceptance
-radius (the CLI ranks the fits and applies epsilon)."""
+radius (the CLI ranks the fits and applies epsilon); and the unitary-frame
+candidate, which needs no branch search."""
 
 import itertools
 import json
@@ -14,6 +15,7 @@ from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
     is_lindbladian,
+    iswap_gate,
     random_lindblad_generator,
     simulate_process_tomography,
     unital_transfer,
@@ -434,3 +436,56 @@ def test_depolarizing_fit_reports_the_principal_branch(tmp_path, shots):
     doc = json.loads(report.read_text())
     assert doc["verdict"] == "Markovian"
     assert doc["result"]["branch"] == [0, 0, 0, 0]
+
+
+def test_a_zero_eigenvalue_fails_the_log_audit():
+    """It has no logarithm: the audit records the failure instead of raising."""
+    [audit] = checked_logs(np.diag([1.0, 0.5, 0.3, 0.0]).astype(complex)[None])
+    assert isinstance(audit, NumericalFailure) and "zero eigenvalue" in str(audit)
+
+
+# ----------------------------------------------------------------------
+# the unitary frame
+# ----------------------------------------------------------------------
+
+def _haar(d, seed):
+    """A Haar-random d x d unitary from a fixed seed."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+UNITARIES = {
+    "xgate": x_gate(),
+    "iswap": iswap_gate(),
+    "random d=2": _haar(2, 0),
+    "random d=3": _haar(3, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(UNITARIES))
+def test_the_unitary_frame_of_an_exact_unitary_fits(name, monkeypatch):
+    """On U (x) U* the frame's candidate is certified within 1e-8, the
+    scale of the nudge that makes exp(-L_H) M (the identity) simple, and
+    its Hamiltonian part L_H exponentiates to U (x) U* itself."""
+    m = unitary_transfer(UNITARIES[name]).mat
+    built = []
+    make = fitting.lindblad_generator
+
+    def recording(h):
+        built.append(make(h))
+        return built[-1]
+
+    monkeypatch.setattr(fitting, "lindblad_generator", recording)
+    fit, maxiters = fitting.unitary_frame(m)
+    assert maxiters == 0 and fit is not None and fit.branch is None
+    assert fit.distance < 1e-8
+    assert frobenius(expm(fit.lindbladian) - m) == pytest.approx(fit.distance, abs=1e-12)
+    assert is_lindbladian(fit.lindbladian, tol=fitting.VERIFY_TOL).ok
+    [l_h] = built
+    assert frobenius(expm(l_h) - m) < 1e-12
+
+
+def test_the_unitary_frame_of_a_singular_snapshot_is_none():
+    """exp(-L_H) M keeps M's zero eigenvalue, so its audit fails."""
+    assert fitting.unitary_frame(np.diag([1.0, 0.5, 0.3, 0.0]).astype(complex)) == (None, 0)

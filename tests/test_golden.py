@@ -40,8 +40,8 @@ panel = _load_panel()
 # name: (verdict, exit code, pipeline, candidate, branch, basis sample, delta,
 #        mu, distance)
 GOLDEN = {
-    "xgate@1e+04": ("NonMarkovian", 0, "samples", "sample", [0, 0, 0, 0], 0,
-                    0.04742927456779011, 4.9116739172593675, 0.03988401416723959),
+    "xgate@1e+04": ("Markovian", 0, "samples", "unitary", None, None,
+                    None, None, 0.020259003493460482),
     "depol-0.1@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                         None, None, 1.1424824313914204e-15),
     "depol-0.2@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
@@ -53,8 +53,8 @@ GOLDEN = {
     "unital-weak-t2@1e+04": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                              None, None, 4.861462800857275e-16),
     "identity@1e+04": ("Identity", 0, "identity", None, None, None, None, None, None),
-    "xgate@1e+05": ("NonMarkovian", 0, "samples", "sample", [0, 0, 0, 0], 2,
-                    0.06954367685598314, 2.5638760317120517, 0.04508851283691049),
+    "xgate@1e+05": ("Markovian", 0, "samples", "unitary", None, None,
+                    None, None, 0.00644348831967714),
     "depol-0.1@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                         None, None, 1.5692660731617238e-15),
     "depol-0.2@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
@@ -66,7 +66,8 @@ GOLDEN = {
     "unital-weak-t2@1e+05": ("Markovian", 0, "samples", "raw", [0, 0, 0, 0], None,
                              None, None, 6.19987751763208e-16),
     "identity@1e+05": ("Identity", 0, "identity", None, None, None, None, None, None),
-    "iswap@1e+05": ("NoResult", 2, "samples", None, None, None, None, None, None),
+    "iswap@1e+05": ("Markovian", 0, "samples", "unitary", None, None,
+                    None, None, 0.03647639468953497),
     "depol-cz@1e+05": ("Markovian", 0, "samples", "raw", [0] * 16, None,
                        None, None, 0.03998814810013773),
     "unital-weak-series-s1": ("Markovian", 0, None, None, [0] * 8, None,
@@ -79,11 +80,8 @@ GOLDEN = {
 }
 
 # Inputs whose verdict contradicts their label today, with the defect.
-DEFECTS = {
-    "xgate@1e+04": "X gate never fits: NonMarkovian with mu > 0 for a unitary",
-    "xgate@1e+05": "X gate never fits: NonMarkovian with mu > 0 for a unitary",
-    "iswap@1e+05": "ISWAP NoResult: its clustered d=4 snapshot has no fitting sample",
-}
+# None at present: the X gate and ISWAP rows fit by their unitary frame.
+DEFECTS: dict = {}
 
 
 @pytest.fixture(scope="module")

@@ -161,7 +161,7 @@ assert not scipy_loaded(), scipy_loaded()
 out = sys.argv[1]
 for argv in (
     ["simulate", "--channel", "xgate", "--shots", "10000", "--seed", "1", "--out", out + "/x.json"],
-    ["fit", "--in", out + "/x.json", "--samples", "4", "--epsilon", "0.05", "--report", out + "/fit.json"],
+    ["fit", "--in", out + "/x.json", "--samples", "4", "--epsilon", "0.01", "--report", out + "/fit.json"],
     ["simulate", "--channel", "unital", "--gamma", "0.1,0.2,0.3", "--t", "1", "--shots", "100000", "--seed", "1", "--out", out + "/m1.json"],
     ["simulate", "--channel", "unital", "--gamma", "0.1,0.2,0.3", "--t", "2", "--shots", "100000", "--seed", "1", "--out", out + "/m2.json"],
     ["multifit", "--in", out + "/m1.json," + out + "/m2.json", "--times", "1,2", "--epsilon", "0.05", "--report", out + "/multi.json"],
@@ -173,8 +173,9 @@ assert not scipy_loaded(), scipy_loaded()
 
 def test_cli_import_and_run_load_no_scipy(tmp_path):
     """The runtime needs numpy alone: neither importing the CLI nor a
-    ``simulate``, ``fit --samples 4`` and ``multifit`` run loads any scipy
-    module (``scipy.special`` included)."""
+    ``simulate``, ``fit --samples 4`` (below the X gate's unitary-frame
+    distance, so the frame, the samples and the mu fallback all run) and
+    ``multifit`` run loads any scipy module (``scipy.special`` included)."""
     src = str(Path(lindbladfit.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],

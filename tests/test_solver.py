@@ -526,12 +526,14 @@ def test_four_level_batches_match_singles_across_jacobian_groups(monkeypatch):
 @pytest.fixture(scope="module")
 def fallback_pairs(tmp_path_factory):
     """name -> (targets, deltas) of the one P2 batch of the X gate fallback
-    (``fit --samples 4``) and the benchmark unital ``mu`` subcommand, at
-    1e4 shots, tomography seed 1, epsilon 0.05."""
+    (``fit --samples 4`` at epsilon 0.01, below its unitary frame's
+    distance) and the benchmark unital ``mu`` subcommand (epsilon 0.05), at
+    1e4 shots, tomography seed 1."""
     root = tmp_path_factory.mktemp("fallbacks")
     runs = {
-        "xgate": (ChannelSpec("xgate"), ["fit", "--samples", "4"]),
-        "unital": (ChannelSpec("unital", {"gamma": [-200.0, 201.0, 200.5]}), ["mu"]),
+        "xgate": (ChannelSpec("xgate"), ["fit", "--samples", "4", "--epsilon", "0.01"]),
+        "unital": (ChannelSpec("unital", {"gamma": [-200.0, 201.0, 200.5]}),
+                   ["mu", "--epsilon", "0.05"]),
     }
     batch = solver.min_mu_batch
     pairs = {}
@@ -547,7 +549,7 @@ def fallback_pairs(tmp_path_factory):
         cli.write_matrix_file(path, mat)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "min_mu_batch", recording)
-            cli.main([*argv, "--in", path, "--epsilon", "0.05", "--report", str(root / "r.json")])
+            cli.main([*argv, "--in", path, "--report", str(root / "r.json")])
         (pairs[name],) = calls
     return pairs
 
