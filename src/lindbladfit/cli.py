@@ -7,25 +7,13 @@ commands emit a JSON report carrying the input digest, the verdict
 setting that went into it, and the wall time, so a report alone is enough
 to reproduce the run.  ``sweep-epsilon`` writes a plot-ready CSV instead.
 
-Every report takes one path.  The command's decision writes the verdict's
-fields (for ``fit``, `_decide`, whose ``result`` names the winning
-candidate); one closing step, `_close`, adds the digest, the settings
-(every parsed flag but the input and report paths and ``--trace``) and the
-wall time, writes the report and sets the exit code.
-
-``fit`` and every ``sweep-epsilon`` row make one decision, `_decide`, on
-one candidate table of the snapshot, `_Candidates`, which epsilon does not
-change: a sweep repairs its snapshot, and audits and searches each
-candidate, once for all its rows.  The decision tries the candidates with
-the least work first: the snapshot's own group (it and, for a lone
-negative eigenvalue, its mirror), and, unless the own fit lands at
-round-off, the unitary frame (one projection, no branch search; it
-settles unitary-dominated snapshots such as the X gate and ISWAP) and
-the repaired samples.  When the winner misses epsilon, the audited
-logarithms of the own and samples candidates are asked in one batch for
-the least white-noise rate mu; the unitary frame has no logarithm of the
-snapshot and takes no part.  A sweep row reads its mu and distance from
-the fields `_decide` writes.
+Every report takes one path.  The verdict's fields come from
+`decide.decide` for ``fit`` (``mu`` is its alias) and from
+`best_fit_multi` for ``multifit``; one closing step, `_close`, adds the
+digest, the settings (every parsed flag but the input and report paths and
+``--trace``) and the wall time, writes the report and sets the exit code.
+Each ``sweep-epsilon`` row is ``fit``'s decision at its epsilon, on one
+`decide.Candidates` table for the whole sweep.
 
 Each report's ``input_digest`` hashes the very bytes its matrices were
 parsed from: every matrix file is read once.  `main` builds its parser on
@@ -46,12 +34,11 @@ import json
 import math
 import sys
 import time
-from functools import cached_property
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from . import fitting, nonmarkov, preprocess
+from . import decide, fitting, nonmarkov, preprocess
 from .channels import ChannelSpec, TomographyConfig, simulate_process_tomography
 from .errors import (
     DimensionMismatch, InputError, LindbladFitError, NotCompletelyPositive, NotPerfectSquareDim,
@@ -59,7 +46,7 @@ from .errors import (
 )
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
-from .linalg import eig_full, frobenius, side_dim  # noqa: F401
+from .linalg import eig_full, frobenius  # noqa: F401
 from .multisnap import DELTA_GRID_SNAPSHOT, best_fit_multi
 
 EXIT_OK = 0
@@ -107,17 +94,9 @@ _CHANNEL_FLAGS = {
 # Matrix files and reports
 # ----------------------------------------------------------------------
 
-def _matrix_doc(mat: np.ndarray) -> dict[str, Any]:
-    mat = np.asarray(mat, dtype=complex)
-    return {
-        "dim": int(mat.shape[0]),
-        "data": [[float(v.real), float(v.imag)] for v in mat.reshape(-1)],
-    }
-
-
 def write_matrix_file(path: str, mat: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_matrix_doc(mat), fh)
+        json.dump(decide.matrix_doc(mat), fh)
         fh.write("\n")
 
 
@@ -197,201 +176,10 @@ def _policy(args: argparse.Namespace, dim: int) -> fitting.BranchPolicy:
     return policy
 
 
-# Candidate tags besides a repaired sample's int id: the nudged snapshot,
-# its mirrored lone negative eigenvalue (preprocess.Repair) and the
-# unitary frame (fitting.unitary_frame).
-RAW, MIRRORED, UNITARY = "raw", "mirrored", "unitary"
-
-
-class _Group(NamedTuple):
-    """Candidates searched together: their tags, their ``fitting.checked_logs``
-    entries (None for the unitary frame, which has no logarithm of the
-    snapshot), each one's own P1 fit (None when no branch certifies or the
-    audit failed) and the P1 call's MaxIters count."""
-
-    tags: list
-    logs: Optional[list]
-    fits: list
-    p1_maxiters: int
-
-
-def _best(fits: list) -> Optional[int]:
-    """Position of the least ``fitting.ranked`` distance among ``fits``, the
-    earlier one on a tie; None when none fits."""
-    fitted = [k for k, fit in enumerate(fits) if fit is not None]
-    if not fitted:
-        return None
-    distances = np.array([fits[k].distance for k in fitted])
-    return fitted[int(np.argmin(fitting.ranked(distances)))]
-
-
-class _Candidates:
-    """The candidate table of one snapshot: its `preprocess.Repair`, its own
-    group (RAW, then MIRRORED when the repair has one), its unitary group
-    (UNITARY, the one ``fitting.unitary_frame`` fit of the snapshot) and its
-    samples group (``--samples`` repaired samples from ``--seed``, tagged by
-    their ids).
-
-    Each is built on first use and only once, and none depends on epsilon.
-    The own and samples groups are audited by one ``fitting.checked_logs``
-    call each, whose logarithms the mu fallback reuses, and searched by one
-    ``fitting.best_fit_lindbladian`` call each.
-    """
-
-    def __init__(self, mat: np.ndarray, policy: fitting.BranchPolicy,
-                 args: argparse.Namespace) -> None:
-        self.mat, self.policy, self.args = mat, policy, args
-
-    @cached_property
-    def repair(self) -> preprocess.Repair:
-        return preprocess.Repair(self.mat, self.args.precision)
-
-    @cached_property
-    def own(self) -> _Group:
-        tags, stack = [RAW], [self.repair.snapshot]
-        if self.repair.mirrored is not None:
-            tags.append(MIRRORED)
-            stack.append(self.repair.mirrored)
-        return self._search(tags, stack, [self.repair.spectral])
-
-    @cached_property
-    def unitary(self) -> _Group:
-        fit, maxiters = fitting.unitary_frame(self.mat)
-        return _Group([UNITARY], None, [fit], maxiters)
-
-    @cached_property
-    def samples(self) -> _Group:
-        ids = list(range(self.args.samples))
-        return self._search(ids, [self.repair.sample(self.args.seed, k) for k in ids])
-
-    def _search(self, tags: list, stack: list, spectra=()) -> _Group:
-        """``spectra``: the spectral data of the first candidates, when known."""
-        logs = fitting.checked_logs(np.stack(stack), spectra)
-        fits, maxiters = {}, 0
-        try:
-            fits, maxiters = fitting.best_fit_lindbladian(self.mat, logs, self.policy)
-        except NumericalFailure:  # every one failed: the others may decide
-            pass
-        return _Group(tags, logs, [fits.get(k) for k in range(len(tags))], maxiters)
-
-
-def _named(tag) -> dict[str, Any]:
-    """A tag's ``candidate`` name and ``basis_sample`` in a report: "raw",
-    "mirrored" and "unitary" are no sample; sample k is candidate "sample"."""
-    if isinstance(tag, int):
-        return {"candidate": "sample", "basis_sample": tag}
-    return {"candidate": tag, "basis_sample": None}
-
-
-def _decide(found: _Candidates, epsilon: float, trace: Optional[list] = None) -> dict[str, Any]:
-    """The verdict on the snapshot of the table ``found`` at one epsilon, as
-    its report fields: ``pipeline`` and ``verdict`` and, where they apply,
-    ``detail``, ``samples_skipped``, ``p1_maxiters``, ``p2_maxiters`` and
-    ``result``; ``trace`` gets [tag, best distance] of each candidate tried.
-
-    The own group is always tried.  Unless the best own fit lands below
-    min(``fitting.TIE_TOL``, epsilon), which no other candidate can beat
-    under the tie rule, the unitary group follows it, and in the
-    ``samples`` pipeline the samples group follows that.  The chosen fits
-    are ranked once (`_best`), and the winner is Markovian when it lands
-    strictly within epsilon; nothing else ranks the fits or applies
-    epsilon to them.  Otherwise the audited logarithms of the chosen own
-    and samples candidates go through one ``nonmarkov.non_markovianity``
-    call, which picks the least mu, ties going to the earlier candidate.
-    The unitary frame has no logarithm of the snapshot, so the mu fallback
-    never sees it.
-
-    The groups a sweep row sees depend on its epsilon alone, not on what
-    earlier rows searched, and no answer changes against rows that see
-    every group searched so far: as epsilon rises the pipeline
-    (`preprocess.Repair.kind`) only moves from passthrough to samples to
-    identity, and a row whose own fit ties is won by that own candidate
-    with or without the unitary and samples groups, since it ranks at zero
-    and comes first.  The mu fallback does not depend on the unitary group
-    at all.
-    """
-    kind = found.repair.kind(epsilon)
-    doc: dict[str, Any] = {"pipeline": kind}
-    if kind == preprocess.IDENTITY:
-        doc.update(verdict="Identity", detail="channel is consistent with the identity map")
-        return doc
-    groups = [found.own]
-    k = _best(found.own.fits)
-    if k is None or not found.own.fits[k].distance < min(fitting.TIE_TOL, epsilon):
-        groups.append(found.unitary)
-        if kind == preprocess.SAMPLES:
-            groups.append(found.samples)
-            skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
-            if skipped:
-                doc["samples_skipped"] = skipped
-    tags = sum((group.tags for group in groups), [])
-    fits = sum((group.fits for group in groups), [])
-    if trace is not None:
-        trace.extend([tag, getattr(fit, "distance", None)] for tag, fit in zip(tags, fits))
-    doc["p1_maxiters"] = sum(group.p1_maxiters for group in groups)
-    best = _best(fits)
-    if best is not None and fits[best].distance < epsilon:
-        doc.update(verdict="Markovian", result=_markovian_result(fits[best], epsilon))
-        doc["result"].update(_named(tags[best]))
-        return doc
-    # No candidate lands inside the epsilon ball; ask instead how much
-    # white noise would reconcile the snapshot.
-    logged = [group for group in groups if group.logs is not None]
-    mu = _mu_fallback(doc, found.mat, sum((group.logs for group in logged), []), epsilon,
-                      found.policy, found.args.delta_step)
-    if mu is not None:
-        doc["result"].update(_named(sum((group.tags for group in logged), [])[mu.basis_sample]))
-    return doc
-
-
-def _mu_fallback(doc: dict, mat: np.ndarray, logs: list, epsilon: float,
-                 policy: fitting.BranchPolicy, delta_step: float) -> Optional[nonmarkov.MuResult]:
-    """Write the mu verdict of the audited logarithms ``logs`` into ``doc``:
-    NonMarkovian with its result, or NoResult, with a ``detail`` quoting
-    the last failure when every logarithm failed its audit.  Returns the
-    winner, or None."""
-    if all(isinstance(log, NumericalFailure) for log in logs):
-        doc.update(verdict="NoResult", detail=(
-            f"all {len(logs)} candidates failed the logarithm audit; last: {logs[-1]}"
-        ))
-        return None
-    mu, doc["p2_maxiters"] = nonmarkov.non_markovianity(
-        mat, logs, epsilon, policy, delta_step=delta_step
-    )
-    if mu is None:
-        doc["verdict"] = "NoResult"
-        return None
-    doc.update(
-        verdict="NonMarkovian",
-        result=_nonmarkovian_result(mu, epsilon, delta_step, side_dim(len(mat))),
-    )
-    return mu
-
-
-def _markovian_result(fit: fitting.FitResult, epsilon: float) -> dict[str, Any]:
-    return {
-        "lindbladian": _matrix_doc(fit.lindbladian),
-        "distance": fit.distance,
-        "distance_tolerance": epsilon,
-        "branch": None if fit.branch is None else list(fit.branch),
-        "lindblad_check_tolerance": fitting.VERIFY_TOL,
-    }
-
-
-def _nonmarkovian_result(
-    mu: nonmarkov.MuResult, epsilon: float, delta_step: float, d: int
-) -> dict[str, Any]:
-    return {
-        "mu_min": mu.mu_min,
-        "generator": _matrix_doc(mu.generator),
-        "delta": mu.delta_used,
-        "delta_step": delta_step,
-        "score": nonmarkov.markovianity_score(mu.mu_min, d),
-        "branch": list(mu.branch),
-        "distance": mu.distance,
-        "distance_tolerance": epsilon,
-        "lindblad_check_tolerance": fitting.VERIFY_TOL,
-    }
+def _candidates(args: argparse.Namespace, mat: np.ndarray) -> decide.Candidates:
+    """The candidate table of ``mat`` under the search and sample flags."""
+    return decide.Candidates(mat, _policy(args, mat.shape[0]), args.precision, args.samples,
+                             args.seed)
 
 
 # Parsed flags that shape no verdict: the input and report paths, the
@@ -461,30 +249,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     mat, digest = _read_input(args.infile)
-    if args.epsilon <= 0:
-        raise InputError(f"--epsilon must be positive, got {args.epsilon}")
-    policy = _policy(args, mat.shape[0])
     trace: Optional[list] = [] if args.trace else None
-    doc = _decide(_Candidates(mat, policy, args), args.epsilon, trace)
+    doc = decide.decide(_candidates(args, mat), args.epsilon, args.delta_step, trace)
     if trace is not None:
         doc["trace"] = {"samples": trace}
-    return _close(args, started, digest, doc)
-
-
-def cmd_mu(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    mat, digest = _read_input(args.infile)
-    if args.epsilon < 0:
-        raise InputError(f"--epsilon must be nonnegative, got {args.epsilon}")
-    policy = _policy(args, mat.shape[0])
-    doc: dict[str, Any] = {"verdict": "NoResult"}
-    if args.epsilon == 0:
-        # The acceptance test is a strict inequality against epsilon, so a
-        # zero budget can never admit a candidate; skip the scan entirely.
-        doc["detail"] = "epsilon is zero: no candidate can pass distance < 0"
-    else:
-        _mu_fallback(doc, mat, fitting.checked_logs(mat[None]), args.epsilon, policy,
-                     args.delta_step)
     return _close(args, started, digest, doc)
 
 
@@ -506,17 +274,15 @@ def _csv_number(value: Optional[float]) -> str:
 def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     mat = read_matrix_file(args.infile)
     grid = _epsilon_grid(args.start, args.stop, args.step)
-    policy = _policy(args, mat.shape[0])
-
     # Each row is fit's verdict at its epsilon.  One candidate table serves
     # every row; it repairs the snapshot at the first row fit would accept.
-    found = _Candidates(mat, policy, args)
+    found = _candidates(args, mat)
     lines = [CSV_HEADER]
     for eps in grid.tolist():
         mu = distance = None
         # fit refuses epsilon <= 0: no candidate can pass distance < epsilon.
         if eps > 0:
-            doc = _decide(found, eps)
+            doc = decide.decide(found, eps, args.delta_step)
             if doc["verdict"] == "Identity":
                 # Consistent with the identity map: no noise needed.
                 mu, distance = 0.0, float(frobenius(mat - np.eye(mat.shape[0])))
@@ -544,8 +310,6 @@ def cmd_multifit(args: argparse.Namespace) -> int:
         raise InputError(
             f"--times lists {len(times)} values for {len(paths)} snapshots"
         )
-    if args.epsilon <= 0:
-        raise InputError(f"--epsilon must be positive, got {args.epsilon}")
     mats, digests = zip(*(_read_input(path) for path in paths))
     policy = _policy(args, mats[0].shape[0])
 
@@ -555,7 +319,7 @@ def cmd_multifit(args: argparse.Namespace) -> int:
     doc: dict[str, Any] = {"verdict": "NoResult", "joint_maxiters": maxiters}
     if fit is not None:
         doc.update(verdict="Markovian", result={
-            **_markovian_result(fit, len(paths) * args.epsilon),
+            **decide.markovian_result(fit, len(paths) * args.epsilon),
             "basis_sample": None,
             "distance_note": "sum of per-snapshot distances; each is below epsilon",
         })
@@ -628,21 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0)
 
-    def common_fit_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
-        p.add_argument("--epsilon", type=_finite, required=True, help="acceptance radius")
+    def verdict_flags(p: argparse.ArgumentParser, infile: str) -> None:
+        p.add_argument("--in", dest="infile", required=True, help=infile)
+        p.add_argument(
+            "--epsilon", type=_positive(_finite), required=True, help="acceptance radius"
+        )
         search_flags(p)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
 
-    fit = sub.add_parser("fit", help="best-fit Lindbladian, with noise-rate fallback")
-    common_fit_flags(fit)
+    # mu is fit under another name: the least white-noise rate is the
+    # verdict exactly when no candidate fits within epsilon
+    fit = sub.add_parser(
+        "fit", aliases=["mu"], help="best-fit Lindbladian, or the least white-noise rate mu"
+    )
+    verdict_flags(fit, "snapshot matrix file")
     sample_flags(fit)
     fit.add_argument("--trace", action="store_true", help="record per-sample distances")
     fit.set_defaults(func=cmd_fit)
-
-    mu = sub.add_parser("mu", help="least white-noise rate explaining the snapshot")
-    common_fit_flags(mu)
-    mu.set_defaults(func=cmd_mu)
 
     sweep = sub.add_parser("sweep-epsilon", help="scan the error budget, CSV out")
     sweep.add_argument("--in", dest="infile", required=True, help="snapshot matrix file")
@@ -655,11 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep_epsilon)
 
     multi = sub.add_parser("multifit", help="joint fit across a snapshot time series")
-    multi.add_argument("--in", dest="infile", required=True, help="comma-separated files")
+    verdict_flags(multi, "comma-separated files")
     multi.add_argument("--times", required=True, help="comma-separated snapshot times")
-    multi.add_argument("--epsilon", type=_finite, required=True, help="acceptance radius")
-    search_flags(multi)
-    multi.add_argument("--report", help="write the JSON report here instead of stdout")
     multi.set_defaults(func=cmd_multifit)
 
     return parser

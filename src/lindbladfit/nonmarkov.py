@@ -129,7 +129,7 @@ class MuResult:
     delta_used: float
     branch: tuple[int, ...]
     distance: float
-    basis_sample: Optional[int]  # stack position; the CLI names its candidate
+    basis_sample: Optional[int]  # stack position; `decide.named` names its candidate
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""The command-line front end: exit codes, the `fit` report, the one
-ranking of the candidates' fits and its strict epsilon test, the mu
-fallback's one P2 batch, the P1 and P2 MaxIters counts, `--trace`, samples
+"""The command-line front end: exit codes, the `fit` report, `mu` as `fit`
+under another name, the one ranking of the candidates' fits and its strict
+epsilon test, the mu fallback's one P2 batch, the P1 and P2 MaxIters counts, `--trace`, samples
 that fail the logarithm audit, `sweep-epsilon` rows against `fit` at the
 same epsilon, and the fixed cost of a verdict: one read per matrix file,
 one parser per process, one eigendecomposition per snapshot and one
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, fitting, nonmarkov, preprocess, solver
+from lindbladfit import cli, decide, fitting, nonmarkov, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -151,14 +151,18 @@ def test_input_errors_exit_3(tmp_path, snap, monkeypatch):
 @pytest.mark.parametrize(
     "flag, value",
     [("--delta-step", "0"), ("--delta-step", "-1"), ("--jobs", "0"), ("--jobs", "-2"),
-     ("--samples", "0"), ("--samples", "-1"), ("--precision", "0"), ("--precision", "-0.1")],
+     ("--samples", "0"), ("--samples", "-1"), ("--precision", "0"), ("--precision", "-0.1"),
+     ("--epsilon", "0"), ("--epsilon", "-0.1")],
 )
 def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypatch, flag, value):
     """Rejected as the flags are parsed, whatever the verdict would be and
     whatever the grid: a sweep whose rows all have epsilon <= 0 repairs
     nothing (it exited 0 on `--precision 0`).  `--jobs` is not a flag of any
     command: like any unknown flag, it exits 3.  `--samples` and
-    `--precision` are flags of `fit` and `sweep-epsilon`."""
+    `--precision` are flags of `fit` (and so of `mu`) and `sweep-epsilon`;
+    `--epsilon` is a flag of `fit`, `mu` and `multifit` (`fit` and
+    `multifit` refused a value <= 0 only after reading their input, and
+    `mu --epsilon 0` answered NoResult)."""
 
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
@@ -168,17 +172,18 @@ def test_bad_delta_step_or_jobs_exits_3_before_any_work(tmp_path, snap, monkeypa
     commands = [
         ["fit", "--in", snap["depol"], "--epsilon", "0.05", "--report", str(out)],  # Markovian
         ["fit", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],  # NonMarkovian
-        ["sweep-epsilon", "--in", snap["depol"], "--from", "0.01", "--to", "0.05",
-         "--step", "0.02", "--csv", str(out)],
-        ["sweep-epsilon", "--in", snap["depol"], "--from", "-0.1", "--to", "0",
-         "--step", "0.05", "--csv", str(out)],
+        ["mu", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],
     ]
-    if flag == "--delta-step":
+    if flag != "--epsilon":
         commands += [
-            ["mu", "--in", snap["unital"], "--epsilon", "0.05", "--report", str(out)],
-            ["multifit", "--in", f"{snap['depol']},{snap['depol']}", "--times", "1,2",
-             "--epsilon", "0.05", "--report", str(out)],
+            ["sweep-epsilon", "--in", snap["depol"], "--from", "0.01", "--to", "0.05",
+             "--step", "0.02", "--csv", str(out)],
+            ["sweep-epsilon", "--in", snap["depol"], "--from", "-0.1", "--to", "0",
+             "--step", "0.05", "--csv", str(out)],
         ]
+    if flag in ("--delta-step", "--epsilon"):
+        commands.append(["multifit", "--in", f"{snap['depol']},{snap['depol']}", "--times",
+                         "1,2", "--epsilon", "0.05", "--report", str(out)])
     for argv in commands:
         assert cli.main([*argv, f"{flag}={value}"]) == cli.EXIT_INPUT_ERROR, argv
         assert not out.exists()
@@ -200,8 +205,8 @@ def test_non_finite_float_flags_exit_3_before_any_work(
     tmp_path, snap, monkeypatch, command, flag, value
 ):
     """Rejected as the flags are parsed: no verdict, report or traceback.
-    Finite values keep their meaning (`mu --epsilon 0` is NoResult, sweep
-    rows at epsilon <= 0 are absent; tests above and below)."""
+    Finite values keep their meaning (sweep rows at epsilon <= 0 are
+    absent; tests above and below)."""
 
     def no_work(*args):
         raise AssertionError("the snapshot was processed")
@@ -318,8 +323,8 @@ def test_help_exits_0(capsys):
     assert "--samples" in capsys.readouterr().out
 
 
-def test_no_result_exits_2(tmp_path, snap):
-    code, doc = run(tmp_path, "mu", "--in", snap["depol"], "--epsilon", "0")
+def test_no_result_exits_2(tmp_path):
+    code, doc = fit(tmp_path, half_identity(tmp_path))
     assert (code, doc["verdict"]) == (cli.EXIT_NO_RESULT, "NoResult")
 
 
@@ -399,10 +404,12 @@ def test_multifit_answers_an_exact_markovian_series(tmp_path):
 
 
 def test_mu_answers_an_exact_degenerate_snapshot(tmp_path):
+    """`mu` is `fit`'s decision: a fit within epsilon is Markovian (it
+    answered NonMarkovian with mu 0)."""
     path = dephasing_series(tmp_path)[0]
     code, doc = run(tmp_path, "mu", "--in", path, "--epsilon", str(EPSILON))
-    assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
-    assert doc["result"]["distance"] < EPSILON
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "Markovian")
+    assert doc["result"]["distance"] < EPSILON and "mu_min" not in doc["result"]
 
 
 def test_a_mirror_that_collides_with_an_eigenvalue_is_nudged(tmp_path):
@@ -430,7 +437,7 @@ def test_a_mirror_that_collides_with_an_eigenvalue_is_nudged(tmp_path):
     "command, argv, keys",
     [
         ("fit", ["--trace"], {"samples", "precision", "seed"}),
-        ("mu", [], set()),
+        ("mu", ["--trace"], {"samples", "precision", "seed"}),
         ("multifit", ["--times", "1"], {"times", "delta_grid_snapshot"}),
     ],
 )
@@ -438,11 +445,31 @@ def test_report_settings_are_the_flags_that_shape_the_verdict(
     tmp_path, snap, command, argv, keys
 ):
     """Settings are pinned: a new flag must be added here on purpose.  The
-    report path and --trace shape no verdict and are never settings."""
+    report path and --trace shape no verdict and are never settings.  `mu`
+    is `fit` under another name and has its settings."""
     code, doc = run(tmp_path, command, "--in", snap["depol"], "--epsilon", str(EPSILON), *argv)
     common = {"command", "input", "epsilon", "m_max", "max_branches", "delta_step"}
     assert set(doc["settings"]) == common | keys
     assert doc["settings"]["command"] == command
+
+
+@pytest.mark.parametrize("name", ["depol", "unital", "xgate", "identity", "singular"])
+def test_mu_is_fit_under_another_name(tmp_path, snap, name):
+    """`mu` makes `fit`'s one decision: its report equals `fit`'s for the
+    same flags but for the command it was called by.  On the X gate `mu`
+    searched the raw snapshot alone (NonMarkovian at mu 10.39, where `fit`
+    finds the unitary frame's fit), and it called a zero rate NonMarkovian."""
+    path = snap.get(name)
+    if path is None:
+        path = str(tmp_path / "singular.json")
+        cli.write_matrix_file(path, np.diag([1.0, 0.5, 0.3, 0.0]))
+    flags = ["--in", path, "--epsilon", str(EPSILON), "--samples", "2", "--trace"]
+    fit_code, fit_doc = run(tmp_path, "fit", *flags)
+    mu_code, mu_doc = run(tmp_path, "mu", *flags)
+    assert (mu_code, mu_doc["settings"].pop("command")) == (fit_code, "mu")
+    assert fit_doc["settings"].pop("command") == "fit"
+    assert mu_doc == fit_doc
+
 
 def test_markovian_report(tmp_path, snap):
     code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
@@ -623,20 +650,19 @@ def test_epsilon_is_a_strict_bound_on_the_winner(tmp_path, snap):
 
 
 def test_candidates_rank_by_distance_with_ties_to_the_earlier():
-    """`_best` is the one ranking of a candidate table's P1 fits: the least
-    `fitting.ranked` distance, the earlier candidate on a tie.  Two copies
-    of an exact exp(L) both land at round-off and tie; a far candidate
-    listed first does not win."""
+    """`decide.best` is the one ranking of a candidate table's P1 fits: the
+    least `fitting.ranked` distance, the earlier candidate on a tie.  Two
+    copies of an exact exp(L) both land at round-off and tie; a far
+    candidate listed first does not win."""
     m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
     far = expm(random_lindblad_generator(2, np.random.default_rng(1)))
-    group = cli._Candidates(m, fitting.BranchPolicy(), None)._search(
-        ["far", "a", "b"], [far, m, m]
-    )
+    found = decide.Candidates(m, fitting.BranchPolicy(), preprocess.DEFAULT_PRECISION, 1, 0)
+    group = found.search(["far", "a", "b"], [far, m, m])
     assert not any(isinstance(log, NumericalFailure) for log in group.logs)
     far_fit, a, b = group.fits
     assert far_fit.distance > 0.01
     assert max(a.distance, b.distance) < fitting.TIE_TOL
-    assert (cli._best(group.fits[:1]), cli._best(group.fits)) == (0, 1)
+    assert (decide.best(group.fits[:1]), decide.best(group.fits)) == (0, 1)
 
 
 def frames_built(monkeypatch):
@@ -986,8 +1012,8 @@ def test_the_digest_hashes_the_bytes_that_were_parsed(tmp_path, snap, monkeypatc
     original = Path(snap["depol"]).read_bytes()
     path.write_bytes(original)
     owner, attr = {
-        "fit": (cli, "_decide"),
-        "mu": (nonmarkov, "non_markovianity"),
+        "fit": (decide, "decide"),
+        "mu": (decide, "decide"),
         "multifit": (cli, "best_fit_multi"),
     }[command]
     solve = getattr(owner, attr)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, fitting, preprocess, solver
+from lindbladfit import cli, decide, fitting, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
@@ -330,9 +330,9 @@ def test_class_members_report_the_lowest_enumeration_position(depol_case):
 
 def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
     """One search over the stack gives each sample the fit a search of its
-    own gives, also with one-problem solver pieces; the CLI's ranking of
-    those fits picks what reducing the per-sample fits by (distance,
-    sample id) picks."""
+    own gives, also with one-problem solver pieces; the samples group of
+    the snapshot's candidate table holds those fits, and its ranking picks
+    what reducing the per-sample fits by (distance, sample id) picks."""
     mat, samples = depol_stack
     policy = BranchPolicy(1)
     per_sample = [own_fit(mat, r, policy) for r in samples]
@@ -341,8 +341,8 @@ def test_stack_winner_is_the_least_per_sample_winner(depol_stack, monkeypatch):
     for k, fit in enumerate(per_sample):
         assert (fits[k].distance, fits[k].branch) == (fit.distance, fit.branch)
         assert np.array_equal(fits[k].lindbladian, fit.lindbladian)
-    group = cli._Candidates(mat, policy, None)._search(list(range(len(samples))), samples)
-    assert cli._best(group.fits) == want == 3
+    group = decide.Candidates(mat, policy, preprocess.DEFAULT_PRECISION, len(samples), 0).samples
+    assert decide.best(group.fits) == want == 3
     assert group.fits[want].distance == per_sample[want].distance
     monkeypatch.setattr(solver, "CHUNK", 1)
     chunked, _ = best_fit_lindbladian(mat, checked_logs(np.stack(samples)), policy)
