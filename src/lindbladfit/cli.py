@@ -41,8 +41,8 @@ import numpy as np
 from . import decide, fitting, nonmarkov, preprocess
 from .channels import ChannelSpec, TomographyConfig, simulate_process_tomography
 from .errors import (
-    DimensionMismatch, InputError, LindbladFitError, NotCompletelyPositive, NotPerfectSquareDim,
-    NumericalFailure, OutOfRange,
+    AuditFailure, DimensionMismatch, InputError, LindbladFitError, NotCompletelyPositive,
+    NotPerfectSquareDim, NumericalFailure, OutOfRange,
 )
 # eig_full is not called here; the benchmark tracer (perfbench/spans.py)
 # still looks it up on this module.
@@ -313,10 +313,13 @@ def cmd_multifit(args: argparse.Namespace) -> int:
     mats, digests = zip(*(_read_input(path) for path in paths))
     policy = _policy(args, mats[0].shape[0])
 
-    fit, maxiters = best_fit_multi(
-        mats, times, args.epsilon, policy, delta_step=args.delta_step
-    )
-    doc: dict[str, Any] = {"verdict": "NoResult", "joint_maxiters": maxiters}
+    doc: dict[str, Any] = {"verdict": "NoResult", "joint_maxiters": 0}
+    try:
+        fit, doc["joint_maxiters"] = best_fit_multi(
+            mats, times, args.epsilon, policy, delta_step=args.delta_step
+        )
+    except AuditFailure as exc:  # a snapshot with no logarithm: no generator fits
+        fit, doc["detail"] = None, str(exc)
     if fit is not None:
         doc.update(verdict="Markovian", result={
             **decide.markovian_result(fit, len(paths) * args.epsilon),

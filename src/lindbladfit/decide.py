@@ -5,17 +5,18 @@ Identity or NoResult, as the fields of a report.
 decision, `decide`, on one candidate table of the snapshot, `Candidates`,
 which epsilon does not change: a sweep repairs its snapshot, and audits and
 searches each candidate, once for all its rows.  The decision tries the
-candidates with the least work first: the snapshot's own group (it and,
-for a lone negative eigenvalue, its mirror), and, unless the own fit lands
-at round-off, the unitary frame (one projection, no branch search; it
-settles unitary-dominated snapshots such as the X gate and ISWAP) and the
-repaired samples.  When the winner misses epsilon, the audited logarithms
-of the own and samples candidates are asked in one batch for the least
-white-noise rate mu; the unitary frame has no logarithm of the snapshot
-and takes no part.  So mu is reported only when no certified generator
-lands within epsilon, and a sweep row reads its mu and distance from the
-fields `decide` writes.  Every name here takes plain values, not parsed
-flags.
+candidates as a cascade, cheapest first: the snapshot's own group (it and,
+for a lone negative eigenvalue, its mirror); unless the own fit lands at
+round-off, the unitary frame (one projection, no branch search; it settles
+unitary-dominated snapshots such as the X gate and ISWAP); and only when
+neither of those lands within epsilon, the repaired samples, which cost a
+draw and a branch search each.  When the winner misses epsilon, the
+audited logarithms of the own and samples candidates are asked in one
+batch for the least white-noise rate mu; the unitary frame has no
+logarithm of the snapshot and takes no part.  So mu is reported only when
+no certified generator lands within epsilon, and a sweep row reads its mu
+and distance from the fields `decide` writes.  Every name here takes plain
+values, not parsed flags.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def best(fits: list) -> Optional[int]:
         return None
     distances = np.array([fits[k].distance for k in fitted])
     return fitted[int(np.argmin(fitting.ranked(distances)))]
+
+
+def within(groups: list, radius: float) -> Optional[int]:
+    """Position of the `best` fit among the fits of ``groups``, in order,
+    when it lands strictly within ``radius``; None otherwise."""
+    fits = sum((group.fits for group in groups), [])
+    win = best(fits)
+    return win if win is not None and fits[win].distance < radius else None
 
 
 class Candidates:
@@ -129,47 +138,70 @@ def decide(found: Candidates, epsilon: float, delta_step: float,
 
     The own group is always tried.  Unless the best own fit lands below
     min(``fitting.TIE_TOL``, epsilon), which no other candidate can beat
-    under the tie rule, the unitary group follows it, and in the
-    ``samples`` pipeline the samples group follows that.  The chosen fits
-    are ranked once (`best`), and the winner is Markovian when it lands
-    strictly within epsilon; nothing else ranks the fits or applies
-    epsilon to them.  Otherwise the audited logarithms of the chosen own
-    and samples candidates go through one ``nonmarkov.non_markovianity``
-    call, which picks the least mu, ties going to the earlier candidate;
-    when every one of them failed its audit the verdict is NoResult, with
-    the last failure as ``detail``.  The unitary frame has no logarithm of
-    the snapshot, so the mu fallback never sees it.
+    under the tie rule, the unitary group follows it; in the ``samples``
+    pipeline the samples group follows only when neither of those has a
+    certified fit strictly within epsilon.  The chosen fits are ranked once
+    (`best`), and the winner is Markovian when it lands strictly within
+    epsilon; nothing else ranks the fits or applies epsilon to them.
+    Otherwise the audited logarithms of the chosen own and samples
+    candidates go through one ``nonmarkov.non_markovianity`` call, which
+    picks the least mu, ties going to the earlier candidate; when every one
+    of them failed its audit the verdict is NoResult, with the last failure
+    as ``detail``.  The unitary frame has no logarithm of the snapshot, so
+    the mu fallback never sees it.  A snapshot that the repair cannot nudge
+    onto a simple spectrum (`preprocess.Repair` raises) has only its frame:
+    Markovian when that lands within epsilon, the repair's failure
+    otherwise.
+
+    The cascade changes which fit a Markovian report names, not whether it
+    is Markovian: the samples are skipped only when an earlier candidate
+    already lands within epsilon, and they come after it under the tie
+    rule, so the winner of all the groups would land within epsilon too.
+    A sample closer than the frame is then not drawn, and the report names
+    the frame.  mu does not change, since the fallback runs only when every
+    group missed epsilon, and then every group is searched.
 
     The groups a sweep row sees depend on its epsilon alone, not on what
-    earlier rows searched, and no answer changes against rows that see
-    every group searched so far: as epsilon rises the pipeline
+    earlier rows searched, and no verdict or mu changes against rows that
+    see every group searched so far: as epsilon rises the pipeline
     (`preprocess.Repair.kind`) only moves from passthrough to samples to
     identity, and a row whose own fit ties is won by that own candidate
     with or without the unitary and samples groups, since it ranks at zero
-    and comes first.  The mu fallback does not depend on the unitary group
-    at all.
+    and comes first.  A row's distance can step where a sample would beat
+    the frame: below the frame's distance the sample wins, above it the
+    frame does.  The mu fallback does not depend on the unitary group at
+    all.
     """
-    kind = found.repair.kind(epsilon)
-    doc: dict[str, Any] = {"pipeline": kind}
-    if kind == preprocess.IDENTITY:
-        doc.update(verdict="Identity", detail="channel is consistent with the identity map")
-        return doc
-    groups = [found.own]
-    k = best(found.own.fits)
-    if k is None or not found.own.fits[k].distance < min(fitting.TIE_TOL, epsilon):
-        groups.append(found.unitary)
-        if kind == preprocess.SAMPLES:
-            groups.append(found.samples)
-            skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
-            if skipped:
-                doc["samples_skipped"] = skipped
+    doc: dict[str, Any] = {}
+    try:
+        kind = found.repair.kind(epsilon)
+    except NumericalFailure:
+        # No simple-spectrum neighbour within the nudge budget (the exact
+        # X⊗X and I⊗X channels): the unitary frame needs no repair, and
+        # decides when its fit lands within epsilon.
+        if within([found.unitary], epsilon) is None:
+            raise
+        kind, groups = preprocess.PASSTHROUGH, [found.unitary]
+    else:
+        if kind == preprocess.IDENTITY:
+            return {"pipeline": kind, "verdict": "Identity",
+                    "detail": "channel is consistent with the identity map"}
+        groups = [found.own]
+        if within(groups, min(fitting.TIE_TOL, epsilon)) is None:
+            groups.append(found.unitary)
+            if kind == preprocess.SAMPLES and within(groups, epsilon) is None:
+                groups.append(found.samples)
+                skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
+                if skipped:
+                    doc["samples_skipped"] = skipped
+    doc["pipeline"] = kind
     tags = sum((group.tags for group in groups), [])
     fits = sum((group.fits for group in groups), [])
     if trace is not None:
         trace.extend([tag, getattr(fit, "distance", None)] for tag, fit in zip(tags, fits))
     doc["p1_maxiters"] = sum(group.p1_maxiters for group in groups)
-    win = best(fits)
-    if win is not None and fits[win].distance < epsilon:
+    win = within(groups, epsilon)
+    if win is not None:
         doc.update(verdict="Markovian",
                    result={**markovian_result(fits[win], epsilon), **named(tags[win])})
         return doc

@@ -36,6 +36,10 @@ class NumericalFailure(LindbladFitError):
     """A numerical routine did not converge or produced unusable output."""
 
 
+class AuditFailure(NumericalFailure):
+    """A snapshot failed its logarithm audit: it has no usable logarithm."""
+
+
 class NotUnitary(LindbladFitError):
     """A gate matrix that fails the unitarity check."""
 

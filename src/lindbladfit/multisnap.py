@@ -40,7 +40,7 @@ from . import solver
 # expm and is_lindbladian are not called here; the benchmark tracer
 # (perfbench/spans.py) still looks them up on this module.
 from .channels import is_lindbladian  # noqa: F401
-from .errors import DimensionMismatch, NumericalFailure, OutOfRange
+from .errors import AuditFailure, DimensionMismatch, NumericalFailure, OutOfRange
 from .fitting import (
     BranchPolicy,
     FitResult,
@@ -103,7 +103,9 @@ def best_fit_multi(
     single-snapshot one (used as a consistency check).
 
     Returns the fit (None when no candidate fits) and the number of joint
-    solves the solver reported as MaxIters.
+    solves the solver reported as MaxIters.  A snapshot that fails its
+    logarithm audit (a zero eigenvalue, say) raises ``AuditFailure``: no
+    generator can fit that series.
     """
     if epsilon <= 0:
         raise OutOfRange(f"epsilon must be positive, got {epsilon}")
@@ -127,9 +129,9 @@ def best_fit_multi(
         )
 
     logs = checked_logs(np.array(mats))
-    for audited in logs:
+    for c, audited in enumerate(logs):
         if isinstance(audited, NumericalFailure):
-            raise audited
+            raise AuditFailure(f"snapshot {c} failed the logarithm audit: {audited}") from audited
     delta = DeltaSweep.from_epsilon(
         epsilon, frobenius(logs[DELTA_GRID_SNAPSHOT][1]), delta_step
     ).grid()[-1]

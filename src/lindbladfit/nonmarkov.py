@@ -36,6 +36,7 @@ from .channels import is_lindbladian  # noqa: F401
 from .errors import NumericalFailure, OutOfRange, PreconditionViolated
 from .fitting import (
     BranchPolicy,
+    branch_targets,
     enumerate_branches,  # noqa: F401
     exp_distances,
     first_certified,
@@ -184,7 +185,8 @@ def non_markovianity(
 
     # live (sample, branch, delta) pairs, each sample's in row-major order
     live = []
-    for k, l0_norm, sample_targets in searches:
+    for k, l0_norm, (spectral, l0) in searches:
+        sample_targets = branch_targets(l0, spectral, branches)
         grid = DeltaSweep.from_epsilon(epsilon, l0_norm, delta_step).grid()
         b, j = np.nonzero(~solver.min_mu_infeasible(sample_targets, d, grid))
         live.append((np.full(b.size, k), b, j, sample_targets[b], grid[j]))

@@ -8,6 +8,7 @@ logarithm audit per candidate.
 """
 
 import collections
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -360,6 +361,41 @@ def test_fit_and_sweep_on_a_singular_matrix_are_no_result(tmp_path):
     assert [line.split(",")[1:4] for line in lines[1:]] == [["", "1000", ""]] * 3
 
 
+def test_multifit_on_a_singular_snapshot_is_no_result(tmp_path):
+    """diag(1, 0.5, 0.3, 0) has no logarithm, so no generator fits a series
+    that holds it: `multifit` answers NoResult with the audit failure as
+    its detail, as `fit` does.  It exited 4."""
+    path = str(tmp_path / "singular.json")
+    cli.write_matrix_file(path, np.diag([1.0, 0.5, 0.3, 0.0]))
+    code, doc = run(tmp_path, "multifit", "--in", path, "--times", "1", "--epsilon", "0.05")
+    assert (code, doc["verdict"], doc["joint_maxiters"]) == (cli.EXIT_NO_RESULT, "NoResult", 0)
+    assert doc["detail"] == (
+        "snapshot 0 failed the logarithm audit: zero eigenvalue: matrix logarithm undefined"
+    )
+    assert "result" not in doc
+
+
+@pytest.mark.parametrize("first", ["x", "identity"], ids=["XX", "IX"])
+def test_an_exact_unitary_the_nudge_cannot_split_is_its_frame(tmp_path, first):
+    """The exact X⊗X and I⊗X channels have no simple-spectrum neighbour
+    within the nudge budget, so the snapshot cannot be repaired; their
+    unitary frame needs no repair and fits them at round-off.  Within
+    epsilon they are Markovian from the frame; below the frame's distance
+    the repair's failure still exits 4.  Both exited 4 at any epsilon."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.kron({"x": x, "identity": np.eye(2)}[first], x)
+    path = str(tmp_path / "exact.json")
+    cli.write_matrix_file(path, np.kron(u, u.conj()))
+    flags = ("--max-branches", "256", "--trace")
+    code, doc = fit(tmp_path, path, EPSILON, *flags)
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "passthrough")
+    res = doc["result"]
+    assert (res["candidate"], res["basis_sample"], res["branch"]) == ("unitary", None, None)
+    assert res["distance"] < 1e-7
+    assert doc["trace"]["samples"] == [["unitary", res["distance"]]]
+    assert fit(tmp_path, path, 1e-12, *flags) == (cli.EXIT_NUMERICAL_FAILURE, None)
+
+
 def test_every_command_refuses_a_side_that_is_not_a_square(tmp_path):
     """A 5x5 file is no transfer matrix.  `fit` and `mu` refused it when
     they took the side dimension; `sweep-epsilon` answered it, with Identity
@@ -617,20 +653,21 @@ def test_identity_report(tmp_path, snap, monkeypatch):
 # The X gate's raw fit lies 1.74 away, its unitary frame's 0.0203 and its
 # samples' 1.27 to 1.69: at this radius every fit is Markovian.
 WIDE = 2.0
+X_FRAME = 0.020259003493460482
 
 
 def test_trace_lists_every_sample(tmp_path, snap):
-    """One [candidate, best distance over its branches] entry per candidate,
-    raw first, then the unitary frame and the samples, and the report's
-    winner is the least of them."""
-    _, doc = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4", "--trace")
+    """One [candidate, best distance over its branches] entry per candidate
+    tried, raw first, then the unitary frame and the samples.  Below the X
+    gate's frame distance no candidate lands within epsilon, so the samples
+    are drawn, and the mu fallback decides."""
+    code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4", "--trace")
     samples = doc["trace"]["samples"]
     assert [k for k, _ in samples] == ["raw", "unitary", 0, 1, 2, 3]
-    k, distance = min(samples, key=lambda entry: entry[1])
-    res = doc["result"]
-    assert (k, distance) == (res["candidate"], res["distance"])
-    assert (doc["verdict"], res["candidate"], res["basis_sample"]) == ("Markovian", "unitary", None)
-    assert res["branch"] is None
+    assert min(samples, key=lambda entry: entry[1]) == ["unitary", X_FRAME]
+    assert (code, doc["verdict"], doc["result"]["basis_sample"]) == (
+        cli.EXIT_OK, "NonMarkovian", 1
+    )
     assert "samples_skipped" not in doc
 
 
@@ -678,10 +715,8 @@ def frames_built(monkeypatch):
     return built
 
 
-def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
-    """A depolarizing snapshot's own fit lands at round-off: no sample and
-    no unitary frame can beat it under the tie rule, so no sample is drawn,
-    no frame is built and the trace lists raw alone."""
+def samples_drawn(monkeypatch):
+    """The ids of the repaired samples drawn (`preprocess.random_hp_basis`)."""
     drawn = []
     draw = preprocess.random_hp_basis
 
@@ -690,12 +725,71 @@ def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(preprocess, "random_hp_basis", counting)
+    return drawn
+
+
+def test_raw_fit_at_round_off_draws_no_sample(tmp_path, snap, monkeypatch):
+    """A depolarizing snapshot's own fit lands at round-off: no sample and
+    no unitary frame can beat it under the tie rule, so no sample is drawn,
+    no frame is built and the trace lists raw alone."""
+    drawn = samples_drawn(monkeypatch)
     built = frames_built(monkeypatch)
     code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4", "--trace")
     assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "samples")
     assert drawn == [] and built == []
     [(k, distance)] = doc["trace"]["samples"]
     assert (k, distance) == ("raw", doc["result"]["distance"]) and distance < fitting.TIE_TOL
+
+
+def test_a_frame_within_epsilon_draws_no_sample(tmp_path, snap, monkeypatch):
+    """The X gate's unitary frame lands within epsilon: the samples are
+    neither drawn nor searched, the trace lists raw and the frame, and the
+    frame is the winner, the least of them."""
+    drawn = samples_drawn(monkeypatch)
+    search = fitting.best_fit_lindbladian
+    stacks = []
+
+    def counting(mat, logs, *args, **kwargs):
+        stacks.append(len(logs))
+        return search(mat, logs, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "best_fit_lindbladian", counting)
+    code, doc = fit(tmp_path, snap["xgate"], WIDE, "--samples", "4", "--trace")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "samples")
+    assert drawn == [] and stacks == [1]  # raw's search alone
+    samples = doc["trace"]["samples"]
+    assert [k for k, _ in samples] == ["raw", "unitary"]
+    res = doc["result"]
+    assert min(samples, key=lambda entry: entry[1]) == [res["candidate"], res["distance"]]
+    assert (res["candidate"], res["basis_sample"], res["branch"]) == ("unitary", None, None)
+    assert res["distance"] == X_FRAME and "samples_skipped" not in doc
+
+
+def test_samples_are_tried_only_when_the_frame_misses_epsilon(tmp_path, snap, monkeypatch):
+    """The cascade's rule, with the X gate's frame moved to 1.5, beyond its
+    sample 0 (1.274) and inside its raw fit (1.745): at epsilon 1.6 the
+    frame lands within it and wins although sample 0 is closer, which is
+    never drawn; at 1.4 the frame misses, the samples are drawn and sample 0
+    wins."""
+    frame = fitting.unitary_frame
+
+    def moved(mat):
+        fit, maxiters = frame(mat)
+        return dataclasses.replace(fit, distance=1.5), maxiters
+
+    monkeypatch.setattr(fitting, "unitary_frame", moved)
+    drawn = samples_drawn(monkeypatch)
+    _, doc = fit(tmp_path, snap["xgate"], 1.6, "--samples", "4", "--trace")
+    assert [k for k, _ in doc["trace"]["samples"]] == ["raw", "unitary"] and drawn == []
+    assert (doc["verdict"], doc["result"]["candidate"], doc["result"]["distance"]) == (
+        "Markovian", "unitary", 1.5
+    )
+    _, doc = fit(tmp_path, snap["xgate"], 1.4, "--samples", "4", "--trace")
+    assert [k for k, _ in doc["trace"]["samples"]] == ["raw", "unitary", 0, 1, 2, 3]
+    assert drawn == [0, 1, 2, 3]
+    res = doc["result"]
+    assert (doc["verdict"], res["candidate"], res["basis_sample"]) == ("Markovian", "sample", 0)
+    assert res["distance"] == pytest.approx(1.274205134, abs=1e-8)
 
 
 def test_lone_negative_eigenvalue_is_mirrored_to_a_noise_rate(tmp_path):
@@ -893,14 +987,7 @@ def test_sweep_identity_rows_at_nonpositive_epsilon_are_absent(tmp_path, snap):
 
 def test_samples_are_drawn_once(tmp_path, monkeypatch):
     """The mu fallback reuses the fit's samples, and a sweep draws them once."""
-    drawn = []
-    draw = preprocess.random_hp_basis
-
-    def counting(*args):
-        drawn.append(args[-1])
-        return draw(*args)
-
-    monkeypatch.setattr(preprocess, "random_hp_basis", counting)
+    drawn = samples_drawn(monkeypatch)
     code, doc = fit(tmp_path, half_identity(tmp_path), EPSILON, "--samples", "2")
     assert (code, doc["pipeline"], drawn) == (cli.EXIT_NO_RESULT, "samples", [0, 1])
     drawn.clear()
