@@ -85,8 +85,15 @@ class Candidates:
         self.precision, self.sample_ids, self.seed = precision, range(samples), seed
 
     @cached_property
-    def repair(self) -> preprocess.Repair:
-        return preprocess.Repair(self.mat, self.precision)
+    def repair(self) -> preprocess.Repair | NumericalFailure:
+        """The snapshot's `preprocess.Repair`, or the ``NumericalFailure``
+        its nudge raised when no simple-spectrum neighbour lies within the
+        budget (the exact X⊗X and I⊗X channels); either is kept, so a sweep
+        tries the nudge once."""
+        try:
+            return preprocess.Repair(self.mat, self.precision)
+        except NumericalFailure as exc:
+            return exc
 
     @cached_property
     def own(self) -> Group:
@@ -149,9 +156,9 @@ def decide(found: Candidates, epsilon: float, delta_step: float,
     of them failed its audit the verdict is NoResult, with the last failure
     as ``detail``.  The unitary frame has no logarithm of the snapshot, so
     the mu fallback never sees it.  A snapshot that the repair cannot nudge
-    onto a simple spectrum (`preprocess.Repair` raises) has only its frame:
-    Markovian when that lands within epsilon, the repair's failure
-    otherwise.
+    onto a simple spectrum (`preprocess.Repair` raises) has only its frame,
+    which fits it unrepaired: Markovian, pipeline ``passthrough``, when that
+    lands within epsilon, the repair's failure otherwise.
 
     The cascade changes which fit a Markovian report names, not whether it
     is Markovian: the samples are skipped only when an earlier candidate
@@ -173,16 +180,14 @@ def decide(found: Candidates, epsilon: float, delta_step: float,
     all.
     """
     doc: dict[str, Any] = {}
-    try:
-        kind = found.repair.kind(epsilon)
-    except NumericalFailure:
-        # No simple-spectrum neighbour within the nudge budget (the exact
-        # X⊗X and I⊗X channels): the unitary frame needs no repair, and
-        # decides when its fit lands within epsilon.
+    if isinstance(found.repair, NumericalFailure):
+        # The snapshot passes through unrepaired: the unitary frame needs
+        # no repair, and decides when its fit lands within epsilon.
         if within([found.unitary], epsilon) is None:
-            raise
+            raise found.repair
         kind, groups = preprocess.PASSTHROUGH, [found.unitary]
     else:
+        kind = found.repair.kind(epsilon)
         if kind == preprocess.IDENTITY:
             return {"pipeline": kind, "verdict": "Identity",
                     "detail": "channel is consistent with the identity map"}

@@ -20,12 +20,12 @@ deterministic.  The closest-generator program sees a target only through
 its hermitian part (the skew part adds a constant to the objective), so
 branches whose targets share herm(T) share one solution and one distance.
 Each sample's branches are grouped into these herm classes first
-(``class_leaders``, which builds the targets a block at a time and keeps
-only the leaders'), each class is solved once at its leader, its lowest
-enumeration position, and every member gets that solution and distance.
+(``herm_classes``, one sample's targets at a time), each class is solved
+once at its leader, its lowest enumeration position, and every member gets
+that solution and distance.
 
 All samples' class leaders go to the solver in one batch, sample-major,
-and their exponentials are taken ``solver.CHUNK`` at a time.  Each sample's fit
+and their exponentials are taken in one ``expm`` call.  Each sample's fit
 is its first certified class by distance, then leader position, keyed by
 its position in the stack.
 
@@ -67,7 +67,6 @@ __all__ = [
     "checked_logs",
     "branch_targets",
     "herm_classes",
-    "class_leaders",
     "search_setup",
     "ranked",
     "exp_distances",
@@ -94,9 +93,9 @@ VERIFY_TOL = 1e-7
 #: most 9.7e-9) and distinct classes by O(2*pi) (at least 5.19).
 CLASS_TOL = 1e-6
 
-#: Matrix entries of the branch targets that `herm_classes` and
-#: `class_leaders` hold at once: 64 targets at d = 4, where a search's
-#: 256 would take 1 MB, and every target of a d = 2 search in one block.
+#: Matrix entries of the branch targets whose hermitian parts
+#: `herm_classes` compares at once: 64 targets at d = 4, where a search's
+#: 256 would take 1 MB per temporary, and a whole d = 2 search.
 CLASS_BLOCK = 64 * 256
 
 
@@ -219,48 +218,6 @@ def branch_targets(
     return np.add(gamma_involution(l0)[None, :, :], targets, out=targets)
 
 
-def _classes(blocks) -> tuple[np.ndarray, list, list]:
-    """The greedy classes of `herm_classes` over the target stack that
-    ``blocks()`` yields in consecutive blocks: each target's leader, the
-    leaders and their targets.
-
-    ``blocks`` is called twice, once for the tolerance and once for the
-    classes, and only one block and the leaders are held at a time.  A
-    target is compared with the leaders in order, earlier blocks' first,
-    so it joins the first one within the tolerance, as in one pass over
-    the whole stack."""
-    norms = (np.linalg.norm(herm(b).reshape(len(b), -1), axis=1) for b in blocks())
-    tol = CLASS_TOL * max(1.0, max((float(v.max()) for v in norms if v.size), default=0.0))
-    rep, leaders, lead_herm, lead_targets = [], [], [], []
-    start = 0
-    for block in blocks():
-        h = herm(block).reshape(len(block), -1)
-        out = np.empty(len(block), dtype=int)
-        todo = np.arange(len(block))
-        for r, ref in zip(leaders, lead_herm):  # the leaders of earlier blocks
-            if not todo.size:
-                break
-            near = np.linalg.norm(h[todo] - ref, axis=1) <= tol
-            out[todo[near]] = r
-            todo = todo[~near]
-        while todo.size:  # each first unclaimed target leads a new class
-            i = todo[0]
-            leaders.append(start + i)
-            lead_herm.append(h[i].copy())
-            lead_targets.append(block[i].copy())
-            near = np.linalg.norm(h[todo] - h[i], axis=1) <= tol
-            out[todo[near]] = leaders[-1]
-            todo = todo[~near]
-        rep.append(out)
-        start += len(block)
-    return np.concatenate(rep) if rep else np.empty(0, dtype=int), leaders, lead_targets
-
-
-def _rows(n: int) -> int:
-    """Targets of side n in a block of `CLASS_BLOCK` entries."""
-    return max(1, CLASS_BLOCK // (n * n))
-
-
 def herm_classes(targets: np.ndarray) -> np.ndarray:
     """Index of each target's class representative, in enumeration order.
 
@@ -270,25 +227,40 @@ def herm_classes(targets: np.ndarray) -> np.ndarray:
     representatives are the indices with rep[i] == i.  Only hermitian parts
     within that tolerance share a class: a class whose members spread wider
     is split, two distinct classes (they differ by O(2*pi)) are never merged.
+
+    The stack is read in blocks of `CLASS_BLOCK` entries, each compared
+    first with the representatives of earlier blocks, in order, so only one
+    block's hermitian parts are held at a time and the classes are those
+    of one pass over the whole stack.
     """
-    rows = _rows(targets.shape[-1])
-    return _classes(lambda: (targets[s:s + rows] for s in range(0, len(targets), rows)))[0]
+    n = targets.shape[-1]
+    rows = max(1, CLASS_BLOCK // (n * n))
+    blocks = [slice(s, s + rows) for s in range(0, len(targets), rows)]
 
+    def flat(block: slice) -> np.ndarray:
+        return herm(targets[block]).reshape(-1, n * n)
 
-def class_leaders(l0: np.ndarray, spectral: SpectralData, branches: np.ndarray) -> tuple:
-    """`herm_classes` of ``branch_targets(l0, spectral, branches)``, with
-    the targets built a block of `CLASS_BLOCK` entries at a time: (leader
-    positions, their targets stacked)."""
-    rows = _rows(len(l0))
-    if len(branches) <= rows:  # one block (every d = 2 search): build it once
-        whole = [branch_targets(l0, spectral, branches)]
-        _, leaders, lead_targets = _classes(lambda: whole)
-    else:
-        _, leaders, lead_targets = _classes(lambda: (
-            branch_targets(l0, spectral, branches[s:s + rows])
-            for s in range(0, len(branches), rows)
-        ))
-    return np.array(leaders), np.stack(lead_targets)
+    largest = max((float(np.linalg.norm(flat(b), axis=1).max()) for b in blocks), default=0.0)
+    tol = CLASS_TOL * max(1.0, largest)
+    rep = np.empty(len(targets), dtype=int)
+    reps, rep_herm = [], []
+    for block in blocks:
+        h, out = flat(block), rep[block]
+        todo = np.arange(len(h))
+        for r, ref in zip(reps, rep_herm):  # the representatives of earlier blocks
+            if not todo.size:
+                break
+            near = np.linalg.norm(h[todo] - ref, axis=1) <= tol
+            out[todo[near]] = r
+            todo = todo[~near]
+        while todo.size:  # each first unclaimed target represents a new class
+            i = todo[0]
+            reps.append(block.start + i)
+            rep_herm.append(h[i].copy())
+            near = np.linalg.norm(h[todo] - h[i], axis=1) <= tol
+            out[todo[near]] = reps[-1]
+            todo = todo[~near]
+    return rep
 
 
 def search_setup(m_snapshot, logs: Sequence, policy: BranchPolicy) -> tuple:
@@ -325,14 +297,9 @@ def ranked(values: np.ndarray) -> np.ndarray:
 
 
 def exp_distances(snapshots: np.ndarray, times, generators: np.ndarray) -> np.ndarray:
-    """(B, q) distances ||exp(t_c G_b) - M_c||_F, from one ``expm`` call per
-    ``solver.CHUNK`` generators, which bounds its temporaries."""
-    times = np.asarray(times)[None, :, None, None]
-    out = np.empty((len(generators), len(snapshots)))
-    for s in range(0, len(generators), solver.CHUNK):
-        exps = expm(times * generators[s:s + solver.CHUNK, None])
-        out[s:s + solver.CHUNK] = np.linalg.norm(snapshots[None] - exps, axis=(-2, -1))
-    return out
+    """(B, q) distances ||exp(t_c G_b) - M_c||_F, from one ``expm`` call."""
+    exps = expm(np.asarray(times)[None, :, None, None] * generators[:, None])
+    return np.linalg.norm(snapshots[None] - exps, axis=(-2, -1))
 
 
 def first_certified(order, within, generators, mus=None) -> Optional[int]:
@@ -361,8 +328,12 @@ def best_fit_lindbladian(
     MaxIters; samples that failed the audit are absent.
     """
     m, d, branches, searches = search_setup(m_snapshot, logs, policy)
-    leaders, batch = zip(*(class_leaders(l0, spectral, branches)
-                           for _, _, (spectral, l0) in searches))
+    leaders, batch = [], []
+    for _, _, (spectral, l0) in searches:  # one sample's targets at a time
+        targets = branch_targets(l0, spectral, branches)
+        leaders.append(np.unique(herm_classes(targets)))
+        batch.append(targets[leaders[-1]])
+        del targets  # only the leaders' targets stay through the solve
     batch = np.concatenate(batch)
     reports = solver.closest_lindbladian_batch(batch, d)
     maxiters = sum(report.status == solver.MAX_ITERS for report in reports)

@@ -300,10 +300,6 @@ def _dual_point(geo: _Geometry, t: np.ndarray, tr_t: np.ndarray, y: np.ndarray) 
     }
 
 
-#: Problems whose Jacobian blocks `_dual_jacobian` builds at once.
-_JAC_BLOCK = 8
-
-
 def _dual_jacobian(geo: _Geometry, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The generalized Jacobian M of −F at a dual point, in the real
     coordinates of ``_herm_coords``: (B, d², d²), symmetric, 1/d ⪯ M ⪯ d.
@@ -330,11 +326,8 @@ def _dual_jacobian(geo: _Geometry, lam: np.ndarray, a: np.ndarray) -> np.ndarray
     top = 2 * n_neg > m  # the nonnegative side is the smaller
     jac = np.where(top[:, None, None], geo.jac_all, geo.jac_none)
     sizes = np.where(top, m - n_neg, n_neg)
-    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes[sizes > 0])]
-    # a few problems at a time bound the (d², k, d²−1) blocks below
-    for g in (group[s:s + _JAC_BLOCK] for group in groups
-              for s in range(0, len(group), _JAC_BLOCK)):
-        k = sizes[g[0]]
+    for k in np.unique(sizes[sizes > 0]):
+        g = np.flatnonzero(sizes == k)
         # eigh sorts λ ascending: reversing a spectrum whose smaller side is
         # the nonnegative one puts S first there too; W is unchanged
         flip = top[g]
@@ -435,9 +428,9 @@ def _settle_p1(geo: _Geometry, x: np.ndarray) -> np.ndarray:
 
 #: Problems a (P1) Newton pass holds at once; bounds the working set of
 #: every solver when a caller passes a large batch: per problem a few d²×d²
-#: complex matrices (4 kB each at d = 4), and the Jacobian's (d², k, d²−1)
-#: complex blocks, at most 27 kB each, are built `_JAC_BLOCK` problems at a
-#: time.  At d = 4 a pass of 32 runs about as fast as one of the whole batch.
+#: complex matrices and the Jacobian's (d², k, d²−1) complex block, at most
+#: 27 kB at d = 4 (k ≤ 7).  At d = 4 a pass of 32 runs about as fast as one
+#: of the whole batch and holds a few MB.
 CHUNK = 32
 
 

@@ -396,6 +396,19 @@ def test_an_exact_unitary_the_nudge_cannot_split_is_its_frame(tmp_path, first):
     assert fit(tmp_path, path, 1e-12, *flags) == (cli.EXIT_NUMERICAL_FAILURE, None)
 
 
+def test_a_sweep_tries_the_failing_nudge_once(tmp_path, monkeypatch):
+    """Four rows over exact X⊗X, each Markovian from the frame: the repair's
+    nudge fails once for the sweep, not once a row."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.kron(x, x)
+    path = str(tmp_path / "exact.json")
+    cli.write_matrix_file(path, np.kron(u, u.conj()))
+    calls = repair_calls(monkeypatch)
+    lines = sweep(tmp_path, path, 0.01, 0.05, 0.01, "--max-branches", "256")
+    assert len(lines) == 5 and all(line.split(",")[1] == "0" for line in lines[1:])
+    assert calls == {"perturb_to_nd2": 1}
+
+
 def test_every_command_refuses_a_side_that_is_not_a_square(tmp_path):
     """A 5x5 file is no transfer matrix.  `fit` and `mu` refused it when
     they took the side dimension; `sweep-epsilon` answered it, with Identity

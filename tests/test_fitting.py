@@ -36,6 +36,7 @@ from lindbladfit.linalg import (
     eig_full,
     frobenius,
     gamma_involution,
+    herm,
     matrix_log_principal,
     side_dim,
 )
@@ -271,23 +272,75 @@ def iswap_case():
     return mat, samples[0], BranchPolicy(1, max_branches=32)
 
 
-def test_herm_classes_group_by_hermitian_part_only():
+def _one_pass_classes(targets):
+    """The classes of one greedy pass over the whole stack, the reference
+    that `herm_classes` reads a block at a time."""
+    flat = herm(targets).reshape(len(targets), -1)
+    tol = fitting.CLASS_TOL * max(1.0, float(np.max(np.linalg.norm(flat, axis=1), initial=0.0)))
+    rep = np.arange(len(flat))
+    todo = rep.copy()
+    while todo.size:
+        near = np.linalg.norm(flat[todo] - flat[todo[0]], axis=1) <= tol
+        rep[todo[near]] = todo[0]
+        todo = todo[~near]
+    return rep
+
+
+def skew_stack():
+    """Six 4x4 targets, some differing only in their skew part or by
+    jitter, and their classes."""
     rng = np.random.default_rng(7)
     a, b, skew = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     skew = skew - skew.conj().T
     jitter = 1e-13 * rng.standard_normal((4, 4))
-    stack = np.stack([a, b, a + skew + jitter, b - 3 * skew, a + 1e-3, a])
-    assert list(herm_classes(stack)) == [0, 1, 0, 1, 4, 0]
+    return np.stack([a, b, a + skew + jitter, b - 3 * skew, a + 1e-3, a]), [0, 1, 0, 1, 4, 0]
+
+
+def chain_stack():
+    """Forty 4x4 targets, each 0.6 class tolerances from the last, and
+    their classes: pairs."""
+    unit = np.zeros((4, 4))
+    unit[0, 0] = 1.0
+    step = 0.6 * fitting.CLASS_TOL  # all norms stay below 1
+    return np.stack([k * step * unit for k in range(40)]), [k - k % 2 for k in range(40)]
+
+
+def test_herm_classes_group_by_hermitian_part_only():
+    stack, classes = skew_stack()
+    assert list(herm_classes(stack)) == classes
 
 
 def test_herm_classes_never_chain():
     """Each target is compared with the representative, not with its
     neighbour, so a chain of close neighbours does not merge far targets."""
-    unit = np.zeros((4, 4))
-    unit[0, 0] = 1.0
-    step = 0.6 * fitting.CLASS_TOL  # all norms stay below 1
-    stack = np.stack([k * step * unit for k in range(40)])
-    assert list(herm_classes(stack)) == [k - k % 2 for k in range(40)]
+    stack, classes = chain_stack()
+    assert list(herm_classes(stack)) == classes
+
+
+@pytest.mark.parametrize("block", [16, 48], ids=["one", "three"])
+def test_herm_classes_across_blocks(block, monkeypatch):
+    """Both stacks read one and three 4x4 targets a block: a target is
+    compared with the representatives of earlier blocks first, so the
+    classes are the same, also where the chain crosses blocks."""
+    monkeypatch.setattr(fitting, "CLASS_BLOCK", block)
+    for stack, classes in (skew_stack(), chain_stack()):
+        assert list(herm_classes(stack)) == classes
+
+
+def test_herm_classes_in_blocks_are_one_pass_over_the_stack(monkeypatch):
+    """ISWAP's repaired sample over 256 branches: in blocks of 64 targets
+    (the default at d = 4), of 1 and of the whole stack, the classes equal
+    those of one pass over the whole stack."""
+    mat, samples = _repaired(ChannelSpec("iswap"), 10**5, 1)
+    spectral, l0 = checked_logs(samples[0][None])[0]
+    branches = np.array(list(enumerate_branches(BranchPolicy(1, max_branches=256), 16)))
+    targets = branch_targets(l0, spectral, branches)
+    reference = _one_pass_classes(targets)
+    assert len(targets) == 256 and 16 < len(np.unique(reference)) < 256
+    assert len(targets) // (fitting.CLASS_BLOCK // 256) == 4
+    for block in (fitting.CLASS_BLOCK, 256, 256 * 256):
+        monkeypatch.setattr(fitting, "CLASS_BLOCK", block)
+        assert np.array_equal(herm_classes(targets), reference)
 
 
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
