@@ -24,10 +24,18 @@ Each sample's branches are grouped into these herm classes first
 once at its leader, its lowest enumeration position, and every member gets
 that solution and distance.
 
-All samples' class leaders go to the solver in one batch, sample-major,
-and their exponentials are taken in one ``expm`` call.  Each sample's fit
-is its first certified class by distance, then leader position, keyed by
-its position in the stack.
+A sample whose principal logarithm is already a Lindbladian
+(``principal_first``: the logarithm of Markovian data) is tried at its
+principal branch first: these samples' principal targets go to the solver
+in one batch, with one ``expm`` call for their exponentials.  A principal
+fit that lands below ``TIE_TOL`` and certifies is that sample's fit, since
+the principal branch is class 0, first in enumeration order, and ranks
+first under the tie rule; the sample builds no other branch target.  The
+other samples' class leaders, less a principal target already solved, go
+to the solver in one more batch, sample-major, with one more ``expm``
+call.  Each of those samples' fits is its first certified class by
+distance, then leader position.  The fits are keyed by position in the
+stack, in stack order.
 
 Every search (``nonmarkov`` and ``multisnap`` too) certifies by one rule:
 ``ranked`` ties values below ``TIE_TOL`` at zero, and ``first_certified``
@@ -71,6 +79,7 @@ __all__ = [
     "ranked",
     "exp_distances",
     "first_certified",
+    "principal_first",
     "best_fit_lindbladian",
     "unitary_frame",
 ]
@@ -316,6 +325,13 @@ def first_certified(order, within, generators, mus=None) -> Optional[int]:
     return None
 
 
+def principal_first(l0: np.ndarray) -> bool:
+    """Whether a sample's principal target is solved before its branch
+    classes: its principal logarithm ``l0`` passes the Lindblad test at
+    ``VERIFY_TOL``, as the logarithm of Markovian data does."""
+    return is_lindbladian(l0, tol=VERIFY_TOL).ok
+
+
 def best_fit_lindbladian(
     m_snapshot, logs: Sequence, policy: BranchPolicy = BranchPolicy()
 ) -> tuple[dict, int]:
@@ -324,35 +340,72 @@ def best_fit_lindbladian(
 
     ``logs`` is the ``checked_logs`` audit of a stack of samples.  Returns
     each audited sample's own fit (None when no branch certifies), keyed by
-    stack position, and the number of (P1) solves the solver reported as
-    MaxIters; samples that failed the audit are absent.
+    stack position in stack order, and the number of (P1) solves the
+    solver reported as MaxIters; samples that failed the audit are absent.
+
+    A sample whose principal logarithm passes ``principal_first`` has its
+    principal target solved first, with every other such sample's in one
+    batch.  When that fit lands below ``TIE_TOL`` and certifies, it is the
+    sample's fit: the principal branch is class 0, first in enumeration
+    order, so no other branch could outrank it.  Every other sample's class
+    leaders go in one more batch, less a principal target already solved,
+    and its fit is its first certified class by distance, then leader
+    position.
     """
     m, d, branches, searches = search_setup(m_snapshot, logs, policy)
-    leaders, batch = [], []
-    for _, _, (spectral, l0) in searches:  # one sample's targets at a time
-        targets = branch_targets(l0, spectral, branches)
-        leaders.append(np.unique(herm_classes(targets)))
-        batch.append(targets[leaders[-1]])
-        del targets  # only the leaders' targets stay through the solve
-    batch = np.concatenate(batch)
-    reports = solver.closest_lindbladian_batch(batch, d)
-    maxiters = sum(report.status == solver.MAX_ITERS for report in reports)
-    generators = gamma_involution(np.stack([report.x_opt for report in reports]))
-    distances = exp_distances(m[None], np.ones(1), generators)[:, 0]
+    principal = branches[:1]  # all zeros
+    gated = [s for s, (_, _, (_, l0)) in enumerate(searches) if principal_first(l0)]
+    fits, solved, maxiters = {}, {}, 0
+    if gated:
+        generators, distances, maxiters = _solved(m, np.concatenate([
+            branch_targets(l0, spectral, principal)
+            for s, (_, _, (spectral, l0)) in enumerate(searches) if s in gated
+        ]), d)
+        for s, gen, dist in zip(gated, generators[:, None], distances[:, None]):
+            if dist[0] < TIE_TOL and first_certified(
+                np.zeros(1, dtype=int), np.isfinite(dist), gen
+            ) is not None:
+                fits[s] = FitResult(lindbladian=gen[0], distance=float(dist[0]),
+                                    branch=tuple(int(v) for v in principal[0]))
+            else:
+                solved[s] = gen, dist
 
-    fits = {}
-    cuts = np.cumsum([len(lead) for lead in leaders])[:-1]
-    for (k, _, _), lead, gens, dists in zip(
-        searches, leaders, np.split(generators, cuts), np.split(distances, cuts)
+    searched, leaders, batch = [], [], []
+    for s, (_, _, (spectral, l0)) in enumerate(searches):  # one sample's targets at a time
+        if s in fits:
+            continue
+        targets = branch_targets(l0, spectral, branches)
+        searched.append(s)
+        leaders.append(np.unique(herm_classes(targets)))
+        batch.append(targets[leaders[-1][int(s in solved):]])  # leader 0 is principal
+        del targets  # only the leaders' targets stay through the solve
+    generators, distances = np.empty((0, *m.shape), dtype=complex), np.empty(0)
+    if sum(map(len, batch)):
+        generators, distances, more = _solved(m, np.concatenate(batch), d)
+        maxiters += more
+    cuts = np.cumsum([len(part) for part in batch])[:-1]
+    for s, lead, gens, dists in zip(
+        searched, leaders, np.split(generators, cuts), np.split(distances, cuts)
     ):
+        if s in solved:  # its principal class, solved first
+            gens, dists = (np.concatenate(pair) for pair in zip(solved[s], (gens, dists)))
         # Leaders follow enumeration order, so a stable sort breaks ties by it.
         c = first_certified(np.argsort(ranked(dists), kind="stable"), np.isfinite(dists), gens)
-        fits[k] = None if c is None else FitResult(
+        fits[s] = None if c is None else FitResult(
             lindbladian=gens[c],
             distance=float(dists[c]),
             branch=tuple(int(v) for v in branches[lead[c]]),
         )
-    return fits, maxiters
+    return {k: fits[s] for s, (k, _, _) in enumerate(searches)}, maxiters
+
+
+def _solved(m: np.ndarray, targets: np.ndarray, d: int) -> tuple:
+    """One P1 batch over the Choi-side ``targets``: (generators, distances
+    of their exponentials to M, number of solves that ended MaxIters)."""
+    reports = solver.closest_lindbladian_batch(targets, d)
+    generators = gamma_involution(np.stack([report.x_opt for report in reports]))
+    distances = exp_distances(m[None], np.ones(1), generators)[:, 0]
+    return generators, distances, sum(report.status == solver.MAX_ITERS for report in reports)
 
 
 def unitary_frame(m_snapshot) -> tuple[Optional[FitResult], int]:

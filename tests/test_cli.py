@@ -638,10 +638,12 @@ def short_p1(monkeypatch, statuses):
 
 def test_p1_maxiters_solves_are_counted_in_the_report(tmp_path, snap, monkeypatch):
     """With the P1 solver cut at a few iterations, most class solves end
-    MaxIters and the report sums them over the samples."""
+    MaxIters and the report sums them over the candidates.  Below its frame
+    distance the X gate searches the branch classes of its raw snapshot and
+    of every sample."""
     statuses = []
     short_p1(monkeypatch, statuses)
-    _, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
+    _, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4")
     assert doc["p1_maxiters"] == statuses.count(solver.MAX_ITERS) > len(statuses) // 2
 
 

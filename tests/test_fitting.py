@@ -16,6 +16,7 @@ from lindbladfit.channels import (
     TomographyConfig,
     is_lindbladian,
     iswap_gate,
+    lindblad_generator,
     random_lindblad_generator,
     simulate_process_tomography,
     unital_transfer,
@@ -38,6 +39,7 @@ from lindbladfit.linalg import (
     gamma_involution,
     herm,
     matrix_log_principal,
+    max_entangled,
     side_dim,
 )
 from lindbladfit.solver import closest_lindbladian_batch
@@ -449,31 +451,171 @@ def test_the_log_audits_of_a_stack_share_one_expm(depol_stack, monkeypatch):
         assert np.array_equal(logs[k][0].eigenvalues, spectral.eigenvalues)
 
 
-def test_one_solver_call_holds_every_sample(monkeypatch):
-    """Sample 0 is the snapshot exp(L) itself, sample 1 a noisy copy: one
-    solver call holds every class leader of both, and sample 0's fit lands
-    at round-off, closer than sample 1's."""
-    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
-    rng = np.random.default_rng(1)
-    noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    noisy = m + 0.05 * noise / frobenius(noise)
-    branches = np.array(list(enumerate_branches(BranchPolicy(1), 4)))
-    logs = checked_logs(np.stack([m, noisy]))
-    classes = [
-        len(np.unique(herm_classes(branch_targets(l0, spectral, branches))))
-        for spectral, l0 in logs
-    ]
+def counted_solves(monkeypatch):
+    """Record the targets of every P1 call, one stack per call."""
     batch = solver.closest_lindbladian_batch
     calls = []
 
     def counting(targets, d):
-        calls.append(len(targets))
+        calls.append(np.asarray(targets))
         return batch(targets, d)
 
     monkeypatch.setattr(solver, "closest_lindbladian_batch", counting)
+    return calls
+
+
+def noisy_copy(m, seed, size=0.05):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    return m + size * noise / frobenius(noise)
+
+
+def test_one_solver_call_holds_every_sample(monkeypatch):
+    """Sample 0 is the snapshot exp(L) itself, sample 1 a noisy copy.  Sample
+    0's principal logarithm is a Lindbladian, and its principal fit, one
+    problem in a call of its own, lands at round-off and settles it; one
+    more call holds every class leader of sample 1.  When no principal
+    logarithm is a Lindbladian, one call holds every class leader of every
+    sample."""
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
+    branches = np.array(list(enumerate_branches(BranchPolicy(1), 4)))
+    calls = counted_solves(monkeypatch)
+
+    def classes(logs):
+        return [
+            len(np.unique(herm_classes(branch_targets(l0, spectral, branches))))
+            for spectral, l0 in logs
+        ]
+
+    logs = checked_logs(np.stack([m, noisy_copy(m, 1)]))
+    assert [fitting.principal_first(l0) for _, l0 in logs] == [True, False]
     fits, _ = best_fit_lindbladian(m, logs)
-    assert calls == [sum(classes)]
+    assert [len(c) for c in calls] == [1, classes(logs)[1]]
     assert fits[0].distance < 1e-9 < fits[1].distance
+    assert fits[0].branch == (0, 0, 0, 0)
+
+    calls.clear()
+    logs = checked_logs(np.stack([noisy_copy(m, 1), noisy_copy(m, 2)]))
+    assert not any(fitting.principal_first(l0) for _, l0 in logs)
+    best_fit_lindbladian(m, logs)
+    assert [len(c) for c in calls] == [sum(classes(logs))]
+
+
+# ----------------------------------------------------------------------
+# the principal fit first: the same fits as the full class search
+# ----------------------------------------------------------------------
+
+def full_search(monkeypatch, m, logs, policy=BranchPolicy()):
+    """The search with every sample's principal gate failed: every sample's
+    class leaders in one batch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "principal_first", lambda l0: False)
+        return best_fit_lindbladian(m, logs, policy)
+
+
+def assert_same_fits(got, want):
+    """The same keys in the same order, and bitwise the same fits."""
+    assert list(got) == list(want)
+    for k, fit in want.items():
+        assert (got[k] is None) == (fit is None)
+        if fit is not None:
+            assert got[k].lindbladian.tobytes() == fit.lindbladian.tobytes()
+            assert (got[k].distance, got[k].branch) == (fit.distance, fit.branch)
+
+
+@pytest.mark.parametrize("d, seed", [(2, s) for s in range(6)] + [(3, 1), (3, 3)])
+def test_principal_first_matches_the_full_search_on_exact_generators(d, seed, monkeypatch):
+    """exp(L) of a random generator: where the principal logarithm is L
+    (d=2 seeds 0, 1, 4 and 5, d=3 seed 1), one problem settles the fit;
+    elsewhere the search is the full one."""
+    m = expm(random_lindblad_generator(d, np.random.default_rng(seed)))
+    logs = checked_logs(m[None])
+    policy = BranchPolicy(1, max_branches=64)
+    want, want_maxiters = full_search(monkeypatch, m, logs, policy)
+    calls = counted_solves(monkeypatch)
+    got, maxiters = best_fit_lindbladian(m, logs, policy)
+    assert_same_fits(got, want)
+    assert maxiters == want_maxiters == 0
+    gated = fitting.principal_first(logs[0][1])
+    assert gated == ((d, seed) in {(2, 0), (2, 1), (2, 4), (2, 5), (3, 1)})
+    if gated:
+        assert [len(c) for c in calls] == [1] and got[0].branch == (0,) * d**2
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("depol-0.1", ChannelSpec("depolarizing", {"p": 0.1})),
+    ("depol-0.2", ChannelSpec("depolarizing", {"p": 0.2})),
+    ("unital-weak-t1", ChannelSpec("unital", {"gamma": [0.1, 0.2, 0.3], "t": 1.0})),
+    ("unital-weak-t2", ChannelSpec("unital", {"gamma": [0.1, 0.2, 0.3], "t": 2.0})),
+])
+@pytest.mark.parametrize("shots", [10**4, 10**5])
+def test_principal_first_matches_the_full_search_on_the_panel(name, spec, shots, monkeypatch):
+    """The benchmark's depolarizing and weak-unital snapshots (tomography
+    seed 1), searched as ``fit`` searches their own group, which has no
+    mirror: each raw fit is settled at its principal branch by one
+    problem."""
+    mat = simulate_process_tomography(spec, TomographyConfig(shots=shots, seed=1)).mat
+    repair = preprocess.Repair(mat, preprocess.DEFAULT_PRECISION)
+    stack = [repair.snapshot] + ([] if repair.mirrored is None else [repair.mirrored])
+    logs = checked_logs(np.stack(stack), [repair.spectral])
+    want, _ = full_search(monkeypatch, mat, logs)
+    calls = counted_solves(monkeypatch)
+    got, _ = best_fit_lindbladian(mat, logs)
+    assert_same_fits(got, want)
+    assert repair.mirrored is None and fitting.principal_first(logs[0][1])
+    assert [len(c) for c in calls] == [1]
+    assert got[0].distance < fitting.TIE_TOL and got[0].branch == (0, 0, 0, 0)
+
+
+def test_a_mixed_stack_keeps_stack_order(monkeypatch):
+    """A noisy copy, the exact snapshot and another noisy copy: only the
+    middle one is gated, it is settled first, and the fits still come back
+    keyed 0, 1, 2 in that order, as the full search gives them."""
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
+    logs = checked_logs(np.stack([noisy_copy(m, 1), m, noisy_copy(m, 2)]))
+    assert [fitting.principal_first(l0) for _, l0 in logs] == [False, True, False]
+    want, _ = full_search(monkeypatch, m, logs)
+    calls = counted_solves(monkeypatch)
+    got, _ = best_fit_lindbladian(m, logs)
+    assert list(got) == [0, 1, 2]
+    assert_same_fits(got, want)
+    assert len(calls) == 2 and len(calls[0]) == 1
+
+
+def near_miss():
+    """exp(L') of a generator L' that passes the Lindblad test at
+    ``VERIFY_TOL`` with a CCP residual of 1e-8: L with one jump operator,
+    less 1e-8 of a direction orthogonal to omega on which L's compressed
+    Choi block vanishes."""
+    h = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.3]])
+    choi = gamma_involution(lindblad_generator(h, [np.array([[0.0, 0.4], [0.0, 0.0]])]))
+    basis = np.linalg.eigh(max_entangled(2).omega_perp)[1][:, 1:]  # omega_perp's range
+    u = basis @ np.linalg.eigh(basis.conj().T @ herm(choi) @ basis)[1][:, 0]
+    return expm(gamma_involution(choi - 1e-8 * np.outer(u, u.conj())))
+
+
+@pytest.mark.parametrize("policy", [BranchPolicy(), BranchPolicy(0)], ids=["m_max 1", "m_max 0"])
+def test_a_near_miss_falls_through_to_the_class_search(policy, monkeypatch):
+    """The principal logarithm certifies, but its projection moves it by
+    about 1e-8, so its fit lands above ``TIE_TOL``: the class search
+    decides, on the principal solve it already has plus every other class
+    leader, each solved once, and gives the full search's fit.  At m_max 0
+    the principal is the only class, and no second call is made."""
+    m = near_miss()
+    logs = checked_logs(m[None])
+    spectral, l0 = logs[0]
+    assert fitting.principal_first(l0)
+    assert 1e-9 < is_lindbladian(l0, tol=fitting.VERIFY_TOL).ccp < fitting.VERIFY_TOL
+    want, _ = full_search(monkeypatch, m, logs, policy)
+    calls = counted_solves(monkeypatch)
+    got, _ = best_fit_lindbladian(m, logs, policy)
+    assert_same_fits(got, want)
+    assert got[0].distance >= fitting.TIE_TOL
+    branches = np.array(list(enumerate_branches(policy, 4)))
+    targets = branch_targets(l0, spectral, branches)
+    leaders = np.unique(herm_classes(targets))
+    assert [len(c) for c in calls] == ([1, len(leaders) - 1] if len(leaders) > 1 else [1])
+    assert np.array_equal(herm(np.concatenate(calls)), herm(targets[leaders]))
 
 
 @pytest.mark.parametrize("shots", [10**4, 10**5])
