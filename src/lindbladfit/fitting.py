@@ -17,12 +17,12 @@ caller ranks the samples' fits and holds the winner against epsilon.
 Branches are enumerated exhaustively over {-m_max..m_max}^(d^2), ordered
 by increasing sum of |m_j| with lexicographic tie-break, so results are
 deterministic.  The closest-generator program sees a target only through
-its hermitian part (the skew part adds a constant to the objective), so
-branches whose targets share herm(T) share one solution and one distance.
-Each sample's branches are grouped into these herm classes first
-(``herm_classes``, one sample's targets at a time), each class is solved
-once at its leader, its lowest enumeration position, and every member gets
-that solution and distance.
+its hermitian part (the skew part adds a constant to the objective),
+herm Gamma(log R) + sum_j m_j A_j with A_j = herm(2*pi*i Gamma(P_j)).  A
+real eigenvalue of a hermiticity-preserving R has A_j = 0 and a conjugate
+pair A_k = -A_j, so ``branch_classes`` reads each sample's herm classes off
+its spectrum; each class is solved once at its leader, its lowest
+enumeration position, and every member gets that solution and distance.
 
 A sample whose principal logarithm is already a Lindbladian
 (``principal_first``: the logarithm of Markovian data) is tried at its
@@ -47,6 +47,7 @@ Lindblad test at ``VERIFY_TOL``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -72,9 +73,11 @@ __all__ = [
     "BranchPolicy",
     "FitResult",
     "enumerate_branches",
+    "branch_grid",
     "checked_logs",
     "branch_targets",
-    "herm_classes",
+    "class_keys",
+    "branch_classes",
     "search_setup",
     "ranked",
     "exp_distances",
@@ -96,16 +99,12 @@ TIE_TOL = 1e-12
 #: Tolerance of the is-it-really-a-Lindbladian audit on every search's winner.
 VERIFY_TOL = 1e-7
 
-#: Branch targets whose hermitian parts lie within this distance, relative
-#: to max(1, largest |herm T|), share one closest-generator solve.  On the
-#: benchmark's qubit panel the members of a class differ by rounding (at
+#: Branch targets share one closest-generator solve only when their
+#: hermitian parts lie within this distance, relative to max(1, |herm
+#: Gamma(log R)|), split by `branch_classes` into one budget per slot.  On
+#: the benchmark's qubit panel the members of a class differ by rounding (at
 #: most 9.7e-9) and distinct classes by O(2*pi) (at least 5.19).
 CLASS_TOL = 1e-6
-
-#: Matrix entries of the branch targets whose hermitian parts
-#: `herm_classes` compares at once: 64 targets at d = 4, where a search's
-#: 256 would take 1 MB per temporary, and a whole d = 2 search.
-CLASS_BLOCK = 64 * 256
 
 
 @dataclass(frozen=True)
@@ -179,6 +178,15 @@ def enumerate_branches(policy: BranchPolicy, dim: int) -> Iterator[tuple[int, ..
     return chained
 
 
+@functools.lru_cache(maxsize=8)
+def branch_grid(policy: BranchPolicy, dim: int) -> np.ndarray:
+    """``enumerate_branches(policy, dim)`` as a read-only (B, dim) array,
+    built once per policy and dimension and shared by every search."""
+    grid = np.array(list(enumerate_branches(policy, dim)), dtype=int)
+    grid.setflags(write=False)
+    return grid
+
+
 def checked_logs(stack: np.ndarray, spectra: Sequence[SpectralData] = ()) -> list:
     """Eigendecompose each matrix of a (K, n, n) stack, take its principal
     log and audit the round trip to the matrix, with one ``expm`` call for
@@ -227,61 +235,58 @@ def branch_targets(
     return np.add(gamma_involution(l0)[None, :, :], targets, out=targets)
 
 
-def herm_classes(targets: np.ndarray) -> np.ndarray:
-    """Index of each target's class representative, in enumeration order.
+def class_keys(l0: np.ndarray, spectral: SpectralData, m_max: int) -> np.ndarray:
+    """The (n, c) integer key columns of a sample's herm classes over
+    branches with |m_j| <= ``m_max``: branches m and m' share a class when
+    m @ keys == m' @ keys.
 
-    Target i joins the first earlier representative whose hermitian part
-    lies within CLASS_TOL * max(1, largest |herm T|) of its own, and
-    otherwise represents a class of its own; so rep[i] <= i and the
-    representatives are the indices with rep[i] == i.  Only hermitian parts
-    within that tolerance share a class: a class whose members spread wider
-    is split, two distinct classes (they differ by O(2*pi)) are never merged.
-
-    The stack is read in blocks of `CLASS_BLOCK` entries, each compared
-    first with the representatives of earlier blocks, in order, so only one
-    block's hermitian parts are held at a time and the classes are those
-    of one pass over the whole stack.
+    Each slot shift A_j = herm(2 pi i Gamma(P_j)) has the budget tau =
+    CLASS_TOL * max(1, |herm Gamma(l0)|) / (2 m_max n).  In slot order, a
+    shift with |A_j| <= tau is dropped (a real eigenvalue); otherwise it
+    pairs with the unused slot k that minimises |A_j + A_k|, when that is
+    <= tau (a conjugate pair), for the key m_j - m_k, and is the key m_j
+    alone when none does.  At most n residuals of at most tau are left out,
+    each times a |m_j - m'_j| <= 2 m_max, so a class's hermitian targets lie
+    within CLASS_TOL * max(1, |herm Gamma(l0)|) of each other.
     """
-    n = targets.shape[-1]
-    rows = max(1, CLASS_BLOCK // (n * n))
-    blocks = [slice(s, s + rows) for s in range(0, len(targets), rows)]
+    n, eye, keys = len(l0), np.eye(len(l0), dtype=int), []
+    shifts = herm(TWO_PI * 1j * gamma_involution(spectral.projectors)).reshape(n, n * n)
+    budget = CLASS_TOL * max(1.0, frobenius(herm(gamma_involution(l0)))) / (2 * m_max * n)
+    unused = np.linalg.norm(shifts, axis=1) > budget
+    for j in np.flatnonzero(unused):
+        if not unused[j]:  # paired with an earlier slot
+            continue
+        unused[j] = False
+        others = np.flatnonzero(unused)
+        residuals = np.linalg.norm(shifts[j] + shifts[others], axis=1)
+        keys.append(eye[j])
+        if others.size and residuals.min() <= budget:
+            k = others[np.argmin(residuals)]
+            keys[-1], unused[k] = eye[j] - eye[k], False
+    return np.array(keys, dtype=int).reshape(-1, n).T
 
-    def flat(block: slice) -> np.ndarray:
-        return herm(targets[block]).reshape(-1, n * n)
 
-    largest = max((float(np.linalg.norm(flat(b), axis=1).max()) for b in blocks), default=0.0)
-    tol = CLASS_TOL * max(1.0, largest)
-    rep = np.empty(len(targets), dtype=int)
-    reps, rep_herm = [], []
-    for block in blocks:
-        h, out = flat(block), rep[block]
-        todo = np.arange(len(h))
-        for r, ref in zip(reps, rep_herm):  # the representatives of earlier blocks
-            if not todo.size:
-                break
-            near = np.linalg.norm(h[todo] - ref, axis=1) <= tol
-            out[todo[near]] = r
-            todo = todo[~near]
-        while todo.size:  # each first unclaimed target represents a new class
-            i = todo[0]
-            reps.append(block.start + i)
-            rep_herm.append(h[i].copy())
-            near = np.linalg.norm(h[todo] - h[i], axis=1) <= tol
-            out[todo[near]] = reps[-1]
-            todo = todo[~near]
-    return rep
+def branch_classes(l0: np.ndarray, spectral: SpectralData, branches: np.ndarray) -> np.ndarray:
+    """The leaders of the herm classes (``class_keys``) of ``branches``, each
+    class's lowest enumeration position, in increasing order."""
+    m_max = int(np.abs(branches).max(initial=0))
+    labels = branches @ class_keys(l0, spectral, max(m_max, 1))  # all 0 at m_max 0
+    return np.sort(np.unique(labels, axis=0, return_index=True)[1])
 
 
 def search_setup(m_snapshot, logs: Sequence, policy: BranchPolicy) -> tuple:
     """What every single-snapshot search starts from: (snapshot matrix, d,
-    branch vectors, [(k, ||log R_k||, (spectral data, log R_k))]); the
-    caller builds the branch targets of each R_k.
+    branch vectors (the read-only ``branch_grid``), [(k, ||log R_k||,
+    (spectral data, log R_k))]); the caller builds the branch targets of
+    each R_k.
 
     ``logs`` is the ``checked_logs`` audit of a stack of samples.  A sample
     that failed it is left out, since one ill-conditioned random basis must
     not abort the search; when every sample failed, ``NumericalFailure``
-    is raised.
+    is raised, and an empty stack is ``OutOfRange``.
     """
+    if not logs:
+        raise OutOfRange("a search needs at least one sample")
     m = np.asarray(m_snapshot, dtype=complex)
     audited = [(k, *a) for k, a in enumerate(logs) if not isinstance(a, NumericalFailure)]
     if not audited:
@@ -293,9 +298,8 @@ def search_setup(m_snapshot, logs: Sequence, policy: BranchPolicy) -> tuple:
             raise OutOfRange(
                 f"snapshot and repaired matrix disagree: {m.shape} vs {l0.shape}"
             )
-    d = side_dim(m.shape[0])
-    branches = np.array(list(enumerate_branches(policy, m.shape[0])), dtype=int)
-    return m, d, branches, [(k, frobenius(l0), (spectral, l0)) for k, spectral, l0 in audited]
+    searches = [(k, frobenius(l0), (spectral, l0)) for k, spectral, l0 in audited]
+    return m, side_dim(m.shape[0]), branch_grid(policy, m.shape[0]), searches
 
 
 def ranked(values: np.ndarray) -> np.ndarray:
@@ -370,22 +374,19 @@ def best_fit_lindbladian(
             else:
                 solved[s] = gen, dist
 
-    searched, leaders, batch = [], [], []
-    for s, (_, _, (spectral, l0)) in enumerate(searches):  # one sample's targets at a time
-        if s in fits:
-            continue
-        targets = branch_targets(l0, spectral, branches)
-        searched.append(s)
-        leaders.append(np.unique(herm_classes(targets)))
-        batch.append(targets[leaders[-1][int(s in solved):]])  # leader 0 is principal
-        del targets  # only the leaders' targets stay through the solve
+    leaders, batch = {}, []
+    for s, (_, _, (spectral, l0)) in enumerate(searches):
+        if s not in fits:
+            leaders[s] = branch_classes(l0, spectral, branches)
+            lead = leaders[s][int(s in solved):]  # leader 0 is principal
+            batch.append(branch_targets(l0, spectral, branches[lead]))
     generators, distances = np.empty((0, *m.shape), dtype=complex), np.empty(0)
     if sum(map(len, batch)):
         generators, distances, more = _solved(m, np.concatenate(batch), d)
         maxiters += more
     cuts = np.cumsum([len(part) for part in batch])[:-1]
-    for s, lead, gens, dists in zip(
-        searched, leaders, np.split(generators, cuts), np.split(distances, cuts)
+    for (s, lead), gens, dists in zip(
+        leaders.items(), np.split(generators, cuts), np.split(distances, cuts)
     ):
         if s in solved:  # its principal class, solved first
             gens, dists = (np.concatenate(pair) for pair in zip(solved[s], (gens, dists)))

@@ -44,7 +44,7 @@ from .errors import AuditFailure, DimensionMismatch, NumericalFailure, OutOfRang
 from .fitting import (
     BranchPolicy,
     FitResult,
-    enumerate_branches,
+    branch_grid,
     branch_targets,
     checked_logs,
     exp_distances,
@@ -60,20 +60,17 @@ __all__ = ["DELTA_GRID_SNAPSHOT", "best_fit_multi"]
 DELTA_GRID_SNAPSHOT = 0
 
 
-def _joint_assignments(policy: BranchPolicy, count: int, dim: int):
-    """Branch vectors per snapshot, enumerated jointly: the all-zero
-    assignment plus every assignment where exactly one snapshot moves to a
-    nonzero branch of ``enumerate_branches(policy, dim)``.  (The full
-    product grid over the per-snapshot enumerations is exponentially
-    larger.)
+def _joint_assignments(policy: BranchPolicy, count: int, dim: int) -> np.ndarray:
+    """Branch vectors per snapshot, enumerated jointly as a (A, count, dim)
+    array: the all-zero assignment plus every assignment where exactly one
+    snapshot moves to a nonzero branch of ``branch_grid(policy, dim)``.
+    (The full product grid over the per-snapshot enumerations is
+    exponentially larger.)
     """
-    zero = (0,) * dim
-    yield (zero,) * count
-    for c in range(count):
-        for m in enumerate_branches(policy, dim):
-            if m == zero:
-                continue
-            yield tuple(m if cc == c else zero for cc in range(count))
+    moved = branch_grid(policy, dim)[1:]  # the all-zero branch is first
+    # joint[c, b, e] is moved[b] for snapshot e == c and zero for the others
+    joint = np.einsum("ce,bd->cbed", np.eye(count, dtype=int), moved)
+    return np.concatenate([np.zeros((1, count, dim), dtype=int), joint.reshape(-1, count, dim)])
 
 
 def best_fit_multi(
@@ -136,7 +133,7 @@ def best_fit_multi(
         epsilon, frobenius(logs[DELTA_GRID_SNAPSHOT][1]), delta_step
     ).grid()[-1]
 
-    assignments = np.array(list(_joint_assignments(policy, q, n)), dtype=int)
+    assignments = _joint_assignments(policy, q, n)
     # One batched target call per snapshot over its distinct branches; an
     # assignment reuses the zero branch for all snapshots but one.
     targets = np.empty(assignments.shape[:2] + (n, n), dtype=complex)

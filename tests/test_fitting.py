@@ -3,17 +3,21 @@ generator fit: each audited sample's own certified fit, with no acceptance
 radius (the CLI ranks the fits and applies epsilon); and the unitary-frame
 candidate, which needs no branch search."""
 
+import importlib.util
 import itertools
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lindbladfit import cli, decide, fitting, preprocess, solver
+from lindbladfit import cli, decide, fitting, nonmarkov, preprocess, solver
 from lindbladfit.channels import (
     ChannelSpec,
     TomographyConfig,
+    TransferMatrix,
     is_lindbladian,
     iswap_gate,
     lindblad_generator,
@@ -27,11 +31,12 @@ from lindbladfit.errors import DegenerateSpectrum, NumericalFailure, OutOfRange
 from lindbladfit.fitting import (
     BranchPolicy,
     best_fit_lindbladian,
+    branch_classes,
+    branch_grid,
     branch_targets,
     checked_logs,
     enumerate_branches,
     exp_distances,
-    herm_classes,
 )
 from lindbladfit.linalg import (
     eig_full,
@@ -242,11 +247,13 @@ def _repaired(spec, shots, samples):
 
 
 def _class_solve(mat, r, policy):
-    """(branches, targets, label, x_opts, distances) of one sample's search."""
+    """(branches, targets, label, x_opts, distances) of one sample's search,
+    labelled by the one-pass classes, whose leaders ``branch_classes`` gives."""
     spectral, l0 = checked_logs(r[None])[0]
-    branches = np.array(list(enumerate_branches(policy, r.shape[0])))
+    branches = branch_grid(policy, r.shape[0])
     targets = branch_targets(l0, spectral, branches)
-    leaders, label = np.unique(herm_classes(targets), return_inverse=True)
+    leaders, label = np.unique(_one_pass_classes(targets), return_inverse=True)
+    assert np.array_equal(leaders, branch_classes(l0, spectral, branches))
     reports = closest_lindbladian_batch(targets[leaders], side_dim(r.shape[0]))
     x_opts = np.stack([report.x_opt for report in reports])
     distances = exp_distances(mat[None], np.ones(1), gamma_involution(x_opts))[:, 0]
@@ -275,8 +282,9 @@ def iswap_case():
 
 
 def _one_pass_classes(targets):
-    """The classes of one greedy pass over the whole stack, the reference
-    that `herm_classes` reads a block at a time."""
+    """The reference classes: one greedy pass over the whole stack, each
+    target joining the first representative whose hermitian part lies within
+    CLASS_TOL * max(1, largest |herm T|) of its own."""
     flat = herm(targets).reshape(len(targets), -1)
     tol = fitting.CLASS_TOL * max(1.0, float(np.max(np.linalg.norm(flat, axis=1), initial=0.0)))
     rep = np.arange(len(flat))
@@ -288,61 +296,142 @@ def _one_pass_classes(targets):
     return rep
 
 
-def skew_stack():
-    """Six 4x4 targets, some differing only in their skew part or by
-    jitter, and their classes."""
-    rng = np.random.default_rng(7)
-    a, b, skew = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    skew = skew - skew.conj().T
-    jitter = 1e-13 * rng.standard_normal((4, 4))
-    return np.stack([a, b, a + skew + jitter, b - 3 * skew, a + 1e-3, a]), [0, 1, 0, 1, 4, 0]
+def key_classes(l0, spectral, branches):
+    """Each branch's class representative under ``fitting.class_keys``: the
+    first branch with its key labels."""
+    keys = fitting.class_keys(l0, spectral, max(1, int(np.abs(branches).max())))
+    _, first, inverse = np.unique(branches @ keys, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
 
 
-def chain_stack():
-    """Forty 4x4 targets, each 0.6 class tolerances from the last, and
-    their classes: pairs."""
-    unit = np.zeros((4, 4))
-    unit[0, 0] = 1.0
-    step = 0.6 * fitting.CLASS_TOL  # all norms stay below 1
-    return np.stack([k * step * unit for k in range(40)]), [k - k % 2 for k in range(40)]
-
-
-def test_herm_classes_group_by_hermitian_part_only():
-    stack, classes = skew_stack()
-    assert list(herm_classes(stack)) == classes
-
-
-def test_herm_classes_never_chain():
-    """Each target is compared with the representative, not with its
-    neighbour, so a chain of close neighbours does not merge far targets."""
-    stack, classes = chain_stack()
-    assert list(herm_classes(stack)) == classes
-
-
-@pytest.mark.parametrize("block", [16, 48], ids=["one", "three"])
-def test_herm_classes_across_blocks(block, monkeypatch):
-    """Both stacks read one and three 4x4 targets a block: a target is
-    compared with the representatives of earlier blocks first, so the
-    classes are the same, also where the chain crosses blocks."""
-    monkeypatch.setattr(fitting, "CLASS_BLOCK", block)
-    for stack, classes in (skew_stack(), chain_stack()):
-        assert list(herm_classes(stack)) == classes
-
-
-def test_herm_classes_in_blocks_are_one_pass_over_the_stack(monkeypatch):
-    """ISWAP's repaired sample over 256 branches: in blocks of 64 targets
-    (the default at d = 4), of 1 and of the whole stack, the classes equal
-    those of one pass over the whole stack."""
-    mat, samples = _repaired(ChannelSpec("iswap"), 10**5, 1)
-    spectral, l0 = checked_logs(samples[0][None])[0]
-    branches = np.array(list(enumerate_branches(BranchPolicy(1, max_branches=256), 16)))
+def assert_one_pass_partition(audit, policy):
+    """The key classes of the branches of an audited (spectral data, log)
+    are the one-pass classes, and ``branch_classes`` gives their leaders;
+    returns (branch targets, classes)."""
+    spectral, l0 = audit
+    branches = branch_grid(policy, len(l0))
     targets = branch_targets(l0, spectral, branches)
     reference = _one_pass_classes(targets)
-    assert len(targets) == 256 and 16 < len(np.unique(reference)) < 256
-    assert len(targets) // (fitting.CLASS_BLOCK // 256) == 4
-    for block in (fitting.CLASS_BLOCK, 256, 256 * 256):
-        monkeypatch.setattr(fitting, "CLASS_BLOCK", block)
-        assert np.array_equal(herm_classes(targets), reference)
+    assert np.array_equal(key_classes(l0, spectral, branches), reference)
+    assert np.array_equal(branch_classes(l0, spectral, branches), np.unique(reference))
+    return targets, reference
+
+
+def test_branch_classes_group_by_hermitian_part_only():
+    """exp(L) at d=2 has two real eigenvalues and one conjugate pair: moving
+    a real slot, or both slots of the pair alike, moves only the skew part
+    of a target, so the 81 branches fall into the 5 classes of the pair's
+    m_j - m_k, each holding one hermitian part and several skew parts."""
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
+    targets, classes = assert_one_pass_partition(checked_logs(m[None])[0], BranchPolicy(1))
+    assert len(np.unique(classes)) == 5
+    for leader in np.unique(classes):
+        members = targets[classes == leader]
+        assert len(members) >= 9
+        assert np.abs(herm(members - members[0])).max() < 1e-9
+        assert np.abs(members[1:] - members[0]).max(axis=(1, 2)).min() > 1.0
+
+
+def test_branch_classes_of_the_iswap_sample_are_one_pass_classes():
+    """ISWAP's repaired sample is not hermiticity-preserving; over 256
+    branches its key classes are still the one-pass classes (72 of them)."""
+    _, samples = _repaired(ChannelSpec("iswap"), 10**5, 1)
+    audit = checked_logs(samples[0][None])[0]
+    _, classes = assert_one_pass_partition(audit, BranchPolicy(1, max_branches=256))
+    assert len(np.unique(classes)) == 72
+
+
+def _tomographic(exact, shots):
+    """A tomography snapshot (seed 1) of the transfer matrix ``exact``."""
+    channel = TransferMatrix(side_dim(exact.shape[0]), exact)
+    return simulate_process_tomography(channel, TomographyConfig(shots, seed=1)).mat
+
+
+@pytest.mark.parametrize("d, seeds", [(2, range(12)), (3, range(6)), (4, range(3))],
+                         ids=["d2", "d3", "d4"])
+def test_branch_classes_are_one_pass_classes_on_random_generators(d, seeds):
+    """exp(L) of random generators, and at d=2 and d=4 their tomography
+    snapshots at 10^3, 10^4 and 10^5 shots, over up to 256 branches."""
+    policy = BranchPolicy(1, max_branches=256)
+    for seed in seeds:
+        exact = expm(random_lindblad_generator(d, np.random.default_rng(seed)))
+        shots = [] if d == 3 else [10**3, 10**4, 10**5]  # the simulator takes qubits
+        snapshots = [_tomographic(exact, n) for n in shots]
+        for audit in checked_logs(np.stack([exact, *snapshots])):
+            assert_one_pass_partition(audit, policy)
+
+
+def _panel():
+    """The benchmark's panel module (``perfbench/panel.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "panel.py"
+    spec = importlib.util.spec_from_file_location("perfbench_panel", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_branch_classes_are_one_pass_classes_on_the_panel(tmp_path, monkeypatch):
+    """Every sample searched by ``fit`` on the seed-1 qubit-fit and
+    ququart-branch inputs, at epsilon 0.05 and 0.001: raw, mirrored and
+    repaired-sample candidates alike, 48 in all."""
+    panel = _panel()
+    searched = []
+    search = fitting.best_fit_lindbladian
+
+    def recording(m, logs, policy=BranchPolicy()):
+        searched.extend((r, policy) for r in logs if not isinstance(r, NumericalFailure))
+        return search(m, logs, policy)
+
+    monkeypatch.setattr(fitting, "best_fit_lindbladian", recording)
+    inputs = panel.WORKLOADS["qubit-fit"]() + panel.WORKLOADS["ququart-branch"]()
+    panel.materialize(inputs, tmp_path)
+    for inp in inputs:
+        assert inp.flags[:2] == ["--epsilon", str(panel.EPSILON)]
+        for epsilon in ("0.05", "0.001"):
+            argv = ["fit", "--in", inp.paths[0], *inp.flags[2:], "--epsilon", epsilon]
+            cli.main(argv + ["--report", str(tmp_path / "report.json")])
+    assert len(searched) == 48  # 6 of them at d=4
+    for audit, policy in searched:
+        assert_one_pass_partition(audit, policy)
+
+
+@pytest.mark.parametrize("d, size, seeds", [
+    (2, 1e-3, range(40)), (2, 1e-6, range(40)), (3, 1e-3, range(4)), (4, 1e-3, range(2)),
+    (4, 1e-6, range(2)),
+], ids=["d2-1e-3", "d2-1e-6", "d3-1e-3", "d4-1e-3", "d4-1e-6"])
+def test_key_class_members_lie_within_the_class_tolerance(d, size, seeds):
+    """exp(L) plus complex noise is not hermiticity-preserving, so its key
+    classes may be finer than the one-pass ones, but never coarser, and each
+    member's hermitian target lies within CLASS_TOL * max(1, largest
+    |herm T|) of its leader's.  (A budget of CLASS_TOL * max |A_j| per slot
+    merges two one-pass classes at d=2 seeds 23, 30 and 35 and d=4 seed 1,
+    noise 1e-6.)"""
+    policy = BranchPolicy(1, max_branches=256)
+    for seed in seeds:
+        exact = expm(random_lindblad_generator(d, np.random.default_rng(seed)))
+        spectral, l0 = checked_logs(noisy_copy(exact, seed, size)[None])[0]
+        branches = branch_grid(policy, len(l0))
+        targets = branch_targets(l0, spectral, branches)
+        flat = herm(targets).reshape(len(branches), -1)
+        tol = fitting.CLASS_TOL * max(1.0, np.linalg.norm(flat, axis=1).max())
+        classes, reference = key_classes(l0, spectral, branches), _one_pass_classes(targets)
+        assert np.array_equal(np.unique(classes), branch_classes(l0, spectral, branches))
+        assert all(len(np.unique(reference[classes == c])) == 1 for c in np.unique(classes))
+        assert np.linalg.norm(flat - flat[classes], axis=1).max() <= tol
+
+
+def test_the_principal_branch_alone_or_a_real_spectrum_is_one_class():
+    """At m_max 0 the principal branch is the only class; a Pauli channel
+    with distinct rates has a simple real spectrum, so all 81 branches
+    share the principal's hermitian target."""
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
+    spectral, l0 = checked_logs(m[None])[0]
+    assert list(branch_classes(l0, spectral, branch_grid(BranchPolicy(0), 4))) == [0]
+    pauli = unital_transfer([0.1, 0.2, 0.3], 1.0).mat
+    assert np.allclose(np.linalg.eigvals(pauli).imag, 0)
+    _, classes = assert_one_pass_partition(checked_logs(pauli[None])[0], BranchPolicy(1))
+    assert not classes.any()
 
 
 @pytest.mark.parametrize("case", ["depol_case", "iswap_case"])
@@ -422,6 +511,34 @@ def test_a_single_matrix_is_a_stack_of_one(depol_case):
         assert np.array_equal(fit.lindbladian, a[0].lindbladian)
 
 
+@pytest.mark.parametrize("search", [
+    lambda m, logs: best_fit_lindbladian(m, logs),
+    lambda m, logs: nonmarkov.non_markovianity(m, logs, 0.05),
+], ids=["best_fit_lindbladian", "non_markovianity"])
+def test_an_empty_stack_is_out_of_range(search):
+    """A search needs at least one sample, as a series needs a snapshot."""
+    with pytest.raises(OutOfRange, match="at least one sample"):
+        search(np.eye(4, dtype=complex), [])
+
+
+def test_the_branch_grid_is_enumerated_once_per_policy(monkeypatch):
+    """Every search on one policy and dimension shares one read-only array of
+    the ``enumerate_branches`` order, enumerated once."""
+    enumerate_ = fitting.enumerate_branches
+    calls = []
+    monkeypatch.setattr(fitting, "enumerate_branches", lambda *a: calls.append(a) or enumerate_(*a))
+    fitting.branch_grid.cache_clear()
+    policy = BranchPolicy(2, max_branches=30)
+    grid = branch_grid(policy, 4)
+    m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
+    assert fitting.search_setup(m, checked_logs(m[None]), policy)[2] is grid
+    assert branch_grid(BranchPolicy(2, max_branches=30), 4) is grid
+    assert calls == [(policy, 4)]
+    assert grid.tolist() == [list(b) for b in enumerate_(policy, 4)]
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
+
+
 def test_the_log_audits_of_a_stack_share_one_expm(depol_stack, monkeypatch):
     """checked_logs audits every sample with one expm call, each audit is
     the one a stack of one gives, and a failing sample is rejected;
@@ -478,14 +595,11 @@ def test_one_solver_call_holds_every_sample(monkeypatch):
     logarithm is a Lindbladian, one call holds every class leader of every
     sample."""
     m = expm(random_lindblad_generator(2, np.random.default_rng(0)))
-    branches = np.array(list(enumerate_branches(BranchPolicy(1), 4)))
+    branches = branch_grid(BranchPolicy(1), 4)
     calls = counted_solves(monkeypatch)
 
     def classes(logs):
-        return [
-            len(np.unique(herm_classes(branch_targets(l0, spectral, branches))))
-            for spectral, l0 in logs
-        ]
+        return [len(branch_classes(l0, spectral, branches)) for spectral, l0 in logs]
 
     logs = checked_logs(np.stack([m, noisy_copy(m, 1)]))
     assert [fitting.principal_first(l0) for _, l0 in logs] == [True, False]
@@ -611,9 +725,10 @@ def test_a_near_miss_falls_through_to_the_class_search(policy, monkeypatch):
     got, _ = best_fit_lindbladian(m, logs, policy)
     assert_same_fits(got, want)
     assert got[0].distance >= fitting.TIE_TOL
-    branches = np.array(list(enumerate_branches(policy, 4)))
+    branches = branch_grid(policy, 4)
     targets = branch_targets(l0, spectral, branches)
-    leaders = np.unique(herm_classes(targets))
+    leaders = branch_classes(l0, spectral, branches)
+    assert np.array_equal(leaders, np.unique(_one_pass_classes(targets)))
     assert [len(c) for c in calls] == ([1, len(leaders) - 1] if len(leaders) > 1 else [1])
     assert np.array_equal(herm(np.concatenate(calls)), herm(targets[leaders]))
 
