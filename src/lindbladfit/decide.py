@@ -147,9 +147,12 @@ def decide(found: Candidates, epsilon: float, delta_step: float,
     min(``fitting.TIE_TOL``, epsilon), which no other candidate can beat
     under the tie rule, the unitary group follows it; in the ``samples``
     pipeline the samples group follows only when neither of those has a
-    certified fit strictly within epsilon.  The chosen fits are ranked once
-    (`best`), and the winner is Markovian when it lands strictly within
-    epsilon; nothing else ranks the fits or applies epsilon to them.
+    certified fit strictly within epsilon.  When the repair then has no
+    draw plan (its pools failed, `preprocess.Repair`), nothing is drawn and
+    the pipeline reads ``passthrough``, whose verdict it is.  The chosen
+    fits are ranked once (`best`), and the winner is Markovian when it
+    lands strictly within epsilon; nothing else ranks the fits or applies
+    epsilon to them.
     Otherwise the audited logarithms of the chosen own and samples
     candidates go through one ``nonmarkov.non_markovianity`` call, which
     picks the least mu, ties going to the earlier candidate; when every one
@@ -195,10 +198,13 @@ def decide(found: Candidates, epsilon: float, delta_step: float,
         if within(groups, min(fitting.TIE_TOL, epsilon)) is None:
             groups.append(found.unitary)
             if kind == preprocess.SAMPLES and within(groups, epsilon) is None:
-                groups.append(found.samples)
-                skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
-                if skipped:
-                    doc["samples_skipped"] = skipped
+                if found.repair.plan is None:  # its pools failed: nothing to draw
+                    kind = preprocess.PASSTHROUGH
+                else:
+                    groups.append(found.samples)
+                    skipped = sum(isinstance(log, NumericalFailure) for log in found.samples.logs)
+                    if skipped:
+                        doc["samples_skipped"] = skipped
     doc["pipeline"] = kind
     tags = sum((group.tags for group in groups), [])
     fits = sum((group.fits for group in groups), [])

@@ -252,17 +252,23 @@ def class_keys(l0: np.ndarray, spectral: SpectralData, m_max: int) -> np.ndarray
     n, eye, keys = len(l0), np.eye(len(l0), dtype=int), []
     shifts = herm(TWO_PI * 1j * gamma_involution(spectral.projectors)).reshape(n, n * n)
     budget = CLASS_TOL * max(1.0, frobenius(herm(gamma_involution(l0)))) / (2 * m_max * n)
-    unused = np.linalg.norm(shifts, axis=1) > budget
-    for j in np.flatnonzero(unused):
-        if not unused[j]:  # paired with an earlier slot
+    live = np.flatnonzero(np.linalg.norm(shifts, axis=1) > budget).tolist()
+    # residuals[a][b] = |A_j + A_k| for the a-th and b-th live slots j and k,
+    # every pair in one broadcast over the real view of their shifts
+    vectors = shifts[live].view(float)
+    sums = vectors[:, None] + vectors[None]
+    residuals = np.sqrt(np.einsum("abi,abi->ab", sums, sums)).tolist()
+    unused = [True] * len(live)
+    for a, j in enumerate(live):
+        if not unused[a]:  # paired with an earlier slot
             continue
-        unused[j] = False
-        others = np.flatnonzero(unused)
-        residuals = np.linalg.norm(shifts[j] + shifts[others], axis=1)
+        unused[a] = False
         keys.append(eye[j])
-        if others.size and residuals.min() <= budget:
-            k = others[np.argmin(residuals)]
-            keys[-1], unused[k] = eye[j] - eye[k], False
+        others = [b for b, free in enumerate(unused) if free]
+        if others:
+            b = min(others, key=residuals[a].__getitem__)
+            if residuals[a][b] <= budget:
+                keys[-1], unused[b] = eye[j] - eye[live[b]], False
     return np.array(keys, dtype=int).reshape(-1, n).T
 
 

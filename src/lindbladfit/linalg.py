@@ -14,6 +14,7 @@ Vectorization convention (used everywhere in the package): row stacking,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -335,8 +336,13 @@ class MaxEntangled:
     omega_perp: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def max_entangled(d: int) -> MaxEntangled:
+    """The `MaxEntangled` of side dimension ``d``, built once per ``d``; its
+    arrays are shared by every caller, so they are read-only."""
     omega = np.zeros(d * d, dtype=complex)
     omega[:: d + 1] = 1.0 / np.sqrt(d)
     perp = np.eye(d * d, dtype=complex) - np.outer(omega, omega.conj())
+    for a in (omega, perp):
+        a.flags.writeable = False
     return MaxEntangled(d, omega, perp)

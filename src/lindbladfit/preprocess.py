@@ -10,19 +10,25 @@ snapshot famously "fits" the identity).  The repair implemented here:
 
 1. group eigenvalues into clusters of mutual distance below a precision
    ``p``, split by sign / imaginary part (`detect_clusters`);
-2. inside each cluster, rebuild a basis whose columns are self-adjoint
-   or come in adjoint pairs (`real_positive_basis`, `conjugate_basis`),
-   and lay those pools out once per snapshot as the draw plan
-   (`build_cluster_bases`): one step (pool, c1, c2) per drawn column,
-   either a real slot c1 or a pair whose column c2 is the adjoint of c1;
-3. walk the plan once per sample, drawing random mixtures of each pool,
-   to get one invertible basis per sample (`random_hp_basis`);
-4. reassemble ``R = S diag(lambda) S^-1`` carrying the snapshot's exact
+2. inside each cluster, solve for the vectors whose adjoints lie in the
+   partner cluster's span; how far the solutions are from exact, the
+   largest kernel residual (`kernel_residual`), is all the pipeline
+   choice reads (`Repair.kind`);
+3. only when a sample is drawn, rebuild from those solutions a basis per
+   cluster whose columns are self-adjoint or come in adjoint pairs
+   (`real_positive_basis`, `conjugate_basis`), and lay those pools out
+   once per snapshot as the draw plan (`build_cluster_bases`): one step
+   (pool, c1, c2) per drawn column, either a real slot c1 or a pair whose
+   column c2 is the adjoint of c1;
+4. walk the plan once per sample, drawing random mixtures of each pool,
+   to get one invertible basis per sample (`random_hp_basis`), and
+   reassemble ``R = S diag(lambda) S^-1`` carrying the snapshot's exact
    spectrum but the repaired eigenbasis, one sample at a time
    (`Repair.sample`).
 
-`Repair` holds all of it for one snapshot and precision, computed once;
-the acceptance radius epsilon only picks its pipeline (`Repair.kind`).
+`Repair` holds all of it for one snapshot and precision, each part
+computed once and only when first read; the acceptance radius epsilon only
+picks its pipeline (`Repair.kind`).
 
 Inputs whose spectrum is outright degenerate are first nudged onto a
 nearby matrix with simple spectrum by `perturb_to_nd2`.  A snapshot with
@@ -53,6 +59,7 @@ __all__ = [
     "conjugate_basis",
     "real_positive_basis",
     "random_hp_basis",
+    "kernel_residual",
     "perturb_to_nd2",
     "Repair",
     "mirrored_negative",
@@ -102,45 +109,56 @@ class ClusterPartition:
 
 def _components(adjacency: np.ndarray) -> list:
     """Connected components of at least two members of a boolean adjacency
-    matrix (read as undirected), as sorted tuples.
+    matrix (read as undirected), as sorted tuples, by one breadth-first
+    search over its rows."""
+    rows = (adjacency | adjacency.T).tolist()
+    seen = [False] * len(rows)
+    found = []
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, frontier = [start], [start]
+        while frontier:
+            for j, edge in enumerate(rows[frontier.pop()]):
+                if edge and not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+                    frontier.append(j)
+        if len(members) >= 2:
+            found.append(tuple(sorted(members)))
+    return sorted(found)
 
-    Each squaring of the reachability matrix doubles the path length it
-    covers, so a fixpoint comes within log2(n) + 1 squarings; a row of it
-    is then its node's component.
-    """
-    reach = adjacency | adjacency.T | np.eye(len(adjacency), dtype=bool)
-    while True:
-        wider = (reach.astype(int) @ reach.astype(int)) > 0
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    members = {tuple(int(i) for i in np.flatnonzero(row)) for row in reach}
-    return sorted(m for m in members if len(m) >= 2)
+
+# The class of an eigenvalue in `_cluster_sets`: only eigenvalues of one
+# class cluster together, and an eigenvalue of neither (|Im| exactly p, or
+# real part 0 within p of the real axis) clusters with none.
+_NONE, _POSITIVE, _NEGATIVE, _COMPLEX = -1, 0, 1, 2
 
 
 def _cluster_sets(eigenvalues: np.ndarray, p: float):
     """Raw clustering on an eigenvalue vector; order of the vector defines
-    the index space, so the result is a pure function of (values, p)."""
+    the index space, so the result is a pure function of (values, p).
+
+    Each eigenvalue gets its class once; the adjacency ``close & same
+    class`` is block-diagonal across classes, so one component search
+    yields the positive, negative and complex partitions."""
     lam = np.asarray(eigenvalues, dtype=complex)
     close = np.abs(lam[:, None] - lam[None, :]) < p
     realish = np.abs(lam.imag) < p
-    positive = realish & (lam.real > 0)
-    negative = realish & (lam.real < 0)
-    complex_ = np.abs(lam.imag) > p
-
-    def restricted(mask):
-        return close & mask[:, None] & mask[None, :]
-
-    pos_sets = _components(restricted(positive))
-    neg_sets = _components(restricted(negative))
-    cpx_sets = _components(restricted(complex_))
+    classes = np.where(np.abs(lam.imag) > p, _COMPLEX, _NONE)
+    classes[realish & (lam.real > 0)] = _POSITIVE
+    classes[realish & (lam.real < 0)] = _NEGATIVE
+    adjacency = close & (classes[:, None] == classes) & (classes >= 0)[:, None]
+    sets = {_POSITIVE: [], _NEGATIVE: [], _COMPLEX: []}
+    for members in _components(adjacency):
+        sets[int(classes[members[0]])].append(members)
 
     # Identity consistency: every unordered pair passes the positive-pair
     # checklist, i.e. the whole spectrum is one mutually close positive set.
-    n = lam.size
-    pair_ok = np.triu(restricted(positive), k=1)
-    identity = bool(pair_ok.sum() == n * (n - 1) // 2)
-    return pos_sets, neg_sets, cpx_sets, identity
+    positive_pairs = adjacency & (classes == _POSITIVE)[:, None]
+    identity = bool((positive_pairs | np.eye(lam.size, dtype=bool)).all())
+    return sets[_POSITIVE], sets[_NEGATIVE], sets[_COMPLEX], identity
 
 
 def _pair_conjugate_sets(lam: np.ndarray, complex_sets, p: float):
@@ -350,6 +368,23 @@ def _conjugation_slots(lam: np.ndarray, cols):
     return pairs, singles
 
 
+def kernel_residual(s: SpectralData, partition: ClusterPartition) -> float:
+    """The largest kernel residual of the partition's clusters, from the
+    `_cluster_kernel` calls `build_cluster_bases` makes, so bit for bit the
+    residual it reports when every pool is built, without building one;
+    inf when the clusters cannot be paired up (a complex cluster with no
+    conjugate partner, a negative cluster of odd size).
+    """
+    if 2 * len(partition.conjugate_pairs) != len(partition.complex_sets):
+        return np.inf
+    if any(len(set_) % 2 for set_ in partition.negative_sets):
+        return np.inf
+    kernels = [(set_, set_) for set_ in partition.positive_sets + partition.negative_sets]
+    kernels += [(partition.complex_sets[ia], partition.complex_sets[ib])
+                for ia, ib in partition.conjugate_pairs]
+    return max([0.0] + [_cluster_kernel(s, set_a, set_b)[2] for set_a, set_b in kernels])
+
+
 def build_cluster_bases(
     s: SpectralData,
     partition: ClusterPartition,
@@ -541,9 +576,18 @@ class Repair:
     ``snapshot`` and ``spectral`` come from `perturb_to_nd2` (the fit stage
     reuses that spectral data for the snapshot's own log audit),
     ``partition`` from `detect_clusters` and ``mirrored`` from
-    `mirrored_negative`.  The draw plan (`build_cluster_bases`) is built on
-    first use: an Identity verdict and a snapshot with no clusters build
-    none.
+    `mirrored_negative`.  The rest is built on first use: ``residual``
+    (`kernel_residual`) at the first `kind` that gets past the cluster and
+    identity tests, and ``plan`` (`build_cluster_bases`) at the first
+    `sample`.  So an Identity verdict and a snapshot with no clusters build
+    neither, and a verdict that draws no sample builds no plan.
+
+    The pools can still fail after the residual passes, on a column below
+    1e-8 or a dependent pool; ``plan`` is then None and nothing can be
+    drawn.  A verdict that would draw is then the passthrough verdict and
+    says so (`decide.decide`), while one that never draws reads SAMPLES:
+    only the pipeline name tells the two apart.  No snapshot of the
+    benchmark panels has such pools.
     """
 
     def __init__(self, m: np.ndarray, p: float) -> None:
@@ -553,8 +597,12 @@ class Repair:
         self.mirrored = mirrored_negative(self.spectral, p)
 
     @cached_property
-    def _plan(self) -> tuple[Optional[list], float]:
-        return build_cluster_bases(self.spectral, self.partition, self.precision)
+    def residual(self) -> float:
+        return kernel_residual(self.spectral, self.partition)
+
+    @cached_property
+    def plan(self) -> Optional[list]:
+        return build_cluster_bases(self.spectral, self.partition, self.precision)[0]
 
     def kind(self, epsilon: float) -> str:
         """The pipeline at acceptance radius ``epsilon``:
@@ -563,11 +611,12 @@ class Repair:
           snapshot lies within ``epsilon`` of the identity, so the data is
           consistent with the identity map.  A single positive cluster
           away from the identity is repaired like any other.
-        * SAMPLES: every cluster has a structured basis and the largest
-          kernel residual of the plan is below max(1e-8, ``epsilon``), so
-          nearly compliant basis vectors count.
-        * PASSTHROUGH: no clusters, a cluster with no structured basis,
-          or a residual at or above that tolerance.
+        * SAMPLES: every cluster has a conjugate partner (a negative one
+          is its own, of even size) and the largest kernel residual is
+          below max(1e-8, ``epsilon``), so nearly compliant basis vectors
+          count.
+        * PASSTHROUGH: no clusters, a cluster with no partner, or a
+          residual at or above that tolerance.
 
         The tolerance decides only for a snapshot that is not exactly
         hermiticity-preserving, or for clusters that split a conjugate
@@ -580,12 +629,12 @@ class Repair:
             return PASSTHROUGH
         if self.partition.consistent_with_identity and frobenius(m - np.eye(len(m))) < epsilon:
             return IDENTITY
-        return SAMPLES if self._plan[1] < max(1e-8, float(epsilon)) else PASSTHROUGH
+        return SAMPLES if self.residual < max(1e-8, float(epsilon)) else PASSTHROUGH
 
     def sample(self, seed: int, k: int) -> np.ndarray:
         """Repaired sample k, R = S diag(lambda) S^-1 with the snapshot's
-        spectrum and a basis from `random_hp_basis`.  It draws from the
-        stream keyed by (``seed``, k), so it does not depend on how many
-        samples are taken."""
-        basis = random_hp_basis(self.spectral, self._plan[0], seed, k)
+        spectrum and a basis from `random_hp_basis`; needs a ``plan``.  It
+        draws from the stream keyed by (``seed``, k), so it does not depend
+        on how many samples are taken."""
+        basis = random_hp_basis(self.spectral, self.plan, seed, k)
         return (basis * self.spectral.eigenvalues) @ np.linalg.inv(basis)

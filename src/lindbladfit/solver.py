@@ -132,22 +132,15 @@ class SolveReport:
 
 
 def _reports(x, objective, residuals, status, iterations, mu=None):
-    """One SolveReport per row of ``x``; scalar fields broadcast over the rows."""
-    b = len(x)
-    objective, status, iterations, *residuals = (
-        np.broadcast_to(v, (b,)) for v in (objective, status, iterations, *residuals)
-    )
-    return [
-        SolveReport(
-            x_opt=x[i],
-            objective=float(objective[i]),
-            residuals=tuple(float(r[i]) for r in residuals),
-            status=str(status[i]),
-            iterations=int(iterations[i]),
-            mu=None if mu is None else float(mu[i]),
-        )
-        for i in range(b)
-    ]
+    """One SolveReport per row of ``x``; a field given as a Python scalar
+    repeats over the rows, an array gives one entry per row."""
+
+    def column(v):
+        return v.tolist() if isinstance(v, np.ndarray) else [v] * len(x)
+
+    rows = zip(x, column(objective), zip(*map(column, residuals)), column(status),
+               column(iterations), column(mu))
+    return [SolveReport(*row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +357,9 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
     ‖F‖ ≤ ``TOL``·scale and records the trace-zero projection of Π_K(W).
     A problem still running after ``ITER_LIMIT`` steps, or whose step
     fails every trial length, records ``_settle_p1`` of its current
-    Π_K(W).  Returns (solutions, Newton steps, converged).
+    Π_K(W).  A piece whose problems all stop at their start point returns
+    at once, with what that first retirement records.  Returns (solutions,
+    Newton steps, converged).
     """
     d = geo.d
     out = np.empty_like(t)
@@ -373,6 +368,8 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
     tr_t = partial_trace_first(t)
     run = {"row": np.arange(len(t)), "t": t, "tr_t": tr_t, "tol": TOL * scale,
            **_dual_point(geo, t, tr_t, tr_t / d)}
+    if np.all(run["fnorm"] <= run["tol"]):  # step 0 retires every problem
+        return geo.project_trace_zero(run["x"]), np.zeros(len(t), dtype=int), ~converged
 
     def retire(leave, x, ok):
         rows = run["row"][leave]

@@ -875,7 +875,8 @@ def fail_audit(monkeypatch, bad):
             return _ill_conditioned() if k in bad else drawn[-1]
 
         swap = SimpleNamespace(kind=repair.kind, snapshot=repair.snapshot,
-                               spectral=repair.spectral, mirrored=repair.mirrored, sample=sample)
+                               spectral=repair.spectral, mirrored=repair.mirrored,
+                               plan=repair.plan, sample=sample)
         if "raw" in bad:
             swap.snapshot = _ill_conditioned()
             swap.spectral = eig_full(swap.snapshot)
@@ -1048,7 +1049,7 @@ def test_a_sweep_audits_each_candidate_once(tmp_path, snap, monkeypatch):
     assert (sum(audited), len(built)) == (6, 1)
 
 
-REPAIR_STEPS = ("perturb_to_nd2", "detect_clusters", "build_cluster_bases")
+REPAIR_STEPS = ("perturb_to_nd2", "detect_clusters", "kernel_residual", "build_cluster_bases")
 
 
 def repair_calls(monkeypatch):
@@ -1079,6 +1080,35 @@ def test_an_identity_verdict_builds_no_plan(tmp_path, snap, monkeypatch):
     code, doc = fit(tmp_path, snap["identity"], EPSILON)
     assert (code, doc["verdict"]) == (cli.EXIT_OK, "Identity")
     assert calls == {"perturb_to_nd2": 1, "detect_clusters": 1}
+
+
+def test_a_settled_verdict_builds_no_plan(tmp_path, snap, monkeypatch):
+    """Depolarizing p = 0.2 settles at its raw principal fit: its kind reads
+    the kernel residual, and no draw plan is built."""
+    calls = repair_calls(monkeypatch)
+    code, doc = fit(tmp_path, snap["depol"], EPSILON, "--samples", "4")
+    assert (code, doc["verdict"], doc["pipeline"]) == (cli.EXIT_OK, "Markovian", "samples")
+    assert doc["result"]["candidate"] == "raw"
+    assert calls == {"perturb_to_nd2": 1, "detect_clusters": 1, "kernel_residual": 1}
+
+
+def test_pools_that_fail_after_the_residual_draw_nothing(tmp_path, snap, monkeypatch):
+    """With every draw plan failing (`build_cluster_bases` gives (None,
+    inf)) after the kernel residual passed: a verdict that never draws is
+    unchanged and reads samples, and one that would draw (the X gate below
+    its frame) is the passthrough verdict, the one a failing residual
+    gives, and reads passthrough."""
+    flags = ("--samples", "4")
+    settled = fit(tmp_path, snap["depol"], EPSILON, *flags)
+    drawn = fit(tmp_path, snap["xgate"], LOW, *flags)
+    assert (settled[1]["pipeline"], drawn[1]["pipeline"]) == ("samples", "samples")
+    assert drawn[1]["result"]["candidate"] == "sample"
+    monkeypatch.setattr(preprocess, "build_cluster_bases", lambda *args: (None, np.inf))
+    assert fit(tmp_path, snap["depol"], EPSILON, *flags) == settled
+    code, doc = fit(tmp_path, snap["xgate"], LOW, *flags)
+    assert (code, doc["pipeline"], doc["result"]["candidate"]) == (cli.EXIT_OK, "passthrough", "raw")
+    monkeypatch.setattr(preprocess, "kernel_residual", lambda *args: np.inf)
+    assert fit(tmp_path, snap["xgate"], LOW, *flags) == (code, doc)
 
 
 def test_a_sweep_across_the_kernel_tolerance_matches_fit(tmp_path):

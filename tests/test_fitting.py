@@ -371,10 +371,10 @@ def _panel():
     return module
 
 
-def test_branch_classes_are_one_pass_classes_on_the_panel(tmp_path, monkeypatch):
-    """Every sample searched by ``fit`` on the seed-1 qubit-fit and
-    ququart-branch inputs, at epsilon 0.05 and 0.001: raw, mirrored and
-    repaired-sample candidates alike, 48 in all."""
+def _panel_searches(tmp_path, monkeypatch):
+    """The (audit, policy) of every sample searched by ``fit`` on the seed-1
+    qubit-fit and ququart-branch inputs, at epsilon 0.05 and 0.001: raw,
+    mirrored and repaired-sample candidates alike, 48 in all."""
     panel = _panel()
     searched = []
     search = fitting.best_fit_lindbladian
@@ -392,8 +392,61 @@ def test_branch_classes_are_one_pass_classes_on_the_panel(tmp_path, monkeypatch)
             argv = ["fit", "--in", inp.paths[0], *inp.flags[2:], "--epsilon", epsilon]
             cli.main(argv + ["--report", str(tmp_path / "report.json")])
     assert len(searched) == 48  # 6 of them at d=4
-    for audit, policy in searched:
+    return searched
+
+
+def test_branch_classes_are_one_pass_classes_on_the_panel(tmp_path, monkeypatch):
+    """Every sample the seed-1 panel searches (`_panel_searches`)."""
+    for audit, policy in _panel_searches(tmp_path, monkeypatch):
         assert_one_pass_partition(audit, policy)
+
+
+def _slot_loop_keys(l0, spectral, m_max):
+    """Reference: ``class_keys`` with each slot's residuals against the
+    unused slots computed in its own turn of the slot-order walk."""
+    n, eye, keys = len(l0), np.eye(len(l0), dtype=int), []
+    shifts = herm(fitting.TWO_PI * 1j * gamma_involution(spectral.projectors)).reshape(n, n * n)
+    budget = fitting.CLASS_TOL * max(1.0, frobenius(herm(gamma_involution(l0)))) / (2 * m_max * n)
+    unused = np.linalg.norm(shifts, axis=1) > budget
+    for j in np.flatnonzero(unused):
+        if not unused[j]:
+            continue
+        unused[j] = False
+        others = np.flatnonzero(unused)
+        residuals = np.linalg.norm(shifts[j] + shifts[others], axis=1)
+        keys.append(eye[j])
+        if others.size and residuals.min() <= budget:
+            k = others[np.argmin(residuals)]
+            keys[-1], unused[k] = eye[j] - eye[k], False
+    return np.array(keys, dtype=int).reshape(-1, n).T
+
+
+def assert_slot_loop_keys(spectral, l0):
+    for m_max in (1, 2):
+        assert np.array_equal(fitting.class_keys(l0, spectral, m_max),
+                              _slot_loop_keys(l0, spectral, m_max))
+
+
+def test_class_keys_are_the_slot_loop_keys_on_the_panel(tmp_path, monkeypatch):
+    """Every sample the seed-1 panel searches (`_panel_searches`)."""
+    for audit, _ in _panel_searches(tmp_path, monkeypatch):
+        assert_slot_loop_keys(*audit)
+
+
+@pytest.mark.parametrize("d, seeds", [(2, range(30)), (3, range(6)), (4, range(4))],
+                         ids=["d2", "d3", "d4"])
+def test_class_keys_are_the_slot_loop_keys_on_random_generators(d, seeds):
+    """exp(L) of random generators, which preserve hermiticity, their
+    tomography snapshots at d=2 and d=4 (10^4 shots), and copies with
+    complex noise of 1e-3 and 1e-6, which do not."""
+    for seed in seeds:
+        exact = expm(random_lindblad_generator(d, np.random.default_rng(seed)))
+        stack = [exact, noisy_copy(exact, seed, 1e-3), noisy_copy(exact, seed, 1e-6)]
+        if d != 3:  # the simulator takes qubits
+            stack.append(_tomographic(exact, 10**4))
+        for audit in checked_logs(np.stack(stack)):
+            if not isinstance(audit, NumericalFailure):
+                assert_slot_loop_keys(*audit)
 
 
 @pytest.mark.parametrize("d, size, seeds", [

@@ -351,6 +351,14 @@ def test_side_dim():
         side_dim(15)
 
 
+def test_max_entangled_is_built_once_and_read_only():
+    ent = max_entangled(2)
+    assert max_entangled(2) is ent
+    for array in (ent.omega, ent.omega_perp):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_max_entangled_projector():
     ent = max_entangled(3)
     assert math.isclose(np.linalg.norm(ent.omega), 1.0, rel_tol=1e-14)

@@ -2,6 +2,10 @@
 its samples, cluster detection, the draw plan and its walk, and
 ``perturb_to_nd2``."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from lindbladfit.channels import (
     x_gate,
 )
 from lindbladfit.errors import NumericalFailure
-from lindbladfit.linalg import eig_full, gamma_involution, vec_adjoint
+from lindbladfit.linalg import eig_full, frobenius, gamma_involution, vec_adjoint
 
 P = preprocess.DEFAULT_PRECISION
 EPSILON = 0.05
@@ -139,6 +143,54 @@ def test_components_match_scipy_connected_components():
         groups = [tuple(int(i) for i in np.flatnonzero(labels == c)) for c in range(count)]
         want = sorted(g for g in groups if len(g) >= 2)
         assert preprocess._components(adjacency) == want
+
+
+def _squaring_components(adjacency):
+    """The components as they were found by squaring the reachability matrix."""
+    reach = adjacency | adjacency.T | np.eye(len(adjacency), dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    members = {tuple(int(i) for i in np.flatnonzero(row)) for row in reach}
+    return sorted(m for m in members if len(m) >= 2)
+
+
+def _three_closure_sets(lam, p):
+    """Reference: one component search per class, each on the closeness
+    restricted to that class."""
+    close = np.abs(lam[:, None] - lam[None, :]) < p
+    realish = np.abs(lam.imag) < p
+    masks = [realish & (lam.real > 0), realish & (lam.real < 0), np.abs(lam.imag) > p]
+    sets = [_squaring_components(close & m[:, None] & m[None, :]) for m in masks]
+    n = lam.size
+    pair_ok = np.triu(close & masks[0][:, None] & masks[0][None, :], k=1)
+    return (*sets, bool(pair_ok.sum() == n * (n - 1) // 2))
+
+
+def test_cluster_sets_match_the_three_closure_search():
+    """One labelled search against three closures, on random spectra of 1 to
+    16 eigenvalues drawn near a few centres so that clusters form, with
+    eigenvalues exactly at |Im| = p (no class) and at Re = 0 on the real
+    axis (no class either) mixed in."""
+    rng = np.random.default_rng(11)
+    centres = np.array([1.0, 0.93, 0.0, -0.5, -0.97, 0.4 + 0.3j, 0.4 - 0.3j, -0.2 + P * 1j,
+                        0.6 - P * 1j, 0.05j, -0.05j, 1e-3])
+    identity_seen = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 17))
+        lam = rng.choice(centres, size=n) + rng.choice([0.0, 0.02, 0.06], size=n) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)) * rng.integers(0, 2, size=n)
+        if rng.random() < 0.1:
+            lam = 1.0 + 0.01 * rng.standard_normal(n)  # one positive cluster
+        want = _three_closure_sets(lam, P)
+        assert preprocess._cluster_sets(lam, P) == want
+        identity_seen += want[3]
+    assert identity_seen > 10
+    edge = np.array([P * 1j, 0.5 + P * 1j, 0.5 - P * 1j, 0.0, 0.0, 0.05, 0.02 + 0.0j])
+    assert preprocess._cluster_sets(edge, P) == _three_closure_sets(edge, P)
+    assert preprocess._cluster_sets(edge, P)[:3] == ([(5, 6)], [], [])
 
 
 def _conjugation_slots(lam, cols):
@@ -294,6 +346,59 @@ def test_the_kernel_tolerance_picks_the_pipeline(depol):
     assert kind == preprocess.SAMPLES
     for k, r in enumerate(drawn):
         np.testing.assert_array_equal(repair.sample(0, k), r)
+
+
+def plan_kind(repair, epsilon):
+    """`Repair.kind` as it read the draw plan's residual."""
+    m = repair.snapshot
+    if not repair.partition.has_clusters:
+        return preprocess.PASSTHROUGH
+    if repair.partition.consistent_with_identity and frobenius(m - np.eye(len(m))) < epsilon:
+        return preprocess.IDENTITY
+    residual = preprocess.build_cluster_bases(repair.spectral, repair.partition, P)[1]
+    return preprocess.SAMPLES if residual < max(1e-8, epsilon) else preprocess.PASSTHROUGH
+
+
+def _panel():
+    """The benchmark's panel module (``perfbench/panel.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "panel.py"
+    spec = importlib.util.spec_from_file_location("perfbench_panel", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kind_reads_the_plan_residual_without_a_plan():
+    """On every clustered snapshot of the benchmark panels, and on the
+    bumped depolarizing matrix on both sides of its residual (1.9e-3), the
+    kind is the one the draw plan's residual gave, and the residual is that
+    plan's to the bit."""
+    mats = [snapshot(spec, inp.shots, inp.tomo_seed)
+            for make in _panel().WORKLOADS.values() for inp in make() for spec in inp.specs]
+    mats.append(bumped(snapshot(ChannelSpec("depolarizing", {"p": 0.1}), 10**4)))
+    repairs = [preprocess.Repair(m, P) for m in mats]
+    clustered = [r for r in repairs if r.partition.has_clusters]
+    assert len(mats) == 25 and len(clustered) == 21
+    for repair in clustered:
+        plan, residual = preprocess.build_cluster_bases(repair.spectral, repair.partition, P)
+        assert plan is not None and repair.residual == residual
+        for epsilon in (0.3, 0.05, 0.01, 2e-3, 1.8e-3, 1e-9):
+            assert repair.kind(epsilon) == plan_kind(repair, epsilon), epsilon
+    assert [repairs[-1].kind(e) for e in (1.8e-3, 2e-3)] == [preprocess.PASSTHROUGH,
+                                                               preprocess.SAMPLES]
+
+
+def test_odd_negative_and_unpaired_clusters_have_no_residual():
+    """Clusters that cannot be paired up give an infinite residual, as the
+    draw plan does."""
+    s = eig_full(np.diag([1.0, -0.5 + 0.01j, -0.5 - 0.01j, -0.53]))
+    assert preprocess.kernel_residual(s, preprocess.detect_clusters(s, P)) == np.inf
+    s = eig_full(np.diag([1.0, 0.4 + 0.5j, 0.42 + 0.5j, 0.3]))  # no conjugate partner
+    partition = preprocess.detect_clusters(s, P)
+    assert partition.complex_sets == ((1, 2),) and partition.conjugate_pairs == ()
+    assert preprocess.kernel_residual(s, partition) == np.inf
+    assert preprocess.build_cluster_bases(s, partition, P) == (None, np.inf)
 
 
 def eig_spy(monkeypatch):

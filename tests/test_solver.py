@@ -154,6 +154,25 @@ def test_batch_results_are_composition_independent(monkeypatch):
         np.testing.assert_allclose(rep.x_opt, piece.x_opt, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [32, 2], ids=["one piece", "pieces of two"])
+def test_targets_in_the_set_keep_their_one_problem_reports_in_a_batch(chunk, monkeypatch):
+    """Targets already in the (P1) set mixed with ones that need Newton
+    steps: each problem gets its one-problem solve's report bit for bit, and
+    the former 0 steps, whether its piece also holds problems that step
+    (one piece; the second piece of two) or returns at its start (the first
+    and last pieces of two)."""
+    inside = [lindbladian_choi(2, seed=s) for s in range(5)]
+    outside = [random_choi_target(2, seed=s) for s in (11, 14)]
+    targets = np.stack([inside[0], inside[1], outside[0], inside[2], outside[1], inside[3],
+                        inside[4]])
+    singles = [closest_lindbladian_batch(t, 2)[0] for t in targets]
+    monkeypatch.setattr(solver, "CHUNK", chunk)
+    batch = closest_lindbladian_batch(targets, 2)
+    assert [rep.iterations == 0 for rep in batch] == [True, True, False, True, False, True, True]
+    assert {rep.status for rep in batch} == {"Optimal"}
+    assert_reports_equal(batch, singles)
+
+
 def test_four_level_projection():
     rep = closest_lindbladian_batch(random_choi_target(4, seed=2, scale=0.5), 4)[0]
     assert rep.status == "Optimal"
