@@ -109,7 +109,7 @@ class ClusterPartition:
 
 def _components(adjacency: np.ndarray) -> list:
     """Connected components of at least two members of a boolean adjacency
-    matrix (read as undirected), as sorted tuples, by one breadth-first
+    matrix (read as undirected), as sorted tuples, by one depth-first
     search over its rows."""
     rows = (adjacency | adjacency.T).tolist()
     seen = [False] * len(rows)

@@ -369,7 +369,7 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
     run = {"row": np.arange(len(t)), "t": t, "tr_t": tr_t, "tol": TOL * scale,
            **_dual_point(geo, t, tr_t, tr_t / d)}
     if np.all(run["fnorm"] <= run["tol"]):  # step 0 retires every problem
-        return geo.project_trace_zero(run["x"]), np.zeros(len(t), dtype=int), ~converged
+        return geo.project_trace_zero(run["x"]), np.zeros_like(iters), np.ones_like(converged)
 
     def retire(leave, x, ok):
         rows = run["row"][leave]

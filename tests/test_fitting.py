@@ -39,6 +39,7 @@ from lindbladfit.fitting import (
     exp_distances,
 )
 from lindbladfit.linalg import (
+    SpectralData,
     eig_full,
     frobenius,
     gamma_involution,
@@ -438,15 +439,24 @@ def test_class_keys_are_the_slot_loop_keys_on_the_panel(tmp_path, monkeypatch):
 def test_class_keys_are_the_slot_loop_keys_on_random_generators(d, seeds):
     """exp(L) of random generators, which preserve hermiticity, their
     tomography snapshots at d=2 and d=4 (10^4 shots), and copies with
-    complex noise of 1e-3 and 1e-6, which do not."""
+    complex noise of 1e-3 and 1e-6, which do not; each also with its slots
+    shuffled, since in canonical order a conjugate partner is always the
+    next live slot and the least residual would never be searched for."""
     for seed in seeds:
-        exact = expm(random_lindblad_generator(d, np.random.default_rng(seed)))
+        rng = np.random.default_rng(seed)
+        exact = expm(random_lindblad_generator(d, rng))
         stack = [exact, noisy_copy(exact, seed, 1e-3), noisy_copy(exact, seed, 1e-6)]
         if d != 3:  # the simulator takes qubits
             stack.append(_tomographic(exact, 10**4))
         for audit in checked_logs(np.stack(stack)):
             if not isinstance(audit, NumericalFailure):
-                assert_slot_loop_keys(*audit)
+                spectral, l0 = audit
+                assert_slot_loop_keys(spectral, l0)
+                order = rng.permutation(spectral.dim)
+                shuffled = SpectralData(spectral.eigenvalues[order],
+                                        spectral.right_vectors[:, order],
+                                        spectral.left_vectors[order])
+                assert_slot_loop_keys(shuffled, l0)
 
 
 @pytest.mark.parametrize("d, size, seeds", [
