@@ -187,6 +187,65 @@ def _candidates(args: argparse.Namespace, mat: np.ndarray) -> decide.Candidates:
 _NOT_SETTINGS = ("func", "infile", "report", "trace")
 
 
+#: "\n" and the indentation of each nesting level of a report.
+_NEWLINES = ["\n" + "  " * level for level in range(64)]
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _number(o: float) -> str:
+    if math.isfinite(o):
+        return float.__repr__(o)
+    return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+
+
+#: The JSON text of each scalar type, as ``json.dumps`` writes it.
+_SCALARS = {str: _quoted, int: int.__repr__, float: _number,
+            bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
+
+
+def _indented(o, level: int) -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it at
+    nesting ``level``.  TypeError for a key that is not a str and for a
+    value that is not a dict, list, tuple or one of `_SCALARS` exactly."""
+    write = _SCALARS.get(type(o))
+    if write is not None:
+        return write(o)
+    if type(o) not in (dict, list, tuple):
+        raise TypeError(f"no JSON text for {type(o).__name__}")
+    if not o:
+        return "{}" if type(o) is dict else "[]"
+    inner = _NEWLINES[level + 1]
+    if type(o) is dict:
+        items = [_quoted(k) + ": " + _indented(v, level + 1) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + _NEWLINES[level] + "}"
+    close = _NEWLINES[level] + "]"
+    if set(map(type, o)) == {list} and len(set(map(len, o))) == 1:
+        # rows of floats, as every matrix's [re, im] pairs: one template
+        flat = [x for v in o for x in v]
+        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+            deeper = _NEWLINES[level + 2]
+            row = "[" + deeper + ("," + deeper).join(["%s"] * len(o[0])) + inner + "]"
+            return ("[" + inner + ("," + inner).join([row] * len(o)) + close) % tuple(
+                map(float.__repr__, flat))
+    return "[" + inner + ("," + inner).join([_indented(v, level + 1) for v in o]) + close
+
+
+def report_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, bit for bit.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one
+    generator step per token.  This joins each container's items instead,
+    and writes a list of equal rows of finite floats (every matrix's
+    [re, im] pairs) from one template.  A report it does not cover (numpy
+    scalars, keys that are not str, nesting deeper than `_NEWLINES`) goes
+    to ``json.dumps`` whole.
+    """
+    try:
+        return _indented(doc, 0)
+    except (TypeError, IndexError):
+        return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _close(args: argparse.Namespace, started: float, digest, doc: dict, **settings) -> int:
     """The one closing step of every report: add the input digest, the
     settings and the wall time to the verdict's fields ``doc``, write the
@@ -199,7 +258,7 @@ def _close(args: argparse.Namespace, started: float, digest, doc: dict, **settin
         settings={**flags, "input": args.infile, **settings},
         wall_time_s=time.perf_counter() - started,
     )
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = report_text(doc)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

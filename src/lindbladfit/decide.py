@@ -244,7 +244,7 @@ def matrix_doc(mat: np.ndarray) -> dict[str, Any]:
     mat = np.asarray(mat, dtype=complex)
     return {
         "dim": int(mat.shape[0]),
-        "data": [[float(v.real), float(v.imag)] for v in mat.reshape(-1)],
+        "data": np.stack((mat.real, mat.imag), axis=-1).reshape(-1, 2).tolist(),
     }
 
 

@@ -11,9 +11,9 @@ snapshot famously "fits" the identity).  The repair implemented here:
 1. group eigenvalues into clusters of mutual distance below a precision
    ``p``, split by sign / imaginary part (`detect_clusters`);
 2. inside each cluster, solve for the vectors whose adjoints lie in the
-   partner cluster's span; how far the solutions are from exact, the
-   largest kernel residual (`kernel_residual`), is all the pipeline
-   choice reads (`Repair.kind`);
+   partner cluster's span, once per snapshot (`cluster_kernels`); how far
+   the solutions are from exact, the largest kernel residual
+   (`kernel_residual`), is all the pipeline choice reads (`Repair.kind`);
 3. only when a sample is drawn, rebuild from those solutions a basis per
    cluster whose columns are self-adjoint or come in adjoint pairs
    (`real_positive_basis`, `conjugate_basis`), and lay those pools out
@@ -59,6 +59,7 @@ __all__ = [
     "conjugate_basis",
     "real_positive_basis",
     "random_hp_basis",
+    "cluster_kernels",
     "kernel_residual",
     "perturb_to_nd2",
     "Repair",
@@ -237,6 +238,7 @@ def conjugate_basis(
     s: SpectralData,
     set_a: Sequence[int],
     set_b: Sequence[int],
+    kernel: Optional[tuple] = None,
 ) -> Optional[tuple[np.ndarray, float]]:
     """Basis of adjoint pairs for a complex or negative-real cluster, with
     its largest kernel residual.
@@ -247,14 +249,15 @@ def conjugate_basis(
     solution yields a unit column v = sum_j alpha_j w_j whose adjoint lies
     in the partner span.  The solutions are the smallest singular
     directions; the residual says how far they are from exact, and the
-    caller decides whether it is small enough (`Repair.kind`).  Returns
-    None when the columns vanish or are dependent.
+    caller decides whether it is small enough (`Repair.kind`).  ``kernel``
+    is that solve when the caller already made it (`cluster_kernels`).
+    Returns None when the columns vanish or are dependent.
     """
     if len(set_a) != len(set_b):
         raise DimensionMismatch(
             f"cluster sizes differ: {len(set_a)} vs {len(set_b)}"
         )
-    w, solutions, residual = _cluster_kernel(s, set_a, set_b)
+    w, solutions, residual = kernel or _cluster_kernel(s, set_a, set_b)
     n = w.shape[1]
     vectors = np.empty((s.dim, n), dtype=complex)
     for i, x in enumerate(solutions):
@@ -286,6 +289,7 @@ def real_positive_basis(
     s: SpectralData,
     set_a: Sequence[int],
     p: float,
+    kernel: Optional[tuple] = None,
 ) -> Optional[tuple[np.ndarray, float]]:
     """Self-adjoint and adjoint-pair columns for a positive-real cluster,
     with the largest kernel residual.
@@ -296,12 +300,13 @@ def real_positive_basis(
     rest count as pair vectors.  An odd number of pair vectors is
     repaired by promoting the one closest to self-adjointness, and every
     declared self-adjoint column is replaced by its exactly symmetrized
-    part so the declared structure holds to machine precision.  Returns
-    the unit columns, self-adjoint ones first, and the residual, or None.
+    part so the declared structure holds to machine precision.  ``kernel``
+    is the kernel solve when the caller already made it.  Returns the unit
+    columns, self-adjoint ones first, and the residual, or None.
     """
     if p <= 0:
         raise OutOfRange(f"precision must be positive, got {p}")
-    w, solutions, residual = _cluster_kernel(s, set_a, set_a)
+    w, solutions, residual = kernel or _cluster_kernel(s, set_a, set_a)
     n = w.shape[1]
     alphas = np.empty((n, n), dtype=complex)
     betas = np.empty((n, n), dtype=complex)
@@ -368,27 +373,43 @@ def _conjugation_slots(lam: np.ndarray, cols):
     return pairs, singles
 
 
-def kernel_residual(s: SpectralData, partition: ClusterPartition) -> float:
-    """The largest kernel residual of the partition's clusters, from the
-    `_cluster_kernel` calls `build_cluster_bases` makes, so bit for bit the
-    residual it reports when every pool is built, without building one;
-    inf when the clusters cannot be paired up (a complex cluster with no
-    conjugate partner, a negative cluster of odd size).
+def cluster_kernels(s: SpectralData, partition: ClusterPartition) -> Optional[list]:
+    """The `_cluster_kernel` solve of every cluster against its partner, in
+    the order `build_cluster_bases` lays out its pools: each positive
+    cluster and each negative cluster against itself, then each conjugate
+    pair of complex clusters.  None when the clusters cannot be paired up
+    (a complex cluster with no conjugate partner, a negative cluster of odd
+    size).
     """
     if 2 * len(partition.conjugate_pairs) != len(partition.complex_sets):
-        return np.inf
+        return None
     if any(len(set_) % 2 for set_ in partition.negative_sets):
+        return None
+    pairs = [(set_, set_) for set_ in partition.positive_sets + partition.negative_sets]
+    pairs += [(partition.complex_sets[ia], partition.complex_sets[ib])
+              for ia, ib in partition.conjugate_pairs]
+    return [_cluster_kernel(s, set_a, set_b) for set_a, set_b in pairs]
+
+
+def kernel_residual(s: SpectralData, partition: ClusterPartition,
+                    kernels: Optional[list] = None) -> float:
+    """The largest kernel residual of the partition's clusters, from the
+    kernel solves `build_cluster_bases` uses, so bit for bit the residual
+    it reports when every pool is built, without building one; inf when
+    the clusters cannot be paired up.  ``kernels`` are those solves
+    (`cluster_kernels`) when the caller already made them.
+    """
+    kernels = kernels or cluster_kernels(s, partition)
+    if kernels is None:
         return np.inf
-    kernels = [(set_, set_) for set_ in partition.positive_sets + partition.negative_sets]
-    kernels += [(partition.complex_sets[ia], partition.complex_sets[ib])
-                for ia, ib in partition.conjugate_pairs]
-    return max([0.0] + [_cluster_kernel(s, set_a, set_b)[2] for set_a, set_b in kernels])
+    return max([0.0] + [kernel[2] for kernel in kernels])
 
 
 def build_cluster_bases(
     s: SpectralData,
     partition: ClusterPartition,
     p: float,
+    kernels: Optional[list] = None,
 ) -> tuple[Optional[list], float]:
     """The draw plan, one step (pool, c1, c2) per drawn column in draw
     order, and the largest kernel residual of its pools.
@@ -399,16 +420,20 @@ def build_cluster_bases(
     cluster's real slots, then its conjugate pairs; each negative
     cluster's pairs, leftover real slots paired in order; for each
     conjugate pair of complex clusters, every column of the first cluster
-    with its partner in the second.  Returns (None, inf) when some cluster
-    has no structured basis (or no conjugate partner).
+    with its partner in the second.  The pools come from the kernel solves
+    ``kernels`` (`cluster_kernels`), made here when the caller has none.
+    Returns (None, inf) when some cluster has no structured basis (or no
+    conjugate partner).
     """
     failed = None, np.inf
-    if 2 * len(partition.conjugate_pairs) != len(partition.complex_sets):
+    kernels = kernels or cluster_kernels(s, partition)
+    if kernels is None:
         return failed
+    kernels = iter(kernels)
     lam = s.eigenvalues
     plan, residuals = [], [0.0]
     for set_ in partition.positive_sets:
-        built = real_positive_basis(s, set_, p)
+        built = real_positive_basis(s, set_, p, next(kernels))
         if built is None:
             return failed
         pairs, singles = _conjugation_slots(lam, set_)
@@ -417,8 +442,8 @@ def build_cluster_bases(
     for set_ in partition.negative_sets:
         # A negative eigenvalue's logarithm is complex, so the log's
         # hermiticity forces these columns into adjoint pairs — an
-        # odd-size cluster cannot be paired up.
-        built = conjugate_basis(s, set_, set_) if len(set_) % 2 == 0 else None
+        # odd-size cluster cannot be paired up (`cluster_kernels`).
+        built = conjugate_basis(s, set_, set_, next(kernels))
         if built is None:
             return failed
         pairs, singles = _conjugation_slots(lam, set_)
@@ -428,7 +453,7 @@ def build_cluster_bases(
     for ia, ib in partition.conjugate_pairs:
         set_a = partition.complex_sets[ia]
         set_b = partition.complex_sets[ib]
-        built = conjugate_basis(s, set_a, set_b)
+        built = conjugate_basis(s, set_a, set_b, next(kernels))
         if built is None:
             return failed
         # each column of set_b partners the remaining column of set_a
@@ -576,11 +601,13 @@ class Repair:
     ``snapshot`` and ``spectral`` come from `perturb_to_nd2` (the fit stage
     reuses that spectral data for the snapshot's own log audit),
     ``partition`` from `detect_clusters` and ``mirrored`` from
-    `mirrored_negative`.  The rest is built on first use: ``residual``
-    (`kernel_residual`) at the first `kind` that gets past the cluster and
-    identity tests, and ``plan`` (`build_cluster_bases`) at the first
-    `sample`.  So an Identity verdict and a snapshot with no clusters build
-    neither, and a verdict that draws no sample builds no plan.
+    `mirrored_negative`.  The rest is built on first use: ``kernels``
+    (`cluster_kernels`) and ``residual`` (`kernel_residual`) at the first
+    `kind` that gets past the cluster and identity tests, and ``plan``
+    (`build_cluster_bases`, from those same kernels) at the first `sample`.
+    So an Identity verdict and a snapshot with no clusters build none of
+    them, a verdict that draws no sample builds no plan, and each cluster
+    kernel is solved once.
 
     The pools can still fail after the residual passes, on a column below
     1e-8 or a dependent pool; ``plan`` is then None and nothing can be
@@ -597,12 +624,17 @@ class Repair:
         self.mirrored = mirrored_negative(self.spectral, p)
 
     @cached_property
+    def kernels(self) -> Optional[list]:
+        return cluster_kernels(self.spectral, self.partition)
+
+    @cached_property
     def residual(self) -> float:
-        return kernel_residual(self.spectral, self.partition)
+        return kernel_residual(self.spectral, self.partition, self.kernels)
 
     @cached_property
     def plan(self) -> Optional[list]:
-        return build_cluster_bases(self.spectral, self.partition, self.precision)[0]
+        return build_cluster_bases(self.spectral, self.partition, self.precision,
+                                   self.kernels)[0]
 
     def kind(self, epsilon: float) -> str:
         """The pipeline at acceptance radius ``epsilon``:

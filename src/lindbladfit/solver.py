@@ -27,6 +27,12 @@ of F, which is built from the same eigendecomposition of VᴴWV as F, from
 the smaller of its two eigenvalue sets (negative or nonnegative), and
 takes an Armijo step on θ; a handful of steps and eigendecompositions
 finish a problem.  The answer is the trace-zero projection of Π_K(W).
+The start point Y = Tr₁T/d is eigendecomposed once: a piece whose start
+points all lie in the cone (no negative eigenvalue) and meet the stopping
+test returns from it, with no dual point built, and any other piece
+starts its Newton loop from that same spectrum.  So a call costs its
+Newton steps, and a target already in the set costs one
+eigendecomposition.
 
 The other two programs are outer loops around Π, so this Newton solver is
 the only one:
@@ -47,6 +53,8 @@ the only one:
     the sum of norms (Beck and Sabach, J. Optim. Theory Appl. 164 (2015)):
     X⁺ = Π(Σ_c w_c t_c herm T_c / Σ_c w_c t_c²) with
     w_c ∝ 1/‖t_c X − T_c‖_F, a step that never increases the objective.
+    Each step is one (P1) call; a weighted mean already in the set (every
+    step of the weak-unital series) returns from its start point.
 
 Both outer loops run in lockstep over the batch and retire each problem
 as it converges.  A problem still running after ``ITER_LIMIT`` outer
@@ -157,16 +165,39 @@ class _Geometry:
         ent = max_entangled(d)
         self.basis = np.linalg.eigh(ent.omega_perp.real)[1][:, 1:]
         # 1/d − d·ωωᴴ: trace-annihilating, and 1/d on ω⊥
-        self.cone_lift = np.eye(d * d) / d - d * np.outer(ent.omega, ent.omega.conj())
+        self.eye = np.eye(d * d)
+        self.cone_lift = self.eye / d - d * np.outer(ent.omega, ent.omega.conj())
+        # the fixed maps of ``herm_coords`` and ``from_herm_coords``: the
+        # strict upper and lower triangles, the diagonal and the identity
+        self._upper = ~np.tri(d, d, 0, dtype=bool)
+        self._lower = np.tri(d, d, -1, dtype=bool)
+        self._diag = np.arange(d)
+        self._eye_d = np.eye(d)
         # rows: the hermitian basis H_j = Σ_rs T_j,rs e_r e_sᵀ behind the
-        # coordinates of ``_herm_coords``
-        self.herm_basis = _from_herm_coords(np.eye(d * d), d).reshape(d * d, d * d)
+        # coordinates of ``herm_coords``
+        self.herm_basis = self.from_herm_coords(self.eye).reshape(d * d, d * d)
         # the two Jacobians of a spectrum with no negative eigenvalue (d) and
         # with no nonnegative one (d − C); C_jl = Tr(H̃_j P H̃_l P) = ⟨E_j, E_l⟩,
         # H̃ = 1⊗H and P = VVᴴ the projector onto ω⊥
         lifted = self.basis @ self.basis.T @ self.embed_second(self.herm_basis.reshape(-1, d, d))
-        self.jac_none = d * np.eye(d * d)
+        self.jac_none = d * self.eye
         self.jac_all = self.jac_none - np.einsum("jab,lba->jl", lifted, lifted).real
+
+    def herm_coords(self, y: np.ndarray) -> np.ndarray:
+        """Hermitian d×d → real d²-vector, isometric: Y_rr at (r, r), and for
+        r < s √2·Re Y_rs at (r, s) and √2·Im Y_rs at (s, r); batched."""
+        d, diag = self.d, self._diag
+        c = np.sqrt(2.0) * (np.where(self._upper, y.real, 0.0) - np.where(self._lower, y.imag, 0.0))
+        c[..., diag, diag] = y.real[..., diag, diag]
+        return c.reshape(y.shape[:-2] + (d * d,))
+
+    def from_herm_coords(self, c: np.ndarray) -> np.ndarray:
+        """The inverse of ``herm_coords``."""
+        d, diag = self.d, self._diag
+        c = c.reshape(c.shape[:-1] + (d, d))
+        upper = (np.where(self._upper, c, 0.0)
+                 + 1j * np.where(self._upper, c.swapaxes(-1, -2), 0.0)) / np.sqrt(2.0)
+        return upper + upper.conj().swapaxes(-1, -2) + c[..., diag, diag][..., None] * self._eye_d
 
     def embed_second(self, y: np.ndarray) -> np.ndarray:
         """Batched 1_d ⊗ Y: (..., d, d) → (..., d², d²)."""
@@ -185,17 +216,19 @@ class _Geometry:
         return self.basis.T @ x @ self.basis
 
     def compress_eig(self, x: np.ndarray):
-        """Eigenvalues λ (ascending) of VᴴXV and the vectors A = VQ (batched).
+        """Eigenvalues λ (ascending) and eigenvectors Q of VᴴXV (batched):
+        the solvers' one cone eigendecomposition.
 
-        A is d²×(d²−1) with orthonormal columns in ω⊥, so a spectral change
-        of the cone block is X + A·diag(Δλ)·Aᴴ.
+        A = VQ is d²×(d²−1) with orthonormal columns in ω⊥, so a spectral
+        change of the cone block is X + A·diag(Δλ)·Aᴴ; a caller that only
+        reads λ skips that product.
         """
-        w, q = np.linalg.eigh(self.compress(x))
-        return w, self.basis @ q
+        return np.linalg.eigh(self.compress(x))
 
     def project_cone(self, x: np.ndarray) -> np.ndarray:
         """Projection onto {X : ω⊥ X ω⊥ ⪰ 0} (negative-part subtraction)."""
-        w, a = self.compress_eig(x)
+        w, q = self.compress_eig(x)
+        a = self.basis @ q
         neg = np.minimum(w, 0.0)
         if not neg.any():
             return x
@@ -218,7 +251,8 @@ def _geometry(d: int) -> _Geometry:
 
 
 def _fro_sq(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
+    # np.add.reduce is what np.sum runs, without its Python-level wrapper
+    return np.add.reduce(np.abs(x) ** 2, axis=(-2, -1))
 
 
 def _fro(x: np.ndarray) -> np.ndarray:
@@ -257,45 +291,35 @@ _TRIALS = 30
 _KAPPA_CAP = 1e-6
 
 
-def _herm_coords(y: np.ndarray) -> np.ndarray:
-    """Hermitian d×d → real d²-vector, isometric: Y_rr at (r, r), and for
-    r < s √2·Re Y_rs at (r, s) and √2·Im Y_rs at (s, r); batched."""
-    d = y.shape[-1]
-    c = np.sqrt(2.0) * (np.triu(y.real, 1) - np.tril(y.imag, -1))
-    c[..., np.arange(d), np.arange(d)] = y.real[..., np.arange(d), np.arange(d)]
-    return c.reshape(y.shape[:-2] + (d * d,))
-
-
-def _from_herm_coords(c: np.ndarray, d: int) -> np.ndarray:
-    """The inverse of ``_herm_coords``."""
-    c = c.reshape(c.shape[:-1] + (d, d))
-    upper = (np.triu(c, 1) + 1j * np.triu(c.swapaxes(-1, -2), 1)) / np.sqrt(2.0)
-    diag = c[..., np.arange(d), np.arange(d)]
-    return upper + upper.conj().swapaxes(-1, -2) + diag[..., None] * np.eye(d)
-
-
 def _dual_point(geo: _Geometry, t: np.ndarray, tr_t: np.ndarray, y: np.ndarray) -> dict:
     """The dual of (P1) at Y, batched: W = T − 1⊗Y, the spectrum (λ, A) of
     its cone block, X = Π_K(W), the gradient F = Tr₁X and its norm, θ(Y),
     and the scale of θ's rounding: ‖λ₋‖₁‖W‖ (each λ is off by up to ε‖W‖)
     plus the magnitudes of θ's other two terms."""
     w = t - geo.embed_second(y)
-    lam, a = geo.compress_eig(w)
+    return _dual_at(geo, w, *geo.compress_eig(w), tr_t, y)
+
+
+def _dual_at(geo: _Geometry, w: np.ndarray, lam: np.ndarray, q: np.ndarray,
+             tr_t: np.ndarray, y: np.ndarray) -> dict:
+    """``_dual_point`` at W = T − 1⊗Y from the spectrum (λ, Q) of its cone
+    block, already computed."""
+    a = geo.basis @ q
     neg = np.minimum(lam, 0.0)
     x = w - (a * neg[..., None, :]) @ a.conj().swapaxes(-1, -2)
-    linear = np.real(np.sum(y.conj() * tr_t, axis=(-2, -1)))
+    linear = np.add.reduce(y.conj() * tr_t, axis=(-2, -1)).real
     quadratic = 0.5 * geo.d * _fro_sq(y)
     f = partial_trace_first(x)
     return {
         "y": y, "lam": lam, "a": a, "x": x, "f": f, "fnorm": _fro(f),
-        "theta": 0.5 * np.sum(neg**2, axis=-1) + linear - quadratic,
-        "noise": -np.sum(neg, axis=-1) * _fro(w) + np.abs(linear) + quadratic,
+        "theta": 0.5 * np.add.reduce(neg**2, axis=-1) + linear - quadratic,
+        "noise": -np.add.reduce(neg, axis=-1) * _fro(w) + np.abs(linear) + quadratic,
     }
 
 
 def _dual_jacobian(geo: _Geometry, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The generalized Jacobian M of −F at a dual point, in the real
-    coordinates of ``_herm_coords``: (B, d², d²), symmetric, 1/d ⪯ M ⪯ d.
+    coordinates of ``_Geometry.herm_coords``: (B, d², d²), symmetric, 1/d ⪯ M ⪯ d.
 
     M_jl = d·δ_jl − Re⟨E_j, Ω∘E_l⟩ with E_j = Aᴴ(1⊗H_j)A for the hermitian
     basis H_j behind the coordinates and Ω the divided differences of
@@ -319,13 +343,16 @@ def _dual_jacobian(geo: _Geometry, lam: np.ndarray, a: np.ndarray) -> np.ndarray
     top = 2 * n_neg > m  # the nonnegative side is the smaller
     jac = np.where(top[:, None, None], geo.jac_all, geo.jac_none)
     sizes = np.where(top, m - n_neg, n_neg)
-    for k in np.unique(sizes[sizes > 0]):
+    for k in sorted(set(sizes[sizes > 0].tolist())):
         g = np.flatnonzero(sizes == k)
         # eigh sorts λ ascending: reversing a spectrum whose smaller side is
         # the nonnegative one puts S first there too; W is unchanged
         flip = top[g]
-        lam_g = np.where(flip[:, None], lam[g, ::-1], lam[g])
-        a_g = np.where(flip[:, None, None], a[g, :, ::-1], a[g])
+        if flip.any():
+            lam_g = np.where(flip[:, None], lam[g, ::-1], lam[g])
+            a_g = np.where(flip[:, None, None], a[g, :, ::-1], a[g])
+        else:
+            lam_g, a_g = lam[g], a[g]
         lam_own = lam_g[:, :k, None]
         weight = np.ones((len(g), k, m))
         weight[..., k:] = np.sqrt(2 * lam_own / (lam_own - lam_g[:, None, k:]))
@@ -357,51 +384,76 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
     ‖F‖ ≤ ``TOL``·scale and records the trace-zero projection of Π_K(W).
     A problem still running after ``ITER_LIMIT`` steps, or whose step
     fails every trial length, records ``_settle_p1`` of its current
-    Π_K(W).  A piece whose problems all stop at their start point returns
-    at once, with what that first retirement records.  Returns (solutions,
+    Π_K(W).
+
+    The start point's cone block is eigendecomposed once.  When no problem
+    of the piece has a negative cone eigenvalue, Π_K(W) = W, and when
+    every ‖Tr₁W‖ meets the stopping test as well the piece returns the
+    trace-zero projection of W at once: bit for bit what the loop's first
+    retirement records, without eigenvector products, θ or its rounding
+    scale.  (A margin below 0 would drop a correction A·λ₋·Aᴴ the loop
+    keeps, so the answer would move by up to the margin.)  Otherwise the
+    start dual point is built from that same spectrum, so a piece that
+    steps pays no second eigendecomposition for it.  Returns (solutions,
     Newton steps, converged).
     """
     d = geo.d
+    tol = TOL * scale
+    tr_t = partial_trace_first(t)
+    y = tr_t / d
+    w = t - geo.embed_second(y)
+    lam, q = geo.compress_eig(w)
+    if not (lam < 0).any():  # Π_K(W) = W
+        f = partial_trace_first(w)
+        if np.all(_fro(f) <= tol):  # step 0 retires every problem
+            return (w - geo.embed_second(f) / d, np.zeros(len(t), dtype=int),
+                    np.ones(len(t), dtype=bool))
     out = np.empty_like(t)
     iters = np.empty(len(t), dtype=int)
     converged = np.zeros(len(t), dtype=bool)
-    tr_t = partial_trace_first(t)
-    run = {"row": np.arange(len(t)), "t": t, "tr_t": tr_t, "tol": TOL * scale,
-           **_dual_point(geo, t, tr_t, tr_t / d)}
-    if np.all(run["fnorm"] <= run["tol"]):  # step 0 retires every problem
-        return geo.project_trace_zero(run["x"]), np.zeros_like(iters), np.ones_like(converged)
+    run = {"row": np.arange(len(t)), "t": t, "tr_t": tr_t, "tol": tol,
+           **_dual_at(geo, w, lam, q, tr_t, y)}
 
     def retire(leave, x, ok):
+        """Record the problems ``leave`` and return the state of the rest,
+        None when none is left."""
         rows = run["row"][leave]
         out[rows], iters[rows], converged[rows] = x, it, ok
-        return {key: v[~leave] for key, v in run.items()}
+        return None if leave.all() else {key: v[~leave] for key, v in run.items()}
 
     for it in range(ITER_LIMIT + 1):
         done = run["fnorm"] <= run["tol"]
         if done.any():
             run = retire(done, geo.project_trace_zero(run["x"][done]), True)
+            if run is None:
+                break
         if it == ITER_LIMIT:
-            run = retire(np.ones(len(run["row"]), dtype=bool), _settle_p1(geo, run["x"]), False)
-        if not run["row"].size:
+            retire(np.ones(len(run["row"]), dtype=bool), _settle_p1(geo, run["x"]), False)
             break
         jac = _dual_jacobian(geo, run["lam"], run["a"])
-        jac += np.minimum(_KAPPA_CAP, run["fnorm"])[:, None, None] * np.eye(d * d)
-        rhs = _herm_coords(run["f"])
+        jac += np.minimum(_KAPPA_CAP, run["fnorm"])[:, None, None] * geo.eye
+        rhs = geo.herm_coords(run["f"])
         coords = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        step = _from_herm_coords(coords, d)
-        gain = _ARMIJO * np.sum(rhs * coords, axis=-1)
+        step = geo.from_herm_coords(coords)
+        gain = _ARMIJO * np.add.reduce(rhs * coords, axis=-1)
         length = np.ones(len(run["row"]))
         pending = np.arange(len(run["row"]))
-        for _ in range(_TRIALS):
+        for trial_no in range(_TRIALS):
+            # the first trial holds every running problem, in order
+            at = slice(None) if trial_no == 0 else pending
             trial = _dual_point(
-                geo, run["t"][pending], run["tr_t"][pending],
-                run["y"][pending] + length[pending, None, None] * step[pending],
+                geo, run["t"][at], run["tr_t"][at],
+                run["y"][at] + length[at, None, None] * step[at],
             )
-            slack = 1e-14 * (run["noise"][pending] + trial["noise"])
-            rise = trial["theta"] - run["theta"][pending]
-            ok = (rise >= length[pending] * gain[pending] - slack) & (
-                (rise > slack) | (trial["fnorm"] <= 0.5 * run["fnorm"][pending])
+            slack = 1e-14 * (run["noise"][at] + trial["noise"])
+            rise = trial["theta"] - run["theta"][at]
+            ok = (rise >= length[at] * gain[at] - slack) & (
+                (rise > slack) | (trial["fnorm"] <= 0.5 * run["fnorm"][at])
             )
+            if trial_no == 0 and ok.all():  # every full step passes
+                run.update(trial)
+                pending = pending[:0]
+                break
             for key, v in trial.items():
                 run[key][pending[ok]] = v[ok]
             pending = pending[~ok]
@@ -412,6 +464,8 @@ def _newton_piece(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
             stalled = np.zeros(len(run["row"]), dtype=bool)
             stalled[pending] = True
             run = retire(stalled, _settle_p1(geo, run["x"][stalled]), False)
+            if run is None:
+                break
     return out, iters, converged
 
 
@@ -435,6 +489,8 @@ def _in_pieces(t: np.ndarray, scale: np.ndarray, geo: _Geometry):
     """``_newton_piece`` over the consecutive slices of at most ``CHUNK``
     problems of the hermitian stack t, joined: (solutions, Newton steps,
     converged).  An empty batch runs no solve."""
+    if 0 < len(t) <= CHUNK:  # one piece: nothing to join
+        return _newton_piece(t, scale, geo)
     out = np.empty_like(t)
     iters = np.empty(len(t), dtype=int)
     converged = np.empty(len(t), dtype=bool)
@@ -679,6 +735,11 @@ def joint_infeasible(
     return dead
 
 
+#: The least positive float, the floor of a misfit that ``_reweighted_p1``
+#: divides by.
+_TINY = np.finfo(float).tiny
+
+
 def _reweighted_p1(t_h, skew_sq, t_sc, scale, geo):
     """Σ_c ‖t_c·X − T_c‖_F minimized over (P1)'s set, per problem, in
     lockstep: (X, reweighting steps, converged).
@@ -689,6 +750,11 @@ def _reweighted_p1(t_h, skew_sq, t_sc, scale, geo):
     problem retires once its step ‖X⁺ − X‖ is at most ``TOL``·scale.  It
     does not converge when it is still running after ``ITER_LIMIT`` steps
     or when one of its projections ends MaxIters.
+
+    Each step is one (P1) call.  A step whose mean has no negative cone
+    eigenvalue and meets the stopping test, as every step of the
+    weak-unital series does, returns from ``_newton_piece``'s start point:
+    one eigendecomposition of the cone block and no dual point.
     """
     x = np.empty_like(t_h[:, 0])
     steps = np.empty(len(t_h), dtype=int)
@@ -700,7 +766,8 @@ def _reweighted_p1(t_h, skew_sq, t_sc, scale, geo):
         if not rows.size:
             break
         wt = w * t_sc
-        mean = np.sum(wt[:, :, None, None] * t_h[rows], axis=1) / (wt @ t_sc)[:, None, None]
+        running = t_h[rows]
+        mean = np.add.reduce(wt[:, :, None, None] * running, axis=1) / (wt @ t_sc)[:, None, None]
         new, _, ok = _in_pieces(mean, scale[rows], geo)
         converged[rows] &= ok
         done = np.zeros(len(rows), dtype=bool) if last is None else (
@@ -710,8 +777,8 @@ def _reweighted_p1(t_h, skew_sq, t_sc, scale, geo):
         out = rows[leave]
         x[out], steps[out] = new[leave], it
         converged[out] &= done[leave]
-        misfit = np.sqrt(_fro_sq(t_sc[:, None, None] * new[:, None] - t_h[rows]) + skew_sq[rows])
-        misfit = np.maximum(misfit, np.finfo(float).tiny)
+        misfit = np.sqrt(_fro_sq(t_sc[:, None, None] * new[:, None] - running) + skew_sq[rows])
+        misfit = np.maximum(misfit, _TINY)
         w = (misfit.min(axis=1, keepdims=True) / misfit)[~leave]
         last = new[~leave]
         rows = rows[~leave]

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lindbladfit import cli, decide, fitting, nonmarkov, preprocess, solver
@@ -1246,3 +1247,43 @@ def test_each_candidate_is_eigendecomposed_once_in_the_search(tmp_path, snap, mo
     code, doc = fit(tmp_path, snap["xgate"], LOW, "--samples", "4")
     assert (code, doc["verdict"]) == (cli.EXIT_OK, "NonMarkovian")
     assert collections.Counter(calls) == {("preprocess", "search"): 6}
+
+
+# ----------------------------------------------------------------------
+# report text
+# ----------------------------------------------------------------------
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                 | st.floats(allow_nan=True, allow_infinity=True))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                       min_size=2, max_size=2), max_size=5)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_report_text_is_json_dumps_bit_for_bit(value):
+    """Any JSON value, inside a report dict and on its own: the rows of
+    [re, im] pairs every matrix is written as, with NaN and infinities
+    among them, empty containers, tuples, and strings that need escapes."""
+    for doc in ({"result": value, "verdict": "Markovian"}, value):
+        assert cli.report_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_text_leaves_what_it_does_not_cover_to_json_dumps():
+    """numpy's float64, non-str keys and nesting deeper than its table of
+    indents give json.dumps's text; a value json.dumps refuses is refused."""
+    deep = [1.5]
+    for _ in range(70):
+        deep = [deep]
+    matrix = [[np.float64(0.1), -0.0], [1e-300, 2.0]]
+    for doc in ({"a": np.float64(0.1), "m": matrix}, {1: "x", 2: 3}, {"deep": deep},
+                {"m": [[1.0, 2.0], [3.0]], "n": [[], []], "i": [[1, 2], [3, 4]]}):
+        assert cli.report_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli.report_text({"x": np.int64(1)})

@@ -434,6 +434,22 @@ def test_cli_multifit_markovian(tmp_path, weak_series):
     assert is_lindbladian(gen, tol=res["lindblad_check_tolerance"]).ok
 
 
+def test_a_weak_series_multifit_builds_no_dual_point(tmp_path, weak_series, monkeypatch):
+    """The README series (weak unital, seed 1): every one of the joint fit's
+    21 reweighting steps projects a mean whose cone block has no negative
+    eigenvalue, so each (P1) call returns from its start point and no dual
+    point is built.  The answer is the golden one."""
+
+    def refused(*args):
+        raise AssertionError("a weak-series step built a dual point")
+
+    monkeypatch.setattr(solver, "_dual_point", refused)
+    monkeypatch.setattr(solver, "_dual_at", refused)
+    code, doc = run_multifit(tmp_path, write_series(tmp_path, "weak", weak_series[1]))
+    assert (code, doc["verdict"]) == (cli.EXIT_OK, "Markovian")
+    assert doc["result"]["distance"] == pytest.approx(GOLDEN_DISTANCES[1], abs=1e-12)
+
+
 def test_cli_multifit_m_max_2_enumerates_its_branches(tmp_path, weak_series):
     """--m-max bounds the branch entries of multifit as of fit: at m_max = 2
     each snapshot in turn takes every one of the 5^4 - 1 nonzero branches.

@@ -389,6 +389,43 @@ def test_kind_reads_the_plan_residual_without_a_plan():
                                                                preprocess.SAMPLES]
 
 
+def test_each_cluster_kernel_is_solved_once(monkeypatch):
+    """On every clustered snapshot of the benchmark panels, a repair that
+    picks its pipeline and then builds its draw plan solves each cluster's
+    kernel once, and the plan and its draws are bit for bit the ones from
+    kernels solved afresh."""
+    mats = [snapshot(spec, inp.shots, inp.tomo_seed)
+            for make in _panel().WORKLOADS.values() for inp in make() for spec in inp.specs]
+    fresh = {}
+    for k, m in enumerate(mats):
+        repair = preprocess.Repair(m, P)
+        if repair.partition.has_clusters:
+            fresh[k] = preprocess.build_cluster_bases(repair.spectral, repair.partition, P)
+    solves = []
+    kernel = preprocess._cluster_kernel
+
+    def counting(*args):
+        solves.append(args[1:])
+        return kernel(*args)
+
+    monkeypatch.setattr(preprocess, "_cluster_kernel", counting)
+    assert len(fresh) == 20
+    for k, (plan, residual) in fresh.items():
+        solves.clear()
+        repair = preprocess.Repair(mats[k], P)
+        repair.kind(EPSILON)
+        assert repair.plan is not None and repair.residual == residual
+        part = repair.partition
+        assert len(solves) == (len(part.positive_sets) + len(part.negative_sets)
+                               + len(part.conjugate_pairs))
+        assert [step[1:] for step in repair.plan] == [step[1:] for step in plan]
+        for ours, theirs in zip(repair.plan, plan):
+            assert np.array_equal(ours[0], theirs[0])
+        basis = preprocess.random_hp_basis(repair.spectral, plan, 0, 1)
+        np.testing.assert_array_equal(
+            preprocess.random_hp_basis(repair.spectral, repair.plan, 0, 1), basis)
+
+
 def test_odd_negative_and_unpaired_clusters_have_no_residual():
     """Clusters that cannot be paired up give an infinite residual, as the
     draw plan does."""

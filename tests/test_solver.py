@@ -7,6 +7,8 @@ for the (P1) Newton solver, and a bisection over its distances checks the
 spectrum, is checked against the full-block formula kept here.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -154,23 +156,149 @@ def test_batch_results_are_composition_independent(monkeypatch):
         np.testing.assert_allclose(rep.x_opt, piece.x_opt, rtol=0, atol=1e-12)
 
 
+def start_point(t):
+    """The cone eigenvalues of a (P1) solve's start point W = T − 1⊗Tr₁T/d
+    (d = 2), relative to max(1, ‖herm T‖), and ‖Tr₁W‖."""
+    geo = solver._geometry(2)
+    t = herm(t)[None]
+    w = t - geo.embed_second(partial_trace_first(t) / 2)
+    lam = geo.compress_eig(w)[0][0]
+    return lam / max(1.0, frobenius(t[0])), frobenius(partial_trace_first(w)[0])
+
+
+def just_below_the_cone(seed, depth=1e-13):
+    """A random Lindbladian's Choi-side matrix, whose cone block is singular,
+    moved along the trace-annihilating ``_Geometry.cone_lift`` (1/d on ω⊥)
+    until its least cone eigenvalue sits ``depth`` below zero, relative to
+    its norm."""
+    t = lindbladian_choi(2, seed)
+    lam, _ = start_point(t)
+    scale = max(1.0, frobenius(herm(t)))
+    return t - 2 * scale * (lam[0] + depth) * solver._geometry(2).cone_lift
+
+
+def counted_calls(monkeypatch, name):
+    """Counts the calls of ``solver.<name>``."""
+    calls = []
+    step = getattr(solver, name)
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return step(*args)
+
+    monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("chunk", [32, 2], ids=["one piece", "pieces of two"])
 def test_targets_in_the_set_keep_their_one_problem_reports_in_a_batch(chunk, monkeypatch):
     """Targets already in the (P1) set mixed with ones that need Newton
     steps: each problem gets its one-problem solve's report bit for bit, and
     the former 0 steps, whether its piece also holds problems that step
     (one piece; the second piece of two) or returns at its start (the first
-    and last pieces of two)."""
+    and last pieces of two).
+
+    The start point returns at once only when no cone eigenvalue is
+    negative.  A start point with one eigenvalue 1e-13 below zero
+    (relative) falls through to the Newton loop: it builds its dual point,
+    keeps the cone correction that a return of W would drop, and retires at
+    step 0.  A target in the cone's interior whose Tr₁W keeps a rounding
+    residue returns the trace-zero projection of W, alone as in a piece
+    that falls through.  ‖Tr₁W‖ vanishes up to rounding at every start
+    point, so a start point fails the stopping test only with ``TOL``
+    below that rounding: at ``TOL`` 1e-17 that residue of 1.6e-16 sends
+    its target into the loop, whose first line search stalls at that floor
+    (MaxIters at step 0), while targets whose Tr₁W is exactly 0 still
+    return at their start."""
+    geo = solver._geometry(2)
     inside = [lindbladian_choi(2, seed=s) for s in range(5)]
     outside = [random_choi_target(2, seed=s) for s in (11, 14)]
-    targets = np.stack([inside[0], inside[1], outside[0], inside[2], outside[1], inside[3],
-                        inside[4]])
+    below = just_below_the_cone(5)
+    lift = 0.2 * geo.cone_lift  # every cone eigenvalue up by 0.1
+    interior = [lindbladian_choi(2, seed=s) + lift for s in (5, 6)]
+    # in the cone's interior, with a rounding residue in its Tr₁W
+    residue = lindbladian_choi(2, seed=8) + lift + geo.embed_second(
+        herm(np.random.default_rng(8).standard_normal((2, 2))).astype(complex))
+    lam, _ = start_point(below)
+    assert -2e-13 < lam[0] < -0.5e-13 < 0.01 < lam[1]
+    built = counted_calls(monkeypatch, "_dual_at")
+    alone = closest_lindbladian_batch(below, 2)[0]
+    assert (built, alone.iterations, alone.status) == ([1], 0, "Optimal")
+    assert not np.array_equal(alone.x_opt, geo.project_trace_zero(herm(below)[None])[0])
+    targets = np.stack([inside[0], inside[1], outside[0], inside[2], outside[1], below, residue,
+                        inside[3], inside[4]])
     singles = [closest_lindbladian_batch(t, 2)[0] for t in targets]
     monkeypatch.setattr(solver, "CHUNK", chunk)
     batch = closest_lindbladian_batch(targets, 2)
-    assert [rep.iterations == 0 for rep in batch] == [True, True, False, True, False, True, True]
+    assert [rep.iterations == 0 for rep in batch] == [True, True, False, True, False, True, True,
+                                                      True, True]
     assert {rep.status for rep in batch} == {"Optimal"}
     assert_reports_equal(batch, singles)
+
+    # below the rounding of Tr₁W: a target in the cone's interior with a
+    # rounding residue enters the loop, the ones without return at their start
+    monkeypatch.setattr(solver, "TOL", 1e-17)
+    monkeypatch.setattr(solver, "CHUNK", 32)
+    lam, trace_norm = start_point(residue)
+    assert lam[0] > 0.01 and trace_norm > 1e-16
+    assert [start_point(t)[1] for t in interior] == [0.0, 0.0]
+    targets = np.stack([interior[0], residue, interior[1]])
+    built.clear()
+    trials = counted_calls(monkeypatch, "_dual_point")  # each builds one more
+    singles = [closest_lindbladian_batch(t, 2)[0] for t in targets]
+    assert len(built) - len(trials) == 1  # the residue's start dual point
+    assert [(rep.status, rep.iterations) for rep in singles] == [
+        ("Optimal", 0), ("MaxIters", 0), ("Optimal", 0)]
+    monkeypatch.setattr(solver, "CHUNK", chunk)
+    assert_reports_equal(closest_lindbladian_batch(targets, 2), singles)
+
+
+@pytest.mark.parametrize("chunk", [32, 2], ids=["one piece", "pieces of two"])
+def test_a_stepping_four_level_batch_eigendecomposes_once_per_point(chunk, monkeypatch):
+    """Five d=4 targets that take 4 to 6 Newton steps each: every problem's
+    cone block is eigendecomposed once at its start and once per step (each
+    step accepts its first trial), in as many ``compress_eig`` calls as
+    before the start point got its own return: 7 in one piece, 18 in
+    pieces of two."""
+    targets = np.concatenate([
+        shifted_branch_targets(4),
+        np.stack([random_choi_target(4, seed=s) for s in (2, 3)]),
+    ])
+    calls = []
+    eig = solver._Geometry.compress_eig
+
+    def counting(geo, x):
+        calls.append(len(x))
+        return eig(geo, x)
+
+    monkeypatch.setattr(solver._Geometry, "compress_eig", counting)
+    monkeypatch.setattr(solver, "CHUNK", chunk)
+    reps = closest_lindbladian_batch(targets, 4)
+    assert [rep.iterations for rep in reps] == [4, 4, 5, 5, 6]
+    assert sum(calls) == sum(rep.iterations for rep in reps) + len(reps)
+    assert len(calls) == {32: 7, 2: 18}[chunk]
+
+
+def test_a_settled_fit_builds_no_dual_point(tmp_path, monkeypatch):
+    """Depolarizing p = 0.1 (10⁴ shots, seed 1) settles at its raw principal
+    fit, whose one P1 problem returns from its start point: no (P1) dual
+    point is built, and the answer is the golden one."""
+
+    def refused(*args):
+        raise AssertionError("a settled fit built a dual point")
+
+    mat = simulate_process_tomography(
+        ChannelSpec("depolarizing", {"p": 0.1}), TomographyConfig(shots=10**4, seed=1)
+    ).mat
+    path, report = tmp_path / "depol.json", tmp_path / "report.json"
+    cli.write_matrix_file(str(path), mat)
+    monkeypatch.setattr(solver, "_dual_point", refused)
+    monkeypatch.setattr(solver, "_dual_at", refused)
+    code = cli.main(["fit", "--in", str(path), "--samples", "4", "--epsilon", "0.05",
+                     "--report", str(report)])
+    doc = json.loads(report.read_text())
+    assert (code, doc["verdict"], doc["result"]["candidate"]) == (cli.EXIT_OK, "Markovian", "raw")
+    assert doc["result"]["distance"] == 1.1424824313914204e-15
 
 
 def test_four_level_projection():
@@ -254,7 +382,7 @@ def test_dual_jacobian_is_the_derivative_of_the_dual_gradient(d, shift, top):
     eigenvalue is near 0; and 1/d ⪯ M ⪯ d.  Adding shift·1 to Y moves every
     cone eigenvalue down by it; ``top`` says whether the smaller side of
     the spectrum is the nonnegative one.  The coordinates are an isometry,
-    and ``_from_herm_coords`` inverts them."""
+    and ``_Geometry.from_herm_coords`` inverts them."""
     geo = solver._geometry(d)
     t = herm(random_choi_target(d, seed=70 + d))[None]
     tr_t = partial_trace_first(t)
@@ -265,18 +393,18 @@ def test_dual_jacobian_is_the_derivative_of_the_dual_gradient(d, shift, top):
     jac = solver._dual_jacobian(geo, pt["lam"], pt["a"])[0]
     h = 1e-6
     for k in range(d * d):
-        e = solver._from_herm_coords(np.eye(d * d)[k], d)
+        e = geo.from_herm_coords(np.eye(d * d)[k])
         f_up, f_down = (
-            solver._herm_coords(solver._dual_point(geo, t, tr_t, y + sign * h * e)["f"][0])
+            geo.herm_coords(solver._dual_point(geo, t, tr_t, y + sign * h * e)["f"][0])
             for sign in (1, -1)
         )
         np.testing.assert_allclose(jac[:, k], -(f_up - f_down) / (2 * h), rtol=0, atol=1e-7)
     w = np.linalg.eigvalsh(jac)
     assert 1 / d - 1e-12 <= w[0] and w[-1] <= d + 1e-12
 
-    c = solver._herm_coords(y)
+    c = geo.herm_coords(y)
     np.testing.assert_allclose(np.linalg.norm(c), frobenius(y[0]), rtol=1e-15)
-    np.testing.assert_allclose(solver._from_herm_coords(c, d), y, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(geo.from_herm_coords(c), y, rtol=0, atol=1e-15)
 
 
 def full_block_jacobian(geo, lam, a):
